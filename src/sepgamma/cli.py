@@ -24,6 +24,7 @@ from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import Graph, classify, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
+from .matching import MAX_MATCHED_SET_VERTICES
 from .polynomials import Poly, check_properties
 from .ehrhart import oracle_hstar_a, reflexivity_check
 from .polynomials import hstar_to_gamma
@@ -35,7 +36,9 @@ EXIT_MISMATCH = 3
 EXIT_BOUND = 4
 
 BOUND_KEYS = ("cut-sum", "matched-sets", "hrep-dim", "hrep-points", "box",
-              "cliques", "trees")
+              "cliques")
+A_METHODS = ("auto", "formula", "cuts", "ehrhart")
+B_METHODS = ("auto", "formula", "interior", "ehrhart")
 BATCH_AGREEMENT_MAX_N = 12
 
 
@@ -93,6 +96,25 @@ def _oracle_kwargs(bounds: dict) -> dict:
     return kw
 
 
+def _solve(polytope: str, g: Graph, method: str, bounds: dict) -> engine.SepResult:
+    """The suspension polytope ("ahat") by engine.gamma_a or the type-B
+    polytope ("b") by engine.gamma_b_dispatch, under the bound overrides.
+    max_n guards the cut sum ("ahat") or the matched-set count ("b"); the
+    formula route has no guard and ignores it."""
+    if polytope == "ahat":
+        run, methods = engine.gamma_a, A_METHODS
+        guard = {"max_n": bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)}
+    else:
+        run, methods = engine.gamma_b_dispatch, B_METHODS
+        guard = {"max_n": bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES)}
+    if method not in methods:
+        raise PreconditionError(
+            f"method {method!r} does not apply to polytope {polytope}; "
+            f"choose from {', '.join(methods)}")
+    return run(g, method,
+               **(_oracle_kwargs(bounds) if method == "ehrhart" else guard))
+
+
 def _emit(pairs) -> None:
     for key, value in pairs:
         print(f"{key}: {value}")
@@ -148,12 +170,7 @@ def _properties_doc(p: Poly, fmt: str) -> dict:
 def cmd_gamma_a(args) -> int:
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
-    kw = {}
-    if args.method in ("auto", "cuts"):
-        kw["max_n"] = bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)
-    if args.method == "ehrhart":
-        kw.update(_oracle_kwargs(bounds))
-    res = engine.gamma_a(g, args.method, **kw)
+    res = _solve("ahat", g, args.method, bounds)
     doc = {"input": args.path, "command": "gamma-a"}
     doc.update(_result_doc(res, args.format))
     _print_report(doc, args.format)
@@ -163,12 +180,7 @@ def cmd_gamma_a(args) -> int:
 def cmd_gamma_b(args) -> int:
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
-    kw = {}
-    if args.method in ("auto", "interior"):
-        kw["max_n"] = bounds.get("matched-sets", 16)
-    if args.method == "ehrhart":
-        kw.update(_oracle_kwargs(bounds))
-    res = engine.gamma_b_dispatch(g, args.method, **kw)
+    res = _solve("b", g, args.method, bounds)
     doc = {"input": args.path, "command": "gamma-b"}
     doc.update(_result_doc(res, args.format))
     _print_report(doc, args.format)
@@ -178,24 +190,18 @@ def cmd_gamma_b(args) -> int:
 def cmd_check(args) -> int:
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
-    okw = _oracle_kwargs(bounds)
     if args.polytope == "a":
         if args.method not in ("auto", "ehrhart"):
             raise PreconditionError(
                 "no formula computes the type-A polytope of a raw graph; "
                 "--polytope a implies the ehrhart oracle")
-        data = oracle_hstar_a(g, **okw)
+        data = oracle_hstar_a(g, **_oracle_kwargs(bounds))
         hstar = data.hstar
         gamma = (hstar_to_gamma(hstar)
                  if reflexivity_check(hstar, hstar.degree) else None)
         res = engine.SepResult(gamma, hstar, hstar(1), hstar.degree, "ehrhart")
-    elif args.polytope == "ahat":
-        res = engine.gamma_a(g, args.method, **(_oracle_kwargs(bounds)
-                                                if args.method == "ehrhart" else {}))
     else:
-        res = engine.gamma_b_dispatch(g, args.method,
-                                      **(_oracle_kwargs(bounds)
-                                         if args.method == "ehrhart" else {}))
+        res = _solve(args.polytope, g, args.method, bounds)
     doc = {"input": args.path, "command": "check", "polytope": args.polytope}
     doc.update(_result_doc(res, args.format))
     doc["hstar properties"] = _properties_doc(res.hstar, args.format)
@@ -263,7 +269,8 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
     cls = classify(g)
     cut_max = bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)
 
-    res_formula = engine.gamma_a_suspension(g) if cls.unique_even_cycle_condition else None
+    res_formula = (engine.gamma_a_suspension(g, cls)
+                   if cls.unique_even_cycle_condition else None)
     res_cuts = engine.gamma_a_cut_sum(g, max_n=cut_max) if g.n <= cut_max else None
 
     if res_formula is not None and res_cuts is not None:
@@ -277,10 +284,11 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
 
     res_b = None
     if cls.bipartite:
-        res_b_int = engine.gamma_b_interior(g, max_n=bounds.get("matched-sets", 16))
+        res_b_int = engine.gamma_b_interior(
+            g, max_n=bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES))
         res_b = res_b_int
         if cls.cactus:
-            res_b_formula = engine.gamma_b(g)
+            res_b_formula = engine.gamma_b(g, cls)
             ok = res_b_formula.gamma == res_b_int.gamma
             checks.append(("b-formula-vs-interior", ok,
                            f"{res_b_formula.gamma.coeff_text()} vs {res_b_int.gamma.coeff_text()}"))
@@ -311,7 +319,7 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
             checks.append(("b-vs-ehrhart", ok,
                            f"{res_b.hstar.coeff_text()} vs {oracle_b.hstar.coeff_text()}"))
         if cls.cactus:
-            ok = spectral.verify_gamma_mu_bridge(g)
+            ok = spectral.verify_gamma_mu_bridge(g, cls=cls)
             checks.append(("mu-bridge", ok, f"samples 1..{g.n + 1}"))
         else:
             checks.append(("mu-bridge", None, "not a cactus"))
@@ -367,9 +375,8 @@ def cmd_batch(args) -> int:
         try:
             g = _load_graph(path)
             cls = classify(g)
-            res = engine.gamma_a(g, "auto",
-                                 **({"max_n": bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)}
-                                    if not cls.unique_even_cycle_condition else {}))
+            res = engine.gamma_a(
+                g, "auto", cls, max_n=bounds.get("cut-sum", MAX_CUT_SUM_VERTICES))
             flags = [label for label, on in (
                 ("connected", cls.connected),
                 ("bipartite", cls.bipartite),
@@ -426,24 +433,18 @@ def build_parser() -> argparse.ArgumentParser:
                         default="coeffs", help="polynomial/report rendering")
     common.add_argument("--bound-override", action="append", metavar="NAME=VALUE",
                         help=f"override a resource guard ({', '.join(BOUND_KEYS)})")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; all computation is deterministic")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="worker pool size; results are identical for any value")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gamma-a", parents=[common],
                        help="suspension polytope of the input graph")
     p.add_argument("path")
-    p.add_argument("--method", choices=("auto", "formula", "cuts", "ehrhart"),
-                   default="auto")
+    p.add_argument("--method", choices=A_METHODS, default="auto")
     p.set_defaults(func=cmd_gamma_a)
 
     p = sub.add_parser("gamma-b", parents=[common],
                        help="type-B polytope of the input graph")
     p.add_argument("path")
-    p.add_argument("--method", choices=("auto", "formula", "interior", "ehrhart"),
-                   default="auto")
+    p.add_argument("--method", choices=B_METHODS, default="auto")
     p.set_defaults(func=cmd_gamma_b)
 
     p = sub.add_parser("check", parents=[common],

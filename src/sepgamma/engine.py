@@ -15,10 +15,12 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
-from .graphs import (Graph, bipartition_of, classify, cycle_graph,
-                     delete_vertices, even_cycle_families, suspension)
-from .interior import cut_sum_gamma, interior_tilde_fast
-from .matching import gen_poly
+from .graphs import (Graph, GraphClassification, bipartition_of, classify,
+                     cycle_family_sum, cycle_graph, even_cycle_families,
+                     suspension)
+from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma, interior_tilde_fast
+from .matching import (MAX_MATCHED_SET_VERTICES, gen_poly,
+                       matched_vertex_sets_formula)
 from .polynomials import Poly, gamma_to_hstar, hstar_to_gamma
 
 
@@ -44,35 +46,26 @@ def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
 # Type A (suspension)
 # ---------------------------------------------------------------------------
 
-def suspension_gamma_formula(g: Graph) -> Poly:
+def suspension_gamma_formula(g: Graph, cls: Optional[GraphClassification] = None) -> Poly:
     """gamma of the suspension polytope when no edge lies in two even
     cycles:  g(G,2x) + sum_R (-2)^c(R) g(G-R,2x) x^(|E(R)|/2) over families
-    R of vertex-disjoint even cycles."""
-    if not classify(g).unique_even_cycle_condition:
+    R of vertex-disjoint even cycles.  With no even cycle it is g(G,2x)."""
+    cls = cls or classify(g)
+    if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles; "
                                 "use the cut-sum route")
-    total = gen_poly(g).scale_arg(2)
-    for fam in even_cycle_families(g):
-        sub = delete_vertices(g, fam.vertices()).graph
-        term = gen_poly(sub).scale_arg(2).shift(fam.edge_count // 2)
-        total = total + term * ((-2) ** fam.c)
-    return total
+    return cycle_family_sum(
+        g, even_cycle_families(g, cls), lambda h: gen_poly(h).scale_arg(2),
+        lambda fam: Poly.monomial(fam.edge_count // 2, (-2) ** fam.c))
 
 
-def gamma_a_suspension(g: Graph) -> SepResult:
+def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-A result for the suspension of g by the matching formula.
     The polytope has dimension n (the suspension is connected)."""
-    return _pack(suspension_gamma_formula(g), g.n, "formula")
+    return _pack(suspension_gamma_formula(g, cls), g.n, "formula")
 
 
-def gamma_a_suspension_noeven(g: Graph) -> SepResult:
-    """Even-cycle-free specialization: gamma = g(G,2x) outright."""
-    if any(len(c) % 2 == 0 for c in classify(g).simple_cycles):
-        raise PreconditionError("graph has an even cycle")
-    return _pack(gen_poly(g).scale_arg(2), g.n, "formula")
-
-
-def gamma_a_cut_sum(g: Graph, max_n: int = 20) -> SepResult:
+def gamma_a_cut_sum(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
     """Type-A result by the cut-sum formula; valid for every graph."""
     return _pack(cut_sum_gamma(g, max_n=max_n), g.n, "cut_sum")
 
@@ -89,15 +82,15 @@ def gamma_a_oracle(g: Graph, **kw) -> SepResult:
     return SepResult(hstar_to_gamma(hstar), hstar, hstar(1), g.n, "ehrhart")
 
 
-def gamma_a(g: Graph, method: str = "auto", **kw) -> SepResult:
+def gamma_a(g: Graph, method: str = "auto",
+            cls: Optional[GraphClassification] = None, **kw) -> SepResult:
     """Dispatch: auto prefers the matching formula when its even-cycle
     condition holds and falls back to the cut sum otherwise."""
     if method == "auto":
-        if classify(g).unique_even_cycle_condition:
-            return gamma_a_suspension(g)
-        return gamma_a_cut_sum(g, **kw)
+        cls = cls or classify(g)
+        method = "formula" if cls.unique_even_cycle_condition else "cuts"
     if method == "formula":
-        return gamma_a_suspension(g)
+        return gamma_a_suspension(g, cls)
     if method == "cuts":
         return gamma_a_cut_sum(g, **kw)
     if method == "ehrhart":
@@ -109,24 +102,19 @@ def gamma_a(g: Graph, method: str = "auto", **kw) -> SepResult:
 # Type B
 # ---------------------------------------------------------------------------
 
-def gamma_b(g: Graph) -> SepResult:
+def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-B result for a bipartite cactus by the matching formula:
-    g(G,4x) + sum_R (-1)^c(R) g(G-R,4x) (4x)^(|E(R)|/2)."""
-    cls = classify(g)
+    g(G,4x) + sum_R (-1)^c(R) g(G-R,4x) (4x)^(|E(R)|/2), which is
+    sum_k |M(G,k)| (4x)^k with |M(G,k)| from its cycle-family formula."""
+    cls = cls or classify(g)
     if not cls.bipartite:
         raise PreconditionError("type-B formula needs a bipartite graph")
     if not cls.cactus:
         raise PreconditionError("type-B formula needs a cactus graph")
-    total = gen_poly(g).scale_arg(4)
-    for fam in even_cycle_families(g):
-        half = fam.edge_count // 2
-        sub = delete_vertices(g, fam.vertices()).graph
-        term = gen_poly(sub).scale_arg(4).shift(half)
-        total = total + term * ((-1) ** fam.c * 4 ** half)
-    return _pack(total, g.n, "formula")
+    return _pack(Poly(matched_vertex_sets_formula(g, cls)).scale_arg(4), g.n, "formula")
 
 
-def gamma_b_interior(g: Graph, max_n: int = 16) -> SepResult:
+def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> SepResult:
     """Type-B result for any bipartite graph: gamma = I~(4x), realized as
     sum_k |M(G,k)| (4x)^k."""
     b = bipartition_of(g)
@@ -147,17 +135,16 @@ def gamma_b_oracle(g: Graph, **kw) -> SepResult:
     return SepResult(gamma, hstar, hstar(1), g.n, "ehrhart")
 
 
-def gamma_b_dispatch(g: Graph, method: str = "auto", **kw) -> SepResult:
+def gamma_b_dispatch(g: Graph, method: str = "auto",
+                     cls: Optional[GraphClassification] = None, **kw) -> SepResult:
     if method == "auto":
-        cls = classify(g)
+        cls = cls or classify(g)
         if not cls.bipartite:
             raise PreconditionError("type-B polytope of a non-bipartite graph "
                                     "is not reflexive; only method=ehrhart applies")
-        if cls.cactus:
-            return gamma_b(g)
-        return gamma_b_interior(g, **kw)
+        method = "formula" if cls.cactus else "interior"
     if method == "formula":
-        return gamma_b(g)
+        return gamma_b(g, cls)
     if method == "interior":
         return gamma_b_interior(g, **kw)
     if method == "ehrhart":

@@ -178,7 +178,7 @@ def _parse_json(text: str, strict: bool) -> Graph:
     max_label = 0
     for e in pairs:
         if not (isinstance(e, (list, tuple)) and len(e) == 2
-                and all(isinstance(x, int) for x in e)):
+                and all(type(x) is int for x in e)):  # bool is no label
             raise GraphFormatError(f"bad edge entry {e!r}")
         u, v = e
         if u < 1 or v < 1:
@@ -191,7 +191,7 @@ def _parse_json(text: str, strict: bool) -> Graph:
         edges.add(key)
         max_label = max(max_label, u, v)
     n = doc.get("n", max_label)
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise GraphFormatError(f'bad vertex count {doc.get("n")!r}')
     if max_label > n:
         raise GraphFormatError(f"label {max_label} exceeds declared vertex count {n}")
@@ -462,24 +462,37 @@ def _disjoint_families(cycles: list) -> list:
     return out
 
 
-def even_cycle_families(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
+def even_cycle_families(g: Graph, cls: Optional[GraphClassification] = None) -> list:
     """All nonempty families of pairwise vertex-disjoint even simple cycles
     (the correction terms of the suspension formula; the empty family is the
     standalone matching-polynomial term and is excluded here)."""
-    evens = [c for c in simple_cycles(g, max_cycles) if len(c) % 2 == 0]
+    evens = [c for c in (cls or classify(g)).simple_cycles if len(c) % 2 == 0]
     return _disjoint_families(evens)
 
 
-def cycle_families(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
+def cycle_families(g: Graph, cls: Optional[GraphClassification] = None) -> list:
     """All nonempty families of pairwise vertex-disjoint simple cycles of
     any parity (the correction terms of the mu-polynomial)."""
-    return _disjoint_families(simple_cycles(g, max_cycles))
+    return _disjoint_families((cls or classify(g)).simple_cycles)
 
 
-def classify(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> GraphClassification:
+def cycle_family_sum(g: Graph, families: list, base, weight):
+    """base(g) + sum of weight(R) * base(g - R) over the cycle families R
+    (from even_cycle_families or cycle_families); base(g - R) is skipped
+    when weight(R) is zero."""
+    total = base(g)
+    for fam in families:
+        w = weight(fam)
+        if w:
+            total = total + base(delete_vertices(g, fam.vertices()).graph) * w
+    return total
+
+
+def classify(g: Graph) -> GraphClassification:
     """Compute all structural flags.  Guaranteed implication chain:
-    forest => cactus => unique even cycle condition."""
-    cycles = simple_cycles(g, max_cycles)
+    forest => cactus => unique even cycle condition.  The only caller of
+    simple_cycles: formulas read the cycles from the result."""
+    cycles = simple_cycles(g)
     edge_load = {}
     even_edge_load = {}
     for cyc in cycles:

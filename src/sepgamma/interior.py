@@ -17,7 +17,7 @@ from typing import Optional
 from .errors import BoundExceededError, PreconditionError, VerificationError
 from .graphs import (Bipartition, Graph, bipartition_of, check_bipartition,
                      cuts, is_connected, tilde)
-from .matching import matched_vertex_sets
+from .matching import MAX_MATCHED_SET_VERTICES, matched_vertex_sets
 from .polynomials import Poly
 
 MAX_SPANNING_TREES = 10 ** 7
@@ -221,7 +221,7 @@ def reorder_hyperedges(h: Hypergraph, perm) -> Hypergraph:
 # ---------------------------------------------------------------------------
 
 def interior_tilde_fast(g: Graph, b: Optional[Bipartition] = None,
-                        max_n: int = 16) -> Poly:
+                        max_n: int = MAX_MATCHED_SET_VERTICES) -> Poly:
     """Interior polynomial of the two-vertex augmentation of bipartite g,
     computed as sum_k |M(g,k)| x^k without touching spanning trees."""
     if b is None:

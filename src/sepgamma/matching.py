@@ -9,9 +9,11 @@ exactly as the definition reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError
-from .graphs import Graph, classify, delete_vertices, even_cycle_families
+from .graphs import (Graph, GraphClassification, classify, cycle_family_sum,
+                     even_cycle_families)
 from .polynomials import Poly
 
 MAX_MATCHED_SET_VERTICES = 16
@@ -94,27 +96,21 @@ def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list
     return out
 
 
-def matched_vertex_sets_formula(g: Graph) -> list:
+def matched_vertex_sets_formula(g: Graph,
+                                cls: Optional[GraphClassification] = None) -> list:
     """|M(G,k)| = m_k(G) + sum over vertex-disjoint even-cycle families R of
     (-1)^c(R) m_(k - |E(R)|/2)(G - R).
 
     Valid when every edge lies in at most one even cycle; raises
     PreconditionError otherwise.  Must agree with matched_vertex_sets.
     """
-    if not classify(g).unique_even_cycle_condition:
+    cls = cls or classify(g)
+    if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles")
-    out = [0] * (g.n // 2 + 1)
-    for k, mk in enumerate(matching_counts(g)):
-        out[k] += mk
-    for fam in even_cycle_families(g):
-        sub = delete_vertices(g, fam.vertices()).graph
-        sign = -1 if fam.c % 2 else 1
-        offset = fam.edge_count // 2
-        for k, mk in enumerate(matching_counts(sub)):
-            out[k + offset] += sign * mk
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    return cycle_family_sum(
+        g, even_cycle_families(g, cls), gen_poly,
+        lambda fam: Poly.monomial(fam.edge_count // 2, (-1) ** fam.c),
+    ).coeff_list()
 
 
 def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:

@@ -9,7 +9,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError
-from .graphs import Graph, classify, cycle_families, delete_vertices
+from .graphs import (Graph, GraphClassification, classify, cycle_families,
+                     cycle_family_sum)
 from .matching import matching_poly
 from .polynomials import Poly
 
@@ -21,7 +22,8 @@ def uniform_weights(g: Graph, t) -> dict:
     return {cyc: t for cyc in classify(g).simple_cycles}
 
 
-def mu_poly(g: Graph, weights: dict) -> Poly:
+def mu_poly(g: Graph, weights: dict,
+            cls: Optional[GraphClassification] = None) -> Poly:
     """mu(G,t,x) = alpha(G,x) + sum over vertex-disjoint cycle families R of
     (-2)^c(R) alpha(G-R,x) prod of the member cycles' weights.
 
@@ -29,19 +31,15 @@ def mu_poly(g: Graph, weights: dict) -> Poly:
     rational; a missing cycle raises.  Interpolates between the matching
     polynomial (t=0) and the characteristic polynomial (t=1).
     """
-    total = matching_poly(g)
-    for fam in cycle_families(g):
-        w = Fraction(1)
+    def weight(fam):
+        w = Fraction((-2) ** fam.c)
         for cyc in fam.cycles:
             if cyc not in weights:
                 raise PreconditionError(f"no weight for cycle {cyc}")
             w *= Fraction(weights[cyc])
-        if w == 0:
-            continue
-        sign = (-2) ** fam.c
-        sub = delete_vertices(g, fam.vertices()).graph
-        total = total + matching_poly(sub) * (sign * w)
-    return total
+        return w
+
+    return cycle_family_sum(g, cycle_families(g, cls), matching_poly, weight)
 
 
 def char_poly_adjacency(g: Graph) -> Poly:
@@ -72,7 +70,8 @@ def char_poly_adjacency(g: Graph) -> Poly:
     return Poly(coeffs)
 
 
-def verify_gamma_mu_bridge(g: Graph, samples: Optional[list] = None) -> bool:
+def verify_gamma_mu_bridge(g: Graph, samples: Optional[list] = None,
+                           cls: Optional[GraphClassification] = None) -> bool:
     """Check q^n gamma(G, -1/(2 q^2)) = mu(G, t*, q) exactly at each sample,
     where gamma(G,x) is the suspension formula and t* weights an even cycle
     C by (-1/2)^(|E(C)|/2) and an odd cycle by 0.
@@ -82,17 +81,17 @@ def verify_gamma_mu_bridge(g: Graph, samples: Optional[list] = None) -> bool:
     """
     from .engine import suspension_gamma_formula
 
-    cls = classify(g)
+    cls = cls or classify(g)
     if not cls.cactus:
         raise PreconditionError("mu bridge is stated for cactus graphs")
     if samples is None:
         samples = [Fraction(i) for i in range(1, g.n + 2)]
-    gamma = suspension_gamma_formula(g)
+    gamma = suspension_gamma_formula(g, cls)
     weights = {
         cyc: (Fraction(-1, 2) ** (len(cyc) // 2) if len(cyc) % 2 == 0 else Fraction(0))
         for cyc in cls.simple_cycles
     }
-    mu = mu_poly(g, weights)
+    mu = mu_poly(g, weights, cls)
     for q in samples:
         q = Fraction(q)
         if q == 0:

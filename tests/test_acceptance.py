@@ -207,6 +207,7 @@ class TestCriterion3RealRootedness:
             if not (cls.cactus and cls.bipartite):
                 continue
             res = gamma_b(g)
+            assert res.gamma == gamma_b_interior(g).gamma
             assert is_real_rooted(res.hstar)
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from sepgamma import Graph, parse_graph
-from sepgamma.cli import main
+from sepgamma import (Graph, complete_bipartite, complete_graph, graphs,
+                      parse_graph, to_edge_list_text)
+from sepgamma.cli import A_METHODS, B_METHODS, main
 
 
 def write(tmp_path, name, text):
@@ -70,9 +71,12 @@ class TestGammaA:
         assert main(["gamma-a", c4_file, "--method", "cuts",
                      "--bound-override", "cut-sum=2"]) == 4
 
-    def test_bad_bound_override(self, c4_file):
+    def test_bad_bound_override(self, c4_file, capsys):
         assert main(["gamma-a", c4_file, "--bound-override", "nope=3"]) == 1
         assert main(["gamma-a", c4_file, "--bound-override", "cut-sum=x"]) == 1
+        capsys.readouterr()
+        assert main(["gamma-a", c4_file, "--bound-override", "trees=1"]) == 1
+        assert "unknown bound 'trees'" in capsys.readouterr().err
 
 
 class TestGammaB:
@@ -108,6 +112,64 @@ class TestCheck:
     def test_b_polytope(self, c4_file, capsys):
         assert main(["check", c4_file, "--polytope", "b"]) == 0
         assert "volume: 96" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command,graph,bound", [
+        ("gamma-a", complete_graph(6), "cut-sum=3"),
+        ("gamma-b", complete_bipartite(3, 3), "matched-sets=3"),
+    ])
+    def test_bound_overrides_reach_check(self, tmp_path, capsys,
+                                         command, graph, bound):
+        path = write(tmp_path, "g.txt", to_edge_list_text(graph))
+        polytope = "ahat" if command == "gamma-a" else "b"
+        for argv in ([command, path], ["check", path, "--polytope", polytope]):
+            assert main(argv + ["--bound-override", bound]) == 4
+            assert "resource bound exceeded" in capsys.readouterr().err
+
+
+METHOD_COMBINATIONS = (
+    [("gamma-a", None, m) for m in A_METHODS]
+    + [("gamma-b", None, m) for m in B_METHODS]
+    + [("check", p, m) for p in ("a", "ahat", "b")
+       for m in ("auto", "formula", "cuts", "interior", "ehrhart")])
+
+
+class TestContract:
+    @pytest.mark.parametrize("command,polytope,method", METHOD_COMBINATIONS)
+    def test_every_method_ends_with_a_contract_code(self, c4_file, capsys,
+                                                    command, polytope, method):
+        argv = [command, c4_file, "--method", method]
+        if polytope is not None:
+            argv += ["--polytope", polytope]
+        assert main(argv) in range(5)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_one_cycle_listing_per_request(self, c4_file, tmp_path, capsys,
+                                           monkeypatch):
+        calls = []
+        real = graphs.simple_cycles
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "simple_cycles", counted)
+        for argv in (["gamma-a", c4_file], ["gamma-b", c4_file],
+                     ["check", c4_file, "--polytope", "ahat"],
+                     ["check", c4_file, "--polytope", "b"],
+                     ["verify", c4_file], ["verify", c4_file, "--level", "full"],
+                     ["analyze", c4_file]):
+            calls.clear()
+            assert main(argv) == 0
+            assert len(calls) == 1, argv
+        d = tmp_path / "corpus"
+        d.mkdir()
+        for name, text in (("c3.txt", "1 2\n2 3\n3 1\n"),
+                           ("c4.txt", "1 2\n2 3\n3 4\n4 1\n"),
+                           ("k4.txt", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")):
+            (d / name).write_text(text)
+        calls.clear()
+        assert main(["batch", str(d)]) == 0
+        assert len(calls) == 3
 
 
 class TestWitness:
@@ -216,3 +278,5 @@ class TestJson:
         p = write(tmp_path, "g.json", '{"n": 3, "edges": [[1,2],[2,3],[3,1]]}')
         assert main(["gamma-a", p]) == 0
         assert "volume: 20" in capsys.readouterr().out
+        p = write(tmp_path, "bool.json", '{"edges": [[true, 2], [2, 3]]}')
+        assert main(["analyze", p]) == 1

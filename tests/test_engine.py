@@ -6,7 +6,7 @@ import pytest
 from sepgamma import (Graph, Poly, PreconditionError, classify, complete_graph,
                       cycle_graph, empty_graph, gamma_a,
                       gamma_a_cut_sum, gamma_a_cycle_reference, gamma_a_oracle,
-                      gamma_a_suspension, gamma_a_suspension_noeven, gamma_b,
+                      gamma_a_suspension, gamma_b,
                       gamma_b_dispatch, gamma_b_interior, gamma_b_oracle,
                       gen_poly, hstar_to_gamma, oracle_hstar_a, path_graph,
                       star_graph, suspension, wheel_closed_form)
@@ -46,15 +46,15 @@ class TestGammaASuspension:
             gamma_a_suspension(complete_graph(4))
 
     def test_noeven_variant(self):
-        res = gamma_a_suspension_noeven(cycle_graph(5))
+        # with no even cycle the formula is g(G,2x) outright
+        res = gamma_a_suspension(cycle_graph(5))
         assert res.gamma == Poly([1, 10, 20])
+        assert res.gamma == gen_poly(cycle_graph(5)).scale_arg(2)
         for tree in (path_graph(4), star_graph(4)):
-            assert gamma_a_suspension_noeven(tree).gamma == \
+            assert gamma_a_suspension(tree).gamma == \
                 gen_poly(tree).scale_arg(2)
-        assert gamma_a_suspension_noeven(Graph.make(2, [(1, 2)])).gamma == \
+        assert gamma_a_suspension(Graph.make(2, [(1, 2)])).gamma == \
             Poly([1, 2])
-        with pytest.raises(PreconditionError):
-            gamma_a_suspension_noeven(cycle_graph(4))
 
     def test_volume_matches_closed_sum(self):
         # volume = 2^n g(G,1/2) + sum_R (-2)^c(R) 2^(n-|E(R)|) g(G-R,1/2)

@@ -48,6 +48,12 @@ class TestParse:
             parse_graph('{"edges": [[1,1]]}')
         with pytest.raises(GraphFormatError):
             parse_graph('{"edges": "nope"}')
+        # bool is an int subclass in Python; JSON true is still no label
+        for bad in ('{"edges": [[true, 2], [2, 3]]}',
+                    '{"n": false, "edges": []}',
+                    '{"n": true, "edges": []}'):
+            with pytest.raises(GraphFormatError):
+                parse_graph(bad)
 
     def test_round_trip_text(self):
         g = Graph.make(5, [(1, 2), (3, 5)])
