@@ -2,11 +2,10 @@
 symmetric edge polytopes (types A and B) from graphs, with every formula
 path cross-checkable against independent brute-force oracles."""
 
-from .engine import (SepResult, WheelData, gamma_a, gamma_a_cut_sum,
-                     gamma_a_cycle_reference, gamma_a_oracle,
-                     gamma_a_suspension, gamma_b,
-                     gamma_b_dispatch, gamma_b_interior, gamma_b_oracle,
-                     suspension_gamma_formula, wheel_closed_form)
+from .engine import (ROUTES, SepResult, WheelData, gamma_a_cut_sum,
+                     gamma_a_cycle_reference, gamma_a_suspension, gamma_b,
+                     gamma_b_interior, solve, suspension_gamma_formula,
+                     wheel_closed_form)
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Cut, CycleFamily, Graph,

@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+import traceback
+from collections import Counter
 from fractions import Fraction
 
 from . import engine, spectral, witness
@@ -26,8 +28,6 @@ from .graphs import Graph, classify, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
 from .matching import MAX_MATCHED_SET_VERTICES
 from .polynomials import Poly, check_properties
-from .ehrhart import oracle_hstar_a, reflexivity_check
-from .polynomials import hstar_to_gamma
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -37,8 +37,7 @@ EXIT_BOUND = 4
 
 BOUND_KEYS = ("cut-sum", "matched-sets", "hrep-dim", "hrep-points", "box",
               "cliques")
-A_METHODS = ("auto", "formula", "cuts", "ehrhart")
-B_METHODS = ("auto", "formula", "interior", "ehrhart")
+METHODS = tuple(dict.fromkeys(m for routes in engine.ROUTES.values() for m in routes))
 BATCH_AGREEMENT_MAX_N = 12
 
 
@@ -83,41 +82,6 @@ def _parse_bound_overrides(pairs) -> dict:
         except ValueError:
             raise GraphFormatError(f"bound value {value!r} is not an integer") from None
     return out
-
-
-def _oracle_kwargs(bounds: dict) -> dict:
-    kw = {}
-    if "hrep-dim" in bounds:
-        kw["max_dim"] = bounds["hrep-dim"]
-    if "hrep-points" in bounds:
-        kw["max_points"] = bounds["hrep-points"]
-    if "box" in bounds:
-        kw["budget"] = bounds["box"]
-    return kw
-
-
-def _solve(polytope: str, g: Graph, method: str, bounds: dict) -> engine.SepResult:
-    """The suspension polytope ("ahat") by engine.gamma_a or the type-B
-    polytope ("b") by engine.gamma_b_dispatch, under the bound overrides.
-    max_n guards the cut sum ("ahat") or the matched-set count ("b"); the
-    formula route has no guard and ignores it."""
-    if polytope == "ahat":
-        run, methods = engine.gamma_a, A_METHODS
-        guard = {"max_n": bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)}
-    else:
-        run, methods = engine.gamma_b_dispatch, B_METHODS
-        guard = {"max_n": bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES)}
-    if method not in methods:
-        raise PreconditionError(
-            f"method {method!r} does not apply to polytope {polytope}; "
-            f"choose from {', '.join(methods)}")
-    return run(g, method,
-               **(_oracle_kwargs(bounds) if method == "ehrhart" else guard))
-
-
-def _emit(pairs) -> None:
-    for key, value in pairs:
-        print(f"{key}: {value}")
 
 
 def _result_doc(res, fmt: str) -> list:
@@ -167,46 +131,21 @@ def _properties_doc(p: Poly, fmt: str) -> dict:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_gamma_a(args) -> int:
+def cmd_solve(args) -> int:
+    """gamma-a, gamma-b and check: one polytope by one route; check adds
+    the property report."""
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
-    res = _solve("ahat", g, args.method, bounds)
-    doc = {"input": args.path, "command": "gamma-a"}
+    res = engine.solve(g, args.polytope, args.method, bounds=bounds)
+    check = args.command == "check"
+    doc = {"input": args.path, "command": args.command}
+    if check:
+        doc["polytope"] = args.polytope
     doc.update(_result_doc(res, args.format))
-    _print_report(doc, args.format)
-    return EXIT_OK
-
-
-def cmd_gamma_b(args) -> int:
-    bounds = _parse_bound_overrides(args.bound_override)
-    g = _load_graph(args.path)
-    res = _solve("b", g, args.method, bounds)
-    doc = {"input": args.path, "command": "gamma-b"}
-    doc.update(_result_doc(res, args.format))
-    _print_report(doc, args.format)
-    return EXIT_OK
-
-
-def cmd_check(args) -> int:
-    bounds = _parse_bound_overrides(args.bound_override)
-    g = _load_graph(args.path)
-    if args.polytope == "a":
-        if args.method not in ("auto", "ehrhart"):
-            raise PreconditionError(
-                "no formula computes the type-A polytope of a raw graph; "
-                "--polytope a implies the ehrhart oracle")
-        data = oracle_hstar_a(g, **_oracle_kwargs(bounds))
-        hstar = data.hstar
-        gamma = (hstar_to_gamma(hstar)
-                 if reflexivity_check(hstar, hstar.degree) else None)
-        res = engine.SepResult(gamma, hstar, hstar(1), hstar.degree, "ehrhart")
-    else:
-        res = _solve(args.polytope, g, args.method, bounds)
-    doc = {"input": args.path, "command": "check", "polytope": args.polytope}
-    doc.update(_result_doc(res, args.format))
-    doc["hstar properties"] = _properties_doc(res.hstar, args.format)
-    if res.gamma is not None:
-        doc["gamma properties"] = _properties_doc(res.gamma, args.format)
+    if check:
+        doc["hstar properties"] = _properties_doc(res.hstar, args.format)
+        if res.gamma is not None:
+            doc["gamma properties"] = _properties_doc(res.gamma, args.format)
     _print_report(doc, args.format)
     return EXIT_OK
 
@@ -262,38 +201,45 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+def _agreement(name: str, p: Poly, q: Poly) -> tuple:
+    return (name, p == q, f"{p.coeff_text()} vs {q.coeff_text()}")
+
+
 def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
     """Run the cross-method suite; returns (name, status, detail) triples
     where status is pass | FAIL | skipped."""
     checks = []
     cls = classify(g)
     cut_max = bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)
+    set_max = bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES)
 
-    res_formula = (engine.gamma_a_suspension(g, cls)
+    # The formulas run when their preconditions hold, the guarded routes
+    # when the graph is within their bounds; otherwise the check is skipped.
+    res_formula = (engine.solve(g, "ahat", "formula", cls)
                    if cls.unique_even_cycle_condition else None)
-    res_cuts = engine.gamma_a_cut_sum(g, max_n=cut_max) if g.n <= cut_max else None
-
-    if res_formula is not None and res_cuts is not None:
-        ok = res_formula.gamma == res_cuts.gamma
-        checks.append(("a-formula-vs-cuts", ok,
-                       f"{res_formula.gamma.coeff_text()} vs {res_cuts.gamma.coeff_text()}"))
+    res_cuts = (engine.solve(g, "ahat", "cuts", cls, bounds)
+                if 0 < g.n <= cut_max else None)
+    if res_formula is None:
+        checks.append(("a-formula-vs-cuts", None, "even-cycle condition fails"))
+    elif res_cuts is None:
+        checks.append(("a-formula-vs-cuts", None,
+                       f"cut sum bound {cut_max}" if g.n else "no vertices"))
     else:
-        why = ("even-cycle condition fails" if res_formula is None
-               else f"cut sum bound {cut_max}")
-        checks.append(("a-formula-vs-cuts", None, why))
+        checks.append(_agreement("a-formula-vs-cuts", res_formula.gamma, res_cuts.gamma))
 
     res_b = None
     if cls.bipartite:
-        res_b_int = engine.gamma_b_interior(
-            g, max_n=bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES))
-        res_b = res_b_int
-        if cls.cactus:
-            res_b_formula = engine.gamma_b(g, cls)
-            ok = res_b_formula.gamma == res_b_int.gamma
-            checks.append(("b-formula-vs-interior", ok,
-                           f"{res_b_formula.gamma.coeff_text()} vs {res_b_int.gamma.coeff_text()}"))
-        else:
+        res_b_int = (engine.solve(g, "b", "interior", cls, bounds)
+                     if g.n <= set_max else None)
+        res_b_formula = engine.solve(g, "b", "formula", cls) if cls.cactus else None
+        if res_b_formula is None:
             checks.append(("b-formula-vs-interior", None, "not a cactus"))
+        elif res_b_int is None:
+            checks.append(("b-formula-vs-interior", None, f"matched-set bound {set_max}"))
+        else:
+            checks.append(_agreement("b-formula-vs-interior",
+                                     res_b_formula.gamma, res_b_int.gamma))
+        res_b = res_b_int or res_b_formula
     else:
         checks.append(("b-formula-vs-interior", None, "not bipartite"))
 
@@ -307,17 +253,12 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
                        f"hstar={hs.coeff_text()} volume={best_a.volume}"))
 
     if level == "full":
-        okw = _oracle_kwargs(bounds)
         if best_a is not None:
-            oracle_a = engine.gamma_a_oracle(g, **okw)
-            ok = oracle_a.hstar == best_a.hstar
-            checks.append(("a-vs-ehrhart", ok,
-                           f"{best_a.hstar.coeff_text()} vs {oracle_a.hstar.coeff_text()}"))
+            oracle_a = engine.solve(g, "ahat", "ehrhart", cls, bounds)
+            checks.append(_agreement("a-vs-ehrhart", best_a.hstar, oracle_a.hstar))
         if res_b is not None:
-            oracle_b = engine.gamma_b_oracle(g, **okw)
-            ok = oracle_b.hstar == res_b.hstar
-            checks.append(("b-vs-ehrhart", ok,
-                           f"{res_b.hstar.coeff_text()} vs {oracle_b.hstar.coeff_text()}"))
+            oracle_b = engine.solve(g, "b", "ehrhart", cls, bounds)
+            checks.append(_agreement("b-vs-ehrhart", res_b.hstar, oracle_b.hstar))
         if cls.cactus:
             ok = spectral.verify_gamma_mu_bridge(g, cls=cls)
             checks.append(("mu-bridge", ok, f"samples 1..{g.n + 1}"))
@@ -375,8 +316,7 @@ def cmd_batch(args) -> int:
         try:
             g = _load_graph(path)
             cls = classify(g)
-            res = engine.gamma_a(
-                g, "auto", cls, max_n=bounds.get("cut-sum", MAX_CUT_SUM_VERTICES))
+            res = engine.solve(g, "ahat", "auto", cls, bounds)
             flags = [label for label, on in (
                 ("connected", cls.connected),
                 ("bipartite", cls.bipartite),
@@ -384,8 +324,8 @@ def cmd_batch(args) -> int:
                 ("cactus", cls.cactus),
                 ("uec", cls.unique_even_cycle_condition),
             ) if on]
-            if res.method == "formula" and g.n <= cut_max:
-                other = engine.gamma_a_cut_sum(g, max_n=cut_max)
+            if res.method == "formula" and 0 < g.n <= cut_max:
+                other = engine.solve(g, "ahat", "cuts", cls, bounds)
                 agreement = "yes" if other.gamma == res.gamma else "no"
             else:
                 agreement = "n/a"
@@ -435,27 +375,23 @@ def build_parser() -> argparse.ArgumentParser:
                         help=f"override a resource guard ({', '.join(BOUND_KEYS)})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gamma-a", parents=[common],
-                       help="suspension polytope of the input graph")
-    p.add_argument("path")
-    p.add_argument("--method", choices=A_METHODS, default="auto")
-    p.set_defaults(func=cmd_gamma_a)
-
-    p = sub.add_parser("gamma-b", parents=[common],
-                       help="type-B polytope of the input graph")
-    p.add_argument("path")
-    p.add_argument("--method", choices=B_METHODS, default="auto")
-    p.set_defaults(func=cmd_gamma_b)
+    for name, polytope, text in (
+            ("gamma-a", "ahat", "suspension polytope of the input graph"),
+            ("gamma-b", "b", "type-B polytope of the input graph")):
+        p = sub.add_parser(name, parents=[common], help=text)
+        p.add_argument("path")
+        p.add_argument("--method", choices=tuple(engine.ROUTES[polytope]),
+                       default="auto")
+        p.set_defaults(func=cmd_solve, polytope=polytope)
 
     p = sub.add_parser("check", parents=[common],
                        help="property report of h* and gamma")
     p.add_argument("path")
-    p.add_argument("--polytope", choices=("a", "ahat", "b"), default="a",
+    p.add_argument("--polytope", choices=tuple(engine.ROUTES), default="a",
                    help="a = type A of the graph itself (oracle), "
                         "ahat = suspension, b = type B")
-    p.add_argument("--method", choices=("auto", "formula", "cuts", "interior",
-                                        "ehrhart"), default="auto")
-    p.set_defaults(func=cmd_check)
+    p.add_argument("--method", choices=METHODS, default="auto")
+    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("witness", parents=[common],
                        help="flag-complex witness for the gamma-polynomial")
@@ -497,6 +433,13 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     except BoundExceededError as exc:
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
+        return EXIT_BOUND
+    except RecursionError as exc:
+        # the deepest recursion is the function with the most frames
+        where = Counter(frame.f_code.co_name for frame, _
+                        in traceback.walk_tb(exc.__traceback__)).most_common(1)[0][0]
+        print(f"resource bound exceeded: recursion depth "
+              f"{sys.getrecursionlimit()} exceeded in {where}", file=sys.stderr)
         return EXIT_BOUND
     finally:
         elapsed = int((time.perf_counter() - start) * 1000)

@@ -5,7 +5,8 @@ targets.
 
 Every result is packaged as a SepResult whose invariants (palindromic h*,
 h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
-by the test suite.
+by the test suite.  `solve` is the one dispatcher: ROUTES says which
+routes serve which polytope and what `auto` picks.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from .errors import PreconditionError
 from .graphs import (Graph, GraphClassification, bipartition_of, classify,
                      cycle_family_sum, cycle_graph, even_cycle_families,
                      suspension)
-from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma, interior_tilde_fast
-from .matching import (MAX_MATCHED_SET_VERTICES, gen_poly,
+from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
+from .matching import (MAX_MATCHED_SET_VERTICES, gen_poly, matched_vertex_sets,
                        matched_vertex_sets_formula)
 from .polynomials import Poly, gamma_to_hstar, hstar_to_gamma
 
@@ -70,34 +71,6 @@ def gamma_a_cut_sum(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
     return _pack(cut_sum_gamma(g, max_n=max_n), g.n, "cut_sum")
 
 
-def gamma_a_oracle(g: Graph, **kw) -> SepResult:
-    """Type-A result from lattice-point counts of the suspension polytope."""
-    from .ehrhart import oracle_hstar_a
-
-    data = oracle_hstar_a(suspension(g), **kw)
-    hstar = data.hstar
-    if hstar.degree != g.n:
-        raise PreconditionError(
-            f"suspension polytope came out {hstar.degree}-dimensional, expected {g.n}")
-    return SepResult(hstar_to_gamma(hstar), hstar, hstar(1), g.n, "ehrhart")
-
-
-def gamma_a(g: Graph, method: str = "auto",
-            cls: Optional[GraphClassification] = None, **kw) -> SepResult:
-    """Dispatch: auto prefers the matching formula when its even-cycle
-    condition holds and falls back to the cut sum otherwise."""
-    if method == "auto":
-        cls = cls or classify(g)
-        method = "formula" if cls.unique_even_cycle_condition else "cuts"
-    if method == "formula":
-        return gamma_a_suspension(g, cls)
-    if method == "cuts":
-        return gamma_a_cut_sum(g, **kw)
-    if method == "ehrhart":
-        return gamma_a_oracle(g, **kw)
-    raise ValueError(f"unknown method {method!r}")
-
-
 # ---------------------------------------------------------------------------
 # Type B
 # ---------------------------------------------------------------------------
@@ -114,42 +87,105 @@ def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     return _pack(Poly(matched_vertex_sets_formula(g, cls)).scale_arg(4), g.n, "formula")
 
 
-def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> SepResult:
+def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
+                     cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-B result for any bipartite graph: gamma = I~(4x), realized as
-    sum_k |M(G,k)| (4x)^k."""
-    b = bipartition_of(g)
-    if b is None:
+    sum_k |M(G,k)| (4x)^k.  Without a classification the bipartite test is
+    a two-colouring, so this route alone never lists the cycles."""
+    bipartite = cls.bipartite if cls is not None else bipartition_of(g) is not None
+    if not bipartite:
         raise PreconditionError("type-B interior route needs a bipartite graph")
-    gamma = interior_tilde_fast(g, b, max_n=max_n).scale_arg(4)
+    gamma = Poly(matched_vertex_sets(g, max_n=max_n)).scale_arg(4)
     return _pack(gamma, g.n, "interior")
 
 
-def gamma_b_oracle(g: Graph, **kw) -> SepResult:
-    """Type-B result from lattice-point counts; gamma is defined only when
-    the h*-polynomial is palindromic of full degree (bipartite inputs)."""
-    from .ehrhart import oracle_hstar_b, reflexivity_check
+# ---------------------------------------------------------------------------
+# The route table
+# ---------------------------------------------------------------------------
 
-    data = oracle_hstar_b(g, **kw)
+# --bound-override names of the Ehrhart oracle and the keywords they set.
+_ORACLE_BOUNDS = (("hrep-dim", "max_dim"), ("hrep-points", "max_points"),
+                  ("box", "budget"))
+
+
+def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
+    """Result from lattice-point counts of the polytope (a = type A of g,
+    ahat = type A of its suspension, b = type B).  gamma is defined only
+    when h* is palindromic of full degree."""
+    from .ehrhart import oracle_hstar_a, oracle_hstar_b, reflexivity_check
+
+    kw = {arg: bounds[key] for key, arg in _ORACLE_BOUNDS if key in bounds}
+    if polytope == "b":
+        data = oracle_hstar_b(g, **kw)
+    else:
+        data = oracle_hstar_a(suspension(g) if polytope == "ahat" else g, **kw)
+    dim = len(data.counts) - 2
+    # the suspension is connected on n + 1 vertices: any other dimension
+    # is a fault in building or reducing the polytope
+    if polytope == "ahat" and dim != g.n:
+        raise PreconditionError(
+            f"suspension polytope came out {dim}-dimensional, expected {g.n}")
     hstar = data.hstar
-    gamma = hstar_to_gamma(hstar) if reflexivity_check(hstar, g.n) else None
-    return SepResult(gamma, hstar, hstar(1), g.n, "ehrhart")
+    gamma = hstar_to_gamma(hstar) if reflexivity_check(hstar, dim) else None
+    return SepResult(gamma, hstar, hstar(1), dim, "ehrhart")
 
 
-def gamma_b_dispatch(g: Graph, method: str = "auto",
-                     cls: Optional[GraphClassification] = None, **kw) -> SepResult:
-    if method == "auto":
-        cls = cls or classify(g)
-        if not cls.bipartite:
-            raise PreconditionError("type-B polytope of a non-bipartite graph "
-                                    "is not reflexive; only method=ehrhart applies")
-        method = "formula" if cls.cactus else "interior"
-    if method == "formula":
-        return gamma_b(g, cls)
-    if method == "interior":
-        return gamma_b_interior(g, **kw)
-    if method == "ehrhart":
-        return gamma_b_oracle(g, **kw)
-    raise ValueError(f"unknown method {method!r}")
+def _auto_ahat(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
+    """The matching formula when its even-cycle condition holds, else the
+    cut sum."""
+    cls = cls or classify(g)
+    method = "formula" if cls.unique_even_cycle_condition else "cuts"
+    return ROUTES["ahat"][method](g, cls, bounds)
+
+
+def _auto_b(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
+    """The matching formula on bipartite cacti, else the interior count."""
+    cls = cls or classify(g)
+    if not cls.bipartite:
+        raise PreconditionError("type-B polytope of a non-bipartite graph "
+                                "is not reflexive; only method=ehrhart applies")
+    return ROUTES["b"]["formula" if cls.cactus else "interior"](g, cls, bounds)
+
+
+# polytope -> method -> route(g, cls, bounds).  A route classifies g only
+# when it needs to, and reads its own --bound-override names from bounds.
+ROUTES = {
+    "a": {
+        "auto": lambda g, cls, bounds: _oracle(g, "a", bounds),
+        "ehrhart": lambda g, cls, bounds: _oracle(g, "a", bounds),
+    },
+    "ahat": {
+        "auto": _auto_ahat,
+        "formula": lambda g, cls, bounds: gamma_a_suspension(g, cls),
+        "cuts": lambda g, cls, bounds: gamma_a_cut_sum(
+            g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)),
+        "ehrhart": lambda g, cls, bounds: _oracle(g, "ahat", bounds),
+    },
+    "b": {
+        "auto": _auto_b,
+        "formula": lambda g, cls, bounds: gamma_b(g, cls),
+        "interior": lambda g, cls, bounds: gamma_b_interior(
+            g, bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES), cls),
+        "ehrhart": lambda g, cls, bounds: _oracle(g, "b", bounds),
+    },
+}
+
+
+def solve(g: Graph, polytope: str, method: str = "auto",
+          cls: Optional[GraphClassification] = None,
+          bounds: Optional[dict] = None) -> SepResult:
+    """gamma, h*, volume and dimension of one polytope of g: "a" (type A of
+    g itself), "ahat" (type A of its suspension) or "b" (type B), by one
+    route of ROUTES.  cls is the caller's classification of g, if any;
+    bounds maps --bound-override names to values."""
+    if polytope not in ROUTES:
+        raise ValueError(f"unknown polytope {polytope!r}")
+    routes = ROUTES[polytope]
+    if method not in routes:
+        raise PreconditionError(
+            f"method {method!r} does not apply to polytope {polytope}; "
+            f"choose from {', '.join(routes)}")
+    return routes[method](g, cls, bounds or {})
 
 
 # ---------------------------------------------------------------------------

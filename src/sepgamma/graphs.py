@@ -129,8 +129,7 @@ def parse_graph(text: str, strict: bool = False) -> Graph:
     if text.lstrip().startswith("{"):
         return _parse_json(text, strict)
     declared_n = None
-    edges = set()
-    max_label = 0
+    pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -149,21 +148,8 @@ def parse_graph(text: str, strict: bool = False) -> Graph:
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer label in {line!r}") from None
-        if u < 1 or v < 1:
-            raise GraphFormatError(f"line {lineno}: vertex label < 1 in {line!r}")
-        if u == v:
-            raise GraphFormatError(f"line {lineno}: self-loop at {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in edges:
-            if strict:
-                raise GraphFormatError(f"line {lineno}: duplicate edge {key}")
-            continue
-        edges.add(key)
-        max_label = max(max_label, u, v)
-    n = declared_n if declared_n is not None else max_label
-    if max_label > n:
-        raise GraphFormatError(f"label {max_label} exceeds declared vertex count {n}")
-    return Graph(n, frozenset(edges))
+        pairs.append((f"line {lineno}: ", u, v))
+    return _checked_graph(declared_n, pairs, strict)
 
 
 def _parse_json(text: str, strict: bool) -> Graph:
@@ -171,28 +157,36 @@ def _parse_json(text: str, strict: bool) -> Graph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise GraphFormatError(f"bad JSON graph document: {exc}") from None
-    if not isinstance(doc, dict) or "edges" not in doc:
+    if not (isinstance(doc, dict) and isinstance(doc.get("edges"), list)):
         raise GraphFormatError('JSON graph document needs an "edges" array')
-    pairs = doc["edges"]
-    edges = set()
-    max_label = 0
-    for e in pairs:
-        if not (isinstance(e, (list, tuple)) and len(e) == 2
+    for e in doc["edges"]:
+        if not (isinstance(e, list) and len(e) == 2
                 and all(type(x) is int for x in e)):  # bool is no label
             raise GraphFormatError(f"bad edge entry {e!r}")
-        u, v = e
+    n = doc.get("n")
+    if "n" in doc and (type(n) is not int or n < 0):
+        raise GraphFormatError(f"bad vertex count {n!r}")
+    return _checked_graph(n, [("", u, v) for u, v in doc["edges"]], strict)
+
+
+def _checked_graph(n: Optional[int], pairs: list, strict: bool) -> Graph:
+    """The graph on 1..n (n defaults to the largest label) with the edges
+    (where, u, v): labels >= 1, no self-loops, every label <= n, and
+    duplicates rejected under strict and merged otherwise.  `where`
+    prefixes the messages ("line N: " for the edge-list format)."""
+    edges = set()
+    max_label = 0
+    for where, u, v in pairs:
         if u < 1 or v < 1:
-            raise GraphFormatError(f"vertex label < 1 in edge {e!r}")
+            raise GraphFormatError(f"{where}vertex label < 1 in edge ({u}, {v})")
         if u == v:
-            raise GraphFormatError(f"self-loop at {u}")
+            raise GraphFormatError(f"{where}self-loop at {u}")
         key = (u, v) if u < v else (v, u)
         if key in edges and strict:
-            raise GraphFormatError(f"duplicate edge {key}")
+            raise GraphFormatError(f"{where}duplicate edge {key}")
         edges.add(key)
         max_label = max(max_label, u, v)
-    n = doc.get("n", max_label)
-    if type(n) is not int or n < 0:
-        raise GraphFormatError(f'bad vertex count {doc.get("n")!r}')
+    n = max_label if n is None else n
     if max_label > n:
         raise GraphFormatError(f"label {max_label} exceeds declared vertex count {n}")
     return Graph(n, frozenset(edges))

@@ -17,9 +17,10 @@ from .polynomials import Poly
 MAX_CHARPOLY_VERTICES = 64
 
 
-def uniform_weights(g: Graph, t) -> dict:
+def uniform_weights(g: Graph, t,
+                    cls: Optional[GraphClassification] = None) -> dict:
     """Weight map assigning the same parameter t to every simple cycle."""
-    return {cyc: t for cyc in classify(g).simple_cycles}
+    return {cyc: t for cyc in (cls or classify(g)).simple_cycles}
 
 
 def mu_poly(g: Graph, weights: dict,

@@ -14,14 +14,14 @@ import pytest
 
 from sepgamma import (Graph, Poly, char_poly_adjacency, classify,
                       complete_graph, cut_sum_gamma, cycle_graph, empty_graph,
-                      gamma_a_cut_sum, gamma_a_oracle, gamma_a_suspension,
+                      gamma_a_cut_sum, gamma_a_suspension,
                       gamma_b, gamma_b_interior, gen_poly, hstar_to_gamma,
                       interior_tilde_definition, interior_tilde_fast,
                       independence_poly, is_real_rooted, independence_composition_check,
                       line_graph, matched_vertex_sets,
                       matched_vertex_sets_formula, matching_poly, mu_poly,
                       oracle_hstar_a, oracle_hstar_b, reflexivity_check,
-                      suspension, suspension_gamma_formula, uniform_weights,
+                      solve, suspension, suspension_gamma_formula, uniform_weights,
                       verify_gamma_mu_bridge, wheel_closed_form, witness_a,
                       witness_b)
 from sepgamma.graphs import bipartition_of
@@ -140,7 +140,7 @@ class TestCriterion2OracleEquivalence:
             if cls.connected:
                 res = gamma_a_cut_sum(g)
                 assert_sep_invariants(res)
-                oracle = gamma_a_oracle(g)
+                oracle = solve(g, "ahat", "ehrhart")
                 assert oracle.hstar == res.hstar
                 if cls.unique_even_cycle_condition:
                     assert gamma_a_suspension(g).hstar == oracle.hstar
@@ -228,9 +228,10 @@ class TestCriterion4MuIdentities:
             cls = classify(g)
             if not cls.cactus:
                 continue
-            assert mu_poly(g, uniform_weights(g, 0)) == matching_poly(g)
-            assert mu_poly(g, uniform_weights(g, 1)) == char_poly_adjacency(g)
-            assert verify_gamma_mu_bridge(g)  # n+1 rational samples
+            assert mu_poly(g, uniform_weights(g, 0, cls), cls) == matching_poly(g)
+            assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
+                char_poly_adjacency(g)
+            assert verify_gamma_mu_bridge(g, cls=cls)  # n+1 rational samples
             checked += 1
         print(f"\nCRITERION 4 PASS mu(G,0)=alpha, mu(G,1)=charpoly, and the "
               f"gamma-mu bridge on all {checked} cactus classes <= 7")
@@ -275,7 +276,7 @@ class TestCriterion6StructuralInvariants:
             gamma_a_suspension(cycle_graph(3)),
             gamma_a_suspension(cycle_graph(4)),
             gamma_a_cut_sum(complete_graph(4)),
-            gamma_a_oracle(cycle_graph(4)),
+            solve(cycle_graph(4), "ahat", "ehrhart"),
             gamma_b(cycle_graph(6)),
             gamma_b_interior(Graph.make(6, [(u, v + 3) for u in (1, 2, 3)
                                             for v in (1, 2, 3)])),

@@ -4,7 +4,8 @@ import pytest
 
 from sepgamma import (Graph, complete_bipartite, complete_graph, graphs,
                       parse_graph, to_edge_list_text)
-from sepgamma.cli import A_METHODS, B_METHODS, main
+from sepgamma.cli import METHODS, main
+from sepgamma.engine import ROUTES
 
 
 def write(tmp_path, name, text):
@@ -126,11 +127,12 @@ class TestCheck:
             assert "resource bound exceeded" in capsys.readouterr().err
 
 
+# check takes every method of ROUTES on every polytope, applicable or not
 METHOD_COMBINATIONS = (
-    [("gamma-a", None, m) for m in A_METHODS]
-    + [("gamma-b", None, m) for m in B_METHODS]
-    + [("check", p, m) for p in ("a", "ahat", "b")
-       for m in ("auto", "formula", "cuts", "interior", "ehrhart")])
+    [("gamma-a", None, m) for m in ROUTES["ahat"]]
+    + [("gamma-b", None, m) for m in ROUTES["b"]]
+    + [("check", p, m) for p in ROUTES for m in METHODS])
+RESULT_KEYS = ("method", "gamma", "hstar", "volume", "dim")
 
 
 class TestContract:
@@ -142,6 +144,32 @@ class TestContract:
             argv += ["--polytope", polytope]
         assert main(argv) in range(5)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,polytope", [("gamma-a", "ahat"),
+                                                  ("gamma-b", "b")])
+    def test_check_reports_the_same_result_on_every_route(
+            self, c4_file, capsys, command, polytope):
+        for method in ROUTES[polytope]:
+            reports = []
+            for argv in ([command, c4_file],
+                         ["check", c4_file, "--polytope", polytope]):
+                assert main(argv + ["--method", method]) == 0
+                reports.append([line for line in capsys.readouterr().out.splitlines()
+                                if line.split(":")[0] in RESULT_KEYS])
+            assert len(reports[0]) == len(RESULT_KEYS), method
+            assert reports[0] == reports[1], method
+
+    @pytest.mark.parametrize("command,text", [
+        ("gamma-a", "".join(f"{i} {i + 1}\n" for i in range(1, 1200))),
+        ("gamma-a", "n 1200\n1 2\n"),
+        ("gamma-b", "n 1200\n1 2\n"),
+    ])
+    def test_deep_recursion_exits_4(self, tmp_path, capsys, command, text):
+        # the path P1200 overflows the cycle search, K2 plus 1,198 isolated
+        # vertices the matching recursion
+        path = write(tmp_path, "deep.txt", text)
+        assert main([command, path]) == 4
+        assert "resource bound exceeded: recursion depth" in capsys.readouterr().err
 
     def test_one_cycle_listing_per_request(self, c4_file, tmp_path, capsys,
                                            monkeypatch):
@@ -210,6 +238,24 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "a-formula-vs-cuts: skipped (even-cycle condition fails)" in out
 
+    def test_guarded_routes_skip_alike(self, c4_file, capsys):
+        assert main(["verify", c4_file, "--bound-override", "cut-sum=3"]) == 0
+        assert "a-formula-vs-cuts: skipped (cut sum bound 3)" in \
+            capsys.readouterr().out
+        assert main(["verify", c4_file, "--bound-override", "matched-sets=3"]) == 0
+        out = capsys.readouterr().out
+        assert "a-formula-vs-cuts: pass" in out
+        assert "b-formula-vs-interior: skipped (matched-set bound 3)" in out
+
+    def test_empty_graph(self, tmp_path, capsys):
+        empty = write(tmp_path, "empty.txt", "")
+        assert main(["gamma-a", empty]) == 0
+        capsys.readouterr()
+        assert main(["verify", empty]) == 0
+        out = capsys.readouterr().out
+        assert "a-formula-vs-cuts: skipped (no vertices)" in out
+        assert "b-formula-vs-interior: pass" in out
+
     def test_mismatch_exit_3(self, c4_file, capsys, monkeypatch):
         from sepgamma import engine
         from sepgamma.polynomials import Poly
@@ -247,6 +293,14 @@ class TestBatch:
         assert volumes == ["20", "54", "152"]
         assert all(line.split(",")[-1] == "yes" for line in lines[1:])
 
+    def test_empty_graph_row(self, tmp_path, capsys):
+        d = tmp_path / "zero"
+        d.mkdir()
+        (d / "empty.txt").write_text("")
+        assert main(["batch", str(d)]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1]
+        assert row.startswith("empty.txt,0,0,") and row.endswith(",1,yes,n/a")
+
     def test_empty_dir(self, tmp_path, capsys):
         d = tmp_path / "empty"
         d.mkdir()
@@ -278,5 +332,7 @@ class TestJson:
         p = write(tmp_path, "g.json", '{"n": 3, "edges": [[1,2],[2,3],[3,1]]}')
         assert main(["gamma-a", p]) == 0
         assert "volume: 20" in capsys.readouterr().out
-        p = write(tmp_path, "bool.json", '{"edges": [[true, 2], [2, 3]]}')
-        assert main(["analyze", p]) == 1
+        for name, text in (("bool.json", '{"edges": [[true, 2], [2, 3]]}'),
+                           ("number.json", '{"edges": 5}'),
+                           ("null.json", '{"edges": null}')):
+            assert main(["analyze", write(tmp_path, name, text)]) == 1

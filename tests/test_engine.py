@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from sepgamma import (Graph, Poly, PreconditionError, classify, complete_graph,
-                      cycle_graph, empty_graph, gamma_a,
-                      gamma_a_cut_sum, gamma_a_cycle_reference, gamma_a_oracle,
-                      gamma_a_suspension, gamma_b,
-                      gamma_b_dispatch, gamma_b_interior, gamma_b_oracle,
+from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
+                      PreconditionError, classify, complete_graph, cycle_graph,
+                      empty_graph,
+                      gamma_a_cut_sum, gamma_a_cycle_reference,
+                      gamma_a_suspension, gamma_b, gamma_b_interior,
                       gen_poly, hstar_to_gamma, oracle_hstar_a, path_graph,
-                      star_graph, suspension, wheel_closed_form)
+                      solve, star_graph, suspension, wheel_closed_form)
 
 from conftest import random_graph
 
@@ -77,21 +77,47 @@ class TestGammaASuspension:
 
 class TestDispatchA:
     def test_auto_prefers_formula(self):
-        assert gamma_a(cycle_graph(4), "auto").method == "formula"
+        assert solve(cycle_graph(4), "ahat", "auto").method == "formula"
 
     def test_auto_falls_back_to_cuts(self):
-        res = gamma_a(complete_graph(4), "auto")
+        res = solve(complete_graph(4), "ahat", "auto")
         assert res.method == "cut_sum"
         assert res.gamma == Poly([1, 12, 6]) and res.volume == 70
         check_sep_invariants(res)
 
     def test_formula_raises_on_k4(self):
         with pytest.raises(PreconditionError):
-            gamma_a(complete_graph(4), "formula")
+            solve(complete_graph(4), "ahat", "formula")
 
     def test_cut_sum_equals_formula(self):
         for g in (cycle_graph(3), cycle_graph(4), path_graph(4)):
             assert gamma_a_cut_sum(g).gamma == gamma_a_suspension(g).gamma
+
+
+class TestSolve:
+    def test_every_route_on_c4(self):
+        g = cycle_graph(4)
+        for polytope, routes in ROUTES.items():
+            for method in routes:
+                res = solve(g, polytope, method, classify(g))
+                check_sep_invariants(res)
+                assert res.dim == (3 if polytope == "a" else 4)
+
+    def test_inapplicable_method_and_bounds(self):
+        g = cycle_graph(4)
+        for polytope, method in (("a", "formula"), ("ahat", "interior"),
+                                 ("b", "cuts")):
+            with pytest.raises(PreconditionError):
+                solve(g, polytope, method)
+        with pytest.raises(ValueError):
+            solve(g, "c")
+        for polytope, method, bound in (("ahat", "cuts", "cut-sum"),
+                                        ("b", "interior", "matched-sets"),
+                                        ("b", "ehrhart", "hrep-dim")):
+            with pytest.raises(BoundExceededError):
+                solve(g, polytope, method, bounds={bound: 3})
+        # the formulas have no guard
+        assert solve(g, "ahat", "formula", bounds={"cut-sum": 3}).method == "formula"
 
 
 class TestGammaB:
@@ -128,13 +154,13 @@ class TestGammaB:
 
     def test_dispatch(self):
         k33 = Graph.make(6, [(u, v + 3) for u in (1, 2, 3) for v in (1, 2, 3)])
-        assert gamma_b_dispatch(k33, "auto").method == "interior"
-        assert gamma_b_dispatch(cycle_graph(4), "auto").method == "formula"
+        assert solve(k33, "b", "auto").method == "interior"
+        assert solve(cycle_graph(4), "b", "auto").method == "formula"
         with pytest.raises(PreconditionError):
-            gamma_b_dispatch(cycle_graph(3), "auto")
+            solve(cycle_graph(3), "b", "auto")
 
     def test_oracle_non_bipartite_has_no_gamma(self):
-        res = gamma_b_oracle(cycle_graph(3))
+        res = solve(cycle_graph(3), "b", "ehrhart")
         assert res.gamma is None and res.method == "ehrhart"
         assert res.hstar(1) == res.volume
 
@@ -166,7 +192,7 @@ class TestClosedForms:
 class TestOracleAgreement:
     def test_dimension_bookkeeping(self):
         for g in (cycle_graph(3), path_graph(3), Graph.make(2, [(1, 2)])):
-            res = gamma_a_oracle(g)
+            res = solve(g, "ahat", "ehrhart")
             assert res.dim == g.n
             check_sep_invariants(res)
 
@@ -180,8 +206,9 @@ class TestOracleAgreement:
 
     def test_oracle_matches_formula_small(self):
         for g in (cycle_graph(3), cycle_graph(4), path_graph(4)):
-            assert gamma_a_oracle(g).hstar == gamma_a_suspension(g).hstar
-        assert gamma_b_oracle(cycle_graph(4)).hstar == gamma_b(cycle_graph(4)).hstar
+            assert solve(g, "ahat", "ehrhart").hstar == gamma_a_suspension(g).hstar
+        assert solve(cycle_graph(4), "b", "ehrhart").hstar == \
+            gamma_b(cycle_graph(4)).hstar
 
     def test_cycle_reference_matches_oracle(self):
         # the binomial closed form for gamma(A of a plain cycle) pins the

@@ -46,8 +46,10 @@ class TestParse:
         assert parse_graph('{"edges": [[1,2]]}') == Graph.make(2, [(1, 2)])
         with pytest.raises(GraphFormatError):
             parse_graph('{"edges": [[1,1]]}')
-        with pytest.raises(GraphFormatError):
-            parse_graph('{"edges": "nope"}')
+        for bad in ('{"edges": "nope"}', '{"edges": 5}', '{"edges": null}',
+                    '{"edges": {}}'):
+            with pytest.raises(GraphFormatError):
+                parse_graph(bad)
         # bool is an int subclass in Python; JSON true is still no label
         for bad in ('{"edges": [[true, 2], [2, 3]]}',
                     '{"n": false, "edges": []}',

@@ -31,6 +31,22 @@ class TestMuPoly:
         with pytest.raises(PreconditionError):
             mu_poly(cycle_graph(3), {})
 
+    def test_one_cycle_listing(self, monkeypatch):
+        from sepgamma import graphs
+        calls = []
+        real = graphs.simple_cycles
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(graphs, "simple_cycles", counted)
+        g = cycle_graph(5)
+        cls = classify(g)
+        assert mu_poly(g, uniform_weights(g, 1, cls), cls) == char_poly_adjacency(g)
+        assert verify_gamma_mu_bridge(g, cls=cls)
+        assert len(calls) == 1
+
     def test_rational_weights(self):
         g = cycle_graph(4)
         mu = mu_poly(g, uniform_weights(g, Fraction(1, 2)))
