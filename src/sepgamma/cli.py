@@ -45,13 +45,13 @@ BATCH_AGREEMENT_MAX_N = 12
 # Input and output helpers
 # ---------------------------------------------------------------------------
 
-def _load_graph(path: str, strict: bool = False) -> Graph:
+def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
-    return parse_graph(text, strict=strict)
+    return parse_graph(text)
 
 
 def _poly_text(p, fmt: str):
@@ -368,23 +368,26 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sepgamma",
         description="gamma/h*-polynomials and normalized volumes of "
                     "symmetric edge polytopes, exactly.")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("pretty", "coeffs", "structured"),
-                        default="coeffs", help="polynomial/report rendering")
-    common.add_argument("--bound-override", action="append", metavar="NAME=VALUE",
-                        help=f"override a resource guard ({', '.join(BOUND_KEYS)})")
+    # shared flags; each subcommand takes the ones it reads
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("pretty", "coeffs", "structured"),
+                     default="coeffs", help="polynomial/report rendering")
+    bound = argparse.ArgumentParser(add_help=False)
+    bound.add_argument("--bound-override", action="append", metavar="NAME=VALUE",
+                       help=f"override a resource guard ({', '.join(BOUND_KEYS)})")
+    common = [fmt, bound]
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, polytope, text in (
             ("gamma-a", "ahat", "suspension polytope of the input graph"),
             ("gamma-b", "b", "type-B polytope of the input graph")):
-        p = sub.add_parser(name, parents=[common], help=text)
+        p = sub.add_parser(name, parents=common, help=text)
         p.add_argument("path")
         p.add_argument("--method", choices=tuple(engine.ROUTES[polytope]),
                        default="auto")
         p.set_defaults(func=cmd_solve, polytope=polytope)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=common,
                        help="property report of h* and gamma")
     p.add_argument("path")
     p.add_argument("--polytope", choices=tuple(engine.ROUTES), default="a",
@@ -393,23 +396,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, default="auto")
     p.set_defaults(func=cmd_solve)
 
-    p = sub.add_parser("witness", parents=[common],
+    p = sub.add_parser("witness", parents=common,
                        help="flag-complex witness for the gamma-polynomial")
     p.add_argument("path")
     p.add_argument("--type", choices=("a", "b"), required=True)
     p.set_defaults(func=cmd_witness)
 
-    p = sub.add_parser("analyze", parents=[common], help="structural classification")
+    p = sub.add_parser("analyze", parents=[fmt], help="structural classification")
     p.add_argument("path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("batch", parents=[common],
+    p = sub.add_parser("batch", parents=[bound],
                        help="one report row per graph file in a directory")
     p.add_argument("dir")
     p.add_argument("--out-format", choices=("csv", "structured"), default="csv")
     p.set_defaults(func=cmd_batch)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=common,
                        help="cross-method agreement suite on one input")
     p.add_argument("path")
     p.add_argument("--level", choices=("quick", "full"), default="quick")

@@ -1,11 +1,18 @@
 """Ground-truth h*-polynomials by exact lattice-point counting.
 
 Builds the V-representation of a symmetric edge polytope (type A or B),
-rewrites it in a basis of its affine-hull lattice so it becomes
-full-dimensional without changing any dilate's point count, derives the
-facet inequalities by brute-force hyperplane enumeration, counts
-|tP n Z^d| for t = 1..d+1 by scanning the bounding box, and applies the
-binomial transform.  Everything is integer arithmetic; nothing floats.
+derives the facet inequalities by brute-force hyperplane enumeration,
+counts |tP n Z^d| for t = 1..d+1 by scanning the bounding box, and
+applies the binomial transform.  Everything is integer arithmetic;
+nothing floats.
+
+One unimodular integer row reduction does all the lattice algebra.  On
+the matrix whose columns are the differences p - p0 it yields each
+point's coordinates in a full-dimensional lattice copy of the polytope
+(the pivot rows; their number is the dimension), which changes no
+dilate's point count.  On the d - 1 differences of d points, with the
+transform tracked, the transform's last row is the primitive normal of
+the hyperplane through them.
 
 This oracle exists to validate the formula paths at desk scale, never to
 be fast; every stage has a loud resource guard.
@@ -15,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, product
 from typing import Optional
 
@@ -31,14 +37,12 @@ MAX_BOX_POINTS = 10 ** 9
 @dataclass
 class LatticePolytope:
     """V-representation plus derived data.  `points` may contain non-vertex
-    points (the hull ignores them); `lattice_basis` rows span exactly the
-    ambient lattice intersected with the linear span of the translated
-    affine hull; `hrep` is filled by h_representation."""
+    points (the hull ignores them); `dim` is the dimension of their affine
+    hull; `hrep` is filled by h_representation."""
 
     ambient_dim: int
     points: tuple
     dim: int
-    lattice_basis: tuple
     hrep: Optional[tuple] = field(default=None)
 
 
@@ -46,110 +50,37 @@ class LatticePolytope:
 # Integer linear algebra
 # ---------------------------------------------------------------------------
 
-def _integer_kernel(rows: list, n: int) -> list:
-    """Basis of {x in Z^n : r . x = 0 for every r in rows}, via unimodular
-    row reduction of the augmented transpose; the result is saturated."""
-    k = len(rows)
-    aug = []
-    for i in range(n):
-        left = [rows[r][i] for r in range(k)]
-        right = [1 if j == i else 0 for j in range(n)]
-        aug.append(left + right)
+def _row_reduce(mat: list, cols: int) -> int:
+    """Unimodular row reduction of the first `cols` columns of the integer
+    matrix `mat` (a list of rows, changed in place) by row swaps and integer
+    row additions.  Returns the rank r: rows[:r] are then in echelon form
+    and the other rows are zero on those columns.  Columns past `cols` (an
+    identity block, say) record the transform."""
     r0 = 0
-    for c in range(k):
+    for c in range(cols):
         while True:
-            nz = [r for r in range(r0, n) if aug[r][c] != 0]
+            nz = [r for r in range(r0, len(mat)) if mat[r][c] != 0]
             if not nz:
                 break
             if len(nz) == 1:
-                r = nz[0]
-                aug[r0], aug[r] = aug[r], aug[r0]
+                mat[r0], mat[nz[0]] = mat[nz[0]], mat[r0]
                 r0 += 1
                 break
-            piv = min(nz, key=lambda r: abs(aug[r][c]))
+            piv = min(nz, key=lambda r: abs(mat[r][c]))
             for r in nz:
-                if r == piv:
-                    continue
-                q = aug[r][c] // aug[piv][c]
-                if q:
-                    aug[r] = [a - q * b for a, b in zip(aug[r], aug[piv])]
-    return [row[k:] for row in aug[r0:]]
+                if r != piv:
+                    q = mat[r][c] // mat[piv][c]
+                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[piv])]
+    return r0
 
 
-def _affine_lattice_basis(points: list) -> list:
-    """Basis of Z^n intersected with the linear span of (p - points[0])."""
-    n = len(points[0])
+def _pivot_rows(points) -> list:
+    """Pivot rows of the row-reduced matrix whose columns are p - points[0]:
+    column k is points[k] in coordinates of the lattice of the affine hull,
+    and their number is its dimension."""
     p0 = points[0]
-    diffs = [[p[i] - p0[i] for i in range(n)] for p in points[1:]]
-    normals = _integer_kernel(diffs, n)
-    return _integer_kernel(normals, n)
-
-
-def _solve_integer_coords(basis: list, x: list) -> list:
-    """c with sum_i c_i basis[i] = x; exact, must come out integral."""
-    d, n = len(basis), len(x)
-    # Gaussian elimination on the n x d system (columns = basis vectors)
-    mat = [[Fraction(basis[j][i]) for j in range(d)] + [Fraction(x[i])]
-           for i in range(n)]
-    row = 0
-    pivots = []
-    for col in range(d):
-        sel = next((r for r in range(row, n) if mat[r][col] != 0), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        pv = mat[row][col]
-        mat[row] = [v / pv for v in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    c = [Fraction(0)] * d
-    for r, col in enumerate(pivots):
-        c[col] = mat[r][d]
-    for r in range(row, n):
-        if mat[r][d] != 0:
-            raise VerificationError("point outside the affine-hull lattice")
-    out = []
-    for v in c:
-        if v.denominator != 1:
-            raise VerificationError("non-integral lattice coordinate")
-        out.append(int(v))
-    return out
-
-
-def _int_det(mat: list) -> int:
-    """Bareiss fraction-free determinant of a small integer matrix."""
-    m = [row[:] for row in mat]
-    n = len(m)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            sel = next((r for r in range(k + 1, n) if m[r][k] != 0), None)
-            if sel is None:
-                return 0
-            m[k], m[sel] = m[sel], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[-1][-1]
-
-
-def _cross_normal(diffs: list, d: int) -> tuple:
-    """Integer normal to d-1 vectors in Z^d (generalized cross product)."""
-    out = []
-    for i in range(d):
-        minor = [[row[j] for j in range(d) if j != i] for row in diffs]
-        out.append((-1) ** i * _int_det(minor))
-    return tuple(out)
+    mat = [[p[i] - p0[i] for p in points] for i in range(len(p0))]
+    return mat[:_row_reduce(mat, len(points))]
 
 
 # ---------------------------------------------------------------------------
@@ -158,25 +89,24 @@ def _cross_normal(diffs: list, d: int) -> tuple:
 
 def build_a(g: Graph) -> LatticePolytope:
     """conv of +-(e_i - e_j) over the edges; lives in the sum-zero
-    hyperplane, dimension n-1 for connected g."""
+    hyperplane, dimension n-1 for connected g.  The point {0} when g has
+    no edge."""
     if not g.edges:
-        raise PreconditionError("type-A polytope of an edgeless graph is empty")
+        return LatticePolytope(g.n, ((0,) * g.n,), 0)
     pts = []
     for u, v in g.sorted_edges():
         p = [0] * g.n
         p[u - 1], p[v - 1] = 1, -1
         pts.append(tuple(p))
         pts.append(tuple(-x for x in p))
-    basis = _affine_lattice_basis(pts)
-    return LatticePolytope(g.n, tuple(pts), len(basis),
-                           tuple(tuple(b) for b in basis))
+    return LatticePolytope(g.n, tuple(pts), len(_pivot_rows(pts)))
 
 
 def build_b(g: Graph) -> LatticePolytope:
     """conv of all +-e_i plus +-e_i +- e_j over the edges; always
-    full-dimensional."""
-    if g.n < 1:
-        raise PreconditionError("need at least one vertex")
+    full-dimensional, the point {0} when g has no vertex."""
+    if g.n == 0:
+        return LatticePolytope(0, ((),), 0)
     pts = []
     for i in range(1, g.n + 1):
         p = [0] * g.n
@@ -188,26 +118,20 @@ def build_b(g: Graph) -> LatticePolytope:
             p = [0] * g.n
             p[u - 1], p[v - 1] = su, sv
             pts.append(tuple(p))
-    basis = _affine_lattice_basis(pts)
-    return LatticePolytope(g.n, tuple(pts), len(basis),
-                           tuple(tuple(b) for b in basis))
+    return LatticePolytope(g.n, tuple(pts), g.n)
 
 
 def reduce_to_full_dim(p: LatticePolytope) -> LatticePolytope:
-    """Rewrite the points in lattice-basis coordinates relative to the first
-    point.  The map bijects affine-hull lattice points, so every dilate's
-    count is preserved.  Full-dimensional input comes back unchanged."""
+    """Rewrite the points in coordinates of the lattice of their affine hull,
+    relative to the first point.  The map is unimodular on that lattice, so
+    every dilate's count is preserved.  Full-dimensional input comes back
+    unchanged."""
     if p.dim == p.ambient_dim:
         return p
-    basis = [list(b) for b in p.lattice_basis]
-    p0 = p.points[0]
-    new_pts = []
-    for pt in p.points:
-        x = [a - b for a, b in zip(pt, p0)]
-        new_pts.append(tuple(_solve_integer_coords(basis, x)))
-    d = p.dim
-    ident = tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
-    return LatticePolytope(d, tuple(new_pts), d, ident)
+    rows = _pivot_rows(p.points)
+    d = len(rows)
+    pts = tuple(tuple(row[k] for row in rows) for k in range(len(p.points)))
+    return LatticePolytope(d, pts, d)
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +153,15 @@ def h_representation(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
         raise BoundExceededError(f"{len(pts)} points > {max_points}")
     facets = set()
     seen = set()
-    for subset in combinations(pts, d):
+    for subset in combinations(pts, d) if d else ():
+        # the transform row that clears the d - 1 differences is the
+        # primitive normal, unless they have lower rank
         x0 = subset[0]
-        diffs = [[subset[i][j] - x0[j] for j in range(d)] for i in range(1, d)]
-        normal = _cross_normal(diffs, d)
-        if not any(normal):
+        mat = [[q[j] - x0[j] for q in subset[1:]] + [int(i == j) for i in range(d)]
+               for j in range(d)]
+        if _row_reduce(mat, d - 1) < d - 1:
             continue
-        g = 0
-        for v in normal:
-            g = math.gcd(g, v)
-        normal = tuple(v // g for v in normal)
+        normal = tuple(mat[-1][d - 1:])
         offset0 = sum(a * b for a, b in zip(normal, x0))
         neg = tuple(-v for v in normal)
         key = max((normal, offset0), (neg, -offset0))

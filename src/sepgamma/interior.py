@@ -116,7 +116,7 @@ def _connectable(parent: list, comps: int, edges: list, start: int) -> bool:
     return False
 
 
-def spanning_trees(g: Graph, max_trees: int = MAX_SPANNING_TREES):
+def spanning_trees(g: Graph):
     """Yield every spanning tree as a tuple of edge indices into
     g.sorted_edges().  Include/exclude recursion over the edge list with a
     connectivity prune, so dead branches die early."""
@@ -131,8 +131,9 @@ def spanning_trees(g: Graph, max_trees: int = MAX_SPANNING_TREES):
         nonlocal found
         if comps == 1:
             found += 1
-            if found > max_trees:
-                raise BoundExceededError(f"more than {max_trees} spanning trees")
+            if found > MAX_SPANNING_TREES:
+                raise BoundExceededError(
+                    f"more than {MAX_SPANNING_TREES} spanning trees")
             yield tuple(chosen)
             return
         if idx == len(edges) or not _connectable(parent, comps, edges, idx):
@@ -156,7 +157,7 @@ def spanning_trees(g: Graph, max_trees: int = MAX_SPANNING_TREES):
 # Hypertrees and internal activity
 # ---------------------------------------------------------------------------
 
-def hypertrees(h: Hypergraph, max_trees: int = MAX_SPANNING_TREES) -> list:
+def hypertrees(h: Hypergraph) -> list:
     """All distinct hypertree profiles, sorted.  Profile position j holds
     (tree degree of hyperedge j) - 1; entries sum to v_count - 1."""
     bg = bip(h)
@@ -166,7 +167,7 @@ def hypertrees(h: Hypergraph, max_trees: int = MAX_SPANNING_TREES) -> list:
     k = len(h.hyperedges)
     edges = bg.sorted_edges()
     profiles = set()
-    for tree in spanning_trees(bg, max_trees):
+    for tree in spanning_trees(bg):
         deg = [0] * k
         for idx in tree:
             # every incidence edge is (ground, hyperedge) with ground < hyperedge
@@ -175,12 +176,12 @@ def hypertrees(h: Hypergraph, max_trees: int = MAX_SPANNING_TREES) -> list:
     return sorted(profiles)
 
 
-def interior_poly(h: Hypergraph, max_trees: int = MAX_SPANNING_TREES) -> Poly:
+def interior_poly(h: Hypergraph) -> Poly:
     """I(x) = sum over hypertrees f of x^(number of internally inactive
     hyperedges), where hyperedge j is internally inactive iff one unit of
     f(j) can move to some earlier hyperedge j' and still leave a hypertree.
     """
-    profiles = hypertrees(h, max_trees)
+    profiles = hypertrees(h)
     profile_set = set(profiles)
     k = len(h.hyperedges)
     counts = {}
@@ -234,8 +235,7 @@ def interior_tilde_fast(g: Graph, b: Optional[Bipartition] = None,
 
 
 def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
-                              hyperedge_part: int = 2,
-                              max_trees: int = MAX_SPANNING_TREES) -> Poly:
+                              hyperedge_part: int = 2) -> Poly:
     """Definition-level counterpart of interior_tilde_fast: build the
     augmented graph, read it as a hypergraph, enumerate hypertrees."""
     if b is None:
@@ -245,8 +245,7 @@ def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
     tg = tilde(g, b)
     tb = Bipartition(frozenset(b.part1) | {g.n + 2},
                      frozenset(b.part2) | {g.n + 1})
-    return interior_poly(hypergraph_from_bipartite(tg, tb, hyperedge_part),
-                         max_trees)
+    return interior_poly(hypergraph_from_bipartite(tg, tb, hyperedge_part))
 
 
 def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:

@@ -20,23 +20,25 @@ MAX_MATCHED_SET_VERTICES = 16
 MAX_INDEPENDENCE_VERTICES = 24
 
 
-def _lowest_bit_index(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
 def _gen_poly_on_mask(masks: list, mask: int, memo: dict) -> Poly:
     """Matching generating polynomial of the induced subgraph on `mask`.
 
     Branch on the lowest vertex v: either v is unmatched, or it is matched
-    to one of its neighbors (delete both endpoints, one x factor).
+    to one of its neighbors (delete both endpoints, one x factor).  A lowest
+    vertex with no neighbor in the mask is dropped first, without a frame.
     """
-    if mask == 0:
+    while mask:
+        low = mask & -mask
+        v = low.bit_length() - 1
+        if masks[v] & mask:
+            break
+        mask ^= low
+    else:
         return Poly.one()
     got = memo.get(mask)
     if got is not None:
         return got
-    v = _lowest_bit_index(mask)
-    rest = mask & ~(1 << v)
+    rest = mask ^ low
     out = _gen_poly_on_mask(masks, rest, memo)
     nb = masks[v] & rest
     while nb:

@@ -161,15 +161,31 @@ class TestContract:
 
     @pytest.mark.parametrize("command,text", [
         ("gamma-a", "".join(f"{i} {i + 1}\n" for i in range(1, 1200))),
-        ("gamma-a", "n 1200\n1 2\n"),
-        ("gamma-b", "n 1200\n1 2\n"),
     ])
     def test_deep_recursion_exits_4(self, tmp_path, capsys, command, text):
-        # the path P1200 overflows the cycle search, K2 plus 1,198 isolated
-        # vertices the matching recursion
+        # the path P1200 overflows the cycle search
         path = write(tmp_path, "deep.txt", text)
         assert main([command, path]) == 4
         assert "resource bound exceeded: recursion depth" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,text,gamma", [
+        pytest.param("gamma-a", "n 1200\n1 2\n", "[1, 2]",
+                     id="gamma-a-k2-plus-isolated"),
+        pytest.param("gamma-b", "n 1200\n1 2\n", "[1, 4]",
+                     id="gamma-b-k2-plus-isolated"),
+        pytest.param("gamma-a", "".join(f"1 {i}\n" for i in range(2, 1201)),
+                     "[1, 2398]", id="gamma-a-star"),
+        pytest.param("gamma-b", "".join(f"1 {i}\n" for i in range(2, 1201)),
+                     "[1, 4796]", id="gamma-b-star"),
+    ])
+    def test_many_isolated_vertices_in_matchings(self, tmp_path, capsys, command,
+                                                 text, gamma):
+        # K2 plus 1,198 isolated vertices, and the star K1,1199: the matching
+        # recursion drops vertices with no neighbour instead of recursing
+        path = write(tmp_path, "sparse.txt", text)
+        assert main([command, path]) == 0
+        out = capsys.readouterr().out
+        assert f"gamma: {gamma}\n" in out and "dim: 1200\n" in out
 
     def test_one_cycle_listing_per_request(self, c4_file, tmp_path, capsys,
                                            monkeypatch):
@@ -198,6 +214,18 @@ class TestContract:
         calls.clear()
         assert main(["batch", str(d)]) == 0
         assert len(calls) == 3
+
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["batch", ".", "--format", "coeffs"], id="batch-format"),
+        pytest.param(["analyze", "g.txt", "--bound-override", "cut-sum=3"],
+                     id="analyze-bound-override"),
+    ])
+    def test_flags_a_subcommand_does_not_read_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -255,6 +283,15 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "a-formula-vs-cuts: skipped (no vertices)" in out
         assert "b-formula-vs-interior: pass" in out
+        # the oracle sees the point {0}: h* = 1, as the formula says
+        assert main(["verify", empty, "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        for name in ("a-vs-ehrhart", "b-vs-ehrhart", "mu-bridge"):
+            assert f"{name}: pass" in out
+        for command in ("gamma-a", "gamma-b"):
+            assert main([command, empty, "--method", "ehrhart"]) == 0
+            out = capsys.readouterr().out
+            assert "gamma: [1]\nhstar: [1]\nvolume: 1\ndim: 0\n" in out
 
     def test_mismatch_exit_3(self, c4_file, capsys, monkeypatch):
         from sepgamma import engine

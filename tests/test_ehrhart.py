@@ -1,32 +1,101 @@
+import math
+from itertools import combinations, product
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from sepgamma import (BoundExceededError, Graph, Poly, PreconditionError,
-                      VerificationError, build_a, build_b, complete_graph,
-                      count_points, cycle_graph, ehrhart_data, empty_graph,
-                      gamma_to_hstar, h_representation, hstar_from_counts,
-                      path_graph, reduce_to_full_dim, reflexivity_check)
-from sepgamma.ehrhart import _affine_lattice_basis, _integer_kernel
+from sepgamma import (BoundExceededError, Graph, LatticePolytope, Poly,
+                      PreconditionError, VerificationError, build_a, build_b,
+                      complete_graph, count_points, cycle_graph, ehrhart_data,
+                      empty_graph, gamma_to_hstar, h_representation,
+                      hstar_from_counts, path_graph, reduce_to_full_dim,
+                      reflexivity_check)
+from sepgamma.ehrhart import _row_reduce
 
 
-class TestLatticeBasis:
-    def test_kernel_basics(self):
-        assert _integer_kernel([[1, 1]], 2) == [[-1, 1]] or \
-            _integer_kernel([[1, 1]], 2) == [[1, -1]]
-        assert len(_integer_kernel([], 3)) == 3
+def det(mat):
+    """Laplace expansion along the first row; independent of _row_reduce."""
+    if not mat:
+        return 1
+    return sum((-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j in range(len(mat)) if mat[0][j])
+
+
+def minors(cols, k):
+    """All k x k minors of the matrix whose columns are `cols`."""
+    n = len(cols[0]) if cols else 0
+    return [det([[cols[c][r] for c in cs] for r in rs])
+            for rs in combinations(range(n), k) for cs in combinations(range(len(cols)), k)]
+
+
+def rank(cols):
+    """Largest k with a nonzero k x k minor."""
+    k = 0
+    while k < min(len(cols), len(cols[0]) if cols else 0) and any(minors(cols, k + 1)):
+        k += 1
+    return k
+
+
+def diffs(points):
+    return [tuple(a - b for a, b in zip(p, points[0])) for p in points]
+
+
+class TestRowReduce:
+    def test_echelon_and_rank(self):
+        mat = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
+        assert _row_reduce(mat, 3) == 2
+        assert mat[0][0] != 0 and mat[1][0] == 0 and mat[1][1:] != [0, 0]
+        assert mat[2] == [0, 0, 0]
+
+    def test_transform_is_tracked(self):
+        # rows of the transform times the original give the reduced rows
+        orig = [[4, 6], [6, 9], [2, 3]]
+        mat = [row + [int(i == j) for j in range(3)] for i, row in enumerate(orig)]
+        assert _row_reduce(mat, 2) == 1
+        for row in mat:
+            u = row[2:]
+            assert [sum(u[i] * orig[i][c] for i in range(3)) for c in range(2)] == row[:2]
+        assert abs(det([row[2:] for row in mat])) == 1
 
     def test_saturation(self):
         # differences (2,-2) must yield the primitive lattice Z(1,-1)
-        basis = _affine_lattice_basis([(1, -1), (-1, 1)])
-        assert len(basis) == 1
-        v = basis[0]
-        assert sorted(map(abs, v)) == [1, 1] and sum(v) == 0
+        q = reduce_to_full_dim(LatticePolytope(2, ((1, -1), (-1, 1)), 1))
+        assert q.dim == 1 and sorted(q.points) in ([(-2,), (0,)], [(0,), (2,)])
 
     def test_plane_in_z3(self):
-        pts = [(1, -1, 0), (0, 1, -1), (-1, 0, 1), (0, 0, 0)]
-        basis = _affine_lattice_basis(pts)
-        assert len(basis) == 2
-        for v in basis:
-            assert sum(v) == 0
+        p = build_a(cycle_graph(3))
+        q = reduce_to_full_dim(p)
+        assert p.dim == q.dim == q.ambient_dim == 2
+        assert len(set(q.points)) == 6
+
+    def test_point(self):
+        q = reduce_to_full_dim(build_a(empty_graph(3)))
+        assert (q.dim, q.points) == (0, ((),))
+        assert h_representation(q) == ()
+        assert count_points(q, 5) == 1
+
+
+points_in_zn = st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.tuples(*[st.integers(-2, 2)] * n), min_size=1, max_size=6))
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(points_in_zn)
+# three collinear points on an edge span no facet
+@example([(-1, 0, 1), (0, 0, 1), (1, 0, 1), (0, 1, -1), (1, -1, 0)])
+def test_reduced_copy_and_facets(points):
+    d = rank(diffs(points))
+    q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points), d))
+    assert q.dim == q.ambient_dim == d
+    assert len(set(q.points)) == len(set(points))
+    # equal gcd of the d x d minors: the lattice of the hull maps onto Z^d
+    assert math.gcd(*minors(diffs(points), d)) == math.gcd(*minors(diffs(q.points), d))
+    for normal, b in h_representation(q):
+        assert math.gcd(*normal) == 1
+        dots = [sum(a * x for a, x in zip(normal, pt)) for pt in q.points]
+        assert max(dots) == b
+        tight = [pt for pt, dot in zip(q.points, dots) if dot == b]
+        assert rank(diffs(tight)) == d - 1
 
 
 class TestBuild:
@@ -37,8 +106,8 @@ class TestBuild:
         assert seg.dim == 1 and set(seg.points) == {(1, -1), (-1, 1)}
         k4 = build_a(complete_graph(4))
         assert len(k4.points) == 12 and k4.dim == 3
-        with pytest.raises(PreconditionError):
-            build_a(empty_graph(3))
+        point = build_a(empty_graph(3))
+        assert point.points == ((0, 0, 0),) and point.dim == 0
 
     def test_build_b_examples(self):
         sq = build_b(empty_graph(2))
@@ -51,6 +120,7 @@ class TestBuild:
     def test_b_always_full_dimensional(self):
         for n in range(1, 5):
             assert build_b(empty_graph(n)).dim == n
+        assert build_b(empty_graph(0)).points == ((),)
 
 
 class TestReduce:
@@ -74,32 +144,22 @@ class TestReduce:
             assert count_points(q, t) == 3 * t * t + 3 * t + 1
 
     def test_ambient_filter_agrees_dim_le_3(self):
-        # count tP in the ambient lattice directly: points of Z^n in the box
-        # whose coordinates sum to 0 and which the reduced facets accept
-        from itertools import product as iproduct
-        from sepgamma.ehrhart import _solve_integer_coords
-        for g in (cycle_graph(3), path_graph(3), path_graph(4)):
-            p = build_a(g)
-            q = reduce_to_full_dim(p)
+        # count tP n Z^n in ambient coordinates: type A of a connected graph
+        # is {x : sum x = 0, f . x <= 1 for every f: V -> Z with
+        # |f(u) - f(v)| <= 1 on the edges}, a description independent of
+        # the reduced copy and its facets
+        for g in (cycle_graph(3), path_graph(3), path_graph(4), complete_graph(4)):
+            q = reduce_to_full_dim(build_a(g))
             h_representation(q)
-            p0 = p.points[0]
+            edges = [(u - 1, v - 1) for u, v in g.edges]
+            lipschitz = [f for f in product(range(-g.n, g.n + 1), repeat=g.n)
+                         if f[0] == 0 and all(abs(f[u] - f[v]) <= 1 for u, v in edges)]
             for t in (1, 2):
-                direct = 0
-                rng = range(-t, t + 1)
-                for z in iproduct(*[rng] * g.n):
-                    if sum(z) != 0:
-                        continue
-                    rel = [a - t * b for a, b in zip(z, p0)]
-                    try:
-                        c = _solve_integer_coords(
-                            [list(b) for b in p.lattice_basis], rel)
-                    except VerificationError:
-                        continue
-                    if all(sum(a * x for a, x in zip(normal, c)) <= t * b
-                           for normal, b in q.hrep):
-                        direct += 1
+                direct = sum(
+                    1 for z in product(range(-t, t + 1), repeat=g.n)
+                    if sum(z) == 0 and all(sum(a * x for a, x in zip(f, z)) <= t
+                                           for f in lipschitz))
                 assert direct == count_points(q, t)
-
 
 class TestFacets:
     def test_hexagon_has_six(self):
