@@ -27,7 +27,7 @@ from .matching import (MatchingProfile, gen_poly, independence_poly,
                        matching_counts, matching_poly, matching_profile)
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
                           gamma_to_hstar, hstar_to_gamma, is_real_rooted,
-                          real_rootedness, squarefree_part)
+                          real_rootedness)
 from .spectral import (char_poly_adjacency, mu_poly, uniform_weights,
                        verify_gamma_mu_bridge)
 from .witness import (FlagWitness, clique_f_poly, independence_composition_check,

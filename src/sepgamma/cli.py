@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Subcommands: gamma-a, gamma-b, check, witness, analyze, batch, verify.
-Exit codes are a stable contract: 0 success, 1 parse/I-O failure,
-2 precondition failure, 3 verification mismatch, 4 resource bound.
+Exit codes are a stable contract: 0 success, 1 parse/I-O or usage
+failure, 2 precondition failure, 3 verification mismatch, 4 resource bound.
 
 Reports on stdout are byte-identical across runs on identical input;
 timing goes to stderr so it cannot break that.
@@ -49,7 +49,7 @@ def _load_graph(path: str) -> Graph:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphFormatError(f"cannot read {path}: {exc}") from None
     return parse_graph(text)
 
@@ -421,7 +421,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the help or the usage error
+        return EXIT_OK if exc.code == 0 else EXIT_PARSE
     start = time.perf_counter()
     try:
         code = args.func(args)

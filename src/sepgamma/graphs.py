@@ -136,11 +136,15 @@ def parse_graph(text: str, strict: bool = False) -> Graph:
             continue
         tokens = line.split()
         if tokens[0] == "n":
-            if len(tokens) != 2 or not tokens[1].isdigit():
-                raise GraphFormatError(f"line {lineno}: bad header {line!r}")
+            try:
+                if len(tokens) != 2 or not tokens[1].isdecimal():
+                    raise ValueError
+                count = int(tokens[1])  # raises past int()'s digit limit too
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: bad header {line!r}") from None
             if declared_n is not None:
                 raise GraphFormatError(f"line {lineno}: repeated vertex-count header")
-            declared_n = int(tokens[1])
+            declared_n = count
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected two labels, got {line!r}")
@@ -155,7 +159,8 @@ def parse_graph(text: str, strict: bool = False) -> Graph:
 def _parse_json(text: str, strict: bool) -> Graph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    # JSONDecodeError, a number past int()'s digit limit, or too deep nesting
+    except (ValueError, RecursionError) as exc:
         raise GraphFormatError(f"bad JSON graph document: {exc}") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("edges"), list)):
         raise GraphFormatError('JSON graph document needs an "edges" array')

@@ -11,7 +11,6 @@ formula for the gamma-polynomial of a suspension polytope.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError, VerificationError
@@ -256,12 +255,14 @@ def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:
         raise PreconditionError("need at least one vertex")
     if g.n > max_n:
         raise BoundExceededError(f"cut sum over {g.n} > {max_n} vertices")
-    total = Poly()
+    total = []
     for cut in cuts(g, max_n=max(max_n, g.n)):
         mv = matched_vertex_sets(cut.subgraph, max_n=g.n)
-        total = total + Poly(mv).scale_arg(4)
-    gamma = total * Fraction(1, 1 << (g.n - 1))
-    if not gamma.is_integral():
+        total += [0] * (len(mv) - len(total))
+        for k, c in enumerate(mv):
+            total[k] += c << (2 * k)
+    gamma = [divmod(c, 1 << (g.n - 1)) for c in total]
+    if any(r for _, r in gamma):
         raise VerificationError(
-            f"cut sum produced non-integral coefficients: {gamma.coeff_list()}")
-    return gamma
+            f"cut sum {total} is not divisible by 2^{g.n - 1}")
+    return Poly(q for q, _ in gamma)

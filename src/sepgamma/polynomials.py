@@ -1,9 +1,10 @@
 """Exact dense univariate polynomials and the predicates built on them.
 
 Coefficients are Python ints or fractions.Fraction, never floats, so every
-operation in the library (gamma <-> h* transforms, Sturm chains, Horner
-evaluation) is exact.  A single class covers both the integer and the
-rational case; Fractions that reduce to integers are normalized to int.
+operation in the library (gamma <-> h* transforms, Horner evaluation) is
+exact.  A single class covers both the integer and the rational case;
+Fractions that reduce to integers are normalized to int.  Real-rootedness
+is decided by one Sturm chain over integer coefficient lists.
 """
 
 from __future__ import annotations
@@ -261,120 +262,64 @@ def hstar_to_gamma(hstar: Poly) -> Poly:
 # Sturm-chain real-root counting
 # ---------------------------------------------------------------------------
 
-def _to_fraction(p: Poly) -> list:
-    return [Fraction(c) for c in p.coeffs]
+def _primitive(cs: list) -> list:
+    """Divide a nonzero integer list by its (positive) content."""
+    g = math.gcd(*cs)
+    return [c // g for c in cs]
 
 
-def _trim(cs: list) -> list:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _polydiv(a: list, b: list):
-    """Quotient and remainder of Fraction coefficient lists; b nonzero."""
-    r = _trim(a[:])
-    q = [Fraction(0)] * max(0, len(r) - len(b) + 1)
-    lead = b[-1]
+def _negated_prem(a: list, b: list) -> list:
+    """Minus the remainder of a by b times a positive integer; [] when b
+    divides a.  Each reduction step multiplies by |lc(b)|, so every sign
+    of the true remainder is kept."""
+    m, s = abs(b[-1]), (1 if b[-1] > 0 else -1)
+    r = list(a)
     while len(r) >= len(b):
-        s = r[-1] / lead
-        q[len(r) - len(b)] = s
-        k = len(r) - len(b)
+        q, k = s * r[-1], len(r) - len(b)
+        r = [m * c for c in r]
         for i, c in enumerate(b):
-            r[k + i] -= s * c
+            r[k + i] -= q * c
         r.pop()
-        _trim(r)
-    return _trim(q), r
+        while r and r[-1] == 0:
+            r.pop()
+    return [-c for c in r]
 
 
-def _polygcd_monic(a: list, b: list) -> list:
-    a, b = _trim(a[:]), _trim(b[:])
-    while b:
-        _, r = _polydiv(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _clear_denominators(cs: list) -> list:
-    """Scale by a positive rational to primitive integer coefficients."""
-    if not cs:
-        return []
-    lcm = 1
-    for c in cs:
-        d = Fraction(c).denominator
-        lcm = lcm * d // math.gcd(lcm, d)
-    ints = [int(Fraction(c) * lcm) for c in cs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    return [v // g for v in ints] if g > 1 else ints
-
-
-def squarefree_part(f: Poly) -> Poly:
-    """f / gcd(f, f'): same root set, all roots simple, integer coefficients."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    a = _to_fraction(f)
-    if len(a) <= 2:
-        return Poly(_clear_denominators(a))
-    g = _polygcd_monic(a, _to_fraction(f.derivative()))
-    q, r = _polydiv(a, g)
-    assert not r
-    return Poly(_clear_denominators(q))
-
-
-def _sign_plus_inf(cs: list) -> int:
-    return 1 if cs[-1] > 0 else -1
-
-
-def _sign_minus_inf(cs: list) -> int:
-    s = _sign_plus_inf(cs)
-    return s if (len(cs) - 1) % 2 == 0 else -s
-
-
-def _variations(signs) -> int:
-    v, prev = 0, 0
-    for s in signs:
-        if s == 0:
-            continue
-        if prev and s != prev:
-            v += 1
-        prev = s
-    return v
+def _sign_changes(signs: list) -> int:
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 @dataclass(frozen=True)
 class RealRoots:
-    """Verdict of the Sturm count over the square-free part."""
+    """Verdict of the Sturm count: distinct real roots against the degree
+    of the square-free part."""
     is_real_rooted: bool
     distinct_real_roots: int
     squarefree_degree: int
 
 
 def real_rootedness(f: Poly) -> RealRoots:
-    """Count distinct real roots exactly via a Sturm chain on the square-free
-    part; real-rooted iff that count equals the square-free degree.
+    """Count distinct real roots exactly with one Sturm chain over integers;
+    real-rooted iff that count equals the square-free degree.
 
-    Rational coefficients are cleared to integers first (roots unchanged).
+    f is scaled once to primitive integers (roots unchanged).  The chain
+    starts f, f' and continues with negated pseudo-remainders; its last
+    element is gcd(f, f') up to a constant factor, so sign variations at
+    -inf and +inf differ by the number of distinct real roots and
+    deg f - deg(last) is the square-free degree.
     """
     if f.is_zero():
         raise ValueError("zero polynomial")
-    sf = squarefree_part(f)
-    d = sf.degree
-    if d == 0:
-        return RealRoots(True, 0, 0)
-    chain = [_to_fraction(sf), _to_fraction(sf.derivative())]
-    while len(chain[-1]) > 1:
-        _, r = _polydiv(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in r])
-    lo = _variations(_sign_minus_inf(p) for p in chain)
-    hi = _variations(_sign_plus_inf(p) for p in chain)
-    count = lo - hi
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
+    chain = [_primitive([c.numerator * (lcm // c.denominator) for c in f.coeffs])]
+    nxt = [i * c for i, c in enumerate(chain[0])][1:]
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = _negated_prem(chain[-2], chain[-1])
+    at_plus = [1 if p[-1] > 0 else -1 for p in chain]
+    at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, chain)]
+    count = _sign_changes(at_minus) - _sign_changes(at_plus)
+    d = len(chain[0]) - len(chain[-1])
     return RealRoots(count == d, count, d)
 
 

@@ -187,8 +187,9 @@ class TestCriterion3RealRootedness:
     """Sturm verdicts, zero tolerance, all isomorphism classes <= 7."""
 
     def test_suspension_hstar_real_rooted_for_cacti(self, atlas7):
+        rims = [cycle_graph(n) for n in range(8, 41)]
         checked = 0
-        for g in atlas7:
+        for g in atlas7 + rims:
             cls = classify(g)
             if not cls.cactus:
                 continue
@@ -198,7 +199,7 @@ class TestCriterion3RealRootedness:
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1
         print(f"\nCRITERION 3a PASS h*(A of suspension) real-rooted for all "
-              f"{checked} cactus classes <= 7")
+              f"{checked - len(rims)} cactus classes <= 7 and the wheel rims C8-C40")
 
     def test_b_hstar_real_rooted_for_bipartite_cacti(self, atlas7):
         checked = 0

@@ -68,6 +68,16 @@ class TestGammaA:
         assert main(["gamma-a", bad]) == 1
         assert main(["gamma-a", str(tmp_path / "missing.txt")]) == 1
 
+    @pytest.mark.parametrize("data", [
+        pytest.param("n \u00b2\n1 2\n".encode(), id="superscript-digit-header"),
+        pytest.param(b"1 2\n\xff\xfe\n", id="not-utf-8"),
+    ])
+    def test_unreadable_input_exit_1(self, tmp_path, capsys, data):
+        path = tmp_path / "g.txt"
+        path.write_bytes(data)
+        assert main(["gamma-a", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_bound_exceeded_exit_4(self, c4_file, capsys):
         assert main(["gamma-a", c4_file, "--method", "cuts",
                      "--bound-override", "cut-sum=2"]) == 4
@@ -222,10 +232,18 @@ class TestContract:
                      id="analyze-bound-override"),
     ])
     def test_flags_a_subcommand_does_not_read_are_usage_errors(self, argv, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "unrecognized arguments" in err
+
+    def test_missing_argument_is_a_usage_error(self, capsys):
+        assert main(["gamma-a"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ") and "required: path" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["gamma-a", "--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: ")
 
 
 class TestWitness:

@@ -1,6 +1,8 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
                       PreconditionError, classify, complement,
@@ -36,7 +38,8 @@ class TestParse:
         assert g == cycle_graph(3)
 
     def test_errors(self):
-        for bad in ("1 1", "0 2", "a b", "1 2 3", "n x"):
+        # a superscript digit passes str.isdigit; int() takes at most 4300 digits
+        for bad in ("1 1", "0 2", "a b", "1 2 3", "n x", "n \u00b2", "n " + "1" * 5000):
             with pytest.raises(GraphFormatError):
                 parse_graph(bad)
 
@@ -47,7 +50,8 @@ class TestParse:
         with pytest.raises(GraphFormatError):
             parse_graph('{"edges": [[1,1]]}')
         for bad in ('{"edges": "nope"}', '{"edges": 5}', '{"edges": null}',
-                    '{"edges": {}}'):
+                    '{"edges": {}}', '{"edges": [[%s, 2]]}' % ("1" * 5000),
+                    '{"edges": ' + "[" * 100000):
             with pytest.raises(GraphFormatError):
                 parse_graph(bad)
         # bool is an int subclass in Python; JSON true is still no label
@@ -60,6 +64,34 @@ class TestParse:
     def test_round_trip_text(self):
         g = Graph.make(5, [(1, 2), (3, 5)])
         assert parse_graph(to_edge_list_text(g)) == g
+
+
+# label-like tokens, with signs, non-ASCII digits, superscripts and junk
+tokens = st.integers(-2, 9).map(str) | st.text("0123456789-+_x\u00b2\u0665n#", max_size=3)
+edge_list_texts = st.lists(
+    st.one_of(st.tuples(st.just("n"), tokens).map(" ".join),
+              st.lists(tokens, min_size=1, max_size=3).map(" ".join),
+              st.just("# comment"), st.just("")),
+    max_size=6).map("\n".join)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 9) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["n", "edges"]), inner, max_size=2),
+    max_leaves=10)
+edge_arrays = st.lists(st.lists(st.integers(-1, 8), max_size=3), max_size=5)
+json_texts = st.dictionaries(st.sampled_from(["n", "edges", "x"]),
+                             json_values | edge_arrays, max_size=3).map(json.dumps)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.one_of(edge_list_texts, json_texts, st.text(max_size=20)), st.booleans())
+def test_parse_graph_returns_a_graph_or_raises_format_error(text, strict):
+    try:
+        g = parse_graph(text, strict=strict)
+    except GraphFormatError:
+        return
+    assert isinstance(g, Graph) and g.n >= 0
+    assert all(1 <= u <= g.n and 1 <= v <= g.n for u, v in g.edges)
 
 
 class TestConstructions:

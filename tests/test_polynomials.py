@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sepgamma import (Poly, check_properties, gamma_to_hstar, hstar_to_gamma,
-                      is_real_rooted, real_rootedness, squarefree_part)
+from sepgamma import (Poly, RealRoots, check_properties, gamma_to_hstar,
+                      hstar_to_gamma, is_real_rooted, real_rootedness)
 
 
 class TestArithmetic:
@@ -102,7 +103,7 @@ class TestRealRootedness:
 
     def test_multiplicity_via_squarefree(self):
         assert is_real_rooted(Poly([1, 2, 1]))
-        assert squarefree_part(Poly([1, 2, 1])) == Poly([1, 1])
+        assert real_rootedness(Poly([1, 2, 1])) == RealRoots(True, 1, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -139,6 +140,28 @@ class TestRealRootedness:
     def test_rational_coefficients_cleared(self):
         f = Poly([Fraction(1, 3), Fraction(1, 2)])
         assert is_real_rooted(f)
+
+
+signed_scalars = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda c: st.sampled_from([c, -c]))
+linear_factors = st.tuples(st.integers(-6, 6), st.integers(1, 4), st.integers(1, 3))
+# a x^2 + b x + c with negative discriminant, of either sign
+irreducible_quadratics = st.tuples(
+    st.integers(-4, 4).filter(bool), st.integers(-5, 5), st.integers(-9, 9)
+).filter(lambda abc: abc[1] ** 2 < 4 * abc[0] * abc[2])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(signed_scalars, st.lists(linear_factors, max_size=5),
+       irreducible_quadratics, st.integers(0, 2))
+def test_sturm_count_on_known_factorizations(s, linear, quadratic, e):
+    """f = s * prod (q x - p)^m * Q^e: the distinct rational roots p/q are
+    the real roots, and Q^e adds 2 to the square-free degree when e > 0."""
+    f = Poly([s]) * Poly(quadratic[::-1]) ** e
+    for p, q, m in linear:
+        f = f * Poly([-p, q]) ** m
+    k = len({Fraction(p, q) for p, q, _ in linear})
+    assert real_rootedness(f) == RealRoots(e == 0, k, k + 2 * (e > 0))
 
 
 class TestPropertyReport:
