@@ -8,13 +8,12 @@ from .engine import (ROUTES, SepResult, WheelData, gamma_a_cut_sum,
                      wheel_closed_form)
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
-from .graphs import (Bipartition, Cut, CycleFamily, Graph,
-                     GraphClassification, classify, complement,
-                     complete_bipartite, complete_graph, cuts, cycle_families,
-                     cycle_graph, delete_vertices, empty_graph,
-                     even_cycle_families, lex_product, lex_product_complete,
-                     line_graph, parse_graph, path_graph, simple_cycles,
-                     star_graph, suspension, tilde, to_edge_list_text)
+from .graphs import (Bipartition, Cut, Graph, GraphClassification, classify,
+                     complement, complete_bipartite, complete_graph, cuts,
+                     cycle_graph, empty_graph, lex_product,
+                     lex_product_complete, line_graph, parse_graph,
+                     path_graph, simple_cycles, star_graph, suspension, tilde,
+                     to_edge_list_text)
 from .interior import (Hypergraph, bip, cut_sum_gamma, hypergraph_from_bipartite,
                        hypertrees, interior_poly, interior_tilde_definition,
                        interior_tilde_fast, spanning_trees)
@@ -24,7 +23,8 @@ from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       reduce_to_full_dim, reflexivity_check)
 from .matching import (MatchingProfile, gen_poly, independence_poly,
                        matched_vertex_sets, matched_vertex_sets_formula,
-                       matching_counts, matching_poly, matching_profile)
+                       matching_counts, matching_poly, matching_profile,
+                       tiling_poly)
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
                           gamma_to_hstar, hstar_to_gamma, is_real_rooted,
                           real_rootedness)

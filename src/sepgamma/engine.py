@@ -17,11 +17,10 @@ from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
 from .graphs import (Graph, GraphClassification, bipartition_of, classify,
-                     cycle_family_sum, cycle_graph, even_cycle_families,
-                     suspension)
+                     cycle_graph, suspension)
 from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
-from .matching import (MAX_MATCHED_SET_VERTICES, gen_poly, matched_vertex_sets,
-                       matched_vertex_sets_formula)
+from .matching import (MAX_MATCHED_SET_VERTICES, matched_vertex_sets,
+                       matched_vertex_sets_formula, tiling_poly)
 from .polynomials import Poly, gamma_to_hstar, hstar_to_gamma
 
 
@@ -50,14 +49,15 @@ def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
 def suspension_gamma_formula(g: Graph, cls: Optional[GraphClassification] = None) -> Poly:
     """gamma of the suspension polytope when no edge lies in two even
     cycles:  g(G,2x) + sum_R (-2)^c(R) g(G-R,2x) x^(|E(R)|/2) over families
-    R of vertex-disjoint even cycles.  With no even cycle it is g(G,2x)."""
+    R of vertex-disjoint even cycles: tiles 1, 2x and -2x^(|C|/2) per even
+    cycle C.  With no even cycle it is g(G,2x)."""
     cls = cls or classify(g)
     if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles; "
                                 "use the cut-sum route")
-    return cycle_family_sum(
-        g, even_cycle_families(g, cls), lambda h: gen_poly(h).scale_arg(2),
-        lambda fam: Poly.monomial(fam.edge_count // 2, (-2) ** fam.c))
+    evens = [(c, Poly.monomial(len(c) // 2, -2))
+             for c in cls.simple_cycles if len(c) % 2 == 0]
+    return tiling_poly(g, Poly.one(), Poly.monomial(1, 2), evens)
 
 
 def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:

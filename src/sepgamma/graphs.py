@@ -92,18 +92,6 @@ class Cut:
 
 
 @dataclass(frozen=True)
-class CycleFamily:
-    """A set of pairwise vertex-disjoint simple cycles."""
-
-    cycles: tuple
-    c: int
-    edge_count: int
-
-    def vertices(self) -> frozenset:
-        return frozenset(v for cyc in self.cycles for v in cyc)
-
-
-@dataclass(frozen=True)
 class GraphClassification:
     connected: bool
     bipartite: bool
@@ -286,25 +274,6 @@ def lex_product_complete(g: Graph, m: int) -> Graph:
     return lex_product(g, complete_graph(m))
 
 
-class DeleteResult(NamedTuple):
-    graph: Graph
-    old_labels: tuple  # old_labels[i] = original label of new vertex i+1
-
-
-def delete_vertices(g: Graph, drop: Iterable) -> DeleteResult:
-    """Induced subgraph on the complement of `drop`, relabeled densely to
-    1..n-|drop|; old_labels records the relabeling."""
-    drop = set(drop)
-    keep = [v for v in range(1, g.n + 1) if v not in drop]
-    new_of_old = {v: i + 1 for i, v in enumerate(keep)}
-    edges = frozenset(
-        (new_of_old[u], new_of_old[v])
-        for u, v in g.edges
-        if u not in drop and v not in drop
-    )
-    return DeleteResult(Graph(len(keep), edges), tuple(keep))
-
-
 # ---------------------------------------------------------------------------
 # Builders
 # ---------------------------------------------------------------------------
@@ -394,32 +363,32 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
     """All simple cycles, each once, as a canonical vertex tuple: the cycle
     starts at its smallest vertex and runs toward the smaller neighbor.
 
-    DFS rooted at each vertex s over paths through vertices > s only; a
-    closure back to s with second vertex < last vertex kills the mirrored
-    duplicate.
+    DFS rooted at each vertex s over paths through vertices > s only, kept
+    on a stack of neighbour iterators; a closure back to s with second
+    vertex < last vertex kills the mirrored duplicate.
     """
     adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
     cycles = []
     for s in range(1, g.n + 1):
         path = [s]
-        on_path = {s}
-
-        def dfs(v):
-            for w in adj[v]:
+        on_path = [v == s for v in range(g.n + 1)]
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
                         cycles.append(tuple(path))
                         if len(cycles) > max_cycles:
                             raise BoundExceededError(
                                 f"more than {max_cycles} simple cycles")
-                elif w > s and w not in on_path:
+                elif w > s and not on_path[w]:
                     path.append(w)
-                    on_path.add(w)
-                    dfs(w)
-                    on_path.discard(w)
-                    path.pop()
-
-        dfs(s)
+                    on_path[w] = True
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
     return cycles
 
 
@@ -431,60 +400,6 @@ def cycle_edges(cycle: tuple) -> list:
         u, v = cycle[i], cycle[(i + 1) % k]
         out.append((u, v) if u < v else (v, u))
     return out
-
-
-def _disjoint_families(cycles: list) -> list:
-    """All nonempty sets of pairwise vertex-disjoint cycles from `cycles`,
-    in lexicographic index order."""
-    masks = []
-    for cyc in cycles:
-        m = 0
-        for v in cyc:
-            m |= 1 << (v - 1)
-        masks.append(m)
-    out = []
-
-    def rec(start, chosen, used):
-        for j in range(start, len(cycles)):
-            if used & masks[j]:
-                continue
-            chosen.append(j)
-            out.append(CycleFamily(
-                cycles=tuple(cycles[i] for i in chosen),
-                c=len(chosen),
-                edge_count=sum(len(cycles[i]) for i in chosen),
-            ))
-            rec(j + 1, chosen, used | masks[j])
-            chosen.pop()
-
-    rec(0, [], 0)
-    return out
-
-
-def even_cycle_families(g: Graph, cls: Optional[GraphClassification] = None) -> list:
-    """All nonempty families of pairwise vertex-disjoint even simple cycles
-    (the correction terms of the suspension formula; the empty family is the
-    standalone matching-polynomial term and is excluded here)."""
-    evens = [c for c in (cls or classify(g)).simple_cycles if len(c) % 2 == 0]
-    return _disjoint_families(evens)
-
-
-def cycle_families(g: Graph, cls: Optional[GraphClassification] = None) -> list:
-    """All nonempty families of pairwise vertex-disjoint simple cycles of
-    any parity (the correction terms of the mu-polynomial)."""
-    return _disjoint_families((cls or classify(g)).simple_cycles)
-
-
-def cycle_family_sum(g: Graph, families: list, base, weight):
-    """base(g) + sum of weight(R) * base(g - R) over the cycle families R
-    (from even_cycle_families or cycle_families); base(g - R) is skipped
-    when weight(R) is zero."""
-    total = base(g)
-    for fam in families:
-        w = weight(fam)
-        if w:
-            total = total + base(delete_vertices(g, fam.vertices()).graph) * w
-    return total
 
 
 def classify(g: Graph) -> GraphClassification:

@@ -1,60 +1,131 @@
 """Matching counts, matching (generating) polynomials, matched-vertex-set
 counts |M(G,k)|, and independence polynomials.
 
-Counting recursions are memoized on induced-subgraph bitmasks; the
-|M(G,k)| oracle enumerates every matching and deduplicates vertex sets,
-exactly as the definition reads.
+tiling_poly is the one DP behind every matching formula, with or without
+cycle corrections; the |M(G,k)| oracle enumerates every matching and
+deduplicates vertex sets, exactly as the definition reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BoundExceededError, PreconditionError
-from .graphs import (Graph, GraphClassification, classify, cycle_family_sum,
-                     even_cycle_families)
+from .graphs import Graph, GraphClassification, classify
 from .polynomials import Poly
 
 MAX_MATCHED_SET_VERTICES = 16
 MAX_INDEPENDENCE_VERTICES = 24
 
 
-def _gen_poly_on_mask(masks: list, mask: int, memo: dict) -> Poly:
-    """Matching generating polynomial of the induced subgraph on `mask`.
+def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
+    """Sum over the tilings of V(G) by lone vertices, edges and listed tiles
+    of the product of the weights: `vertex` per lone vertex, `edge` per
+    edge, `weight` per (vertices, weight) pair of `tiles` (cycles of G).
 
-    Branch on the lowest vertex v: either v is unmatched, or it is matched
-    to one of its neighbors (delete both endpoints, one x factor).  A lowest
-    vertex with no neighbor in the mask is dropped first, without a frame.
+    A branch vertex v is alone, paired with a neighbour, or in a tile; what
+    a branch leaves splits into connected components, whose values multiply
+    and are memoized per vertex mask.  Vertices with no neighbour left are
+    counted, and pairing v with any leaf leaves one value, so a star costs
+    one branch.  On more than six vertices v is the middle of a longest
+    shortest path (two breadth-first sweeps): the depth follows the halvings
+    of the diameter, and the labels do not change the work.
     """
-    while mask:
-        low = mask & -mask
-        v = low.bit_length() - 1
-        if masks[v] & mask:
-            break
-        mask ^= low
-    else:
-        return Poly.one()
-    got = memo.get(mask)
-    if got is not None:
-        return got
-    rest = mask ^ low
-    out = _gen_poly_on_mask(masks, rest, memo)
-    nb = masks[v] & rest
-    while nb:
-        u_bit = nb & -nb
-        nb ^= u_bit
-        out = out + _gen_poly_on_mask(masks, rest & ~u_bit, memo).shift(1)
-    memo[mask] = out
-    return out
+    adj = g.adjacency_masks()
+    tiles_at = [[] for _ in range(g.n)]
+    for vertices, weight in tiles:
+        mask = sum(1 << (v - 1) for v in vertices)
+        for v in vertices:
+            tiles_at[v - 1].append((mask, weight))
+    one = Poly.one()
+    unit = vertex == one
+    powers = [one]
+    memo = {}
+
+    def layers(start: int, within: int) -> list:
+        """Breadth-first layers of `within` from the vertex bit `start`."""
+        out = [start]
+        seen = frontier = start
+        while True:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= adj[b.bit_length() - 1]
+            frontier = reach & within & ~seen
+            if not frontier:
+                return out
+            seen |= frontier
+            out.append(frontier)
+
+    def split(rest: int, seeds: int) -> Poly:
+        """Value of `rest`, the product over its components; each of them,
+        and each vertex with no neighbour in rest, holds a vertex of seeds."""
+        got = memo.get(rest)
+        if got is not None:
+            return got
+        out, lone, seeds = one, 0, seeds & rest
+        while seeds:
+            b = seeds & -seeds
+            if adj[b.bit_length() - 1] & rest:
+                comp = sum(layers(b, rest))
+                seeds &= ~comp
+                out = solve(comp) if out is one else out * solve(comp)
+            else:
+                lone += 1
+                seeds ^= b
+        if lone and not unit:
+            while len(powers) <= lone:
+                powers.append(powers[-1] * vertex)
+            out = out * powers[lone]
+        memo[rest] = out
+        return out
+
+    def solve(comp: int) -> Poly:
+        """Value of a connected vertex set of two or more vertices."""
+        got = memo.get(comp)
+        if got is not None:
+            return got
+        v = comp & -comp
+        if comp.bit_count() > 6:
+            far = layers(v, comp)[-1]
+            sweep = layers(far & -far, comp)
+            v = sweep[-1] & -sweep[-1]
+            for layer in reversed(sweep[(len(sweep) - 1) // 2:-1]):
+                v = adj[v.bit_length() - 1] & layer
+                v &= -v
+        v = v.bit_length() - 1
+        rest = comp ^ (1 << v)
+        nb = adj[v] & rest
+        total, paired, leaves, us = split(rest, nb), Poly(), 0, nb
+        while us:
+            b = us & -us
+            us ^= b
+            left = rest ^ b
+            u_adj = adj[b.bit_length() - 1]
+            if u_adj & rest:
+                paired = paired + split(left, (nb | u_adj) & left)
+            else:  # a leaf: pairing v with any leaf leaves the same value
+                leaves += 1
+                if leaves == 1:
+                    leaf = split(left, nb)
+        if leaves:
+            paired = paired + leaf * leaves
+        total = (total if unit else total * vertex) + paired * edge
+        for mask, weight in tiles_at[v]:
+            if weight and mask & comp == mask:
+                total = total + split(comp ^ mask, comp ^ mask) * weight
+        memo[comp] = total
+        return total
+
+    full = (1 << g.n) - 1
+    return split(full, full)
 
 
 def gen_poly(g: Graph) -> Poly:
     """g(G,x) = sum_k m_k(G) x^k over k-matchings; g = 1 for edgeless G."""
-    if not g.edges:
-        return Poly.one()
-    masks = g.adjacency_masks()
-    return _gen_poly_on_mask(masks, (1 << g.n) - 1, {})
+    return tiling_poly(g, Poly.one(), Poly.monomial(1))
 
 
 def matching_counts(g: Graph) -> list:
@@ -63,12 +134,8 @@ def matching_counts(g: Graph) -> list:
 
 
 def matching_poly(g: Graph) -> Poly:
-    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k); equals x^n g(G, -x^-2)."""
-    m = matching_counts(g)
-    coeffs = [0] * (g.n + 1)
-    for k, mk in enumerate(m):
-        coeffs[g.n - 2 * k] = (-1) ** k * mk
-    return Poly(coeffs)
+    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k): tiles x and -1."""
+    return tiling_poly(g, Poly.monomial(1), Poly((-1,)))
 
 
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:
@@ -101,7 +168,7 @@ def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list
 def matched_vertex_sets_formula(g: Graph,
                                 cls: Optional[GraphClassification] = None) -> list:
     """|M(G,k)| = m_k(G) + sum over vertex-disjoint even-cycle families R of
-    (-1)^c(R) m_(k - |E(R)|/2)(G - R).
+    (-1)^c(R) m_(k - |E(R)|/2)(G - R): tiles 1, x and -x^(|C|/2) per even C.
 
     Valid when every edge lies in at most one even cycle; raises
     PreconditionError otherwise.  Must agree with matched_vertex_sets.
@@ -109,10 +176,9 @@ def matched_vertex_sets_formula(g: Graph,
     cls = cls or classify(g)
     if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles")
-    return cycle_family_sum(
-        g, even_cycle_families(g, cls), gen_poly,
-        lambda fam: Poly.monomial(fam.edge_count // 2, (-1) ** fam.c),
-    ).coeff_list()
+    evens = [(c, Poly.monomial(len(c) // 2, -1))
+             for c in cls.simple_cycles if len(c) % 2 == 0]
+    return tiling_poly(g, Poly.one(), Poly.monomial(1), evens).coeff_list()
 
 
 def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:

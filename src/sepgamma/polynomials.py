@@ -21,13 +21,31 @@ def _norm_coeff(c):
     return c
 
 
+def _packed_product(a: tuple, b: tuple) -> list:
+    """a * b for integer tuples by one big-integer product (Kronecker): each
+    side is its value at 2^w, with w wide enough for a * b, and adding
+    2^(w-1) to each digit of the product makes the digits nonnegative."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    step = bound.bit_length() // 8 + 2  # bytes per digit
+
+    def pack(cs):
+        pos, neg = (b"".join(max(s * c, 0).to_bytes(step, "little") for c in cs) for s in (1, -1))
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    n = len(a) + len(b) - 1
+    half = bytes(step - 1) + b"\x80"  # 2^(w-1) as one digit
+    data = (pack(a) * pack(b) + int.from_bytes(half * n, "little")).to_bytes(n * step, "little")
+    return [int.from_bytes(data[i:i + step], "little") - (1 << 8 * step - 1)
+            for i in range(0, n * step, step)]
+
+
 class Poly:
     """Dense polynomial, index = degree, trailing zeros trimmed."""
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_norm_coeff(c) for c in coeffs]
+        cs = [c if type(c) is int else _norm_coeff(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -97,6 +115,9 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
+            if (min(len(self.coeffs), len(other.coeffs)) > 16  # long integer lists
+                    and all(type(c) is int for c in self.coeffs + other.coeffs)):
+                return Poly(_packed_product(self.coeffs, other.coeffs))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:
@@ -141,9 +162,6 @@ class Poly:
         for c in reversed(self.coeffs):
             out = out * inner + Poly((c,))
         return out
-
-    def derivative(self) -> "Poly":
-        return Poly(tuple(i * c for i, c in enumerate(self.coeffs) if i > 0))
 
     def __call__(self, x):
         """Exact Horner evaluation; x may be int or Fraction."""
@@ -225,15 +243,17 @@ def one_plus_x_power(k: int) -> Poly:
 def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
     """Expand sum_i gamma_i x^i (1+x)^(d-2i).
 
-    Inverse of hstar_to_gamma on palindromic polynomials of degree d.
+    With m = deg gamma this is (1+x)^(d-2m) sum_i gamma_i x^i (1+x)^(2(m-i)),
+    and the sum takes m Horner steps in (1+x)^2.  Inverse of hstar_to_gamma
+    on palindromic polynomials of degree d.
     """
-    if gamma.degree > d // 2:
-        raise ValueError(f"gamma degree {gamma.degree} exceeds floor({d}/2)")
+    m = gamma.degree
+    if m > d // 2:
+        raise ValueError(f"gamma degree {m} exceeds floor({d}/2)")
     out = Poly()
     for i, c in enumerate(gamma.coeffs):
-        if c:
-            out = out + (Poly.monomial(i, c) * one_plus_x_power(d - 2 * i))
-    return out
+        out = out * Poly((1, 2, 1)) + Poly.monomial(i, c)
+    return out * one_plus_x_power(d - 2 * m)
 
 
 def hstar_to_gamma(hstar: Poly) -> Poly:

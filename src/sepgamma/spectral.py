@@ -9,9 +9,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError
-from .graphs import (Graph, GraphClassification, classify, cycle_families,
-                     cycle_family_sum)
-from .matching import matching_poly
+from .graphs import Graph, GraphClassification, classify
+from .matching import tiling_poly
 from .polynomials import Poly
 
 MAX_CHARPOLY_VERTICES = 64
@@ -29,18 +28,16 @@ def mu_poly(g: Graph, weights: dict,
     (-2)^c(R) alpha(G-R,x) prod of the member cycles' weights.
 
     `weights` maps each canonical simple-cycle tuple of g to an exact
-    rational; a missing cycle raises.  Interpolates between the matching
-    polynomial (t=0) and the characteristic polynomial (t=1).
+    rational; a missing cycle raises.  Tiles x, -1 and -2 w_C per cycle C.
+    Interpolates between the matching polynomial (t=0) and the
+    characteristic polynomial (t=1).
     """
-    def weight(fam):
-        w = Fraction((-2) ** fam.c)
-        for cyc in fam.cycles:
-            if cyc not in weights:
-                raise PreconditionError(f"no weight for cycle {cyc}")
-            w *= Fraction(weights[cyc])
-        return w
-
-    return cycle_family_sum(g, cycle_families(g, cls), matching_poly, weight)
+    cycles = (cls or classify(g)).simple_cycles
+    for cyc in cycles:
+        if cyc not in weights:
+            raise PreconditionError(f"no weight for cycle {cyc}")
+    return tiling_poly(g, Poly.monomial(1), Poly((-1,)),
+                       [(cyc, Poly((-2 * Fraction(weights[cyc]),))) for cyc in cycles])
 
 
 def char_poly_adjacency(g: Graph) -> Poly:

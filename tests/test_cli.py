@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -169,14 +170,24 @@ class TestContract:
             assert len(reports[0]) == len(RESULT_KEYS), method
             assert reports[0] == reports[1], method
 
-    @pytest.mark.parametrize("command,text", [
-        ("gamma-a", "".join(f"{i} {i + 1}\n" for i in range(1, 1200))),
-    ])
-    def test_deep_recursion_exits_4(self, tmp_path, capsys, command, text):
-        # the path P1200 overflows the cycle search
-        path = write(tmp_path, "deep.txt", text)
-        assert main([command, path]) == 4
-        assert "resource bound exceeded: recursion depth" in capsys.readouterr().err
+    def test_long_path_answers(self, tmp_path, capsys):
+        # P1200: neither the cycle search nor the tiling DP nests a frame per
+        # vertex; m_k(P_n) = C(n-k, k), so gamma_k = 2^k C(1200-k, k)
+        path = write(tmp_path, "p1200.txt",
+                     "".join(f"{i} {i + 1}\n" for i in range(1, 1200)))
+        assert main(["gamma-a", path]) == 0
+        gamma = [2 ** k * math.comb(1200 - k, k) for k in range(601)]
+        assert f"gamma: {gamma}\n" in capsys.readouterr().out
+
+    def test_recursion_error_exits_4(self, c4_file, capsys, monkeypatch):
+        def bottomless(g, cls, bounds):
+            return bottomless(g, cls, bounds)
+
+        monkeypatch.setitem(ROUTES["ahat"], "formula", bottomless)
+        assert main(["gamma-a", c4_file, "--method", "formula"]) == 4
+        err = capsys.readouterr().err
+        assert "resource bound exceeded: recursion depth" in err
+        assert "exceeded in bottomless" in err
 
     @pytest.mark.parametrize("command,text,gamma", [
         pytest.param("gamma-a", "n 1200\n1 2\n", "[1, 2]",

@@ -58,7 +58,7 @@ class TestGammaASuspension:
 
     def test_volume_matches_closed_sum(self):
         # volume = 2^n g(G,1/2) + sum_R (-2)^c(R) 2^(n-|E(R)|) g(G-R,1/2)
-        from sepgamma import delete_vertices, even_cycle_families
+        from oracles import delete_vertices, even_cycle_families
         rng = random.Random(89)
         checked = 0
         while checked < 30:

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
                       PreconditionError, classify, complement,
                       complete_bipartite, complete_graph, cuts, cycle_graph,
-                      delete_vertices, empty_graph, even_cycle_families,
-                      lex_product_complete, line_graph, parse_graph,
-                      path_graph, simple_cycles, star_graph, suspension,
-                      tilde, to_edge_list_text)
+                      empty_graph, lex_product_complete, line_graph,
+                      parse_graph, path_graph, simple_cycles, star_graph,
+                      suspension, tilde, to_edge_list_text)
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
+from oracles import delete_vertices, even_cycle_families
 
 
 class TestParse:

@@ -2,10 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sepgamma import (Poly, RealRoots, check_properties, gamma_to_hstar,
                       hstar_to_gamma, is_real_rooted, real_rootedness)
+from sepgamma.polynomials import one_plus_x_power
 
 
 class TestArithmetic:
@@ -91,6 +92,42 @@ class TestGammaTransforms:
             gamma = Poly([rng.randrange(0, 8) for _ in range(d // 2 + 1)])
             h = gamma_to_hstar(gamma, d)
             assert h(1) == (1 << d) * gamma(Fraction(1, 4))
+
+
+def binomial_expansion(gamma, d):
+    """sum_i gamma_i x^i (1+x)^(d-2i), one binomial power per term."""
+    out = Poly()
+    for i, c in enumerate(gamma.coeffs):
+        out = out + Poly.monomial(i, c) * one_plus_x_power(d - 2 * i)
+    return out
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=12), st.integers(1, 10 ** 6),
+       st.integers(0, 5))
+def test_gamma_to_hstar_round_trip(tail, head, extra):
+    gamma = Poly([head] + tail)  # gamma_0 != 0, so deg h* = d
+    d = 2 * gamma.degree + extra
+    h = gamma_to_hstar(gamma, d)
+    assert h == binomial_expansion(gamma, d)
+    assert hstar_to_gamma(h) == gamma
+
+
+integer_lists = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
+                         min_size=1, max_size=40)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(integer_lists, integer_lists)
+@example([2 ** 64 - 1] * 20, [-(2 ** 64 - 1)] * 20)  # coefficients at the digit bound
+def test_product_of_long_integer_polynomials(a, b):
+    """Long integer lists multiply as packed big integers; the schoolbook
+    sum of a_i b_j must agree, signs and zero coefficients included."""
+    want = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            want[i + j] += x * y
+    assert Poly(a) * Poly(b) == Poly(want)
 
 
 class TestRealRootedness:
