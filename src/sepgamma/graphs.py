@@ -363,15 +363,18 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
     """All simple cycles, each once, as a canonical vertex tuple: the cycle
     starts at its smallest vertex and runs toward the smaller neighbor.
 
-    DFS rooted at each vertex s over paths through vertices > s only, kept
-    on a stack of neighbour iterators; a closure back to s with second
-    vertex < last vertex kills the mirrored duplicate.
+    DFS rooted at each vertex s with two neighbours > s, over paths through
+    vertices > s only, kept on a stack of neighbour iterators; a closure
+    back to s with second vertex < last vertex kills the mirrored duplicate.
     """
     adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
     cycles = []
+    on_path = [False] * (g.n + 1)  # every flag is False again when a root is done
     for s in range(1, g.n + 1):
+        if len(adj[s]) < 2 or adj[s][-2] < s:
+            continue  # a cycle leaves its smallest vertex by two larger ones
         path = [s]
-        on_path = [v == s for v in range(g.n + 1)]
+        on_path[s] = True
         stack = [iter(adj[s])]
         while stack:
             for w in stack[-1]:

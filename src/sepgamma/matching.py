@@ -24,24 +24,34 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
     of the product of the weights: `vertex` per lone vertex, `edge` per
     edge, `weight` per (vertices, weight) pair of `tiles` (cycles of G).
 
-    A branch vertex v is alone, paired with a neighbour, or in a tile; what
-    a branch leaves splits into connected components, whose values multiply
-    and are memoized per vertex mask.  Vertices with no neighbour left are
-    counted, and pairing v with any leaf leaves one value, so a star costs
-    one branch.  On more than six vertices v is the middle of a longest
-    shortest path (two breadth-first sweeps): the depth follows the halvings
-    of the diameter, and the labels do not change the work.
+    A vertex set is worth the product of its components' values; a lone
+    vertex is worth `vertex`, a lone edge `vertex^2 + edge`.  A larger
+    connected set C branches on one vertex v: v alone, paired with a
+    neighbour u, or in a tile T.  Each branch keeps every component C_j of
+    C - v whole but one, from which it takes u or T - v.  With P_j the value
+    of C_j and D_j the sum of the branch values inside it, C is worth T_k:
+    T_0 = vertex, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j.
+    The leaves of v count as one C_j, so a star costs one branch.  Values
+    are memoized per vertex mask.  v is the middle of a longest shortest
+    path (two breadth-first sweeps, or the first sweep's start when it sees
+    every vertex at once): the depth follows the halvings of the diameter,
+    and the labels do not change the work.
     """
     adj = g.adjacency_masks()
-    tiles_at = [[] for _ in range(g.n)]
+    tiles_at = {}
     for vertices, weight in tiles:
         mask = sum(1 << (v - 1) for v in vertices)
         for v in vertices:
-            tiles_at[v - 1].append((mask, weight))
+            if weight:
+                tiles_at.setdefault(v - 1, []).append((mask, weight))
     one = Poly.one()
-    unit = vertex == one
-    powers = [one]
-    memo = {}
+    vertex = one if vertex == one else vertex
+    memo = {0: one}
+
+    def times(a: Poly, b: Poly) -> Poly:
+        return b if a is one else a if b is one else a * b
+
+    pair = times(vertex, vertex) + edge  # the value of every edge on its own
 
     def layers(start: int, within: int) -> list:
         """Breadth-first layers of `within` from the vertex bit `start`."""
@@ -59,68 +69,73 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
             seen |= frontier
             out.append(frontier)
 
-    def split(rest: int, seeds: int) -> Poly:
-        """Value of `rest`, the product over its components; each of them,
-        and each vertex with no neighbour in rest, holds a vertex of seeds."""
-        got = memo.get(rest)
-        if got is not None:
-            return got
-        out, lone, seeds = one, 0, seeds & rest
-        while seeds:
-            b = seeds & -seeds
-            if adj[b.bit_length() - 1] & rest:
-                comp = sum(layers(b, rest))
-                seeds &= ~comp
-                out = solve(comp) if out is one else out * solve(comp)
-            else:
-                lone += 1
-                seeds ^= b
-        if lone and not unit:
-            while len(powers) <= lone:
-                powers.append(powers[-1] * vertex)
-            out = out * powers[lone]
-        memo[rest] = out
+    def components(mask: int) -> list:
+        """(component, last layer of a breadth-first sweep of it from its
+        lowest vertex) for each component of `mask`."""
+        out = []
+        while mask:
+            sweep = layers(mask & -mask, mask)
+            comp = sum(sweep)
+            mask ^= comp
+            out.append((comp, sweep[-1]))
         return out
 
-    def solve(comp: int) -> Poly:
-        """Value of a connected vertex set of two or more vertices."""
-        got = memo.get(comp)
+    def value(mask: int) -> Poly:
+        """Product of the values of the components of `mask`."""
+        got = memo.get(mask)
         if got is not None:
             return got
-        v = comp & -comp
-        if comp.bit_count() > 6:
-            far = layers(v, comp)[-1]
+        out, lone = one, 0
+        for comp, far in components(mask):
+            if comp & (comp - 1):
+                out = times(out, solve(comp, far))
+            else:
+                lone += 1
+        if lone and vertex is not one:
+            out = times(out, vertex ** lone)
+        memo[mask] = out
+        return out
+
+    def solve(comp: int, far: int) -> Poly:
+        """Value of a connected set of two or more vertices; `far` is the
+        last layer of a breadth-first sweep of it."""
+        got = pair if comp.bit_count() == 2 else memo.get(comp)
+        if got is not None:
+            return got
+        v = comp & -comp  # where the sweep that found far started
+        if far != comp ^ v:
             sweep = layers(far & -far, comp)
             v = sweep[-1] & -sweep[-1]
             for layer in reversed(sweep[(len(sweep) - 1) // 2:-1]):
                 v = adj[v.bit_length() - 1] & layer
                 v &= -v
         v = v.bit_length() - 1
-        rest = comp ^ (1 << v)
-        nb = adj[v] & rest
-        total, paired, leaves, us = split(rest, nb), Poly(), 0, nb
-        while us:
-            b = us & -us
-            us ^= b
-            left = rest ^ b
-            u_adj = adj[b.bit_length() - 1]
-            if u_adj & rest:
-                paired = paired + split(left, (nb | u_adj) & left)
-            else:  # a leaf: pairing v with any leaf leaves the same value
-                leaves += 1
-                if leaves == 1:
-                    leaf = split(left, nb)
-        if leaves:
-            paired = paired + leaf * leaves
-        total = (total if unit else total * vertex) + paired * edge
-        for mask, weight in tiles_at[v]:
-            if weight and mask & comp == mask:
-                total = total + split(comp ^ mask, comp ^ mask) * weight
+        found = components(comp ^ (1 << v))  # each holds a neighbour of v
+        parts = [(part, far) for part, far in found if part & (part - 1)]
+        leaves = len(found) - len(parts)
+        total, lead = vertex, one
+        for i, (part, far) in enumerate(parts):
+            inner, us = None, adj[v] & part
+            while us:
+                u = us & -us
+                us ^= u
+                got = value(part ^ u)
+                inner = got if inner is None else inner + got
+            inner = inner * edge
+            for mask, weight in tiles_at.get(v, ()):
+                if mask & comp == mask and mask & part:
+                    inner = inner + value(part & ~mask) * weight
+            p = solve(part, far)
+            total = times(total, p) + times(lead, inner)
+            if leaves or i + 1 < len(parts):
+                lead = times(lead, p)
+        if leaves:  # as one part: P = vertex^leaves, D = leaves edge vertex^(leaves-1)
+            lone = one if vertex is one else vertex ** (leaves - 1)
+            total = times(total, times(lone, vertex)) + times(lead, times(lone, edge * leaves))
         memo[comp] = total
         return total
 
-    full = (1 << g.n) - 1
-    return split(full, full)
+    return value((1 << g.n) - 1)
 
 
 def gen_poly(g: Graph) -> Poly:
@@ -134,8 +149,12 @@ def matching_counts(g: Graph) -> list:
 
 
 def matching_poly(g: Graph) -> Poly:
-    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k): tiles x and -1."""
-    return tiling_poly(g, Poly.monomial(1), Poly((-1,)))
+    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k); equals x^n g(G, -x^-2)."""
+    m = matching_counts(g)
+    coeffs = [0] * (g.n + 1)
+    for k, mk in enumerate(m):
+        coeffs[g.n - 2 * k] = (-1) ** k * mk
+    return Poly(coeffs)
 
 
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:

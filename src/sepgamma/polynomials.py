@@ -21,24 +21,6 @@ def _norm_coeff(c):
     return c
 
 
-def _packed_product(a: tuple, b: tuple) -> list:
-    """a * b for integer tuples by one big-integer product (Kronecker): each
-    side is its value at 2^w, with w wide enough for a * b, and adding
-    2^(w-1) to each digit of the product makes the digits nonnegative."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    step = bound.bit_length() // 8 + 2  # bytes per digit
-
-    def pack(cs):
-        pos, neg = (b"".join(max(s * c, 0).to_bytes(step, "little") for c in cs) for s in (1, -1))
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    n = len(a) + len(b) - 1
-    half = bytes(step - 1) + b"\x80"  # 2^(w-1) as one digit
-    data = (pack(a) * pack(b) + int.from_bytes(half * n, "little")).to_bytes(n * step, "little")
-    return [int.from_bytes(data[i:i + step], "little") - (1 << 8 * step - 1)
-            for i in range(0, n * step, step)]
-
-
 class Poly:
     """Dense polynomial, index = degree, trailing zeros trimmed."""
 
@@ -115,9 +97,6 @@ class Poly:
         if isinstance(other, Poly):
             if not self.coeffs or not other.coeffs:
                 return Poly()
-            if (min(len(self.coeffs), len(other.coeffs)) > 16  # long integer lists
-                    and all(type(c) is int for c in self.coeffs + other.coeffs)):
-                return Poly(_packed_product(self.coeffs, other.coeffs))
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 if a == 0:

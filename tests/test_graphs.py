@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -297,6 +298,15 @@ class TestClassify:
                 assert cls.cactus
             if cls.cactus:
                 assert cls.unique_even_cycle_condition
+
+    def test_large_sparse_vertex_count(self):
+        # the cost follows the vertices and edges, not the pairs of vertices:
+        # a quadratic pass over 20,000 vertices takes seconds of CPU
+        start = time.process_time()
+        cls = classify(Graph.make(20000, [(1, 2)]))
+        assert time.process_time() - start < 5
+        assert cls.simple_cycles == ()
+        assert cls.forest and not cls.connected
 
     def test_implication_chain_random(self):
         rng = random.Random(23)

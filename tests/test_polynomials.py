@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Poly, RealRoots, check_properties, gamma_to_hstar,
                       hstar_to_gamma, is_real_rooted, real_rootedness)
@@ -111,23 +111,6 @@ def test_gamma_to_hstar_round_trip(tail, head, extra):
     h = gamma_to_hstar(gamma, d)
     assert h == binomial_expansion(gamma, d)
     assert hstar_to_gamma(h) == gamma
-
-
-integer_lists = st.lists(st.one_of(st.integers(-3, 3), st.integers(-2 ** 70, 2 ** 70)),
-                         min_size=1, max_size=40)
-
-
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(integer_lists, integer_lists)
-@example([2 ** 64 - 1] * 20, [-(2 ** 64 - 1)] * 20)  # coefficients at the digit bound
-def test_product_of_long_integer_polynomials(a, b):
-    """Long integer lists multiply as packed big integers; the schoolbook
-    sum of a_i b_j must agree, signs and zero coefficients included."""
-    want = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            want[i + j] += x * y
-    assert Poly(a) * Poly(b) == Poly(want)
 
 
 class TestRealRootedness:
