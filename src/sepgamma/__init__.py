@@ -3,14 +3,15 @@ symmetric edge polytopes (types A and B) from graphs, with every formula
 path cross-checkable against independent brute-force oracles."""
 
 from .engine import (ROUTES, SepResult, WheelData, gamma_a_cut_sum,
-                     gamma_a_cycle_reference, gamma_a_suspension, gamma_b,
+                     gamma_a_cycle_reference, gamma_a_pairs,
+                     gamma_a_suspension, gamma_b,
                      gamma_b_interior, solve, suspension_gamma_formula,
                      wheel_closed_form)
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Cut, Graph, GraphClassification, classify,
                      complement, complete_bipartite, complete_graph, cuts,
-                     cycle_graph, empty_graph, lex_product,
+                     cycle_graph, cycles_of, empty_graph, lex_product,
                      lex_product_complete, line_graph, parse_graph,
                      path_graph, simple_cycles, star_graph, suspension, tilde,
                      to_edge_list_text)
@@ -22,7 +23,8 @@ from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       hstar_from_counts, oracle_hstar_a, oracle_hstar_b,
                       reduce_to_full_dim, reflexivity_check)
 from .matching import (MatchingProfile, gen_poly, independence_poly,
-                       matched_vertex_sets, matched_vertex_sets_formula,
+                       matchable_pairs, matched_vertex_sets,
+                       matched_vertex_sets_formula,
                        matching_counts, matching_poly, matching_profile,
                        tiling_poly)
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,

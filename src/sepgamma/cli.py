@@ -24,7 +24,7 @@ from fractions import Fraction
 from . import engine, spectral, witness
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
-from .graphs import Graph, classify, parse_graph, to_edge_list_text
+from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
 from .matching import MAX_MATCHED_SET_VERTICES
 from .polynomials import Poly, check_properties
@@ -178,6 +178,7 @@ def cmd_witness(args) -> int:
 def cmd_analyze(args) -> int:
     g = _load_graph(args.path)
     cls = classify(g)
+    cycles = cycles_of(g, cls)
     doc = {
         "input": args.path,
         "command": "analyze",
@@ -193,10 +194,10 @@ def cmd_analyze(args) -> int:
         "forest": _yn(cls.forest),
         "cactus": _yn(cls.cactus),
         "unique-even-cycle": _yn(cls.unique_even_cycle_condition),
-        "simple-cycle-count": len(cls.simple_cycles),
+        "simple-cycle-count": len(cycles),
     })
-    if 0 < len(cls.simple_cycles) <= 50:
-        doc["simple-cycles"] = [list(c) for c in cls.simple_cycles]
+    if 0 < len(cycles) <= 50:
+        doc["simple-cycles"] = [list(c) for c in cycles]
     _print_report(doc, args.format)
     return EXIT_OK
 

@@ -15,13 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import PreconditionError
+from .errors import BoundExceededError, PreconditionError
 from .graphs import (Graph, GraphClassification, bipartition_of, classify,
                      cycle_graph, suspension)
 from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
-from .matching import (MAX_MATCHED_SET_VERTICES, matched_vertex_sets,
+from .matching import (MAX_MATCHED_SET_VERTICES, matchable_pairs,
                        matched_vertex_sets_formula, tiling_poly)
-from .polynomials import Poly, gamma_to_hstar, hstar_to_gamma
+from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
+                          hstar_to_gamma)
 
 
 @dataclass(frozen=True)
@@ -40,6 +41,11 @@ class SepResult:
 def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
     hstar = gamma_to_hstar(gamma, dim)
     return SepResult(gamma, hstar, hstar(1), dim, method)
+
+
+def _guard(g: Graph, max_n: int, what: str) -> None:
+    if g.n > max_n:
+        raise BoundExceededError(f"{what} over {g.n} > {max_n} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +73,18 @@ def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> S
 
 
 def gamma_a_cut_sum(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
-    """Type-A result by the cut-sum formula; valid for every graph."""
+    """Type-A result by the cut-sum formula, one cut at a time; valid for
+    every graph.  The oracle behind --method cuts."""
     return _pack(cut_sum_gamma(g, max_n=max_n), g.n, "cut_sum")
+
+
+def gamma_a_pairs(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
+    """Type-A result by the cut-sum formula with its two sums swapped, valid
+    for every graph: gamma_k counts the ordered pairs of disjoint k-sets
+    whose crossing edges hold a perfect matching.  Keeps the cut sum's
+    guard and method label."""
+    _guard(g, max_n, "cut sum")
+    return _pack(Poly(matchable_pairs(g)), g.n, "cut_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -90,12 +106,14 @@ def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
 def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
                      cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-B result for any bipartite graph: gamma = I~(4x), realized as
-    sum_k |M(G,k)| (4x)^k.  Without a classification the bipartite test is
-    a two-colouring, so this route alone never lists the cycles."""
-    bipartite = cls.bipartite if cls is not None else bipartition_of(g) is not None
-    if not bipartite:
+    sum_k |M(G,k)| (4x)^k, with |M(G,k)| the count of matchable pairs whose
+    first set lies in one side.  Without a classification the bipartition
+    is a two-colouring, so this route alone never searches for cycles."""
+    parts = cls.bipartition if cls is not None else bipartition_of(g)
+    if parts is None:
         raise PreconditionError("type-B interior route needs a bipartite graph")
-    gamma = Poly(matched_vertex_sets(g, max_n=max_n)).scale_arg(4)
+    _guard(g, max_n, "matched-vertex-set enumeration")
+    gamma = Poly(matchable_pairs(g, parts.part1)).scale_arg(4)
     return _pack(gamma, g.n, "interior")
 
 
@@ -132,10 +150,11 @@ def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
 
 def _auto_ahat(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
     """The matching formula when its even-cycle condition holds, else the
-    cut sum."""
+    cut sum as a count of matchable pairs."""
     cls = cls or classify(g)
-    method = "formula" if cls.unique_even_cycle_condition else "cuts"
-    return ROUTES["ahat"][method](g, cls, bounds)
+    if cls.unique_even_cycle_condition:
+        return ROUTES["ahat"]["formula"](g, cls, bounds)
+    return gamma_a_pairs(g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES))
 
 
 def _auto_b(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
@@ -185,6 +204,8 @@ def solve(g: Graph, polytope: str, method: str = "auto",
         raise PreconditionError(
             f"method {method!r} does not apply to polytope {polytope}; "
             f"choose from {', '.join(routes)}")
+    if polytope != "a":  # every route ends in an h* of degree n
+        check_hstar_size(g.n)
     return routes[method](g, cls, bounds or {})
 
 

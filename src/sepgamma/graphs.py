@@ -99,7 +99,7 @@ class GraphClassification:
     forest: bool
     cactus: bool
     unique_even_cycle_condition: bool
-    simple_cycles: tuple
+    simple_cycles: Optional[tuple]  # None when the even-cycle condition fails
 
 
 # ---------------------------------------------------------------------------
@@ -359,18 +359,18 @@ def bipartition_of(g: Graph) -> Optional[Bipartition]:
     return Bipartition(part1, part2)
 
 
-def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
-    """All simple cycles, each once, as a canonical vertex tuple: the cycle
-    starts at its smallest vertex and runs toward the smaller neighbor.
+def _cycle_search(adj: dict, max_cycles: int):
+    """Yield every simple cycle of the graph with sorted adjacency lists
+    `adj` once, as a canonical vertex tuple, in sorted order; raise
+    BoundExceededError past `max_cycles` cycles.
 
     DFS rooted at each vertex s with two neighbours > s, over paths through
     vertices > s only, kept on a stack of neighbour iterators; a closure
     back to s with second vertex < last vertex kills the mirrored duplicate.
     """
-    adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
-    cycles = []
-    on_path = [False] * (g.n + 1)  # every flag is False again when a root is done
-    for s in range(1, g.n + 1):
+    on_path = [False] * (max(adj, default=0) + 1)  # all False again per root
+    found = 0
+    for s in sorted(adj):
         if len(adj[s]) < 2 or adj[s][-2] < s:
             continue  # a cycle leaves its smallest vertex by two larger ones
         path = [s]
@@ -380,10 +380,11 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
             for w in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
-                        cycles.append(tuple(path))
-                        if len(cycles) > max_cycles:
+                        found += 1
+                        if found > max_cycles:
                             raise BoundExceededError(
                                 f"more than {max_cycles} simple cycles")
+                        yield tuple(path)
                 elif w > s and not on_path[w]:
                     path.append(w)
                     on_path[w] = True
@@ -392,7 +393,20 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
             else:
                 stack.pop()
                 on_path[path.pop()] = False
-    return cycles
+
+
+def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
+    """All simple cycles, each once, as a canonical vertex tuple: the cycle
+    starts at its smallest vertex and runs toward the smaller neighbor."""
+    adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
+    return list(_cycle_search(adj, max_cycles))
+
+
+def cycles_of(g: Graph, cls: Optional[GraphClassification] = None) -> tuple:
+    """Every simple cycle of g: the classification's list, or a listing of
+    its own where the even-cycle condition fails and classify stopped."""
+    cycles = (cls or classify(g)).simple_cycles
+    return tuple(simple_cycles(g)) if cycles is None else cycles
 
 
 def cycle_edges(cycle: tuple) -> list:
@@ -405,28 +419,112 @@ def cycle_edges(cycle: tuple) -> list:
     return out
 
 
+def _blocks(g: Graph) -> tuple:
+    """(component count, sides, edge lists of the blocks with a cycle) from
+    one iterative Tarjan pass.  side[v] is the parity of v's depth in the
+    DFS forest, rooted at the smallest vertex of each component; sides is
+    that 2-colouring, or None when an edge joins two vertices of one side."""
+    adj = [[] for _ in range(g.n + 1)]
+    for u, v in g.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    disc = [0] * (g.n + 1)  # discovery time, 0 = unseen
+    low = [0] * (g.n + 1)
+    side = [0] * (g.n + 1)
+    start = [0] * (g.n + 1)  # where v's tree edge sits on the edge stack
+    components, clock, blocks, bipartite = 0, 0, [], True
+    for root in range(1, g.n + 1):
+        if disc[root]:
+            continue
+        components += 1
+        clock += 1
+        disc[root] = low[root] = clock
+        stack, edges = [(root, 0, iter(adj[root]))], []
+        while stack:
+            v, parent, ws = stack[-1]
+            for w in ws:
+                if not disc[w]:
+                    clock += 1
+                    disc[w] = low[w] = clock
+                    side[w] = side[v] ^ 1
+                    start[w] = len(edges)
+                    edges.append((v, w))
+                    stack.append((w, v, iter(adj[w])))
+                    break
+                if w != parent and disc[w] < disc[v]:  # a back edge, met once
+                    edges.append((v, w))
+                    low[v] = min(low[v], disc[w])
+                    bipartite = bipartite and side[w] != side[v]
+            else:
+                stack.pop()
+                if stack:
+                    u = stack[-1][0]
+                    low[u] = min(low[u], low[v])
+                    if low[v] >= disc[u]:  # v's tree edge and all above it: a block
+                        if len(edges) - start[v] > 1:
+                            blocks.append(edges[start[v]:])
+                        del edges[start[v]:]
+    return components, side if bipartite else None, blocks
+
+
+def _block_cycle(block: list) -> tuple:
+    """The canonical tuple of a block that is one cycle."""
+    nb = {}
+    for u, v in block:
+        nb.setdefault(u, []).append(v)
+        nb.setdefault(v, []).append(u)
+    prev = min(nb)
+    path, cur = [prev], min(nb[prev])
+    while cur != path[0]:
+        path.append(cur)
+        a, b = nb[cur]
+        prev, cur = cur, b if a == prev else a
+    return tuple(path)
+
+
 def classify(g: Graph) -> GraphClassification:
     """Compute all structural flags.  Guaranteed implication chain:
-    forest => cactus => unique even cycle condition.  The only caller of
-    simple_cycles: formulas read the cycles from the result."""
-    cycles = simple_cycles(g)
-    edge_load = {}
-    even_edge_load = {}
-    for cyc in cycles:
-        even = len(cyc) % 2 == 0
-        for e in cycle_edges(cyc):
-            edge_load[e] = edge_load.get(e, 0) + 1
-            if even:
-                even_edge_load[e] = even_edge_load.get(e, 0) + 1
-    bip = bipartition_of(g)
+    forest => cactus => unique even cycle condition.
+
+    One Tarjan pass finds the components, a 2-colouring and the blocks; g
+    is a forest when no block has a cycle and a cactus when every such
+    block is one cycle, which is read off directly.  The other blocks go
+    to one cycle search, which stops at the first edge in two even cycles.
+    simple_cycles lists every cycle, sorted, when the even-cycle condition
+    holds, and is None when it fails.
+    """
+    components, side, blocks = _blocks(g)
+    cycles, rest = [], {}
+    for block in blocks:
+        if len(block) == len({v for e in block for v in e}):
+            cycles.append(_block_cycle(block))
+            continue
+        for u, v in block:
+            rest.setdefault(u, []).append(v)
+            rest.setdefault(v, []).append(u)
+    if rest:
+        even_edges = set()
+        for cyc in _cycle_search({v: sorted(ws) for v, ws in rest.items()},
+                                 MAX_SIMPLE_CYCLES):
+            if len(cyc) % 2 == 0:
+                edges = cycle_edges(cyc)
+                if even_edges.intersection(edges):
+                    cycles = None
+                    break
+                even_edges.update(edges)
+            cycles.append(cyc)
+    bipartition = None
+    if side is not None:
+        part1 = frozenset(v for v in range(1, g.n + 1) if not side[v])
+        bipartition = Bipartition(part1, frozenset(range(1, g.n + 1)) - part1)
     return GraphClassification(
-        connected=is_connected(g),
-        bipartite=bip is not None,
-        bipartition=bip,
-        forest=not cycles,
-        cactus=all(k <= 1 for k in edge_load.values()),
-        unique_even_cycle_condition=all(k <= 1 for k in even_edge_load.values()),
-        simple_cycles=tuple(cycles),
+        connected=components <= 1,
+        bipartite=bipartition is not None,
+        bipartition=bipartition,
+        forest=not blocks,
+        cactus=not rest,
+        unique_even_cycle_condition=cycles is not None,
+        simple_cycles=None if cycles is None else tuple(sorted(cycles)),
     )
 
 

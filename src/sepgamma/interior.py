@@ -250,7 +250,8 @@ def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
 def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:
     """gamma-polynomial of the suspension polytope by the cut-sum formula:
     average I~(4x) over all 2^(n-1) cuts.  The sum always has integral
-    coefficients; anything else signals an implementation bug."""
+    coefficients; anything else signals an implementation bug.  The oracle
+    behind --method cuts; auto counts matchable pairs instead."""
     if g.n < 1:
         raise PreconditionError("need at least one vertex")
     if g.n > max_n:

@@ -2,8 +2,10 @@
 counts |M(G,k)|, and independence polynomials.
 
 tiling_poly is the one DP behind every matching formula, with or without
-cycle corrections; the |M(G,k)| oracle enumerates every matching and
-deduplicates vertex sets, exactly as the definition reads.
+cycle corrections; matchable_pairs is the one count behind the dense
+routes (the suspension gamma of any graph, |M(G,k)| of any bipartite
+graph); the |M(G,k)| oracle enumerates every matching and deduplicates
+vertex sets, exactly as the definition reads.
 """
 
 from __future__ import annotations
@@ -155,6 +157,47 @@ def matching_poly(g: Graph) -> Poly:
     for k, mk in enumerate(m):
         coeffs[g.n - 2 * k] = (-1) ** k * mk
     return Poly(coeffs)
+
+
+def matchable_pairs(g: Graph, sources: Optional[Iterable] = None) -> list:
+    """[c_0, c_1, ...]: c_k counts the pairs (A, B) of disjoint k-sets of
+    vertices, A drawn from `sources` (every vertex by default), such that
+    the edges of G between A and B hold a perfect matching.
+
+    With every vertex as a source this is gamma_k of the suspension (the
+    cut-sum formula with its two sums swapped); with one side of a
+    bipartition it is |M(G,k)|.  A grows in increasing vertex order, and
+    each A keeps the deduplicated bitmasks of its matchable B's: B + b is
+    matchable to A + a (a above A) iff B is matchable to A, a is not in B,
+    and b is a neighbour of a in neither A + a nor B.  So an A with no
+    matchable B has no extension with one.
+    """
+    adj = g.adjacency_masks()
+    order = sorted(range(1, g.n + 1) if sources is None else sources)
+    counts = [1]
+
+    def grow(start: int, taken: int, bs: set) -> None:
+        for i in range(start, len(order)):
+            bit = 1 << (order[i] - 1)
+            near = adj[order[i] - 1] & ~(taken | bit)
+            grown = set()
+            for b in bs:
+                if b & bit:
+                    continue
+                free = near & ~b
+                while free:
+                    low = free & -free
+                    free ^= low
+                    grown.add(b | low)
+            if grown:
+                k = (taken | bit).bit_count()
+                if k == len(counts):
+                    counts.append(0)
+                counts[k] += len(grown)
+                grow(i + 1, taken | bit, grown)
+
+    grow(0, 0, {0})
+    return counts
 
 
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:

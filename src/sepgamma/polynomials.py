@@ -14,6 +14,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from .errors import BoundExceededError
+
+# The gamma -> h* transform writes d + 1 coefficients of up to d + (bits of
+# gamma) bits each; past this many bits it would run for minutes.  The
+# degree-2000 h* of the suspension of C2000 holds about 8 * 10^6.
+MAX_HSTAR_BITS = 10 ** 8
+
 
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -215,8 +222,23 @@ class Poly:
 # ---------------------------------------------------------------------------
 
 def one_plus_x_power(k: int) -> Poly:
-    """(1+x)^k via binomial coefficients."""
-    return Poly(tuple(math.comb(k, i) for i in range(k + 1)))
+    """(1+x)^k via binomial coefficients, each from the one before."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return Poly(row)
+
+
+def check_hstar_size(d: int, gamma_bits: int = 1) -> None:
+    """Raise BoundExceededError when sum_i gamma_i x^i (1+x)^(d-2i), with
+    gamma's coefficients of up to gamma_bits bits, is estimated to hold
+    more than MAX_HSTAR_BITS bits: (d + 1) coefficients of d + gamma_bits
+    bits.  With the default, the least gamma (= 1), it bounds any gamma."""
+    bits = (d + 1) * (d + gamma_bits)
+    if bits > MAX_HSTAR_BITS:
+        raise BoundExceededError(
+            f"h* of degree {d} holds about {bits} coefficient bits "
+            f"> {MAX_HSTAR_BITS}")
 
 
 def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
@@ -224,11 +246,12 @@ def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
 
     With m = deg gamma this is (1+x)^(d-2m) sum_i gamma_i x^i (1+x)^(2(m-i)),
     and the sum takes m Horner steps in (1+x)^2.  Inverse of hstar_to_gamma
-    on palindromic polynomials of degree d.
+    on palindromic polynomials of degree d.  Guarded by check_hstar_size.
     """
     m = gamma.degree
     if m > d // 2:
         raise ValueError(f"gamma degree {m} exceeds floor({d}/2)")
+    check_hstar_size(d, max(int(abs(c)).bit_length() for c in gamma.coeffs or (1,)))
     out = Poly()
     for i, c in enumerate(gamma.coeffs):
         out = out * Poly((1, 2, 1)) + Poly.monomial(i, c)

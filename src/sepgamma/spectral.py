@@ -9,7 +9,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError
-from .graphs import Graph, GraphClassification, classify
+from .graphs import Graph, GraphClassification, classify, cycles_of
 from .matching import tiling_poly
 from .polynomials import Poly
 
@@ -19,7 +19,7 @@ MAX_CHARPOLY_VERTICES = 64
 def uniform_weights(g: Graph, t,
                     cls: Optional[GraphClassification] = None) -> dict:
     """Weight map assigning the same parameter t to every simple cycle."""
-    return {cyc: t for cyc in (cls or classify(g)).simple_cycles}
+    return {cyc: t for cyc in cycles_of(g, cls)}
 
 
 def mu_poly(g: Graph, weights: dict,
@@ -32,7 +32,7 @@ def mu_poly(g: Graph, weights: dict,
     Interpolates between the matching polynomial (t=0) and the
     characteristic polynomial (t=1).
     """
-    cycles = (cls or classify(g)).simple_cycles
+    cycles = cycles_of(g, cls)
     for cyc in cycles:
         if cyc not in weights:
             raise PreconditionError(f"no weight for cycle {cyc}")

@@ -71,7 +71,9 @@ def _build_witness(g: Graph, m: int, target: Poly,
 def witness_a(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
     """For even-cycle-free g: the clique complex of the complement of
     L(g)[K_2] has f-polynomial g(G,2x), the suspension gamma-polynomial."""
-    if any(len(c) % 2 == 0 for c in classify(g).simple_cycles):
+    cls = classify(g)
+    if not cls.unique_even_cycle_condition or any(
+            len(c) % 2 == 0 for c in cls.simple_cycles):
         raise PreconditionError("witness construction needs no even cycles")
     return _build_witness(g, 2, gen_poly(g).scale_arg(2), max_cliques)
 
@@ -79,7 +81,7 @@ def witness_a(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
 def witness_b(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
     """For a forest g: the clique complex of the complement of L(g)[K_4]
     has f-polynomial g(G,4x), the type-B gamma-polynomial."""
-    if classify(g).simple_cycles:
+    if not classify(g).forest:
         raise PreconditionError("witness construction needs a forest")
     return _build_witness(g, 4, gen_poly(g).scale_arg(4), max_cliques)
 

@@ -5,6 +5,7 @@ atlas supplies one representative per isomorphism class up to 7 vertices
 for the suites whose predicates are isomorphism-invariant.
 """
 
+import sys
 from itertools import combinations
 
 import pytest
@@ -54,6 +55,21 @@ def atlas_graphs(max_n=7, min_n=1):
                 out.append(nx_to_graph(nxg))
         _ATLAS_CACHE[key] = out
     return _ATLAS_CACHE[key]
+
+
+def count_calls(monkeypatch, fn) -> list:
+    """Wrap `fn` under its name in every loaded sepgamma module that binds
+    it; the returned list gets the positional arguments of each call."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sepgamma" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, counted)
+    return calls
 
 
 def random_graph(rng, n, p) -> Graph:

@@ -6,6 +6,10 @@ way the paper states them: list every family R of vertex-disjoint cycles,
 delete V(R), and sum weight(R) times a matching polynomial of G - R.  The
 matching polynomial itself is an independent recursion that branches on the
 lowest vertex of an induced-subgraph bitmask.
+
+The library's classify works block by block and stops its cycle search at
+the first edge in two even cycles; classify_reference lists every simple
+cycle and reads each flag off the list.
 """
 
 from __future__ import annotations
@@ -14,7 +18,35 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from sepgamma import Graph, Poly, classify
+from sepgamma import Graph, GraphClassification, Poly
+from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
+                             simple_cycles)
+
+
+def classify_reference(g: Graph) -> GraphClassification:
+    """Every flag from the list of all simple cycles: an edge on two cycles
+    breaks the cactus property, an edge on two even cycles the even-cycle
+    condition (and then simple_cycles is None, as in classify)."""
+    cycles = simple_cycles(g)
+    edge_load = {}
+    even_edge_load = {}
+    for cyc in cycles:
+        even = len(cyc) % 2 == 0
+        for e in cycle_edges(cyc):
+            edge_load[e] = edge_load.get(e, 0) + 1
+            if even:
+                even_edge_load[e] = even_edge_load.get(e, 0) + 1
+    bip = bipartition_of(g)
+    uec = all(k <= 1 for k in even_edge_load.values())
+    return GraphClassification(
+        connected=is_connected(g),
+        bipartite=bip is not None,
+        bipartition=bip,
+        forest=not cycles,
+        cactus=all(k <= 1 for k in edge_load.values()),
+        unique_even_cycle_condition=uec,
+        simple_cycles=tuple(cycles) if uec else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -80,14 +112,15 @@ def even_cycle_families(g: Graph, cls=None) -> list:
     """All nonempty families of pairwise vertex-disjoint even simple cycles
     (the correction terms of the suspension formula; the empty family is the
     standalone matching-polynomial term and is excluded here)."""
-    evens = [c for c in (cls or classify(g)).simple_cycles if len(c) % 2 == 0]
+    cycles = simple_cycles(g) if cls is None else cls.simple_cycles
+    evens = [c for c in cycles if len(c) % 2 == 0]
     return disjoint_families(evens)
 
 
 def cycle_families(g: Graph, cls=None) -> list:
     """All nonempty families of pairwise vertex-disjoint simple cycles of
     any parity (the correction terms of the mu-polynomial)."""
-    return disjoint_families((cls or classify(g)).simple_cycles)
+    return disjoint_families(simple_cycles(g) if cls is None else cls.simple_cycles)
 
 
 def cycle_family_sum(g: Graph, families: list, base, weight):

@@ -110,7 +110,7 @@ class TestCriterion2OracleEquivalence:
         for g, cls in corpus6:
             if not cls.unique_even_cycle_condition:
                 continue
-            assert matched_vertex_sets_formula(g) == matched_vertex_sets(g)
+            assert matched_vertex_sets_formula(g, cls) == matched_vertex_sets(g)
             checked += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 600
@@ -123,7 +123,7 @@ class TestCriterion2OracleEquivalence:
         for g, cls in corpus6:
             if not cls.unique_even_cycle_condition:
                 continue
-            gamma = suspension_gamma_formula(g)
+            gamma = suspension_gamma_formula(g, cls)
             assert cut_sum_gamma(g) == gamma
             assert all(c >= 0 for c in gamma.coeffs)  # gamma-positivity
             checked += 1
@@ -143,15 +143,15 @@ class TestCriterion2OracleEquivalence:
                 oracle = solve(g, "ahat", "ehrhart")
                 assert oracle.hstar == res.hstar
                 if cls.unique_even_cycle_condition:
-                    assert gamma_a_suspension(g).hstar == oracle.hstar
+                    assert gamma_a_suspension(g, cls).hstar == oracle.hstar
                 n_a += 1
             if cls.bipartite:
-                res_b = gamma_b_interior(g)
+                res_b = gamma_b_interior(g, cls=cls)
                 assert_sep_invariants(res_b)
                 oracle_b = oracle_hstar_b(g)
                 assert oracle_b.hstar == res_b.hstar
                 if cls.cactus:
-                    assert gamma_b(g).hstar == oracle_b.hstar
+                    assert gamma_b(g, cls).hstar == oracle_b.hstar
                 n_b += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 600
@@ -193,7 +193,7 @@ class TestCriterion3RealRootedness:
             cls = classify(g)
             if not cls.cactus:
                 continue
-            res = gamma_a_suspension(g)
+            res = gamma_a_suspension(g, cls)
             assert is_real_rooted(res.hstar)
             assert is_real_rooted(res.gamma)
             assert all(c >= 0 for c in res.gamma.coeffs)
@@ -207,8 +207,8 @@ class TestCriterion3RealRootedness:
             cls = classify(g)
             if not (cls.cactus and cls.bipartite):
                 continue
-            res = gamma_b(g)
-            assert res.gamma == gamma_b_interior(g).gamma
+            res = gamma_b(g, cls)
+            assert res.gamma == gamma_b_interior(g, cls=cls).gamma
             assert is_real_rooted(res.hstar)
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1
@@ -242,10 +242,11 @@ class TestCriterion5FlagWitnesses:
     def test_witness_a_even_cycle_free(self, corpus6):
         checked = 0
         for g, cls in corpus6:
-            if any(len(c) % 2 == 0 for c in cls.simple_cycles):
+            if not cls.unique_even_cycle_condition or any(
+                    len(c) % 2 == 0 for c in cls.simple_cycles):
                 continue
             fw = witness_a(g)
-            assert fw.f_poly == gamma_a_suspension(g).gamma
+            assert fw.f_poly == gamma_a_suspension(g, cls).gamma
             checked += 1
         print(f"\nCRITERION 5a PASS witness f-poly = gamma(A of suspension) "
               f"on all {checked} even-cycle-free labeled graphs <= 6")
@@ -256,7 +257,7 @@ class TestCriterion5FlagWitnesses:
             if not cls.forest:
                 continue
             fw = witness_b(g)
-            assert fw.f_poly == gamma_b(g).gamma
+            assert fw.f_poly == gamma_b(g, cls).gamma
             checked += 1
         print(f"\nCRITERION 5b PASS witness f-poly = gamma(B_G) on all "
               f"{checked} labeled forests <= 6")

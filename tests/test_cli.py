@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -7,6 +8,8 @@ from sepgamma import (Graph, complete_bipartite, complete_graph, graphs,
                       parse_graph, to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
+
+from conftest import count_calls
 
 
 def write(tmp_path, name, text):
@@ -179,6 +182,32 @@ class TestContract:
         gamma = [2 ** k * math.comb(1200 - k, k) for k in range(601)]
         assert f"gamma: {gamma}\n" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,graph,gamma", [
+        ("gamma-a", complete_graph(11),
+         [math.comb(11, 2 * k) * math.comb(2 * k, k) for k in range(6)]),
+        ("gamma-b", complete_bipartite(7, 7),
+         [math.comb(7, j) ** 2 * 4 ** j for j in range(8)]),
+    ])
+    def test_dense_graphs_answer_on_auto(self, tmp_path, capsys, command,
+                                         graph, gamma):
+        # more than 10^6 simple cycles each: auto counts matchable pairs
+        path = write(tmp_path, "g.txt", to_edge_list_text(graph))
+        assert main([command, path]) == 0
+        out = capsys.readouterr().out
+        assert f"gamma: {gamma}\n" in out
+        assert main(["analyze", path]) == 4
+        assert "more than 1000000 simple cycles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["gamma-a"], ["gamma-b"],
+                                      ["check", "--polytope", "ahat"]])
+    def test_huge_declared_vertex_count_exits_4(self, tmp_path, capsys, argv):
+        # the h* of degree 3,000,000 would hold about 9 * 10^12 bits
+        path = write(tmp_path, "g.txt", "n 3000000\n1 2\n")
+        start = time.process_time()
+        assert main(argv[:1] + [path] + argv[1:]) == 4
+        assert time.process_time() - start < 1
+        assert "h* of degree 3000000 holds about" in capsys.readouterr().err
+
     def test_recursion_error_exits_4(self, c4_file, capsys, monkeypatch):
         def bottomless(g, cls, bounds):
             return bottomless(g, cls, bounds)
@@ -208,33 +237,38 @@ class TestContract:
         out = capsys.readouterr().out
         assert f"gamma: {gamma}\n" in out and "dim: 1200\n" in out
 
-    def test_one_cycle_listing_per_request(self, c4_file, tmp_path, capsys,
-                                           monkeypatch):
-        calls = []
-        real = graphs.simple_cycles
-
-        def counted(g, *args, **kwargs):
-            calls.append(g)
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(graphs, "simple_cycles", counted)
-        for argv in (["gamma-a", c4_file], ["gamma-b", c4_file],
-                     ["check", c4_file, "--polytope", "ahat"],
-                     ["check", c4_file, "--polytope", "b"],
-                     ["verify", c4_file], ["verify", c4_file, "--level", "full"],
-                     ["analyze", c4_file]):
-            calls.clear()
-            assert main(argv) == 0
-            assert len(calls) == 1, argv
+    def test_one_cycle_listing_per_request(self, c4_file, k4_file, tmp_path,
+                                           capsys, monkeypatch):
+        # one classification per graph, and at most one cycle search: none
+        # on a cactus, whose cycles are its blocks
+        classified = count_calls(monkeypatch, graphs.classify)
+        searches = count_calls(monkeypatch, graphs._cycle_search)
+        for path, searched in ((c4_file, 0), (k4_file, 1)):
+            for argv in (["gamma-a", path], ["gamma-b", path],
+                         ["check", path, "--polytope", "ahat"],
+                         ["check", path, "--polytope", "b"],
+                         ["verify", path], ["verify", path, "--level", "full"]):
+                classified.clear()
+                searches.clear()
+                assert main(argv) in (0, 2)
+                assert (len(classified), len(searches)) == (1, searched), argv
         d = tmp_path / "corpus"
         d.mkdir()
         for name, text in (("c3.txt", "1 2\n2 3\n3 1\n"),
                            ("c4.txt", "1 2\n2 3\n3 4\n4 1\n"),
                            ("k4.txt", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")):
             (d / name).write_text(text)
-        calls.clear()
+        classified.clear()
+        searches.clear()
         assert main(["batch", str(d)]) == 0
-        assert len(calls) == 3
+        assert (len(classified), len(searches)) == (3, 1)
+        # analyze lists the cycles itself where classify stopped early
+        for path, searched in ((c4_file, 0), (k4_file, 2)):
+            classified.clear()
+            searches.clear()
+            assert main(["analyze", path]) == 0
+            assert (len(classified), len(searches)) == (1, searched)
+        assert "simple-cycle-count: 7\n" in capsys.readouterr().out
 
 
     @pytest.mark.parametrize("argv", [

@@ -1,15 +1,19 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
-                      PreconditionError, classify, complete_graph, cycle_graph,
-                      empty_graph,
+                      PreconditionError, classify, complete_bipartite,
+                      complete_graph, cycle_graph, empty_graph,
                       gamma_a_cut_sum, gamma_a_cycle_reference,
                       gamma_a_suspension, gamma_b, gamma_b_interior,
-                      gen_poly, hstar_to_gamma, oracle_hstar_a, path_graph,
+                      gen_poly, hstar_to_gamma, matched_vertex_sets,
+                      oracle_hstar_a, path_graph,
                       solve, star_graph, suspension, wheel_closed_form)
+
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
 
@@ -84,6 +88,36 @@ class TestDispatchA:
         assert res.method == "cut_sum"
         assert res.gamma == Poly([1, 12, 6]) and res.volume == 70
         check_sep_invariants(res)
+
+    def test_auto_answers_dense_graphs(self):
+        # K11 has more than 10^6 simple cycles; auto counts matchable pairs
+        res = solve(complete_graph(11), "ahat", "auto")
+        assert res.method == "cut_sum"
+        assert res.gamma.coeff_list() == \
+            [math.comb(11, 2 * k) * math.comb(2 * k, k) for k in range(6)]
+        res = solve(complete_bipartite(7, 7), "b", "auto")
+        assert res.method == "interior"
+        assert res.gamma.coeff_list() == [math.comb(7, j) ** 2 * 4 ** j for j in range(8)]
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                            .filter(lambda e: e[0] < e[1])))))
+    def test_formula_cuts_and_auto_agree(self, graph):
+        g = Graph.make(*graph)
+        cls = classify(g)
+        auto = solve(g, "ahat", "auto", cls)
+        assert auto.gamma == solve(g, "ahat", "cuts", cls).gamma
+        if cls.unique_even_cycle_condition:
+            assert auto.method == "formula"
+            assert auto.gamma == solve(g, "ahat", "formula", cls).gamma
+        else:
+            assert auto.method == "cut_sum"
+            with pytest.raises(PreconditionError):
+                solve(g, "ahat", "formula", cls)
+        if cls.bipartite:
+            assert solve(g, "b", "interior", cls).gamma == \
+                Poly(matched_vertex_sets(g)).scale_arg(4)
 
     def test_formula_raises_on_k4(self):
         with pytest.raises(PreconditionError):

@@ -14,7 +14,7 @@ from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import delete_vertices, even_cycle_families
+from oracles import classify_reference, delete_vertices, even_cycle_families
 
 
 class TestParse:
@@ -307,6 +307,33 @@ class TestClassify:
         assert time.process_time() - start < 5
         assert cls.simple_cycles == ()
         assert cls.forest and not cls.connected
+
+    def test_matches_the_reference_upto_6(self):
+        # flag for flag and cycle list for cycle list, with the listing
+        # classify that reads every flag off all simple cycles
+        for g in all_graphs_upto(6):
+            assert classify(g) == classify_reference(g), g
+
+    def test_matches_the_reference_on_atlas7(self, atlas7):
+        for g in atlas7:
+            assert classify(g) == classify_reference(g), g
+
+    def test_dense_blocks_stop_early(self):
+        # K11 has more than 10^6 simple cycles; the search stops at the
+        # first edge in two even cycles
+        for g in (complete_graph(11), complete_bipartite(7, 7)):
+            cls = classify(g)
+            assert not cls.unique_even_cycle_condition and not cls.cactus
+            assert cls.simple_cycles is None and cls.connected
+
+    def test_cycle_blocks_are_read_directly(self):
+        # a cactus needs no cycle search: each cycle is a block
+        bowtie = Graph.make(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
+        assert classify(bowtie).simple_cycles == ((1, 2, 3), (3, 4, 5))
+        start = time.process_time()
+        cls = classify(cycle_graph(20000))
+        assert time.process_time() - start < 5
+        assert cls.simple_cycles == (tuple(range(1, 20001)),)
 
     def test_implication_chain_random(self):
         rng = random.Random(23)

@@ -6,14 +6,17 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepgamma import (Graph, Poly, PreconditionError, classify, complete_graph,
+from sepgamma import (Graph, Poly, PreconditionError, classify,
+                      complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gen_poly, independence_poly,
-                      is_real_rooted, line_graph, matched_vertex_sets,
+                      is_real_rooted, line_graph, matchable_pairs,
+                      matched_vertex_sets,
                       matched_vertex_sets_formula, matching_counts,
                       matching_poly, matching_profile, mu_poly, path_graph,
                       star_graph, suspension_gamma_formula, tiling_poly)
 
 from conftest import all_graphs_upto, random_graph
+from sepgamma.graphs import bipartition_of
 from oracles import (gen_poly_reference, matched_sets_reference,
                      mu_poly_reference, suspension_gamma_reference)
 
@@ -157,6 +160,48 @@ def relabelled_cacti(draw):
     perm = draw(st.permutations(range(1, n + 1)))
     return (Graph.make(n, edges),
             Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges]))
+
+
+class TestMatchablePairs:
+    """gamma_k of the suspension counts the ordered pairs (A, B) of
+    disjoint k-sets whose crossing edges hold a perfect matching; with A in
+    one side of a bipartite graph the count is |M(G,k)|."""
+
+    def test_cut_sum_exhaustive_upto_5(self):
+        for g in all_graphs_upto(5):
+            assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+
+    def test_cut_sum_on_atlas7(self, atlas7):
+        for g in atlas7:
+            assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+
+    def test_matched_sets_on_bipartite_atlas7(self, atlas7):
+        checked = 0
+        for g in atlas7:
+            parts = bipartition_of(g)
+            if parts is None:
+                continue
+            assert matchable_pairs(g, parts.part1) == matched_vertex_sets(g), g
+            assert matchable_pairs(g, parts.part2) == matched_vertex_sets(g), g
+            checked += 1
+        assert checked == 149  # the bipartite classes on up to 7 vertices
+
+    def test_closed_forms(self):
+        # gamma_k of the suspension of K_n is C(n, 2k) C(2k, k); |M(K_k,k, j)|
+        # is C(k, j)^2
+        for n in range(1, 13):
+            assert matchable_pairs(complete_graph(n)) == \
+                [math.comb(n, 2 * k) * math.comb(2 * k, k) for k in range(n // 2 + 1)]
+        for k in range(1, 8):
+            assert matchable_pairs(complete_bipartite(k, k), range(1, k + 1)) == \
+                [math.comb(k, j) ** 2 for j in range(k + 1)]
+
+    def test_small_cases(self):
+        assert matchable_pairs(empty_graph(0)) == [1]
+        assert matchable_pairs(empty_graph(3)) == [1]
+        assert matchable_pairs(path_graph(3)) == [1, 4]
+        assert matchable_pairs(path_graph(3), [2]) == [1, 2]
+        assert matchable_pairs(path_graph(3), [1, 3]) == [1, 2]
 
 
 class TestTilingPoly:

@@ -1,10 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepgamma import (Poly, RealRoots, check_properties, gamma_to_hstar,
+from sepgamma import (BoundExceededError, Poly, RealRoots, check_properties, gamma_to_hstar,
                       hstar_to_gamma, is_real_rooted, real_rootedness)
 from sepgamma.polynomials import one_plus_x_power
 
@@ -66,6 +67,19 @@ class TestGammaTransforms:
     def test_degree_precondition(self):
         with pytest.raises(ValueError):
             gamma_to_hstar(Poly([1, 1, 1]), 3)
+
+    def test_size_guard(self):
+        # (d + 1) coefficients of d + (bits of gamma) bits, at most 10^8
+        assert gamma_to_hstar(Poly([1]), 9000) == one_plus_x_power(9000)
+        for gamma, d in ((Poly([1]), 10 ** 4), (Poly([1 << 10 ** 8]), 0),
+                         (Poly([1, 1 << 20000]), 5000)):
+            with pytest.raises(BoundExceededError):
+                gamma_to_hstar(gamma, d)
+
+    def test_binomial_rows(self):
+        for k in range(12):
+            assert one_plus_x_power(k).coeff_list() == \
+                [math.comb(k, i) for i in range(k + 1)]
 
     def test_non_palindromic_rejected(self):
         with pytest.raises(ValueError):

@@ -9,7 +9,7 @@ from sepgamma import (Graph, Poly, PreconditionError, char_poly_adjacency,
                       is_real_rooted, matching_poly, mu_poly, path_graph,
                       uniform_weights, verify_gamma_mu_bridge)
 
-from conftest import atlas_graphs, random_graph
+from conftest import atlas_graphs, count_calls, random_graph
 
 
 class TestMuPoly:
@@ -32,20 +32,20 @@ class TestMuPoly:
             mu_poly(cycle_graph(3), {})
 
     def test_one_cycle_listing(self, monkeypatch):
+        # the caller's classification serves every helper: no second
+        # classify, and no cycle search on a cactus (its cycles are blocks)
         from sepgamma import graphs
-        calls = []
-        real = graphs.simple_cycles
-
-        def counted(g, *args, **kwargs):
-            calls.append(g)
-            return real(g, *args, **kwargs)
-
-        monkeypatch.setattr(graphs, "simple_cycles", counted)
-        g = cycle_graph(5)
-        cls = classify(g)
-        assert mu_poly(g, uniform_weights(g, 1, cls), cls) == char_poly_adjacency(g)
-        assert verify_gamma_mu_bridge(g, cls=cls)
-        assert len(calls) == 1
+        classified = count_calls(monkeypatch, graphs.classify)
+        searches = count_calls(monkeypatch, graphs._cycle_search)
+        diamond = Graph.make(4, [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4)])
+        for g, searched in ((cycle_graph(5), 0), (diamond, 1)):
+            searches.clear()
+            cls = classify(g)  # this module's binding, not counted
+            assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
+                char_poly_adjacency(g)
+            if cls.cactus:
+                assert verify_gamma_mu_bridge(g, cls=cls)
+            assert classified == [] and len(searches) == searched
 
     def test_rational_weights(self):
         g = cycle_graph(4)
