@@ -15,12 +15,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .errors import BoundExceededError, PreconditionError
+from .errors import PreconditionError
 from .graphs import (Graph, GraphClassification, bipartition_of, classify,
                      cycle_graph, suspension)
-from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
-from .matching import (MAX_MATCHED_SET_VERTICES, matchable_pairs,
-                       matched_vertex_sets_formula, tiling_poly)
+from .interior import MAX_CUT_SUM_VERTICES, check_cut_sum_bound, cut_sum_gamma
+from .matching import (MAX_MATCHED_SET_VERTICES, check_matched_sets_bound,
+                       matchable_pairs, matched_vertex_sets_formula,
+                       tiling_poly)
 from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
                           hstar_to_gamma)
 
@@ -41,11 +42,6 @@ class SepResult:
 def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
     hstar = gamma_to_hstar(gamma, dim)
     return SepResult(gamma, hstar, hstar(1), dim, method)
-
-
-def _guard(g: Graph, max_n: int, what: str) -> None:
-    if g.n > max_n:
-        raise BoundExceededError(f"{what} over {g.n} > {max_n} vertices")
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +79,7 @@ def gamma_a_pairs(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
     for every graph: gamma_k counts the ordered pairs of disjoint k-sets
     whose crossing edges hold a perfect matching.  Keeps the cut sum's
     guard and method label."""
-    _guard(g, max_n, "cut sum")
+    check_cut_sum_bound(g, max_n)
     return _pack(Poly(matchable_pairs(g)), g.n, "cut_sum")
 
 
@@ -112,7 +108,7 @@ def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
     parts = cls.bipartition if cls is not None else bipartition_of(g)
     if parts is None:
         raise PreconditionError("type-B interior route needs a bipartite graph")
-    _guard(g, max_n, "matched-vertex-set enumeration")
+    check_matched_sets_bound(g, max_n)
     gamma = Poly(matchable_pairs(g, parts.part1)).scale_arg(4)
     return _pack(gamma, g.n, "interior")
 

@@ -21,6 +21,13 @@ MAX_MATCHED_SET_VERTICES = 16
 MAX_INDEPENDENCE_VERTICES = 24
 
 
+def check_matched_sets_bound(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> None:
+    """The `matched-sets` guard of every |M(G,k)| count of g."""
+    if g.n > max_n:
+        raise BoundExceededError(
+            f"matched-vertex-set enumeration over {g.n} > {max_n} vertices")
+
+
 def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
     """Sum over the tilings of V(G) by lone vertices, edges and listed tiles
     of the product of the weights: `vertex` per lone vertex, `edge` per
@@ -203,9 +210,7 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None) -> list:
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:
     """|M(G,k)| by brute force: enumerate all matchings, deduplicate the
     matched vertex sets per k.  |M(G,0)| = 1 for the empty set."""
-    if g.n > max_n:
-        raise BoundExceededError(
-            f"matched-vertex-set enumeration over {g.n} > {max_n} vertices")
+    check_matched_sets_bound(g, max_n)
     edge_masks = [
         (1 << (u - 1)) | (1 << (v - 1)) for u, v in g.sorted_edges()
     ]

@@ -17,9 +17,12 @@ from typing import Iterable, Optional
 from .errors import BoundExceededError
 
 # The gamma -> h* transform writes d + 1 coefficients of up to d + (bits of
-# gamma) bits each; past this many bits it would run for minutes.  The
-# degree-2000 h* of the suspension of C2000 holds about 8 * 10^6.
-MAX_HSTAR_BITS = 10 ** 8
+# gamma) bits each.  For gamma = 1 this admits d <= 14,141, just below
+# d = 14,285, where the middle coefficient of (1+x)^d passes the 4,300
+# decimal digits Python prints by default; there the transform took 0.07 s
+# and the decimal text of h* 2.7 s (one core of a 2-core x86-64 host).  The
+# degree-2000 h* of the suspension of C2000 holds about 8 * 10^6 bits.
+MAX_HSTAR_BITS = 2 * 10 ** 8
 
 
 def _norm_coeff(c):

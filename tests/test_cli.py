@@ -208,6 +208,17 @@ class TestContract:
         assert time.process_time() - start < 1
         assert "h* of degree 3000000 holds about" in capsys.readouterr().err
 
+    def test_hstar_size_boundary(self, tmp_path, capsys):
+        # edgeless: gamma = 1 and h* = (1+x)^n, of (n + 1)^2 estimated bits;
+        # 10,000 vertices answer, 14,142 exceed the 2 * 10^8 bound
+        path = write(tmp_path, "g.txt", "n 10000\n")
+        assert main(["gamma-a", path]) == 0
+        out = capsys.readouterr().out
+        assert "gamma: [1]\n" in out and f"volume: {2 ** 10000}\n" in out
+        path = write(tmp_path, "h.txt", "n 14142\n")
+        assert main(["gamma-a", path]) == 4
+        assert "h* of degree 14142 holds about" in capsys.readouterr().err
+
     def test_recursion_error_exits_4(self, c4_file, capsys, monkeypatch):
         def bottomless(g, cls, bounds):
             return bottomless(g, cls, bounds)
@@ -243,14 +254,17 @@ class TestContract:
         # on a cactus, whose cycles are its blocks
         classified = count_calls(monkeypatch, graphs.classify)
         searches = count_calls(monkeypatch, graphs._cycle_search)
-        for path, searched in ((c4_file, 0), (k4_file, 1)):
-            for argv in (["gamma-a", path], ["gamma-b", path],
-                         ["check", path, "--polytope", "ahat"],
-                         ["check", path, "--polytope", "b"],
-                         ["verify", path], ["verify", path, "--level", "full"]):
+        # exit codes: K4 is not bipartite, so its type-B requests exit 2
+        for path, searched, codes in ((c4_file, 0, (0, 0, 0, 0, 0, 0)),
+                                      (k4_file, 1, (0, 2, 0, 2, 0, 0))):
+            for argv, code in zip((["gamma-a", path], ["gamma-b", path],
+                                   ["check", path, "--polytope", "ahat"],
+                                   ["check", path, "--polytope", "b"],
+                                   ["verify", path],
+                                   ["verify", path, "--level", "full"]), codes):
                 classified.clear()
                 searches.clear()
-                assert main(argv) in (0, 2)
+                assert main(argv) == code, argv
                 assert (len(classified), len(searches)) == (1, searched), argv
         d = tmp_path / "corpus"
         d.mkdir()

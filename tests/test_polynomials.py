@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (BoundExceededError, Poly, RealRoots, check_properties, gamma_to_hstar,
                       hstar_to_gamma, is_real_rooted, real_rootedness)
-from sepgamma.polynomials import one_plus_x_power
+from sepgamma.polynomials import check_hstar_size, one_plus_x_power
 
 
 class TestArithmetic:
@@ -69,10 +69,14 @@ class TestGammaTransforms:
             gamma_to_hstar(Poly([1, 1, 1]), 3)
 
     def test_size_guard(self):
-        # (d + 1) coefficients of d + (bits of gamma) bits, at most 10^8
+        # (d + 1) coefficients of d + (bits of gamma) bits, at most 2 * 10^8:
+        # for gamma = 1 that is d <= 14,141
         assert gamma_to_hstar(Poly([1]), 9000) == one_plus_x_power(9000)
-        for gamma, d in ((Poly([1]), 10 ** 4), (Poly([1 << 10 ** 8]), 0),
-                         (Poly([1, 1 << 20000]), 5000)):
+        check_hstar_size(14141)
+        with pytest.raises(BoundExceededError):
+            check_hstar_size(14142)
+        for gamma, d in ((Poly([1]), 14142), (Poly([1 << 2 * 10 ** 8]), 0),
+                         (Poly([1, 1 << 40000]), 5000)):
             with pytest.raises(BoundExceededError):
                 gamma_to_hstar(gamma, d)
 
