@@ -421,9 +421,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
+    # built on the first call, not at import; parse_args keeps no state
+    # between calls (each one fills a fresh namespace)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:  # argparse has printed the help or the usage error
         return EXIT_OK if exc.code == 0 else EXIT_PARSE
     start = time.perf_counter()

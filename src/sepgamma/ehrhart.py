@@ -1,28 +1,32 @@
 """Ground-truth h*-polynomials by exact lattice-point counting.
 
 Builds the V-representation of a symmetric edge polytope (type A or B),
-derives the facet inequalities by brute-force hyperplane enumeration,
-counts |tP n Z^d| for t = 1..d+1 by scanning the bounding box, and
-applies the binomial transform.  Everything is integer arithmetic;
-nothing floats.
+derives the facet inequalities by the double-description method, counts
+|tP n Z^d| for t = 1..d+1 by walking the lattice points of the
+projections of tP to its leading coordinates, and applies the binomial
+transform.  Everything is integer arithmetic; nothing floats.  Nothing
+here assumes a unimodular cover, the integer decomposition property or
+any formula: the oracle reads only the points.
 
 One unimodular integer row reduction does all the lattice algebra.  On
 the matrix whose columns are the differences p - p0 it yields each
 point's coordinates in a full-dimensional lattice copy of the polytope
 (the pivot rows; their number is the dimension), which changes no
-dilate's point count.  On the d - 1 differences of d points, with the
-transform tracked, the transform's last row is the primitive normal of
-the hyperplane through them.
+dilate's point count.  On d vectors of Z^(d+1), with the transform
+tracked, the transform's last row is the primitive vector orthogonal to
+them: the initial rays of the double description.
 
-This oracle exists to validate the formula paths at desk scale, never to
-be fast; every stage has a loud resource guard.
+The hyperplane brute force and the bounding-box scan that these stages
+replaced are kept in the tests (tests/oracles.py) as references.  This
+oracle validates the formula paths at desk scale; every stage has a loud
+resource guard.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from operator import mul
 from typing import Optional
 
 from .errors import BoundExceededError, PreconditionError, VerificationError
@@ -44,6 +48,7 @@ class LatticePolytope:
     points: tuple
     dim: int
     hrep: Optional[tuple] = field(default=None)
+    levels: Optional[tuple] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +143,79 @@ def reduce_to_full_dim(p: LatticePolytope) -> LatticePolytope:
 # Facets
 # ---------------------------------------------------------------------------
 
+def _dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _facets(pts: list, d: int) -> tuple:
+    """Sorted facets (normal, offset) of the hull of the distinct points
+    `pts`, which span Z^d affinely: the extreme rays y = (offset, -normal)
+    of the cone {y : y . (1, q) >= 0 for every point q}, by Motzkin's
+    double description.
+
+    The cone of d + 1 affinely independent points is simplicial: each ray
+    is the primitive transform row that clears the other d.  Every further
+    point keeps the rays on its side and adds, for each adjacent pair that
+    it separates, the combination zero on it.  A pair is adjacent when no
+    third ray is tight on every point they share (the combinatorial test,
+    valid because every ray kept is extreme).  Each facet holds lattice
+    points, so gcd(offset, normal) = gcd(normal) and a primitive ray is a
+    primitive normal."""
+    if d == 0:
+        return ()
+    vecs = [(1,) + q for q in pts]
+    base = []
+    for i, v in enumerate(vecs):
+        rows = [list(vecs[j]) for j in base] + [list(v)]
+        if _row_reduce(rows, d + 1) == len(rows):
+            base.append(i)
+            if len(base) == d + 1:
+                break
+    rays = []  # (y, bitmask of the points y is tight on)
+    for i in base:
+        others = [vecs[j] for j in base if j != i]
+        mat = [[w[r] for w in others] + [int(r == c) for c in range(d + 1)]
+               for r in range(d + 1)]
+        _row_reduce(mat, d)
+        y = mat[-1][d:]
+        if _dot(y, vecs[i]) < 0:
+            y = [-a for a in y]
+        rays.append((y, sum(1 << j for j in base if j != i)))
+    for i in sorted(set(range(len(vecs))) - set(base)):
+        v, bit = vecs[i], 1 << i
+        pos, neg, kept = [], [], []
+        for y, tight in rays:
+            s = _dot(y, v)
+            if s > 0:
+                pos.append((y, tight, s))
+                kept.append((y, tight))
+            elif s < 0:
+                neg.append((y, tight, s))
+            else:
+                kept.append((y, tight | bit))
+        if neg:
+            masks = [tight for _, tight in rays]
+            for yp, tp, sp in pos:
+                for yn, tn, sn in neg:
+                    common = tp & tn
+                    if common.bit_count() < d - 1:
+                        continue
+                    # rays tight on all of `common`: the pair itself, and
+                    # any third one makes the pair non-adjacent
+                    if sum(1 for m in masks if m & common == common) > 2:
+                        continue
+                    y = [sp * b - sn * a for a, b in zip(yp, yn)]
+                    g = math.gcd(*y)
+                    kept.append(([a // g for a in y], common | bit))
+        rays = kept
+    return tuple(sorted((tuple(-a for a in y[1:]), y[0]) for y, _ in rays))
+
+
 def h_representation(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
                      max_points: int = MAX_HREP_POINTS) -> tuple:
     """Irredundant facet list [(normal, offset)] with primitive integer
-    normals, meaning normal . x <= offset; brute force over hyperplanes
-    spanned by d affinely independent points.  Caches into p.hrep."""
+    normals, meaning normal . x <= offset, sorted; by double description
+    (see _facets).  Caches into p.hrep."""
     if p.dim != p.ambient_dim:
         raise PreconditionError("reduce to full dimension before facets")
     d = p.dim
@@ -151,29 +224,7 @@ def h_representation(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
     pts = sorted(set(p.points))
     if len(pts) > max_points:
         raise BoundExceededError(f"{len(pts)} points > {max_points}")
-    facets = set()
-    seen = set()
-    for subset in combinations(pts, d) if d else ():
-        # the transform row that clears the d - 1 differences is the
-        # primitive normal, unless they have lower rank
-        x0 = subset[0]
-        mat = [[q[j] - x0[j] for q in subset[1:]] + [int(i == j) for i in range(d)]
-               for j in range(d)]
-        if _row_reduce(mat, d - 1) < d - 1:
-            continue
-        normal = tuple(mat[-1][d - 1:])
-        offset0 = sum(a * b for a, b in zip(normal, x0))
-        neg = tuple(-v for v in normal)
-        key = max((normal, offset0), (neg, -offset0))
-        if key in seen:
-            continue
-        seen.add(key)
-        dots = [sum(a * b for a, b in zip(normal, q)) for q in pts]
-        if max(dots) == offset0:
-            facets.add((normal, offset0))
-        if min(dots) == offset0:
-            facets.add((neg, -offset0))
-    out = tuple(sorted(facets))
+    out = _facets(pts, d)
     p.hrep = out
     return out
 
@@ -182,50 +233,71 @@ def h_representation(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
 # Counting and the h* transform
 # ---------------------------------------------------------------------------
 
+def _levels(p: LatticePolytope) -> tuple:
+    """For k = 1..d, the facets of the projection of P to x_1..x_k whose
+    x_k coefficient is nonzero, as (upper, lower) lists of (prefix
+    coefficients, |x_k coefficient|, offset).  Level d is P's own hrep.
+    Given a prefix in the projection to x_1..x_(k-1), they cut out the
+    interval of x_k in the projection to x_1..x_k: the facets with a zero
+    x_k coefficient hold on the whole shorter projection."""
+    out = []
+    for k in range(1, p.dim + 1):
+        facets = p.hrep if k == p.dim else _facets(sorted({q[:k] for q in p.points}), k)
+        out.append((
+            [(n[:k - 1], n[k - 1], b) for n, b in facets if n[k - 1] > 0],
+            [(n[:k - 1], -n[k - 1], b) for n, b in facets if n[k - 1] < 0]))
+    return tuple(out)
+
+
 def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> int:
-    """|tP n Z^d| by scanning the bounding box of tP: iterate the first d-1
-    coordinates, solve the last one as an exact integer interval from the
-    facet inequalities."""
+    """|tP n Z^d|, walking coordinate by coordinate through the lattice
+    points of the projections of tP (see _levels): each x_k ranges over an
+    exact integer interval given x_1..x_(k-1).  The last two coordinates
+    share one partial sum per facet.  Guarded by the size of the bounding
+    box of tP."""
     if p.hrep is None:
         raise PreconditionError("h-representation not computed")
     d = p.dim
     if d == 0:
         return 1
-    lo = [t * min(q[i] for q in p.points) for i in range(d)]
-    hi = [t * max(q[i] for q in p.points) for i in range(d)]
     vol = 1
-    for a, b in zip(lo, hi):
-        vol *= (b - a + 1)
+    for i in range(d):
+        vol *= t * (max(q[i] for q in p.points) - min(q[i] for q in p.points)) + 1
         if vol > budget:
             raise BoundExceededError(f"bounding box of {t}P exceeds {budget} points")
-    facets = [(f[0], t * f[1]) for f in p.hrep]
-    count = 0
-    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(d - 1))):
-        lo_x, hi_x = lo[d - 1], hi[d - 1]
-        feasible = True
-        for normal, b in facets:
-            partial = sum(a * x for a, x in zip(normal, prefix))
-            a_last = normal[d - 1]
-            rhs = b - partial
-            if a_last == 0:
-                if rhs < 0:
-                    feasible = False
-                    break
-            elif a_last > 0:
-                hi_x = min(hi_x, rhs // a_last)
-            else:
-                lo_x = max(lo_x, _ceil_div(rhs, a_last))
-            if lo_x > hi_x:
-                feasible = False
-                break
-        if feasible and hi_x >= lo_x:
-            count += hi_x - lo_x + 1
-    return count
+    if p.levels is None:
+        p.levels = _levels(p)
+    # x_k <= r // a on an upper facet and x_k >= -(r // a) on a lower one,
+    # with r = t * offset - (prefix coefficients) . prefix
+    levels = [([(c, a, t * b) for c, a, b in upper], [(c, a, t * b) for c, a, b in lower])
+              for upper, lower in p.levels]
 
+    def interval(k, prefix):
+        upper, lower = levels[k]
+        return (-min([(b - _dot(c, prefix)) // a for c, a, b in lower]),
+                min([(b - _dot(c, prefix)) // a for c, a, b in upper]))
 
-def _ceil_div(p: int, q: int) -> int:
-    """ceil(p/q) for q != 0, exact."""
-    return -((-p) // q) if q > 0 else -(p // (-q))
+    def walk(prefix):
+        k = len(prefix)
+        lo, hi = interval(k, prefix)
+        if k < d - 2:
+            return sum(walk(prefix + (x,)) for x in range(lo, hi + 1))
+        if k == d - 1:
+            return max(hi - lo + 1, 0)
+        # x_(d-1) = x: level d's bound is (r - c_(d-1) x) // a, with r
+        # computed once for the prefix
+        upper, lower = levels[d - 1]
+        upper = [(b - _dot(c, prefix), c[-1], a) for c, a, b in upper]
+        lower = [(b - _dot(c, prefix), c[-1], a) for c, a, b in lower]
+        count = 0
+        for x in range(lo, hi + 1):
+            top = min([(r - c * x) // a for r, c, a in upper])
+            bottom = -min([(r - c * x) // a for r, c, a in lower])
+            if top >= bottom:
+                count += top - bottom + 1
+        return count
+
+    return walk(())
 
 
 @dataclass(frozen=True)

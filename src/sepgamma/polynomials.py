@@ -248,17 +248,21 @@ def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
     """Expand sum_i gamma_i x^i (1+x)^(d-2i).
 
     With m = deg gamma this is (1+x)^(d-2m) sum_i gamma_i x^i (1+x)^(2(m-i)),
-    and the sum takes m Horner steps in (1+x)^2.  Inverse of hstar_to_gamma
-    on palindromic polynomials of degree d.  Guarded by check_hstar_size.
+    and the sum takes m Horner steps in (1+x)^2, each one pass of additions
+    over the coefficients.  Inverse of hstar_to_gamma on palindromic
+    polynomials of degree d.  Guarded by check_hstar_size.
     """
     m = gamma.degree
     if m > d // 2:
         raise ValueError(f"gamma degree {m} exceeds floor({d}/2)")
     check_hstar_size(d, max(int(abs(c)).bit_length() for c in gamma.coeffs or (1,)))
-    out = Poly()
+    out = []
     for i, c in enumerate(gamma.coeffs):
-        out = out * Poly((1, 2, 1)) + Poly.monomial(i, c)
-    return out * one_plus_x_power(d - 2 * m)
+        # out * (1 + 2x + x^2) + c x^i
+        pad = [0, 0] + out + [0, 0]
+        out = [pad[k + 2] + 2 * pad[k + 1] + pad[k] for k in range(len(out) + 2)]
+        out[i] += c
+    return Poly(out) * one_plus_x_power(d - 2 * m)
 
 
 def hstar_to_gamma(hstar: Poly) -> Poly:

@@ -10,15 +10,22 @@ lowest vertex of an induced-subgraph bitmask.
 The library's classify works block by block and stops its cycle search at
 the first edge in two even cycles; classify_reference lists every simple
 cycle and reads each flag off the list.
+
+The Ehrhart oracle finds facets by double description and counts lattice
+points through the projections of tP; h_representation_reference tries the
+hyperplane through every d points, and count_points_reference scans the
+bounding box of tP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
-from sepgamma import Graph, GraphClassification, Poly
+from sepgamma import Graph, GraphClassification, LatticePolytope, Poly
+from sepgamma.ehrhart import _row_reduce
 from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
                              simple_cycles)
 
@@ -193,3 +200,58 @@ def mu_poly_reference(g: Graph, weights: dict, cls=None) -> Poly:
         return w
 
     return cycle_family_sum(g, cycle_families(g, cls), alpha, weight)
+
+
+def h_representation_reference(p: LatticePolytope) -> tuple:
+    """Sorted facets (normal, offset) of a full-dimensional p, with primitive
+    normals: every hyperplane spanned by d affinely independent points that
+    has all points on one side."""
+    d = p.dim
+    pts = sorted(set(p.points))
+    facets = set()
+    seen = set()
+    for subset in combinations(pts, d) if d else ():
+        # the transform row that clears the d - 1 differences is the
+        # primitive normal, unless they have lower rank
+        x0 = subset[0]
+        mat = [[q[j] - x0[j] for q in subset[1:]] + [int(i == j) for i in range(d)]
+               for j in range(d)]
+        if _row_reduce(mat, d - 1) < d - 1:
+            continue
+        normal = tuple(mat[-1][d - 1:])
+        offset0 = sum(a * b for a, b in zip(normal, x0))
+        neg = tuple(-v for v in normal)
+        key = max((normal, offset0), (neg, -offset0))
+        if key in seen:
+            continue
+        seen.add(key)
+        dots = [sum(a * b for a, b in zip(normal, q)) for q in pts]
+        if max(dots) == offset0:
+            facets.add((normal, offset0))
+        if min(dots) == offset0:
+            facets.add((neg, -offset0))
+    return tuple(sorted(facets))
+
+
+def count_points_reference(p: LatticePolytope, t: int) -> int:
+    """|tP n Z^d| by scanning the bounding box of tP against p.hrep: iterate
+    the first d - 1 coordinates, solve the last one as an integer interval."""
+    d = p.dim
+    if d == 0:
+        return 1
+    lo = [t * min(q[i] for q in p.points) for i in range(d)]
+    hi = [t * max(q[i] for q in p.points) for i in range(d)]
+    count = 0
+    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(d - 1))):
+        lo_x, hi_x = lo[d - 1], hi[d - 1]
+        for normal, b in p.hrep:
+            rhs = t * b - sum(a * x for a, x in zip(normal, prefix))
+            a_last = normal[d - 1]
+            if a_last > 0:
+                hi_x = min(hi_x, rhs // a_last)
+            elif a_last < 0:
+                lo_x = max(lo_x, -(rhs // -a_last))
+            elif rhs < 0:
+                hi_x = lo_x - 1
+        count += max(hi_x - lo_x + 1, 0)
+    return count

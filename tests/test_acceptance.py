@@ -26,7 +26,7 @@ from sepgamma import (Graph, Poly, char_poly_adjacency, classify,
                       witness_b)
 from sepgamma.graphs import bipartition_of
 
-from conftest import all_graphs_upto, random_graph
+from conftest import all_graphs_upto, atlas_graphs, random_graph
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +135,7 @@ class TestCriterion2OracleEquivalence:
     def test_ehrhart_ground_truth_upto_4(self):
         start = time.perf_counter()
         n_a = n_b = 0
-        for g in all_graphs_upto(4):
+        for g in [*all_graphs_upto(4), *atlas_graphs(5, min_n=5)]:
             cls = classify(g)
             if cls.connected:
                 res = gamma_a_cut_sum(g)
@@ -156,7 +156,8 @@ class TestCriterion2OracleEquivalence:
         elapsed = time.perf_counter() - start
         assert elapsed < 600
         print(f"\nCRITERION 2c PASS Ehrhart oracle matches formulas: "
-              f"{n_a} connected type-A, {n_b} bipartite type-B inputs <= 4 "
+              f"{n_a} connected type-A, {n_b} bipartite type-B inputs: "
+              f"labeled <= 4, atlas classes on 5 "
               f"({elapsed:.1f}s)")
 
     def test_interior_identity_definition_vs_fast(self, corpus6):
@@ -293,14 +294,15 @@ class TestCriterion6StructuralInvariants:
     def test_reflexivity_pattern_b_upto_4(self):
         start = time.perf_counter()
         checked = 0
-        for g in all_graphs_upto(4):
+        for g in [*all_graphs_upto(4), *atlas_graphs(5, min_n=5)]:
             data = oracle_hstar_b(g)
             bip = bipartition_of(g) is not None
             assert reflexivity_check(data.hstar, g.n) == bip
             checked += 1
         elapsed = time.perf_counter() - start
         print(f"\nCRITERION 6b PASS B-polytope palindromic iff bipartite on "
-              f"all {checked} labeled graphs <= 4 ({elapsed:.1f}s)")
+              f"{checked} graphs: labeled <= 4, atlas classes on 5 "
+              f"({elapsed:.1f}s)")
 
     def test_a_polytopes_always_reflexive(self):
         for g in all_graphs_upto(3):

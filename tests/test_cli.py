@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from sepgamma import (Graph, complete_bipartite, complete_graph, graphs,
+from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
                       parse_graph, to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
@@ -150,6 +154,26 @@ RESULT_KEYS = ("method", "gamma", "hstar", "volume", "dim")
 
 
 class TestContract:
+    def test_one_parser_serves_every_call(self, c4_file, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        built = count_calls(monkeypatch, cli.build_parser)
+        # each override would change the next call's exit code if its
+        # appended list outlived the call that parsed it
+        requests = [
+            (["gamma-a"], 1),  # usage error: no path
+            (["gamma-a", c4_file, "--method", "cuts", "--bound-override", "cut-sum=2"], 4),
+            (["gamma-a", c4_file, "--method", "cuts", "--bound-override", "hrep-dim=1"], 0),
+            (["gamma-a", c4_file, "--method", "cuts"], 0),
+        ]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        for argv, code in requests:
+            alone = subprocess.run([sys.executable, "-m", "sepgamma.cli", *argv],
+                                   capture_output=True, text=True, env=env)
+            assert main(argv) == alone.returncode == code
+            assert capsys.readouterr().out == alone.stdout
+        assert len(built) == 1
+
     @pytest.mark.parametrize("command,polytope,method", METHOD_COMBINATIONS)
     def test_every_method_ends_with_a_contract_code(self, c4_file, capsys,
                                                     command, polytope, method):

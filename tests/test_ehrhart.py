@@ -10,7 +10,11 @@ from sepgamma import (BoundExceededError, Graph, LatticePolytope, Poly,
                       empty_graph, gamma_to_hstar, h_representation,
                       hstar_from_counts, path_graph, reduce_to_full_dim,
                       reflexivity_check)
-from sepgamma.ehrhart import _row_reduce
+from sepgamma.ehrhart import _pivot_rows, _row_reduce
+from sepgamma.graphs import suspension
+
+from conftest import atlas_graphs
+from oracles import count_points_reference, h_representation_reference
 
 
 def det(mat):
@@ -260,3 +264,87 @@ class TestOracleEndToEnd:
         b3 = ehrhart_data(build_b(cycle_graph(3)))
         assert not reflexivity_check(b3.hstar, 3)
         assert reflexivity_check(Poly([1, 1]) ** 5, 5)
+
+
+def assert_matches_references(q, max_t):
+    """Facets equal the hyperplane brute force, and |tP n Z^d| equals the
+    box scan for t = 1..max_t."""
+    assert h_representation(q) == h_representation_reference(q)
+    for t in range(1, max_t + 1):
+        assert count_points(q, t) == count_points_reference(q, t)
+
+
+def test_atlas_polytopes_match_references():
+    # every atlas polytope of dimension <= 4: type A for n <= 5, type B and
+    # the suspension for n <= 4
+    checked = 0
+    for g in atlas_graphs(5):
+        polytopes = [build_a(g)]
+        if g.n <= 4:
+            polytopes += [build_b(g), build_a(suspension(g))]
+        for p in polytopes:
+            q = reduce_to_full_dim(p)
+            assert_matches_references(q, q.dim + 1)
+            checked += 1
+    assert checked == 52 + 18 + 18
+
+
+@st.composite
+def point_sets(draw):
+    """Integer points in [-2, 2]^d, d = 1..5, with repeated points and, in
+    low dimension, the cube {-1, 1}^d: a hull with non-simplicial facets
+    that holds the origin and the midpoints of its edges inside."""
+    d = draw(st.integers(1, 5))
+    pts = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * d), min_size=1, max_size=8))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
+    if d <= 3 and draw(st.booleans()):
+        pts += list(product((-1, 1), repeat=d))
+        pts += [(0,) * d] + [(0,) * (d - 1) + (s,) for s in (-1, 1)]
+    return pts
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(point_sets())
+@example(list(product((-1, 0, 1), repeat=3)))  # every face non-simplicial
+@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 1), (2, 0)])
+@example([(2, 1, 0, -1, 0), (0, 0, 0, 0, 0)] + [(0,) * k + (1,) + (0,) * (4 - k) for k in range(5)])
+def test_random_point_sets_match_references(points):
+    q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points),
+                                           len(_pivot_rows(points))))
+    assert_matches_references(q, q.dim + 1 if q.dim <= 3 else 2)
+
+
+class TestGuardsUnchanged:
+    """Each guard raises on exactly the inputs past its bound, and its
+    message names the work it refused."""
+
+    def test_hrep_dim(self):
+        q = reduce_to_full_dim(build_a(suspension(cycle_graph(4))))
+        assert h_representation(q, max_dim=4)
+        with pytest.raises(BoundExceededError) as exc:
+            h_representation(q, max_dim=3)
+        assert str(exc.value) == "facet enumeration in dimension 4 > 3"
+
+    def test_hrep_points_counts_distinct_points(self):
+        pts = ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0))
+        assert h_representation(LatticePolytope(2, pts, 2), max_points=4)
+        with pytest.raises(BoundExceededError) as exc:
+            h_representation(LatticePolytope(2, pts, 2), max_points=3)
+        assert str(exc.value) == "4 points > 3"
+        # the dimension is checked first
+        with pytest.raises(BoundExceededError) as exc:
+            h_representation(LatticePolytope(2, pts, 2), max_dim=1, max_points=3)
+        assert str(exc.value) == "facet enumeration in dimension 2 > 1"
+
+    def test_box(self):
+        sq = build_b(Graph.make(2, [(1, 2)]))
+        h_representation(sq)
+        # the box of 3P is [-3, 3]^2: 49 points
+        assert count_points(sq, 3, budget=49) == 49
+        with pytest.raises(BoundExceededError) as exc:
+            count_points(sq, 3, budget=48)
+        assert str(exc.value) == "bounding box of 3P exceeds 48 points"
+        # checked coordinate by coordinate, as a running product
+        with pytest.raises(BoundExceededError) as exc:
+            count_points(sq, 3, budget=6)
+        assert str(exc.value) == "bounding box of 3P exceeds 6 points"

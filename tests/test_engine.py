@@ -119,6 +119,24 @@ class TestDispatchA:
             assert solve(g, "b", "interior", cls).gamma == \
                 Poly(matched_vertex_sets(g)).scale_arg(4)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(1, n), st.integers(1, n))
+                            .filter(lambda e: e[0] < e[1])))))
+    def test_ehrhart_and_auto_agree(self, graph):
+        g = Graph.make(*graph)
+        cls = classify(g)
+        for polytope in ("ahat", "b"):
+            oracle = solve(g, polytope, "ehrhart", cls)
+            if polytope == "b" and not cls.bipartite:
+                assert oracle.gamma is None
+                with pytest.raises(PreconditionError):
+                    solve(g, polytope, "auto", cls)
+                continue
+            auto = solve(g, polytope, "auto", cls)
+            assert (oracle.gamma, oracle.hstar, oracle.volume, oracle.dim) == \
+                (auto.gamma, auto.hstar, auto.volume, auto.dim)
+
     def test_formula_raises_on_k4(self):
         with pytest.raises(PreconditionError):
             solve(complete_graph(4), "ahat", "formula")

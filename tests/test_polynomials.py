@@ -80,6 +80,34 @@ class TestGammaTransforms:
             with pytest.raises(BoundExceededError):
                 gamma_to_hstar(gamma, d)
 
+    def test_horner_steps_match_products(self):
+        def by_products(gamma, d):
+            out = Poly()
+            for i, c in enumerate(gamma.coeffs):
+                out = out * Poly((1, 2, 1)) + Poly.monomial(i, c)
+            return out * one_plus_x_power(d - 2 * gamma.degree)
+
+        rng = random.Random(20261018)
+        cases = [(Poly(), 0), (Poly(), 5), (Poly([7]), 0), (Poly([1]), 1),
+                 (Poly([Fraction(1, 3), 2]), 3), (Poly([1, 1 << 300]), 40)]
+        for _ in range(200):
+            m = rng.randrange(0, 9)
+            gamma = Poly([rng.randrange(-50, 51) for _ in range(m)] + [rng.randrange(1, 51)])
+            cases.append((gamma, 2 * m))            # d = 2 deg gamma
+            cases.append((gamma, 2 * m + 1))        # odd d
+            cases.append((gamma, 2 * m + rng.randrange(2, 9)))
+        for gamma, d in cases:
+            assert gamma_to_hstar(gamma, d) == by_products(gamma, d)
+        # at the size bound: gamma = 1 with d = 14,141 passes the guard, and
+        # the largest gamma bits that pass with d = 40 still match
+        check_hstar_size(14141)
+        bits = 2 * 10 ** 8 // 41 - 40
+        check_hstar_size(40, bits)
+        gamma = Poly([1, (1 << bits - 1) + 1])
+        assert gamma_to_hstar(gamma, 40) == by_products(gamma, 40)
+        with pytest.raises(BoundExceededError):
+            gamma_to_hstar(Poly([1, 1 << bits]), 40)
+
     def test_binomial_rows(self):
         for k in range(12):
             assert one_plus_x_power(k).coeff_list() == \
