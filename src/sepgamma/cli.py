@@ -27,7 +27,7 @@ from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
 from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
 from .matching import MAX_MATCHED_SET_VERTICES
-from .polynomials import Poly, check_properties
+from .polynomials import Poly, check_hstar_size, check_properties
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -316,6 +316,7 @@ def cmd_batch(args) -> int:
         path = os.path.join(args.dir, name)
         try:
             g = _load_graph(path)
+            check_hstar_size(g.n)  # solve raises it too, but after classify
             cls = classify(g)
             res = engine.solve(g, "ahat", "auto", cls, bounds)
             flags = [label for label, on in (

@@ -4,8 +4,8 @@ counts |M(G,k)|, and independence polynomials.
 tiling_poly is the one DP behind every matching formula, with or without
 cycle corrections; matchable_pairs is the one count behind the dense
 routes (the suspension gamma of any graph, |M(G,k)| of any bipartite
-graph); the |M(G,k)| oracle enumerates every matching and deduplicates
-vertex sets, exactly as the definition reads.
+graph); the |M(G,k)| oracle builds the matched vertex sets themselves, one
+size at a time, from the lowest vertex of each, without listing matchings.
 """
 
 from __future__ import annotations
@@ -208,28 +208,38 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None) -> list:
 
 
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:
-    """|M(G,k)| by brute force: enumerate all matchings, deduplicate the
-    matched vertex sets per k.  |M(G,0)| = 1 for the empty set."""
+    """|M(G,k)|, the number of vertex sets of k-matchings, as the sizes of
+    levels of vertex bitmasks: level 0 is {empty set}, and level k+1 holds
+    every S + u + v with S in level k, u below every vertex of S, and uv an
+    edge with v above u and outside S.  In a matching of a set T, the
+    lowest vertex u of T is matched to some v above it, and the other edges
+    match T - u - v, whose vertices all lie above u; so each level holds
+    exactly the matched sets of its size, and no matching is listed.
+    Trailing zeros are trimmed; |M(G,0)| = 1."""
     check_matched_sets_bound(g, max_n)
-    edge_masks = [
-        (1 << (u - 1)) | (1 << (v - 1)) for u, v in g.sorted_edges()
-    ]
-    seen = [set() for _ in range(g.n // 2 + 1)]
-    seen[0].add(0)
-
-    def rec(i: int, used: int, k: int):
-        for j in range(i, len(edge_masks)):
-            em = edge_masks[j]
-            if used & em:
-                continue
-            seen[k + 1].add(used | em)
-            rec(j + 1, used | em, k + 1)
-
-    rec(0, 0, 0)
-    out = [len(s) for s in seen]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+    adj = g.adjacency_masks()
+    up = [adj[u] >> (u + 1) << (u + 1) for u in range(g.n)]
+    out = [1]
+    level = {0}
+    top = 1 << g.n
+    while True:
+        grown = set()
+        for s in level:
+            below = (s & -s or top) - 1
+            while below:
+                bit = below & -below
+                below ^= bit
+                u = bit.bit_length() - 1
+                free = up[u] & ~s
+                s_u = s | bit
+                while free:
+                    v = free & -free
+                    free ^= v
+                    grown.add(s_u | v)
+        if not grown:
+            return out
+        out.append(len(grown))
+        level = grown
 
 
 def matched_vertex_sets_formula(g: Graph,

@@ -184,6 +184,29 @@ def matched_sets_reference(g: Graph, cls=None) -> list:
     ).coeff_list()
 
 
+def matched_sets_by_matchings(g: Graph) -> list:
+    """|M(G,k)| as the definition reads: enumerate every matching depth
+    first over the sorted edges and deduplicate the matched vertex sets per
+    k.  |M(G,0)| = 1; trailing zeros trimmed."""
+    edge_masks = [(1 << (u - 1)) | (1 << (v - 1)) for u, v in g.sorted_edges()]
+    seen = [set() for _ in range(g.n // 2 + 1)]
+    seen[0].add(0)
+
+    def rec(i: int, used: int, k: int):
+        for j in range(i, len(edge_masks)):
+            em = edge_masks[j]
+            if used & em:
+                continue
+            seen[k + 1].add(used | em)
+            rec(j + 1, used | em, k + 1)
+
+    rec(0, 0, 0)
+    out = [len(s) for s in seen]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
 def mu_poly_reference(g: Graph, weights: dict, cls=None) -> Poly:
     """alpha(G,x) + sum_R (-2)^c(R) alpha(G-R,x) prod of the weights of R's
     cycles, over the families R of cycles of any parity."""

@@ -456,6 +456,20 @@ class TestBatch:
         assert "c3.txt" in captured.out
         assert "a_bad.txt" in captured.err
 
+    def test_huge_declared_vertex_count_fails_fast(self, tmp_path, capsys):
+        # the h* size is checked before classify, as solve would raise it
+        d = tmp_path / "huge"
+        d.mkdir()
+        (d / "g.txt").write_text("n 3000000\n1 2\n")
+        start = time.process_time()
+        assert main(["batch", str(d)]) == 1
+        assert time.process_time() - start < 1
+        captured = capsys.readouterr()
+        assert captured.out == \
+            "name,n,edges,class,gamma,hstar,volume,real_rooted,agreement\r\n"
+        assert captured.err.startswith(
+            "FAILED g.txt: h* of degree 3000000 holds about")
+
     def test_structured(self, tmp_path, capsys):
         d = tmp_path / "one"
         d.mkdir()

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from sepgamma import (Bipartition, Graph, Hypergraph, Poly, PreconditionError,
-                      bip, classify, complete_bipartite, cut_sum_gamma,
-                      cycle_graph, empty_graph, hypergraph_from_bipartite,
+                      bip, classify, complete_bipartite, complete_graph,
+                      cut_sum_gamma, cycle_graph, empty_graph,
+                      hypergraph_from_bipartite,
                       hypertrees, interior_poly, interior_tilde_definition,
                       interior_tilde_fast, path_graph, spanning_trees,
                       suspension_gamma_formula, tilde)
@@ -202,6 +203,12 @@ class TestCutSum:
         assert cut_sum_gamma(Graph.make(2, [(1, 2)])) == Poly([1, 2])
         assert cut_sum_gamma(cycle_graph(4)) == Poly([1, 8, 6])
         assert cut_sum_gamma(empty_graph(1)) == Poly([1])
+
+    def test_complete_graphs_closed_form(self):
+        # gamma_k of the suspension of K_n is C(n, 2k) C(2k, k)
+        for n in range(8, 12):
+            assert cut_sum_gamma(complete_graph(n)).coeff_list() == \
+                [math.comb(n, 2 * k) * math.comb(2 * k, k) for k in range(n // 2 + 1)]
 
     def test_matches_formula_on_random_qualifying(self):
         rng = random.Random(83)

@@ -2,12 +2,13 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sepgamma import (Graph, Poly, PreconditionError, classify,
-                      complete_bipartite, complete_graph, cut_sum_gamma,
+from sepgamma import (BoundExceededError, Graph, Poly, PreconditionError,
+                      classify, complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gen_poly, independence_poly,
                       is_real_rooted, line_graph, matchable_pairs,
                       matched_vertex_sets,
@@ -15,9 +16,10 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       matching_poly, matching_profile, mu_poly, path_graph,
                       star_graph, suspension_gamma_formula, tiling_poly)
 
-from conftest import all_graphs_upto, random_graph
+from conftest import all_graphs_upto, pair_list, random_graph
 from sepgamma.graphs import bipartition_of
-from oracles import (gen_poly_reference, matched_sets_reference,
+from oracles import (gen_poly_reference, matched_sets_by_matchings,
+                     matched_sets_reference,
                      mu_poly_reference, suspension_gamma_reference)
 
 
@@ -34,6 +36,16 @@ def cactus_edges(draw_int, n):
         edges += ([(at, ring[1])] if k == 2
                   else [(ring[i], ring[(i + 1) % k]) for i in range(k)])
     return edges
+
+
+@st.composite
+def graphs_with_a_cut(draw, max_n):
+    """(G, crossing graph of a cut of G) on 1..n vertices, n <= max_n."""
+    n = draw(st.integers(1, max_n))
+    edges = [e for e in pair_list(n) if draw(st.booleans())]
+    side = draw(st.sets(st.integers(1, n)))
+    return (Graph.make(n, edges),
+            Graph.make(n, [(u, v) for u, v in edges if (u in side) != (v in side)]))
 
 
 class TestCounts:
@@ -85,6 +97,22 @@ class TestMatchedVertexSets:
         assert matched_vertex_sets(cycle_graph(3)) == [1, 3]
         two_edges = Graph.make(4, [(1, 2), (3, 4)])
         assert matched_vertex_sets(two_edges) == [1, 2, 1]
+
+    def test_equals_matching_enumeration(self, atlas7):
+        for g in chain(all_graphs_upto(6), atlas7):
+            assert matched_vertex_sets(g) == matched_sets_by_matchings(g), g
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(graphs_with_a_cut(10))
+    def test_equals_matching_enumeration_on_random_graphs(self, pair):
+        for g in pair:  # the graph and the crossing graph of one of its cuts
+            assert matched_vertex_sets(g) == matched_sets_by_matchings(g), g
+
+    def test_guard(self):
+        assert matched_vertex_sets(empty_graph(16)) == [1]
+        message = r"^matched-vertex-set enumeration over 17 > 16 vertices$"
+        with pytest.raises(BoundExceededError, match=message):
+            matched_vertex_sets(complete_graph(17))
 
     def test_formula_examples(self):
         assert matched_vertex_sets_formula(cycle_graph(4)) == [1, 4, 1]
