@@ -2,11 +2,22 @@
 
 Builds the V-representation of a symmetric edge polytope (type A or B),
 derives the facet inequalities by the double-description method, counts
-|tP n Z^d| for t = 1..d+1 by walking the lattice points of the
-projections of tP to its leading coordinates, and applies the binomial
-transform.  Everything is integer arithmetic; nothing floats.  Nothing
-here assumes a unimodular cover, the integer decomposition property or
-any formula: the oracle reads only the points.
+|tP n Z^d| by walking the lattice points of the projections of tP to its
+leading coordinates, and applies the binomial transform.  Everything is
+integer arithmetic; nothing floats.  Nothing here assumes a unimodular
+cover, the integer decomposition property or any formula: the oracle
+reads only the points.
+
+Which dilates are counted follows from the facets.  When the mean c of
+the points is a lattice point and every primitive facet inequality
+n . x <= b has b - n . c = 1, P - c is {x : n . x <= 1} with integer
+normals, so P is reflexive, and by Hibi (1992) h* is palindromic of
+degree d.  L(0..t) fix h*_0..h*_t, so the dilates t = 1..d//2 fix half
+of h* and the mirror gives the rest.  Type A of any graph and type B of
+a bipartite one pass this test.  Otherwise (type B of a non-bipartite
+graph, or a mean that is not a lattice point) every t = 1..d+1 is
+counted.  Either way one more dilate is counted than the transform
+needs, d//2 + 1 or d + 1, and h* must reproduce its count.
 
 One unimodular integer row reduction does all the lattice algebra.  On
 the matrix whose columns are the differences p - p0 it yields each
@@ -302,28 +313,37 @@ def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> in
 
 @dataclass(frozen=True)
 class EhrhartData:
-    """Dilate counts L(0..d+1) and the h*-polynomial they determine."""
+    """The dilate counts L(0), L(1), ... that were counted, the h*-polynomial
+    they determine and the dimension d.  The counts run to L(d+1), or to
+    L(d // 2 + 1) when the facets prove the polytope reflexive."""
     counts: tuple
     hstar: Poly
+    dim: int
 
 
-def hstar_from_counts(counts, d: int) -> Poly:
-    """h*_k = sum_j (-1)^j C(d+1, j) L(k-j); checks nonnegativity and that
-    the resulting Ehrhart form reproduces L(d+1)."""
-    if len(counts) < d + 2 or counts[0] != 1:
-        raise PreconditionError("need counts L(0)=1 .. L(d+1)")
+def hstar_from_counts(counts, d: int, reflexive: bool = False) -> Poly:
+    """h*_k = sum_j (-1)^j C(d+1, j) L(k-j) for k = 0..top, where top = d,
+    or top = d // 2 for a polytope proven reflexive: its h* is palindromic
+    of degree d, so h*_k = h*_(d-k) gives the rest.  The counts run to
+    L(top+1), a redundant dilate: L(t) = sum_k h*_k C(t+d-k, d) must
+    reproduce it.  Checks nonnegativity too."""
+    top = d // 2 if reflexive else d
+    if len(counts) < top + 2 or counts[0] != 1:
+        raise PreconditionError(f"need counts L(0)=1 .. L({top + 1})")
     h = []
-    for k in range(d + 1):
+    for k in range(top + 1):
         v = sum((-1) ** j * math.comb(d + 1, j) * counts[k - j]
                 for j in range(k + 1))
         if v < 0:
             raise VerificationError(
                 f"negative h*_{k} = {v}: counting bug or wrong dimension")
         h.append(v)
-    predicted = sum(h[k] * math.comb(2 * d + 1 - k, d) for k in range(d + 1))
-    if predicted != counts[d + 1]:
+    h += [h[d - k] for k in range(top + 1, d + 1)]
+    t = top + 1
+    predicted = sum(h[k] * math.comb(t + d - k, d) for k in range(d + 1))
+    if predicted != counts[t]:
         raise VerificationError(
-            f"h* does not reproduce L({d + 1}): {predicted} != {counts[d + 1]}")
+            f"h* does not reproduce L({t}): {predicted} != {counts[t]}")
     return Poly(h)
 
 
@@ -332,15 +352,33 @@ def reflexivity_check(hstar: Poly, d: int) -> bool:
     return hstar.degree == d and hstar.is_palindromic()
 
 
+def _facets_prove_reflexive(q: LatticePolytope) -> bool:
+    """True when the mean c of q.points is a lattice point and every facet
+    (normal, offset) of q.hrep has offset - normal . c = 1.  The normals
+    are primitive, so P - c is then {x : normal . x <= 1}: its dual is a
+    lattice polytope, P is reflexive, and by Hibi (1992) h* is palindromic
+    of degree d.  The mean of a full-dimensional point set is interior, but
+    when it is not a lattice point this proves nothing."""
+    m = len(q.points)
+    sums = [sum(col) for col in zip(*q.points)]
+    if any(s % m for s in sums):
+        return False
+    c = [s // m for s in sums]
+    return all(b - _dot(n, c) == 1 for n, b in q.hrep)
+
+
 def ehrhart_data(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
                  max_points: int = MAX_HREP_POINTS,
                  budget: int = MAX_BOX_POINTS) -> EhrhartData:
-    """Full oracle pipeline: reduce, facets, count t = 1..d+1, transform."""
+    """Full oracle pipeline: reduce, facets, count, transform.  It counts
+    t = 1..d//2 + 1 when the facets prove P reflexive, else t = 1..d+1."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
         h_representation(q, max_dim, max_points)
-    counts = [1] + [count_points(q, t, budget) for t in range(1, q.dim + 2)]
-    return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim))
+    reflexive = _facets_prove_reflexive(q)
+    last = q.dim // 2 + 1 if reflexive else q.dim + 1
+    counts = [1] + [count_points(q, t, budget) for t in range(1, last + 1)]
+    return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim, reflexive), q.dim)
 
 
 def oracle_hstar_a(g: Graph, **kw) -> EhrhartData:

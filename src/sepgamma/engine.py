@@ -133,7 +133,7 @@ def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
         data = oracle_hstar_b(g, **kw)
     else:
         data = oracle_hstar_a(suspension(g) if polytope == "ahat" else g, **kw)
-    dim = len(data.counts) - 2
+    dim = data.dim
     # the suspension is connected on n + 1 vertices: any other dimension
     # is a fault in building or reducing the polytope
     if polytope == "ahat" and dim != g.n:

@@ -14,7 +14,9 @@ cycle and reads each flag off the list.
 The Ehrhart oracle finds facets by double description and counts lattice
 points through the projections of tP; h_representation_reference tries the
 hyperplane through every d points, and count_points_reference scans the
-bounding box of tP.
+bounding box of tP.  It counts only the dilates t = 1..d//2 + 1 once its
+facets prove the polytope reflexive; ehrhart_data_reference counts every
+t = 1..d+1 and transforms each coefficient of h*.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from fractions import Fraction
 from itertools import combinations, product
 from typing import Iterable, NamedTuple
 
-from sepgamma import Graph, GraphClassification, LatticePolytope, Poly
+from sepgamma import (EhrhartData, Graph, GraphClassification,
+                      LatticePolytope, Poly, count_points, h_representation,
+                      hstar_from_counts, reduce_to_full_dim)
 from sepgamma.ehrhart import _row_reduce
 from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
                              simple_cycles)
@@ -278,3 +282,13 @@ def count_points_reference(p: LatticePolytope, t: int) -> int:
                 hi_x = lo_x - 1
         count += max(hi_x - lo_x + 1, 0)
     return count
+
+
+def ehrhart_data_reference(p: LatticePolytope) -> EhrhartData:
+    """The Ehrhart oracle with no reflexivity shortcut: reduce, facets,
+    count t = 1..d+1, and take every h*_k from the binomial transform."""
+    q = reduce_to_full_dim(p)
+    if q.hrep is None:
+        h_representation(q)
+    counts = [1] + [count_points(q, t) for t in range(1, q.dim + 2)]
+    return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim), q.dim)

@@ -4,17 +4,19 @@ from itertools import combinations, product
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sepgamma import (BoundExceededError, Graph, LatticePolytope, Poly,
+from sepgamma import (BoundExceededError, EhrhartData, Graph, LatticePolytope, Poly,
                       PreconditionError, VerificationError, build_a, build_b,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
                       empty_graph, gamma_to_hstar, h_representation,
                       hstar_from_counts, path_graph, reduce_to_full_dim,
                       reflexivity_check)
-from sepgamma.ehrhart import _pivot_rows, _row_reduce
+from sepgamma import ehrhart
+from sepgamma.ehrhart import _facets_prove_reflexive, _pivot_rows, _row_reduce
 from sepgamma.graphs import suspension
 
 from conftest import atlas_graphs
-from oracles import count_points_reference, h_representation_reference
+from oracles import (count_points_reference, ehrhart_data_reference,
+                     h_representation_reference)
 
 
 def det(mat):
@@ -229,11 +231,24 @@ class TestHstarTransform:
         with pytest.raises(PreconditionError):
             hstar_from_counts((2, 7, 19, 37), 2)
 
+    def test_reflexive_half(self):
+        # L(0..d//2) give h*_0..h*_(d//2), the mirror gives the rest, and
+        # L(d//2 + 1) is the redundant dilate
+        assert hstar_from_counts((1, 7, 19), 2, reflexive=True) == Poly([1, 4, 1])
+        assert hstar_from_counts((1, 11, 61, 211), 4, reflexive=True) == Poly([1, 6, 16, 6, 1])
+        assert hstar_from_counts((1, 3), 1, reflexive=True) == Poly([1, 1])
+        with pytest.raises(VerificationError) as exc:
+            hstar_from_counts((1, 7, 20), 2, reflexive=True)
+        assert str(exc.value) == "h* does not reproduce L(2): 19 != 20"
+        with pytest.raises(VerificationError):
+            hstar_from_counts((1, 2, 19), 2, reflexive=True)  # negative h*_1
+        with pytest.raises(PreconditionError):
+            hstar_from_counts((1, 7), 2, reflexive=True)
+
     def test_finite_difference_vanishes(self):
-        import math
         for g in (cycle_graph(3), cycle_graph(4)):
-            data = ehrhart_data(build_a(g))
-            d = len(data.counts) - 2
+            data = ehrhart_data_reference(build_a(g))
+            d = data.dim
             diff = sum((-1) ** j * math.comb(d + 1, j) * data.counts[d + 1 - j]
                        for j in range(d + 2))
             assert diff == 0
@@ -241,8 +256,10 @@ class TestHstarTransform:
 
 class TestOracleEndToEnd:
     def test_hexagon(self):
+        assert ehrhart_data_reference(build_a(cycle_graph(3))).counts == (1, 7, 19, 37)
+        # reflexive: only t = 1, 2 are counted
         data = ehrhart_data(build_a(cycle_graph(3)))
-        assert data.counts == (1, 7, 19, 37)
+        assert (data.counts, data.dim) == ((1, 7, 19), 2)
         assert data.hstar == Poly([1, 4, 1])
         assert data.hstar == gamma_to_hstar(Poly([1, 2]), 2)
 
@@ -274,10 +291,22 @@ def assert_matches_references(q, max_t):
         assert count_points(q, t) == count_points_reference(q, t)
 
 
+def assert_half_count_matches_reference(q) -> EhrhartData:
+    """The oracle's h* equals the full count's, and it counts the dilates
+    t = 1..d//2 + 1 exactly when its facets prove reflexivity.  Returns
+    the reference data."""
+    ref = ehrhart_data_reference(q)
+    data = ehrhart_data(q)
+    assert (data.hstar, data.dim) == (ref.hstar, ref.dim)
+    last = q.dim // 2 + 1 if _facets_prove_reflexive(q) else q.dim + 1
+    assert data.counts == ref.counts[:last + 1]
+    return ref
+
+
 def test_atlas_polytopes_match_references():
     # every atlas polytope of dimension <= 4: type A for n <= 5, type B and
     # the suspension for n <= 4
-    checked = 0
+    checked = reflexive = 0
     for g in atlas_graphs(5):
         polytopes = [build_a(g)]
         if g.n <= 4:
@@ -285,8 +314,16 @@ def test_atlas_polytopes_match_references():
         for p in polytopes:
             q = reduce_to_full_dim(p)
             assert_matches_references(q, q.dim + 1)
+            ref = assert_half_count_matches_reference(q)
+            # Hibi: the facet proof holds exactly when h* is palindromic
+            # of degree d (the mean of these points is the origin)
+            proven = _facets_prove_reflexive(q)
+            assert proven == reflexivity_check(ref.hstar, q.dim)
             checked += 1
+            reflexive += proven
     assert checked == 52 + 18 + 18
+    # all but type B of the five non-bipartite graphs with n <= 4
+    assert reflexive == checked - 5
 
 
 @st.composite
@@ -312,6 +349,66 @@ def test_random_point_sets_match_references(points):
     q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points),
                                            len(_pivot_rows(points))))
     assert_matches_references(q, q.dim + 1 if q.dim <= 3 else 2)
+    assert_half_count_matches_reference(q)
+
+
+class TestHalfCount:
+    """Which dilates the oracle counts, and the redundant one it checks."""
+
+    def test_non_reflexive_type_b_counts_every_dilate(self):
+        for g, hstar in ((cycle_graph(3), Poly([1, 15, 23, 1])),
+                         (complete_graph(4), Poly([1, 28, 102, 60, 1]))):
+            q = build_b(g)
+            ref = assert_half_count_matches_reference(q)
+            assert not _facets_prove_reflexive(q)
+            assert len(ehrhart_data(q).counts) == q.dim + 2
+            assert ref.hstar == hstar
+
+    def test_segment_at_distance_two(self):
+        # mean 0, a lattice point, but each facet x <= 2, -x <= 2 lies at
+        # lattice distance 2 from it: L(t) = 4t + 1
+        q = LatticePolytope(1, ((-2,), (2,)), 1)
+        data = ehrhart_data(q)
+        assert not _facets_prove_reflexive(q)
+        assert data.counts == (1, 5, 9) and data.hstar == Poly([1, 3])
+
+    def test_mean_off_the_interior_point(self):
+        # the square [-1, 1]^2 is reflexive, but the non-vertex point
+        # (1, 0) moves the mean to (1/5, 0): the oracle counts every dilate
+        square = ((-1, -1), (-1, 1), (1, -1), (1, 1))
+        assert len(ehrhart_data(LatticePolytope(2, square, 2)).counts) == 3
+        q = LatticePolytope(2, square + ((1, 0),), 2)
+        h_representation(q)
+        assert not _facets_prove_reflexive(q)
+        data = ehrhart_data(q)
+        assert data.counts == (1, 9, 25, 49)
+        assert data.hstar == Poly([1, 6, 1])
+        assert reflexivity_check(data.hstar, 2)
+
+    def test_box_guard_reads_the_largest_dilate_counted(self):
+        # the reduced hexagon's box of tP holds (2t + 1)^2 points, and only
+        # t = 1, 2 are counted; type B of a triangle, box (2t + 1)^3, is not
+        # reflexive, so its count runs to t = 4
+        hexagon = build_a(cycle_graph(3))
+        assert ehrhart_data(hexagon, budget=25).hstar == Poly([1, 4, 1])
+        with pytest.raises(BoundExceededError) as exc:
+            ehrhart_data(hexagon, budget=24)
+        assert str(exc.value) == "bounding box of 2P exceeds 24 points"
+        assert ehrhart_data(build_b(cycle_graph(3)), budget=729).hstar == Poly([1, 15, 23, 1])
+        with pytest.raises(BoundExceededError) as exc:
+            ehrhart_data(build_b(cycle_graph(3)), budget=728)
+        assert str(exc.value) == "bounding box of 4P exceeds 728 points"
+
+    def test_redundant_dilate_catches_a_corrupted_count(self, monkeypatch):
+        # A(C5) is reflexive of dimension 4: t = 1, 2 fix h*, t = 3 checks
+        def corrupted(q, t, budget=ehrhart.MAX_BOX_POINTS):
+            return count_points(q, t, budget) + (t == 3)
+
+        assert ehrhart_data(build_a(cycle_graph(5))).counts == (1, 11, 61, 211)
+        monkeypatch.setattr(ehrhart, "count_points", corrupted)
+        with pytest.raises(VerificationError) as exc:
+            ehrhart_data(build_a(cycle_graph(5)))
+        assert str(exc.value) == "h* does not reproduce L(3): 211 != 212"
 
 
 class TestGuardsUnchanged:
