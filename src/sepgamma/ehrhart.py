@@ -19,13 +19,21 @@ graph, or a mean that is not a lattice point) every t = 1..d+1 is
 counted.  Either way one more dilate is counted than the transform
 needs, d//2 + 1 or d + 1, and h* must reproduce its count.
 
-One unimodular integer row reduction does all the lattice algebra.  On
-the matrix whose columns are the differences p - p0 it yields each
-point's coordinates in a full-dimensional lattice copy of the polytope
-(the pivot rows; their number is the dimension), which changes no
-dilate's point count.  On d vectors of Z^(d+1), with the transform
-tracked, the transform's last row is the primitive vector orthogonal to
-them: the initial rays of the double description.
+Both families are centrally symmetric, and the walk uses it when the
+points prove it: when their mean c is a lattice point and the point set
+is closed under q -> 2c - q, x -> 2tc - x maps tP n Z^d onto itself, and
+the walk counts the slices on one side of the centre twice instead of
+visiting both (see count_points).  Otherwise it walks every slice.
+
+A unimodular integer row reduction on the matrix whose columns are the
+differences p - p0 yields each point's coordinates in a full-dimensional
+lattice copy of the polytope (the pivot rows; their number is the
+dimension), which changes no dilate's point count.  The double
+description starts from the simplicial cone of d + 1 affinely
+independent points: each is tested once against a fraction-free echelon
+of those already taken, and one fraction-free Gauss-Jordan pass gives
+the cone's rays: the rows of the inverse of the matrix whose columns are
+the d + 1 vectors (1, q), made primitive.
 
 The hyperplane brute force and the bounding-box scan that these stages
 replaced are kept in the tests (tests/oracles.py) as references.  This
@@ -70,8 +78,9 @@ def _row_reduce(mat: list, cols: int) -> int:
     """Unimodular row reduction of the first `cols` columns of the integer
     matrix `mat` (a list of rows, changed in place) by row swaps and integer
     row additions.  Returns the rank r: rows[:r] are then in echelon form
-    and the other rows are zero on those columns.  Columns past `cols` (an
-    identity block, say) record the transform."""
+    and the other rows are zero on those columns.  Columns past `cols` are
+    carried along: an identity block there records the transform, which
+    only the test references read; the oracle uses the reduced rows."""
     r0 = 0
     for c in range(cols):
         while True:
@@ -158,40 +167,71 @@ def _dot(u, v) -> int:
     return sum(map(mul, u, v))
 
 
+def _simplex_rays(vecs: list) -> tuple:
+    """The indices of the first n linearly independent vectors of `vecs`,
+    which span Z^n, and the rays of the simplicial cone they bound, as
+    (y, bitmask of the n - 1 vectors y is zero on).
+
+    Each vector is reduced once against a fraction-free echelon of the
+    ones taken so far: it is independent of them iff something is left.
+    Then one fraction-free Gauss-Jordan pass turns [B | I], B the matrix
+    whose columns are the chosen vectors, into [D | M] with D diagonal and
+    M B = D.  Row c of M is zero on every chosen vector but the c-th and
+    has dot product D_cc with it: made primitive and given the sign of
+    D_cc, it is the ray opposite that vector."""
+    n = len(vecs[0])
+    base, echelon = [], []  # echelon: (pivot column, reduced row)
+    for i, v in enumerate(vecs):
+        w = v
+        for c, row in echelon:
+            if w[c]:
+                a, b = row[c], w[c]
+                w = [a * x - b * y for x, y in zip(w, row)]
+        piv = next((c for c, x in enumerate(w) if x), None)
+        if piv is not None:
+            base.append(i)
+            echelon.append((piv, w))
+            if len(base) == n:
+                break
+    mat = [[vecs[j][r] for j in base] + [int(r == c) for c in range(n)]
+           for r in range(n)]
+    for c in range(n):
+        p = next(r for r in range(c, n) if mat[r][c])
+        mat[c], mat[p] = mat[p], mat[c]
+        prow = mat[c]
+        a = prow[c]
+        for r in range(n):
+            b = mat[r][c]
+            if r != c and b:
+                row = [a * x - b * y for x, y in zip(mat[r], prow)]
+                g = math.gcd(*row)
+                mat[r] = [x // g for x in row]
+    everything = sum(1 << j for j in base)
+    rays = []
+    for c in range(n):
+        m = mat[c][n:]
+        g = math.gcd(*m) if mat[c][c] > 0 else -math.gcd(*m)
+        rays.append(([x // g for x in m], everything & ~(1 << base[c])))
+    return base, rays
+
+
 def _facets(pts: list, d: int) -> tuple:
     """Sorted facets (normal, offset) of the hull of the distinct points
     `pts`, which span Z^d affinely: the extreme rays y = (offset, -normal)
     of the cone {y : y . (1, q) >= 0 for every point q}, by Motzkin's
     double description.
 
-    The cone of d + 1 affinely independent points is simplicial: each ray
-    is the primitive transform row that clears the other d.  Every further
-    point keeps the rays on its side and adds, for each adjacent pair that
-    it separates, the combination zero on it.  A pair is adjacent when no
-    third ray is tight on every point they share (the combinatorial test,
-    valid because every ray kept is extreme).  Each facet holds lattice
-    points, so gcd(offset, normal) = gcd(normal) and a primitive ray is a
-    primitive normal."""
+    The cone of d + 1 affinely independent points is simplicial (see
+    _simplex_rays).  Every further point keeps the rays on its side and
+    adds, for each adjacent pair that it separates, the combination zero
+    on it.  A pair is adjacent when no third ray is tight on every point
+    they share (the combinatorial test, valid because every ray kept is
+    extreme).  Each facet holds lattice points, so gcd(offset, normal) =
+    gcd(normal) and a primitive ray is a primitive normal."""
     if d == 0:
         return ()
     vecs = [(1,) + q for q in pts]
-    base = []
-    for i, v in enumerate(vecs):
-        rows = [list(vecs[j]) for j in base] + [list(v)]
-        if _row_reduce(rows, d + 1) == len(rows):
-            base.append(i)
-            if len(base) == d + 1:
-                break
-    rays = []  # (y, bitmask of the points y is tight on)
-    for i in base:
-        others = [vecs[j] for j in base if j != i]
-        mat = [[w[r] for w in others] + [int(r == c) for c in range(d + 1)]
-               for r in range(d + 1)]
-        _row_reduce(mat, d)
-        y = mat[-1][d:]
-        if _dot(y, vecs[i]) < 0:
-            y = [-a for a in y]
-        rays.append((y, sum(1 << j for j in base if j != i)))
+    base, rays = _simplex_rays(vecs)
     for i in sorted(set(range(len(vecs))) - set(base)):
         v, bit = vecs[i], 1 << i
         pos, neg, kept = [], [], []
@@ -260,12 +300,43 @@ def _levels(p: LatticePolytope) -> tuple:
     return tuple(out)
 
 
+def _lattice_mean(points) -> Optional[tuple]:
+    """The mean of the points when it is a lattice point, else None."""
+    m = len(points)
+    sums = [sum(col) for col in zip(*points)]
+    if any(s % m for s in sums):
+        return None
+    return tuple(s // m for s in sums)
+
+
+def _centre(points) -> Optional[tuple]:
+    """The mean c of the points when c is a lattice point and the point set
+    is closed under q -> 2c - q, else None.  The hull is then centrally
+    symmetric about c.  Type A and B polytopes pass, with c the image of
+    the origin; a mean alone proves no symmetry."""
+    c = _lattice_mean(points)
+    if c is None:
+        return None
+    pts = set(points)
+    if all(tuple(2 * a - b for a, b in zip(c, q)) in pts for q in pts):
+        return c
+    return None
+
+
 def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> int:
     """|tP n Z^d|, walking coordinate by coordinate through the lattice
     points of the projections of tP (see _levels): each x_k ranges over an
     exact integer interval given x_1..x_(k-1).  The last two coordinates
     share one partial sum per facet.  Guarded by the size of the bounding
-    box of tP."""
+    box of tP.
+
+    When the points have a lattice centre c (see _centre), x -> 2tc - x
+    maps tP n Z^d onto itself and every projection onto itself.  A prefix
+    equal to t*c[:k] is fixed by it, so its slices x_k > t*c_k are the
+    mirror images of those below t*c_k: the walk counts the slice
+    x_k = t*c_k once, each slice above it twice, and skips the ones
+    below.  Every other prefix, and every polytope without a centre, is
+    walked in full."""
     if p.hrep is None:
         raise PreconditionError("h-representation not computed")
     d = p.dim
@@ -282,21 +353,17 @@ def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> in
     # with r = t * offset - (prefix coefficients) . prefix
     levels = [([(c, a, t * b) for c, a, b in upper], [(c, a, t * b) for c, a, b in lower])
               for upper, lower in p.levels]
+    centre = _centre(p.points)
+    tc = None if centre is None else [t * a for a in centre]
 
     def interval(k, prefix):
         upper, lower = levels[k]
         return (-min([(b - _dot(c, prefix)) // a for c, a, b in lower]),
                 min([(b - _dot(c, prefix)) // a for c, a, b in upper]))
 
-    def walk(prefix):
-        k = len(prefix)
-        lo, hi = interval(k, prefix)
-        if k < d - 2:
-            return sum(walk(prefix + (x,)) for x in range(lo, hi + 1))
-        if k == d - 1:
-            return max(hi - lo + 1, 0)
-        # x_(d-1) = x: level d's bound is (r - c_(d-1) x) // a, with r
-        # computed once for the prefix
+    def last_two(prefix, lo, hi):
+        # x_(d-1) = x in [lo, hi]: level d's bound is (r - c_(d-1) x) // a,
+        # with r computed once for the prefix
         upper, lower = levels[d - 1]
         upper = [(b - _dot(c, prefix), c[-1], a) for c, a, b in upper]
         lower = [(b - _dot(c, prefix), c[-1], a) for c, a, b in lower]
@@ -308,7 +375,22 @@ def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> in
                 count += top - bottom + 1
         return count
 
-    return walk(())
+    def walk(prefix, central):
+        k = len(prefix)
+        lo, hi = interval(k, prefix)
+        if k == d - 1:
+            return max(hi - lo + 1, 0)
+        if central:
+            mid = tc[k]
+            if k == d - 2:
+                return last_two(prefix, mid, mid) + 2 * last_two(prefix, mid + 1, hi)
+            return (walk(prefix + (mid,), True)
+                    + 2 * sum(walk(prefix + (x,), False) for x in range(mid + 1, hi + 1)))
+        if k == d - 2:
+            return last_two(prefix, lo, hi)
+        return sum(walk(prefix + (x,), False) for x in range(lo, hi + 1))
+
+    return walk((), tc is not None)
 
 
 @dataclass(frozen=True)
@@ -358,13 +440,10 @@ def _facets_prove_reflexive(q: LatticePolytope) -> bool:
     are primitive, so P - c is then {x : normal . x <= 1}: its dual is a
     lattice polytope, P is reflexive, and by Hibi (1992) h* is palindromic
     of degree d.  The mean of a full-dimensional point set is interior, but
-    when it is not a lattice point this proves nothing."""
-    m = len(q.points)
-    sums = [sum(col) for col in zip(*q.points)]
-    if any(s % m for s in sums):
-        return False
-    c = [s // m for s in sums]
-    return all(b - _dot(n, c) == 1 for n, b in q.hrep)
+    when it is not a lattice point this proves nothing.  The proof needs
+    no symmetry: a reflexive polytope need not be centrally symmetric."""
+    c = _lattice_mean(q.points)
+    return c is not None and all(b - _dot(n, c) == 1 for n, b in q.hrep)
 
 
 def ehrhart_data(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,

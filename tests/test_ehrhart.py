@@ -11,7 +11,8 @@ from sepgamma import (BoundExceededError, EhrhartData, Graph, LatticePolytope, P
                       hstar_from_counts, path_graph, reduce_to_full_dim,
                       reflexivity_check)
 from sepgamma import ehrhart
-from sepgamma.ehrhart import _facets_prove_reflexive, _pivot_rows, _row_reduce
+from sepgamma.ehrhart import (_centre, _facets, _facets_prove_reflexive, _pivot_rows,
+                              _row_reduce)
 from sepgamma.graphs import suspension
 
 from conftest import atlas_graphs
@@ -313,7 +314,15 @@ def test_atlas_polytopes_match_references():
             polytopes += [build_b(g), build_a(suspension(g))]
         for p in polytopes:
             q = reduce_to_full_dim(p)
+            # centrally symmetric about the image of the origin: the walk
+            # halves on every one of them
+            assert _centre(q.points) is not None
             assert_matches_references(q, q.dim + 1)
+            # every projection _levels builds, below full dimension too
+            for k in range(1, q.dim + 1):
+                pts = sorted({x[:k] for x in q.points})
+                assert _facets(pts, k) == h_representation_reference(
+                    LatticePolytope(k, tuple(pts), k))
             ref = assert_half_count_matches_reference(q)
             # Hibi: the facet proof holds exactly when h* is palindromic
             # of degree d (the mean of these points is the origin)
@@ -341,15 +350,50 @@ def point_sets(draw):
 
 
 @settings(derandomize=True, max_examples=120, deadline=None)
-@given(point_sets())
-@example(list(product((-1, 0, 1), repeat=3)))  # every face non-simplicial
-@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 1), (2, 0)])
-@example([(2, 1, 0, -1, 0), (0, 0, 0, 0, 0)] + [(0,) * k + (1,) + (0,) * (4 - k) for k in range(5)])
-def test_random_point_sets_match_references(points):
+@given(point_sets(), st.none() | st.lists(st.integers(-1, 1), min_size=5, max_size=5))
+@example(list(product((-1, 0, 1), repeat=3)), None)  # every face non-simplicial
+@example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 1), (2, 0)], None)
+@example([(2, 1, 0, -1, 0), (0, 0, 0, 0, 0)] + [(0,) * k + (1,) + (0,) * (4 - k) for k in range(5)],
+         None)
+@example([(1, 0), (0, 2), (2, 1), (1, 1)], [1, -1, 0, 0, 0])
+def test_random_point_sets_match_references(points, centre):
+    if centre is not None:
+        # centre +- the drawn points, clipped to [-1, 1]^d to keep the
+        # count of every dilate cheap: closed under reflection about the
+        # lattice point `centre`, so the walk halves
+        points = [tuple(c + s * max(-1, min(1, x)) for c, x in zip(centre, pt))
+                  for pt in points for s in (1, -1)]
     q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points),
                                            len(_pivot_rows(points))))
+    if centre is not None:
+        assert _centre(q.points) is not None
     assert_matches_references(q, q.dim + 1 if q.dim <= 3 else 2)
     assert_half_count_matches_reference(q)
+
+
+class TestSymmetricWalk:
+    """The walk halves at a lattice centre, and walks in full without one:
+    every count equals the box scan."""
+
+    @pytest.mark.parametrize("points, centre", [
+        # centres off the lattice
+        (((0,), (1,)), None),
+        (tuple(product((0, 1), repeat=2)), None),
+        # the cross-polytope moved by (3, -2)
+        (((4, -2), (2, -2), (3, -1), (3, -3)), (3, -2)),
+        # mean (0, 0), a lattice point, but not symmetric about it
+        (((-1, -1), (2, -1), (-1, 2)), None),
+        # d = 1 and d = 2, the two-coordinate stage at its edges
+        (((-3,), (1,), (-1,)), (-1,)),
+        (((1, 2), (-1, -2), (2, 1), (-2, -1), (1, -1), (-1, 1), (0, 0)), (0, 0)),
+    ], ids=["segment", "square", "moved-cross", "triangle", "d1", "d2"])
+    def test_counts_match_box_scan(self, points, centre):
+        assert _centre(points) == centre
+        d = len(points[0])
+        q = LatticePolytope(d, points, d)
+        h_representation(q)
+        for t in range(1, 5):
+            assert count_points(q, t) == count_points_reference(q, t)
 
 
 class TestHalfCount:
