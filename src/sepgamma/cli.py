@@ -26,7 +26,7 @@ from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
-from .matching import MAX_MATCHED_SET_VERTICES
+from .matching import MAX_MATCHED_SET_VERTICES, check_pair_count_bound
 from .polynomials import Poly, check_hstar_size, check_properties
 
 EXIT_OK = 0
@@ -230,8 +230,12 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
 
     res_b = None
     if cls.bipartite:
-        res_b_int = (engine.solve(g, "b", "interior", cls, bounds)
-                     if g.n <= set_max else None)
+        try:  # the interior route's own guard, on the largest block
+            check_pair_count_bound(cls, set_max)
+        except BoundExceededError:
+            res_b_int = None
+        else:
+            res_b_int = engine.solve(g, "b", "interior", cls, bounds)
         res_b_formula = engine.solve(g, "b", "formula", cls) if cls.cactus else None
         if res_b_formula is None:
             checks.append(("b-formula-vs-interior", None, "not a cactus"))

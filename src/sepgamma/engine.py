@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .errors import PreconditionError
-from .graphs import (Graph, GraphClassification, bipartition_of, classify,
-                     cycle_graph, suspension)
-from .interior import MAX_CUT_SUM_VERTICES, check_cut_sum_bound, cut_sum_gamma
-from .matching import (MAX_MATCHED_SET_VERTICES, check_matched_sets_bound,
+from .graphs import (Graph, GraphClassification, classify, cycle_graph,
+                     suspension)
+from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
+from .matching import (MAX_MATCHED_SET_VERTICES, check_pair_count_bound,
                        matchable_pairs, matched_vertex_sets_formula,
                        tiling_poly)
 from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
@@ -74,13 +74,16 @@ def gamma_a_cut_sum(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
     return _pack(cut_sum_gamma(g, max_n=max_n), g.n, "cut_sum")
 
 
-def gamma_a_pairs(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
+def gamma_a_pairs(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES,
+                  cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-A result by the cut-sum formula with its two sums swapped, valid
     for every graph: gamma_k counts the ordered pairs of disjoint k-sets
-    whose crossing edges hold a perfect matching.  Keeps the cut sum's
-    guard and method label."""
-    check_cut_sum_bound(g, max_n)
-    return _pack(Poly(matchable_pairs(g)), g.n, "cut_sum")
+    whose crossing edges hold a perfect matching, half of them counted
+    twice, one block of g at a time.  Keeps the cut sum's method label;
+    its `cut-sum` guard bounds the largest block, not n."""
+    cls = cls or classify(g)
+    check_pair_count_bound(cls, max_n)
+    return _pack(Poly(matchable_pairs(g, cls=cls)), g.n, "cut_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -103,13 +106,13 @@ def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
                      cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-B result for any bipartite graph: gamma = I~(4x), realized as
     sum_k |M(G,k)| (4x)^k, with |M(G,k)| the count of matchable pairs whose
-    first set lies in one side.  Without a classification the bipartition
-    is a two-colouring, so this route alone never searches for cycles."""
-    parts = cls.bipartition if cls is not None else bipartition_of(g)
-    if parts is None:
+    first set lies in one side, one block of g at a time.  Its
+    `matched-sets` guard bounds the largest block, not n."""
+    cls = cls or classify(g)
+    if cls.bipartition is None:
         raise PreconditionError("type-B interior route needs a bipartite graph")
-    check_matched_sets_bound(g, max_n)
-    gamma = Poly(matchable_pairs(g, parts.part1)).scale_arg(4)
+    check_pair_count_bound(cls, max_n)
+    gamma = Poly(matchable_pairs(g, cls.bipartition.part1, cls)).scale_arg(4)
     return _pack(gamma, g.n, "interior")
 
 
@@ -150,7 +153,7 @@ def _auto_ahat(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> Se
     cls = cls or classify(g)
     if cls.unique_even_cycle_condition:
         return ROUTES["ahat"]["formula"](g, cls, bounds)
-    return gamma_a_pairs(g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES))
+    return gamma_a_pairs(g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES), cls)
 
 
 def _auto_b(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:

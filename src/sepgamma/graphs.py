@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional
 
 from .errors import BoundExceededError, GraphFormatError, PreconditionError
@@ -100,6 +101,11 @@ class GraphClassification:
     cactus: bool
     unique_even_cycle_condition: bool
     simple_cycles: Optional[tuple]  # None when the even-cycle condition fails
+    # vertex sets of the biconnected blocks, bridges included, as a
+    # frozenset of frozensets; isolated vertices are in none.  A cut vertex
+    # lies in two or more blocks.
+    blocks: frozenset
+    cut_vertices: frozenset
 
 
 # ---------------------------------------------------------------------------
@@ -420,10 +426,11 @@ def cycle_edges(cycle: tuple) -> list:
 
 
 def _blocks(g: Graph) -> tuple:
-    """(component count, sides, edge lists of the blocks with a cycle) from
-    one iterative Tarjan pass.  side[v] is the parity of v's depth in the
-    DFS forest, rooted at the smallest vertex of each component; sides is
-    that 2-colouring, or None when an edge joins two vertices of one side."""
+    """(component count, sides, edge lists of the blocks) from one
+    iterative Tarjan pass; a bridge is a block of one edge.  side[v] is the
+    parity of v's depth in the DFS forest, rooted at the smallest vertex of
+    each component; sides is that 2-colouring, or None when an edge joins
+    two vertices of one side."""
     adj = [[] for _ in range(g.n + 1)]
     for u, v in g.edges:
         adj[u].append(v)
@@ -461,8 +468,7 @@ def _blocks(g: Graph) -> tuple:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] >= disc[u]:  # v's tree edge and all above it: a block
-                        if len(edges) - start[v] > 1:
-                            blocks.append(edges[start[v]:])
+                        blocks.append(edges[start[v]:])
                         del edges[start[v]:]
     return components, side if bipartite else None, blocks
 
@@ -486,26 +492,36 @@ def classify(g: Graph) -> GraphClassification:
     """Compute all structural flags.  Guaranteed implication chain:
     forest => cactus => unique even cycle condition.
 
-    One Tarjan pass finds the components, a 2-colouring and the blocks; g
-    is a forest when no block has a cycle and a cactus when every such
-    block is one cycle, which is read off directly.  The other blocks go
-    to one cycle search, which stops at the first edge in two even cycles.
+    One Tarjan pass finds the components, a 2-colouring and the blocks,
+    whose vertex sets and cut vertices the result keeps; g is a forest
+    when every block is a bridge and a cactus when every other block is
+    one cycle, which is read off directly.  Each other block goes to a
+    cycle search of its own, so no search walks from one block into the
+    next; the searches stop at the first edge in two even cycles.
     simple_cycles lists every cycle, sorted, when the even-cycle condition
     holds, and is None when it fails.
     """
     components, side, blocks = _blocks(g)
-    cycles, rest = [], {}
+    cycles, dense, vertex_sets, seen, cut = [], [], [], set(), set()
     for block in blocks:
-        if len(block) == len({v for e in block for v in e}):
-            cycles.append(_block_cycle(block))
+        vertices = frozenset(chain.from_iterable(block))
+        vertex_sets.append(vertices)
+        cut.update(seen.intersection(vertices))
+        seen.update(vertices)
+        if len(block) == 1:
             continue
+        if len(block) == len(vertices):
+            cycles.append(_block_cycle(block))
+        else:
+            dense.append(block)
+    budget = MAX_SIMPLE_CYCLES
+    for block in dense:  # a cycle lies in one block
+        nb, even_edges = {}, set()
         for u, v in block:
-            rest.setdefault(u, []).append(v)
-            rest.setdefault(v, []).append(u)
-    if rest:
-        even_edges = set()
-        for cyc in _cycle_search({v: sorted(ws) for v, ws in rest.items()},
-                                 MAX_SIMPLE_CYCLES):
+            nb.setdefault(u, []).append(v)
+            nb.setdefault(v, []).append(u)
+        for cyc in _cycle_search({v: sorted(ws) for v, ws in nb.items()}, budget):
+            budget -= 1
             if len(cyc) % 2 == 0:
                 edges = cycle_edges(cyc)
                 if even_edges.intersection(edges):
@@ -513,6 +529,8 @@ def classify(g: Graph) -> GraphClassification:
                     break
                 even_edges.update(edges)
             cycles.append(cyc)
+        if cycles is None:
+            break
     bipartition = None
     if side is not None:
         part1 = frozenset(v for v in range(1, g.n + 1) if not side[v])
@@ -521,10 +539,12 @@ def classify(g: Graph) -> GraphClassification:
         connected=components <= 1,
         bipartite=bipartition is not None,
         bipartition=bipartition,
-        forest=not blocks,
-        cactus=not rest,
+        forest=all(len(block) == 1 for block in blocks),
+        cactus=not dense,
         unique_even_cycle_condition=cycles is not None,
         simple_cycles=None if cycles is None else tuple(sorted(cycles)),
+        blocks=frozenset(vertex_sets),
+        cut_vertices=frozenset(cut),
     )
 
 

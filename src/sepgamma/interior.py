@@ -23,12 +23,6 @@ MAX_SPANNING_TREES = 10 ** 7
 MAX_CUT_SUM_VERTICES = 20
 
 
-def check_cut_sum_bound(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> None:
-    """The `cut-sum` guard of every suspension gamma valid for any g."""
-    if g.n > max_n:
-        raise BoundExceededError(f"cut sum over {g.n} > {max_n} vertices")
-
-
 @dataclass(frozen=True)
 class Hypergraph:
     """Ordered hyperedges (a multiset is fine) over ground vertices 1..v_count.
@@ -260,7 +254,8 @@ def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:
     behind --method cuts; auto counts matchable pairs instead."""
     if g.n < 1:
         raise PreconditionError("need at least one vertex")
-    check_cut_sum_bound(g, max_n)
+    if g.n > max_n:
+        raise BoundExceededError(f"cut sum over {g.n} > {max_n} vertices")
     total = []
     for cut in cuts(g, max_n=max(max_n, g.n)):
         mv = matched_vertex_sets(cut.subgraph, max_n=g.n)

@@ -4,12 +4,16 @@ counts |M(G,k)|, and independence polynomials.
 tiling_poly is the one DP behind every matching formula, with or without
 cycle corrections; matchable_pairs is the one count behind the dense
 routes (the suspension gamma of any graph, |M(G,k)| of any bipartite
-graph); the |M(G,k)| oracle builds the matched vertex sets themselves, one
+graph): it grows half the ordered pairs where swapping A and B is a
+symmetry, counts each block of the graph once, and folds the blocks up
+the block-cut forest, so its work and its guard follow the largest
+block.  The |M(G,k)| oracle builds the matched vertex sets themselves, one
 size at a time, from the lowest vertex of each, without listing matchings.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -19,13 +23,6 @@ from .polynomials import Poly
 
 MAX_MATCHED_SET_VERTICES = 16
 MAX_INDEPENDENCE_VERTICES = 24
-
-
-def check_matched_sets_bound(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> None:
-    """The `matched-sets` guard of every |M(G,k)| count of g."""
-    if g.n > max_n:
-        raise BoundExceededError(
-            f"matched-vertex-set enumeration over {g.n} > {max_n} vertices")
 
 
 def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
@@ -166,27 +163,54 @@ def matching_poly(g: Graph) -> Poly:
     return Poly(coeffs)
 
 
-def matchable_pairs(g: Graph, sources: Optional[Iterable] = None) -> list:
-    """[c_0, c_1, ...]: c_k counts the pairs (A, B) of disjoint k-sets of
-    vertices, A drawn from `sources` (every vertex by default), such that
-    the edges of G between A and B hold a perfect matching.
+def check_pair_count_bound(cls: GraphClassification, max_n: int) -> None:
+    """The guard of a pair count (`cut-sum` on the suspension route,
+    `matched-sets` on the type-B interior route): the count runs once per
+    block, so it bounds the vertices of the largest block."""
+    size = max(map(len, cls.blocks), default=0)
+    if size > max_n:
+        raise BoundExceededError(
+            f"pair count over a block of {size} > {max_n} vertices")
 
-    With every vertex as a source this is gamma_k of the suspension (the
-    cut-sum formula with its two sums swapped); with one side of a
-    bipartition it is |M(G,k)|.  A grows in increasing vertex order, and
-    each A keeps the deduplicated bitmasks of its matchable B's: B + b is
-    matchable to A + a (a above A) iff B is matchable to A, a is not in B,
-    and b is a neighbour of a in neither A + a nor B.  So an A with no
-    matchable B has no extension with one.
+
+def _bits(mask: int):
+    """The set bits of mask, lowest first, each as a mask of its own."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low
+
+
+def _pair_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
+    """{m: [c_0, c_1, ...]}: c_k counts the matchable pairs (A, B) of
+    k-sets of the vertex mask `block`, A in `sources`, with
+    (A | B) & tracked = m; the lists may end in zeros.
+
+    A grows in increasing vertex order, and each A keeps the deduplicated
+    bitmasks of its matchable B's: B + b is matchable to A + a (a above A)
+    iff B is matchable to A, a is not in B, and b is a neighbour of a in
+    neither A + a nor B.  So an A with no matchable B has no extension
+    with one.  When every vertex of the block is a source, (A, B) is
+    matchable iff (B, A) is, and for k >= 1 exactly one of the two has the
+    lowest vertex of A | B in A: only those pairs grow (every vertex of B
+    above min A, a family closed under the reduction above), and each
+    counts twice.  The swap keeps A | B, so it keeps m too.
     """
-    adj = g.adjacency_masks()
-    order = sorted(range(1, g.n + 1) if sources is None else sources)
-    counts = [1]
+    order = [(1 << v, adj[v] & block) for v in range(block.bit_length())
+             if (block & sources) >> v & 1]
+    half = block & sources == block
+    size = block.bit_count() // 2 + 1
+    rows = defaultdict(lambda: [0] * size)
+    rows[0][0] = 1
 
-    def grow(start: int, taken: int, bs: set) -> None:
+    def grow(start: int, taken: int, bs: set, allowed: int) -> None:
         for i in range(start, len(order)):
-            bit = 1 << (order[i] - 1)
-            near = adj[order[i] - 1] & ~(taken | bit)
+            bit, near = order[i]
+            if half and not taken:
+                allowed = block & -(bit << 1)
+            near &= allowed & ~(taken | bit)
+            if not near:
+                continue
             grown = set()
             for b in bs:
                 if b & bit:
@@ -197,14 +221,100 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None) -> list:
                     free ^= low
                     grown.add(b | low)
             if grown:
-                k = (taken | bit).bit_count()
-                if k == len(counts):
-                    counts.append(0)
-                counts[k] += len(grown)
-                grow(i + 1, taken | bit, grown)
+                a = taken | bit
+                k = a.bit_count()
+                free = tracked & ~a
+                if free:
+                    for b in grown:
+                        rows[a & tracked | b & free][k] += 1
+                else:
+                    rows[a & tracked][k] += len(grown)
+                grow(i + 1, a, grown, allowed)
 
-    grow(0, 0, {0})
-    return counts
+    grow(0, 0, {0}, block)
+    if half:
+        for row in rows.values():
+            row[1:] = [2 * c for c in row[1:]]
+    return rows
+
+
+def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
+                    cls: Optional[GraphClassification] = None) -> list:
+    """[c_0, c_1, ...]: c_k counts the pairs (A, B) of disjoint k-sets of
+    vertices, A drawn from `sources` (every vertex by default), such that
+    the edges of G between A and B hold a perfect matching.
+
+    With every vertex as a source this is gamma_k of the suspension (the
+    cut-sum formula with its two sums swapped); with one side of a
+    bipartition it is |M(G,k)|.  Each edge of a perfect matching lies in
+    one block, so a matchable pair of G is one matchable pair per block
+    with each cut vertex used in at most one of them.  With the blocks of
+    cls (classify(g) by default) rooted in a forest, each block is counted
+    once (`_pair_tally`), tallied by the cut vertices it uses.  A child cut
+    vertex c, with H_c everything below it, weighs gamma(H_c - c) where the
+    block uses c and gamma(H_c) where it does not; the bit of the vertex a
+    the block hangs from gives gamma(X) and gamma(X - a) of the block and
+    all below it, X.  The subtrees at one vertex fold by
+    gamma(G1 u G2) = gamma(G1) gamma(G2 - v) + gamma(G1 - v) gamma(G2)
+    - gamma(G1 - v) gamma(G2 - v) for G1 and G2 sharing only v, and
+    components multiply.  A graph of one block is one plain count.
+    """
+    cls = cls or classify(g)
+    adj = g.adjacency_masks()
+    src = ((1 << g.n) - 1 if sources is None
+           else sum(1 << (v - 1) for v in set(sources)))
+    if len(cls.blocks) < 2:
+        return Poly(_pair_tally(adj, (1 << g.n) - 1, src, 0)[0]).coeff_list()
+    blocks = [sum(1 << (v - 1) for v in block) for block in cls.blocks]
+    cut = sum(1 << (v - 1) for v in cls.cut_vertices)
+    holders = {}
+    for i, block in enumerate(blocks):
+        for c in _bits(block & cut):
+            holders.setdefault(c, []).append(i)
+    # parent[i]: the cut vertex block i hangs from (0 at a root); every
+    # block comes before the blocks below it in `order`
+    parent, order = [None] * len(blocks), []
+    for root in range(len(blocks)):
+        if parent[root] is not None:
+            continue
+        parent[root] = 0
+        stack = [root]
+        while stack:
+            i = stack.pop()
+            order.append(i)
+            for c in _bits(blocks[i] & cut & ~parent[i]):
+                for j in holders[c]:
+                    if parent[j] is None:
+                        parent[j] = c
+                        stack.append(j)
+    roots = []
+    hang = {}  # c -> (gamma(H_c), gamma(H_c - c))
+    for i in reversed(order):
+        a = parent[i]
+        kids = blocks[i] & cut & ~a
+        tally = {m: Poly(row) for m, row in
+                 _pair_tally(adj, blocks[i], src, kids | a).items()}
+        for c in _bits(kids):
+            whole, without = hang.pop(c)
+            folded = {}
+            for m, p in tally.items():
+                p = p * (without if m & c else whole)
+                key = m & ~c
+                folded[key] = folded[key] + p if key in folded else p
+            tally = folded
+        minus = tally[0]
+        full = sum((p for m, p in tally.items() if m), minus)
+        if not a:
+            roots.append(full)
+        elif a in hang:
+            whole, without = hang[a]
+            hang[a] = (whole * minus + without * (full - minus), without * minus)
+        else:
+            hang[a] = (full, minus)
+    total = roots.pop() if roots else Poly.one()
+    for full in roots:
+        total = total * full
+    return total.coeff_list()
 
 
 def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:
@@ -216,7 +326,9 @@ def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list
     match T - u - v, whose vertices all lie above u; so each level holds
     exactly the matched sets of its size, and no matching is listed.
     Trailing zeros are trimmed; |M(G,0)| = 1."""
-    check_matched_sets_bound(g, max_n)
+    if g.n > max_n:
+        raise BoundExceededError(
+            f"matched-vertex-set enumeration over {g.n} > {max_n} vertices")
     adj = g.adjacency_masks()
     up = [adj[u] >> (u + 1) << (u + 1) for u in range(g.n)]
     out = [1]

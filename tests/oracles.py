@@ -16,18 +16,18 @@ points through the projections of tP; h_representation_reference tries the
 hyperplane through every d points, and count_points_reference scans the
 bounding box of tP.  It counts only the dilates t = 1..d//2 + 1 once its
 facets prove the polytope reflexive; ehrhart_data_reference counts every
-t = 1..d+1 and transforms each coefficient of h*.
+t = 1..d+1 with the box scan and transforms each coefficient of h*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, NamedTuple
 
 from sepgamma import (EhrhartData, Graph, GraphClassification,
-                      LatticePolytope, Poly, count_points, h_representation,
+                      LatticePolytope, Poly, h_representation,
                       hstar_from_counts, reduce_to_full_dim)
 from sepgamma.ehrhart import _row_reduce
 from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
@@ -37,8 +37,25 @@ from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
 def classify_reference(g: Graph) -> GraphClassification:
     """Every flag from the list of all simple cycles: an edge on two cycles
     breaks the cactus property, an edge on two even cycles the even-cycle
-    condition (and then simple_cycles is None, as in classify)."""
+    condition (and then simple_cycles is None, as in classify).  Two edges
+    share a block when a chain of cycles joins them; a cut vertex lies in
+    two blocks."""
     cycles = simple_cycles(g)
+    block_of = {e: e for e in g.edges}
+
+    def find(e):
+        while block_of[e] != e:
+            e = block_of[e]
+        return e
+
+    for cyc in cycles:
+        first, *rest = cycle_edges(cyc)
+        for e in rest:
+            block_of[find(e)] = find(first)
+    blocks = {}
+    for e in g.edges:
+        blocks.setdefault(find(e), set()).update(e)
+    blocks = [frozenset(b) for b in blocks.values()]
     edge_load = {}
     even_edge_load = {}
     for cyc in cycles:
@@ -57,6 +74,9 @@ def classify_reference(g: Graph) -> GraphClassification:
         cactus=all(k <= 1 for k in edge_load.values()),
         unique_even_cycle_condition=uec,
         simple_cycles=tuple(cycles) if uec else None,
+        blocks=frozenset(blocks),
+        cut_vertices=frozenset(v for v in range(1, g.n + 1)
+                               if sum(v in b for b in blocks) > 1),
     )
 
 
@@ -211,6 +231,39 @@ def matched_sets_by_matchings(g: Graph) -> list:
     return out
 
 
+def matchable_pairs_reference(g: Graph, sources=None) -> list:
+    """The pair count over the whole vertex set, every ordered pair grown:
+    A in increasing vertex order, each A with the set of its matchable B's,
+    and B + b matchable to A + a (a above A) iff B is matchable to A, a is
+    not in B, and b is a neighbour of a in neither A + a nor B."""
+    adj = g.adjacency_masks()
+    order = sorted(range(1, g.n + 1) if sources is None else sources)
+    counts = [1]
+
+    def grow(start: int, taken: int, bs: set) -> None:
+        for i in range(start, len(order)):
+            bit = 1 << (order[i] - 1)
+            near = adj[order[i] - 1] & ~(taken | bit)
+            grown = set()
+            for b in bs:
+                if b & bit:
+                    continue
+                free = near & ~b
+                while free:
+                    low = free & -free
+                    free ^= low
+                    grown.add(b | low)
+            if grown:
+                k = (taken | bit).bit_count()
+                if k == len(counts):
+                    counts.append(0)
+                counts[k] += len(grown)
+                grow(i + 1, taken | bit, grown)
+
+    grow(0, 0, {0})
+    return counts
+
+
 def mu_poly_reference(g: Graph, weights: dict, cls=None) -> Poly:
     """alpha(G,x) + sum_R (-2)^c(R) alpha(G-R,x) prod of the weights of R's
     cycles, over the families R of cycles of any parity."""
@@ -261,34 +314,45 @@ def h_representation_reference(p: LatticePolytope) -> tuple:
 
 
 def count_points_reference(p: LatticePolytope, t: int) -> int:
-    """|tP n Z^d| by scanning the bounding box of tP against p.hrep: iterate
-    the first d - 1 coordinates, solve the last one as an integer interval."""
+    """|tP n Z^d| by scanning the bounding box of tP against p.hrep, one
+    coordinate at a time.  Given x_1..x_(i-1), each facet a.x <= t b
+    bounds x_i by what it leaves once the later coordinates take their
+    least values a_l x_l over the box; the last coordinate's interval is
+    counted without a scan."""
     d = p.dim
     if d == 0:
         return 1
     lo = [t * min(q[i] for q in p.points) for i in range(d)]
     hi = [t * max(q[i] for q in p.points) for i in range(d)]
-    count = 0
-    for prefix in product(*(range(lo[i], hi[i] + 1) for i in range(d - 1))):
-        lo_x, hi_x = lo[d - 1], hi[d - 1]
-        for normal, b in p.hrep:
-            rhs = t * b - sum(a * x for a, x in zip(normal, prefix))
-            a_last = normal[d - 1]
-            if a_last > 0:
-                hi_x = min(hi_x, rhs // a_last)
-            elif a_last < 0:
-                lo_x = max(lo_x, -(rhs // -a_last))
+    # (a, t b, least[i]: the least value of sum_(l >= i) a_l x_l over the box)
+    facets = [(normal, t * b,
+               [sum(min(a * lo[l], a * hi[l]) for l, a in enumerate(normal) if l >= i)
+                for i in range(d + 1)]) for normal, b in p.hrep]
+
+    def scan(i: int, sums: list) -> int:
+        lo_x, hi_x = lo[i], hi[i]
+        for (normal, tb, least), s in zip(facets, sums):
+            rhs, a = tb - s - least[i + 1], normal[i]
+            if a > 0:
+                hi_x = min(hi_x, rhs // a)
+            elif a < 0:
+                lo_x = max(lo_x, -(rhs // -a))
             elif rhs < 0:
-                hi_x = lo_x - 1
-        count += max(hi_x - lo_x + 1, 0)
-    return count
+                return 0
+        if i == d - 1:
+            return max(hi_x - lo_x + 1, 0)
+        return sum(scan(i + 1, [s + normal[i] * x for (normal, _, _), s in zip(facets, sums)])
+                   for x in range(lo_x, hi_x + 1))
+
+    return scan(0, [0] * len(facets))
 
 
 def ehrhart_data_reference(p: LatticePolytope) -> EhrhartData:
-    """The Ehrhart oracle with no reflexivity shortcut: reduce, facets,
-    count t = 1..d+1, and take every h*_k from the binomial transform."""
+    """The Ehrhart oracle with no reflexivity shortcut and no walk: reduce,
+    facets, count t = 1..d+1 by the bounding-box scan, and take every h*_k
+    from the binomial transform."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
         h_representation(q)
-    counts = [1] + [count_points(q, t) for t in range(1, q.dim + 2)]
+    counts = [1] + [count_points_reference(q, t) for t in range(1, q.dim + 2)]
     return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim), q.dim)

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
-                      parse_graph, to_edge_list_text)
+                      matched_vertex_sets, parse_graph, to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
 
@@ -35,6 +35,45 @@ def c4_file(tmp_path):
 @pytest.fixture
 def k4_file(tmp_path):
     return write(tmp_path, "k4.txt", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n")
+
+
+def clique_chain(k, m):
+    """m copies of K_k in a row, each sharing one vertex with the next."""
+    edges = []
+    for i in range(m):
+        block = range(i * (k - 1) + 1, i * (k - 1) + k + 1)
+        edges += [(u, v) for u in block for v in block if u < v]
+    return Graph.make(m * (k - 1) + 1, edges)
+
+
+def clique_chain_gamma(k, m):
+    """gamma of the suspension of clique_chain(k, m), folded here from
+    gamma(K_j)_i = C(j, 2i) C(2i, i) by the cut-vertex identity
+    gamma(G1 u G2) = gamma(G1) gamma(G2 - v) + gamma(G1 - v) gamma(G2)
+    - gamma(G1 - v) gamma(G2 - v), G1 and G2 sharing only v."""
+    def clique(j):
+        return [math.comb(j, 2 * i) * math.comb(2 * i, i) for i in range(j // 2 + 1)]
+
+    def times(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, a in enumerate(p):
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+        return out
+
+    def plus(p, q, sign=1):
+        p, q = p + [0] * (len(q) - len(p)), q + [0] * (len(p) - len(q))
+        return [a + sign * b for a, b in zip(p, q)]
+
+    # the chain so far, and the chain without the vertex the next K_k takes
+    whole, without = clique(k), clique(k - 1)
+    for _ in range(m - 1):
+        whole, without = (
+            plus(times(whole, clique(k - 1)),
+                 times(without, plus(clique(k), clique(k - 1), -1))),
+            plus(times(whole, clique(k - 2)),
+                 times(without, plus(clique(k - 1), clique(k - 2), -1))))
+    return whole
 
 
 class TestGammaA:
@@ -222,6 +261,41 @@ class TestContract:
         assert main(["analyze", path]) == 4
         assert "more than 1000000 simple cycles" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k,m", [(7, 4), (6, 6)])
+    def test_separable_graphs_answer_past_the_cut_sum_bound(self, tmp_path, capsys,
+                                                          k, m):
+        # n = 25 and n = 31: the pair count runs once per block of k vertices
+        path = write(tmp_path, "g.txt", to_edge_list_text(clique_chain(k, m)))
+        start = time.process_time()
+        assert main(["gamma-a", path]) == 0
+        assert time.process_time() - start < 1
+        out = capsys.readouterr().out
+        assert f"gamma: {clique_chain_gamma(k, m)}\n" in out
+        assert "method: cut_sum\n" in out
+
+    def test_type_b_answers_past_the_matched_set_bound(self, tmp_path, capsys):
+        # four K3,3 in a row, each sharing one vertex with the next: n = 21
+        g = Graph.make(21, [(5 * i + u, 5 * i + v) for i in range(4)
+                            for u in (1, 2, 3) for v in (4, 5, 6)])
+        path = write(tmp_path, "g.txt", to_edge_list_text(g))
+        assert main(["gamma-b", path]) == 0
+        gamma = [c * 4 ** k for k, c in enumerate(matched_vertex_sets(g, max_n=21))]
+        assert f"gamma: {gamma}\n" in capsys.readouterr().out
+        assert main(["gamma-b", path, "--bound-override", "matched-sets=5"]) == 4
+        assert "pair count over a block of 6 > 5 vertices" in capsys.readouterr().err
+
+    def test_pair_count_guards_bound_the_largest_block(self, tmp_path, capsys):
+        path = write(tmp_path, "g.txt", to_edge_list_text(clique_chain(7, 4)))
+        assert main(["gamma-a", path, "--bound-override", "cut-sum=6"]) == 4
+        assert "pair count over a block of 7 > 6 vertices" in capsys.readouterr().err
+        # --method cuts is the independent check: it stays whole, keyed on n
+        assert main(["gamma-a", path, "--method", "cuts"]) == 4
+        assert "cut sum over 25 > 20 vertices" in capsys.readouterr().err
+        path = write(tmp_path, "k21.txt", to_edge_list_text(complete_graph(21)))
+        assert main(["gamma-a", path]) == 4
+        assert "pair count over a block of 21 > 20 vertices" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("argv", [["gamma-a"], ["gamma-b"],
                                       ["check", "--polytope", "ahat"]])
     def test_huge_declared_vertex_count_exits_4(self, tmp_path, capsys, argv):
@@ -375,6 +449,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "a-formula-vs-cuts: pass" in out
         assert "b-formula-vs-interior: skipped (matched-set bound 3)" in out
+
+    def test_interior_skip_reads_the_largest_block(self, tmp_path, capsys):
+        # two 4-cycles sharing a vertex: 7 vertices, blocks of 4
+        path = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n5 6\n6 7\n7 4\n")
+        for bound, line in (("4", "b-formula-vs-interior: pass"),
+                            ("3", "b-formula-vs-interior: skipped (matched-set bound 3)")):
+            assert main(["verify", path, "--bound-override", f"matched-sets={bound}"]) == 0
+            assert line in capsys.readouterr().out
 
     def test_empty_graph(self, tmp_path, capsys):
         empty = write(tmp_path, "empty.txt", "")

@@ -335,6 +335,20 @@ class TestClassify:
         assert time.process_time() - start < 5
         assert cls.simple_cycles == (tuple(range(1, 20001)),)
 
+    def test_each_dense_block_searched_alone(self):
+        # 30 copies of K4 in a row, each sharing one vertex with the next: a
+        # search that walked on through the cut vertices would follow the
+        # paths of every later block before the second 4-cycle of the first
+        g = Graph.make(91, [(3 * i + u, 3 * i + v) for i in range(30)
+                            for u in range(1, 5) for v in range(u + 1, 5)])
+        start = time.process_time()
+        cls = classify(g)
+        assert time.process_time() - start < 1
+        assert not cls.unique_even_cycle_condition and not cls.cactus
+        assert cls.blocks == frozenset(frozenset(range(3 * i + 1, 3 * i + 5))
+                                       for i in range(30))
+        assert cls.cut_vertices == frozenset(range(4, 89, 3))
+
     def test_implication_chain_random(self):
         rng = random.Random(23)
         for _ in range(150):

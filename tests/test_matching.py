@@ -2,7 +2,7 @@ import math
 import random
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,8 +18,8 @@ from sepgamma import (BoundExceededError, Graph, Poly, PreconditionError,
 
 from conftest import all_graphs_upto, pair_list, random_graph
 from sepgamma.graphs import bipartition_of
-from oracles import (gen_poly_reference, matched_sets_by_matchings,
-                     matched_sets_reference,
+from oracles import (gen_poly_reference, matchable_pairs_reference,
+                     matched_sets_by_matchings, matched_sets_reference,
                      mu_poly_reference, suspension_gamma_reference)
 
 
@@ -190,17 +190,51 @@ def relabelled_cacti(draw):
             Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges]))
 
 
+@st.composite
+def block_graphs(draw, max_n):
+    """A graph on at most max_n vertices glued from blocks: each new block,
+    a bridge, a clique or a cycle of up to 6 vertices, shares one vertex
+    with what is built or starts a component of its own; labels shuffled."""
+    target = draw(st.integers(1, max_n))
+    n, edges = 1, []
+    while n < target:
+        k = draw(st.integers(2, min(6, target - n + 1)))
+        at = draw(st.integers(1, n + 1))  # n + 1: a new component
+        ring = [at] + list(range(n + 2, n + k + 1)) if at > n else \
+            [at] + list(range(n + 1, n + k))
+        n = ring[-1]
+        if len(ring) < 3 or draw(st.booleans()):
+            edges += combinations(ring, 2)
+        else:
+            edges += zip(ring, ring[1:] + ring[:1])
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
 class TestMatchablePairs:
     """gamma_k of the suspension counts the ordered pairs (A, B) of
     disjoint k-sets whose crossing edges hold a perfect matching; with A in
-    one side of a bipartite graph the count is |M(G,k)|."""
+    one side of a bipartite graph the count is |M(G,k)|.  The shipped count
+    grows half the pairs and splits at cut vertices; the reference grows
+    every ordered pair of the whole graph."""
 
-    def test_cut_sum_exhaustive_upto_5(self):
-        for g in all_graphs_upto(5):
-            assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+    @staticmethod
+    def check_reference(g):
+        cls = classify(g)
+        assert matchable_pairs(g, cls=cls) == matchable_pairs_reference(g), g
+        for side in cls.bipartition or ():
+            assert matchable_pairs(g, side, cls) == \
+                matchable_pairs_reference(g, side), g
+
+    def test_exhaustive_upto_6(self):
+        for g in all_graphs_upto(6):
+            self.check_reference(g)
+            if g.n <= 5:
+                assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
 
     def test_cut_sum_on_atlas7(self, atlas7):
         for g in atlas7:
+            self.check_reference(g)
             assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
 
     def test_matched_sets_on_bipartite_atlas7(self, atlas7):
@@ -213,6 +247,13 @@ class TestMatchablePairs:
             assert matchable_pairs(g, parts.part2) == matched_vertex_sets(g), g
             checked += 1
         assert checked == 149  # the bipartite classes on up to 7 vertices
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(block_graphs(14))
+    def test_block_graphs_against_the_cut_sum(self, g):
+        assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+        for side in bipartition_of(g) or ():
+            assert matchable_pairs(g, side) == matched_vertex_sets(g), g
 
     def test_closed_forms(self):
         # gamma_k of the suspension of K_n is C(n, 2k) C(2k, k); |M(K_k,k, j)|
