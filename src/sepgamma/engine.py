@@ -1,7 +1,7 @@
 """The headline formulas: gamma-polynomials, h*-polynomials and normalized
 volumes of the suspension polytope (type A) and the type-B polytope of a
-graph, with the closed forms for wheels and cycles kept as regression
-targets.
+graph.  The closed forms for wheels and cycles that the tests hold them to
+live with the tests.
 
 Every result is packaged as a SepResult whose invariants (palindromic h*,
 h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
@@ -11,13 +11,11 @@ routes serve which polytope and what `auto` picks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import PreconditionError
-from .graphs import (Graph, GraphClassification, classify, cycle_graph,
-                     suspension)
+from .graphs import Graph, GraphClassification, classify, suspension
 from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
 from .matching import (MAX_MATCHED_SET_VERTICES, check_pair_count_bound,
                        matchable_pairs, matched_vertex_sets_formula,
@@ -206,34 +204,3 @@ def solve(g: Graph, polytope: str, method: str = "auto",
     if polytope != "a":  # every route ends in an h* of degree n
         check_hstar_size(g.n)
     return routes[method](g, cls, bounds or {})
-
-
-# ---------------------------------------------------------------------------
-# Closed forms kept as regression targets
-# ---------------------------------------------------------------------------
-
-class WheelData(NamedTuple):
-    gamma: Poly
-    volume: int
-
-
-def wheel_closed_form(n: int) -> WheelData:
-    """Wheel on n+1 vertices = suspension of the n-cycle.  The volume is the
-    integer sequence a_k = 2a_(k-1) + 2a_(k-2), a_0 = a_1 = 2 (realizing
-    (1+sqrt 3)^n + (1-sqrt 3)^n), minus 2 when n is even; gamma comes from
-    the matching formula."""
-    if n < 3:
-        raise PreconditionError(f"wheel rim needs >= 3 vertices, got {n}")
-    prev, cur = 2, 2
-    for _ in range(n - 1):
-        prev, cur = cur, 2 * cur + 2 * prev
-    volume = cur - 2 if n % 2 == 0 else cur
-    return WheelData(gamma_a_suspension(cycle_graph(n)).gamma, volume)
-
-
-def gamma_a_cycle_reference(n: int) -> Poly:
-    """gamma of the type-A polytope of the plain n-cycle:
-    sum_{i <= (n-1)/2} C(2i, i) x^i.  Reference values for the oracle."""
-    if n < 3:
-        raise PreconditionError(f"cycle needs >= 3 vertices, got {n}")
-    return Poly([math.comb(2 * i, i) for i in range((n - 1) // 2 + 1)])

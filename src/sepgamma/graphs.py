@@ -1,7 +1,7 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
 the polytope formulas need: cycle enumeration, cuts, cactus/bipartite
-classification, and the derived constructions (suspension, the two-vertex
-bipartite augmentation, line graph, complement, lexicographic product).
+classification, and the derived constructions (suspension, line graph,
+complement, lexicographic product).
 
 Everything is a pure function of immutable values; iteration orders are
 sorted so results are deterministic.
@@ -209,30 +209,6 @@ def suspension(g: Graph) -> Graph:
     return Graph(g.n + 1, frozenset(edges))
 
 
-def tilde(g: Graph, b: Bipartition) -> Graph:
-    """Two-vertex bipartite augmentation: join n+1 to all of part1 and n+2
-    to all of part2 and to n+1.  Output is connected and bipartite with
-    parts (part1 + {n+2}, part2 + {n+1}).
-    """
-    check_bipartition(g, b)
-    p, q = g.n + 1, g.n + 2
-    edges = set(g.edges)
-    edges.update((i, p) for i in sorted(b.part1))
-    edges.update((j, q) for j in sorted(b.part2))
-    edges.add((p, q))
-    return Graph(g.n + 2, frozenset(edges))
-
-
-def check_bipartition(g: Graph, b: Bipartition) -> None:
-    """Raise PreconditionError unless b is a valid bipartition of g."""
-    all_v = frozenset(range(1, g.n + 1))
-    if b.part1 | b.part2 != all_v or b.part1 & b.part2:
-        raise PreconditionError("parts do not partition the vertex set")
-    for u, v in g.edges:
-        if (u in b.part1) == (v in b.part1):
-            raise PreconditionError(f"edge ({u},{v}) does not cross the bipartition")
-
-
 def complement(g: Graph) -> Graph:
     edges = frozenset(
         (u, v)
@@ -316,66 +292,15 @@ def complete_bipartite(a: int, b: int) -> Graph:
 # Structural analysis
 # ---------------------------------------------------------------------------
 
-def connected_components(g: Graph) -> list:
-    """Vertex sets of components, each sorted, ordered by smallest member."""
-    adj = g.adjacency()
-    seen = set()
-    comps = []
-    for s in range(1, g.n + 1):
-        if s in seen:
-            continue
-        comp = []
-        stack = [s]
-        seen.add(s)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
-
-
-def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
-
-
-def bipartition_of(g: Graph) -> Optional[Bipartition]:
-    """Two-color each component from its smallest vertex; None if an odd
-    cycle obstructs.  The smallest vertex of each component lands in part1."""
-    adj = g.adjacency()
-    color = {}
-    for s in range(1, g.n + 1):
-        if s in color:
-            continue
-        color[s] = 0
-        queue = [s]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    part1 = frozenset(v for v, c in color.items() if c == 0)
-    part2 = frozenset(v for v, c in color.items() if c == 1)
-    return Bipartition(part1, part2)
-
-
-def _cycle_search(adj: dict, max_cycles: int):
+def _cycle_search(adj: dict):
     """Yield every simple cycle of the graph with sorted adjacency lists
-    `adj` once, as a canonical vertex tuple, in sorted order; raise
-    BoundExceededError past `max_cycles` cycles.
+    `adj` once, as a canonical vertex tuple, in sorted order.
 
     DFS rooted at each vertex s with two neighbours > s, over paths through
     vertices > s only, kept on a stack of neighbour iterators; a closure
     back to s with second vertex < last vertex kills the mirrored duplicate.
     """
-    on_path = [False] * (max(adj, default=0) + 1)  # all False again per root
-    found = 0
+    on_path = dict.fromkeys(adj, False)  # all False again per root
     for s in sorted(adj):
         if len(adj[s]) < 2 or adj[s][-2] < s:
             continue  # a cycle leaves its smallest vertex by two larger ones
@@ -386,10 +311,6 @@ def _cycle_search(adj: dict, max_cycles: int):
             for w in stack[-1]:
                 if w == s:
                     if len(path) >= 3 and path[1] < path[-1]:
-                        found += 1
-                        if found > max_cycles:
-                            raise BoundExceededError(
-                                f"more than {max_cycles} simple cycles")
                         yield tuple(path)
                 elif w > s and not on_path[w]:
                     path.append(w)
@@ -401,11 +322,34 @@ def _cycle_search(adj: dict, max_cycles: int):
                 on_path[path.pop()] = False
 
 
+def _block_adjacency(block: list) -> dict:
+    """Sorted adjacency lists of the block with edge list `block`."""
+    nb = {}
+    for u, v in block:
+        nb.setdefault(u, []).append(v)
+        nb.setdefault(v, []).append(u)
+    return {v: sorted(ws) for v, ws in nb.items()}
+
+
+def _block_cycles(blocks: Iterable, max_cycles: int):
+    """Yield the simple cycles of the blocks with edge lists `blocks`, one
+    block at a time: a cycle lies in one block, so no search walks through
+    a cut vertex into the next.  Raise BoundExceededError past
+    `max_cycles` cycles in all."""
+    found = 0
+    for block in blocks:
+        for cyc in _cycle_search(_block_adjacency(block)):
+            found += 1
+            if found > max_cycles:
+                raise BoundExceededError(f"more than {max_cycles} simple cycles")
+            yield cyc
+
+
 def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
-    """All simple cycles, each once, as a canonical vertex tuple: the cycle
-    starts at its smallest vertex and runs toward the smaller neighbor."""
-    adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
-    return list(_cycle_search(adj, max_cycles))
+    """All simple cycles, sorted, each once as a canonical vertex tuple: the
+    cycle starts at its smallest vertex and runs toward the smaller
+    neighbor.  Each block is searched on its own."""
+    return sorted(_block_cycles(_blocks(g)[2], max_cycles))
 
 
 def cycles_of(g: Graph, cls: Optional[GraphClassification] = None) -> tuple:
@@ -514,23 +458,15 @@ def classify(g: Graph) -> GraphClassification:
             cycles.append(_block_cycle(block))
         else:
             dense.append(block)
-    budget = MAX_SIMPLE_CYCLES
-    for block in dense:  # a cycle lies in one block
-        nb, even_edges = {}, set()
-        for u, v in block:
-            nb.setdefault(u, []).append(v)
-            nb.setdefault(v, []).append(u)
-        for cyc in _cycle_search({v: sorted(ws) for v, ws in nb.items()}, budget):
-            budget -= 1
-            if len(cyc) % 2 == 0:
-                edges = cycle_edges(cyc)
-                if even_edges.intersection(edges):
-                    cycles = None
-                    break
-                even_edges.update(edges)
-            cycles.append(cyc)
-        if cycles is None:
-            break
+    even_edges = set()  # blocks share no edge, so one set serves them all
+    for cyc in _block_cycles(dense, MAX_SIMPLE_CYCLES):
+        if len(cyc) % 2 == 0:
+            edges = cycle_edges(cyc)
+            if even_edges.intersection(edges):
+                cycles = None
+                break
+            even_edges.update(edges)
+        cycles.append(cyc)
     bipartition = None
     if side is not None:
         part1 = frozenset(v for v in range(1, g.n + 1) if not side[v])

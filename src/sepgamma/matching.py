@@ -1,5 +1,5 @@
-"""Matching counts, matching (generating) polynomials, matched-vertex-set
-counts |M(G,k)|, and independence polynomials.
+"""The matching generating polynomial, matched-vertex-set counts |M(G,k)|
+and the matchable-pair count.
 
 tiling_poly is the one DP behind every matching formula, with or without
 cycle corrections; matchable_pairs is the one count behind the dense
@@ -14,7 +14,6 @@ size at a time, from the lowest vertex of each, without listing matchings.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .errors import BoundExceededError, PreconditionError
@@ -22,7 +21,6 @@ from .graphs import Graph, GraphClassification, classify
 from .polynomials import Poly
 
 MAX_MATCHED_SET_VERTICES = 16
-MAX_INDEPENDENCE_VERTICES = 24
 
 
 def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
@@ -147,20 +145,6 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
 def gen_poly(g: Graph) -> Poly:
     """g(G,x) = sum_k m_k(G) x^k over k-matchings; g = 1 for edgeless G."""
     return tiling_poly(g, Poly.one(), Poly.monomial(1))
-
-
-def matching_counts(g: Graph) -> list:
-    """[m_0, m_1, ...] with trailing zeros trimmed; m_0 = 1."""
-    return gen_poly(g).coeff_list() or [1]
-
-
-def matching_poly(g: Graph) -> Poly:
-    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k); equals x^n g(G, -x^-2)."""
-    m = matching_counts(g)
-    coeffs = [0] * (g.n + 1)
-    for k, mk in enumerate(m):
-        coeffs[g.n - 2 * k] = (-1) ** k * mk
-    return Poly(coeffs)
 
 
 def check_pair_count_bound(cls: GraphClassification, max_n: int) -> None:
@@ -368,58 +352,3 @@ def matched_vertex_sets_formula(g: Graph,
     evens = [(c, Poly.monomial(len(c) // 2, -1))
              for c in cls.simple_cycles if len(c) % 2 == 0]
     return tiling_poly(g, Poly.one(), Poly.monomial(1), evens).coeff_list()
-
-
-def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:
-    """Independence polynomial of the induced subgraph on `mask`.
-
-    Branch on a maximum-degree vertex v: i = i(G - v) + x * i(G - N[v]).
-    """
-    if mask == 0:
-        return Poly.one()
-    got = memo.get(mask)
-    if got is not None:
-        return got
-    best_v, best_deg = -1, -1
-    m = mask
-    while m:
-        b = m & -m
-        m ^= b
-        v = b.bit_length() - 1
-        d = (masks[v] & mask).bit_count()
-        if d > best_deg:
-            best_v, best_deg = v, d
-    if best_deg == 0:
-        out = Poly.one() + Poly.monomial(1)
-        k = mask.bit_count()
-        out = out ** k
-    else:
-        v_bit = 1 << best_v
-        out = (_independence_on_mask(masks, mask & ~v_bit, memo)
-               + _independence_on_mask(masks, mask & ~(masks[best_v] | v_bit),
-                                       memo).shift(1))
-    memo[mask] = out
-    return out
-
-
-def independence_poly(g: Graph, max_n: int = MAX_INDEPENDENCE_VERTICES) -> Poly:
-    """i(G,x) = sum_k i_k x^k over independent vertex sets; i_0 = 1."""
-    if g.n > max_n:
-        raise BoundExceededError(
-            f"independence polynomial over {g.n} > {max_n} vertices")
-    if g.n == 0:
-        return Poly.one()
-    masks = g.adjacency_masks()
-    return _independence_on_mask(masks, (1 << g.n) - 1, {})
-
-
-@dataclass(frozen=True)
-class MatchingProfile:
-    """m[k] = number of k-matchings; mv[k] = |M(G,k)| distinct vertex sets."""
-    m: tuple
-    mv: tuple
-
-
-def matching_profile(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> MatchingProfile:
-    return MatchingProfile(tuple(matching_counts(g)),
-                           tuple(matched_vertex_sets(g, max_n)))

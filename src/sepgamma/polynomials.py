@@ -45,10 +45,6 @@ class Poly:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls(())
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 

@@ -1,6 +1,7 @@
-"""The mu-polynomial with per-cycle parameters, the adjacency characteristic
-polynomial, and the sampling check of the identity that transfers
-real-rootedness from mu to the suspension gamma-polynomial.
+"""The mu-polynomial with per-cycle parameters, and the sampling check of
+the identity that transfers real-rootedness from mu to the suspension
+gamma-polynomial (verify --level full).  The adjacency characteristic
+polynomial that mu meets at t = 1 lives with the tests.
 """
 
 from __future__ import annotations
@@ -8,18 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BoundExceededError, PreconditionError
+from .errors import PreconditionError
 from .graphs import Graph, GraphClassification, classify, cycles_of
 from .matching import tiling_poly
 from .polynomials import Poly
-
-MAX_CHARPOLY_VERTICES = 64
-
-
-def uniform_weights(g: Graph, t,
-                    cls: Optional[GraphClassification] = None) -> dict:
-    """Weight map assigning the same parameter t to every simple cycle."""
-    return {cyc: t for cyc in cycles_of(g, cls)}
 
 
 def mu_poly(g: Graph, weights: dict,
@@ -38,34 +31,6 @@ def mu_poly(g: Graph, weights: dict,
             raise PreconditionError(f"no weight for cycle {cyc}")
     return tiling_poly(g, Poly.monomial(1), Poly((-1,)),
                        [(cyc, Poly((-2 * Fraction(weights[cyc]),))) for cyc in cycles])
-
-
-def char_poly_adjacency(g: Graph) -> Poly:
-    """det(xI - A) by the Faddeev-LeVerrier recursion in exact integers."""
-    n = g.n
-    if n > MAX_CHARPOLY_VERTICES:
-        raise BoundExceededError(f"characteristic polynomial over {n} vertices")
-    if n == 0:
-        return Poly.one()
-    a = [[0] * n for _ in range(n)]
-    for u, v in g.edges:
-        a[u - 1][v - 1] = 1
-        a[v - 1][u - 1] = 1
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = [row[:] for row in a]
-    for k in range(1, n + 1):
-        if k > 1:
-            # M <- A (M + c_{n-k+1} I)
-            shifted = [row[:] for row in m]
-            for i in range(n):
-                shifted[i][i] += coeffs[n - k + 1]
-            m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-                 for i in range(n)]
-        trace = sum(m[i][i] for i in range(n))
-        assert trace % k == 0
-        coeffs[n - k] = -trace // k
-    return Poly(coeffs)
 
 
 def verify_gamma_mu_bridge(g: Graph, samples: Optional[list] = None,

@@ -3,7 +3,8 @@
 The witness graph is the complement of the line graph blown up by a clique
 (K_2 for type A, K_4 for type B); its clique-count polynomial must equal
 the target gamma-polynomial, and the constructors verify that equality
-rather than assume it.
+rather than assume it.  The independence-polynomial composition law
+over the lexicographic product lives with the tests.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BoundExceededError, PreconditionError, VerificationError
-from .graphs import (Graph, classify, complement, lex_product,
-                     lex_product_complete, line_graph)
-from .matching import gen_poly, independence_poly
+from .graphs import (Graph, classify, complement, lex_product_complete,
+                     line_graph)
+from .matching import gen_poly
 from .polynomials import Poly
 
 MAX_CLIQUES = 10 ** 7
@@ -84,12 +85,3 @@ def witness_b(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
     if not classify(g).forest:
         raise PreconditionError("witness construction needs a forest")
     return _build_witness(g, 4, gen_poly(g).scale_arg(4), max_cliques)
-
-
-def independence_composition_check(g: Graph, h: Graph, max_n: int = 24) -> bool:
-    """Composition law for independence polynomials over the lexicographic
-    product: i(G[H], x) = i(G, i(H,x) - 1), checked by direct computation."""
-    left = independence_poly(lex_product(g, h), max_n=max_n)
-    inner = independence_poly(h, max_n=max_n) - Poly.one()
-    right = independence_poly(g, max_n=max_n).compose(inner)
-    return left == right

@@ -8,8 +8,9 @@ matching polynomial itself is an independent recursion that branches on the
 lowest vertex of an induced-subgraph bitmask.
 
 The library's classify works block by block and stops its cycle search at
-the first edge in two even cycles; classify_reference lists every simple
-cycle and reads each flag off the list.
+the first edge in two even cycles, and it lists cycles one block at a time;
+simple_cycles_reference runs one search over the whole graph, and
+classify_reference reads each flag off that list.
 
 The Ehrhart oracle finds facets by double description and counts lattice
 points through the projections of tP; h_representation_reference tries the
@@ -17,21 +18,63 @@ hyperplane through every d points, and count_points_reference scans the
 bounding box of tP.  It counts only the dilates t = 1..d//2 + 1 once its
 facets prove the polytope reflexive; ehrhart_data_reference counts every
 t = 1..d+1 with the box scan and transforms each coefficient of h*.
+
+The rest are definitions and identities that no command runs, kept for the
+tests to hold the library to: the hypertree definition of the interior
+polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
+independence and characteristic polynomials, the matching polynomial, and
+the closed forms for wheels and cycles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
-from sepgamma import (EhrhartData, Graph, GraphClassification,
-                      LatticePolytope, Poly, h_representation,
-                      hstar_from_counts, reduce_to_full_dim)
+from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
+                      GraphClassification, LatticePolytope, Poly,
+                      PreconditionError, cycle_graph, cycles_of,
+                      gamma_a_suspension, gen_poly, h_representation,
+                      hstar_from_counts, lex_product, reduce_to_full_dim)
 from sepgamma.ehrhart import _row_reduce
-from sepgamma.graphs import (bipartition_of, cycle_edges, is_connected,
-                             simple_cycles)
+from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
+
+
+def simple_cycles_reference(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
+    """All simple cycles, each once, as a canonical vertex tuple, in sorted
+    order, from one search over the whole graph: DFS rooted at each vertex
+    s with two neighbours > s, over paths through vertices > s only, kept
+    on a stack of neighbour iterators; a closure back to s with second
+    vertex < last vertex kills the mirrored duplicate."""
+    adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
+    on_path = [False] * (g.n + 1)  # all False again per root
+    out = []
+    for s in sorted(adj):
+        if len(adj[s]) < 2 or adj[s][-2] < s:
+            continue  # a cycle leaves its smallest vertex by two larger ones
+        path = [s]
+        on_path[s] = True
+        stack = [iter(adj[s])]
+        while stack:
+            for w in stack[-1]:
+                if w == s:
+                    if len(path) >= 3 and path[1] < path[-1]:
+                        out.append(tuple(path))
+                        if len(out) > max_cycles:
+                            raise BoundExceededError(
+                                f"more than {max_cycles} simple cycles")
+                elif w > s and not on_path[w]:
+                    path.append(w)
+                    on_path[w] = True
+                    stack.append(iter(adj[w]))
+                    break
+            else:
+                stack.pop()
+                on_path[path.pop()] = False
+    return out
 
 
 def classify_reference(g: Graph) -> GraphClassification:
@@ -40,7 +83,7 @@ def classify_reference(g: Graph) -> GraphClassification:
     condition (and then simple_cycles is None, as in classify).  Two edges
     share a block when a chain of cycles joins them; a cut vertex lies in
     two blocks."""
-    cycles = simple_cycles(g)
+    cycles = simple_cycles_reference(g)
     block_of = {e: e for e in g.edges}
 
     def find(e):
@@ -143,7 +186,7 @@ def even_cycle_families(g: Graph, cls=None) -> list:
     """All nonempty families of pairwise vertex-disjoint even simple cycles
     (the correction terms of the suspension formula; the empty family is the
     standalone matching-polynomial term and is excluded here)."""
-    cycles = simple_cycles(g) if cls is None else cls.simple_cycles
+    cycles = simple_cycles_reference(g) if cls is None else cls.simple_cycles
     evens = [c for c in cycles if len(c) % 2 == 0]
     return disjoint_families(evens)
 
@@ -151,7 +194,7 @@ def even_cycle_families(g: Graph, cls=None) -> list:
 def cycle_families(g: Graph, cls=None) -> list:
     """All nonempty families of pairwise vertex-disjoint simple cycles of
     any parity (the correction terms of the mu-polynomial)."""
-    return disjoint_families(simple_cycles(g) if cls is None else cls.simple_cycles)
+    return disjoint_families(simple_cycles_reference(g) if cls is None else cls.simple_cycles)
 
 
 def cycle_family_sum(g: Graph, families: list, base, weight):
@@ -356,3 +399,428 @@ def ehrhart_data_reference(p: LatticePolytope) -> EhrhartData:
         h_representation(q)
     counts = [1] + [count_points_reference(q, t) for t in range(1, q.dim + 2)]
     return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim), q.dim)
+
+
+# ---------------------------------------------------------------------------
+# Connectivity, bipartitions and the two-vertex augmentation
+# ---------------------------------------------------------------------------
+
+def tilde(g: Graph, b: Bipartition) -> Graph:
+    """Two-vertex bipartite augmentation: join n+1 to all of part1 and n+2
+    to all of part2 and to n+1.  Output is connected and bipartite with
+    parts (part1 + {n+2}, part2 + {n+1}).
+    """
+    check_bipartition(g, b)
+    p, q = g.n + 1, g.n + 2
+    edges = set(g.edges)
+    edges.update((i, p) for i in sorted(b.part1))
+    edges.update((j, q) for j in sorted(b.part2))
+    edges.add((p, q))
+    return Graph(g.n + 2, frozenset(edges))
+
+
+def check_bipartition(g: Graph, b: Bipartition) -> None:
+    """Raise PreconditionError unless b is a valid bipartition of g."""
+    all_v = frozenset(range(1, g.n + 1))
+    if b.part1 | b.part2 != all_v or b.part1 & b.part2:
+        raise PreconditionError("parts do not partition the vertex set")
+    for u, v in g.edges:
+        if (u in b.part1) == (v in b.part1):
+            raise PreconditionError(f"edge ({u},{v}) does not cross the bipartition")
+
+
+def connected_components(g: Graph) -> list:
+    """Vertex sets of components, each sorted, ordered by smallest member."""
+    adj = g.adjacency()
+    seen = set()
+    comps = []
+    for s in range(1, g.n + 1):
+        if s in seen:
+            continue
+        comp = []
+        stack = [s]
+        seen.add(s)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        comps.append(sorted(comp))
+    return comps
+
+
+def is_connected(g: Graph) -> bool:
+    return len(connected_components(g)) <= 1
+
+
+def bipartition_of(g: Graph) -> Optional[Bipartition]:
+    """Two-color each component from its smallest vertex; None if an odd
+    cycle obstructs.  The smallest vertex of each component lands in part1."""
+    adj = g.adjacency()
+    color = {}
+    for s in range(1, g.n + 1):
+        if s in color:
+            continue
+        color[s] = 0
+        queue = [s]
+        while queue:
+            v = queue.pop()
+            for w in adj[v]:
+                if w not in color:
+                    color[w] = 1 - color[v]
+                    queue.append(w)
+                elif color[w] == color[v]:
+                    return None
+    part1 = frozenset(v for v, c in color.items() if c == 0)
+    part2 = frozenset(v for v, c in color.items() if c == 1)
+    return Bipartition(part1, part2)
+
+
+# ---------------------------------------------------------------------------
+# The hypertree definition of the interior polynomial
+# ---------------------------------------------------------------------------
+
+MAX_SPANNING_TREES = 10 ** 7
+
+
+@dataclass(frozen=True)
+class Hypergraph:
+    """Ordered hyperedges (a multiset is fine) over ground vertices 1..v_count.
+
+    Hypertree profiles are tuples indexed by hyperedge position.
+    """
+
+    v_count: int
+    hyperedges: tuple  # tuple of frozensets
+
+    @staticmethod
+    def make(v_count: int, hyperedges) -> "Hypergraph":
+        hs = tuple(frozenset(e) for e in hyperedges)
+        for i, e in enumerate(hs):
+            if not e:
+                raise PreconditionError(f"hyperedge {i + 1} is empty")
+            for v in e:
+                if not (1 <= v <= v_count):
+                    raise PreconditionError(f"hyperedge {i + 1} leaves 1..{v_count}")
+        return Hypergraph(v_count, hs)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.hyperedges)
+
+
+def bip(h: Hypergraph) -> Graph:
+    """Incidence bipartite graph: ground vertices keep labels 1..m, the j-th
+    hyperedge becomes vertex m+j."""
+    m = h.v_count
+    edges = set()
+    for j, e in enumerate(h.hyperedges, start=1):
+        for v in e:
+            edges.add((v, m + j))
+    return Graph(m + len(h.hyperedges), frozenset(edges))
+
+
+def hypergraph_from_bipartite(g: Graph, b: Optional[Bipartition] = None,
+                              hyperedge_part: int = 2) -> Hypergraph:
+    """Read a bipartite graph as a hypergraph: one side becomes the ground
+    set (relabeled 1..m by sorted label), the other the ordered hyperedges
+    (by sorted label, each the neighborhood of its vertex).
+
+    hyperedge_part selects which side carries the hyperedges; both choices
+    yield the same interior polynomial (verified in tests, not assumed).
+    """
+    if b is None:
+        b = bipartition_of(g)
+        if b is None:
+            raise PreconditionError("graph is not bipartite")
+    else:
+        check_bipartition(g, b)
+    if hyperedge_part == 2:
+        ground, hyper = sorted(b.part1), sorted(b.part2)
+    elif hyperedge_part == 1:
+        ground, hyper = sorted(b.part2), sorted(b.part1)
+    else:
+        raise ValueError("hyperedge_part must be 1 or 2")
+    index = {v: i + 1 for i, v in enumerate(ground)}
+    adj = g.adjacency()
+    hyperedges = [frozenset(index[w] for w in adj[v]) for v in hyper]
+    return Hypergraph.make(len(ground), hyperedges)
+
+
+def _find(parent: list, v: int) -> int:
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
+def _connectable(parent: list, comps: int, edges: list, start: int) -> bool:
+    """Can the remaining edges still merge the current components into one?"""
+    if comps == 1:
+        return True
+    trial = parent[:]
+    left = comps
+    for i in range(start, len(edges)):
+        u, v = edges[i]
+        ru, rv = _find(trial, u), _find(trial, v)
+        if ru != rv:
+            trial[ru] = rv
+            left -= 1
+            if left == 1:
+                return True
+    return False
+
+
+def spanning_trees(g: Graph):
+    """Yield every spanning tree as a tuple of edge indices into
+    g.sorted_edges().  Include/exclude recursion over the edge list with a
+    connectivity prune, so dead branches die early."""
+    if g.n == 0:
+        return
+    if not is_connected(g):
+        raise PreconditionError("graph is disconnected; no spanning trees")
+    edges = g.sorted_edges()
+    found = 0
+
+    def rec(idx: int, parent: list, comps: int, chosen: list):
+        nonlocal found
+        if comps == 1:
+            found += 1
+            if found > MAX_SPANNING_TREES:
+                raise BoundExceededError(
+                    f"more than {MAX_SPANNING_TREES} spanning trees")
+            yield tuple(chosen)
+            return
+        if idx == len(edges) or not _connectable(parent, comps, edges, idx):
+            return
+        u, v = edges[idx]
+        ru, rv = _find(parent, u), _find(parent, v)
+        if ru == rv:
+            yield from rec(idx + 1, parent, comps, chosen)
+            return
+        child = parent[:]
+        child[ru] = rv
+        chosen.append(idx)
+        yield from rec(idx + 1, child, comps - 1, chosen)
+        chosen.pop()
+        yield from rec(idx + 1, parent, comps, chosen)
+
+    yield from rec(0, list(range(g.n + 1)), g.n, [])
+
+
+def hypertrees(h: Hypergraph) -> list:
+    """All distinct hypertree profiles, sorted.  Profile position j holds
+    (tree degree of hyperedge j) - 1; entries sum to v_count - 1."""
+    bg = bip(h)
+    if not is_connected(bg):
+        raise PreconditionError("incidence graph is disconnected")
+    m = h.v_count
+    k = len(h.hyperedges)
+    edges = bg.sorted_edges()
+    profiles = set()
+    for tree in spanning_trees(bg):
+        deg = [0] * k
+        for idx in tree:
+            # every incidence edge is (ground, hyperedge) with ground < hyperedge
+            deg[edges[idx][1] - m - 1] += 1
+        profiles.add(tuple(d - 1 for d in deg))
+    return sorted(profiles)
+
+
+def interior_poly(h: Hypergraph) -> Poly:
+    """I(x) = sum over hypertrees f of x^(number of internally inactive
+    hyperedges), where hyperedge j is internally inactive iff one unit of
+    f(j) can move to some earlier hyperedge j' and still leave a hypertree.
+    """
+    profiles = hypertrees(h)
+    profile_set = set(profiles)
+    k = len(h.hyperedges)
+    counts = {}
+    for f in profiles:
+        inactive = 0
+        for j in range(1, k):
+            if f[j] == 0:
+                continue
+            moved = list(f)
+            moved[j] -= 1
+            hit = False
+            for jp in range(j):
+                moved[jp] += 1
+                if tuple(moved) in profile_set:
+                    hit = True
+                moved[jp] -= 1
+                if hit:
+                    break
+            if hit:
+                inactive += 1
+        counts[inactive] = counts.get(inactive, 0) + 1
+    if not counts:
+        return Poly.one()  # unreachable: connected incidence graph has a tree
+    out = [0] * (max(counts) + 1)
+    for deg, c in counts.items():
+        out[deg] = c
+    return Poly(out)
+
+
+def reorder_hyperedges(h: Hypergraph, perm) -> Hypergraph:
+    """Same hypergraph with hyperedges permuted: position i gets the old
+    hyperedge perm[i] (0-based)."""
+    return Hypergraph(h.v_count, tuple(h.hyperedges[p] for p in perm))
+
+
+def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
+                              hyperedge_part: int = 2) -> Poly:
+    """Definition-level counterpart of sum_k |M(g,k)| x^k
+    (sepgamma.matched_vertex_sets): build the augmented graph, read it as a
+    hypergraph, enumerate hypertrees."""
+    if b is None:
+        b = bipartition_of(g)
+        if b is None:
+            raise PreconditionError("graph is not bipartite")
+    tg = tilde(g, b)
+    tb = Bipartition(frozenset(b.part1) | {g.n + 2},
+                     frozenset(b.part2) | {g.n + 1})
+    return interior_poly(hypergraph_from_bipartite(tg, tb, hyperedge_part))
+
+
+# ---------------------------------------------------------------------------
+# Matching, independence and characteristic polynomials
+# ---------------------------------------------------------------------------
+
+def matching_counts(g: Graph) -> list:
+    """[m_0, m_1, ...] with trailing zeros trimmed; m_0 = 1."""
+    return gen_poly(g).coeff_list() or [1]
+
+
+def matching_poly(g: Graph) -> Poly:
+    """alpha(G,x) = sum_k (-1)^k m_k(G) x^(n-2k); equals x^n g(G, -x^-2)."""
+    m = matching_counts(g)
+    coeffs = [0] * (g.n + 1)
+    for k, mk in enumerate(m):
+        coeffs[g.n - 2 * k] = (-1) ** k * mk
+    return Poly(coeffs)
+
+
+MAX_INDEPENDENCE_VERTICES = 24
+
+
+def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:
+    """Independence polynomial of the induced subgraph on `mask`.
+
+    Branch on a maximum-degree vertex v: i = i(G - v) + x * i(G - N[v]).
+    """
+    if mask == 0:
+        return Poly.one()
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    best_v, best_deg = -1, -1
+    m = mask
+    while m:
+        b = m & -m
+        m ^= b
+        v = b.bit_length() - 1
+        d = (masks[v] & mask).bit_count()
+        if d > best_deg:
+            best_v, best_deg = v, d
+    if best_deg == 0:
+        out = Poly.one() + Poly.monomial(1)
+        k = mask.bit_count()
+        out = out ** k
+    else:
+        v_bit = 1 << best_v
+        out = (_independence_on_mask(masks, mask & ~v_bit, memo)
+               + _independence_on_mask(masks, mask & ~(masks[best_v] | v_bit),
+                                       memo).shift(1))
+    memo[mask] = out
+    return out
+
+
+def independence_poly(g: Graph, max_n: int = MAX_INDEPENDENCE_VERTICES) -> Poly:
+    """i(G,x) = sum_k i_k x^k over independent vertex sets; i_0 = 1."""
+    if g.n > max_n:
+        raise BoundExceededError(
+            f"independence polynomial over {g.n} > {max_n} vertices")
+    if g.n == 0:
+        return Poly.one()
+    masks = g.adjacency_masks()
+    return _independence_on_mask(masks, (1 << g.n) - 1, {})
+
+
+MAX_CHARPOLY_VERTICES = 64
+
+
+def uniform_weights(g: Graph, t,
+                    cls: Optional[GraphClassification] = None) -> dict:
+    """Weight map assigning the same parameter t to every simple cycle."""
+    return {cyc: t for cyc in cycles_of(g, cls)}
+
+
+def char_poly_adjacency(g: Graph) -> Poly:
+    """det(xI - A) by the Faddeev-LeVerrier recursion in exact integers."""
+    n = g.n
+    if n > MAX_CHARPOLY_VERTICES:
+        raise BoundExceededError(f"characteristic polynomial over {n} vertices")
+    if n == 0:
+        return Poly.one()
+    a = [[0] * n for _ in range(n)]
+    for u, v in g.edges:
+        a[u - 1][v - 1] = 1
+        a[v - 1][u - 1] = 1
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = [row[:] for row in a]
+    for k in range(1, n + 1):
+        if k > 1:
+            # M <- A (M + c_{n-k+1} I)
+            shifted = [row[:] for row in m]
+            for i in range(n):
+                shifted[i][i] += coeffs[n - k + 1]
+            m = [[sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
+                 for i in range(n)]
+        trace = sum(m[i][i] for i in range(n))
+        assert trace % k == 0
+        coeffs[n - k] = -trace // k
+    return Poly(coeffs)
+
+
+def independence_composition_check(g: Graph, h: Graph, max_n: int = 24) -> bool:
+    """Composition law for independence polynomials over the lexicographic
+    product: i(G[H], x) = i(G, i(H,x) - 1), checked by direct computation."""
+    left = independence_poly(lex_product(g, h), max_n=max_n)
+    inner = independence_poly(h, max_n=max_n) - Poly.one()
+    right = independence_poly(g, max_n=max_n).compose(inner)
+    return left == right
+
+
+# ---------------------------------------------------------------------------
+# Closed forms of the suspension and cycle polytopes
+# ---------------------------------------------------------------------------
+
+class WheelData(NamedTuple):
+    gamma: Poly
+    volume: int
+
+
+def wheel_closed_form(n: int) -> WheelData:
+    """Wheel on n+1 vertices = suspension of the n-cycle.  The volume is the
+    integer sequence a_k = 2a_(k-1) + 2a_(k-2), a_0 = a_1 = 2 (realizing
+    (1+sqrt 3)^n + (1-sqrt 3)^n), minus 2 when n is even; gamma comes from
+    the matching formula."""
+    if n < 3:
+        raise PreconditionError(f"wheel rim needs >= 3 vertices, got {n}")
+    prev, cur = 2, 2
+    for _ in range(n - 1):
+        prev, cur = cur, 2 * cur + 2 * prev
+    volume = cur - 2 if n % 2 == 0 else cur
+    return WheelData(gamma_a_suspension(cycle_graph(n)).gamma, volume)
+
+
+def gamma_a_cycle_reference(n: int) -> Poly:
+    """gamma of the type-A polytope of the plain n-cycle:
+    sum_{i <= (n-1)/2} C(2i, i) x^i.  Reference values for the oracle."""
+    if n < 3:
+        raise PreconditionError(f"cycle needs >= 3 vertices, got {n}")
+    return Poly([math.comb(2 * i, i) for i in range((n - 1) // 2 + 1)])

@@ -46,6 +46,15 @@ def clique_chain(k, m):
     return Graph.make(m * (k - 1) + 1, edges)
 
 
+def diamond_windmill(m):
+    """m diamonds (K4 less an edge) sharing the vertex 1, 3 cycles each."""
+    edges = []
+    for i in range(m):
+        a, b, c = 3 * i + 2, 3 * i + 3, 3 * i + 4
+        edges += [(1, a), (1, b), (a, b), (a, c), (b, c)]
+    return Graph.make(3 * m + 1, edges)
+
+
 def clique_chain_gamma(k, m):
     """gamma of the suspension of clique_chain(k, m), folded here from
     gamma(K_j)_i = C(j, 2i) C(2i, i) by the cut-vertex identity
@@ -422,6 +431,23 @@ class TestAnalyze:
         assert "bipartite: yes" in out
         assert "cactus: yes" in out
         assert "simple-cycle-count: 1" in out
+
+    @pytest.mark.parametrize("graph, count", [
+        # ten K4s in a row, 7 cycles each: one search over the whole graph
+        # walks on through every cut vertex (32 s of CPU)
+        (clique_chain(4, 10), 70),
+        # 3,000 diamonds meet at vertex 1: rescanning its 6,000 neighbours
+        # to build each block's adjacency costs 1.3 s of CPU, against
+        # 0.2 s from each block's own edges
+        (diamond_windmill(3000), 9000),
+    ], ids=["k4-chain", "diamond-windmill"])
+    def test_cycles_listed_one_block_at_a_time(self, tmp_path, capsys, graph,
+                                               count):
+        path = write(tmp_path, "g.txt", to_edge_list_text(graph))
+        start = time.process_time()
+        assert main(["analyze", path]) == 0
+        assert time.process_time() - start < 1
+        assert f"simple-cycle-count: {count}\n" in capsys.readouterr().out
 
 
 class TestVerify:

@@ -7,15 +7,15 @@ import pytest
 from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       PreconditionError, classify, complete_bipartite,
                       complete_graph, cycle_graph, empty_graph,
-                      gamma_a_cut_sum, gamma_a_cycle_reference,
-                      gamma_a_suspension, gamma_b, gamma_b_interior,
-                      gen_poly, hstar_to_gamma, matched_vertex_sets,
-                      oracle_hstar_a, path_graph,
-                      solve, star_graph, suspension, wheel_closed_form)
+                      gamma_a_cut_sum, gamma_a_suspension, gamma_b,
+                      gamma_b_interior, gen_poly, hstar_to_gamma,
+                      matched_vertex_sets, oracle_hstar_a, path_graph,
+                      solve, star_graph, suspension)
 
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
+from oracles import gamma_a_cycle_reference, wheel_closed_form
 
 
 def check_sep_invariants(res):

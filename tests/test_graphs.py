@@ -10,11 +10,12 @@ from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
                       complete_bipartite, complete_graph, cuts, cycle_graph,
                       empty_graph, lex_product_complete, line_graph,
                       parse_graph, path_graph, simple_cycles, star_graph,
-                      suspension, tilde, to_edge_list_text)
+                      suspension, to_edge_list_text)
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import classify_reference, delete_vertices, even_cycle_families
+from oracles import (classify_reference, delete_vertices, even_cycle_families,
+                     simple_cycles_reference, tilde)
 
 
 class TestParse:
@@ -310,13 +311,16 @@ class TestClassify:
 
     def test_matches_the_reference_upto_6(self):
         # flag for flag and cycle list for cycle list, with the listing
-        # classify that reads every flag off all simple cycles
+        # classify that reads every flag off all simple cycles; and the
+        # block-by-block listing against one search of the whole graph
         for g in all_graphs_upto(6):
             assert classify(g) == classify_reference(g), g
+            assert simple_cycles(g) == simple_cycles_reference(g), g
 
     def test_matches_the_reference_on_atlas7(self, atlas7):
         for g in atlas7:
             assert classify(g) == classify_reference(g), g
+            assert simple_cycles(g) == simple_cycles_reference(g), g
 
     def test_dense_blocks_stop_early(self):
         # K11 has more than 10^6 simple cycles; the search stops at the

@@ -9,17 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (BoundExceededError, Graph, Poly, PreconditionError,
                       classify, complete_bipartite, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gen_poly, independence_poly,
-                      is_real_rooted, line_graph, matchable_pairs,
-                      matched_vertex_sets,
-                      matched_vertex_sets_formula, matching_counts,
-                      matching_poly, matching_profile, mu_poly, path_graph,
+                      cycle_graph, empty_graph, gen_poly, is_real_rooted,
+                      line_graph, matchable_pairs, matched_vertex_sets,
+                      matched_vertex_sets_formula, mu_poly, path_graph,
                       star_graph, suspension_gamma_formula, tiling_poly)
 
 from conftest import all_graphs_upto, pair_list, random_graph
-from sepgamma.graphs import bipartition_of
-from oracles import (gen_poly_reference, matchable_pairs_reference,
-                     matched_sets_by_matchings, matched_sets_reference,
+from oracles import (bipartition_of, gen_poly_reference, independence_poly,
+                     matchable_pairs_reference, matched_sets_by_matchings,
+                     matched_sets_reference, matching_counts, matching_poly,
                      mu_poly_reference, suspension_gamma_reference)
 
 
@@ -127,11 +125,11 @@ class TestMatchedVertexSets:
         rng = random.Random(47)
         for _ in range(60):
             g = random_graph(rng, rng.randrange(1, 8), rng.random())
-            prof = matching_profile(g)
-            assert prof.m[0] == 1 and prof.mv[0] == 1
-            assert len(prof.mv) <= g.n // 2 + 1
-            for k in range(len(prof.mv)):
-                assert prof.mv[k] <= prof.m[k]
+            m, mv = gen_poly(g).coeff_list(), matched_vertex_sets(g)
+            assert m[0] == 1 and mv[0] == 1
+            assert len(mv) <= g.n // 2 + 1
+            for k in range(len(mv)):
+                assert mv[k] <= m[k]
 
     def test_formula_vs_oracle_sampled_7_8(self):
         from sepgamma import classify

@@ -1,0 +1,79 @@
+"""The shipped package holds what the command line runs, plus the graph
+constructors that build its input; references that only the tests use
+live in tests/oracles.py."""
+
+import ast
+import pathlib
+
+import sepgamma
+
+PACKAGE = pathlib.Path(sepgamma.__file__).parent
+CONSTRUCTORS = ("empty_graph", "path_graph", "cycle_graph", "star_graph",
+                "complete_graph", "complete_bipartite")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
+               ast.Assign, ast.AnnAssign)
+
+
+def _defined_names(node) -> list:
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign):
+        return [node.target.id] if isinstance(node.target, ast.Name) else []
+    return [node.name]
+
+
+def _package_definitions() -> tuple:
+    """({module: {name: top-level node}}, {module: [other top-level
+    statements]}, {module: {alias: (module, name) or module}}) over every
+    module of the package but __init__, which only re-exports."""
+    defs, loose, aliases = {}, {}, {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = path.stem
+        defs[module], loose[module], aliases[module] = {}, [], {}
+        for node in tree.body:
+            if isinstance(node, DEFINITIONS):
+                for name in _defined_names(node):
+                    defs[module][name] = node
+            elif not isinstance(node, (ast.Import, ast.ImportFrom)):
+                loose[module].append(node)
+        for node in ast.walk(tree):  # function-level imports count too
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for a in node.names:
+                    aliases[module][a.asname or a.name] = (
+                        a.name if node.module is None else (node.module, a.name))
+    return defs, loose, aliases
+
+
+def _references(module: str, node, defs: dict, aliases: dict):
+    """(module, name) of every package definition that `node` names."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            if sub.id in defs[module]:
+                yield module, sub.id
+            elif isinstance(aliases[module].get(sub.id), tuple):
+                yield aliases[module][sub.id]
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and isinstance(aliases[module].get(sub.value.id), str)):
+            yield aliases[module][sub.value.id], sub.attr
+
+
+def test_every_definition_is_reached_from_the_cli():
+    defs, loose, aliases = _package_definitions()
+    todo = [("cli", "main")] + [("graphs", name) for name in CONSTRUCTORS]
+    todo += [(module, node) for module, nodes in loose.items() for node in nodes]
+    reached = set()
+    while todo:
+        module, item = todo.pop()
+        if isinstance(item, str):
+            if (module, item) in reached or item not in defs.get(module, {}):
+                continue
+            reached.add((module, item))
+            item = defs[module][item]
+        todo.extend(_references(module, item, defs, aliases))
+    unreached = [f"{module}.{name} ({node.end_lineno - node.lineno + 1} lines)"
+                 for module in defs for name, node in defs[module].items()
+                 if (module, name) not in reached]
+    assert unreached == []

@@ -4,12 +4,12 @@ from itertools import product
 
 import pytest
 
-from sepgamma import (Graph, Poly, PreconditionError, char_poly_adjacency,
-                      classify, complete_graph, cycle_graph, empty_graph,
-                      is_real_rooted, matching_poly, mu_poly, path_graph,
-                      uniform_weights, verify_gamma_mu_bridge)
+from sepgamma import (Graph, Poly, PreconditionError, classify,
+                      complete_graph, cycle_graph, empty_graph, is_real_rooted,
+                      mu_poly, path_graph, verify_gamma_mu_bridge)
 
 from conftest import atlas_graphs, count_calls, random_graph
+from oracles import char_poly_adjacency, matching_poly, uniform_weights
 
 
 class TestMuPoly:
