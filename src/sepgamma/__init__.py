@@ -7,7 +7,7 @@ from .engine import (ROUTES, SepResult, gamma_a_cut_sum, gamma_a_pairs,
                      suspension_gamma_formula)
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
-from .graphs import (Bipartition, Cut, Graph, GraphClassification, classify,
+from .graphs import (Bipartition, Graph, GraphClassification, classify,
                      complement, complete_bipartite, complete_graph, cuts,
                      cycle_graph, cycles_of, empty_graph, lex_product,
                      lex_product_complete, line_graph, parse_graph,
@@ -21,8 +21,7 @@ from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
 from .matching import (gen_poly, matchable_pairs, matched_vertex_sets,
                        matched_vertex_sets_formula, tiling_poly)
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
-                          gamma_to_hstar, hstar_to_gamma, is_real_rooted,
-                          real_rootedness)
+                          gamma_to_hstar, hstar_to_gamma, real_rootedness)
 from .spectral import mu_poly, verify_gamma_mu_bridge
 from .witness import FlagWitness, clique_f_poly, witness_a, witness_b
 

@@ -27,7 +27,8 @@ from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
 from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
 from .interior import MAX_CUT_SUM_VERTICES
 from .matching import MAX_MATCHED_SET_VERTICES, check_pair_count_bound
-from .polynomials import Poly, check_hstar_size, check_properties
+from .polynomials import (Poly, check_hstar_size, check_properties,
+                          real_rootedness)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -343,7 +344,7 @@ def cmd_batch(args) -> int:
                 "gamma": res.gamma.coeff_text(),
                 "hstar": res.hstar.coeff_text(),
                 "volume": res.volume,
-                "real_rooted": _yn(check_properties(res.hstar).real_rooted),
+                "real_rooted": _yn(real_rootedness(res.hstar).is_real_rooted),
                 "agreement": agreement,
             })
         except SepGammaError as exc:
@@ -460,6 +461,13 @@ def main(argv=None) -> int:
                         in traceback.walk_tb(exc.__traceback__)).most_common(1)[0][0]
         print(f"resource bound exceeded: recursion depth "
               f"{sys.getrecursionlimit()} exceeded in {where}", file=sys.stderr)
+        return EXIT_BOUND
+    except MemoryError as exc:
+        # the innermost frame with a name of its own (not a comprehension)
+        where = [frame.f_code.co_name for frame, _
+                 in traceback.walk_tb(exc.__traceback__)
+                 if not frame.f_code.co_name.startswith("<")][-1]
+        print(f"resource bound exceeded: out of memory in {where}", file=sys.stderr)
         return EXIT_BOUND
     finally:
         elapsed = int((time.perf_counter() - start) * 1000)

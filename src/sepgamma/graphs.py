@@ -1,7 +1,7 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
-the polytope formulas need: cycle enumeration, cuts, cactus/bipartite
-classification, and the derived constructions (suspension, line graph,
-complement, lexicographic product).
+the polytope formulas need: cycle enumeration, the crossing graph of every
+cut, cactus/bipartite classification, and the derived constructions
+(suspension, line graph, complement, lexicographic product).
 
 Everything is a pure function of immutable values; iteration orders are
 sorted so results are deterministic.
@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Optional
 
 from .errors import BoundExceededError, GraphFormatError, PreconditionError
 
-MAX_CUT_VERTICES = 24
 MAX_SIMPLE_CYCLES = 10 ** 6
 
 
@@ -49,16 +48,6 @@ class Graph:
     def sorted_edges(self) -> list:
         return sorted(self.edges)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
-    def adjacency(self) -> dict:
-        adj = {v: set() for v in range(1, self.n + 1)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
     def adjacency_masks(self) -> list:
         """Neighbor bitmasks indexed by vertex-1 (bit v-1 marks vertex v)."""
         masks = [0] * self.n
@@ -67,9 +56,6 @@ class Graph:
             masks[v - 1] |= 1 << (u - 1)
         return masks
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.sorted_edges()})"
 
@@ -77,19 +63,6 @@ class Graph:
 class Bipartition(NamedTuple):
     part1: frozenset
     part2: frozenset
-
-
-@dataclass(frozen=True)
-class Cut:
-    """One cut E_S, canonical representative with vertex 1 in S.
-
-    The empty cut is stored with S = {1..n}; E_S always equals the edges of
-    the parent graph with exactly one endpoint in S.
-    """
-
-    defining_set: frozenset
-    subgraph: Graph
-    bipartition: Bipartition
 
 
 @dataclass(frozen=True)
@@ -112,16 +85,15 @@ class GraphClassification:
 # Parsing and serialization
 # ---------------------------------------------------------------------------
 
-def parse_graph(text: str, strict: bool = False) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the edge-list format or the JSON document {"n":..,"edges":[..]}.
 
     Edge-list lines hold two whitespace-separated labels >= 1; '#' starts a
     comment line; an optional header "n <count>" declares the vertex count
-    (otherwise n is the largest label seen).  Duplicate edges raise in
-    strict mode and are silently merged otherwise.
+    (otherwise n is the largest label seen).  Duplicate edges are merged.
     """
     if text.lstrip().startswith("{"):
-        return _parse_json(text, strict)
+        return _parse_json(text)
     declared_n = None
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -147,10 +119,10 @@ def parse_graph(text: str, strict: bool = False) -> Graph:
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer label in {line!r}") from None
         pairs.append((f"line {lineno}: ", u, v))
-    return _checked_graph(declared_n, pairs, strict)
+    return _checked_graph(declared_n, pairs)
 
 
-def _parse_json(text: str, strict: bool) -> Graph:
+def _parse_json(text: str) -> Graph:
     try:
         doc = json.loads(text)
     # JSONDecodeError, a number past int()'s digit limit, or too deep nesting
@@ -165,14 +137,14 @@ def _parse_json(text: str, strict: bool) -> Graph:
     n = doc.get("n")
     if "n" in doc and (type(n) is not int or n < 0):
         raise GraphFormatError(f"bad vertex count {n!r}")
-    return _checked_graph(n, [("", u, v) for u, v in doc["edges"]], strict)
+    return _checked_graph(n, [("", u, v) for u, v in doc["edges"]])
 
 
-def _checked_graph(n: Optional[int], pairs: list, strict: bool) -> Graph:
+def _checked_graph(n: Optional[int], pairs: list) -> Graph:
     """The graph on 1..n (n defaults to the largest label) with the edges
     (where, u, v): labels >= 1, no self-loops, every label <= n, and
-    duplicates rejected under strict and merged otherwise.  `where`
-    prefixes the messages ("line N: " for the edge-list format)."""
+    duplicates merged.  `where` prefixes the messages ("line N: " for the
+    edge-list format)."""
     edges = set()
     max_label = 0
     for where, u, v in pairs:
@@ -180,10 +152,7 @@ def _checked_graph(n: Optional[int], pairs: list, strict: bool) -> Graph:
             raise GraphFormatError(f"{where}vertex label < 1 in edge ({u}, {v})")
         if u == v:
             raise GraphFormatError(f"{where}self-loop at {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in edges and strict:
-            raise GraphFormatError(f"{where}duplicate edge {key}")
-        edges.add(key)
+        edges.add((u, v) if u < v else (v, u))
         max_label = max(max_label, u, v)
     n = max_label if n is None else n
     if max_label > n:
@@ -328,7 +297,9 @@ def _block_adjacency(block: list) -> dict:
     for u, v in block:
         nb.setdefault(u, []).append(v)
         nb.setdefault(v, []).append(u)
-    return {v: sorted(ws) for v, ws in nb.items()}
+    for ws in nb.values():
+        ws.sort()
+    return nb
 
 
 def _block_cycles(blocks: Iterable, max_cycles: int):
@@ -419,12 +390,9 @@ def _blocks(g: Graph) -> tuple:
 
 def _block_cycle(block: list) -> tuple:
     """The canonical tuple of a block that is one cycle."""
-    nb = {}
-    for u, v in block:
-        nb.setdefault(u, []).append(v)
-        nb.setdefault(v, []).append(u)
+    nb = _block_adjacency(block)
     prev = min(nb)
-    path, cur = [prev], min(nb[prev])
+    path, cur = [prev], nb[prev][0]
     while cur != path[0]:
         path.append(cur)
         a, b = nb[cur]
@@ -488,29 +456,17 @@ def classify(g: Graph) -> GraphClassification:
 # Cuts
 # ---------------------------------------------------------------------------
 
-def cuts(g: Graph, max_n: int = MAX_CUT_VERTICES) -> list:
-    """The 2^(n-1) cuts E_S, one per complementary pair {S, complement},
-    canonical S containing vertex 1, ascending as bitmask.  The empty cut
-    appears as S = {1..n}.  Disconnected graphs may repeat edge sets under
-    different S; the multiset semantics is what the cut-sum formula needs.
+def cuts(g: Graph) -> list:
+    """The crossing graphs E_S of the 2^(n-1) cuts, one per complementary
+    pair {S, complement}: S runs over the vertex sets holding vertex 1,
+    ascending as bitmasks (bit v-1 marks v).  The empty cut appears as
+    S = {1..n}.  Disconnected graphs may repeat edge sets under different
+    S; the multiset semantics is what the cut-sum formula needs.
     """
     if g.n < 1:
         raise PreconditionError("cuts need at least one vertex")
-    if g.n > max_n:
-        raise BoundExceededError(f"cut enumeration over {g.n} > {max_n} vertices")
-    out = []
-    sorted_e = g.sorted_edges()
-    for m in range(1 << (g.n - 1)):
-        s = {1}
-        for i in range(2, g.n + 1):
-            if m >> (i - 2) & 1:
-                s.add(i)
-        crossing = frozenset(e for e in sorted_e if (e[0] in s) != (e[1] in s))
-        sset = frozenset(s)
-        rest = frozenset(v for v in range(1, g.n + 1) if v not in s)
-        out.append(Cut(
-            defining_set=sset,
-            subgraph=Graph(g.n, crossing),
-            bipartition=Bipartition(sset, rest),
-        ))
-    return out
+    ends = [(e, 1 << (e[0] - 1) | 1 << (e[1] - 1)) for e in g.edges]
+    # an edge crosses when S holds one of its ends but not both
+    return [Graph(g.n, frozenset(e for e, both in ends
+                                 if 0 < s & both != both))
+            for s in range(1, 1 << g.n, 2)]

@@ -2,8 +2,10 @@
 the average over all 2^(n-1) cuts of I~(4x), where the interior polynomial
 I~ of the two-vertex augmentation of a bipartite graph is
 sum_k |M(G,k)| x^k (Ohsugi-Tsuchiya).  It is the oracle behind
---method cuts; the hypertree definition of I~ that checks the identity
-lives with the tests.
+--method cuts: graphs.cuts builds the crossing graph of each cut, and
+matched_vertex_sets counts it.  The n-guard here is the one guard on that
+work.  The hypertree definition of I~ that checks the identity lives with
+the tests.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:
     if g.n > max_n:
         raise BoundExceededError(f"cut sum over {g.n} > {max_n} vertices")
     total = []
-    for cut in cuts(g, max_n=max(max_n, g.n)):
-        mv = matched_vertex_sets(cut.subgraph, max_n=g.n)
+    for cut in cuts(g):
+        mv = matched_vertex_sets(cut)
         total += [0] * (len(mv) - len(total))
         for k, c in enumerate(mv):
             total[k] += c << (2 * k)

@@ -8,7 +8,8 @@ graph): it grows half the ordered pairs where swapping A and B is a
 symmetry, counts each block of the graph once, and folds the blocks up
 the block-cut forest, so its work and its guard follow the largest
 block.  The |M(G,k)| oracle builds the matched vertex sets themselves, one
-size at a time, from the lowest vertex of each, without listing matchings.
+size at a time, from the lowest vertex of each, without listing matchings;
+its one caller, the cut sum, guards it by n.
 """
 
 from __future__ import annotations
@@ -301,7 +302,7 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
     return total.coeff_list()
 
 
-def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list:
+def matched_vertex_sets(g: Graph) -> list:
     """|M(G,k)|, the number of vertex sets of k-matchings, as the sizes of
     levels of vertex bitmasks: level 0 is {empty set}, and level k+1 holds
     every S + u + v with S in level k, u below every vertex of S, and uv an
@@ -310,9 +311,6 @@ def matched_vertex_sets(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES) -> list
     match T - u - v, whose vertices all lie above u; so each level holds
     exactly the matched sets of its size, and no matching is listed.
     Trailing zeros are trimmed; |M(G,0)| = 1."""
-    if g.n > max_n:
-        raise BoundExceededError(
-            f"matched-vertex-set enumeration over {g.n} > {max_n} vertices")
     adj = g.adjacency_masks()
     up = [adj[u] >> (u + 1) << (u + 1) for u in range(g.n)]
     out = [1]

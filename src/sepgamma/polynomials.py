@@ -62,9 +62,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self.coeffs)
-
     def __getitem__(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
@@ -127,12 +124,6 @@ class Poly:
             k >>= 1
         return out
 
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if not self.coeffs:
-            return self
-        return Poly((0,) * k + self.coeffs)
-
     def scale_arg(self, m) -> "Poly":
         """Substitute x -> m*x, i.e. return f(mx)."""
         out, p = [], 1
@@ -140,13 +131,6 @@ class Poly:
             out.append(c * p)
             p *= m
         return Poly(out)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Return f(inner(x)), by Horner over polynomial coefficients."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly((c,))
-        return out
 
     def __call__(self, x):
         """Exact Horner evaluation; x may be int or Fraction."""
@@ -346,10 +330,6 @@ def real_rootedness(f: Poly) -> RealRoots:
     count = _sign_changes(at_minus) - _sign_changes(at_plus)
     d = len(chain[0]) - len(chain[-1])
     return RealRoots(count == d, count, d)
-
-
-def is_real_rooted(f: Poly) -> bool:
-    return real_rootedness(f).is_real_rooted
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
-"""The mu-polynomial with per-cycle parameters, and the sampling check of
-the identity that transfers real-rootedness from mu to the suspension
-gamma-polynomial (verify --level full).  The adjacency characteristic
-polynomial that mu meets at t = 1 lives with the tests.
+"""The mu-polynomial with per-cycle parameters, and the sampling check, at
+the points 1..n+1, of the identity that transfers real-rootedness from mu
+to the suspension gamma-polynomial (verify --level full).  The adjacency
+characteristic polynomial that mu meets at t = 1 lives with the tests.
 """
 
 from __future__ import annotations
@@ -33,32 +33,27 @@ def mu_poly(g: Graph, weights: dict,
                        [(cyc, Poly((-2 * Fraction(weights[cyc]),))) for cyc in cycles])
 
 
-def verify_gamma_mu_bridge(g: Graph, samples: Optional[list] = None,
+def verify_gamma_mu_bridge(g: Graph,
                            cls: Optional[GraphClassification] = None) -> bool:
     """Check q^n gamma(G, -1/(2 q^2)) = mu(G, t*, q) exactly at each sample,
     where gamma(G,x) is the suspension formula and t* weights an even cycle
     C by (-1/2)^(|E(C)|/2) and an odd cycle by 0.
 
-    Sampling at n+1 distinct points (the default 1..n+1) certifies the
-    underlying polynomial identity.
+    Sampling at the n+1 distinct points 1..n+1 certifies the underlying
+    polynomial identity.
     """
     from .engine import suspension_gamma_formula
 
     cls = cls or classify(g)
     if not cls.cactus:
         raise PreconditionError("mu bridge is stated for cactus graphs")
-    if samples is None:
-        samples = [Fraction(i) for i in range(1, g.n + 2)]
     gamma = suspension_gamma_formula(g, cls)
     weights = {
         cyc: (Fraction(-1, 2) ** (len(cyc) // 2) if len(cyc) % 2 == 0 else Fraction(0))
         for cyc in cls.simple_cycles
     }
     mu = mu_poly(g, weights, cls)
-    for q in samples:
-        q = Fraction(q)
-        if q == 0:
-            raise PreconditionError("sample points must be nonzero")
+    for q in range(1, g.n + 2):
         lhs = (q ** g.n) * gamma(Fraction(-1) / (2 * q * q))
         if lhs != mu(q):
             return False

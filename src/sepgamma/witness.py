@@ -51,11 +51,10 @@ def clique_f_poly(g: Graph, max_cliques: int = MAX_CLIQUES) -> Poly:
 @dataclass(frozen=True)
 class FlagWitness:
     """A verified witness: clique complex of witness_graph has f_poly equal
-    to the target gamma-polynomial; m is the blow-up size used."""
+    to the target gamma-polynomial."""
 
     witness_graph: Graph
     f_poly: Poly
-    m: int
     target: Poly
 
 
@@ -66,7 +65,7 @@ def _build_witness(g: Graph, m: int, target: Poly,
     if f != target:
         raise VerificationError(
             f"witness f-polynomial {f.coeff_list()} != target {target.coeff_list()}")
-    return FlagWitness(w, f, m, target)
+    return FlagWitness(w, f, target)
 
 
 def witness_a(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:

@@ -43,13 +43,19 @@ from sepgamma.ehrhart import _row_reduce
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
 
+def neighbours(g: Graph) -> dict:
+    """Sorted neighbour list of every vertex, read off the adjacency masks."""
+    return {v: [w for w in range(1, g.n + 1) if mask >> (w - 1) & 1]
+            for v, mask in enumerate(g.adjacency_masks(), start=1)}
+
+
 def simple_cycles_reference(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
     """All simple cycles, each once, as a canonical vertex tuple, in sorted
     order, from one search over the whole graph: DFS rooted at each vertex
     s with two neighbours > s, over paths through vertices > s only, kept
     on a stack of neighbour iterators; a closure back to s with second
     vertex < last vertex kills the mirrored duplicate."""
-    adj = {v: sorted(ws) for v, ws in g.adjacency().items()}
+    adj = neighbours(g)
     on_path = [False] * (g.n + 1)  # all False again per root
     out = []
     for s in sorted(adj):
@@ -226,7 +232,7 @@ def gen_poly_reference(g: Graph) -> Poly:
             while nb:
                 u = nb & -nb
                 nb ^= u
-                got = got + rec(rest ^ u).shift(1)
+                got = got + Poly.monomial(1) * rec(rest ^ u)
             memo[mask] = got
         return got
 
@@ -431,7 +437,7 @@ def check_bipartition(g: Graph, b: Bipartition) -> None:
 
 def connected_components(g: Graph) -> list:
     """Vertex sets of components, each sorted, ordered by smallest member."""
-    adj = g.adjacency()
+    adj = neighbours(g)
     seen = set()
     comps = []
     for s in range(1, g.n + 1):
@@ -458,7 +464,7 @@ def is_connected(g: Graph) -> bool:
 def bipartition_of(g: Graph) -> Optional[Bipartition]:
     """Two-color each component from its smallest vertex; None if an odd
     cycle obstructs.  The smallest vertex of each component lands in part1."""
-    adj = g.adjacency()
+    adj = neighbours(g)
     color = {}
     for s in range(1, g.n + 1):
         if s in color:
@@ -544,7 +550,7 @@ def hypergraph_from_bipartite(g: Graph, b: Optional[Bipartition] = None,
     else:
         raise ValueError("hyperedge_part must be 1 or 2")
     index = {v: i + 1 for i, v in enumerate(ground)}
-    adj = g.adjacency()
+    adj = neighbours(g)
     hyperedges = [frozenset(index[w] for w in adj[v]) for v in hyper]
     return Hypergraph.make(len(ground), hyperedges)
 
@@ -732,8 +738,8 @@ def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:
     else:
         v_bit = 1 << best_v
         out = (_independence_on_mask(masks, mask & ~v_bit, memo)
-               + _independence_on_mask(masks, mask & ~(masks[best_v] | v_bit),
-                                       memo).shift(1))
+               + Poly.monomial(1) * _independence_on_mask(
+                   masks, mask & ~(masks[best_v] | v_bit), memo))
     memo[mask] = out
     return out
 
@@ -786,12 +792,20 @@ def char_poly_adjacency(g: Graph) -> Poly:
     return Poly(coeffs)
 
 
+def compose(f: Poly, inner: Poly) -> Poly:
+    """f(inner(x)), by Horner over polynomial coefficients."""
+    out = Poly()
+    for c in reversed(f.coeffs):
+        out = out * inner + Poly((c,))
+    return out
+
+
 def independence_composition_check(g: Graph, h: Graph, max_n: int = 24) -> bool:
     """Composition law for independence polynomials over the lexicographic
     product: i(G[H], x) = i(G, i(H,x) - 1), checked by direct computation."""
     left = independence_poly(lex_product(g, h), max_n=max_n)
     inner = independence_poly(h, max_n=max_n) - Poly.one()
-    right = independence_poly(g, max_n=max_n).compose(inner)
+    right = compose(independence_poly(g, max_n=max_n), inner)
     return left == right
 
 

@@ -15,10 +15,10 @@ import pytest
 from sepgamma import (Graph, Poly, classify, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gamma_a_cut_sum,
                       gamma_a_suspension, gamma_b, gamma_b_interior, gen_poly,
-                      hstar_to_gamma, is_real_rooted, line_graph,
-                      matched_vertex_sets, matched_vertex_sets_formula,
-                      mu_poly, oracle_hstar_a, oracle_hstar_b,
-                      reflexivity_check, solve, suspension,
+                      hstar_to_gamma, line_graph, matched_vertex_sets,
+                      matched_vertex_sets_formula, mu_poly, oracle_hstar_a,
+                      oracle_hstar_b, real_rootedness, reflexivity_check,
+                      solve, suspension,
                       suspension_gamma_formula, verify_gamma_mu_bridge,
                       witness_a, witness_b)
 
@@ -53,8 +53,8 @@ class TestCriterion1KnownValues:
         data = oracle_hstar_a(cycle_graph(5))
         gamma = hstar_to_gamma(data.hstar)
         assert gamma == Poly([1, 2, 6])
-        assert not is_real_rooted(gamma)
-        assert not is_real_rooted(data.hstar)
+        assert not real_rootedness(gamma).is_real_rooted
+        assert not real_rootedness(data.hstar).is_real_rooted
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0
         print(f"\nCRITERION 1a PASS gamma(A_C5) = 1+2x+6x^2, not real-rooted "
@@ -195,8 +195,8 @@ class TestCriterion3RealRootedness:
             if not cls.cactus:
                 continue
             res = gamma_a_suspension(g, cls)
-            assert is_real_rooted(res.hstar)
-            assert is_real_rooted(res.gamma)
+            assert real_rootedness(res.hstar).is_real_rooted
+            assert real_rootedness(res.gamma).is_real_rooted
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1
         print(f"\nCRITERION 3a PASS h*(A of suspension) real-rooted for all "
@@ -210,7 +210,7 @@ class TestCriterion3RealRootedness:
                 continue
             res = gamma_b(g, cls)
             assert res.gamma == gamma_b_interior(g, cls=cls).gamma
-            assert is_real_rooted(res.hstar)
+            assert real_rootedness(res.hstar).is_real_rooted
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1
         print(f"\nCRITERION 3b PASS h*(B_G) real-rooted for all {checked} "
@@ -218,7 +218,7 @@ class TestCriterion3RealRootedness:
 
     def test_matching_poly_real_rooted_everywhere(self, atlas7):
         for g in atlas7:
-            assert is_real_rooted(matching_poly(g))
+            assert real_rootedness(matching_poly(g)).is_real_rooted
         print(f"\nCRITERION 3c PASS alpha(G,x) real-rooted on all "
               f"{len(atlas7)} graph classes <= 7")
 
@@ -233,7 +233,7 @@ class TestCriterion4MuIdentities:
             assert mu_poly(g, uniform_weights(g, 0, cls), cls) == matching_poly(g)
             assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
                 char_poly_adjacency(g)
-            assert verify_gamma_mu_bridge(g, cls=cls)  # n+1 rational samples
+            assert verify_gamma_mu_bridge(g, cls=cls)  # samples 1..n+1
             checked += 1
         print(f"\nCRITERION 4 PASS mu(G,0)=alpha, mu(G,1)=charpoly, and the "
               f"gamma-mu bridge on all {checked} cactus classes <= 7")

@@ -288,7 +288,7 @@ class TestContract:
                             for u in (1, 2, 3) for v in (4, 5, 6)])
         path = write(tmp_path, "g.txt", to_edge_list_text(g))
         assert main(["gamma-b", path]) == 0
-        gamma = [c * 4 ** k for k, c in enumerate(matched_vertex_sets(g, max_n=21))]
+        gamma = [c * 4 ** k for k, c in enumerate(matched_vertex_sets(g))]
         assert f"gamma: {gamma}\n" in capsys.readouterr().out
         assert main(["gamma-b", path, "--bound-override", "matched-sets=5"]) == 4
         assert "pair count over a block of 6 > 5 vertices" in capsys.readouterr().err
@@ -335,6 +335,28 @@ class TestContract:
         err = capsys.readouterr().err
         assert "resource bound exceeded: recursion depth" in err
         assert "exceeded in bottomless" in err
+
+    @pytest.mark.parametrize("argv,where", [
+        (["analyze"], "_blocks"), (["verify"], "_blocks"),
+        (["witness", "--type", "a"], "_blocks"), (["check"], "build_a")])
+    def test_memory_error_exits_4(self, tmp_path, argv, where):
+        # one edge to vertex 10^12: the structure pass and the type-A
+        # polytope allocate n + 1 entries.  The child runs under a 128 MB
+        # address-space limit; without it the list would grow until the
+        # host ran out of memory.
+        import resource
+
+        limit = 128 << 20
+        path = write(tmp_path, "far.txt", "1 1000000000000\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "sepgamma.cli", argv[0], path, *argv[1:]],
+            capture_output=True, text=True, env=env,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert done.returncode == 4
+        assert "Traceback" not in done.stderr
+        assert f"resource bound exceeded: out of memory in {where}\n" in done.stderr
 
     @pytest.mark.parametrize("command,text,gamma", [
         pytest.param("gamma-a", "n 1200\n1 2\n", "[1, 2]",

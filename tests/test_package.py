@@ -10,6 +10,7 @@ import sepgamma
 PACKAGE = pathlib.Path(sepgamma.__file__).parent
 CONSTRUCTORS = ("empty_graph", "path_graph", "cycle_graph", "star_graph",
                 "complete_graph", "complete_bipartite")
+EXEMPT_METHODS = ("Graph.make",)  # the validating constructor
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef,
                ast.Assign, ast.AnnAssign)
 
@@ -48,8 +49,14 @@ def _package_definitions() -> tuple:
 
 
 def _references(module: str, node, defs: dict, aliases: dict):
-    """(module, name) of every package definition that `node` names."""
+    """(module, name) of every package definition that `node` names.  The
+    name of a field declared in a class body names nothing."""
+    fields = {id(sub.target) for cls in ast.walk(node)
+              if isinstance(cls, ast.ClassDef)
+              for sub in cls.body if isinstance(sub, ast.AnnAssign)}
     for sub in ast.walk(node):
+        if id(sub) in fields:
+            continue
         if isinstance(sub, ast.Name):
             if sub.id in defs[module]:
                 yield module, sub.id
@@ -77,3 +84,22 @@ def test_every_definition_is_reached_from_the_cli():
                  for module in defs for name, node in defs[module].items()
                  if (module, name) not in reached]
     assert unreached == []
+
+
+def test_every_method_is_read_in_the_package():
+    """A method of a shipped class that nothing in the package reads as an
+    attribute serves only the tests.  Methods are matched by name, not
+    by class."""
+    trees = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))]
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)}
+    unread = [f"{cls.name}.{fn.name}"
+              for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              for fn in cls.body
+              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not (fn.name.startswith("__") and fn.name.endswith("__"))
+              and fn.name not in read
+              and f"{cls.name}.{fn.name}" not in EXEMPT_METHODS]
+    assert unread == []

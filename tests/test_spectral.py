@@ -5,8 +5,8 @@ from itertools import product
 import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
-                      complete_graph, cycle_graph, empty_graph, is_real_rooted,
-                      mu_poly, path_graph, verify_gamma_mu_bridge)
+                      complete_graph, cycle_graph, empty_graph, mu_poly,
+                      path_graph, real_rootedness, verify_gamma_mu_bridge)
 
 from conftest import atlas_graphs, count_calls, random_graph
 from oracles import char_poly_adjacency, matching_poly, uniform_weights
@@ -115,26 +115,16 @@ class TestRealRootedMu:
             cycles = cls.simple_cycles
             for combo in product(values, repeat=len(cycles)):
                 weights = dict(zip(cycles, combo))
-                assert is_real_rooted(mu_poly(g, weights))
+                assert real_rootedness(mu_poly(g, weights)).is_real_rooted
 
 
 class TestBridge:
     def test_examples(self):
-        assert verify_gamma_mu_bridge(cycle_graph(4),
-                                      [Fraction(i) for i in (1, 2, 3, 4, 5)])
+        assert verify_gamma_mu_bridge(cycle_graph(4))
         assert verify_gamma_mu_bridge(cycle_graph(6))
         assert verify_gamma_mu_bridge(path_graph(4))
         assert verify_gamma_mu_bridge(Graph.make(1, []))
 
-    def test_zero_sample_rejected(self):
-        with pytest.raises(PreconditionError):
-            verify_gamma_mu_bridge(path_graph(3), [Fraction(0)])
-
     def test_non_cactus_rejected(self):
         with pytest.raises(PreconditionError):
             verify_gamma_mu_bridge(complete_graph(4))
-
-    def test_rational_samples(self):
-        assert verify_gamma_mu_bridge(
-            cycle_graph(4), [Fraction(1, 2), Fraction(-3, 7), Fraction(5),
-                             Fraction(2, 3), Fraction(-1)])

@@ -32,7 +32,6 @@ class TestWitnessA:
         fw = witness_a(cycle_graph(3))
         assert fw.witness_graph == empty_graph(6)
         assert fw.f_poly == Poly([1, 6]) and fw.target == Poly([1, 6])
-        assert fw.m == 2
 
     def test_single_edge(self):
         fw = witness_a(Graph.make(2, [(1, 2)]))
@@ -58,7 +57,7 @@ class TestWitnessB:
     def test_single_edge(self):
         fw = witness_b(Graph.make(2, [(1, 2)]))
         assert fw.witness_graph == empty_graph(4)
-        assert fw.f_poly == Poly([1, 4]) and fw.m == 4
+        assert fw.f_poly == Poly([1, 4])
 
     def test_path3(self):
         fw = witness_b(path_graph(3))
