@@ -9,15 +9,13 @@ from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Graph, GraphClassification, classify,
                      complement, complete_bipartite, complete_graph, cuts,
-                     cycle_graph, cycles_of, empty_graph, lex_product,
-                     lex_product_complete, line_graph, parse_graph,
-                     path_graph, simple_cycles, star_graph, suspension,
-                     to_edge_list_text)
+                     cycle_graph, cycles_of, empty_graph, lex_product_complete,
+                     line_graph, parse_graph, path_graph, simple_cycles,
+                     star_graph, suspension, to_edge_list_text)
 from .interior import cut_sum_gamma
 from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       count_points, ehrhart_data, h_representation,
-                      hstar_from_counts, oracle_hstar_a, oracle_hstar_b,
-                      reduce_to_full_dim, reflexivity_check)
+                      hstar_from_counts, reduce_to_full_dim)
 from .matching import (gen_poly, matchable_pairs, matched_vertex_sets,
                        matched_vertex_sets_formula, tiling_poly)
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,

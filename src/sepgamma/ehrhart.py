@@ -17,7 +17,9 @@ of h* and the mirror gives the rest.  Type A of any graph and type B of
 a bipartite one pass this test.  Otherwise (type B of a non-bipartite
 graph, or a mean that is not a lattice point) every t = 1..d+1 is
 counted.  Either way one more dilate is counted than the transform
-needs, d//2 + 1 or d + 1, and h* must reproduce its count.
+needs, d//2 + 1 or d + 1, and h* must reproduce its count.  The result
+reports the decision (EhrhartData.reflexive), and the engine defines
+gamma from it.
 
 Both families are centrally symmetric, and the walk uses it when the
 points prove it: when their mean c is a lattice point and the point set
@@ -35,8 +37,9 @@ of those already taken, and one fraction-free Gauss-Jordan pass gives
 the cone's rays: the rows of the inverse of the matrix whose columns are
 the d + 1 vectors (1, q), made primitive.
 
-The hyperplane brute force and the bounding-box scan that these stages
-replaced are kept in the tests (tests/oracles.py) as references.  This
+The hyperplane brute force, with its own transform-tracking elimination,
+the bounding-box scan that these stages replaced and the palindrome test
+of reflexivity are kept in the tests (tests/oracles.py) as references.  This
 oracle validates the formula paths at desk scale; every stage has a loud
 resource guard.
 """
@@ -74,15 +77,12 @@ class LatticePolytope:
 # Integer linear algebra
 # ---------------------------------------------------------------------------
 
-def _row_reduce(mat: list, cols: int) -> int:
-    """Unimodular row reduction of the first `cols` columns of the integer
-    matrix `mat` (a list of rows, changed in place) by row swaps and integer
-    row additions.  Returns the rank r: rows[:r] are then in echelon form
-    and the other rows are zero on those columns.  Columns past `cols` are
-    carried along: an identity block there records the transform, which
-    only the test references read; the oracle uses the reduced rows."""
+def _row_reduce(mat: list) -> int:
+    """Unimodular row reduction of the integer matrix `mat` (a list of rows,
+    changed in place) by row swaps and integer row additions.  Returns the
+    rank r: rows[:r] are then in echelon form and the other rows are zero."""
     r0 = 0
-    for c in range(cols):
+    for c in range(len(mat[0]) if mat else 0):
         while True:
             nz = [r for r in range(r0, len(mat)) if mat[r][c] != 0]
             if not nz:
@@ -105,7 +105,7 @@ def _pivot_rows(points) -> list:
     and their number is its dimension."""
     p0 = points[0]
     mat = [[p[i] - p0[i] for p in points] for i in range(len(p0))]
-    return mat[:_row_reduce(mat, len(points))]
+    return mat[:_row_reduce(mat)]
 
 
 # ---------------------------------------------------------------------------
@@ -395,12 +395,14 @@ def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> in
 
 @dataclass(frozen=True)
 class EhrhartData:
-    """The dilate counts L(0), L(1), ... that were counted, the h*-polynomial
-    they determine and the dimension d.  The counts run to L(d+1), or to
-    L(d // 2 + 1) when the facets prove the polytope reflexive."""
-    counts: tuple
+    """The h*-polynomial, the dimension d, and whether the facets proved the
+    polytope reflexive (see _facets_prove_reflexive); then h* is
+    palindromic of degree d.  When the points are symmetric about their
+    lattice mean, as those of type A and B are, a reflexive polytope's one
+    interior lattice point is that mean, so False means not reflexive."""
     hstar: Poly
     dim: int
+    reflexive: bool
 
 
 def hstar_from_counts(counts, d: int, reflexive: bool = False) -> Poly:
@@ -429,11 +431,6 @@ def hstar_from_counts(counts, d: int, reflexive: bool = False) -> Poly:
     return Poly(h)
 
 
-def reflexivity_check(hstar: Poly, d: int) -> bool:
-    """Reflexive iff h* is palindromic of degree exactly d."""
-    return hstar.degree == d and hstar.is_palindromic()
-
-
 def _facets_prove_reflexive(q: LatticePolytope) -> bool:
     """True when the mean c of q.points is a lattice point and every facet
     (normal, offset) of q.hrep has offset - normal . c = 1.  The normals
@@ -457,12 +454,4 @@ def ehrhart_data(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
     reflexive = _facets_prove_reflexive(q)
     last = q.dim // 2 + 1 if reflexive else q.dim + 1
     counts = [1] + [count_points(q, t, budget) for t in range(1, last + 1)]
-    return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim, reflexive), q.dim)
-
-
-def oracle_hstar_a(g: Graph, **kw) -> EhrhartData:
-    return ehrhart_data(build_a(g), **kw)
-
-
-def oracle_hstar_b(g: Graph, **kw) -> EhrhartData:
-    return ehrhart_data(build_b(g), **kw)
+    return EhrhartData(hstar_from_counts(counts, q.dim, reflexive), q.dim, reflexive)

@@ -6,7 +6,9 @@ live with the tests.
 Every result is packaged as a SepResult whose invariants (palindromic h*,
 h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
 by the test suite.  `solve` is the one dispatcher: ROUTES says which
-routes serve which polytope and what `auto` picks.
+routes serve which polytope and what `auto` picks.  The Ehrhart route
+defines gamma exactly when the oracle reports that its facets proved the
+polytope reflexive.
 """
 
 from __future__ import annotations
@@ -126,14 +128,14 @@ _ORACLE_BOUNDS = (("hrep-dim", "max_dim"), ("hrep-points", "max_points"),
 def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
     """Result from lattice-point counts of the polytope (a = type A of g,
     ahat = type A of its suspension, b = type B).  gamma is defined only
-    when h* is palindromic of full degree."""
-    from .ehrhart import oracle_hstar_a, oracle_hstar_b, reflexivity_check
+    when the oracle's facets prove the polytope reflexive."""
+    from .ehrhart import build_a, build_b, ehrhart_data
 
     kw = {arg: bounds[key] for key, arg in _ORACLE_BOUNDS if key in bounds}
     if polytope == "b":
-        data = oracle_hstar_b(g, **kw)
+        data = ehrhart_data(build_b(g), **kw)
     else:
-        data = oracle_hstar_a(suspension(g) if polytope == "ahat" else g, **kw)
+        data = ehrhart_data(build_a(suspension(g) if polytope == "ahat" else g), **kw)
     dim = data.dim
     # the suspension is connected on n + 1 vertices: any other dimension
     # is a fault in building or reducing the polytope
@@ -141,7 +143,7 @@ def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
         raise PreconditionError(
             f"suspension polytope came out {dim}-dimensional, expected {g.n}")
     hstar = data.hstar
-    gamma = hstar_to_gamma(hstar) if reflexivity_check(hstar, dim) else None
+    gamma = hstar_to_gamma(hstar) if data.reflexive else None
     return SepResult(gamma, hstar, hstar(1), dim, "ehrhart")
 
 

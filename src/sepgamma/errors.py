@@ -10,7 +10,8 @@ class SepGammaError(Exception):
 
 
 class GraphFormatError(SepGammaError):
-    """Malformed graph input (bad line, self-loop, label < 1, duplicate edge)."""
+    """Malformed graph input (bad line, self-loop, label < 1 or above n,
+    negative vertex count); repeated edges are merged, not rejected."""
 
 
 class PreconditionError(SepGammaError):

@@ -1,7 +1,10 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
 the polytope formulas need: cycle enumeration, the crossing graph of every
 cut, cactus/bipartite classification, and the derived constructions
-(suspension, line graph, complement, lexicographic product).
+(suspension, line graph, complement, and the lexicographic product with a
+clique, the one the witness needs).  One validator checks every graph built
+from outside the package: the parser and Graph.make both end in
+_checked_graph.
 
 Everything is a pure function of immutable values; iteration orders are
 sorted so results are deterministic.
@@ -28,18 +31,11 @@ class Graph:
 
     @staticmethod
     def make(n: int, edges: Iterable = ()) -> "Graph":
-        """Validating constructor: endpoints in 1..n, no loops, dedup."""
+        """Validating constructor: n >= 0, then the checks of _checked_graph
+        (labels in 1..n, no loops, duplicates merged)."""
         if n < 0:
             raise GraphFormatError(f"vertex count {n} is negative")
-        es = set()
-        for e in edges:
-            u, v = e
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise GraphFormatError(f"edge ({u},{v}) leaves vertex range 1..{n}")
-            es.add((u, v) if u < v else (v, u))
-        return Graph(n, frozenset(es))
+        return _checked_graph(n, [("", u, v) for u, v in edges])
 
     @property
     def edge_count(self) -> int:
@@ -200,29 +196,17 @@ def line_graph(g: Graph) -> Graph:
     return Graph(m, frozenset(out))
 
 
-def lex_product(g: Graph, h: Graph) -> Graph:
-    """Lexicographic product: (a,x) ~ (b,y) iff a~b in g, or a=b and x~y in h.
-
-    Vertex (a, x) maps to label (a-1)*|V(h)| + x.
-    """
-    m = h.n
-    edges = set()
-    for a, b in g.edges:
-        for x in range(1, m + 1):
-            for y in range(1, m + 1):
-                u, v = (a - 1) * m + x, (b - 1) * m + y
-                edges.add((u, v) if u < v else (v, u))
-    for a in range(1, g.n + 1):
-        for x, y in h.edges:
-            edges.add(((a - 1) * m + x, (a - 1) * m + y))
-    return Graph(g.n * m, frozenset(edges))
-
-
 def lex_product_complete(g: Graph, m: int) -> Graph:
-    """g[K_m]: every vertex blown up into a clique of size m."""
+    """g[K_m]: every vertex blown up into a clique of size m.  Vertex (a, x)
+    maps to label (a-1)*m + x; (a, x) ~ (b, y) iff a ~ b in g, or a = b
+    and x != y."""
     if m < 1:
         raise PreconditionError(f"clique size {m} must be >= 1")
-    return lex_product(g, complete_graph(m))
+    edges = {((a - 1) * m + x, (b - 1) * m + y)
+             for a, b in g.edges for x in range(1, m + 1) for y in range(1, m + 1)}
+    edges.update(((a - 1) * m + x, (a - 1) * m + y) for a in range(1, g.n + 1)
+                 for x in range(1, m + 1) for y in range(x + 1, m + 1))
+    return Graph(g.n * m, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Coefficients are Python ints or fractions.Fraction, never floats, so every
 operation in the library (gamma <-> h* transforms, Horner evaluation) is
 exact.  A single class covers both the integer and the rational case;
 Fractions that reduce to integers are normalized to int.  Real-rootedness
-is decided by one Sturm chain over integer coefficient lists.
+is decided by one Sturm chain over integer coefficient lists, which
+yields the verdict and the count of distinct real roots that the property
+report carries.
 """
 
 from __future__ import annotations
@@ -300,11 +302,9 @@ def _sign_changes(signs: list) -> int:
 
 @dataclass(frozen=True)
 class RealRoots:
-    """Verdict of the Sturm count: distinct real roots against the degree
-    of the square-free part."""
+    """Verdict of the Sturm count, and the distinct real roots it counted."""
     is_real_rooted: bool
     distinct_real_roots: int
-    squarefree_degree: int
 
 
 def real_rootedness(f: Poly) -> RealRoots:
@@ -329,7 +329,7 @@ def real_rootedness(f: Poly) -> RealRoots:
     at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, chain)]
     count = _sign_changes(at_minus) - _sign_changes(at_plus)
     d = len(chain[0]) - len(chain[-1])
-    return RealRoots(count == d, count, d)
+    return RealRoots(count == d, count)
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def check_properties(f: Poly) -> PropertyReport:
     gamma = hstar_to_gamma(f) if palindromic else None
     gamma_positive = gamma is not None and all(c >= 0 for c in gamma.coeffs)
     if f.is_zero():
-        rr = RealRoots(False, 0, -1)  # convention: undefined for 0
+        rr = RealRoots(False, 0)  # convention: undefined for 0
     else:
         rr = real_rootedness(f)
     return PropertyReport(

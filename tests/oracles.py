@@ -17,13 +17,17 @@ points through the projections of tP; h_representation_reference tries the
 hyperplane through every d points, and count_points_reference scans the
 bounding box of tP.  It counts only the dilates t = 1..d//2 + 1 once its
 facets prove the polytope reflexive; ehrhart_data_reference counts every
-t = 1..d+1 with the box scan and transforms each coefficient of h*.
+t = 1..d+1 with the box scan, transforms each coefficient of h*, and
+decides reflexivity from h* (palindromic of degree d) for the tests to hold
+the facet proof to.  The hyperplane brute force eliminates with its own
+Bezout steps; no reference imports a private name of the package.
 
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
-independence and characteristic polynomials, the matching polynomial, and
-the closed forms for wheels and cycles.
+independence and characteristic polynomials, the lexicographic product
+with any second graph (the package builds only g[K_m]), the matching
+polynomial, and the closed forms for wheels and cycles.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
                       PreconditionError, cycle_graph, cycles_of,
                       gamma_a_suspension, gen_poly, h_representation,
-                      hstar_from_counts, lex_product, reduce_to_full_dim)
-from sepgamma.ehrhart import _row_reduce
+                      hstar_from_counts, reduce_to_full_dim)
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
 
@@ -331,6 +334,42 @@ def mu_poly_reference(g: Graph, weights: dict, cls=None) -> Poly:
     return cycle_family_sum(g, cycle_families(g, cls), alpha, weight)
 
 
+def bezout(a: int, b: int) -> tuple:
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0."""
+    r0, r1, x0, x1, y0, y1 = a, b, 1, 0, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (r0, x0, y0) if r0 >= 0 else (-r0, -x0, -y0)
+
+
+def row_reduce_tracked(mat: list, cols: int) -> tuple:
+    """(r, rows, u): u is a unimodular integer matrix, rows = u . mat, and on
+    the first `cols` columns rows[:r] are in echelon form and the other rows
+    are zero.  Each pivot row meets every row below it in one 2 x 2 step
+    [[x, y], [-b/g, a/g]] (x a + y b = g = gcd of their entries a, b):
+    determinant 1, and it leaves g in the pivot row and 0 below."""
+    n = len(mat)
+    rows = [list(row) for row in mat]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    r = 0
+    for c in range(cols):
+        if r == n:
+            break
+        for i in range(r + 1, n):
+            a, b = rows[r][c], rows[i][c]
+            if b:
+                g, x, y = bezout(a, b)
+                for m in (rows, u):
+                    top, low = m[r], m[i]
+                    m[r] = [x * p + y * q for p, q in zip(top, low)]
+                    m[i] = [a // g * q - b // g * p for p, q in zip(top, low)]
+        r += rows[r][c] != 0
+    return r, rows, u
+
+
 def h_representation_reference(p: LatticePolytope) -> tuple:
     """Sorted facets (normal, offset) of a full-dimensional p, with primitive
     normals: every hyperplane spanned by d affinely independent points that
@@ -343,11 +382,11 @@ def h_representation_reference(p: LatticePolytope) -> tuple:
         # the transform row that clears the d - 1 differences is the
         # primitive normal, unless they have lower rank
         x0 = subset[0]
-        mat = [[q[j] - x0[j] for q in subset[1:]] + [int(i == j) for i in range(d)]
-               for j in range(d)]
-        if _row_reduce(mat, d - 1) < d - 1:
+        diffs = [[q[j] - x0[j] for q in subset[1:]] for j in range(d)]
+        rank, _, transform = row_reduce_tracked(diffs, d - 1)
+        if rank < d - 1:
             continue
-        normal = tuple(mat[-1][d - 1:])
+        normal = tuple(transform[-1])
         offset0 = sum(a * b for a, b in zip(normal, x0))
         neg = tuple(-v for v in normal)
         key = max((normal, offset0), (neg, -offset0))
@@ -396,15 +435,23 @@ def count_points_reference(p: LatticePolytope, t: int) -> int:
     return scan(0, [0] * len(facets))
 
 
-def ehrhart_data_reference(p: LatticePolytope) -> EhrhartData:
+def reflexivity_check(hstar: Poly, d: int) -> bool:
+    """Reflexive iff h* is palindromic of degree exactly d (Hibi 1992, for a
+    lattice polytope whose one interior lattice point is the origin)."""
+    return hstar.degree == d and hstar.is_palindromic()
+
+
+def ehrhart_data_reference(p: LatticePolytope) -> tuple:
     """The Ehrhart oracle with no reflexivity shortcut and no walk: reduce,
     facets, count t = 1..d+1 by the bounding-box scan, and take every h*_k
-    from the binomial transform."""
+    from the binomial transform.  Returns the result, with reflexivity
+    decided from h* alone (reflexivity_check), and the counts L(0..d+1)."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
         h_representation(q)
-    counts = [1] + [count_points_reference(q, t) for t in range(1, q.dim + 2)]
-    return EhrhartData(tuple(counts), hstar_from_counts(counts, q.dim), q.dim)
+    counts = tuple([1] + [count_points_reference(q, t) for t in range(1, q.dim + 2)])
+    hstar = hstar_from_counts(counts, q.dim)
+    return EhrhartData(hstar, q.dim, reflexivity_check(hstar, q.dim)), counts
 
 
 # ---------------------------------------------------------------------------
@@ -798,6 +845,24 @@ def compose(f: Poly, inner: Poly) -> Poly:
     for c in reversed(f.coeffs):
         out = out * inner + Poly((c,))
     return out
+
+
+def lex_product(g: Graph, h: Graph) -> Graph:
+    """Lexicographic product: (a,x) ~ (b,y) iff a~b in g, or a=b and x~y in h.
+
+    Vertex (a, x) maps to label (a-1)*|V(h)| + x.
+    """
+    m = h.n
+    edges = set()
+    for a, b in g.edges:
+        for x in range(1, m + 1):
+            for y in range(1, m + 1):
+                u, v = (a - 1) * m + x, (b - 1) * m + y
+                edges.add((u, v) if u < v else (v, u))
+    for a in range(1, g.n + 1):
+        for x, y in h.edges:
+            edges.add(((a - 1) * m + x, (a - 1) * m + y))
+    return Graph(g.n * m, frozenset(edges))
 
 
 def independence_composition_check(g: Graph, h: Graph, max_n: int = 24) -> bool:

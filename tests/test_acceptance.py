@@ -12,13 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from sepgamma import (Graph, Poly, classify, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gamma_a_cut_sum,
-                      gamma_a_suspension, gamma_b, gamma_b_interior, gen_poly,
-                      hstar_to_gamma, line_graph, matched_vertex_sets,
-                      matched_vertex_sets_formula, mu_poly, oracle_hstar_a,
-                      oracle_hstar_b, real_rootedness, reflexivity_check,
-                      solve, suspension,
+from sepgamma import (Graph, Poly, build_a, build_b, classify, complete_graph,
+                      cut_sum_gamma, cycle_graph, ehrhart_data, empty_graph,
+                      gamma_a_cut_sum, gamma_a_suspension, gamma_b,
+                      gamma_b_interior, gen_poly, hstar_to_gamma, line_graph,
+                      matched_vertex_sets, matched_vertex_sets_formula,
+                      mu_poly, real_rootedness, solve, suspension,
                       suspension_gamma_formula, verify_gamma_mu_bridge,
                       witness_a, witness_b)
 
@@ -26,7 +25,7 @@ from conftest import all_graphs_upto, atlas_graphs, random_graph
 from oracles import (bipartition_of, char_poly_adjacency,
                      independence_composition_check, independence_poly,
                      interior_tilde_definition, matching_poly,
-                     uniform_weights, wheel_closed_form)
+                     reflexivity_check, uniform_weights, wheel_closed_form)
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +49,7 @@ class TestCriterion1KnownValues:
 
     def test_gamma_a_c5_via_oracle(self):
         start = time.perf_counter()
-        data = oracle_hstar_a(cycle_graph(5))
+        data = ehrhart_data(build_a(cycle_graph(5)))
         gamma = hstar_to_gamma(data.hstar)
         assert gamma == Poly([1, 2, 6])
         assert not real_rootedness(gamma).is_real_rooted
@@ -90,7 +89,7 @@ class TestCriterion1KnownValues:
         start = time.perf_counter()
         formula = gamma_b(cycle_graph(4))
         interior = gamma_b_interior(cycle_graph(4))
-        oracle = oracle_hstar_b(cycle_graph(4))
+        oracle = ehrhart_data(build_b(cycle_graph(4)))
         assert formula.gamma == interior.gamma == Poly([1, 16, 16])
         assert formula.volume == interior.volume == 96
         assert oracle.hstar == formula.hstar
@@ -148,7 +147,7 @@ class TestCriterion2OracleEquivalence:
             if cls.bipartite:
                 res_b = gamma_b_interior(g, cls=cls)
                 assert_sep_invariants(res_b)
-                oracle_b = oracle_hstar_b(g)
+                oracle_b = ehrhart_data(build_b(g))
                 assert oracle_b.hstar == res_b.hstar
                 if cls.cactus:
                     assert gamma_b(g, cls).hstar == oracle_b.hstar
@@ -295,9 +294,10 @@ class TestCriterion6StructuralInvariants:
         start = time.perf_counter()
         checked = 0
         for g in [*all_graphs_upto(4), *atlas_graphs(5, min_n=5)]:
-            data = oracle_hstar_b(g)
+            data = ehrhart_data(build_b(g))
             bip = bipartition_of(g) is not None
-            assert reflexivity_check(data.hstar, g.n) == bip
+            # the facet proof the oracle reports, held to the palindrome test
+            assert data.reflexive == reflexivity_check(data.hstar, g.n) == bip
             checked += 1
         elapsed = time.perf_counter() - start
         print(f"\nCRITERION 6b PASS B-polytope palindromic iff bipartite on "
@@ -309,7 +309,7 @@ class TestCriterion6StructuralInvariants:
             if not classify(g).connected:
                 continue
             hat = suspension(g)
-            data = oracle_hstar_a(hat)
-            assert reflexivity_check(data.hstar, g.n)
+            data = ehrhart_data(build_a(hat))
+            assert data.reflexive and reflexivity_check(data.hstar, g.n)
         print("\nCRITERION 6c PASS suspension A-polytopes reflexive "
               "(palindromic h*) on all connected labeled graphs <= 3")

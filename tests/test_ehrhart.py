@@ -8,8 +8,7 @@ from sepgamma import (BoundExceededError, EhrhartData, Graph, LatticePolytope, P
                       PreconditionError, VerificationError, build_a, build_b,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
                       empty_graph, gamma_to_hstar, h_representation,
-                      hstar_from_counts, path_graph, reduce_to_full_dim,
-                      reflexivity_check)
+                      hstar_from_counts, path_graph, reduce_to_full_dim)
 from sepgamma import ehrhart
 from sepgamma.ehrhart import (_centre, _facets, _facets_prove_reflexive, _pivot_rows,
                               _row_reduce)
@@ -17,7 +16,8 @@ from sepgamma.graphs import suspension
 
 from conftest import atlas_graphs
 from oracles import (count_points_reference, ehrhart_data_reference,
-                     h_representation_reference)
+                     h_representation_reference, reflexivity_check,
+                     row_reduce_tracked)
 
 
 def det(mat):
@@ -47,22 +47,48 @@ def diffs(points):
     return [tuple(a - b for a, b in zip(p, points[0])) for p in points]
 
 
+def counted(p, **kw) -> tuple:
+    """ehrhart_data(p, **kw) and the counts L(0), L(1), ... it took: every
+    call of count_points is recorded, and must ask for t = 1, 2, ... in
+    order."""
+    counts = [1]
+    original = ehrhart.count_points
+
+    def recording(q, t, budget=ehrhart.MAX_BOX_POINTS):
+        assert t == len(counts)
+        counts.append(original(q, t, budget))
+        return counts[-1]
+
+    ehrhart.count_points = recording
+    try:
+        data = ehrhart_data(p, **kw)
+    finally:
+        ehrhart.count_points = original
+    return data, tuple(counts)
+
+
 class TestRowReduce:
     def test_echelon_and_rank(self):
         mat = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
-        assert _row_reduce(mat, 3) == 2
+        assert _row_reduce(mat) == 2
         assert mat[0][0] != 0 and mat[1][0] == 0 and mat[1][1:] != [0, 0]
         assert mat[2] == [0, 0, 0]
 
     def test_transform_is_tracked(self):
-        # rows of the transform times the original give the reduced rows
+        # the reference elimination of the facet brute force: the rows of
+        # its transform times the original give the reduced rows
         orig = [[4, 6], [6, 9], [2, 3]]
-        mat = [row + [int(i == j) for j in range(3)] for i, row in enumerate(orig)]
-        assert _row_reduce(mat, 2) == 1
-        for row in mat:
-            u = row[2:]
-            assert [sum(u[i] * orig[i][c] for i in range(3)) for c in range(2)] == row[:2]
-        assert abs(det([row[2:] for row in mat])) == 1
+        rank, rows, u = row_reduce_tracked(orig, 2)
+        assert rank == 1 and rows[1:] == [[0, 0], [0, 0]]
+        for row, ur in zip(rows, u):
+            assert [sum(ur[i] * orig[i][c] for i in range(3)) for c in range(2)] == row
+        assert abs(det(u)) == 1
+        # a zero in the pivot position, a negative entry, and a zero matrix
+        orig = [[0, 3, 1], [-2, 5, 0], [4, 1, 7]]
+        rank, rows, u = row_reduce_tracked(orig, 2)
+        assert rank == 2 and rows[0][0] == 2 and rows[1][0] == rows[2][0] == 0
+        assert abs(det(u)) == 1
+        assert row_reduce_tracked([[0, 0], [0, 0]], 2)[0] == 0
 
     def test_saturation(self):
         # differences (2,-2) must yield the primitive lattice Z(1,-1)
@@ -248,19 +274,19 @@ class TestHstarTransform:
 
     def test_finite_difference_vanishes(self):
         for g in (cycle_graph(3), cycle_graph(4)):
-            data = ehrhart_data_reference(build_a(g))
+            data, counts = ehrhart_data_reference(build_a(g))
             d = data.dim
-            diff = sum((-1) ** j * math.comb(d + 1, j) * data.counts[d + 1 - j]
+            diff = sum((-1) ** j * math.comb(d + 1, j) * counts[d + 1 - j]
                        for j in range(d + 2))
             assert diff == 0
 
 
 class TestOracleEndToEnd:
     def test_hexagon(self):
-        assert ehrhart_data_reference(build_a(cycle_graph(3))).counts == (1, 7, 19, 37)
+        assert ehrhart_data_reference(build_a(cycle_graph(3)))[1] == (1, 7, 19, 37)
         # reflexive: only t = 1, 2 are counted
-        data = ehrhart_data(build_a(cycle_graph(3)))
-        assert (data.counts, data.dim) == ((1, 7, 19), 2)
+        data, counts = counted(build_a(cycle_graph(3)))
+        assert (counts, data.dim, data.reflexive) == ((1, 7, 19), 2, True)
         assert data.hstar == Poly([1, 4, 1])
         assert data.hstar == gamma_to_hstar(Poly([1, 2]), 2)
 
@@ -275,12 +301,13 @@ class TestOracleEndToEnd:
         assert data.hstar(1) == 8
 
     def test_reflexivity_pattern(self):
+        # the proof the oracle reports agrees with the palindrome test
         a = ehrhart_data(build_a(cycle_graph(3)))
-        assert reflexivity_check(a.hstar, 2)
+        assert a.reflexive and reflexivity_check(a.hstar, 2)
         b4 = ehrhart_data(build_b(cycle_graph(4)))
-        assert reflexivity_check(b4.hstar, 4)
+        assert b4.reflexive and reflexivity_check(b4.hstar, 4)
         b3 = ehrhart_data(build_b(cycle_graph(3)))
-        assert not reflexivity_check(b3.hstar, 3)
+        assert not b3.reflexive and not reflexivity_check(b3.hstar, 3)
         assert reflexivity_check(Poly([1, 1]) ** 5, 5)
 
 
@@ -293,14 +320,17 @@ def assert_matches_references(q, max_t):
 
 
 def assert_half_count_matches_reference(q) -> EhrhartData:
-    """The oracle's h* equals the full count's, and it counts the dilates
-    t = 1..d//2 + 1 exactly when its facets prove reflexivity.  Returns
+    """The oracle's h* equals the full count's, it reports the facet proof
+    of reflexivity, which implies the palindrome test (Hibi), and it counts
+    the dilates t = 1..d//2 + 1 exactly when it has that proof.  Returns
     the reference data."""
-    ref = ehrhart_data_reference(q)
-    data = ehrhart_data(q)
+    ref, ref_counts = ehrhart_data_reference(q)
+    data, counts = counted(q)
     assert (data.hstar, data.dim) == (ref.hstar, ref.dim)
-    last = q.dim // 2 + 1 if _facets_prove_reflexive(q) else q.dim + 1
-    assert data.counts == ref.counts[:last + 1]
+    assert data.reflexive == _facets_prove_reflexive(q)
+    assert ref.reflexive or not data.reflexive
+    last = q.dim // 2 + 1 if data.reflexive else q.dim + 1
+    assert counts == ref_counts[:last + 1]
     return ref
 
 
@@ -327,7 +357,7 @@ def test_atlas_polytopes_match_references():
             # Hibi: the facet proof holds exactly when h* is palindromic
             # of degree d (the mean of these points is the origin)
             proven = _facets_prove_reflexive(q)
-            assert proven == reflexivity_check(ref.hstar, q.dim)
+            assert proven == ref.reflexive == reflexivity_check(ref.hstar, q.dim)
             checked += 1
             reflexive += proven
     assert checked == 52 + 18 + 18
@@ -405,29 +435,30 @@ class TestHalfCount:
             q = build_b(g)
             ref = assert_half_count_matches_reference(q)
             assert not _facets_prove_reflexive(q)
-            assert len(ehrhart_data(q).counts) == q.dim + 2
+            assert len(counted(q)[1]) == q.dim + 2
             assert ref.hstar == hstar
 
     def test_segment_at_distance_two(self):
         # mean 0, a lattice point, but each facet x <= 2, -x <= 2 lies at
         # lattice distance 2 from it: L(t) = 4t + 1
         q = LatticePolytope(1, ((-2,), (2,)), 1)
-        data = ehrhart_data(q)
-        assert not _facets_prove_reflexive(q)
-        assert data.counts == (1, 5, 9) and data.hstar == Poly([1, 3])
+        data, counts = counted(q)
+        assert not _facets_prove_reflexive(q) and not data.reflexive
+        assert counts == (1, 5, 9) and data.hstar == Poly([1, 3])
 
     def test_mean_off_the_interior_point(self):
         # the square [-1, 1]^2 is reflexive, but the non-vertex point
         # (1, 0) moves the mean to (1/5, 0): the oracle counts every dilate
         square = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-        assert len(ehrhart_data(LatticePolytope(2, square, 2)).counts) == 3
+        assert len(counted(LatticePolytope(2, square, 2))[1]) == 3
         q = LatticePolytope(2, square + ((1, 0),), 2)
         h_representation(q)
         assert not _facets_prove_reflexive(q)
-        data = ehrhart_data(q)
-        assert data.counts == (1, 9, 25, 49)
+        data, counts = counted(q)
+        assert counts == (1, 9, 25, 49)
         assert data.hstar == Poly([1, 6, 1])
-        assert reflexivity_check(data.hstar, 2)
+        # the oracle reports what its facets proved, not what h* suggests
+        assert not data.reflexive and reflexivity_check(data.hstar, 2)
 
     def test_box_guard_reads_the_largest_dilate_counted(self):
         # the reduced hexagon's box of tP holds (2t + 1)^2 points, and only
@@ -448,7 +479,7 @@ class TestHalfCount:
         def corrupted(q, t, budget=ehrhart.MAX_BOX_POINTS):
             return count_points(q, t, budget) + (t == 3)
 
-        assert ehrhart_data(build_a(cycle_graph(5))).counts == (1, 11, 61, 211)
+        assert counted(build_a(cycle_graph(5)))[1] == (1, 11, 61, 211)
         monkeypatch.setattr(ehrhart, "count_points", corrupted)
         with pytest.raises(VerificationError) as exc:
             ehrhart_data(build_a(cycle_graph(5)))

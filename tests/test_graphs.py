@@ -15,7 +15,7 @@ from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
 from oracles import (classify_reference, delete_vertices, even_cycle_families,
-                     simple_cycles_reference, tilde)
+                     lex_product, simple_cycles_reference, tilde)
 
 
 class TestParse:
@@ -31,6 +31,15 @@ class TestParse:
         assert parse_graph("") == empty_graph(0)
         with pytest.raises(GraphFormatError):
             parse_graph("n 2\n1 3")
+
+    def test_make_validates(self):
+        # Graph.make runs the parser's checks, and rejects a negative n
+        for n, edges in ((3, [(2, 2)]), (3, [(0, 1)]), (3, [(1, 4)]), (-1, [])):
+            with pytest.raises(GraphFormatError):
+                Graph.make(n, edges)
+        g = Graph.make(3, [(1, 2), (2, 1), (3, 2)])
+        assert g == Graph(3, frozenset({(1, 2), (2, 3)}))
+        assert Graph.make(0) == empty_graph(0)
 
     def test_comments_and_blanks(self):
         g = parse_graph("# a triangle\n\n1 2\n2 3\n\n3 1\n")
@@ -153,6 +162,12 @@ class TestConstructions:
         assert all(mask.bit_count() == 2 for mask in lg.adjacency_masks())
         assert classify(lg).connected
         assert lex_product_complete(complete_graph(3), 2) == complete_graph(6)
+        # the general product with K_m: labels (a-1)*m + x
+        rng = random.Random(113)
+        for _ in range(20):
+            g = random_graph(rng, rng.randrange(0, 6), rng.random())
+            for m in (1, 2, 3):
+                assert lex_product_complete(g, m) == lex_product(g, complete_graph(m))
         assert line_graph(empty_graph(4)) == empty_graph(0)
         with pytest.raises(PreconditionError):
             lex_product_complete(complete_graph(2), 0)

@@ -25,7 +25,7 @@ def kirchhoff_count(g: Graph) -> int:
         lap[v - 1][u - 1] -= 1
     minor = [row[1:] for row in lap[1:]]
     # |det| is the product of the pivots of the echelon form, 0 below full rank
-    if _row_reduce(minor, g.n - 1) < g.n - 1:
+    if _row_reduce(minor) < g.n - 1:
         return 0
     return abs(math.prod(minor[i][i] for i in range(g.n - 1)))
 

@@ -8,6 +8,7 @@ import pathlib
 import sepgamma
 
 PACKAGE = pathlib.Path(sepgamma.__file__).parent
+ORACLES = pathlib.Path(__file__).with_name("oracles.py")
 CONSTRUCTORS = ("empty_graph", "path_graph", "cycle_graph", "star_graph",
                 "complete_graph", "complete_bipartite")
 EXEMPT_METHODS = ("Graph.make",)  # the validating constructor
@@ -86,14 +87,22 @@ def test_every_definition_is_reached_from_the_cli():
     assert unreached == []
 
 
+def _package_trees() -> list:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted(PACKAGE.glob("*.py"))]
+
+
+def _attributes_read(trees) -> set:
+    return {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
 def test_every_method_is_read_in_the_package():
     """A method of a shipped class that nothing in the package reads as an
     attribute serves only the tests.  Methods are matched by name, not
     by class."""
-    trees = [ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))]
-    read = {node.attr for tree in trees for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)}
+    trees = _package_trees()
+    read = _attributes_read(trees)
     unread = [f"{cls.name}.{fn.name}"
               for tree in trees for cls in tree.body
               if isinstance(cls, ast.ClassDef)
@@ -103,3 +112,29 @@ def test_every_method_is_read_in_the_package():
               and fn.name not in read
               and f"{cls.name}.{fn.name}" not in EXEMPT_METHODS]
     assert unread == []
+
+
+def test_every_field_is_read_in_the_package():
+    """A field declared in the body of a shipped class (a dataclass or
+    NamedTuple field) that nothing in the package reads as an attribute
+    serves only the tests.  Fields are matched by name, not by class."""
+    trees = _package_trees()
+    read = _attributes_read(trees)
+    unread = [f"{cls.name}.{field.target.id}"
+              for tree in trees for cls in tree.body
+              if isinstance(cls, ast.ClassDef)
+              for field in cls.body
+              if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+              and field.target.id not in read]
+    assert unread == []
+
+
+def test_references_import_no_private_code():
+    """The test references stand apart from the code they check: they
+    import no underscore name from the package."""
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(ast.parse(ORACLES.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level == 0
+               and node.module.split(".")[0] == "sepgamma"
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -171,7 +171,7 @@ class TestRealRootedness:
 
     def test_multiplicity_via_squarefree(self):
         assert real_rootedness(Poly([1, 2, 1])).is_real_rooted
-        assert real_rootedness(Poly([1, 2, 1])) == RealRoots(True, 1, 1)
+        assert real_rootedness(Poly([1, 2, 1])) == RealRoots(True, 1)
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -224,12 +224,12 @@ irreducible_quadratics = st.tuples(
        irreducible_quadratics, st.integers(0, 2))
 def test_sturm_count_on_known_factorizations(s, linear, quadratic, e):
     """f = s * prod (q x - p)^m * Q^e: the distinct rational roots p/q are
-    the real roots, and Q^e adds 2 to the square-free degree when e > 0."""
+    the real roots, and Q^e adds two non-real roots when e > 0."""
     f = Poly([s]) * Poly(quadratic[::-1]) ** e
     for p, q, m in linear:
         f = f * Poly([-p, q]) ** m
     k = len({Fraction(p, q) for p, q, _ in linear})
-    assert real_rootedness(f) == RealRoots(e == 0, k, k + 2 * (e > 0))
+    assert real_rootedness(f) == RealRoots(e == 0, k)
 
 
 class TestPropertyReport:

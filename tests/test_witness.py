@@ -4,11 +4,11 @@ import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, clique_f_poly,
                       complement, complete_graph, cycle_graph, empty_graph,
-                      gen_poly, lex_product, lex_product_complete, path_graph,
+                      gen_poly, lex_product_complete, path_graph,
                       star_graph, witness_a, witness_b)
 
 from conftest import all_graphs_upto, random_graph
-from oracles import independence_composition_check, independence_poly
+from oracles import independence_composition_check, independence_poly, lex_product
 
 
 class TestCliqueFPoly:
