@@ -266,7 +266,7 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
             oracle_b = engine.solve(g, "b", "ehrhart", cls, bounds)
             checks.append(_agreement("b-vs-ehrhart", res_b.hstar, oracle_b.hstar))
         if cls.cactus:
-            ok = spectral.verify_gamma_mu_bridge(g, cls=cls)
+            ok = spectral.verify_gamma_mu_bridge(g, res_formula.gamma, cls)
             checks.append(("mu-bridge", ok, f"samples 1..{g.n + 1}"))
         else:
             checks.append(("mu-bridge", None, "not a cactus"))
@@ -277,7 +277,6 @@ def cmd_verify(args) -> int:
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
     checks = _verify_checks(g, args.level, bounds)
-    failed = False
     if args.format == "structured":
         doc = {
             "input": args.path,
@@ -290,20 +289,13 @@ def cmd_verify(args) -> int:
                 for name, ok, detail in checks
             ],
         }
-        print(json.dumps(doc, indent=2))
-        failed = any(ok is False for _, ok, _ in checks)
-    else:
-        print(f"input: {args.path}")
-        print(f"level: {args.level}")
-        for name, ok, detail in checks:
-            if ok is None:
-                print(f"{name}: skipped ({detail})")
-            elif ok:
-                print(f"{name}: pass")
-            else:
-                print(f"{name}: FAIL ({detail})")
-                failed = True
-    return EXIT_MISMATCH if failed else EXIT_OK
+    else:  # check names are unique, so each is one key
+        doc = {"input": args.path, "level": args.level}
+        doc.update((name, f"skipped ({detail})" if ok is None
+                    else "pass" if ok else f"FAIL ({detail})")
+                   for name, ok, detail in checks)
+    _print_report(doc, args.format)
+    return EXIT_MISMATCH if any(ok is False for _, ok, _ in checks) else EXIT_OK
 
 
 def cmd_batch(args) -> int:

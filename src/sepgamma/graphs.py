@@ -70,11 +70,11 @@ class GraphClassification:
     cactus: bool
     unique_even_cycle_condition: bool
     simple_cycles: Optional[tuple]  # None when the even-cycle condition fails
-    # vertex sets of the biconnected blocks, bridges included, as a
-    # frozenset of frozensets; isolated vertices are in none.  A cut vertex
-    # lies in two or more blocks.
-    blocks: frozenset
-    cut_vertices: frozenset
+    # (top, vertex set) of each biconnected block, bridges included, in the
+    # order the depth-first search closed them: every block comes after the
+    # blocks that hang below it, and top is the vertex it hangs from (0 for
+    # the root block of each component).  Isolated vertices are in none.
+    blocks: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +304,8 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
     """All simple cycles, sorted, each once as a canonical vertex tuple: the
     cycle starts at its smallest vertex and runs toward the smaller
     neighbor.  Each block is searched on its own."""
-    return sorted(_block_cycles(_blocks(g)[2], max_cycles))
+    return sorted(_block_cycles((block for _, block in _blocks(g)[2]),
+                                max_cycles))
 
 
 def cycles_of(g: Graph, cls: Optional[GraphClassification] = None) -> tuple:
@@ -325,13 +326,15 @@ def cycle_edges(cycle: tuple) -> list:
 
 
 def _blocks(g: Graph) -> tuple:
-    """(component count, sides, edge lists of the blocks) from one
-    iterative Tarjan pass; a bridge is a block of one edge.  side[v] is the
-    parity of v's depth in the DFS forest, rooted at the smallest vertex of
-    each component; sides is that 2-colouring, or None when an edge joins
-    two vertices of one side."""
+    """(component count, sides, (top, edge list) of each block) from one
+    iterative Tarjan pass; a bridge is a block of one edge.  The blocks come
+    in the order they close, each after the blocks below it, and top is the
+    vertex a block closes at, 0 for the last block of each component (its
+    root block).  side[v] is the parity of v's depth in the DFS forest,
+    rooted at the smallest vertex of each component; sides is that
+    2-colouring, or None when an edge joins two vertices of one side."""
     adj = [[] for _ in range(g.n + 1)]
-    for u, v in g.edges:
+    for u, v in sorted(g.edges):  # the order follows the graph, not the set
         adj[u].append(v)
         adj[v].append(u)
     disc = [0] * (g.n + 1)  # discovery time, 0 = unseen
@@ -367,8 +370,10 @@ def _blocks(g: Graph) -> tuple:
                     u = stack[-1][0]
                     low[u] = min(low[u], low[v])
                     if low[v] >= disc[u]:  # v's tree edge and all above it: a block
-                        blocks.append(edges[start[v]:])
+                        blocks.append((u, edges[start[v]:]))
                         del edges[start[v]:]
+        if blocks and blocks[-1][0] == root:  # the component's root block
+            blocks[-1] = (0, blocks[-1][1])
     return components, side if bipartite else None, blocks
 
 
@@ -389,7 +394,7 @@ def classify(g: Graph) -> GraphClassification:
     forest => cactus => unique even cycle condition.
 
     One Tarjan pass finds the components, a 2-colouring and the blocks,
-    whose vertex sets and cut vertices the result keeps; g is a forest
+    whose vertex sets the result keeps in the pass's order; g is a forest
     when every block is a bridge and a cactus when every other block is
     one cycle, which is read off directly.  Each other block goes to a
     cycle search of its own, so no search walks from one block into the
@@ -398,12 +403,10 @@ def classify(g: Graph) -> GraphClassification:
     holds, and is None when it fails.
     """
     components, side, blocks = _blocks(g)
-    cycles, dense, vertex_sets, seen, cut = [], [], [], set(), set()
-    for block in blocks:
+    cycles, dense, vertex_sets = [], [], []
+    for top, block in blocks:
         vertices = frozenset(chain.from_iterable(block))
-        vertex_sets.append(vertices)
-        cut.update(seen.intersection(vertices))
-        seen.update(vertices)
+        vertex_sets.append((top, vertices))
         if len(block) == 1:
             continue
         if len(block) == len(vertices):
@@ -427,12 +430,11 @@ def classify(g: Graph) -> GraphClassification:
         connected=components <= 1,
         bipartite=bipartition is not None,
         bipartition=bipartition,
-        forest=all(len(block) == 1 for block in blocks),
+        forest=all(len(block) == 1 for _, block in blocks),
         cactus=not dense,
         unique_even_cycle_condition=cycles is not None,
         simple_cycles=None if cycles is None else tuple(sorted(cycles)),
-        blocks=frozenset(vertex_sets),
-        cut_vertices=frozenset(cut),
+        blocks=tuple(vertex_sets),
     )
 
 

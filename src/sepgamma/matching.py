@@ -5,10 +5,11 @@ tiling_poly is the one DP behind every matching formula, with or without
 cycle corrections; matchable_pairs is the one count behind the dense
 routes (the suspension gamma of any graph, |M(G,k)| of any bipartite
 graph): it grows half the ordered pairs where swapping A and B is a
-symmetry, counts each block of the graph once, and folds the blocks up
-the block-cut forest, so its work and its guard follow the largest
-block.  The |M(G,k)| oracle builds the matched vertex sets themselves, one
-size at a time, from the lowest vertex of each, without listing matchings;
+symmetry, counts each block of the graph once, and folds the blocks in
+the order classify's depth-first search closed them, each after the
+blocks below it, so its work and its guard follow the largest block.
+The |M(G,k)| oracle builds the matched vertex sets themselves, one size
+at a time, from the lowest vertex of each, without listing matchings;
 its one caller, the cut sum, guards it by n.
 """
 
@@ -152,7 +153,7 @@ def check_pair_count_bound(cls: GraphClassification, max_n: int) -> None:
     """The guard of a pair count (`cut-sum` on the suspension route,
     `matched-sets` on the type-B interior route): the count runs once per
     block, so it bounds the vertices of the largest block."""
-    size = max(map(len, cls.blocks), default=0)
+    size = max((len(vertices) for _, vertices in cls.blocks), default=0)
     if size > max_n:
         raise BoundExceededError(
             f"pair count over a block of {size} > {max_n} vertices")
@@ -233,16 +234,18 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
     cut-sum formula with its two sums swapped); with one side of a
     bipartition it is |M(G,k)|.  Each edge of a perfect matching lies in
     one block, so a matchable pair of G is one matchable pair per block
-    with each cut vertex used in at most one of them.  With the blocks of
-    cls (classify(g) by default) rooted in a forest, each block is counted
-    once (`_pair_tally`), tallied by the cut vertices it uses.  A child cut
-    vertex c, with H_c everything below it, weighs gamma(H_c - c) where the
-    block uses c and gamma(H_c) where it does not; the bit of the vertex a
-    the block hangs from gives gamma(X) and gamma(X - a) of the block and
+    with each cut vertex used in at most one of them.  The blocks of cls
+    (classify(g) by default) come each after the blocks below it, with the
+    vertex a they hang from (0 at a root), and each is counted once
+    (`_pair_tally`), tallied by a and by the vertices it shares with the
+    blocks below it.  Such a child vertex c, with H_c everything below it,
+    weighs gamma(H_c - c) where the block uses c and gamma(H_c) where it
+    does not; the bit of a gives gamma(X) and gamma(X - a) of the block and
     all below it, X.  The subtrees at one vertex fold by
     gamma(G1 u G2) = gamma(G1) gamma(G2 - v) + gamma(G1 - v) gamma(G2)
     - gamma(G1 - v) gamma(G2 - v) for G1 and G2 sharing only v, and
-    components multiply.  A graph of one block is one plain count.
+    components multiply.  A graph of one block is one plain count, without
+    the fold's tallies.
     """
     cls = cls or classify(g)
     adj = g.adjacency_masks()
@@ -250,35 +253,14 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
            else sum(1 << (v - 1) for v in set(sources)))
     if len(cls.blocks) < 2:
         return Poly(_pair_tally(adj, (1 << g.n) - 1, src, 0)[0]).coeff_list()
-    blocks = [sum(1 << (v - 1) for v in block) for block in cls.blocks]
-    cut = sum(1 << (v - 1) for v in cls.cut_vertices)
-    holders = {}
-    for i, block in enumerate(blocks):
-        for c in _bits(block & cut):
-            holders.setdefault(c, []).append(i)
-    # parent[i]: the cut vertex block i hangs from (0 at a root); every
-    # block comes before the blocks below it in `order`
-    parent, order = [None] * len(blocks), []
-    for root in range(len(blocks)):
-        if parent[root] is not None:
-            continue
-        parent[root] = 0
-        stack = [root]
-        while stack:
-            i = stack.pop()
-            order.append(i)
-            for c in _bits(blocks[i] & cut & ~parent[i]):
-                for j in holders[c]:
-                    if parent[j] is None:
-                        parent[j] = c
-                        stack.append(j)
-    roots = []
-    hang = {}  # c -> (gamma(H_c), gamma(H_c - c))
-    for i in reversed(order):
-        a = parent[i]
-        kids = blocks[i] & cut & ~a
+    total = Poly.one()
+    hang = {}  # c -> (gamma(H_c), gamma(H_c - c)) until c's own block
+    for top, vertices in cls.blocks:
+        a = top and 1 << (top - 1)
+        block = sum(1 << (v - 1) for v in vertices)
+        kids = sum(c for c in _bits(block & ~a) if c in hang)
         tally = {m: Poly(row) for m, row in
-                 _pair_tally(adj, blocks[i], src, kids | a).items()}
+                 _pair_tally(adj, block, src, kids | a).items()}
         for c in _bits(kids):
             whole, without = hang.pop(c)
             folded = {}
@@ -290,15 +272,12 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
         minus = tally[0]
         full = sum((p for m, p in tally.items() if m), minus)
         if not a:
-            roots.append(full)
+            total = total * full
         elif a in hang:
             whole, without = hang[a]
             hang[a] = (whole * minus + without * (full - minus), without * minus)
         else:
             hang[a] = (full, minus)
-    total = roots.pop() if roots else Poly.one()
-    for full in roots:
-        total = total * full
     return total.coeff_list()
 
 

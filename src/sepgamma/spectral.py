@@ -33,21 +33,19 @@ def mu_poly(g: Graph, weights: dict,
                        [(cyc, Poly((-2 * Fraction(weights[cyc]),))) for cyc in cycles])
 
 
-def verify_gamma_mu_bridge(g: Graph,
+def verify_gamma_mu_bridge(g: Graph, gamma: Poly,
                            cls: Optional[GraphClassification] = None) -> bool:
     """Check q^n gamma(G, -1/(2 q^2)) = mu(G, t*, q) exactly at each sample,
-    where gamma(G,x) is the suspension formula and t* weights an even cycle
-    C by (-1/2)^(|E(C)|/2) and an odd cycle by 0.
+    where gamma(G,x) is the suspension gamma-polynomial the caller computed
+    and t* weights an even cycle C by (-1/2)^(|E(C)|/2) and an odd cycle
+    by 0.
 
     Sampling at the n+1 distinct points 1..n+1 certifies the underlying
     polynomial identity.
     """
-    from .engine import suspension_gamma_formula
-
     cls = cls or classify(g)
     if not cls.cactus:
         raise PreconditionError("mu bridge is stated for cactus graphs")
-    gamma = suspension_gamma_formula(g, cls)
     weights = {
         cyc: (Fraction(-1, 2) ** (len(cyc) // 2) if len(cyc) % 2 == 0 else Fraction(0))
         for cyc in cls.simple_cycles

@@ -90,8 +90,8 @@ def classify_reference(g: Graph) -> GraphClassification:
     """Every flag from the list of all simple cycles: an edge on two cycles
     breaks the cactus property, an edge on two even cycles the even-cycle
     condition (and then simple_cycles is None, as in classify).  Two edges
-    share a block when a chain of cycles joins them; a cut vertex lies in
-    two blocks."""
+    share a block when a chain of cycles joins them; blocks is the
+    frozenset of their vertex sets, in no order."""
     cycles = simple_cycles_reference(g)
     block_of = {e: e for e in g.edges}
 
@@ -127,8 +127,6 @@ def classify_reference(g: Graph) -> GraphClassification:
         unique_even_cycle_condition=uec,
         simple_cycles=tuple(cycles) if uec else None,
         blocks=frozenset(blocks),
-        cut_vertices=frozenset(v for v in range(1, g.n + 1)
-                               if sum(v in b for b in blocks) > 1),
     )
 
 

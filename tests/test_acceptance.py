@@ -232,7 +232,8 @@ class TestCriterion4MuIdentities:
             assert mu_poly(g, uniform_weights(g, 0, cls), cls) == matching_poly(g)
             assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
                 char_poly_adjacency(g)
-            assert verify_gamma_mu_bridge(g, cls=cls)  # samples 1..n+1
+            gamma = suspension_gamma_formula(g, cls)
+            assert verify_gamma_mu_bridge(g, gamma, cls)  # samples 1..n+1
             checked += 1
         print(f"\nCRITERION 4 PASS mu(G,0)=alpha, mu(G,1)=charpoly, and the "
               f"gamma-mu bridge on all {checked} cactus classes <= 7")

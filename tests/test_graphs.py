@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,8 +15,36 @@ from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import (classify_reference, delete_vertices, even_cycle_families,
-                     lex_product, simple_cycles_reference, tilde)
+from oracles import (classify_reference, connected_components, delete_vertices,
+                     even_cycle_families, lex_product, simple_cycles_reference,
+                     tilde)
+
+
+def assert_matches_reference(g: Graph) -> None:
+    """classify flag for flag against the listing reference, which finds
+    the blocks in no order: their vertex sets compare as a set."""
+    cls, ref = classify(g), classify_reference(g)
+    assert len(cls.blocks) == len(ref.blocks), g
+    assert {vs for _, vs in cls.blocks} == ref.blocks, g
+    assert replace(cls, blocks=ref.blocks) == ref, g
+
+
+def assert_block_order(g: Graph) -> None:
+    """The order matchable_pairs folds in: each nonzero top lies in its own
+    block; each vertex on an edge lies in exactly one block whose top it
+    is not, after every block that closes at it (so a nonzero top lies in
+    a later block too); and each component with an edge has exactly one
+    root block (top 0)."""
+    blocks = classify(g).blocks
+    assert all(top in vs for top, vs in blocks if top), g
+    for v in set().union(*(vs for _, vs in blocks)):
+        own = [i for i, (top, vs) in enumerate(blocks) if v in vs and top != v]
+        assert len(own) == 1, g
+        assert all(i < own[0] for i, (top, _) in enumerate(blocks) if top == v), g
+    comps = [set(c) for c in connected_components(g) if len(c) > 1]
+    roots = [i for top, vs in blocks if not top
+             for i, c in enumerate(comps) if vs <= c]
+    assert sorted(roots) == list(range(len(comps))), g
 
 
 class TestParse:
@@ -326,13 +355,29 @@ class TestClassify:
         # classify that reads every flag off all simple cycles; and the
         # block-by-block listing against one search of the whole graph
         for g in all_graphs_upto(6):
-            assert classify(g) == classify_reference(g), g
+            assert_matches_reference(g)
             assert simple_cycles(g) == simple_cycles_reference(g), g
 
     def test_matches_the_reference_on_atlas7(self, atlas7):
         for g in atlas7:
-            assert classify(g) == classify_reference(g), g
+            assert_matches_reference(g)
             assert simple_cycles(g) == simple_cycles_reference(g), g
+
+    def test_blocks_come_after_the_blocks_below_them(self, atlas7):
+        for g in all_graphs_upto(6):
+            assert_block_order(g)
+        for g in atlas7:
+            assert_block_order(g)
+
+    def test_block_order_follows_the_graph_not_its_edge_set(self, atlas7):
+        # equal graphs whose edge frozensets were built in opposite orders
+        rng = random.Random(31)
+        graphs = list(atlas7) + [random_graph(rng, rng.randrange(8, 20), 0.3)
+                                 for _ in range(100)]
+        for g in graphs:
+            edges = g.sorted_edges()
+            assert classify(Graph.make(g.n, edges)) == \
+                classify(Graph.make(g.n, edges[::-1])), g
 
     def test_dense_blocks_stop_early(self):
         # K11 has more than 10^6 simple cycles; the search stops at the
@@ -361,9 +406,11 @@ class TestClassify:
         cls = classify(g)
         assert time.process_time() - start < 1
         assert not cls.unique_even_cycle_condition and not cls.cactus
-        assert cls.blocks == frozenset(frozenset(range(3 * i + 1, 3 * i + 5))
-                                       for i in range(30))
-        assert cls.cut_vertices == frozenset(range(4, 89, 3))
+        # the last K4 closes first, at the vertex it shares with the one
+        # before; the first is the root block
+        assert cls.blocks == tuple((3 * i + 1 if i else 0,
+                                    frozenset(range(3 * i + 1, 3 * i + 5)))
+                                   for i in reversed(range(30)))
 
     def test_implication_chain_random(self):
         rng = random.Random(23)

@@ -5,8 +5,9 @@ from itertools import product
 import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
-                      complete_graph, cycle_graph, empty_graph, mu_poly,
-                      path_graph, real_rootedness, verify_gamma_mu_bridge)
+                      complete_graph, cut_sum_gamma, cycle_graph, empty_graph,
+                      mu_poly, path_graph, real_rootedness,
+                      suspension_gamma_formula, verify_gamma_mu_bridge)
 
 from conftest import atlas_graphs, count_calls, random_graph
 from oracles import char_poly_adjacency, matching_poly, uniform_weights
@@ -44,7 +45,8 @@ class TestMuPoly:
             assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
                 char_poly_adjacency(g)
             if cls.cactus:
-                assert verify_gamma_mu_bridge(g, cls=cls)
+                gamma = suspension_gamma_formula(g, cls)
+                assert verify_gamma_mu_bridge(g, gamma, cls)
             assert classified == [] and len(searches) == searched
 
     def test_rational_weights(self):
@@ -120,11 +122,15 @@ class TestRealRootedMu:
 
 class TestBridge:
     def test_examples(self):
-        assert verify_gamma_mu_bridge(cycle_graph(4))
-        assert verify_gamma_mu_bridge(cycle_graph(6))
-        assert verify_gamma_mu_bridge(path_graph(4))
-        assert verify_gamma_mu_bridge(Graph.make(1, []))
+        # gamma by the cut sum, a route of its own
+        for g in (cycle_graph(4), cycle_graph(6), path_graph(4), Graph.make(1, [])):
+            assert verify_gamma_mu_bridge(g, cut_sum_gamma(g))
+
+    def test_wrong_gamma_fails(self):
+        for g in (cycle_graph(4), cycle_graph(5), path_graph(4)):
+            gamma = cut_sum_gamma(g)
+            assert not verify_gamma_mu_bridge(g, gamma + Poly.monomial(1))
 
     def test_non_cactus_rejected(self):
         with pytest.raises(PreconditionError):
-            verify_gamma_mu_bridge(complete_graph(4))
+            verify_gamma_mu_bridge(complete_graph(4), cut_sum_gamma(complete_graph(4)))
