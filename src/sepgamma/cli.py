@@ -22,11 +22,10 @@ from collections import Counter
 from fractions import Fraction
 
 from . import engine, spectral, witness
-from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
-                     SepGammaError, VerificationError)
+from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
+                     PreconditionError, SepGammaError, VerificationError, bound)
 from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
-from .interior import MAX_CUT_SUM_VERTICES
-from .matching import MAX_MATCHED_SET_VERTICES, check_pair_count_bound
+from .matching import check_pair_count_bound
 from .polynomials import (Poly, check_hstar_size, check_properties,
                           real_rootedness)
 
@@ -36,8 +35,6 @@ EXIT_PRECONDITION = 2
 EXIT_MISMATCH = 3
 EXIT_BOUND = 4
 
-BOUND_KEYS = ("cut-sum", "matched-sets", "hrep-dim", "hrep-points", "box",
-              "cliques")
 METHODS = tuple(dict.fromkeys(m for routes in engine.ROUTES.values() for m in routes))
 BATCH_AGREEMENT_MAX_N = 12
 
@@ -75,9 +72,9 @@ def _parse_bound_overrides(pairs) -> dict:
         if "=" not in item:
             raise GraphFormatError(f"bad --bound-override {item!r}, want name=value")
         name, _, value = item.partition("=")
-        if name not in BOUND_KEYS:
+        if name not in BOUNDS:
             raise GraphFormatError(
-                f"unknown bound {name!r}; known: {', '.join(BOUND_KEYS)}")
+                f"unknown bound {name!r}; known: {', '.join(BOUNDS)}")
         try:
             out[name] = int(value)
         except ValueError:
@@ -154,8 +151,7 @@ def cmd_solve(args) -> int:
 def cmd_witness(args) -> int:
     bounds = _parse_bound_overrides(args.bound_override)
     g = _load_graph(args.path)
-    kw = {"max_cliques": bounds["cliques"]} if "cliques" in bounds else {}
-    fw = witness.witness_a(g, **kw) if args.type == "a" else witness.witness_b(g, **kw)
+    fw = (witness.witness_a if args.type == "a" else witness.witness_b)(g, bounds)
     doc = {
         "input": args.path,
         "command": "witness",
@@ -212,8 +208,7 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
     where status is pass | FAIL | skipped."""
     checks = []
     cls = classify(g)
-    cut_max = bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)
-    set_max = bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES)
+    cut_max = bound(bounds, "cut-sum")
 
     # The formulas run when their preconditions hold, the guarded routes
     # when the graph is within their bounds; otherwise the check is skipped.
@@ -232,7 +227,7 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
     res_b = None
     if cls.bipartite:
         try:  # the interior route's own guard, on the largest block
-            check_pair_count_bound(cls, set_max)
+            check_pair_count_bound(cls, bounds, "matched-sets")
         except BoundExceededError:
             res_b_int = None
         else:
@@ -241,7 +236,8 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
         if res_b_formula is None:
             checks.append(("b-formula-vs-interior", None, "not a cactus"))
         elif res_b_int is None:
-            checks.append(("b-formula-vs-interior", None, f"matched-set bound {set_max}"))
+            checks.append(("b-formula-vs-interior", None,
+                           f"matched-set bound {bound(bounds, 'matched-sets')}"))
         else:
             checks.append(_agreement("b-formula-vs-interior",
                                      res_b_formula.gamma, res_b_int.gamma))
@@ -308,7 +304,7 @@ def cmd_batch(args) -> int:
         raise GraphFormatError(f"cannot read directory {args.dir}: {exc}") from None
     rows = []
     failures = []
-    cut_max = min(bounds.get("cut-sum", MAX_CUT_SUM_VERTICES), BATCH_AGREEMENT_MAX_N)
+    cut_max = min(bound(bounds, "cut-sum"), BATCH_AGREEMENT_MAX_N)
     for name in names:
         path = os.path.join(args.dir, name)
         try:
@@ -371,10 +367,10 @@ def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("pretty", "coeffs", "structured"),
                      default="coeffs", help="polynomial/report rendering")
-    bound = argparse.ArgumentParser(add_help=False)
-    bound.add_argument("--bound-override", action="append", metavar="NAME=VALUE",
-                       help=f"override a resource guard ({', '.join(BOUND_KEYS)})")
-    common = [fmt, bound]
+    overrides = argparse.ArgumentParser(add_help=False)
+    overrides.add_argument("--bound-override", action="append", metavar="NAME=VALUE",
+                           help=f"override a resource guard ({', '.join(BOUNDS)})")
+    common = [fmt, overrides]
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name, polytope, text in (
@@ -405,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("batch", parents=[bound],
+    p = sub.add_parser("batch", parents=[overrides],
                        help="one report row per graph file in a directory")
     p.add_argument("dir")
     p.add_argument("--out-format", choices=("csv", "structured"), default="csv")

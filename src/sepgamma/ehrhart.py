@@ -49,15 +49,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import mul
-from typing import Optional
+from typing import Mapping, Optional
 
-from .errors import BoundExceededError, PreconditionError, VerificationError
+from .errors import (BoundExceededError, PreconditionError,
+                     VerificationError, bound)
 from .graphs import Graph
 from .polynomials import Poly
-
-MAX_HREP_DIM = 7
-MAX_HREP_POINTS = 64
-MAX_BOX_POINTS = 10 ** 9
 
 
 @dataclass
@@ -262,19 +259,21 @@ def _facets(pts: list, d: int) -> tuple:
     return tuple(sorted((tuple(-a for a in y[1:]), y[0]) for y, _ in rays))
 
 
-def h_representation(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
-                     max_points: int = MAX_HREP_POINTS) -> tuple:
+def h_representation(p: LatticePolytope, bounds: Optional[Mapping] = None) -> tuple:
     """Irredundant facet list [(normal, offset)] with primitive integer
     normals, meaning normal . x <= offset, sorted; by double description
-    (see _facets).  Caches into p.hrep."""
+    (see _facets).  Guarded by `hrep-dim` and `hrep-points`.  Caches into
+    p.hrep."""
     if p.dim != p.ambient_dim:
         raise PreconditionError("reduce to full dimension before facets")
     d = p.dim
-    if d > max_dim:
-        raise BoundExceededError(f"facet enumeration in dimension {d} > {max_dim}")
+    limit = bound(bounds, "hrep-dim")
+    if d > limit:
+        raise BoundExceededError(f"facet enumeration in dimension {d} > {limit}")
     pts = sorted(set(p.points))
-    if len(pts) > max_points:
-        raise BoundExceededError(f"{len(pts)} points > {max_points}")
+    limit = bound(bounds, "hrep-points")
+    if len(pts) > limit:
+        raise BoundExceededError(f"{len(pts)} points > {limit}")
     out = _facets(pts, d)
     p.hrep = out
     return out
@@ -323,12 +322,12 @@ def _centre(points) -> Optional[tuple]:
     return None
 
 
-def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> int:
+def count_points(p: LatticePolytope, t: int, bounds: Optional[Mapping] = None) -> int:
     """|tP n Z^d|, walking coordinate by coordinate through the lattice
     points of the projections of tP (see _levels): each x_k ranges over an
     exact integer interval given x_1..x_(k-1).  The last two coordinates
     share one partial sum per facet.  Guarded by the size of the bounding
-    box of tP.
+    box of tP (`box`).
 
     When the points have a lattice centre c (see _centre), x -> 2tc - x
     maps tP n Z^d onto itself and every projection onto itself.  A prefix
@@ -342,6 +341,7 @@ def count_points(p: LatticePolytope, t: int, budget: int = MAX_BOX_POINTS) -> in
     d = p.dim
     if d == 0:
         return 1
+    budget = bound(bounds, "box")
     vol = 1
     for i in range(d):
         vol *= t * (max(q[i] for q in p.points) - min(q[i] for q in p.points)) + 1
@@ -443,15 +443,13 @@ def _facets_prove_reflexive(q: LatticePolytope) -> bool:
     return c is not None and all(b - _dot(n, c) == 1 for n, b in q.hrep)
 
 
-def ehrhart_data(p: LatticePolytope, max_dim: int = MAX_HREP_DIM,
-                 max_points: int = MAX_HREP_POINTS,
-                 budget: int = MAX_BOX_POINTS) -> EhrhartData:
+def ehrhart_data(p: LatticePolytope, bounds: Optional[Mapping] = None) -> EhrhartData:
     """Full oracle pipeline: reduce, facets, count, transform.  It counts
     t = 1..d//2 + 1 when the facets prove P reflexive, else t = 1..d+1."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
-        h_representation(q, max_dim, max_points)
+        h_representation(q, bounds)
     reflexive = _facets_prove_reflexive(q)
     last = q.dim // 2 + 1 if reflexive else q.dim + 1
-    counts = [1] + [count_points(q, t, budget) for t in range(1, last + 1)]
+    counts = [1] + [count_points(q, t, bounds) for t in range(1, last + 1)]
     return EhrhartData(hstar_from_counts(counts, q.dim, reflexive), q.dim, reflexive)

@@ -14,14 +14,13 @@ polytope reflexive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Mapping, Optional
 
 from .errors import PreconditionError
 from .graphs import Graph, GraphClassification, classify, suspension
-from .interior import MAX_CUT_SUM_VERTICES, cut_sum_gamma
-from .matching import (MAX_MATCHED_SET_VERTICES, check_pair_count_bound,
-                       matchable_pairs, matched_vertex_sets_formula,
-                       tiling_poly)
+from .interior import cut_sum_gamma
+from .matching import (check_pair_count_bound, matchable_pairs,
+                       matched_vertex_sets_formula, tiling_poly)
 from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
                           hstar_to_gamma)
 
@@ -68,21 +67,21 @@ def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> S
     return _pack(suspension_gamma_formula(g, cls), g.n, "formula")
 
 
-def gamma_a_cut_sum(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> SepResult:
+def gamma_a_cut_sum(g: Graph, bounds: Optional[Mapping] = None) -> SepResult:
     """Type-A result by the cut-sum formula, one cut at a time; valid for
     every graph.  The oracle behind --method cuts."""
-    return _pack(cut_sum_gamma(g, max_n=max_n), g.n, "cut_sum")
+    return _pack(cut_sum_gamma(g, bounds), g.n, "cut_sum")
 
 
-def gamma_a_pairs(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES,
-                  cls: Optional[GraphClassification] = None) -> SepResult:
+def gamma_a_pairs(g: Graph, cls: Optional[GraphClassification] = None,
+                  bounds: Optional[Mapping] = None) -> SepResult:
     """Type-A result by the cut-sum formula with its two sums swapped, valid
     for every graph: gamma_k counts the ordered pairs of disjoint k-sets
     whose crossing edges hold a perfect matching, half of them counted
     twice, one block of g at a time.  Keeps the cut sum's method label;
     its `cut-sum` guard bounds the largest block, not n."""
     cls = cls or classify(g)
-    check_pair_count_bound(cls, max_n)
+    check_pair_count_bound(cls, bounds, "cut-sum")
     return _pack(Poly(matchable_pairs(g, cls=cls)), g.n, "cut_sum")
 
 
@@ -102,8 +101,8 @@ def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     return _pack(Poly(matched_vertex_sets_formula(g, cls)).scale_arg(4), g.n, "formula")
 
 
-def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
-                     cls: Optional[GraphClassification] = None) -> SepResult:
+def gamma_b_interior(g: Graph, cls: Optional[GraphClassification] = None,
+                     bounds: Optional[Mapping] = None) -> SepResult:
     """Type-B result for any bipartite graph: gamma = I~(4x), realized as
     sum_k |M(G,k)| (4x)^k, with |M(G,k)| the count of matchable pairs whose
     first set lies in one side, one block of g at a time.  Its
@@ -111,7 +110,7 @@ def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
     cls = cls or classify(g)
     if cls.bipartition is None:
         raise PreconditionError("type-B interior route needs a bipartite graph")
-    check_pair_count_bound(cls, max_n)
+    check_pair_count_bound(cls, bounds, "matched-sets")
     gamma = Poly(matchable_pairs(g, cls.bipartition.part1, cls)).scale_arg(4)
     return _pack(gamma, g.n, "interior")
 
@@ -120,22 +119,16 @@ def gamma_b_interior(g: Graph, max_n: int = MAX_MATCHED_SET_VERTICES,
 # The route table
 # ---------------------------------------------------------------------------
 
-# --bound-override names of the Ehrhart oracle and the keywords they set.
-_ORACLE_BOUNDS = (("hrep-dim", "max_dim"), ("hrep-points", "max_points"),
-                  ("box", "budget"))
-
-
-def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
+def _oracle(g: Graph, polytope: str, bounds: Optional[Mapping]) -> SepResult:
     """Result from lattice-point counts of the polytope (a = type A of g,
     ahat = type A of its suspension, b = type B).  gamma is defined only
     when the oracle's facets prove the polytope reflexive."""
     from .ehrhart import build_a, build_b, ehrhart_data
 
-    kw = {arg: bounds[key] for key, arg in _ORACLE_BOUNDS if key in bounds}
     if polytope == "b":
-        data = ehrhart_data(build_b(g), **kw)
+        data = ehrhart_data(build_b(g), bounds)
     else:
-        data = ehrhart_data(build_a(suspension(g) if polytope == "ahat" else g), **kw)
+        data = ehrhart_data(build_a(suspension(g) if polytope == "ahat" else g), bounds)
     dim = data.dim
     # the suspension is connected on n + 1 vertices: any other dimension
     # is a fault in building or reducing the polytope
@@ -147,16 +140,18 @@ def _oracle(g: Graph, polytope: str, bounds: dict) -> SepResult:
     return SepResult(gamma, hstar, hstar(1), dim, "ehrhart")
 
 
-def _auto_ahat(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
+def _auto_ahat(g: Graph, cls: Optional[GraphClassification],
+               bounds: Optional[Mapping]) -> SepResult:
     """The matching formula when its even-cycle condition holds, else the
     cut sum as a count of matchable pairs."""
     cls = cls or classify(g)
     if cls.unique_even_cycle_condition:
         return ROUTES["ahat"]["formula"](g, cls, bounds)
-    return gamma_a_pairs(g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES), cls)
+    return gamma_a_pairs(g, cls, bounds)
 
 
-def _auto_b(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepResult:
+def _auto_b(g: Graph, cls: Optional[GraphClassification],
+            bounds: Optional[Mapping]) -> SepResult:
     """The matching formula on bipartite cacti, else the interior count."""
     cls = cls or classify(g)
     if not cls.bipartite:
@@ -166,7 +161,8 @@ def _auto_b(g: Graph, cls: Optional[GraphClassification], bounds: dict) -> SepRe
 
 
 # polytope -> method -> route(g, cls, bounds).  A route classifies g only
-# when it needs to, and reads its own --bound-override names from bounds.
+# when it needs to, and hands bounds on unchanged: each guarded function
+# reads its own limits from it, by their errors.BOUNDS names.
 ROUTES = {
     "a": {
         "auto": lambda g, cls, bounds: _oracle(g, "a", bounds),
@@ -175,15 +171,13 @@ ROUTES = {
     "ahat": {
         "auto": _auto_ahat,
         "formula": lambda g, cls, bounds: gamma_a_suspension(g, cls),
-        "cuts": lambda g, cls, bounds: gamma_a_cut_sum(
-            g, bounds.get("cut-sum", MAX_CUT_SUM_VERTICES)),
+        "cuts": lambda g, cls, bounds: gamma_a_cut_sum(g, bounds),
         "ehrhart": lambda g, cls, bounds: _oracle(g, "ahat", bounds),
     },
     "b": {
         "auto": _auto_b,
         "formula": lambda g, cls, bounds: gamma_b(g, cls),
-        "interior": lambda g, cls, bounds: gamma_b_interior(
-            g, bounds.get("matched-sets", MAX_MATCHED_SET_VERTICES), cls),
+        "interior": lambda g, cls, bounds: gamma_b_interior(g, cls, bounds),
         "ehrhart": lambda g, cls, bounds: _oracle(g, "b", bounds),
     },
 }
@@ -191,11 +185,11 @@ ROUTES = {
 
 def solve(g: Graph, polytope: str, method: str = "auto",
           cls: Optional[GraphClassification] = None,
-          bounds: Optional[dict] = None) -> SepResult:
+          bounds: Optional[Mapping] = None) -> SepResult:
     """gamma, h*, volume and dimension of one polytope of g: "a" (type A of
     g itself), "ahat" (type A of its suspension) or "b" (type B), by one
     route of ROUTES.  cls is the caller's classification of g, if any;
-    bounds maps --bound-override names to values."""
+    bounds maps --bound-override names (see errors.BOUNDS) to limits."""
     if polytope not in ROUTES:
         raise ValueError(f"unknown polytope {polytope!r}")
     routes = ROUTES[polytope]
@@ -205,4 +199,4 @@ def solve(g: Graph, polytope: str, method: str = "auto",
             f"choose from {', '.join(routes)}")
     if polytope != "a":  # every route ends in an h* of degree n
         check_hstar_size(g.n)
-    return routes[method](g, cls, bounds or {})
+    return routes[method](g, cls, bounds)

@@ -1,8 +1,33 @@
-"""Exception hierarchy shared by all modules.
+"""Exception hierarchy shared by all modules, and the resource guards.
 
 The CLI maps these onto its stable exit codes:
 1 = parse/I-O, 2 = precondition, 3 = verification mismatch, 4 = resource bound.
+
+BOUNDS is the one table of the guards that --bound-override moves: each
+guard has one name, from the command line to the comparison that trips
+it.  Every guarded function takes a `bounds` mapping of those names to
+limits (the one `solve` takes, None for none) and reads its limit through
+`bound`, which falls back to the default here.
 """
+
+from types import MappingProxyType
+from typing import Mapping, Optional
+
+BOUNDS = MappingProxyType({
+    "cut-sum": 20,  # n of the cut sum; largest block of the suspension pair count
+    "matched-sets": 16,  # largest block of the type-B interior pair count
+    "hrep-dim": 7,  # dimension of the Ehrhart oracle's facet search
+    "hrep-points": 64,  # distinct points of that search
+    "box": 10 ** 9,  # lattice points in the bounding box of each dilate tP counted
+    "cliques": 10 ** 7,  # cliques of the flag-complex witness, the empty one included
+})
+
+
+def bound(bounds: Optional[Mapping], name: str) -> int:
+    """The limit of guard `name`: its value in `bounds`, else its default
+    in BOUNDS.  A name that is no guard raises KeyError."""
+    default = BOUNDS[name]
+    return default if bounds is None else bounds.get(name, default)
 
 
 class SepGammaError(Exception):

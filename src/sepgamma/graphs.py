@@ -275,8 +275,9 @@ def _cycle_search(adj: dict):
                 on_path[path.pop()] = False
 
 
-def _block_adjacency(block: list) -> dict:
-    """Sorted adjacency lists of the block with edge list `block`."""
+def _block_adjacency(block: Iterable) -> dict:
+    """Sorted adjacency lists of the graph with edges `block`, over the
+    vertices that lie on an edge."""
     nb = {}
     for u, v in block:
         nb.setdefault(u, []).append(v)
@@ -332,44 +333,49 @@ def _blocks(g: Graph) -> tuple:
     vertex a block closes at, 0 for the last block of each component (its
     root block).  side[v] is the parity of v's depth in the DFS forest,
     rooted at the smallest vertex of each component; sides is that
-    2-colouring, or None when an edge joins two vertices of one side."""
-    adj = [[] for _ in range(g.n + 1)]
-    for u, v in sorted(g.edges):  # the order follows the graph, not the set
-        adj[u].append(v)
-        adj[v].append(u)
-    disc = [0] * (g.n + 1)  # discovery time, 0 = unseen
-    low = [0] * (g.n + 1)
-    side = [0] * (g.n + 1)
-    start = [0] * (g.n + 1)  # where v's tree edge sits on the edge stack
-    components, clock, blocks, bipartite = 0, 0, [], True
-    for root in range(1, g.n + 1):
-        if disc[root]:
+    2-colouring of the vertices on an edge, or None when an edge joins two
+    vertices of one side.  The pass visits only the vertices on an edge,
+    in sorted order along sorted adjacency lists, so its work and its
+    order follow the edges; each isolated vertex is a component of its
+    own, counted without a visit."""
+    adj = _block_adjacency(g.edges)
+    disc, low, side = {}, {}, {}  # discovery time, low point, depth parity
+    start = {}  # where v's tree edge sits on the edge stack
+    components, clock, blocks, bipartite = g.n - len(adj), 0, [], True
+    for root in sorted(adj):
+        if root in disc:
             continue
         components += 1
         clock += 1
         disc[root] = low[root] = clock
-        stack, edges = [(root, 0, iter(adj[root]))], []
+        side[root] = 0
+        # (vertex, DFS parent, its neighbour iterator, its discovery time)
+        stack, edges = [(root, 0, iter(adj[root]), clock)], []
         while stack:
-            v, parent, ws = stack[-1]
+            v, parent, ws, dv = stack[-1]
             for w in ws:
-                if not disc[w]:
+                dw = disc.get(w)
+                if dw is None:
                     clock += 1
                     disc[w] = low[w] = clock
                     side[w] = side[v] ^ 1
                     start[w] = len(edges)
                     edges.append((v, w))
-                    stack.append((w, v, iter(adj[w])))
+                    stack.append((w, v, iter(adj[w]), clock))
                     break
-                if w != parent and disc[w] < disc[v]:  # a back edge, met once
+                if w != parent and dw < dv:  # a back edge, met once
                     edges.append((v, w))
-                    low[v] = min(low[v], disc[w])
+                    if dw < low[v]:
+                        low[v] = dw
                     bipartite = bipartite and side[w] != side[v]
             else:
                 stack.pop()
                 if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] >= disc[u]:  # v's tree edge and all above it: a block
+                    u, _, _, du = stack[-1]
+                    lv = low[v]
+                    if lv < low[u]:
+                        low[u] = lv
+                    if lv >= du:  # v's tree edge and all above it: a block
                         blocks.append((u, edges[start[v]:]))
                         del edges[start[v]:]
         if blocks and blocks[-1][0] == root:  # the component's root block
@@ -423,9 +429,9 @@ def classify(g: Graph) -> GraphClassification:
             even_edges.update(edges)
         cycles.append(cyc)
     bipartition = None
-    if side is not None:
-        part1 = frozenset(v for v in range(1, g.n + 1) if not side[v])
-        bipartition = Bipartition(part1, frozenset(range(1, g.n + 1)) - part1)
+    if side is not None:  # isolated vertices go to part 1
+        part2 = frozenset(v for v, s in side.items() if s)
+        bipartition = Bipartition(frozenset(range(1, g.n + 1)) - part2, part2)
     return GraphClassification(
         connected=components <= 1,
         bipartite=bipartition is not None,

@@ -3,30 +3,32 @@ the average over all 2^(n-1) cuts of I~(4x), where the interior polynomial
 I~ of the two-vertex augmentation of a bipartite graph is
 sum_k |M(G,k)| x^k (Ohsugi-Tsuchiya).  It is the oracle behind
 --method cuts: graphs.cuts builds the crossing graph of each cut, and
-matched_vertex_sets counts it.  The n-guard here is the one guard on that
-work.  The hypertree definition of I~ that checks the identity lives with
-the tests.
+matched_vertex_sets counts it.  The n-guard here, `cut-sum` in the
+errors.BOUNDS table, is the one guard on that work.  The hypertree
+definition of I~ that checks the identity lives with the tests.
 """
 
 from __future__ import annotations
 
-from .errors import BoundExceededError, PreconditionError, VerificationError
+from typing import Mapping, Optional
+
+from .errors import (BoundExceededError, PreconditionError,
+                     VerificationError, bound)
 from .graphs import Graph, cuts
 from .matching import matched_vertex_sets
 from .polynomials import Poly
 
-MAX_CUT_SUM_VERTICES = 20
 
-
-def cut_sum_gamma(g: Graph, max_n: int = MAX_CUT_SUM_VERTICES) -> Poly:
+def cut_sum_gamma(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
     """gamma-polynomial of the suspension polytope by the cut-sum formula:
     average I~(4x) over all 2^(n-1) cuts.  The sum always has integral
     coefficients; anything else signals an implementation bug.  The oracle
     behind --method cuts; auto counts matchable pairs instead."""
     if g.n < 1:
         raise PreconditionError("need at least one vertex")
-    if g.n > max_n:
-        raise BoundExceededError(f"cut sum over {g.n} > {max_n} vertices")
+    limit = bound(bounds, "cut-sum")
+    if g.n > limit:
+        raise BoundExceededError(f"cut sum over {g.n} > {limit} vertices")
     total = []
     for cut in cuts(g):
         mv = matched_vertex_sets(cut)

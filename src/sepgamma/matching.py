@@ -16,13 +16,11 @@ its one caller, the cut sum, guards it by n.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Iterable, Optional
+from typing import Iterable, Mapping, Optional
 
-from .errors import BoundExceededError, PreconditionError
+from .errors import BoundExceededError, PreconditionError, bound
 from .graphs import Graph, GraphClassification, classify
 from .polynomials import Poly
-
-MAX_MATCHED_SET_VERTICES = 16
 
 
 def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
@@ -149,14 +147,16 @@ def gen_poly(g: Graph) -> Poly:
     return tiling_poly(g, Poly.one(), Poly.monomial(1))
 
 
-def check_pair_count_bound(cls: GraphClassification, max_n: int) -> None:
-    """The guard of a pair count (`cut-sum` on the suspension route,
+def check_pair_count_bound(cls: GraphClassification, bounds: Optional[Mapping],
+                           name: str) -> None:
+    """The guard `name` of a pair count (`cut-sum` on the suspension route,
     `matched-sets` on the type-B interior route): the count runs once per
     block, so it bounds the vertices of the largest block."""
+    limit = bound(bounds, name)
     size = max((len(vertices) for _, vertices in cls.blocks), default=0)
-    if size > max_n:
+    if size > limit:
         raise BoundExceededError(
-            f"pair count over a block of {size} > {max_n} vertices")
+            f"pair count over a block of {size} > {limit} vertices")
 
 
 def _bits(mask: int):

@@ -10,20 +10,21 @@ over the lexicographic product lives with the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Optional
 
-from .errors import BoundExceededError, PreconditionError, VerificationError
+from .errors import (BoundExceededError, PreconditionError,
+                     VerificationError, bound)
 from .graphs import (Graph, classify, complement, lex_product_complete,
                      line_graph)
 from .matching import gen_poly
 from .polynomials import Poly
 
-MAX_CLIQUES = 10 ** 7
 
-
-def clique_f_poly(g: Graph, max_cliques: int = MAX_CLIQUES) -> Poly:
+def clique_f_poly(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
     """f-polynomial of the clique complex: coefficient of x^k counts the
     k-cliques, with 1 for the empty clique.  Ordered-extension enumeration,
-    guarded by a total-clique bound."""
+    guarded by a total-clique bound (`cliques`)."""
+    limit = bound(bounds, "cliques")
     masks = g.adjacency_masks()
     counts = [1]
     total = 1
@@ -39,8 +40,8 @@ def clique_f_poly(g: Graph, max_cliques: int = MAX_CLIQUES) -> Poly:
                 counts.append(0)
             counts[size + 1] += 1
             total += 1
-            if total > max_cliques:
-                raise BoundExceededError(f"more than {max_cliques} cliques")
+            if total > limit:
+                raise BoundExceededError(f"more than {limit} cliques")
             above = ~((bit << 1) - 1)
             rec(cand & masks[v] & above, size + 1)
 
@@ -59,28 +60,34 @@ class FlagWitness:
 
 
 def _build_witness(g: Graph, m: int, target: Poly,
-                   max_cliques: int = MAX_CLIQUES) -> FlagWitness:
-    w = complement(lex_product_complete(line_graph(g), m))
-    f = clique_f_poly(w, max_cliques)
+                   bounds: Optional[Mapping]) -> FlagWitness:
+    blown = lex_product_complete(line_graph(g), m)
+    # every vertex and edge of the complement is a clique: refuse before
+    # building it when they alone pass the clique bound
+    limit = bound(bounds, "cliques")
+    if 1 + blown.n + blown.n * (blown.n - 1) // 2 - blown.edge_count > limit:
+        raise BoundExceededError(f"more than {limit} cliques")
+    w = complement(blown)
+    f = clique_f_poly(w, bounds)
     if f != target:
         raise VerificationError(
             f"witness f-polynomial {f.coeff_list()} != target {target.coeff_list()}")
     return FlagWitness(w, f, target)
 
 
-def witness_a(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
+def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     """For even-cycle-free g: the clique complex of the complement of
     L(g)[K_2] has f-polynomial g(G,2x), the suspension gamma-polynomial."""
     cls = classify(g)
     if not cls.unique_even_cycle_condition or any(
             len(c) % 2 == 0 for c in cls.simple_cycles):
         raise PreconditionError("witness construction needs no even cycles")
-    return _build_witness(g, 2, gen_poly(g).scale_arg(2), max_cliques)
+    return _build_witness(g, 2, gen_poly(g).scale_arg(2), bounds)
 
 
-def witness_b(g: Graph, max_cliques: int = MAX_CLIQUES) -> FlagWitness:
+def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     """For a forest g: the clique complex of the complement of L(g)[K_4]
     has f-polynomial g(G,4x), the type-B gamma-polynomial."""
     if not classify(g).forest:
         raise PreconditionError("witness construction needs a forest")
-    return _build_witness(g, 4, gen_poly(g).scale_arg(4), max_cliques)
+    return _build_witness(g, 4, gen_poly(g).scale_arg(4), bounds)

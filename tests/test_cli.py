@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
-                      matched_vertex_sets, parse_graph, to_edge_list_text)
+                      matched_vertex_sets, parse_graph, path_graph,
+                      to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
 
@@ -20,6 +21,19 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+def run_limited(argv, megabytes):
+    """The CLI on argv in a child process under an address-space limit."""
+    import resource
+
+    limit = megabytes << 20
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sepgamma.cli", *argv],
+        capture_output=True, text=True, env=env,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
 @pytest.fixture
@@ -337,26 +351,68 @@ class TestContract:
         assert "exceeded in bottomless" in err
 
     @pytest.mark.parametrize("argv,where", [
-        (["analyze"], "_blocks"), (["verify"], "_blocks"),
-        (["witness", "--type", "a"], "_blocks"), (["check"], "build_a")])
+        (["analyze"], "classify"), (["verify"], "classify"),
+        (["witness", "--type", "a"], "classify"), (["check"], "build_a")])
     def test_memory_error_exits_4(self, tmp_path, argv, where):
-        # one edge to vertex 10^12: the structure pass and the type-A
-        # polytope allocate n + 1 entries.  The child runs under a 128 MB
-        # address-space limit; without it the list would grow until the
-        # host ran out of memory.
-        import resource
-
-        limit = 128 << 20
+        # one edge to vertex 10^12: the bipartition puts the isolated
+        # vertices in part 1, and the type-A polytope has n coordinates.
+        # The child runs under a 128 MB address-space limit; without it the
+        # set would grow until the host ran out of memory.
         path = write(tmp_path, "far.txt", "1 1000000000000\n")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
-        done = subprocess.run(
-            [sys.executable, "-m", "sepgamma.cli", argv[0], path, *argv[1:]],
-            capture_output=True, text=True, env=env,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        done = run_limited(argv[:1] + [path] + argv[1:], 128)
         assert done.returncode == 4
         assert "Traceback" not in done.stderr
         assert f"resource bound exceeded: out of memory in {where}\n" in done.stderr
+
+    def test_structure_pass_follows_the_edges(self, tmp_path):
+        # a triangle and 10^12 - 3 isolated vertices: the block pass visits
+        # the three vertices on an edge and counts the rest, so analyze
+        # answers under the same 128 MB limit, and verify stops at once on
+        # the h* size guard
+        path = write(tmp_path, "tri.txt", "n 1000000000000\n1 2\n2 3\n1 3\n")
+        done = run_limited(["analyze", path], 128)
+        assert done.returncode == 0
+        assert "n: 1000000000000\n" in done.stdout
+        assert "simple-cycles:\n  [1, 2, 3]\n" in done.stdout
+        done = run_limited(["verify", path], 128)
+        assert done.returncode == 4
+        assert "resource bound exceeded: h* of degree 1000000000000 holds about" \
+            in done.stderr
+
+    def test_witness_refuses_before_the_complement(self, tmp_path):
+        # P1200: L(P1200)[K_4] has 4796 vertices, so its complement has
+        # about 11.5 million edges, each a clique; refused before it is built
+        path = write(tmp_path, "p.txt", to_edge_list_text(path_graph(1200)))
+        done = run_limited(["witness", path, "--type", "b"], 256)
+        assert done.returncode == 4
+        assert "resource bound exceeded: more than 10000000 cliques\n" in done.stderr
+
+    @pytest.mark.parametrize("argv,graph,name,threshold,message", [
+        pytest.param(["gamma-a", "--method", "cuts"], complete_graph(4), "cut-sum",
+                     4, "cut sum over 4 > {} vertices", id="cut-sum-cuts"),
+        pytest.param(["gamma-a"], complete_graph(4), "cut-sum",
+                     4, "pair count over a block of 4 > {} vertices", id="cut-sum-pairs"),
+        pytest.param(["gamma-b"], complete_bipartite(3, 3), "matched-sets",
+                     6, "pair count over a block of 6 > {} vertices", id="matched-sets"),
+        pytest.param(["check", "--polytope", "a"], path_graph(3), "hrep-dim",
+                     2, "facet enumeration in dimension 2 > {}", id="hrep-dim"),
+        pytest.param(["check", "--polytope", "a"], path_graph(3), "hrep-points",
+                     4, "4 points > {}", id="hrep-points"),
+        pytest.param(["check", "--polytope", "a"], path_graph(3), "box",
+                     25, "bounding box of 2P exceeds {} points", id="box"),
+        pytest.param(["witness", "--type", "a"], path_graph(3), "cliques",
+                     5, "more than {} cliques", id="cliques"),
+    ])
+    def test_each_override_reaches_its_guard(self, tmp_path, capsys, argv, graph,
+                                             name, threshold, message):
+        # one below the threshold the guard trips with its own message; at
+        # the threshold the request answers
+        path = write(tmp_path, "g.txt", to_edge_list_text(graph))
+        argv = argv[:1] + [path] + argv[1:] + ["--bound-override"]
+        assert main(argv + [f"{name}={threshold - 1}"]) == 4
+        assert f"resource bound exceeded: {message.format(threshold - 1)}\n" in \
+            capsys.readouterr().err
+        assert main(argv + [f"{name}={threshold}"]) == 0
 
     @pytest.mark.parametrize("command,text,gamma", [
         pytest.param("gamma-a", "n 1200\n1 2\n", "[1, 2]",
@@ -530,8 +586,8 @@ class TestVerify:
 
         real = engine.gamma_a_cut_sum
 
-        def broken(g, max_n=20):
-            res = real(g, max_n=max_n)
+        def broken(g, bounds=None):
+            res = real(g, bounds)
             return engine.SepResult(res.gamma + Poly([1]), res.hstar,
                                     res.volume, res.dim, res.method)
 

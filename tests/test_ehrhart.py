@@ -47,21 +47,21 @@ def diffs(points):
     return [tuple(a - b for a, b in zip(p, points[0])) for p in points]
 
 
-def counted(p, **kw) -> tuple:
-    """ehrhart_data(p, **kw) and the counts L(0), L(1), ... it took: every
+def counted(p) -> tuple:
+    """ehrhart_data(p) and the counts L(0), L(1), ... it took: every
     call of count_points is recorded, and must ask for t = 1, 2, ... in
     order."""
     counts = [1]
     original = ehrhart.count_points
 
-    def recording(q, t, budget=ehrhart.MAX_BOX_POINTS):
+    def recording(q, t, bounds=None):
         assert t == len(counts)
-        counts.append(original(q, t, budget))
+        counts.append(original(q, t, bounds))
         return counts[-1]
 
     ehrhart.count_points = recording
     try:
-        data = ehrhart_data(p, **kw)
+        data = ehrhart_data(p)
     finally:
         ehrhart.count_points = original
     return data, tuple(counts)
@@ -219,9 +219,9 @@ class TestFacets:
     def test_guards(self):
         p = build_b(empty_graph(2))
         with pytest.raises(BoundExceededError):
-            h_representation(p, max_dim=1)
+            h_representation(p, {"hrep-dim": 1})
         with pytest.raises(BoundExceededError):
-            h_representation(p, max_points=2)
+            h_representation(p, {"hrep-points": 2})
         with pytest.raises(PreconditionError):
             h_representation(build_a(cycle_graph(3)))  # not reduced
 
@@ -242,7 +242,7 @@ class TestCounting:
         sq = build_b(Graph.make(2, [(1, 2)]))
         h_representation(sq)
         with pytest.raises(BoundExceededError):
-            count_points(sq, 3, budget=10)
+            count_points(sq, 3, {"box": 10})
 
 
 class TestHstarTransform:
@@ -465,19 +465,20 @@ class TestHalfCount:
         # t = 1, 2 are counted; type B of a triangle, box (2t + 1)^3, is not
         # reflexive, so its count runs to t = 4
         hexagon = build_a(cycle_graph(3))
-        assert ehrhart_data(hexagon, budget=25).hstar == Poly([1, 4, 1])
+        assert ehrhart_data(hexagon, {"box": 25}).hstar == Poly([1, 4, 1])
         with pytest.raises(BoundExceededError) as exc:
-            ehrhart_data(hexagon, budget=24)
+            ehrhart_data(hexagon, {"box": 24})
         assert str(exc.value) == "bounding box of 2P exceeds 24 points"
-        assert ehrhart_data(build_b(cycle_graph(3)), budget=729).hstar == Poly([1, 15, 23, 1])
+        assert ehrhart_data(build_b(cycle_graph(3)), {"box": 729}).hstar == \
+            Poly([1, 15, 23, 1])
         with pytest.raises(BoundExceededError) as exc:
-            ehrhart_data(build_b(cycle_graph(3)), budget=728)
+            ehrhart_data(build_b(cycle_graph(3)), {"box": 728})
         assert str(exc.value) == "bounding box of 4P exceeds 728 points"
 
     def test_redundant_dilate_catches_a_corrupted_count(self, monkeypatch):
         # A(C5) is reflexive of dimension 4: t = 1, 2 fix h*, t = 3 checks
-        def corrupted(q, t, budget=ehrhart.MAX_BOX_POINTS):
-            return count_points(q, t, budget) + (t == 3)
+        def corrupted(q, t, bounds=None):
+            return count_points(q, t, bounds) + (t == 3)
 
         assert counted(build_a(cycle_graph(5)))[1] == (1, 11, 61, 211)
         monkeypatch.setattr(ehrhart, "count_points", corrupted)
@@ -492,31 +493,32 @@ class TestGuardsUnchanged:
 
     def test_hrep_dim(self):
         q = reduce_to_full_dim(build_a(suspension(cycle_graph(4))))
-        assert h_representation(q, max_dim=4)
+        assert h_representation(q, {"hrep-dim": 4})
         with pytest.raises(BoundExceededError) as exc:
-            h_representation(q, max_dim=3)
+            h_representation(q, {"hrep-dim": 3})
         assert str(exc.value) == "facet enumeration in dimension 4 > 3"
 
     def test_hrep_points_counts_distinct_points(self):
         pts = ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0))
-        assert h_representation(LatticePolytope(2, pts, 2), max_points=4)
+        assert h_representation(LatticePolytope(2, pts, 2), {"hrep-points": 4})
         with pytest.raises(BoundExceededError) as exc:
-            h_representation(LatticePolytope(2, pts, 2), max_points=3)
+            h_representation(LatticePolytope(2, pts, 2), {"hrep-points": 3})
         assert str(exc.value) == "4 points > 3"
         # the dimension is checked first
         with pytest.raises(BoundExceededError) as exc:
-            h_representation(LatticePolytope(2, pts, 2), max_dim=1, max_points=3)
+            h_representation(LatticePolytope(2, pts, 2),
+                             {"hrep-dim": 1, "hrep-points": 3})
         assert str(exc.value) == "facet enumeration in dimension 2 > 1"
 
     def test_box(self):
         sq = build_b(Graph.make(2, [(1, 2)]))
         h_representation(sq)
         # the box of 3P is [-3, 3]^2: 49 points
-        assert count_points(sq, 3, budget=49) == 49
+        assert count_points(sq, 3, {"box": 49}) == 49
         with pytest.raises(BoundExceededError) as exc:
-            count_points(sq, 3, budget=48)
+            count_points(sq, 3, {"box": 48})
         assert str(exc.value) == "bounding box of 3P exceeds 48 points"
         # checked coordinate by coordinate, as a running product
         with pytest.raises(BoundExceededError) as exc:
-            count_points(sq, 3, budget=6)
+            count_points(sq, 3, {"box": 6})
         assert str(exc.value) == "bounding box of 3P exceeds 6 points"

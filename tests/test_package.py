@@ -6,6 +6,7 @@ import ast
 import pathlib
 
 import sepgamma
+from sepgamma.errors import BOUNDS
 
 PACKAGE = pathlib.Path(sepgamma.__file__).parent
 ORACLES = pathlib.Path(__file__).with_name("oracles.py")
@@ -138,3 +139,14 @@ def test_references_import_no_private_code():
                and node.module.split(".")[0] == "sepgamma"
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_bound_names_a_guard():
+    """Each --bound-override name in errors.BOUNDS is a literal argument of
+    some call in the package outside the table's module, the guard that
+    reads it: no override outlives the check it moves."""
+    named = {arg.value for path in sorted(PACKAGE.glob("*.py")) if path.stem != "errors"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             for arg in node.args if isinstance(arg, ast.Constant)}
+    assert [name for name in BOUNDS if name not in named] == []

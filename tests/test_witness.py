@@ -24,7 +24,7 @@ class TestCliqueFPoly:
     def test_bound(self):
         from sepgamma import BoundExceededError
         with pytest.raises(BoundExceededError):
-            clique_f_poly(complete_graph(8), max_cliques=10)
+            clique_f_poly(complete_graph(8), {"cliques": 10})
 
 
 class TestWitnessA:
