@@ -24,7 +24,8 @@ from fractions import Fraction
 from . import engine, spectral, witness
 from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
                      PreconditionError, SepGammaError, VerificationError, bound)
-from .graphs import Graph, classify, cycles_of, parse_graph, to_edge_list_text
+from .graphs import (Graph, classify, parse_graph, simple_cycles,
+                     to_edge_list_text)
 from .matching import check_pair_count_bound
 from .polynomials import (Poly, check_hstar_size, check_properties,
                           real_rootedness)
@@ -175,7 +176,9 @@ def cmd_witness(args) -> int:
 def cmd_analyze(args) -> int:
     g = _load_graph(args.path)
     cls = classify(g)
-    cycles = cycles_of(g, cls)
+    cycles = cls.simple_cycles
+    if cycles is None:  # classify stopped at an edge in two even cycles
+        cycles = simple_cycles(g)
     doc = {
         "input": args.path,
         "command": "analyze",

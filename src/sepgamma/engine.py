@@ -5,10 +5,12 @@ live with the tests.
 
 Every result is packaged as a SepResult whose invariants (palindromic h*,
 h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
-by the test suite.  `solve` is the one dispatcher: ROUTES says which
-routes serve which polytope and what `auto` picks.  The Ehrhart route
-defines gamma exactly when the oracle reports that its facets proved the
-polytope reflexive.
+by the test suite.  The matching formulas of both types are one tiling
+of the graph (matching.tiling_poly) by edges and even cycles: weights 2x
+and -2x^(|C|/2) for type A; x and -x^(|C|/2), taken at 4x, for type B.
+`solve` is the one dispatcher: ROUTES says which routes serve which
+polytope and what `auto` picks.  The Ehrhart route defines gamma exactly
+when the oracle reports that its facets proved the polytope reflexive.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Mapping, Optional
 from .errors import PreconditionError
 from .graphs import Graph, GraphClassification, classify, suspension
 from .interior import cut_sum_gamma
-from .matching import (check_pair_count_bound, matchable_pairs,
-                       matched_vertex_sets_formula, tiling_poly)
+from .matching import check_pair_count_bound, matchable_pairs, tiling_poly
 from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
                           hstar_to_gamma)
 
@@ -43,6 +44,15 @@ def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
     return SepResult(gamma, hstar, hstar(1), dim, method)
 
 
+def _even_cycle_tiling(g: Graph, cls: GraphClassification, edge: int,
+                       cycle: int) -> Poly:
+    """The tiling of g with `edge` x per edge and `cycle` x^(|C|/2) per
+    even cycle C of cls, whose cycles must be listed."""
+    return tiling_poly(g, Poly.monomial(1, edge),
+                       [(c, Poly.monomial(len(c) // 2, cycle))
+                        for c in cls.simple_cycles if len(c) % 2 == 0])
+
+
 # ---------------------------------------------------------------------------
 # Type A (suspension)
 # ---------------------------------------------------------------------------
@@ -56,9 +66,7 @@ def suspension_gamma_formula(g: Graph, cls: Optional[GraphClassification] = None
     if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles; "
                                 "use the cut-sum route")
-    evens = [(c, Poly.monomial(len(c) // 2, -2))
-             for c in cls.simple_cycles if len(c) % 2 == 0]
-    return tiling_poly(g, Poly.one(), Poly.monomial(1, 2), evens)
+    return _even_cycle_tiling(g, cls, 2, -2)
 
 
 def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
@@ -92,13 +100,14 @@ def gamma_a_pairs(g: Graph, cls: Optional[GraphClassification] = None,
 def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     """Type-B result for a bipartite cactus by the matching formula:
     g(G,4x) + sum_R (-1)^c(R) g(G-R,4x) (4x)^(|E(R)|/2), which is
-    sum_k |M(G,k)| (4x)^k with |M(G,k)| from its cycle-family formula."""
+    sum_k |M(G,k)| (4x)^k: the tiling with x per edge and -x^(|C|/2) per
+    even cycle C counts |M(G,k)|, and is taken at 4x."""
     cls = cls or classify(g)
     if not cls.bipartite:
         raise PreconditionError("type-B formula needs a bipartite graph")
     if not cls.cactus:
         raise PreconditionError("type-B formula needs a cactus graph")
-    return _pack(Poly(matched_vertex_sets_formula(g, cls)).scale_arg(4), g.n, "formula")
+    return _pack(_even_cycle_tiling(g, cls, 1, -1).scale_arg(4), g.n, "formula")
 
 
 def gamma_b_interior(g: Graph, cls: Optional[GraphClassification] = None,

@@ -309,13 +309,6 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
                                 max_cycles))
 
 
-def cycles_of(g: Graph, cls: Optional[GraphClassification] = None) -> tuple:
-    """Every simple cycle of g: the classification's list, or a listing of
-    its own where the even-cycle condition fails and classify stopped."""
-    cycles = (cls or classify(g)).simple_cycles
-    return tuple(simple_cycles(g)) if cycles is None else cycles
-
-
 def cycle_edges(cycle: tuple) -> list:
     """Edges of a cycle given as a vertex tuple."""
     k = len(cycle)

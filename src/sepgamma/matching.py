@@ -1,13 +1,16 @@
-"""The matching generating polynomial, matched-vertex-set counts |M(G,k)|
-and the matchable-pair count.
+"""The tiling DP behind every matching formula, the matched-vertex-set
+count |M(G,k)| and the matchable-pair count.
 
-tiling_poly is the one DP behind every matching formula, with or without
-cycle corrections; matchable_pairs is the one count behind the dense
-routes (the suspension gamma of any graph, |M(G,k)| of any bipartite
-graph): it grows half the ordered pairs where swapping A and B is a
-symmetry, counts each block of the graph once, and folds the blocks in
-the order classify's depth-first search closed them, each after the
-blocks below it, so its work and its guard follow the largest block.
+tiling_poly sums over the tilings of the vertices by lone vertices (weight
+1), edges and listed cycles: with weight x per edge it is the matching
+generating polynomial, with even-cycle tiles the engine's formula of
+either type, and reversed the mu-polynomial.  matchable_pairs is the one
+count behind the dense routes (the suspension gamma of any graph,
+|M(G,k)| of any bipartite graph): it grows half the ordered pairs where
+swapping A and B is a symmetry, counts each block of the graph once, and
+folds the blocks in the order classify's depth-first search closed them,
+each after the blocks below it, so its work and its guard follow the
+largest block.
 The |M(G,k)| oracle builds the matched vertex sets themselves, one size
 at a time, from the lowest vertex of each, without listing matchings;
 its one caller, the cut sum, guards it by n.
@@ -18,23 +21,23 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Mapping, Optional
 
-from .errors import BoundExceededError, PreconditionError, bound
+from .errors import BoundExceededError, bound
 from .graphs import Graph, GraphClassification, classify
 from .polynomials import Poly
 
 
-def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Poly:
+def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = ()) -> Poly:
     """Sum over the tilings of V(G) by lone vertices, edges and listed tiles
-    of the product of the weights: `vertex` per lone vertex, `edge` per
-    edge, `weight` per (vertices, weight) pair of `tiles` (cycles of G).
+    of the product of the weights: 1 per lone vertex, `edge` per edge,
+    `weight` per (vertices, weight) pair of `tiles` (cycles of G).
 
     A vertex set is worth the product of its components' values; a lone
-    vertex is worth `vertex`, a lone edge `vertex^2 + edge`.  A larger
-    connected set C branches on one vertex v: v alone, paired with a
-    neighbour u, or in a tile T.  Each branch keeps every component C_j of
-    C - v whole but one, from which it takes u or T - v.  With P_j the value
-    of C_j and D_j the sum of the branch values inside it, C is worth T_k:
-    T_0 = vertex, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j.
+    vertex is worth 1, a lone edge 1 + edge.  A larger connected set C
+    branches on one vertex v: v alone, paired with a neighbour u, or in a
+    tile T.  Each branch keeps every component C_j of C - v whole but one,
+    from which it takes u or T - v.  With P_j the value of C_j and D_j the
+    sum of the branch values inside it, C is worth T_k:
+    T_0 = 1, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j.
     The leaves of v count as one C_j, so a star costs one branch.  Values
     are memoized per vertex mask.  v is the middle of a longest shortest
     path (two breadth-first sweeps, or the first sweep's start when it sees
@@ -49,13 +52,12 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
             if weight:
                 tiles_at.setdefault(v - 1, []).append((mask, weight))
     one = Poly.one()
-    vertex = one if vertex == one else vertex
     memo = {0: one}
 
     def times(a: Poly, b: Poly) -> Poly:
         return b if a is one else a if b is one else a * b
 
-    pair = times(vertex, vertex) + edge  # the value of every edge on its own
+    pair = one + edge  # the value of every edge on its own
 
     def layers(start: int, within: int) -> list:
         """Breadth-first layers of `within` from the vertex bit `start`."""
@@ -89,14 +91,10 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
         got = memo.get(mask)
         if got is not None:
             return got
-        out, lone = one, 0
+        out = one
         for comp, far in components(mask):
             if comp & (comp - 1):
                 out = times(out, solve(comp, far))
-            else:
-                lone += 1
-        if lone and vertex is not one:
-            out = times(out, vertex ** lone)
         memo[mask] = out
         return out
 
@@ -117,7 +115,7 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
         found = components(comp ^ (1 << v))  # each holds a neighbour of v
         parts = [(part, far) for part, far in found if part & (part - 1)]
         leaves = len(found) - len(parts)
-        total, lead = vertex, one
+        total, lead = one, one
         for i, (part, far) in enumerate(parts):
             inner, us = None, adj[v] & part
             while us:
@@ -133,18 +131,12 @@ def tiling_poly(g: Graph, vertex: Poly, edge: Poly, tiles: Iterable = ()) -> Pol
             total = times(total, p) + times(lead, inner)
             if leaves or i + 1 < len(parts):
                 lead = times(lead, p)
-        if leaves:  # as one part: P = vertex^leaves, D = leaves edge vertex^(leaves-1)
-            lone = one if vertex is one else vertex ** (leaves - 1)
-            total = times(total, times(lone, vertex)) + times(lead, times(lone, edge * leaves))
+        if leaves:  # as one part: P = 1, D = leaves edge
+            total = total + times(lead, edge * leaves)
         memo[comp] = total
         return total
 
     return value((1 << g.n) - 1)
-
-
-def gen_poly(g: Graph) -> Poly:
-    """g(G,x) = sum_k m_k(G) x^k over k-matchings; g = 1 for edgeless G."""
-    return tiling_poly(g, Poly.one(), Poly.monomial(1))
 
 
 def check_pair_count_bound(cls: GraphClassification, bounds: Optional[Mapping],
@@ -314,18 +306,3 @@ def matched_vertex_sets(g: Graph) -> list:
         out.append(len(grown))
         level = grown
 
-
-def matched_vertex_sets_formula(g: Graph,
-                                cls: Optional[GraphClassification] = None) -> list:
-    """|M(G,k)| = m_k(G) + sum over vertex-disjoint even-cycle families R of
-    (-1)^c(R) m_(k - |E(R)|/2)(G - R): tiles 1, x and -x^(|C|/2) per even C.
-
-    Valid when every edge lies in at most one even cycle; raises
-    PreconditionError otherwise.  Must agree with matched_vertex_sets.
-    """
-    cls = cls or classify(g)
-    if not cls.unique_even_cycle_condition:
-        raise PreconditionError("an edge lies in two even cycles")
-    evens = [(c, Poly.monomial(len(c) // 2, -1))
-             for c in cls.simple_cycles if len(c) % 2 == 0]
-    return tiling_poly(g, Poly.one(), Poly.monomial(1), evens).coeff_list()

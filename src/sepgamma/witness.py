@@ -3,8 +3,11 @@
 The witness graph is the complement of the line graph blown up by a clique
 (K_2 for type A, K_4 for type B); its clique-count polynomial must equal
 the target gamma-polynomial, and the constructors verify that equality
-rather than assume it.  The independence-polynomial composition law
-over the lexicographic product lives with the tests.
+rather than assume it.  The target is the matching tiling DP with 2x
+(type A) or 4x (type B) per edge and no cycle tiles, since the graphs have
+no even cycle.  Like the gamma routes, each constructor applies the h*
+size guard to n before it runs the DP.  The independence-polynomial
+composition law over the lexicographic product lives with the tests.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
 from .graphs import (Graph, classify, complement, lex_product_complete,
                      line_graph)
-from .matching import gen_poly
-from .polynomials import Poly
+from .matching import tiling_poly
+from .polynomials import Poly, check_hstar_size
 
 
 def clique_f_poly(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
@@ -82,7 +85,8 @@ def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     if not cls.unique_even_cycle_condition or any(
             len(c) % 2 == 0 for c in cls.simple_cycles):
         raise PreconditionError("witness construction needs no even cycles")
-    return _build_witness(g, 2, gen_poly(g).scale_arg(2), bounds)
+    check_hstar_size(g.n)
+    return _build_witness(g, 2, tiling_poly(g, Poly.monomial(1, 2)), bounds)
 
 
 def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
@@ -90,4 +94,5 @@ def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     has f-polynomial g(G,4x), the type-B gamma-polynomial."""
     if not classify(g).forest:
         raise PreconditionError("witness construction needs a forest")
-    return _build_witness(g, 4, gen_poly(g).scale_arg(4), bounds)
+    check_hstar_size(g.n)
+    return _build_witness(g, 4, tiling_poly(g, Poly.monomial(1, 4)), bounds)

@@ -40,9 +40,9 @@ from typing import Iterable, NamedTuple, Optional
 
 from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
-                      PreconditionError, cycle_graph, cycles_of,
-                      gamma_a_suspension, gen_poly, h_representation,
-                      hstar_from_counts, reduce_to_full_dim)
+                      PreconditionError, classify, cycle_graph,
+                      gamma_a_suspension, h_representation, hstar_from_counts,
+                      reduce_to_full_dim, simple_cycles, tiling_poly)
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
 
@@ -256,6 +256,15 @@ def matched_sets_reference(g: Graph, cls=None) -> list:
         g, even_cycle_families(g, cls), gen_poly_reference,
         lambda fam: Poly.monomial(fam.edge_count // 2, (-1) ** fam.c),
     ).coeff_list()
+
+
+def matched_sets_tiling(g: Graph, cls=None) -> list:
+    """|M(G,k)| by the shipped tiling DP, with x per edge and -x^(|C|/2) per
+    even cycle C: the type-B formula before it is taken at 4x, valid on any
+    graph where no edge lies in two even cycles (so classify lists them)."""
+    evens = [(c, Poly.monomial(len(c) // 2, -1))
+             for c in (cls or classify(g)).simple_cycles if len(c) % 2 == 0]
+    return tiling_poly(g, Poly.monomial(1), evens).coeff_list()
 
 
 def matched_sets_by_matchings(g: Graph) -> list:
@@ -742,7 +751,7 @@ def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
 
 def matching_counts(g: Graph) -> list:
     """[m_0, m_1, ...] with trailing zeros trimmed; m_0 = 1."""
-    return gen_poly(g).coeff_list() or [1]
+    return tiling_poly(g, Poly.monomial(1)).coeff_list() or [1]
 
 
 def matching_poly(g: Graph) -> Poly:
@@ -805,8 +814,11 @@ MAX_CHARPOLY_VERTICES = 64
 
 def uniform_weights(g: Graph, t,
                     cls: Optional[GraphClassification] = None) -> dict:
-    """Weight map assigning the same parameter t to every simple cycle."""
-    return {cyc: t for cyc in cycles_of(g, cls)}
+    """Weight map assigning the same parameter t to every simple cycle:
+    the classification's list, or a listing of its own where classify
+    stopped at an edge in two even cycles."""
+    cycles = (cls or classify(g)).simple_cycles
+    return {cyc: t for cyc in (simple_cycles(g) if cycles is None else cycles)}
 
 
 def char_poly_adjacency(g: Graph) -> Poly:

@@ -367,17 +367,18 @@ class TestContract:
     def test_structure_pass_follows_the_edges(self, tmp_path):
         # a triangle and 10^12 - 3 isolated vertices: the block pass visits
         # the three vertices on an edge and counts the rest, so analyze
-        # answers under the same 128 MB limit, and verify stops at once on
-        # the h* size guard
+        # answers under the same 128 MB limit, and verify and witness stop
+        # at once on the h* size guard
         path = write(tmp_path, "tri.txt", "n 1000000000000\n1 2\n2 3\n1 3\n")
         done = run_limited(["analyze", path], 128)
         assert done.returncode == 0
         assert "n: 1000000000000\n" in done.stdout
         assert "simple-cycles:\n  [1, 2, 3]\n" in done.stdout
-        done = run_limited(["verify", path], 128)
-        assert done.returncode == 4
-        assert "resource bound exceeded: h* of degree 1000000000000 holds about" \
-            in done.stderr
+        for argv in (["verify", path], ["witness", path, "--type", "a"]):
+            done = run_limited(argv, 128)
+            assert done.returncode == 4
+            assert "resource bound exceeded: h* of degree 1000000000000 holds about" \
+                in done.stderr
 
     def test_witness_refuses_before_the_complement(self, tmp_path):
         # P1200: L(P1200)[K_4] has 4796 vertices, so its complement has

@@ -9,17 +9,19 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gen_poly, line_graph,
-                      matchable_pairs, matched_vertex_sets,
-                      matched_vertex_sets_formula, mu_poly, path_graph,
-                      real_rootedness, star_graph, suspension_gamma_formula,
-                      tiling_poly)
+                      cycle_graph, empty_graph, gamma_b, line_graph,
+                      matchable_pairs, matched_vertex_sets, mu_poly,
+                      path_graph, real_rootedness, star_graph,
+                      suspension_gamma_formula, tiling_poly)
 
 from conftest import all_graphs_upto, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      matchable_pairs_reference, matched_sets_by_matchings,
-                     matched_sets_reference, matching_counts, matching_poly,
-                     mu_poly_reference, suspension_gamma_reference)
+                     matched_sets_reference, matched_sets_tiling,
+                     matching_counts, matching_poly, mu_poly_reference,
+                     suspension_gamma_reference)
+
+X = Poly.monomial(1)
 
 
 def cactus_edges(draw_int, n):
@@ -55,15 +57,15 @@ class TestCounts:
         assert matching_counts(path_graph(3)) == [1, 2]
 
     def test_gen_poly_is_counts(self):
-        assert gen_poly(cycle_graph(4)) == Poly([1, 4, 2])
-        assert gen_poly(empty_graph(0)) == Poly([1])
+        assert tiling_poly(cycle_graph(4), X) == Poly([1, 4, 2])
+        assert tiling_poly(empty_graph(0), X) == Poly([1])
 
     def test_lucas_recurrence(self):
         # g(C_n, x) follows L_n = L_(n-1) + x L_(n-2), L_1 = 1, L_2 = 1 + 2x
         lucas = {1: Poly([1]), 2: Poly([1, 2])}
         for n in range(3, 13):
             lucas[n] = lucas[n - 1] + Poly.monomial(1) * lucas[n - 2]
-            assert gen_poly(cycle_graph(n)) == lucas[n]
+            assert tiling_poly(cycle_graph(n), X) == lucas[n]
 
 
 class TestMatchingPoly:
@@ -108,19 +110,24 @@ class TestMatchedVertexSets:
             assert matched_vertex_sets(g) == matched_sets_by_matchings(g), g
 
     def test_formula_examples(self):
-        assert matched_vertex_sets_formula(cycle_graph(4)) == [1, 4, 1]
-        assert matched_vertex_sets_formula(cycle_graph(3)) == [1, 3]
-        assert matched_vertex_sets_formula(cycle_graph(6))[3] == 1
+        assert matched_sets_tiling(cycle_graph(4)) == [1, 4, 1]
+        assert matched_sets_tiling(cycle_graph(3)) == [1, 3]
+        assert matched_sets_tiling(cycle_graph(6))[3] == 1
+        assert gamma_b(cycle_graph(4)).gamma == Poly([1, 16, 16])
 
     def test_formula_precondition(self):
+        # K_2,3 has every edge in two 4-cycles: neither formula applies
+        for formula in (suspension_gamma_formula, gamma_b):
+            with pytest.raises(PreconditionError):
+                formula(complete_bipartite(2, 3))
         with pytest.raises(PreconditionError):
-            matched_vertex_sets_formula(complete_graph(4))
+            suspension_gamma_formula(complete_graph(4))
 
     def test_profile_invariants(self):
         rng = random.Random(47)
         for _ in range(60):
             g = random_graph(rng, rng.randrange(1, 8), rng.random())
-            m, mv = gen_poly(g).coeff_list(), matched_vertex_sets(g)
+            m, mv = matching_counts(g), matched_vertex_sets(g)
             assert m[0] == 1 and mv[0] == 1
             assert len(mv) <= g.n // 2 + 1
             for k in range(len(mv)):
@@ -134,7 +141,7 @@ class TestMatchedVertexSets:
             g = random_graph(rng, rng.choice((7, 8)), rng.uniform(0.15, 0.5))
             if not classify(g).unique_even_cycle_condition:
                 continue
-            assert matched_vertex_sets_formula(g) == matched_vertex_sets(g)
+            assert matched_sets_tiling(g) == matched_vertex_sets(g)
             checked += 1
 
 
@@ -160,18 +167,20 @@ class TestIndependence:
     def test_line_graph_bridge_upto_5(self):
         # k-matchings of g biject with k-independent sets of L(g)
         for g in all_graphs_upto(5):
-            assert gen_poly(g) == independence_poly(line_graph(g))
+            assert tiling_poly(g, X) == independence_poly(line_graph(g))
 
 
 def check_against_oracles(g):
     cls = classify(g)
-    assert gen_poly(g) == gen_poly_reference(g)
+    assert tiling_poly(g, X) == gen_poly_reference(g)
     if cls.unique_even_cycle_condition:
         assert suspension_gamma_formula(g, cls) == suspension_gamma_reference(g, cls)
-        assert matched_vertex_sets_formula(g, cls) == matched_sets_reference(g, cls)
     if cls.cactus:
+        if cls.bipartite:
+            assert gamma_b(g, cls).gamma == \
+                Poly(matched_sets_reference(g, cls)).scale_arg(4)
         weights = {c: Fraction(len(c), 3) for c in cls.simple_cycles}
-        assert mu_poly(g, weights, cls) == mu_poly_reference(g, weights, cls)
+        assert mu_poly(g, weights) == mu_poly_reference(g, weights, cls)
 
 
 @st.composite
@@ -268,13 +277,13 @@ class TestMatchablePairs:
 
 class TestTilingPoly:
     def test_tiles_of_one_cycle(self):
-        # C4 tiled by 1, x per edge, t per 4-cycle: 1 + 4x + 2x^2 + t
+        # C4 tiled by 1 per lone vertex, x per edge, t per 4-cycle:
+        # 1 + 4x + 2x^2 + t
         t = Poly([0, 0, 0, 1])
-        assert tiling_poly(cycle_graph(4), Poly.one(), Poly.monomial(1),
-                           [((1, 2, 3, 4), t)]) == Poly([1, 4, 2, 1])
-        assert tiling_poly(empty_graph(3), Poly([0, 1]), Poly([-1])) == \
-            Poly([0, 0, 0, 1])
-        assert tiling_poly(empty_graph(0), Poly([5]), Poly([7])) == Poly.one()
+        assert tiling_poly(cycle_graph(4), X, [((1, 2, 3, 4), t)]) == \
+            Poly([1, 4, 2, 1])
+        assert tiling_poly(empty_graph(3), Poly([-1])) == Poly.one()
+        assert tiling_poly(empty_graph(0), Poly([7])) == Poly.one()
 
     def test_exhaustive_against_oracles_upto_5(self):
         for g in all_graphs_upto(5):
@@ -288,11 +297,12 @@ class TestTilingPoly:
     @given(relabelled_cacti())
     def test_labels_do_not_change_the_answer(self, pair):
         g, h = pair
-        assert gen_poly(g) == gen_poly(h)
+        assert tiling_poly(g, X) == tiling_poly(h, X)
         cls_g, cls_h = classify(g), classify(h)
         assert suspension_gamma_formula(g, cls_g) == suspension_gamma_formula(h, cls_h)
-        assert matched_vertex_sets_formula(g, cls_g) == \
-            matched_vertex_sets_formula(h, cls_h)
+        if cls_g.bipartite:
+            assert gamma_b(g, cls_g).gamma == gamma_b(h, cls_h).gamma == \
+                Poly(matched_sets_reference(g, cls_g)).scale_arg(4)
 
     def test_large_sparse_graphs_at_the_default_recursion_limit(self):
         limit = sys.getrecursionlimit()

@@ -28,9 +28,30 @@ class TestMuPoly:
             g = random_graph(rng, rng.randrange(1, 7), rng.random())
             assert mu_poly(g, uniform_weights(g, 0)) == matching_poly(g)
 
-    def test_missing_weight(self):
-        with pytest.raises(PreconditionError):
-            mu_poly(cycle_graph(3), {})
+    def test_unnamed_cycle_weighs_zero(self):
+        # leaving a cycle out of the weights is giving it weight 0
+        checked = 0
+        for g in atlas_graphs(7):
+            cls = classify(g)
+            if not cls.cactus or not cls.simple_cycles:
+                continue
+            for left_out in cls.simple_cycles:
+                named = {c: Fraction(len(c), 2) for c in cls.simple_cycles
+                         if c != left_out}
+                assert mu_poly(g, named) == mu_poly(g, {**named, left_out: 0}), g
+            checked += 1
+        assert checked > 0
+
+    def test_reversal_keeps_the_lone_vertices(self):
+        # mu is x^n f(1/x): every lone vertex is a factor x, also when the
+        # tiling f has no edge or tile at all
+        x = Poly.monomial(1)
+        assert mu_poly(empty_graph(0), {}) == Poly.one()
+        assert mu_poly(empty_graph(3), {}) == x ** 3
+        triangle = {(1, 2, 3): Fraction(2, 3)}
+        padded = Graph.make(5, [(1, 2), (2, 3), (1, 3)])
+        assert mu_poly(padded, triangle) == \
+            x ** 2 * mu_poly(cycle_graph(3), triangle)
 
     def test_one_cycle_listing(self, monkeypatch):
         # the caller's classification serves every helper: no second
@@ -42,7 +63,7 @@ class TestMuPoly:
         for g, searched in ((cycle_graph(5), 0), (diamond, 1)):
             searches.clear()
             cls = classify(g)  # this module's binding, not counted
-            assert mu_poly(g, uniform_weights(g, 1, cls), cls) == \
+            assert mu_poly(g, uniform_weights(g, 1, cls)) == \
                 char_poly_adjacency(g)
             if cls.cactus:
                 gamma = suspension_gamma_formula(g, cls)

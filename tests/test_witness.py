@@ -4,11 +4,12 @@ import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, clique_f_poly,
                       complement, complete_graph, cycle_graph, empty_graph,
-                      gen_poly, lex_product_complete, path_graph,
-                      star_graph, witness_a, witness_b)
+                      lex_product_complete, path_graph, solve, star_graph,
+                      witness_a, witness_b)
 
-from conftest import all_graphs_upto, random_graph
-from oracles import independence_composition_check, independence_poly, lex_product
+from conftest import all_graphs_upto, atlas_graphs, random_graph
+from oracles import (gen_poly_reference, independence_composition_check,
+                     independence_poly, lex_product)
 
 
 class TestCliqueFPoly:
@@ -41,7 +42,7 @@ class TestWitnessA:
     def test_path3(self):
         fw = witness_a(path_graph(3))
         assert fw.f_poly == Poly([1, 4])
-        assert fw.f_poly == gen_poly(path_graph(3)).scale_arg(2)
+        assert fw.f_poly == gen_poly_reference(path_graph(3)).scale_arg(2)
 
     def test_even_cycle_rejected(self):
         with pytest.raises(PreconditionError):
@@ -50,7 +51,7 @@ class TestWitnessA:
     def test_odd_cycles_and_trees(self):
         for g in (cycle_graph(5), cycle_graph(7), star_graph(4), path_graph(5)):
             fw = witness_a(g)
-            assert fw.f_poly == gen_poly(g).scale_arg(2)
+            assert fw.f_poly == gen_poly_reference(g).scale_arg(2)
 
 
 class TestWitnessB:
@@ -71,6 +72,22 @@ class TestWitnessB:
     def test_cycle_rejected(self):
         with pytest.raises(PreconditionError):
             witness_b(cycle_graph(3))
+
+
+class TestWitnessTarget:
+    def test_target_is_the_printed_gamma(self):
+        # every atlas class on up to 6 vertices that a witness accepts: its
+        # target is the gamma that gamma-a and gamma-b print
+        accepted = 0
+        for g in atlas_graphs(6):
+            for build, polytope in ((witness_a, "ahat"), (witness_b, "b")):
+                try:
+                    fw = build(g)
+                except PreconditionError:
+                    continue
+                assert fw.target == solve(g, polytope).gamma, (g, polytope)
+                accepted += 1
+        assert accepted > 0
 
 
 class TestIndependenceComposition:
