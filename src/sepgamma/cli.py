@@ -27,8 +27,7 @@ from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
 from .graphs import (Graph, classify, parse_graph, simple_cycles,
                      to_edge_list_text)
 from .matching import check_pair_count_bound
-from .polynomials import (Poly, check_hstar_size, check_properties,
-                          real_rootedness)
+from .polynomials import Poly, check_properties, real_rootedness
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -187,9 +186,10 @@ def cmd_analyze(args) -> int:
         "connected": _yn(cls.connected),
         "bipartite": _yn(cls.bipartite),
     }
-    if cls.bipartition is not None:
-        doc["part1"] = sorted(cls.bipartition.part1)
-        doc["part2"] = sorted(cls.bipartition.part2)
+    if cls.bipartition is not None:  # isolated vertices are printed in part 1
+        part2 = cls.bipartition.part2
+        doc["part1"] = [v for v in range(1, g.n + 1) if v not in part2]
+        doc["part2"] = sorted(part2)
     doc.update({
         "forest": _yn(cls.forest),
         "cactus": _yn(cls.cactus),
@@ -312,7 +312,6 @@ def cmd_batch(args) -> int:
         path = os.path.join(args.dir, name)
         try:
             g = _load_graph(path)
-            check_hstar_size(g.n)  # solve raises it too, but after classify
             cls = classify(g)
             res = engine.solve(g, "ahat", "auto", cls, bounds)
             flags = [label for label, on in (

@@ -110,18 +110,23 @@ def _pivot_rows(points) -> list:
 # ---------------------------------------------------------------------------
 
 def build_a(g: Graph) -> LatticePolytope:
-    """conv of +-(e_i - e_j) over the edges; lives in the sum-zero
-    hyperplane, dimension n-1 for connected g.  The point {0} when g has
-    no edge."""
+    """conv of +-(e_u - e_v) over the edges, with one coordinate per vertex
+    on an edge, in sorted order.  An isolated vertex's coordinate would be
+    0 at every point, so leaving it out is a lattice isomorphism onto the
+    same polytope.  It lives in the sum-zero hyperplane; its dimension is
+    the number of vertices on an edge minus the number of components they
+    form.  The point in R^0 when g has no edge."""
     if not g.edges:
-        return LatticePolytope(g.n, ((0,) * g.n,), 0)
+        return LatticePolytope(0, ((),), 0)
+    vertices = sorted(set().union(*g.edges))
+    index = {v: i for i, v in enumerate(vertices)}
     pts = []
     for u, v in g.sorted_edges():
-        p = [0] * g.n
-        p[u - 1], p[v - 1] = 1, -1
+        p = [0] * len(vertices)
+        p[index[u]], p[index[v]] = 1, -1
         pts.append(tuple(p))
         pts.append(tuple(-x for x in p))
-    return LatticePolytope(g.n, tuple(pts), len(_pivot_rows(pts)))
+    return LatticePolytope(len(vertices), tuple(pts), len(_pivot_rows(pts)))
 
 
 def build_b(g: Graph) -> LatticePolytope:

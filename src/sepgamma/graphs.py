@@ -57,6 +57,10 @@ class Graph:
 
 
 class Bipartition(NamedTuple):
+    """Sides 0 and 1 of a 2-colouring of the vertices on an edge, the
+    smallest vertex of each component on side 0.  An isolated vertex is on
+    neither side."""
+
     part1: frozenset
     part2: frozenset
 
@@ -65,7 +69,7 @@ class Bipartition(NamedTuple):
 class GraphClassification:
     connected: bool
     bipartite: bool
-    bipartition: Optional[Bipartition]
+    bipartition: Optional[Bipartition]  # of the vertices on an edge
     forest: bool
     cactus: bool
     unique_even_cycle_condition: bool
@@ -399,7 +403,9 @@ def classify(g: Graph) -> GraphClassification:
     cycle search of its own, so no search walks from one block into the
     next; the searches stop at the first edge in two even cycles.
     simple_cycles lists every cycle, sorted, when the even-cycle condition
-    holds, and is None when it fails.
+    holds, and is None when it fails.  The bipartition holds the pass's
+    2-colouring, so like the blocks it covers only the vertices on an edge
+    and nothing here grows with the isolated ones.
     """
     components, side, blocks = _blocks(g)
     cycles, dense, vertex_sets = [], [], []
@@ -422,9 +428,10 @@ def classify(g: Graph) -> GraphClassification:
             even_edges.update(edges)
         cycles.append(cyc)
     bipartition = None
-    if side is not None:  # isolated vertices go to part 1
-        part2 = frozenset(v for v, s in side.items() if s)
-        bipartition = Bipartition(frozenset(range(1, g.n + 1)) - part2, part2)
+    if side is not None:
+        part1 = frozenset(v for v, s in side.items() if s == 0)
+        part2 = frozenset(v for v, s in side.items() if s == 1)
+        bipartition = Bipartition(part1, part2)
     return GraphClassification(
         connected=components <= 1,
         bipartite=bipartition is not None,

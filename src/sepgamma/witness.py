@@ -3,11 +3,11 @@
 The witness graph is the complement of the line graph blown up by a clique
 (K_2 for type A, K_4 for type B); its clique-count polynomial must equal
 the target gamma-polynomial, and the constructors verify that equality
-rather than assume it.  The target is the matching tiling DP with 2x
-(type A) or 4x (type B) per edge and no cycle tiles, since the graphs have
-no even cycle.  Like the gamma routes, each constructor applies the h*
-size guard to n before it runs the DP.  The independence-polynomial
-composition law over the lexicographic product lives with the tests.
+rather than assume it.  The target is the gamma that gamma-a or gamma-b
+prints: engine.solve by the formula route, which applies the h* size
+guard after the preconditions, so the clique count cross-checks the
+route's matching DP.  The independence-polynomial composition law over the
+lexicographic product lives with the tests.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
+from . import engine
 from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
 from .graphs import (Graph, classify, complement, lex_product_complete,
                      line_graph)
-from .matching import tiling_poly
-from .polynomials import Poly, check_hstar_size
+from .polynomials import Poly
 
 
 def clique_f_poly(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
@@ -85,14 +85,15 @@ def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     if not cls.unique_even_cycle_condition or any(
             len(c) % 2 == 0 for c in cls.simple_cycles):
         raise PreconditionError("witness construction needs no even cycles")
-    check_hstar_size(g.n)
-    return _build_witness(g, 2, tiling_poly(g, Poly.monomial(1, 2)), bounds)
+    return _build_witness(g, 2, engine.solve(g, "ahat", "formula", cls).gamma,
+                          bounds)
 
 
 def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     """For a forest g: the clique complex of the complement of L(g)[K_4]
     has f-polynomial g(G,4x), the type-B gamma-polynomial."""
-    if not classify(g).forest:
+    cls = classify(g)
+    if not cls.forest:
         raise PreconditionError("witness construction needs a forest")
-    check_hstar_size(g.n)
-    return _build_witness(g, 4, tiling_poly(g, Poly.monomial(1, 4)), bounds)
+    return _build_witness(g, 4, engine.solve(g, "b", "formula", cls).gamma,
+                          bounds)

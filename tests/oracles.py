@@ -89,7 +89,8 @@ def simple_cycles_reference(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> li
 def classify_reference(g: Graph) -> GraphClassification:
     """Every flag from the list of all simple cycles: an edge on two cycles
     breaks the cactus property, an edge on two even cycles the even-cycle
-    condition (and then simple_cycles is None, as in classify).  Two edges
+    condition (and then simple_cycles is None, as in classify).  The
+    bipartition, as in classify, leaves the isolated vertices out.  Two edges
     share a block when a chain of cycles joins them; blocks is the
     frozenset of their vertex sets, in no order."""
     cycles = simple_cycles_reference(g)
@@ -117,6 +118,9 @@ def classify_reference(g: Graph) -> GraphClassification:
             if even:
                 even_edge_load[e] = even_edge_load.get(e, 0) + 1
     bip = bipartition_of(g)
+    if bip is not None:  # classify 2-colours only the vertices on an edge
+        on_edge = set().union(*g.edges)
+        bip = Bipartition(bip.part1 & on_edge, bip.part2 & on_edge)
     uec = all(k <= 1 for k in even_edge_load.values())
     return GraphClassification(
         connected=is_connected(g),

@@ -350,35 +350,47 @@ class TestContract:
         assert "resource bound exceeded: recursion depth" in err
         assert "exceeded in bottomless" in err
 
-    @pytest.mark.parametrize("argv,where", [
-        (["analyze"], "classify"), (["verify"], "classify"),
-        (["witness", "--type", "a"], "classify"), (["check"], "build_a")])
-    def test_memory_error_exits_4(self, tmp_path, argv, where):
-        # one edge to vertex 10^12: the bipartition puts the isolated
-        # vertices in part 1, and the type-A polytope has n coordinates.
-        # The child runs under a 128 MB address-space limit; without it the
-        # set would grow until the host ran out of memory.
+    def test_memory_error_exits_4(self, tmp_path):
+        # one edge to vertex 10^12: analyze prints part 1, which holds the
+        # 10^12 - 2 isolated vertices and vertex 1.  The child runs under a
+        # 128 MB address-space limit; without it the list would grow until
+        # the host ran out of memory.
         path = write(tmp_path, "far.txt", "1 1000000000000\n")
-        done = run_limited(argv[:1] + [path] + argv[1:], 128)
+        done = run_limited(["analyze", path], 128)
         assert done.returncode == 4
         assert "Traceback" not in done.stderr
-        assert f"resource bound exceeded: out of memory in {where}\n" in done.stderr
+        assert "resource bound exceeded: out of memory in cmd_analyze\n" in done.stderr
 
     def test_structure_pass_follows_the_edges(self, tmp_path):
-        # a triangle and 10^12 - 3 isolated vertices: the block pass visits
-        # the three vertices on an edge and counts the rest, so analyze
-        # answers under the same 128 MB limit, and verify and witness stop
-        # at once on the h* size guard
-        path = write(tmp_path, "tri.txt", "n 1000000000000\n1 2\n2 3\n1 3\n")
-        done = run_limited(["analyze", path], 128)
+        # a triangle and 10^12 - 3 isolated vertices, and one edge to vertex
+        # 10^12: the block pass, its bipartition and the type-A polytope
+        # hold only the vertices on an edge.  Under the same 128 MB limit
+        # analyze and check --polytope a answer, and verify and witness
+        # stop at once on the h* size guard
+        tri = write(tmp_path, "tri.txt", "n 1000000000000\n1 2\n2 3\n1 3\n")
+        far_dir = tmp_path / "far"
+        far_dir.mkdir()
+        far = write(far_dir, "far.txt", "1 1000000000000\n")
+        guard = ("h* of degree 1000000000000 holds about "
+                 "1000000000002000000000001 coefficient bits > 200000000\n")
+        done = run_limited(["analyze", tri], 128)
         assert done.returncode == 0
         assert "n: 1000000000000\n" in done.stdout
         assert "simple-cycles:\n  [1, 2, 3]\n" in done.stdout
-        for argv in (["verify", path], ["witness", path, "--type", "a"]):
+        for argv in (["verify", tri], ["witness", tri, "--type", "a"],
+                     ["verify", far], ["witness", far, "--type", "a"],
+                     ["witness", far, "--type", "b"]):
             done = run_limited(argv, 128)
-            assert done.returncode == 4
-            assert "resource bound exceeded: h* of degree 1000000000000 holds about" \
-                in done.stderr
+            assert done.returncode == 4, argv
+            assert f"resource bound exceeded: {guard}" in done.stderr, argv
+        for path, hstar, dim in ((far, "[1, 1]", 1), (tri, "[1, 4, 1]", 2)):
+            done = run_limited(["check", path, "--polytope", "a"], 128)
+            assert done.returncode == 0, path
+            assert f"hstar: {hstar}\n" in done.stdout
+            assert f"dim: {dim}\n" in done.stdout
+        done = run_limited(["batch", str(far_dir)], 128)
+        assert done.returncode == 1
+        assert f"FAILED far.txt: {guard}" in done.stderr
 
     def test_witness_refuses_before_the_complement(self, tmp_path):
         # P1200: L(P1200)[K_4] has 4796 vertices, so its complement has
@@ -504,12 +516,18 @@ class TestWitness:
 
 
 class TestAnalyze:
-    def test_c4(self, c4_file, capsys):
+    def test_c4(self, c4_file, tmp_path, capsys):
         assert main(["analyze", c4_file]) == 0
         out = capsys.readouterr().out
         assert "bipartite: yes" in out
+        assert "part1:\n  1\n  3\npart2:\n  2\n  4\n" in out
         assert "cactus: yes" in out
         assert "simple-cycle-count: 1" in out
+        # classify leaves isolated vertices out; analyze prints them in part 1
+        padded = write(tmp_path, "c4-padded.txt", "n 6\n1 2\n2 3\n3 4\n4 1\n")
+        assert main(["analyze", padded]) == 0
+        assert "part1:\n  1\n  3\n  5\n  6\npart2:\n  2\n  4\n" \
+            in capsys.readouterr().out
 
     @pytest.mark.parametrize("graph, count", [
         # ten K4s in a row, 7 cycles each: one search over the whole graph

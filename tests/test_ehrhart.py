@@ -139,8 +139,23 @@ class TestBuild:
         assert seg.dim == 1 and set(seg.points) == {(1, -1), (-1, 1)}
         k4 = build_a(complete_graph(4))
         assert len(k4.points) == 12 and k4.dim == 3
+        # no edge: the point in R^0, as for build_b of the empty graph
         point = build_a(empty_graph(3))
-        assert point.points == ((0, 0, 0),) and point.dim == 0
+        assert point == LatticePolytope(0, ((),), 0)
+
+    def test_build_a_leaves_isolated_vertices_out(self):
+        # one coordinate per vertex on an edge: the points are those of the
+        # graph without its isolated vertices, the others relabelled in order
+        checked = 0
+        for g in atlas_graphs(6):
+            on_edge = sorted(set().union(*g.edges))
+            if len(on_edge) in (0, g.n):
+                continue
+            label = {v: i for i, v in enumerate(on_edge, start=1)}
+            h = Graph.make(len(on_edge), [(label[u], label[v]) for u, v in g.edges])
+            assert build_a(g) == build_a(h), g
+            checked += 1
+        assert checked == 47  # the classes with an edge and an isolated vertex
 
     def test_build_b_examples(self):
         sq = build_b(empty_graph(2))

@@ -15,9 +15,9 @@ from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import (classify_reference, connected_components, delete_vertices,
-                     even_cycle_families, lex_product, simple_cycles_reference,
-                     tilde)
+from oracles import (bipartition_of, classify_reference, connected_components,
+                     delete_vertices, even_cycle_families, lex_product,
+                     simple_cycles_reference, tilde)
 
 
 def assert_matches_reference(g: Graph) -> None:
@@ -162,14 +162,14 @@ class TestConstructions:
         for _ in range(80):
             n = rng.randrange(1, 7)
             g = random_graph(rng, n, rng.random())
-            cls = classify(g)
-            if not cls.bipartite:
+            b = bipartition_of(g)  # tilde needs every vertex placed
+            if b is None:
                 continue
-            t = tilde(g, cls.bipartition)
+            t = tilde(g, b)
             tc = classify(t)
             assert tc.connected and tc.bipartite
             parts = {frozenset(tc.bipartition.part1), frozenset(tc.bipartition.part2)}
-            want = {cls.bipartition.part1 | {n + 2}, cls.bipartition.part2 | {n + 1}}
+            want = {b.part1 | {n + 2}, b.part2 | {n + 1}}
             assert parts == want
 
     def test_tilde_bad_bipartition(self):

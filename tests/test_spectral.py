@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +42,15 @@ class TestMuPoly:
                 assert mu_poly(g, named) == mu_poly(g, {**named, left_out: 0}), g
             checked += 1
         assert checked > 0
+
+    @pytest.mark.parametrize("g,key", [
+        pytest.param(path_graph(3), (1, 2, 3), id="p3-no-cycle"),
+        pytest.param(cycle_graph(4), (2, 3, 4, 1), id="c4-rotation"),
+        pytest.param(cycle_graph(4), (1, 4, 3, 2), id="c4-reversal"),
+    ])
+    def test_a_key_that_is_no_canonical_cycle_raises(self, g, key):
+        with pytest.raises(PreconditionError, match=re.escape(str(key))):
+            mu_poly(g, {key: 1})
 
     def test_reversal_keeps_the_lone_vertices(self):
         # mu is x^n f(1/x): every lone vertex is a factor x, also when the
