@@ -36,6 +36,11 @@ def run_limited(argv, megabytes):
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
+# the h* size guard on a graph declared with n = 10^12
+FAR_HSTAR_GUARD = ("h* of degree 1000000000000 holds about "
+                   "1000000000002000000000001 coefficient bits > 200000000\n")
+
+
 @pytest.fixture
 def c3_file(tmp_path):
     return write(tmp_path, "c3.txt", "1 2\n2 3\n3 1\n")
@@ -350,16 +355,28 @@ class TestContract:
         assert "resource bound exceeded: recursion depth" in err
         assert "exceeded in bottomless" in err
 
-    def test_memory_error_exits_4(self, tmp_path):
-        # one edge to vertex 10^12: analyze prints part 1, which holds the
-        # 10^12 - 2 isolated vertices and vertex 1.  The child runs under a
-        # 128 MB address-space limit; without it the list would grow until
-        # the host ran out of memory.
+    @pytest.mark.parametrize("argv,where", [
+        (["analyze"], "classify"), (["verify"], "classify"),
+        (["witness", "--type", "a"], "classify"), (["check"], "build_a")])
+    def test_memory_error_exits_4(self, tmp_path, argv, where):
+        # one edge to vertex 10^12.  `where` once held all n vertices and ran
+        # out of memory; it now holds the two on the edge.  analyze still
+        # runs out where it prints part 1 (10^12 - 1 labels), verify and
+        # witness stop at once on the h* size guard, and check answers.  The
+        # child runs under a 128 MB address-space limit; without it a list
+        # of n labels would grow until the host ran out of memory.
         path = write(tmp_path, "far.txt", "1 1000000000000\n")
-        done = run_limited(["analyze", path], 128)
-        assert done.returncode == 4
+        done = run_limited(argv[:1] + [path] + argv[1:], 128)
         assert "Traceback" not in done.stderr
-        assert "resource bound exceeded: out of memory in cmd_analyze\n" in done.stderr
+        assert f"out of memory in {where}" not in done.stderr
+        if argv[0] == "check":
+            assert done.returncode == 0
+            assert "hstar: [1, 1]\n" in done.stdout and "dim: 1\n" in done.stdout
+            return
+        stop = ("out of memory in cmd_analyze\n" if argv[0] == "analyze"
+                else FAR_HSTAR_GUARD)
+        assert done.returncode == 4
+        assert f"resource bound exceeded: {stop}" in done.stderr
 
     def test_structure_pass_follows_the_edges(self, tmp_path):
         # a triangle and 10^12 - 3 isolated vertices, and one edge to vertex
@@ -371,26 +388,22 @@ class TestContract:
         far_dir = tmp_path / "far"
         far_dir.mkdir()
         far = write(far_dir, "far.txt", "1 1000000000000\n")
-        guard = ("h* of degree 1000000000000 holds about "
-                 "1000000000002000000000001 coefficient bits > 200000000\n")
         done = run_limited(["analyze", tri], 128)
         assert done.returncode == 0
         assert "n: 1000000000000\n" in done.stdout
         assert "simple-cycles:\n  [1, 2, 3]\n" in done.stdout
         for argv in (["verify", tri], ["witness", tri, "--type", "a"],
-                     ["verify", far], ["witness", far, "--type", "a"],
                      ["witness", far, "--type", "b"]):
             done = run_limited(argv, 128)
             assert done.returncode == 4, argv
-            assert f"resource bound exceeded: {guard}" in done.stderr, argv
-        for path, hstar, dim in ((far, "[1, 1]", 1), (tri, "[1, 4, 1]", 2)):
-            done = run_limited(["check", path, "--polytope", "a"], 128)
-            assert done.returncode == 0, path
-            assert f"hstar: {hstar}\n" in done.stdout
-            assert f"dim: {dim}\n" in done.stdout
+            assert f"resource bound exceeded: {FAR_HSTAR_GUARD}" in done.stderr, argv
+        done = run_limited(["check", tri, "--polytope", "a"], 128)
+        assert done.returncode == 0
+        assert "hstar: [1, 4, 1]\n" in done.stdout
+        assert "dim: 2\n" in done.stdout
         done = run_limited(["batch", str(far_dir)], 128)
         assert done.returncode == 1
-        assert f"FAILED far.txt: {guard}" in done.stderr
+        assert f"FAILED far.txt: {FAR_HSTAR_GUARD}" in done.stderr
 
     def test_witness_refuses_before_the_complement(self, tmp_path):
         # P1200: L(P1200)[K_4] has 4796 vertices, so its complement has
