@@ -2,30 +2,38 @@
 
 Builds the V-representation of a symmetric edge polytope (type A or B),
 derives the facet inequalities by the double-description method, counts
-|tP n Z^d| by walking the lattice points of the projections of tP to its
-leading coordinates, and applies the binomial transform.  Everything is
-integer arithmetic; nothing floats.  Nothing here assumes a unimodular
-cover, the integer decomposition property or any formula: the oracle
-reads only the points.
+the lattice points of small dilates tP, and of their interiors, by
+walking the lattice points of the projections of tP to its leading
+coordinates, and applies the binomial transform.  Everything is integer
+arithmetic; nothing floats.  Nothing here assumes a unimodular cover,
+the integer decomposition property or any formula: the oracle reads only
+the points.
 
-Which dilates are counted follows from the facets.  When the mean c of
-the points is a lattice point and every primitive facet inequality
-n . x <= b has b - n . c = 1, P - c is {x : n . x <= 1} with integer
-normals, so P is reflexive, and by Hibi (1992) h* is palindromic of
-degree d.  L(0..t) fix h*_0..h*_t, so the dilates t = 1..d//2 fix half
-of h* and the mirror gives the rest.  Type A of any graph and type B of
-a bipartite one pass this test.  Otherwise (type B of a non-bipartite
-graph, or a mean that is not a lattice point) every t = 1..d+1 is
-counted.  Either way one more dilate is counted than the transform
-needs, d//2 + 1 or d + 1, and h* must reproduce its count.  The result
-reports the decision (EhrhartData.reflexive), and the engine defines
-gamma from it.
+Which dilates are counted: L(t) = |tP n Z^d| and L_int(t), the lattice
+points of the interior of tP, for t = 1..k with k = d//2 + 1, and no
+larger dilate.  L(0..k) fix h*_0..h*_k through the Ehrhart series, and
+by Ehrhart-Macdonald reciprocity (Macdonald 1971) L_int(1..k) fix
+h*_(d+1-k)..h*_d through the same transform (see hstar_from_counts).
+The two halves overlap on at least one coefficient, and they must agree
+there: that is the oracle's check on its own counts.  An interior count
+is the cheaper one, since int(tP) holds fewer points than tP, and the
+largest dilate is k, not d + 1.  When the mean c of the points is a
+lattice point and every primitive facet inequality n . x <= b has
+b - n . c = 1, P - c is {x : n . x <= 1} with integer normals, so P is
+reflexive and L_int(t) = L(t-1) needs no count; that is Hibi's palindromy
+(1992).  Type A of any graph and type B of a bipartite one pass this
+test; type B of a non-bipartite graph, or a mean that is not a lattice
+point, counts both sides.  The result reports the decision
+(EhrhartData.reflexive), and the engine defines gamma from it.
 
 Both families are centrally symmetric, and the walk uses it when the
 points prove it: when their mean c is a lattice point and the point set
-is closed under q -> 2c - q, x -> 2tc - x maps tP n Z^d onto itself, and
-the walk counts the slices on one side of the centre twice instead of
-visiting both (see count_points).  Otherwise it walks every slice.
+is closed under q -> 2c - q, x -> 2tc - x maps tP n Z^d, and its
+interior, onto itself, and the walk counts the slices on one side of the
+centre twice instead of visiting both (see count_points).  Otherwise it
+walks every slice.  What the walk reads of P at every dilate (the facets
+of each projection, the bounding box and the centre) is built once per
+polytope.
 
 A unimodular integer row reduction on the matrix whose columns are the
 differences p - p0 yields each point's coordinates in a full-dimensional
@@ -48,8 +56,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
-from typing import Mapping, Optional
+from itertools import repeat
+from operator import floordiv, mul, sub
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
@@ -67,7 +76,7 @@ class LatticePolytope:
     points: tuple
     dim: int
     hrep: Optional[tuple] = field(default=None)
-    levels: Optional[tuple] = field(default=None, repr=False, compare=False)
+    walk: Optional[_Walk] = field(default=None, repr=False, compare=False)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +297,41 @@ def h_representation(p: LatticePolytope, bounds: Optional[Mapping] = None) -> tu
 # Counting and the h* transform
 # ---------------------------------------------------------------------------
 
-def _levels(p: LatticePolytope) -> tuple:
-    """For k = 1..d, the facets of the projection of P to x_1..x_k whose
-    x_k coefficient is nonzero, as (upper, lower) lists of (prefix
-    coefficients, |x_k coefficient|, offset).  Level d is P's own hrep.
-    Given a prefix in the projection to x_1..x_(k-1), they cut out the
-    interval of x_k in the projection to x_1..x_k: the facets with a zero
-    x_k coefficient hold on the whole shorter projection."""
-    out = []
-    for k in range(1, p.dim + 1):
-        facets = p.hrep if k == p.dim else _facets(sorted({q[:k] for q in p.points}), k)
-        out.append((
-            [(n[:k - 1], n[k - 1], b) for n, b in facets if n[k - 1] > 0],
-            [(n[:k - 1], -n[k - 1], b) for n, b in facets if n[k - 1] < 0]))
-    return tuple(out)
+class _Walk(NamedTuple):
+    """What count_points reads of P at every dilate, built once (see
+    _walk).  Level k (0-based) holds the facets of the projection of P to
+    x_1..x_(k+1) whose x_(k+1) coefficient is nonzero.  The rows of all
+    levels are kept deepest level first, and a level's upper rows (positive
+    last coefficient) before its lower ones; `offsets` are their b.
+    levels[k] is (the upper rows' last coefficients, minus the lower rows'
+    last coefficients, the x_(k+1) coefficient of every row of a deeper
+    level).  `extents` are the widths of P's bounding box, and `centre` is
+    _centre(P)."""
+    offsets: tuple
+    levels: tuple
+    extents: tuple
+    centre: Optional[tuple]
+
+
+def _walk(p: LatticePolytope) -> _Walk:
+    """The _Walk of P: level d - 1 is P's own hrep, the others come from
+    _facets of the projections.  Given a prefix in the projection to
+    x_1..x_k, level k cuts out the interval of x_(k+1) in the projection
+    to x_1..x_(k+1): the facets with a zero x_(k+1) coefficient hold on
+    the whole shorter projection."""
+    d = p.dim
+    rows, levels = [], []
+    for k in reversed(range(d)):
+        facets = (p.hrep if k == d - 1
+                  else _facets(sorted({q[:k + 1] for q in p.points}), k + 1))
+        upper = [f for f in facets if f[0][k] > 0]
+        lower = [f for f in facets if f[0][k] < 0]
+        levels.append((tuple(n[k] for n, _ in upper), tuple(-n[k] for n, _ in lower),
+                       tuple(n[k] for n, _ in rows)))
+        rows += upper + lower
+    extents = tuple(max(col) - min(col) for col in zip(*p.points))
+    return _Walk(tuple(b for _, b in rows), tuple(reversed(levels)), extents,
+                 _centre(p.points))
 
 
 def _lattice_mean(points) -> Optional[tuple]:
@@ -327,113 +357,108 @@ def _centre(points) -> Optional[tuple]:
     return None
 
 
-def count_points(p: LatticePolytope, t: int, bounds: Optional[Mapping] = None) -> int:
-    """|tP n Z^d|, walking coordinate by coordinate through the lattice
-    points of the projections of tP (see _levels): each x_k ranges over an
-    exact integer interval given x_1..x_(k-1).  The last two coordinates
-    share one partial sum per facet.  Guarded by the size of the bounding
-    box of tP (`box`).
+def count_points(p: LatticePolytope, t: int, bounds: Optional[Mapping] = None, *,
+                 interior: bool = False) -> int:
+    """|tP n Z^d|, or with `interior` the lattice points of the interior of
+    tP, the ones with n . x <= t*b - 1 on every facet n . x <= b.  It walks
+    coordinate by coordinate through the lattice points of the projections
+    of tP (see _walk), where each x_k ranges over an exact integer interval
+    given x_1..x_(k-1).  A prefix carries the residual t*b - n . prefix
+    (less 1 for the interior) of every facet of a deeper level, and fixing
+    x_k subtracts x_k times their x_k coefficients once.  Guarded by the
+    size of the bounding box of tP (`box`), for either count.
 
     When the points have a lattice centre c (see _centre), x -> 2tc - x
-    maps tP n Z^d onto itself and every projection onto itself.  A prefix
-    equal to t*c[:k] is fixed by it, so its slices x_k > t*c_k are the
-    mirror images of those below t*c_k: the walk counts the slice
-    x_k = t*c_k once, each slice above it twice, and skips the ones
-    below.  Every other prefix, and every polytope without a centre, is
-    walked in full."""
+    maps tP n Z^d, and its interior, onto itself, and every projection
+    onto itself.  A prefix equal to t*c[:k] is fixed by it, so its slices
+    x_k > t*c_k are the mirror images of those below t*c_k: the walk counts
+    the slice x_k = t*c_k once, each slice above it twice, and skips the
+    ones below.  Every other prefix, and every polytope without a centre,
+    is walked in full."""
     if p.hrep is None:
         raise PreconditionError("h-representation not computed")
     d = p.dim
     if d == 0:
         return 1
+    if p.walk is None:
+        p.walk = _walk(p)
+    walk = p.walk
     budget = bound(bounds, "box")
     vol = 1
-    for i in range(d):
-        vol *= t * (max(q[i] for q in p.points) - min(q[i] for q in p.points)) + 1
+    for width in walk.extents:
+        vol *= t * width + 1
         if vol > budget:
             raise BoundExceededError(f"bounding box of {t}P exceeds {budget} points")
-    if p.levels is None:
-        p.levels = _levels(p)
-    # x_k <= r // a on an upper facet and x_k >= -(r // a) on a lower one,
-    # with r = t * offset - (prefix coefficients) . prefix
-    levels = [([(c, a, t * b) for c, a, b in upper], [(c, a, t * b) for c, a, b in lower])
-              for upper, lower in p.levels]
-    centre = _centre(p.points)
-    tc = None if centre is None else [t * a for a in centre]
+    levels, last = walk.levels, d - 1
+    tc = None if walk.centre is None else [t * a for a in walk.centre]
 
-    def interval(k, prefix):
-        upper, lower = levels[k]
-        return (-min([(b - _dot(c, prefix)) // a for c, a, b in lower]),
-                min([(b - _dot(c, prefix)) // a for c, a, b in upper]))
+    def visit(k, residuals, central):
+        # an upper row bounds x_k <= r // a and a lower one x_k >= -(r // a).
+        # The level's own rows follow those of the deeper levels, so mapping
+        # over `column` leaves exactly the deeper levels' residuals.
+        upper, lower, column = levels[k]
+        deeper = len(column)
+        hi = min(map(floordiv, residuals[deeper:], upper))
+        lo = -min(map(floordiv, residuals[deeper + len(upper):], lower))
+        if hi < lo:
+            return 0
+        if k == last:
+            return hi - lo + 1
+        start = tc[k] if central else lo
+        residuals = list(map(sub, residuals, map(mul, column, repeat(start))))
+        first, rest = visit(k + 1, residuals, central), 0
+        for _ in range(hi - start):
+            residuals = list(map(sub, residuals, column))
+            rest += visit(k + 1, residuals, False)
+        return first + 2 * rest if central else first + rest
 
-    def last_two(prefix, lo, hi):
-        # x_(d-1) = x in [lo, hi]: level d's bound is (r - c_(d-1) x) // a,
-        # with r computed once for the prefix
-        upper, lower = levels[d - 1]
-        upper = [(b - _dot(c, prefix), c[-1], a) for c, a, b in upper]
-        lower = [(b - _dot(c, prefix), c[-1], a) for c, a, b in lower]
-        count = 0
-        for x in range(lo, hi + 1):
-            top = min([(r - c * x) // a for r, c, a in upper])
-            bottom = -min([(r - c * x) // a for r, c, a in lower])
-            if top >= bottom:
-                count += top - bottom + 1
-        return count
-
-    def walk(prefix, central):
-        k = len(prefix)
-        lo, hi = interval(k, prefix)
-        if k == d - 1:
-            return max(hi - lo + 1, 0)
-        if central:
-            mid = tc[k]
-            if k == d - 2:
-                return last_two(prefix, mid, mid) + 2 * last_two(prefix, mid + 1, hi)
-            return (walk(prefix + (mid,), True)
-                    + 2 * sum(walk(prefix + (x,), False) for x in range(mid + 1, hi + 1)))
-        if k == d - 2:
-            return last_two(prefix, lo, hi)
-        return sum(walk(prefix + (x,), False) for x in range(lo, hi + 1))
-
-    return walk((), tc is not None)
+    return visit(0, [t * b - interior for b in walk.offsets], tc is not None)
 
 
 @dataclass(frozen=True)
 class EhrhartData:
     """The h*-polynomial, the dimension d, and whether the facets proved the
     polytope reflexive (see _facets_prove_reflexive); then h* is
-    palindromic of degree d.  When the points are symmetric about their
-    lattice mean, as those of type A and B are, a reflexive polytope's one
-    interior lattice point is that mean, so False means not reflexive."""
+    palindromic of degree d, and the oracle took L_int(t) = L(t-1)
+    instead of counting the interiors (see ehrhart_data).  When the points are
+    symmetric about their lattice mean, as those of type A and B are, a
+    reflexive polytope's one interior lattice point is that mean, so False
+    means not reflexive."""
     hstar: Poly
     dim: int
     reflexive: bool
 
 
-def hstar_from_counts(counts, d: int, reflexive: bool = False) -> Poly:
-    """h*_k = sum_j (-1)^j C(d+1, j) L(k-j) for k = 0..top, where top = d,
-    or top = d // 2 for a polytope proven reflexive: its h* is palindromic
-    of degree d, so h*_k = h*_(d-k) gives the rest.  The counts run to
-    L(top+1), a redundant dilate: L(t) = sum_k h*_k C(t+d-k, d) must
-    reproduce it.  Checks nonnegativity too."""
-    top = d // 2 if reflexive else d
-    if len(counts) < top + 2 or counts[0] != 1:
-        raise PreconditionError(f"need counts L(0)=1 .. L({top + 1})")
-    h = []
-    for k in range(top + 1):
-        v = sum((-1) ** j * math.comb(d + 1, j) * counts[k - j]
-                for j in range(k + 1))
-        if v < 0:
-            raise VerificationError(
-                f"negative h*_{k} = {v}: counting bug or wrong dimension")
-        h.append(v)
-    h += [h[d - k] for k in range(top + 1, d + 1)]
-    t = top + 1
-    predicted = sum(h[k] * math.comb(t + d - k, d) for k in range(d + 1))
-    if predicted != counts[t]:
-        raise VerificationError(
-            f"h* does not reproduce L({t}): {predicted} != {counts[t]}")
-    return Poly(h)
+def hstar_from_counts(counts, inner, d: int) -> Poly:
+    """h* of a d-polytope from L(0) = 1, L(1), .., L(a) (`counts`) and
+    L_int(0) = 0, L_int(1), .., L_int(b) (`inner`, the interior counts),
+    with a, b <= d + 1 and a + b >= d + 1.  Both sides take the one
+    binomial transform sum_j (-1)^j C(d+1, j) s(m-j).  On L it gives h*_m,
+    from the Ehrhart series sum_t L(t) z^t = h*(z) / (1-z)^(d+1); on L_int
+    it gives h*_(d+1-m), by Ehrhart-Macdonald reciprocity (Macdonald 1971),
+    sum_t L_int(t) z^t = z^(d+1) h*(1/z) / (1-z)^(d+1).  So L gives
+    h*_0..h*_a and L_int gives h*_(d+1-b)..h*_(d+1), where h*_(d+1) =
+    L_int(0) = 0.  The two sides overlap on at least one index and must
+    agree there; every coefficient must be nonnegative.  For a reflexive
+    polytope L_int(t) = L(t-1), and the L_int side is Hibi's palindromy
+    h*_k = h*_(d-k)."""
+    a, b = len(counts) - 1, len(inner) - 1
+    if list(counts[:1]) != [1] or list(inner[:1]) != [0] or a + b < d + 1 \
+            or max(a, b) > d + 1:
+        raise PreconditionError(f"need counts L(0)=1 .. L(a) and "
+                                f"L_int(0)=0 .. L_int(b), a + b >= {d + 1}")
+    h = {}
+    for values, top in ((counts, 0), (inner, d + 1)):
+        for m in range(len(values)):
+            v = sum((-1) ** j * math.comb(d + 1, j) * values[m - j] for j in range(m + 1))
+            k = abs(top - m)  # m on the L side, d + 1 - m on the L_int side
+            if v < 0:
+                raise VerificationError(
+                    f"negative h*_{k} = {v}: counting bug or wrong dimension")
+            if h.setdefault(k, v) != v:
+                raise VerificationError(
+                    f"L and L_int disagree on h*_{k}: {h[k]} != {v}")
+    return Poly([h[k] for k in range(d + 1)])
 
 
 def _facets_prove_reflexive(q: LatticePolytope) -> bool:
@@ -450,11 +475,17 @@ def _facets_prove_reflexive(q: LatticePolytope) -> bool:
 
 def ehrhart_data(p: LatticePolytope, bounds: Optional[Mapping] = None) -> EhrhartData:
     """Full oracle pipeline: reduce, facets, count, transform.  It counts
-    t = 1..d//2 + 1 when the facets prove P reflexive, else t = 1..d+1."""
+    L(t) and, unless the facets prove P reflexive, L_int(t) for t = 1..k,
+    k = d//2 + 1 (see hstar_from_counts); for a reflexive P, L_int(t) =
+    L(t-1) comes free."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
         h_representation(q, bounds)
     reflexive = _facets_prove_reflexive(q)
-    last = q.dim // 2 + 1 if reflexive else q.dim + 1
-    counts = [1] + [count_points(q, t, bounds) for t in range(1, last + 1)]
-    return EhrhartData(hstar_from_counts(counts, q.dim, reflexive), q.dim, reflexive)
+    k = q.dim // 2 + 1
+    counts = [1] + [count_points(q, t, bounds) for t in range(1, k + 1)]
+    if reflexive:
+        inner = [0] + counts[:-1]
+    else:
+        inner = [0] + [count_points(q, t, bounds, interior=True) for t in range(1, k + 1)]
+    return EhrhartData(hstar_from_counts(counts, inner, q.dim), q.dim, reflexive)

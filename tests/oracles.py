@@ -14,13 +14,16 @@ classify_reference reads each flag off that list.
 
 The Ehrhart oracle finds facets by double description and counts lattice
 points through the projections of tP; h_representation_reference tries the
-hyperplane through every d points, and count_points_reference scans the
-bounding box of tP.  It counts only the dilates t = 1..d//2 + 1 once its
-facets prove the polytope reflexive; ehrhart_data_reference counts every
-t = 1..d+1 with the box scan, transforms each coefficient of h*, and
-decides reflexivity from h* (palindromic of degree d) for the tests to hold
-the facet proof to.  The hyperplane brute force eliminates with its own
-Bezout steps; no reference imports a private name of the package.
+hyperplane through every d points, and count_points_reference and
+count_interior_reference scan the bounding box of tP.  It counts L(t),
+and L_int(t) of the interior unless its facets prove the polytope reflexive,
+for t = 1..d//2 + 1 only, and joins the two halves of h* by reciprocity;
+ehrhart_data_reference counts every t = 1..d+1 with the box scan, takes
+every coefficient of h* from the plain binomial transform of the Ehrhart
+series, and decides reflexivity from h* (palindromic of degree d) for the
+tests to hold the facet proof to.  The hyperplane brute force eliminates
+with its own Bezout steps; no reference imports a private name of the
+package.
 
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
@@ -40,8 +43,8 @@ from typing import Iterable, NamedTuple, Optional
 
 from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
-                      PreconditionError, classify, cycle_graph,
-                      gamma_a_suspension, h_representation, hstar_from_counts,
+                      PreconditionError, VerificationError, classify,
+                      cycle_graph, gamma_a_suspension, h_representation,
                       reduce_to_full_dim, simple_cycles, tiling_poly)
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
@@ -412,19 +415,19 @@ def h_representation_reference(p: LatticePolytope) -> tuple:
     return tuple(sorted(facets))
 
 
-def count_points_reference(p: LatticePolytope, t: int) -> int:
-    """|tP n Z^d| by scanning the bounding box of tP against p.hrep, one
-    coordinate at a time.  Given x_1..x_(i-1), each facet a.x <= t b
-    bounds x_i by what it leaves once the later coordinates take their
-    least values a_l x_l over the box; the last coordinate's interval is
-    counted without a scan."""
+def _box_scan(p: LatticePolytope, t: int, slack: int) -> int:
+    """The lattice points of the bounding box of tP with normal . x <= t b -
+    slack on every facet of p.hrep, scanned one coordinate at a time.
+    Given x_1..x_(i-1), each facet bounds x_i by what it leaves once the
+    later coordinates take their least values a_l x_l over the box; the
+    last coordinate's interval is counted without a scan."""
     d = p.dim
     if d == 0:
         return 1
     lo = [t * min(q[i] for q in p.points) for i in range(d)]
     hi = [t * max(q[i] for q in p.points) for i in range(d)]
-    # (a, t b, least[i]: the least value of sum_(l >= i) a_l x_l over the box)
-    facets = [(normal, t * b,
+    # (a, t b - slack, least[i]: the least value of sum_(l >= i) a_l x_l over the box)
+    facets = [(normal, t * b - slack,
                [sum(min(a * lo[l], a * hi[l]) for l, a in enumerate(normal) if l >= i)
                 for i in range(d + 1)]) for normal, b in p.hrep]
 
@@ -446,6 +449,18 @@ def count_points_reference(p: LatticePolytope, t: int) -> int:
     return scan(0, [0] * len(facets))
 
 
+def count_points_reference(p: LatticePolytope, t: int) -> int:
+    """|tP n Z^d| by scanning the bounding box of tP against p.hrep."""
+    return _box_scan(p, t, 0)
+
+
+def count_interior_reference(p: LatticePolytope, t: int) -> int:
+    """The lattice points of the interior of tP, by the same box scan with
+    the strict inequalities normal . x < t b, that is normal . x <= t b - 1
+    on integer points.  The point in R^0 is its own relative interior."""
+    return _box_scan(p, t, 1)
+
+
 def reflexivity_check(hstar: Poly, d: int) -> bool:
     """Reflexive iff h* is palindromic of degree exactly d (Hibi 1992, for a
     lattice polytope whose one interior lattice point is the origin)."""
@@ -453,16 +468,23 @@ def reflexivity_check(hstar: Poly, d: int) -> bool:
 
 
 def ehrhart_data_reference(p: LatticePolytope) -> tuple:
-    """The Ehrhart oracle with no reflexivity shortcut and no walk: reduce,
-    facets, count t = 1..d+1 by the bounding-box scan, and take every h*_k
-    from the binomial transform.  Returns the result, with reflexivity
-    decided from h* alone (reflexivity_check), and the counts L(0..d+1)."""
+    """The Ehrhart oracle with no reflexivity shortcut, no interior counts
+    and no walk: reduce, facets, count t = 1..d+1 by the bounding-box scan,
+    and take every h*_k = sum_j (-1)^j C(d+1, j) L(k-j) for k = 0..d+1
+    from the Ehrhart series; h*_(d+1) must be 0.  Returns the result, with
+    reflexivity decided from h* alone (reflexivity_check), and the counts
+    L(0..d+1)."""
     q = reduce_to_full_dim(p)
     if q.hrep is None:
         h_representation(q)
-    counts = tuple([1] + [count_points_reference(q, t) for t in range(1, q.dim + 2)])
-    hstar = hstar_from_counts(counts, q.dim)
-    return EhrhartData(hstar, q.dim, reflexivity_check(hstar, q.dim)), counts
+    d = q.dim
+    counts = tuple([1] + [count_points_reference(q, t) for t in range(1, d + 2)])
+    h = [sum((-1) ** j * math.comb(d + 1, j) * counts[k - j] for j in range(k + 1))
+         for k in range(d + 2)]
+    if h[d + 1] != 0 or min(h) < 0:
+        raise VerificationError(f"counts {counts} give h* {h}")
+    hstar = Poly(h[:d + 1])
+    return EhrhartData(hstar, d, reflexivity_check(hstar, d)), counts
 
 
 # ---------------------------------------------------------------------------

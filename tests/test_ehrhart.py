@@ -15,9 +15,9 @@ from sepgamma.ehrhart import (_centre, _facets, _facets_prove_reflexive, _pivot_
 from sepgamma.graphs import suspension
 
 from conftest import atlas_graphs
-from oracles import (count_points_reference, ehrhart_data_reference,
-                     h_representation_reference, reflexivity_check,
-                     row_reduce_tracked)
+from oracles import (count_interior_reference, count_points_reference,
+                     ehrhart_data_reference, h_representation_reference,
+                     reflexivity_check, row_reduce_tracked)
 
 
 def det(mat):
@@ -48,23 +48,24 @@ def diffs(points):
 
 
 def counted(p) -> tuple:
-    """ehrhart_data(p) and the counts L(0), L(1), ... it took: every
-    call of count_points is recorded, and must ask for t = 1, 2, ... in
-    order."""
-    counts = [1]
+    """ehrhart_data(p) and the counts it took, L(0) = 1, L(1), ... and
+    L_int(0) = 0, L_int(1), ... of the interior: every call of count_points is
+    recorded, and each side must ask for t = 1, 2, ... in order."""
+    counts, inner = [1], [0]
     original = ehrhart.count_points
 
-    def recording(q, t, bounds=None):
-        assert t == len(counts)
-        counts.append(original(q, t, bounds))
-        return counts[-1]
+    def recording(q, t, bounds=None, *, interior=False):
+        side = inner if interior else counts
+        assert t == len(side)
+        side.append(original(q, t, bounds, interior=interior))
+        return side[-1]
 
     ehrhart.count_points = recording
     try:
         data = ehrhart_data(p)
     finally:
         ehrhart.count_points = original
-    return data, tuple(counts)
+    return data, tuple(counts), tuple(inner)
 
 
 class TestRowReduce:
@@ -262,30 +263,48 @@ class TestCounting:
 
 class TestHstarTransform:
     def test_examples(self):
-        assert hstar_from_counts((1, 7, 19, 37), 2) == Poly([1, 4, 1])
-        assert hstar_from_counts((1, 3, 5), 1) == Poly([1, 1])
+        # the hexagon, L(t) = 3t^2 + 3t + 1 and L_int(t) = 3t^2 - 3t + 1: the
+        # halves the oracle counts, and the two ends of the same range,
+        # all of L with L_int(0) alone and all of L_int with L(0) alone
+        for counts, inner in (((1, 7, 19), (0, 1, 7)), ((1, 7, 19, 37), (0,)),
+                              ((1,), (0, 1, 7, 19))):
+            assert hstar_from_counts(counts, inner, 2) == Poly([1, 4, 1])
+        # the segments [0, 2] and [-2, 2]: L(t) = 2t + 1 and 4t + 1
+        assert hstar_from_counts((1, 3), (0, 1), 1) == Poly([1, 1])
+        assert hstar_from_counts((1, 5), (0, 3), 1) == Poly([1, 3])
+        # the point: L(t) = L_int(t) = 1 for t >= 1
+        assert hstar_from_counts((1, 1), (0, 1), 0) == Poly([1])
 
     def test_interpolation_consistency_detects_bad_counts(self):
-        with pytest.raises(VerificationError):
-            hstar_from_counts((1, 7, 19, 38), 2)
-        with pytest.raises(VerificationError):
-            hstar_from_counts((1, 2, 19, 37), 2)  # negative h*_2
-        with pytest.raises(PreconditionError):
-            hstar_from_counts((2, 7, 19, 37), 2)
+        with pytest.raises(VerificationError) as exc:
+            hstar_from_counts((1, 7, 19, 38), (0,), 2)
+        assert str(exc.value) == "L and L_int disagree on h*_3: 1 != 0"
+        with pytest.raises(VerificationError) as exc:
+            hstar_from_counts((1, 7, 19), (0, 1, 8), 2)
+        assert str(exc.value) == "L and L_int disagree on h*_1: 4 != 5"
+        with pytest.raises(VerificationError) as exc:
+            hstar_from_counts((1, 2, 19, 37), (0,), 2)
+        assert str(exc.value) == "negative h*_1 = -1: counting bug or wrong dimension"
+        with pytest.raises(VerificationError) as exc:
+            hstar_from_counts((1, 7, 19), (0, 1, 2), 2)
+        assert str(exc.value) == "negative h*_1 = -1: counting bug or wrong dimension"
+        for counts, inner in (((2, 7, 19), (0, 1, 7)), ((1, 7, 19), (1, 1, 7)),
+                              ((1, 7), (0, 1)), ((1, 7, 19, 37, 61), (0,))):
+            with pytest.raises(PreconditionError):
+                hstar_from_counts(counts, inner, 2)
 
     def test_reflexive_half(self):
-        # L(0..d//2) give h*_0..h*_(d//2), the mirror gives the rest, and
-        # L(d//2 + 1) is the redundant dilate
-        assert hstar_from_counts((1, 7, 19), 2, reflexive=True) == Poly([1, 4, 1])
-        assert hstar_from_counts((1, 11, 61, 211), 4, reflexive=True) == Poly([1, 6, 16, 6, 1])
-        assert hstar_from_counts((1, 3), 1, reflexive=True) == Poly([1, 1])
+        # a reflexive polytope has L_int(t) = L(t - 1): the interior side is
+        # the mirror h*_k = h*_(d-k), and L(d//2 + 1) is checked against it
+        for counts, d, hstar in (((1, 7, 19), 2, [1, 4, 1]),
+                                 ((1, 11, 61, 211), 4, [1, 6, 16, 6, 1]),
+                                 ((1, 3), 1, [1, 1])):
+            assert hstar_from_counts(counts, (0,) + counts[:-1], d) == Poly(hstar)
         with pytest.raises(VerificationError) as exc:
-            hstar_from_counts((1, 7, 20), 2, reflexive=True)
-        assert str(exc.value) == "h* does not reproduce L(2): 19 != 20"
+            hstar_from_counts((1, 7, 20), (0, 1, 7), 2)
+        assert str(exc.value) == "L and L_int disagree on h*_2: 2 != 1"
         with pytest.raises(VerificationError):
-            hstar_from_counts((1, 2, 19), 2, reflexive=True)  # negative h*_1
-        with pytest.raises(PreconditionError):
-            hstar_from_counts((1, 7), 2, reflexive=True)
+            hstar_from_counts((1, 2, 19), (0, 1, 2), 2)  # negative h*_1
 
     def test_finite_difference_vanishes(self):
         for g in (cycle_graph(3), cycle_graph(4)):
@@ -299,9 +318,9 @@ class TestHstarTransform:
 class TestOracleEndToEnd:
     def test_hexagon(self):
         assert ehrhart_data_reference(build_a(cycle_graph(3)))[1] == (1, 7, 19, 37)
-        # reflexive: only t = 1, 2 are counted
-        data, counts = counted(build_a(cycle_graph(3)))
-        assert (counts, data.dim, data.reflexive) == ((1, 7, 19), 2, True)
+        # reflexive: only L(1), L(2) are counted, and no interior count
+        data, counts, inner = counted(build_a(cycle_graph(3)))
+        assert (counts, inner, data.dim, data.reflexive) == ((1, 7, 19), (0,), 2, True)
         assert data.hstar == Poly([1, 4, 1])
         assert data.hstar == gamma_to_hstar(Poly([1, 2]), 2)
 
@@ -327,25 +346,28 @@ class TestOracleEndToEnd:
 
 
 def assert_matches_references(q, max_t):
-    """Facets equal the hyperplane brute force, and |tP n Z^d| equals the
-    box scan for t = 1..max_t."""
+    """Facets equal the hyperplane brute force, and |tP n Z^d| and the
+    count of its interior equal the box scans for t = 1..max_t."""
     assert h_representation(q) == h_representation_reference(q)
     for t in range(1, max_t + 1):
         assert count_points(q, t) == count_points_reference(q, t)
+        assert count_points(q, t, interior=True) == count_interior_reference(q, t)
 
 
 def assert_half_count_matches_reference(q) -> EhrhartData:
     """The oracle's h* equals the full count's, it reports the facet proof
     of reflexivity, which implies the palindrome test (Hibi), and it counts
-    the dilates t = 1..d//2 + 1 exactly when it has that proof.  Returns
-    the reference data."""
+    L(t) for t = 1..d//2 + 1, and L_int(t) for the same t exactly when it has
+    no proof.  Returns the reference data."""
     ref, ref_counts = ehrhart_data_reference(q)
-    data, counts = counted(q)
+    data, counts, inner = counted(q)
     assert (data.hstar, data.dim) == (ref.hstar, ref.dim)
     assert data.reflexive == _facets_prove_reflexive(q)
     assert ref.reflexive or not data.reflexive
-    last = q.dim // 2 + 1 if data.reflexive else q.dim + 1
-    assert counts == ref_counts[:last + 1]
+    k = q.dim // 2 + 1
+    assert counts == ref_counts[:k + 1]
+    assert inner == (0,) + (() if data.reflexive else
+                            tuple(count_interior_reference(q, t) for t in range(1, k + 1)))
     return ref
 
 
@@ -378,6 +400,31 @@ def test_atlas_polytopes_match_references():
     assert checked == 52 + 18 + 18
     # all but type B of the five non-bipartite graphs with n <= 4
     assert reflexive == checked - 5
+
+
+def test_interior_counts_match_the_reference():
+    # every dilate the oracle may count the interior of, on A, the
+    # suspension and B of every atlas class with n <= 5
+    checked = 0
+    for g in atlas_graphs(5):
+        for p in (build_a(g), build_a(suspension(g)), build_b(g)):
+            q = reduce_to_full_dim(p)
+            h_representation(q)
+            for t in range(1, q.dim // 2 + 2):
+                assert count_points(q, t, interior=True) == count_interior_reference(q, t)
+            checked += 1
+    assert checked == 3 * 52
+    # the point in R^0 is its own relative interior; the segment [-1, 2]
+    # has L_int(t) = 3t - 1
+    point = reduce_to_full_dim(build_a(empty_graph(2)))
+    h_representation(point)
+    segment = LatticePolytope(1, ((-1,), (2,), (0,)), 1)
+    h_representation(segment)
+    for t in range(1, 5):
+        assert count_points(point, t, interior=True) == 1
+        assert count_interior_reference(point, t) == 1
+        assert count_points(segment, t, interior=True) == \
+            count_interior_reference(segment, t) == 3 * t - 1
 
 
 @st.composite
@@ -418,7 +465,7 @@ def test_random_point_sets_match_references(points, centre):
 
 class TestSymmetricWalk:
     """The walk halves at a lattice centre, and walks in full without one:
-    every count equals the box scan."""
+    every count, of tP and of its interior, equals the box scan."""
 
     @pytest.mark.parametrize("points, centre", [
         # centres off the lattice
@@ -439,38 +486,44 @@ class TestSymmetricWalk:
         h_representation(q)
         for t in range(1, 5):
             assert count_points(q, t) == count_points_reference(q, t)
+            assert count_points(q, t, interior=True) == count_interior_reference(q, t)
 
 
 class TestHalfCount:
-    """Which dilates the oracle counts, and the redundant one it checks."""
+    """Which dilates the oracle counts, and the overlap of the two halves
+    of h* that it checks."""
 
-    def test_non_reflexive_type_b_counts_every_dilate(self):
-        for g, hstar in ((cycle_graph(3), Poly([1, 15, 23, 1])),
-                         (complete_graph(4), Poly([1, 28, 102, 60, 1]))):
+    def test_non_reflexive_type_b_counts_interior_points(self):
+        # L(1..k) and L_int(1..k), k = d//2 + 1, where the full count took
+        # L(1..d+1)
+        for g, hstar, counts, inner in (
+                (cycle_graph(3), Poly([1, 15, 23, 1]), (1, 19, 93), (0, 1, 27)),
+                (complete_graph(4), Poly([1, 28, 102, 60, 1]),
+                 (1, 33, 257, 1025), (0, 1, 65, 417))):
             q = build_b(g)
             ref = assert_half_count_matches_reference(q)
             assert not _facets_prove_reflexive(q)
-            assert len(counted(q)[1]) == q.dim + 2
+            assert counted(q)[1:] == (counts, inner)
             assert ref.hstar == hstar
 
     def test_segment_at_distance_two(self):
         # mean 0, a lattice point, but each facet x <= 2, -x <= 2 lies at
-        # lattice distance 2 from it: L(t) = 4t + 1
+        # lattice distance 2 from it: L(t) = 4t + 1, L_int(t) = 4t - 1
         q = LatticePolytope(1, ((-2,), (2,)), 1)
-        data, counts = counted(q)
+        data, counts, inner = counted(q)
         assert not _facets_prove_reflexive(q) and not data.reflexive
-        assert counts == (1, 5, 9) and data.hstar == Poly([1, 3])
+        assert (counts, inner) == ((1, 5), (0, 3)) and data.hstar == Poly([1, 3])
 
     def test_mean_off_the_interior_point(self):
         # the square [-1, 1]^2 is reflexive, but the non-vertex point
-        # (1, 0) moves the mean to (1/5, 0): the oracle counts every dilate
+        # (1, 0) moves the mean to (1/5, 0): the oracle counts the interior
         square = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-        assert len(counted(LatticePolytope(2, square, 2))[1]) == 3
+        assert counted(LatticePolytope(2, square, 2))[1:] == ((1, 9, 25), (0,))
         q = LatticePolytope(2, square + ((1, 0),), 2)
         h_representation(q)
         assert not _facets_prove_reflexive(q)
-        data, counts = counted(q)
-        assert counts == (1, 9, 25, 49)
+        data, counts, inner = counted(q)
+        assert (counts, inner) == ((1, 9, 25), (0, 1, 9))
         assert data.hstar == Poly([1, 6, 1])
         # the oracle reports what its facets proved, not what h* suggests
         assert not data.reflexive and reflexivity_check(data.hstar, 2)
@@ -478,28 +531,47 @@ class TestHalfCount:
     def test_box_guard_reads_the_largest_dilate_counted(self):
         # the reduced hexagon's box of tP holds (2t + 1)^2 points, and only
         # t = 1, 2 are counted; type B of a triangle, box (2t + 1)^3, is not
-        # reflexive, so its count runs to t = 4
+        # reflexive, and it counts L and L_int for t = 1, 2
         hexagon = build_a(cycle_graph(3))
         assert ehrhart_data(hexagon, {"box": 25}).hstar == Poly([1, 4, 1])
         with pytest.raises(BoundExceededError) as exc:
             ehrhart_data(hexagon, {"box": 24})
         assert str(exc.value) == "bounding box of 2P exceeds 24 points"
-        assert ehrhart_data(build_b(cycle_graph(3)), {"box": 729}).hstar == \
+        assert ehrhart_data(build_b(cycle_graph(3)), {"box": 125}).hstar == \
             Poly([1, 15, 23, 1])
         with pytest.raises(BoundExceededError) as exc:
-            ehrhart_data(build_b(cycle_graph(3)), {"box": 728})
-        assert str(exc.value) == "bounding box of 4P exceeds 728 points"
+            ehrhart_data(build_b(cycle_graph(3)), {"box": 124})
+        assert str(exc.value) == "bounding box of 2P exceeds 124 points"
 
     def test_redundant_dilate_catches_a_corrupted_count(self, monkeypatch):
-        # A(C5) is reflexive of dimension 4: t = 1, 2 fix h*, t = 3 checks
-        def corrupted(q, t, bounds=None):
-            return count_points(q, t, bounds) + (t == 3)
+        # A(C5) is reflexive of dimension 4: L(1), L(2) fix h*_0..h*_2, the
+        # mirror gives h*_2..h*_4, and L(3) is checked against it; a wrong
+        # L(t) for any t counted breaks the overlap
+        assert counted(build_a(cycle_graph(5)))[1:] == ((1, 11, 61, 211), (0,))
+        messages = []
+        for wrong in (1, 2, 3):
+            def corrupted(q, t, bounds=None, *, interior=False):
+                return count_points(q, t, bounds, interior=interior) + (t == wrong)
 
-        assert counted(build_a(cycle_graph(5)))[1] == (1, 11, 61, 211)
-        monkeypatch.setattr(ehrhart, "count_points", corrupted)
-        with pytest.raises(VerificationError) as exc:
-            ehrhart_data(build_a(cycle_graph(5)))
-        assert str(exc.value) == "h* does not reproduce L(3): 211 != 212"
+            monkeypatch.setattr(ehrhart, "count_points", corrupted)
+            with pytest.raises(VerificationError) as exc:
+                ehrhart_data(build_a(cycle_graph(5)))
+            messages.append(str(exc.value))
+        assert messages[2] == "L and L_int disagree on h*_3: 7 != 6"
+
+    def test_overlap_catches_a_corrupted_interior_count(self, monkeypatch):
+        # B(K4) is not reflexive, d = 4: L(1..3) give h*_0..h*_3, L_int(1..3)
+        # give h*_4..h*_2, and a wrong L_int(t) for any t breaks the overlap
+        for wrong in (1, 2, 3):
+            def corrupted(q, t, bounds=None, *, interior=False):
+                wrong_count = interior and t == wrong
+                return count_points(q, t, bounds, interior=interior) + wrong_count
+
+            monkeypatch.setattr(ehrhart, "count_points", corrupted)
+            with pytest.raises(VerificationError) as exc:
+                ehrhart_data(build_b(complete_graph(4)))
+            if wrong == 1:
+                assert str(exc.value) == "L and L_int disagree on h*_3: 60 != 55"
 
 
 class TestGuardsUnchanged:
