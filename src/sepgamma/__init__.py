@@ -15,7 +15,7 @@ from .graphs import (Bipartition, Graph, GraphClassification, classify,
 from .interior import cut_sum_gamma
 from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       count_points, ehrhart_data, h_representation,
-                      hstar_from_counts, reduce_to_full_dim)
+                      hstar_from_counts)
 from .matching import matchable_pairs, matched_vertex_sets, tiling_poly
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
                           gamma_to_hstar, hstar_to_gamma, real_rootedness)

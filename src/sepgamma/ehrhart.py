@@ -35,20 +35,19 @@ walks every slice.  What the walk reads of P at every dilate (the facets
 of each projection, the bounding box and the centre) is built once per
 polytope.
 
-A unimodular integer row reduction on the matrix whose columns are the
-differences p - p0 yields each point's coordinates in a full-dimensional
-lattice copy of the polytope (the pivot rows; their number is the
-dimension), which changes no dilate's point count.  The double
+The oracle takes full-dimensional points only: build_b's are, and
+build_a writes type A in lattice coordinates (see build_a).  The double
 description starts from the simplicial cone of d + 1 affinely
 independent points: each is tested once against a fraction-free echelon
 of those already taken, and one fraction-free Gauss-Jordan pass gives
 the cone's rays: the rows of the inverse of the matrix whose columns are
 the d + 1 vectors (1, q), made primitive.
 
-The hyperplane brute force, with its own transform-tracking elimination,
-the bounding-box scan that these stages replaced and the palindrome test
-of reflexivity are kept in the tests (tests/oracles.py) as references.  This
-oracle validates the formula paths at desk scale; every stage has a loud
+The hyperplane brute force, with its own transform-tracking elimination
+(which also brings any point set to full dimension), the bounding-box
+scan that these stages replaced and the palindrome test of reflexivity
+are kept in the tests (tests/oracles.py) as references.  This oracle
+validates the formula paths at desk scale; every stage has a loud
 resource guard.
 """
 
@@ -68,81 +67,63 @@ from .polynomials import Poly
 
 @dataclass
 class LatticePolytope:
-    """V-representation plus derived data.  `points` may contain non-vertex
-    points (the hull ignores them); `dim` is the dimension of their affine
-    hull; `hrep` is filled by h_representation."""
+    """V-representation plus derived data.  `points` are lattice points of
+    Z^dim that span it affinely, and may include non-vertex points (the
+    hull ignores them); `hrep` is filled by h_representation."""
 
-    ambient_dim: int
     points: tuple
-    dim: int
     hrep: Optional[tuple] = field(default=None)
     walk: Optional[_Walk] = field(default=None, repr=False, compare=False)
 
-
-# ---------------------------------------------------------------------------
-# Integer linear algebra
-# ---------------------------------------------------------------------------
-
-def _row_reduce(mat: list) -> int:
-    """Unimodular row reduction of the integer matrix `mat` (a list of rows,
-    changed in place) by row swaps and integer row additions.  Returns the
-    rank r: rows[:r] are then in echelon form and the other rows are zero."""
-    r0 = 0
-    for c in range(len(mat[0]) if mat else 0):
-        while True:
-            nz = [r for r in range(r0, len(mat)) if mat[r][c] != 0]
-            if not nz:
-                break
-            if len(nz) == 1:
-                mat[r0], mat[nz[0]] = mat[nz[0]], mat[r0]
-                r0 += 1
-                break
-            piv = min(nz, key=lambda r: abs(mat[r][c]))
-            for r in nz:
-                if r != piv:
-                    q = mat[r][c] // mat[piv][c]
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[piv])]
-    return r0
-
-
-def _pivot_rows(points) -> list:
-    """Pivot rows of the row-reduced matrix whose columns are p - points[0]:
-    column k is points[k] in coordinates of the lattice of the affine hull,
-    and their number is its dimension."""
-    p0 = points[0]
-    mat = [[p[i] - p0[i] for p in points] for i in range(len(p0))]
-    return mat[:_row_reduce(mat)]
+    @property
+    def dim(self) -> int:
+        return len(self.points[0])
 
 
 # ---------------------------------------------------------------------------
-# Building and reducing
+# Building
 # ---------------------------------------------------------------------------
 
 def build_a(g: Graph) -> LatticePolytope:
-    """conv of +-(e_u - e_v) over the edges, with one coordinate per vertex
-    on an edge, in sorted order.  An isolated vertex's coordinate would be
-    0 at every point, so leaving it out is a lattice isomorphism onto the
-    same polytope.  It lives in the sum-zero hyperplane; its dimension is
-    the number of vertices on an edge minus the number of components they
-    form.  The point in R^0 when g has no edge."""
+    """conv of +-(e_u - e_v) over the edges, in lattice coordinates: one
+    per vertex on an edge, in sorted order, leaving out the largest vertex
+    of each component.  The polytope lies where each component's
+    coordinates sum to 0, and there the left-out coordinate is minus the
+    sum of the others, so deleting it maps the lattice points one to one
+    onto Z^d: d is the number of vertices on an edge minus the number of
+    components.  For a suspension the apex is left out, and the points are
+    +-e_v and +-(e_u - e_v).  The point in R^0 when g has no edge."""
     if not g.edges:
-        return LatticePolytope(0, ((),), 0)
-    vertices = sorted(set().union(*g.edges))
-    index = {v: i for i, v in enumerate(vertices)}
+        return LatticePolytope(((),))
+    # union by the larger root: each component's root is its largest vertex
+    root = {v: v for e in g.edges for v in e}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for u, v in g.edges:
+        a, b = find(u), find(v)
+        root[min(a, b)] = max(a, b)
+    index = {v: i for i, v in enumerate(sorted(v for v in root if root[v] != v))}
     pts = []
     for u, v in g.sorted_edges():
-        p = [0] * len(vertices)
-        p[index[u]], p[index[v]] = 1, -1
+        p = [0] * len(index)
+        if u in index:
+            p[index[u]] = 1
+        if v in index:
+            p[index[v]] = -1
         pts.append(tuple(p))
         pts.append(tuple(-x for x in p))
-    return LatticePolytope(len(vertices), tuple(pts), len(_pivot_rows(pts)))
+    return LatticePolytope(tuple(pts))
 
 
 def build_b(g: Graph) -> LatticePolytope:
     """conv of all +-e_i plus +-e_i +- e_j over the edges; always
     full-dimensional, the point {0} when g has no vertex."""
     if g.n == 0:
-        return LatticePolytope(0, ((),), 0)
+        return LatticePolytope(((),))
     pts = []
     for i in range(1, g.n + 1):
         p = [0] * g.n
@@ -154,20 +135,7 @@ def build_b(g: Graph) -> LatticePolytope:
             p = [0] * g.n
             p[u - 1], p[v - 1] = su, sv
             pts.append(tuple(p))
-    return LatticePolytope(g.n, tuple(pts), g.n)
-
-
-def reduce_to_full_dim(p: LatticePolytope) -> LatticePolytope:
-    """Rewrite the points in coordinates of the lattice of their affine hull,
-    relative to the first point.  The map is unimodular on that lattice, so
-    every dilate's count is preserved.  Full-dimensional input comes back
-    unchanged."""
-    if p.dim == p.ambient_dim:
-        return p
-    rows = _pivot_rows(p.points)
-    d = len(rows)
-    pts = tuple(tuple(row[k] for row in rows) for k in range(len(p.points)))
-    return LatticePolytope(d, pts, d)
+    return LatticePolytope(tuple(pts))
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +148,7 @@ def _dot(u, v) -> int:
 
 def _simplex_rays(vecs: list) -> tuple:
     """The indices of the first n linearly independent vectors of `vecs`,
-    which span Z^n, and the rays of the simplicial cone they bound, as
+    which must span R^n, and the rays of the simplicial cone they bound, as
     (y, bitmask of the n - 1 vectors y is zero on).
 
     Each vector is reduced once against a fraction-free echelon of the
@@ -204,6 +172,9 @@ def _simplex_rays(vecs: list) -> tuple:
             echelon.append((piv, w))
             if len(base) == n:
                 break
+    if len(base) < n:
+        raise PreconditionError(f"points of affine rank {len(base) - 1} < {n - 1}: "
+                                f"facets need full-dimensional points")
     mat = [[vecs[j][r] for j in base] + [int(r == c) for c in range(n)]
            for r in range(n)]
     for c in range(n):
@@ -276,10 +247,8 @@ def _facets(pts: list, d: int) -> tuple:
 def h_representation(p: LatticePolytope, bounds: Optional[Mapping] = None) -> tuple:
     """Irredundant facet list [(normal, offset)] with primitive integer
     normals, meaning normal . x <= offset, sorted; by double description
-    (see _facets).  Guarded by `hrep-dim` and `hrep-points`.  Caches into
-    p.hrep."""
-    if p.dim != p.ambient_dim:
-        raise PreconditionError("reduce to full dimension before facets")
+    (see _facets).  Guarded by `hrep-dim` and `hrep-points`; points that do
+    not span R^d raise PreconditionError.  Caches into p.hrep."""
     d = p.dim
     limit = bound(bounds, "hrep-dim")
     if d > limit:
@@ -346,8 +315,8 @@ def _lattice_mean(points) -> Optional[tuple]:
 def _centre(points) -> Optional[tuple]:
     """The mean c of the points when c is a lattice point and the point set
     is closed under q -> 2c - q, else None.  The hull is then centrally
-    symmetric about c.  Type A and B polytopes pass, with c the image of
-    the origin; a mean alone proves no symmetry."""
+    symmetric about c.  Type A and B polytopes pass, with c the origin; a
+    mean alone proves no symmetry."""
     c = _lattice_mean(points)
     if c is None:
         return None
@@ -461,31 +430,30 @@ def hstar_from_counts(counts, inner, d: int) -> Poly:
     return Poly([h[k] for k in range(d + 1)])
 
 
-def _facets_prove_reflexive(q: LatticePolytope) -> bool:
-    """True when the mean c of q.points is a lattice point and every facet
-    (normal, offset) of q.hrep has offset - normal . c = 1.  The normals
+def _facets_prove_reflexive(p: LatticePolytope) -> bool:
+    """True when the mean c of p.points is a lattice point and every facet
+    (normal, offset) of p.hrep has offset - normal . c = 1.  The normals
     are primitive, so P - c is then {x : normal . x <= 1}: its dual is a
     lattice polytope, P is reflexive, and by Hibi (1992) h* is palindromic
     of degree d.  The mean of a full-dimensional point set is interior, but
     when it is not a lattice point this proves nothing.  The proof needs
     no symmetry: a reflexive polytope need not be centrally symmetric."""
-    c = _lattice_mean(q.points)
-    return c is not None and all(b - _dot(n, c) == 1 for n, b in q.hrep)
+    c = _lattice_mean(p.points)
+    return c is not None and all(b - _dot(n, c) == 1 for n, b in p.hrep)
 
 
 def ehrhart_data(p: LatticePolytope, bounds: Optional[Mapping] = None) -> EhrhartData:
-    """Full oracle pipeline: reduce, facets, count, transform.  It counts
-    L(t) and, unless the facets prove P reflexive, L_int(t) for t = 1..k,
-    k = d//2 + 1 (see hstar_from_counts); for a reflexive P, L_int(t) =
-    L(t-1) comes free."""
-    q = reduce_to_full_dim(p)
-    if q.hrep is None:
-        h_representation(q, bounds)
-    reflexive = _facets_prove_reflexive(q)
-    k = q.dim // 2 + 1
-    counts = [1] + [count_points(q, t, bounds) for t in range(1, k + 1)]
+    """Full oracle pipeline on full-dimensional points: facets, count,
+    transform.  It counts L(t) and, unless the facets prove P reflexive,
+    L_int(t) for t = 1..k, k = d//2 + 1 (see hstar_from_counts); for a
+    reflexive P, L_int(t) = L(t-1) comes free."""
+    if p.hrep is None:
+        h_representation(p, bounds)
+    reflexive = _facets_prove_reflexive(p)
+    k = p.dim // 2 + 1
+    counts = [1] + [count_points(p, t, bounds) for t in range(1, k + 1)]
     if reflexive:
         inner = [0] + counts[:-1]
     else:
-        inner = [0] + [count_points(q, t, bounds, interior=True) for t in range(1, k + 1)]
-    return EhrhartData(hstar_from_counts(counts, inner, q.dim), q.dim, reflexive)
+        inner = [0] + [count_points(p, t, bounds, interior=True) for t in range(1, k + 1)]
+    return EhrhartData(hstar_from_counts(counts, inner, p.dim), p.dim, reflexive)

@@ -140,7 +140,7 @@ def _oracle(g: Graph, polytope: str, bounds: Optional[Mapping]) -> SepResult:
         data = ehrhart_data(build_a(suspension(g) if polytope == "ahat" else g), bounds)
     dim = data.dim
     # the suspension is connected on n + 1 vertices: any other dimension
-    # is a fault in building or reducing the polytope
+    # is a fault in building the polytope
     if polytope == "ahat" and dim != g.n:
         raise PreconditionError(
             f"suspension polytope came out {dim}-dimensional, expected {g.n}")

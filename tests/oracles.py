@@ -21,9 +21,12 @@ for t = 1..d//2 + 1 only, and joins the two halves of h* by reciprocity;
 ehrhart_data_reference counts every t = 1..d+1 with the box scan, takes
 every coefficient of h* from the plain binomial transform of the Ehrhart
 series, and decides reflexivity from h* (palindromic of degree d) for the
-tests to hold the facet proof to.  The hyperplane brute force eliminates
-with its own Bezout steps; no reference imports a private name of the
-package.
+tests to hold the facet proof to.  The package takes full-dimensional
+points only, and writes type A in lattice coordinates; here type A is
+built in Z^V as the paper writes it (type_a_ambient), and any point set
+is brought to full dimension by the same Bezout-step elimination that
+the hyperplane brute force uses (reduce_to_full_dim_reference).  No
+reference imports a private name of the package.
 
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
@@ -45,7 +48,7 @@ from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
                       PreconditionError, VerificationError, classify,
                       cycle_graph, gamma_a_suspension, h_representation,
-                      reduce_to_full_dim, simple_cycles, tiling_poly)
+                      simple_cycles, tiling_poly)
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
 
@@ -384,6 +387,33 @@ def row_reduce_tracked(mat: list, cols: int) -> tuple:
     return r, rows, u
 
 
+def reduce_to_full_dim_reference(points) -> LatticePolytope:
+    """The points in coordinates of the lattice of their affine hull,
+    relative to the first point: the nonzero rows of row_reduce_tracked of
+    the matrix whose columns are p - p0.  The transform is unimodular, so
+    it maps that lattice onto Z^r and keeps every dilate's count.
+    Full-dimensional points come back as they are."""
+    p0 = points[0]
+    mat = [[p[i] - p0[i] for p in points] for i in range(len(p0))]
+    r, rows, _ = row_reduce_tracked(mat, len(points))
+    if r == len(p0):
+        return LatticePolytope(tuple(points))
+    return LatticePolytope(tuple(tuple(row[k] for row in rows[:r])
+                                 for k in range(len(points))))
+
+
+def type_a_ambient(g: Graph) -> LatticePolytope:
+    """Type A as the paper writes it: +-(e_u - e_v) over the edges, in
+    Z^V, with no coordinate left out.  Not full-dimensional once g has an
+    edge; reduce_to_full_dim_reference gives a full-dimensional copy."""
+    pts = []
+    for u, v in g.sorted_edges():
+        p = [0] * g.n
+        p[u - 1], p[v - 1] = 1, -1
+        pts += [tuple(p), tuple(-x for x in p)]
+    return LatticePolytope(tuple(pts) or ((0,) * g.n,))
+
+
 def h_representation_reference(p: LatticePolytope) -> tuple:
     """Sorted facets (normal, offset) of a full-dimensional p, with primitive
     normals: every hyperplane spanned by d affinely independent points that
@@ -469,14 +499,14 @@ def reflexivity_check(hstar: Poly, d: int) -> bool:
 
 def ehrhart_data_reference(p: LatticePolytope) -> tuple:
     """The Ehrhart oracle with no reflexivity shortcut, no interior counts
-    and no walk: reduce, facets, count t = 1..d+1 by the bounding-box scan,
-    and take every h*_k = sum_j (-1)^j C(d+1, j) L(k-j) for k = 0..d+1
-    from the Ehrhart series; h*_(d+1) must be 0.  Returns the result, with
-    reflexivity decided from h* alone (reflexivity_check), and the counts
-    L(0..d+1)."""
-    q = reduce_to_full_dim(p)
-    if q.hrep is None:
-        h_representation(q)
+    and no walk, on any points: reduce them to full dimension
+    (reduce_to_full_dim_reference), find the facets, count t = 1..d+1 by
+    the bounding-box scan, and take every h*_k = sum_j (-1)^j C(d+1, j)
+    L(k-j) for k = 0..d+1 from the Ehrhart series; h*_(d+1) must be 0.
+    Returns the result, with reflexivity decided from h* alone
+    (reflexivity_check), and the counts L(0..d+1)."""
+    q = reduce_to_full_dim_reference(p.points)
+    h_representation(q)
     d = q.dim
     counts = tuple([1] + [count_points_reference(q, t) for t in range(1, d + 2)])
     h = [sum((-1) ** j * math.comb(d + 1, j) * counts[k - j] for j in range(k + 1))

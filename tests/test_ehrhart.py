@@ -8,20 +8,20 @@ from sepgamma import (BoundExceededError, EhrhartData, Graph, LatticePolytope, P
                       PreconditionError, VerificationError, build_a, build_b,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
                       empty_graph, gamma_to_hstar, h_representation,
-                      hstar_from_counts, path_graph, reduce_to_full_dim)
+                      hstar_from_counts, path_graph)
 from sepgamma import ehrhart
-from sepgamma.ehrhart import (_centre, _facets, _facets_prove_reflexive, _pivot_rows,
-                              _row_reduce)
+from sepgamma.ehrhart import _centre, _facets, _facets_prove_reflexive
 from sepgamma.graphs import suspension
 
 from conftest import atlas_graphs
 from oracles import (count_interior_reference, count_points_reference,
                      ehrhart_data_reference, h_representation_reference,
-                     reflexivity_check, row_reduce_tracked)
+                     reduce_to_full_dim_reference, reflexivity_check,
+                     row_reduce_tracked, type_a_ambient)
 
 
 def det(mat):
-    """Laplace expansion along the first row; independent of _row_reduce."""
+    """Laplace expansion along the first row; independent of any reduction."""
     if not mat:
         return 1
     return sum((-1) ** j * mat[0][j] * det([row[:j] + row[j + 1:] for row in mat[1:]])
@@ -69,9 +69,12 @@ def counted(p) -> tuple:
 
 
 class TestRowReduce:
+    """The test-side elimination (tests/oracles.py) that brings arbitrary
+    points to full dimension; the package takes full-dimensional points."""
+
     def test_echelon_and_rank(self):
-        mat = [[2, 4, 1], [1, 2, 0], [3, 6, 1]]
-        assert _row_reduce(mat) == 2
+        r, mat, _ = row_reduce_tracked([[2, 4, 1], [1, 2, 0], [3, 6, 1]], 3)
+        assert r == 2
         assert mat[0][0] != 0 and mat[1][0] == 0 and mat[1][1:] != [0, 0]
         assert mat[2] == [0, 0, 0]
 
@@ -93,18 +96,20 @@ class TestRowReduce:
 
     def test_saturation(self):
         # differences (2,-2) must yield the primitive lattice Z(1,-1)
-        q = reduce_to_full_dim(LatticePolytope(2, ((1, -1), (-1, 1)), 1))
+        q = reduce_to_full_dim_reference(((1, -1), (-1, 1)))
         assert q.dim == 1 and sorted(q.points) in ([(-2,), (0,)], [(0,), (2,)])
 
     def test_plane_in_z3(self):
-        p = build_a(cycle_graph(3))
-        q = reduce_to_full_dim(p)
-        assert p.dim == q.dim == q.ambient_dim == 2
+        # the hexagon A(C3) in Z^3, and build_a's copy of it in Z^2
+        p = type_a_ambient(cycle_graph(3))
+        q = reduce_to_full_dim_reference(p.points)
+        assert len(p.points[0]) == 3 and build_a(cycle_graph(3)).dim == q.dim == 2
         assert len(set(q.points)) == 6
 
     def test_point(self):
-        q = reduce_to_full_dim(build_a(empty_graph(3)))
+        q = reduce_to_full_dim_reference(type_a_ambient(empty_graph(3)).points)
         assert (q.dim, q.points) == (0, ((),))
+        assert build_a(empty_graph(3)) == q
         assert h_representation(q) == ()
         assert count_points(q, 5) == 1
 
@@ -119,8 +124,8 @@ points_in_zn = st.integers(1, 4).flatmap(lambda n: st.lists(
 @example([(-1, 0, 1), (0, 0, 1), (1, 0, 1), (0, 1, -1), (1, -1, 0)])
 def test_reduced_copy_and_facets(points):
     d = rank(diffs(points))
-    q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points), d))
-    assert q.dim == q.ambient_dim == d
+    q = reduce_to_full_dim_reference(points)
+    assert q.dim == d
     assert len(set(q.points)) == len(set(points))
     # equal gcd of the d x d minors: the lattice of the hull maps onto Z^d
     assert math.gcd(*minors(diffs(points), d)) == math.gcd(*minors(diffs(q.points), d))
@@ -137,12 +142,43 @@ class TestBuild:
         hexagon = build_a(cycle_graph(3))
         assert len(hexagon.points) == 6 and hexagon.dim == 2
         seg = build_a(Graph.make(2, [(1, 2)]))
-        assert seg.dim == 1 and set(seg.points) == {(1, -1), (-1, 1)}
+        assert seg.dim == 1 and set(seg.points) == {(1,), (-1,)}
         k4 = build_a(complete_graph(4))
         assert len(k4.points) == 12 and k4.dim == 3
         # no edge: the point in R^0, as for build_b of the empty graph
         point = build_a(empty_graph(3))
-        assert point == LatticePolytope(0, ((),), 0)
+        assert point == LatticePolytope(((),))
+
+    def test_build_a_lattice_coordinates(self):
+        # one coordinate per vertex on an edge, in sorted order, leaving out
+        # the largest of each component: the suspension's apex goes, and
+        # the rest are +-e_v and +-(e_u - e_v)
+        hat = build_a(suspension(path_graph(3)))
+        assert hat.points == ((1, -1, 0), (-1, 1, 0), (1, 0, 0), (-1, 0, 0),
+                              (0, 1, -1), (0, -1, 1), (0, 1, 0), (0, -1, 0),
+                              (0, 0, 1), (0, 0, -1))
+        # isolated vertices 1, 4 and 7 and the components {2, 3} and
+        # {5, 6, 8}: 3 and 8 are left out, coordinates 2, 5, 6, and the
+        # free sum of a segment and a square is the octahedron
+        two = build_a(Graph.make(8, [(2, 3), (5, 8), (6, 8)]))
+        assert two.points == ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                              (0, 0, 1), (0, 0, -1))
+        assert ehrhart_data(two).hstar == Poly([1, 3, 3, 1])
+        # one edge to vertex 10^12: one coordinate, the segment [-1, 1]
+        far = build_a(Graph.make(10 ** 12, [(1, 10 ** 12)]))
+        assert far.points == ((1,), (-1,))
+        assert ehrhart_data(far).hstar == Poly([1, 1])
+
+    def test_build_a_matches_type_a_in_z_v(self):
+        # the paper's coordinates in Z^V, brought to full dimension by the
+        # test-side elimination, give the same oracle result as build_a:
+        # A of the 208 atlas classes with n <= 6 and the suspension of the
+        # 52 with n <= 5
+        graphs = atlas_graphs(6) + [suspension(g) for g in atlas_graphs(5)]
+        for g in graphs:
+            reduced = reduce_to_full_dim_reference(type_a_ambient(g).points)
+            assert ehrhart_data(build_a(g)) == ehrhart_data(reduced), g
+        assert len(graphs) == 260
 
     def test_build_a_leaves_isolated_vertices_out(self):
         # one coordinate per vertex on an edge: the points are those of the
@@ -173,20 +209,26 @@ class TestBuild:
 
 
 class TestReduce:
+    """build_a reduces type A to full dimension by construction: its
+    lattice coordinates keep the count of every dilate.  The test-side
+    reducer leaves full-dimensional points as they are."""
+
     def test_identity_when_full(self):
         p = build_b(empty_graph(2))
-        assert reduce_to_full_dim(p) is p
+        assert reduce_to_full_dim_reference(p.points) == p
+        q = build_a(cycle_graph(4))
+        assert reduce_to_full_dim_reference(q.points) == q
 
     def test_segment(self):
-        q = reduce_to_full_dim(build_a(Graph.make(2, [(1, 2)])))
-        assert q.ambient_dim == 1
+        q = build_a(Graph.make(2, [(1, 2)]))
+        assert q.dim == 1
         h_representation(q)
         for t in range(1, 5):
             assert count_points(q, t) == 2 * t + 1
 
     def test_hexagon_counts_preserved(self):
-        q = reduce_to_full_dim(build_a(cycle_graph(3)))
-        assert q.ambient_dim == 2
+        q = build_a(cycle_graph(3))
+        assert q.dim == 2
         h_representation(q)
         # L(t) = 3t^2 + 3t + 1 for the hexagon; L(1) counted by hand in Z^3
         for t in (1, 2, 3):
@@ -196,9 +238,9 @@ class TestReduce:
         # count tP n Z^n in ambient coordinates: type A of a connected graph
         # is {x : sum x = 0, f . x <= 1 for every f: V -> Z with
         # |f(u) - f(v)| <= 1 on the edges}, a description independent of
-        # the reduced copy and its facets
+        # lattice coordinates and their facets
         for g in (cycle_graph(3), path_graph(3), path_graph(4), complete_graph(4)):
-            q = reduce_to_full_dim(build_a(g))
+            q = build_a(g)
             h_representation(q)
             edges = [(u - 1, v - 1) for u, v in g.edges]
             lipschitz = [f for f in product(range(-g.n, g.n + 1), repeat=g.n)
@@ -210,9 +252,10 @@ class TestReduce:
                                            for f in lipschitz))
                 assert direct == count_points(q, t)
 
+
 class TestFacets:
     def test_hexagon_has_six(self):
-        q = reduce_to_full_dim(build_a(cycle_graph(3)))
+        q = build_a(cycle_graph(3))
         assert len(h_representation(q)) == 6
 
     def test_square_and_cross(self):
@@ -239,7 +282,18 @@ class TestFacets:
         with pytest.raises(BoundExceededError):
             h_representation(p, {"hrep-points": 2})
         with pytest.raises(PreconditionError):
-            h_representation(build_a(cycle_graph(3)))  # not reduced
+            h_representation(type_a_ambient(cycle_graph(3)))  # in a plane of Z^3
+
+    def test_rank_deficient_points_fail_loudly(self):
+        # three points on a line of Z^2: no facets, and the message names
+        # the rank found
+        with pytest.raises(PreconditionError) as exc:
+            h_representation(LatticePolytope(((0, 0), (1, 1), (2, 2))))
+        assert str(exc.value) == \
+            "points of affine rank 1 < 2: facets need full-dimensional points"
+        with pytest.raises(PreconditionError) as exc:
+            ehrhart_data(type_a_ambient(cycle_graph(3)))
+        assert str(exc.value).startswith("points of affine rank 2 < 3")
 
     def test_count_needs_hrep(self):
         p = build_b(empty_graph(2))
@@ -379,17 +433,16 @@ def test_atlas_polytopes_match_references():
         polytopes = [build_a(g)]
         if g.n <= 4:
             polytopes += [build_b(g), build_a(suspension(g))]
-        for p in polytopes:
-            q = reduce_to_full_dim(p)
-            # centrally symmetric about the image of the origin: the walk
-            # halves on every one of them
-            assert _centre(q.points) is not None
+        for q in polytopes:
+            # centrally symmetric about the origin: the walk halves on
+            # every one of them
+            assert _centre(q.points) == (0,) * q.dim
             assert_matches_references(q, q.dim + 1)
             # every projection _levels builds, below full dimension too
             for k in range(1, q.dim + 1):
                 pts = sorted({x[:k] for x in q.points})
                 assert _facets(pts, k) == h_representation_reference(
-                    LatticePolytope(k, tuple(pts), k))
+                    LatticePolytope(tuple(pts)))
             ref = assert_half_count_matches_reference(q)
             # Hibi: the facet proof holds exactly when h* is palindromic
             # of degree d (the mean of these points is the origin)
@@ -407,8 +460,7 @@ def test_interior_counts_match_the_reference():
     # suspension and B of every atlas class with n <= 5
     checked = 0
     for g in atlas_graphs(5):
-        for p in (build_a(g), build_a(suspension(g)), build_b(g)):
-            q = reduce_to_full_dim(p)
+        for q in (build_a(g), build_a(suspension(g)), build_b(g)):
             h_representation(q)
             for t in range(1, q.dim // 2 + 2):
                 assert count_points(q, t, interior=True) == count_interior_reference(q, t)
@@ -416,9 +468,9 @@ def test_interior_counts_match_the_reference():
     assert checked == 3 * 52
     # the point in R^0 is its own relative interior; the segment [-1, 2]
     # has L_int(t) = 3t - 1
-    point = reduce_to_full_dim(build_a(empty_graph(2)))
+    point = build_a(empty_graph(2))
     h_representation(point)
-    segment = LatticePolytope(1, ((-1,), (2,), (0,)), 1)
+    segment = LatticePolytope(((-1,), (2,), (0,)))
     h_representation(segment)
     for t in range(1, 5):
         assert count_points(point, t, interior=True) == 1
@@ -455,8 +507,7 @@ def test_random_point_sets_match_references(points, centre):
         # lattice point `centre`, so the walk halves
         points = [tuple(c + s * max(-1, min(1, x)) for c, x in zip(centre, pt))
                   for pt in points for s in (1, -1)]
-    q = reduce_to_full_dim(LatticePolytope(len(points[0]), tuple(points),
-                                           len(_pivot_rows(points))))
+    q = reduce_to_full_dim_reference(points)
     if centre is not None:
         assert _centre(q.points) is not None
     assert_matches_references(q, q.dim + 1 if q.dim <= 3 else 2)
@@ -481,8 +532,7 @@ class TestSymmetricWalk:
     ], ids=["segment", "square", "moved-cross", "triangle", "d1", "d2"])
     def test_counts_match_box_scan(self, points, centre):
         assert _centre(points) == centre
-        d = len(points[0])
-        q = LatticePolytope(d, points, d)
+        q = LatticePolytope(points)
         h_representation(q)
         for t in range(1, 5):
             assert count_points(q, t) == count_points_reference(q, t)
@@ -509,7 +559,7 @@ class TestHalfCount:
     def test_segment_at_distance_two(self):
         # mean 0, a lattice point, but each facet x <= 2, -x <= 2 lies at
         # lattice distance 2 from it: L(t) = 4t + 1, L_int(t) = 4t - 1
-        q = LatticePolytope(1, ((-2,), (2,)), 1)
+        q = LatticePolytope(((-2,), (2,)))
         data, counts, inner = counted(q)
         assert not _facets_prove_reflexive(q) and not data.reflexive
         assert (counts, inner) == ((1, 5), (0, 3)) and data.hstar == Poly([1, 3])
@@ -518,8 +568,8 @@ class TestHalfCount:
         # the square [-1, 1]^2 is reflexive, but the non-vertex point
         # (1, 0) moves the mean to (1/5, 0): the oracle counts the interior
         square = ((-1, -1), (-1, 1), (1, -1), (1, 1))
-        assert counted(LatticePolytope(2, square, 2))[1:] == ((1, 9, 25), (0,))
-        q = LatticePolytope(2, square + ((1, 0),), 2)
+        assert counted(LatticePolytope(square))[1:] == ((1, 9, 25), (0,))
+        q = LatticePolytope(square + ((1, 0),))
         h_representation(q)
         assert not _facets_prove_reflexive(q)
         data, counts, inner = counted(q)
@@ -529,7 +579,7 @@ class TestHalfCount:
         assert not data.reflexive and reflexivity_check(data.hstar, 2)
 
     def test_box_guard_reads_the_largest_dilate_counted(self):
-        # the reduced hexagon's box of tP holds (2t + 1)^2 points, and only
+        # the hexagon's box of tP holds (2t + 1)^2 points, and only
         # t = 1, 2 are counted; type B of a triangle, box (2t + 1)^3, is not
         # reflexive, and it counts L and L_int for t = 1, 2
         hexagon = build_a(cycle_graph(3))
@@ -579,7 +629,7 @@ class TestGuardsUnchanged:
     message names the work it refused."""
 
     def test_hrep_dim(self):
-        q = reduce_to_full_dim(build_a(suspension(cycle_graph(4))))
+        q = build_a(suspension(cycle_graph(4)))
         assert h_representation(q, {"hrep-dim": 4})
         with pytest.raises(BoundExceededError) as exc:
             h_representation(q, {"hrep-dim": 3})
@@ -587,13 +637,13 @@ class TestGuardsUnchanged:
 
     def test_hrep_points_counts_distinct_points(self):
         pts = ((0, 0), (1, 0), (0, 1), (1, 1), (1, 1), (0, 0))
-        assert h_representation(LatticePolytope(2, pts, 2), {"hrep-points": 4})
+        assert h_representation(LatticePolytope(pts), {"hrep-points": 4})
         with pytest.raises(BoundExceededError) as exc:
-            h_representation(LatticePolytope(2, pts, 2), {"hrep-points": 3})
+            h_representation(LatticePolytope(pts), {"hrep-points": 3})
         assert str(exc.value) == "4 points > 3"
         # the dimension is checked first
         with pytest.raises(BoundExceededError) as exc:
-            h_representation(LatticePolytope(2, pts, 2),
+            h_representation(LatticePolytope(pts),
                              {"hrep-dim": 1, "hrep-points": 3})
         assert str(exc.value) == "facet enumeration in dimension 2 > 1"
 

@@ -8,9 +8,9 @@ from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       PreconditionError, build_a, classify, complete_bipartite,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
                       empty_graph, gamma_a_cut_sum, gamma_a_suspension, gamma_b,
-                      gamma_b_interior, h_representation,
-                      hstar_to_gamma, matched_vertex_sets, path_graph,
-                      reduce_to_full_dim, solve, star_graph, suspension)
+                      gamma_b_interior, h_representation, hstar_to_gamma,
+                      matched_vertex_sets, path_graph, solve, star_graph,
+                      suspension)
 
 from hypothesis import given, settings, strategies as st
 
@@ -253,7 +253,7 @@ class TestOracleAgreement:
         # h*_1 = |A n Z^n| - (dim + 1) = 2|E(suspension)| + 1 - (n + 1)
         for g in (cycle_graph(3), cycle_graph(4), path_graph(3)):
             hat = suspension(g)
-            q = reduce_to_full_dim(build_a(hat))
+            q = build_a(hat)
             h_representation(q)
             assert count_points(q, 1) == 2 * hat.edge_count + 1
             data = ehrhart_data(build_a(hat))

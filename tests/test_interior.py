@@ -7,12 +7,12 @@ from sepgamma import (Bipartition, Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, matched_vertex_sets,
                       path_graph, suspension_gamma_formula)
-from sepgamma.ehrhart import _row_reduce
 
 from conftest import all_graphs_upto, random_graph
 from oracles import (Hypergraph, bip, bipartition_of, hypergraph_from_bipartite,
                      hypertrees, interior_poly, interior_tilde_definition,
-                     reorder_hyperedges, spanning_trees, tilde)
+                     reorder_hyperedges, row_reduce_tracked, spanning_trees,
+                     tilde)
 
 
 def kirchhoff_count(g: Graph) -> int:
@@ -25,9 +25,10 @@ def kirchhoff_count(g: Graph) -> int:
         lap[v - 1][u - 1] -= 1
     minor = [row[1:] for row in lap[1:]]
     # |det| is the product of the pivots of the echelon form, 0 below full rank
-    if _row_reduce(minor) < g.n - 1:
+    rank, rows, _ = row_reduce_tracked(minor, g.n - 1)
+    if rank < g.n - 1:
         return 0
-    return abs(math.prod(minor[i][i] for i in range(g.n - 1)))
+    return abs(math.prod(rows[i][i] for i in range(g.n - 1)))
 
 
 class TestSpanningTrees:
