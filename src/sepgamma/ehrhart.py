@@ -430,16 +430,16 @@ def hstar_from_counts(counts, inner, d: int) -> Poly:
     return Poly([h[k] for k in range(d + 1)])
 
 
-def _facets_prove_reflexive(p: LatticePolytope) -> bool:
-    """True when the mean c of p.points is a lattice point and every facet
-    (normal, offset) of p.hrep has offset - normal . c = 1.  The normals
+def _facets_prove_reflexive(q: LatticePolytope) -> bool:
+    """True when the mean c of q.points is a lattice point and every facet
+    (normal, offset) of q.hrep has offset - normal . c = 1.  The normals
     are primitive, so P - c is then {x : normal . x <= 1}: its dual is a
     lattice polytope, P is reflexive, and by Hibi (1992) h* is palindromic
     of degree d.  The mean of a full-dimensional point set is interior, but
     when it is not a lattice point this proves nothing.  The proof needs
     no symmetry: a reflexive polytope need not be centrally symmetric."""
-    c = _lattice_mean(p.points)
-    return c is not None and all(b - _dot(n, c) == 1 for n, b in p.hrep)
+    c = _lattice_mean(q.points)
+    return c is not None and all(b - _dot(n, c) == 1 for n, b in q.hrep)
 
 
 def ehrhart_data(p: LatticePolytope, bounds: Optional[Mapping] = None) -> EhrhartData:

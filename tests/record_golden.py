@@ -87,8 +87,8 @@ EDGE_CASES = {
 
 
 def write_files(directory: str) -> dict:
-    """Write every graph file into `directory`; returns {request id prefix:
-    file name} for the atlas classes with n <= 6."""
+    """Write every graph file into `directory`; returns {atlasNNNN: (file
+    name, n)} for the atlas classes with n <= 6."""
     names = {}
     for i, g in enumerate(atlas_graphs(6), start=1):
         name = f"atlas{i:04d}.txt"
