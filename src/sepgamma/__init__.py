@@ -8,9 +8,8 @@ from .engine import (ROUTES, SepResult, gamma_a_cut_sum, gamma_a_pairs,
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Graph, GraphClassification, classify,
-                     complement, complete_bipartite, complete_graph, cuts,
-                     cycle_graph, empty_graph, lex_product_complete,
-                     line_graph, parse_graph, path_graph, simple_cycles,
+                     complete_bipartite, complete_graph, cuts, cycle_graph,
+                     empty_graph, parse_graph, path_graph, simple_cycles,
                      star_graph, suspension, to_edge_list_text)
 from .interior import cut_sum_gamma
 from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,

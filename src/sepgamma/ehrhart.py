@@ -84,7 +84,7 @@ class LatticePolytope:
 # Building
 # ---------------------------------------------------------------------------
 
-def build_a(g: Graph) -> LatticePolytope:
+def build_a(g: Graph, bounds: Optional[Mapping] = None) -> LatticePolytope:
     """conv of +-(e_u - e_v) over the edges, in lattice coordinates: one
     per vertex on an edge, in sorted order, leaving out the largest vertex
     of each component.  The polytope lies where each component's
@@ -92,7 +92,9 @@ def build_a(g: Graph) -> LatticePolytope:
     sum of the others, so deleting it maps the lattice points one to one
     onto Z^d: d is the number of vertices on an edge minus the number of
     components.  For a suspension the apex is left out, and the points are
-    +-e_v and +-(e_u - e_v).  The point in R^0 when g has no edge."""
+    +-e_v and +-(e_u - e_v).  The point in R^0 when g has no edge.  The 2|E|
+    points are distinct, and the facet search's guards apply before any
+    is built."""
     if not g.edges:
         return LatticePolytope(((),))
     # union by the larger root: each component's root is its largest vertex
@@ -107,6 +109,7 @@ def build_a(g: Graph) -> LatticePolytope:
         a, b = find(u), find(v)
         root[min(a, b)] = max(a, b)
     index = {v: i for i, v in enumerate(sorted(v for v in root if root[v] != v))}
+    _check_facet_search(len(index), 2 * g.edge_count, bounds)
     pts = []
     for u, v in g.sorted_edges():
         p = [0] * len(index)
@@ -119,11 +122,14 @@ def build_a(g: Graph) -> LatticePolytope:
     return LatticePolytope(tuple(pts))
 
 
-def build_b(g: Graph) -> LatticePolytope:
+def build_b(g: Graph, bounds: Optional[Mapping] = None) -> LatticePolytope:
     """conv of all +-e_i plus +-e_i +- e_j over the edges; always
-    full-dimensional, the point {0} when g has no vertex."""
+    full-dimensional, the point {0} when g has no vertex.  The 2n + 4|E|
+    points are distinct, and the facet search's guards apply before any
+    is built."""
     if g.n == 0:
         return LatticePolytope(((),))
+    _check_facet_search(g.n, 2 * g.n + 4 * g.edge_count, bounds)
     pts = []
     for i in range(1, g.n + 1):
         p = [0] * g.n
@@ -249,17 +255,22 @@ def h_representation(p: LatticePolytope, bounds: Optional[Mapping] = None) -> tu
     normals, meaning normal . x <= offset, sorted; by double description
     (see _facets).  Guarded by `hrep-dim` and `hrep-points`; points that do
     not span R^d raise PreconditionError.  Caches into p.hrep."""
-    d = p.dim
+    pts = sorted(set(p.points))
+    _check_facet_search(p.dim, len(pts), bounds)
+    out = _facets(pts, p.dim)
+    p.hrep = out
+    return out
+
+
+def _check_facet_search(d: int, points: int, bounds: Optional[Mapping]) -> None:
+    """The facet search's guards, `hrep-dim` on the dimension d and then
+    `hrep-points` on the number of distinct points."""
     limit = bound(bounds, "hrep-dim")
     if d > limit:
         raise BoundExceededError(f"facet enumeration in dimension {d} > {limit}")
-    pts = sorted(set(p.points))
     limit = bound(bounds, "hrep-points")
-    if len(pts) > limit:
-        raise BoundExceededError(f"{len(pts)} points > {limit}")
-    out = _facets(pts, d)
-    p.hrep = out
-    return out
+    if points > limit:
+        raise BoundExceededError(f"{points} points > {limit}")
 
 
 # ---------------------------------------------------------------------------

@@ -135,9 +135,10 @@ def _oracle(g: Graph, polytope: str, bounds: Optional[Mapping]) -> SepResult:
     from .ehrhart import build_a, build_b, ehrhart_data
 
     if polytope == "b":
-        data = ehrhart_data(build_b(g), bounds)
+        p = build_b(g, bounds)
     else:
-        data = ehrhart_data(build_a(suspension(g) if polytope == "ahat" else g), bounds)
+        p = build_a(suspension(g) if polytope == "ahat" else g, bounds)
+    data = ehrhart_data(p, bounds)
     dim = data.dim
     # the suspension is connected on n + 1 vertices: any other dimension
     # is a fault in building the polytope

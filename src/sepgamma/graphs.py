@@ -1,9 +1,9 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
 the polytope formulas need: cycle enumeration, the crossing graph of every
-cut, cactus/bipartite classification, and the derived constructions
-(suspension, line graph, complement, and the lexicographic product with a
-clique, the one the witness needs).  One validator checks every graph built
-from outside the package: the parser and Graph.make both end in
+cut, cactus/bipartite classification, and the suspension.  The witness
+builds its own graph (see witness); the line graph, the complement and the
+blow-up by a clique live with the tests.  One validator checks every graph
+built from outside the package: the parser and Graph.make both end in
 _checked_graph.
 
 Everything is a pure function of immutable values; iteration orders are
@@ -176,41 +176,6 @@ def suspension(g: Graph) -> Graph:
     edges = set(g.edges)
     edges.update((i, apex) for i in range(1, g.n + 1))
     return Graph(g.n + 1, frozenset(edges))
-
-
-def complement(g: Graph) -> Graph:
-    edges = frozenset(
-        (u, v)
-        for u in range(1, g.n + 1)
-        for v in range(u + 1, g.n + 1)
-        if (u, v) not in g.edges
-    )
-    return Graph(g.n, edges)
-
-
-def line_graph(g: Graph) -> Graph:
-    """Vertices = edges of g (in sorted order), adjacent iff they intersect."""
-    es = g.sorted_edges()
-    m = len(es)
-    out = set()
-    for i in range(m):
-        for j in range(i + 1, m):
-            if set(es[i]) & set(es[j]):
-                out.add((i + 1, j + 1))
-    return Graph(m, frozenset(out))
-
-
-def lex_product_complete(g: Graph, m: int) -> Graph:
-    """g[K_m]: every vertex blown up into a clique of size m.  Vertex (a, x)
-    maps to label (a-1)*m + x; (a, x) ~ (b, y) iff a ~ b in g, or a = b
-    and x != y."""
-    if m < 1:
-        raise PreconditionError(f"clique size {m} must be >= 1")
-    edges = {((a - 1) * m + x, (b - 1) * m + y)
-             for a, b in g.edges for x in range(1, m + 1) for y in range(1, m + 1)}
-    edges.update(((a - 1) * m + x, (a - 1) * m + y) for a in range(1, g.n + 1)
-                 for x in range(1, m + 1) for y in range(x + 1, m + 1))
-    return Graph(g.n * m, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,12 @@
 """Flag simplicial complexes witnessing gamma-polynomials as f-polynomials.
 
-The witness graph is the complement of the line graph blown up by a clique
-(K_2 for type A, K_4 for type B); its clique-count polynomial must equal
-the target gamma-polynomial, and the constructors verify that equality
-rather than assume it.  The target is the gamma that gamma-a or gamma-b
-prints: engine.solve by the formula route, which applies the h* size
-guard after the preconditions, so the clique count cross-checks the
-route's matching DP.  The independence-polynomial composition law over the
-lexicographic product lives with the tests.
+The witness graph W has vertex (i - 1)*m + x for copy x = 1..m of the i-th
+edge of g in sorted order, two vertices adjacent iff their edges share no
+vertex: the complement of L(g)[K_m], m = 2 for type A and 4 for type B.
+Its clique-count polynomial must equal the target, the gamma that gamma-a
+or gamma-b prints, and the constructors verify that rather than assume it.
+The target is engine.solve by the formula route, which applies the h* size
+guard after the preconditions, so the clique count cross-checks its DP.
 """
 
 from __future__ import annotations
@@ -18,8 +17,7 @@ from typing import Mapping, Optional
 from . import engine
 from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
-from .graphs import (Graph, classify, complement, lex_product_complete,
-                     line_graph)
+from .graphs import Graph, classify
 from .polynomials import Poly
 
 
@@ -62,15 +60,33 @@ class FlagWitness:
     target: Poly
 
 
+def _witness_graph(g: Graph, m: int, bounds: Optional[Mapping]) -> Graph:
+    """W, refused unbuilt when its vertices and edges, all cliques, pass `cliques`."""
+    es = g.sorted_edges()
+    k = len(es)
+    touching = {}  # vertex -> bitmask of the edges at it
+    for i, e in enumerate(es):
+        for v in e:
+            touching[v] = touching.get(v, 0) | 1 << i
+    # pairs of edges at a common vertex: two distinct edges share at most one
+    shared = sum(t.bit_count() * (t.bit_count() - 1) // 2 for t in touching.values())
+    limit = bound(bounds, "cliques")
+    if 1 + m * k + m * m * (k * (k - 1) // 2 - shared) > limit:
+        raise BoundExceededError(f"more than {limit} cliques")
+    edges = []
+    for i, (u, v) in enumerate(es):
+        later = ~(touching[u] | touching[v]) & ((1 << k) - (2 << i))
+        while later:  # the later edges that touch neither u nor v
+            j = (later & -later).bit_length() - 1
+            later &= later - 1
+            edges += [(i * m + x, j * m + y) for x in range(1, m + 1)
+                      for y in range(1, m + 1)]
+    return Graph(m * k, frozenset(edges))
+
+
 def _build_witness(g: Graph, m: int, target: Poly,
                    bounds: Optional[Mapping]) -> FlagWitness:
-    blown = lex_product_complete(line_graph(g), m)
-    # every vertex and edge of the complement is a clique: refuse before
-    # building it when they alone pass the clique bound
-    limit = bound(bounds, "cliques")
-    if 1 + blown.n + blown.n * (blown.n - 1) // 2 - blown.edge_count > limit:
-        raise BoundExceededError(f"more than {limit} cliques")
-    w = complement(blown)
+    w = _witness_graph(g, m, bounds)
     f = clique_f_poly(w, bounds)
     if f != target:
         raise VerificationError(
@@ -79,8 +95,7 @@ def _build_witness(g: Graph, m: int, target: Poly,
 
 
 def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
-    """For even-cycle-free g: the clique complex of the complement of
-    L(g)[K_2] has f-polynomial g(G,2x), the suspension gamma-polynomial."""
+    """For even-cycle-free g: the clique f-polynomial of W (m = 2) is g(G,2x)."""
     cls = classify(g)
     if not cls.unique_even_cycle_condition or any(
             len(c) % 2 == 0 for c in cls.simple_cycles):
@@ -90,8 +105,7 @@ def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
 
 
 def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
-    """For a forest g: the clique complex of the complement of L(g)[K_4]
-    has f-polynomial g(G,4x), the type-B gamma-polynomial."""
+    """For a forest g: the clique f-polynomial of W (m = 4) is g(G,4x)."""
     cls = classify(g)
     if not cls.forest:
         raise PreconditionError("witness construction needs a forest")

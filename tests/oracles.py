@@ -31,9 +31,11 @@ reference imports a private name of the package.
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
-independence and characteristic polynomials, the lexicographic product
-with any second graph (the package builds only g[K_m]), the matching
-polynomial, and the closed forms for wheels and cycles.
+independence and characteristic polynomials, the line graph, the
+complement and the blow-up g[K_m] that compose the package's witness
+graph (the package builds it from its definition), the lexicographic
+product with any second graph, the matching polynomial, and the closed
+forms for wheels and cycles.
 """
 
 from __future__ import annotations
@@ -911,6 +913,41 @@ def compose(f: Poly, inner: Poly) -> Poly:
     for c in reversed(f.coeffs):
         out = out * inner + Poly((c,))
     return out
+
+
+def complement(g: Graph) -> Graph:
+    edges = frozenset(
+        (u, v)
+        for u in range(1, g.n + 1)
+        for v in range(u + 1, g.n + 1)
+        if (u, v) not in g.edges
+    )
+    return Graph(g.n, edges)
+
+
+def line_graph(g: Graph) -> Graph:
+    """Vertices = edges of g (in sorted order), adjacent iff they intersect."""
+    es = g.sorted_edges()
+    m = len(es)
+    out = set()
+    for i in range(m):
+        for j in range(i + 1, m):
+            if set(es[i]) & set(es[j]):
+                out.add((i + 1, j + 1))
+    return Graph(m, frozenset(out))
+
+
+def lex_product_complete(g: Graph, m: int) -> Graph:
+    """g[K_m]: every vertex blown up into a clique of size m.  Vertex (a, x)
+    maps to label (a-1)*m + x; (a, x) ~ (b, y) iff a ~ b in g, or a = b
+    and x != y."""
+    if m < 1:
+        raise PreconditionError(f"clique size {m} must be >= 1")
+    edges = {((a - 1) * m + x, (b - 1) * m + y)
+             for a, b in g.edges for x in range(1, m + 1) for y in range(1, m + 1)}
+    edges.update(((a - 1) * m + x, (a - 1) * m + y) for a in range(1, g.n + 1)
+                 for x in range(1, m + 1) for y in range(x + 1, m + 1))
+    return Graph(g.n * m, frozenset(edges))
 
 
 def lex_product(g: Graph, h: Graph) -> Graph:

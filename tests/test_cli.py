@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
-                      matched_vertex_sets, parse_graph, path_graph,
+                      matched_vertex_sets, parse_graph, path_graph, star_graph,
                       to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
@@ -406,12 +406,36 @@ class TestContract:
         assert f"FAILED far.txt: {FAR_HSTAR_GUARD}" in done.stderr
 
     def test_witness_refuses_before_the_complement(self, tmp_path):
-        # P1200: L(P1200)[K_4] has 4796 vertices, so its complement has
-        # about 11.5 million edges, each a clique; refused before it is built
+        # P1200: the witness graph has 4796 vertices and about 11.5 million
+        # edges, each a clique; refused before it is built
         path = write(tmp_path, "p.txt", to_edge_list_text(path_graph(1200)))
         done = run_limited(["witness", path, "--type", "b"], 256)
         assert done.returncode == 4
         assert "resource bound exceeded: more than 10000000 cliques\n" in done.stderr
+
+    def test_witness_work_follows_the_witness_graph(self, tmp_path):
+        # K1,600: the witness graph has 2400 vertices and no edge, where the
+        # line graph blown up by K_4 has about 2.9 million edges
+        path = write(tmp_path, "star.txt", to_edge_list_text(star_graph(600)))
+        done = run_limited(["witness", path, "--type", "b"], 256)
+        assert done.returncode == 0
+        assert "target-gamma: [1, 2400]\n" in done.stdout
+        assert "witness-vertices: 2400\nwitness-edges: 0\n" in done.stdout
+
+    @pytest.mark.parametrize("argv,graph,dim", [
+        pytest.param(["gamma-b", "--method", "ehrhart"], path_graph(3000), 3000,
+                     id="b-of-p3000"),
+        pytest.param(["check", "--polytope", "a"], complete_graph(300), 299,
+                     id="a-of-k300")])
+    def test_ehrhart_refuses_before_it_builds_a_point(self, tmp_path, argv, graph, dim):
+        # type B of P3000 has 17,996 points in Z^3000 and type A of K300
+        # 89,700 points in Z^299: the facet guards trip on d before either
+        # set is built, under a limit that neither set fits in
+        path = write(tmp_path, "g.txt", to_edge_list_text(graph))
+        done = run_limited(argv[:1] + [path] + argv[1:], 128)
+        assert done.returncode == 4
+        assert ("resource bound exceeded: facet enumeration in dimension "
+                f"{dim} > 7\n") in done.stderr
 
     @pytest.mark.parametrize("argv,graph,name,threshold,message", [
         pytest.param(["gamma-a", "--method", "cuts"], complete_graph(4), "cut-sum",

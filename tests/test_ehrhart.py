@@ -659,3 +659,17 @@ class TestGuardsUnchanged:
         with pytest.raises(BoundExceededError) as exc:
             count_points(sq, 3, {"box": 6})
         assert str(exc.value) == "bounding box of 3P exceeds 6 points"
+
+    def test_builders_apply_the_facet_guards_first(self):
+        # build_a and build_b know d and their number of distinct points
+        # before they build one, and trip the same guards in the same order
+        for build, g, d, count in ((build_a, complete_graph(5), 4, 20),
+                                   (build_b, cycle_graph(4), 4, 24)):
+            p = build(g, {"hrep-dim": d, "hrep-points": count})
+            assert p.dim == d and len(set(p.points)) == count
+            with pytest.raises(BoundExceededError) as exc:
+                build(g, {"hrep-dim": d - 1, "hrep-points": count - 1})
+            assert str(exc.value) == f"facet enumeration in dimension {d} > {d - 1}"
+            with pytest.raises(BoundExceededError) as exc:
+                build(g, {"hrep-points": count - 1})
+            assert str(exc.value) == f"{count} points > {count - 1}"

@@ -7,17 +7,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
-                      PreconditionError, classify, complement,
-                      complete_bipartite, complete_graph, cuts, cycle_graph,
-                      empty_graph, lex_product_complete, line_graph,
+                      PreconditionError, classify, complete_bipartite,
+                      complete_graph, cuts, cycle_graph, empty_graph,
                       parse_graph, path_graph, simple_cycles, star_graph,
                       suspension, to_edge_list_text)
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import (bipartition_of, classify_reference, connected_components,
-                     delete_vertices, even_cycle_families, lex_product,
-                     simple_cycles_reference, tilde)
+from oracles import (bipartition_of, classify_reference, complement,
+                     connected_components, delete_vertices,
+                     even_cycle_families, lex_product, lex_product_complete,
+                     line_graph, simple_cycles_reference, tilde)
 
 
 def assert_matches_reference(g: Graph) -> None:

@@ -9,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gamma_b, line_graph,
-                      matchable_pairs, matched_vertex_sets, mu_poly,
-                      path_graph, real_rootedness, star_graph,
-                      suspension_gamma_formula, tiling_poly)
+                      cycle_graph, empty_graph, gamma_b, matchable_pairs,
+                      matched_vertex_sets, mu_poly, path_graph,
+                      real_rootedness, star_graph, suspension_gamma_formula,
+                      tiling_poly)
 
 from conftest import all_graphs_upto, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
-                     matchable_pairs_reference, matched_sets_by_matchings,
+                     line_graph, matchable_pairs_reference, matched_sets_by_matchings,
                      matched_sets_reference, matched_sets_tiling,
                      matching_counts, matching_poly, mu_poly_reference,
                      suspension_gamma_reference)

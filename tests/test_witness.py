@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from sepgamma import (Graph, Poly, PreconditionError, clique_f_poly,
-                      complement, complete_graph, cycle_graph, empty_graph,
-                      lex_product_complete, path_graph, solve, star_graph,
-                      witness_a, witness_b)
+from sepgamma import (BoundExceededError, Graph, Poly, PreconditionError,
+                      clique_f_poly, complete_graph, cycle_graph, empty_graph,
+                      path_graph, solve, star_graph, witness, witness_a,
+                      witness_b)
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import (gen_poly_reference, independence_composition_check,
-                     independence_poly, lex_product)
+from oracles import (complement, gen_poly_reference,
+                     independence_composition_check, independence_poly,
+                     lex_product, lex_product_complete, line_graph)
 
 
 class TestCliqueFPoly:
@@ -23,9 +24,24 @@ class TestCliqueFPoly:
             assert clique_f_poly(g) == independence_poly(complement(g))
 
     def test_bound(self):
-        from sepgamma import BoundExceededError
         with pytest.raises(BoundExceededError):
             clique_f_poly(complete_graph(8), {"cliques": 10})
+
+
+class TestWitnessGraph:
+    def test_equals_the_complement_of_the_blown_up_line_graph(self):
+        # W from its definition against complement(L(g)[K_m]) on every atlas
+        # class with n <= 6.  Its vertices and edges, each a clique, and the
+        # empty clique are what the bound admits before W is built
+        for g in atlas_graphs(6):
+            for m in (2, 4):
+                w = complement(lex_product_complete(line_graph(g), m))
+                assert witness._witness_graph(g, m, None) == w, (g, m)
+                floor = 1 + w.n + w.edge_count
+                assert witness._witness_graph(g, m, {"cliques": floor}) == w
+                with pytest.raises(BoundExceededError) as exc:
+                    witness._witness_graph(g, m, {"cliques": floor - 1})
+                assert str(exc.value) == f"more than {floor - 1} cliques"
 
 
 class TestWitnessA:
