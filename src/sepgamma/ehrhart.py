@@ -37,11 +37,9 @@ polytope.
 
 The oracle takes full-dimensional points only: build_b's are, and
 build_a writes type A in lattice coordinates (see build_a).  The double
-description starts from the simplicial cone of d + 1 affinely
-independent points: each is tested once against a fraction-free echelon
-of those already taken, and one fraction-free Gauss-Jordan pass gives
-the cone's rays: the rows of the inverse of the matrix whose columns are
-the d + 1 vectors (1, q), made primitive.
+description starts from the simplicial cone of the first d + 1 affinely
+independent points, which one fraction-free pass picks while it builds
+the cone's rays (see _simplex_rays).
 
 The hyperplane brute force, with its own transform-tracking elimination
 (which also brings any point set to full dimension), the bounding-box
@@ -157,50 +155,42 @@ def _simplex_rays(vecs: list) -> tuple:
     which must span R^n, and the rays of the simplicial cone they bound, as
     (y, bitmask of the n - 1 vectors y is zero on).
 
-    Each vector is reduced once against a fraction-free echelon of the
-    ones taken so far: it is independent of them iff something is left.
-    Then one fraction-free Gauss-Jordan pass turns [B | I], B the matrix
-    whose columns are the chosen vectors, into [D | M] with D diagonal and
-    M B = D.  Row c of M is zero on every chosen vector but the c-th and
-    has dot product D_cc with it: made primitive and given the sign of
-    D_cc, it is the ray opposite that vector."""
+    One fraction-free pass keeps n independent integer rows, the identity
+    at first, each zero on every vector taken but the one it pivots on; a
+    row on which none pivots is free and zero on all of them.  A vector is
+    taken iff some free row is nonzero on it, and pivots on the first one,
+    r; every other row nonzero on it becomes its primitive combination
+    with row r that is zero on it, and stays zero, or nonzero, on each
+    vector taken before.  The pivot row of a taken vector, made primitive,
+    is the ray opposite it, with the sign of its dot product at the end,
+    since a later combination can flip it."""
     n = len(vecs[0])
-    base, echelon = [], []  # echelon: (pivot column, reduced row)
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    taken = {}  # pivot row -> index of the vector taken on it
     for i, v in enumerate(vecs):
-        w = v
-        for c, row in echelon:
-            if w[c]:
-                a, b = row[c], w[c]
-                w = [a * x - b * y for x, y in zip(w, row)]
-        piv = next((c for c, x in enumerate(w) if x), None)
-        if piv is not None:
-            base.append(i)
-            echelon.append((piv, w))
-            if len(base) == n:
-                break
-    if len(base) < n:
-        raise PreconditionError(f"points of affine rank {len(base) - 1} < {n - 1}: "
-                                f"facets need full-dimensional points")
-    mat = [[vecs[j][r] for j in base] + [int(r == c) for c in range(n)]
-           for r in range(n)]
-    for c in range(n):
-        p = next(r for r in range(c, n) if mat[r][c])
-        mat[c], mat[p] = mat[p], mat[c]
-        prow = mat[c]
-        a = prow[c]
-        for r in range(n):
-            b = mat[r][c]
-            if r != c and b:
-                row = [a * x - b * y for x, y in zip(mat[r], prow)]
+        w = [_dot(m, v) for m in rows]
+        r = next((r for r in range(n) if w[r] and r not in taken), None)
+        if r is None:
+            continue
+        taken[r] = i
+        a, pivot_row = w[r], rows[r]
+        for s, b in enumerate(w):
+            if s != r and b:
+                row = [a * x - b * y for x, y in zip(rows[s], pivot_row)]
                 g = math.gcd(*row)
-                mat[r] = [x // g for x in row]
-    everything = sum(1 << j for j in base)
+                rows[s] = [x // g for x in row]
+        if len(taken) == n:
+            break
+    if len(taken) < n:
+        raise PreconditionError(f"points of affine rank {len(taken) - 1} < {n - 1}: "
+                                f"facets need full-dimensional points")
+    everything = sum(1 << j for j in taken.values())
     rays = []
-    for c in range(n):
-        m = mat[c][n:]
-        g = math.gcd(*m) if mat[c][c] > 0 else -math.gcd(*m)
-        rays.append(([x // g for x in m], everything & ~(1 << base[c])))
-    return base, rays
+    for r, j in taken.items():
+        m = rows[r]
+        g = math.gcd(*m) if _dot(m, vecs[j]) > 0 else -math.gcd(*m)
+        rays.append(([x // g for x in m], everything & ~(1 << j)))
+    return list(taken.values()), rays
 
 
 def _facets(pts: list, d: int) -> tuple:

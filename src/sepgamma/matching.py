@@ -236,15 +236,12 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
     all below it, X.  The subtrees at one vertex fold by
     gamma(G1 u G2) = gamma(G1) gamma(G2 - v) + gamma(G1 - v) gamma(G2)
     - gamma(G1 - v) gamma(G2 - v) for G1 and G2 sharing only v, and
-    components multiply.  A graph of one block is one plain count, without
-    the fold's tallies.
+    components multiply.
     """
     cls = cls or classify(g)
     adj = g.adjacency_masks()
     src = ((1 << g.n) - 1 if sources is None
            else sum(1 << (v - 1) for v in set(sources)))
-    if len(cls.blocks) < 2:
-        return Poly(_pair_tally(adj, (1 << g.n) - 1, src, 0)[0]).coeff_list()
     total = Poly.one()
     hang = {}  # c -> (gamma(H_c), gamma(H_c - c)) until c's own block
     for top, vertices in cls.blocks:

@@ -5,8 +5,9 @@ edge of g in sorted order, two vertices adjacent iff their edges share no
 vertex: the complement of L(g)[K_m], m = 2 for type A and 4 for type B.
 Its clique-count polynomial must equal the target, the gamma that gamma-a
 or gamma-b prints, and the constructors verify that rather than assume it.
-The target is engine.solve by the formula route, which applies the h* size
-guard after the preconditions, so the clique count cross-checks its DP.
+The target is engine.solve by the formula route, so the clique count
+cross-checks its DP.  After the preconditions, the h* size guard and then
+the `cliques` guard apply before that DP: they need only n and the degrees.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Mapping, Optional
 from . import engine
 from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
-from .graphs import Graph, classify
-from .polynomials import Poly
+from .graphs import Graph, GraphClassification, classify
+from .polynomials import Poly, check_hstar_size
 
 
 def clique_f_poly(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
@@ -84,9 +85,13 @@ def _witness_graph(g: Graph, m: int, bounds: Optional[Mapping]) -> Graph:
     return Graph(m * k, frozenset(edges))
 
 
-def _build_witness(g: Graph, m: int, target: Poly,
+def _build_witness(g: Graph, m: int, polytope: str, cls: GraphClassification,
                    bounds: Optional[Mapping]) -> FlagWitness:
+    """W with m copies of each edge of g, checked against the gamma of
+    `polytope` by the formula route; g must meet its preconditions."""
+    check_hstar_size(g.n)
     w = _witness_graph(g, m, bounds)
+    target = engine.solve(g, polytope, "formula", cls).gamma
     f = clique_f_poly(w, bounds)
     if f != target:
         raise VerificationError(
@@ -100,8 +105,7 @@ def witness_a(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     if not cls.unique_even_cycle_condition or any(
             len(c) % 2 == 0 for c in cls.simple_cycles):
         raise PreconditionError("witness construction needs no even cycles")
-    return _build_witness(g, 2, engine.solve(g, "ahat", "formula", cls).gamma,
-                          bounds)
+    return _build_witness(g, 2, "ahat", cls, bounds)
 
 
 def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
@@ -109,5 +113,4 @@ def witness_b(g: Graph, bounds: Optional[Mapping] = None) -> FlagWitness:
     cls = classify(g)
     if not cls.forest:
         raise PreconditionError("witness construction needs a forest")
-    return _build_witness(g, 4, engine.solve(g, "b", "formula", cls).gamma,
-                          bounds)
+    return _build_witness(g, 4, "b", cls, bounds)

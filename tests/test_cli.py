@@ -413,6 +413,21 @@ class TestContract:
         assert done.returncode == 4
         assert "resource bound exceeded: more than 10000000 cliques\n" in done.stderr
 
+    @pytest.mark.parametrize("n,message", [
+        (1200, "more than 10000000 cliques"),
+        (20000, "h* of degree 20000 holds about")])
+    def test_witness_guards_apply_before_the_formula(self, tmp_path, capsys,
+                                                     monkeypatch, n, message):
+        # the h* size guard and the `cliques` count need only n and the
+        # degrees, so neither request reaches the formula's DP
+        def unreachable(*args, **kwargs):
+            raise AssertionError("engine.solve called")
+
+        monkeypatch.setattr("sepgamma.engine.solve", unreachable)
+        path = write(tmp_path, "p.txt", to_edge_list_text(path_graph(n)))
+        assert main(["witness", path, "--type", "b"]) == 4
+        assert f"resource bound exceeded: {message}" in capsys.readouterr().err
+
     def test_witness_work_follows_the_witness_graph(self, tmp_path):
         # K1,600: the witness graph has 2400 vertices and no edge, where the
         # line graph blown up by K_4 has about 2.9 million edges
