@@ -8,6 +8,9 @@ h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
 by the test suite.  The matching formulas of both types are one tiling
 of the graph (matching.tiling_poly) by edges and even cycles: weights 2x
 and -2x^(|C|/2) for type A; x and -x^(|C|/2), taken at 4x, for type B.
+On a cactus the tiling is one fold over the blocks of the caller's
+classification.  Before it runs, the h* guard is sized from a bound on
+the coefficients of gamma, not from n alone (_check_gamma_size).
 `solve` is the one dispatcher: ROUTES says which routes serve which
 polytope and what `auto` picks.  The Ehrhart route defines gamma exactly
 when the oracle reports that its facets proved the polytope reflexive.
@@ -18,10 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .errors import PreconditionError
+from .errors import BoundExceededError, PreconditionError
 from .graphs import Graph, GraphClassification, classify, suspension
 from .interior import cut_sum_gamma
-from .matching import check_pair_count_bound, matchable_pairs, tiling_poly
+from .matching import (check_pair_count_bound, matchable_pairs, tiling_poly,
+                       tiling_value)
 from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
                           hstar_to_gamma)
 
@@ -45,12 +49,33 @@ def _pack(gamma: Poly, dim: int, method: str) -> SepResult:
 
 
 def _even_cycle_tiling(g: Graph, cls: GraphClassification, edge: int,
-                       cycle: int) -> Poly:
+                       cycle: int, scale: int = 1) -> Poly:
     """The tiling of g with `edge` x per edge and `cycle` x^(|C|/2) per
-    even cycle C of cls, whose cycles must be listed."""
-    return tiling_poly(g, Poly.monomial(1, edge),
-                       [(c, Poly.monomial(len(c) // 2, cycle))
-                        for c in cls.simple_cycles if len(c) % 2 == 0])
+    even cycle C of cls, whose cycles must be listed, taken at scale x.
+    The h* guard comes first (_check_gamma_size)."""
+    evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
+    _check_gamma_size(g, cls, evens, edge, cycle, scale)
+    f = tiling_poly(g, Poly.monomial(1, edge),
+                    [(c, Poly.monomial(len(c) // 2, cycle)) for c in evens], cls)
+    return f if scale == 1 else f.scale_arg(scale)
+
+
+def _check_gamma_size(g: Graph, cls: GraphClassification, evens: list,
+                      edge: int, cycle: int, scale: int) -> None:
+    """The h* guard of the formula routes, before the tiling, from a bound
+    on sum_k |gamma_k|: the tiling with the absolute weights at x = scale.
+    A tile weighs at most 2 per vertex it covers, so a term is at most 2^n,
+    and there are at most 2^(|E| + even cycles) tilings: that count first,
+    and only past the limit the fold at the point, on a cactus."""
+    try:
+        check_hstar_size(g.n, g.n + g.edge_count + len(evens) + 1)
+    except BoundExceededError:
+        if not cls.cactus:
+            raise
+        total = tiling_value(g, abs(edge) * scale,
+                             [(c, abs(cycle) * scale ** (len(c) // 2))
+                              for c in evens], cls)
+        check_hstar_size(g.n, total.bit_length())
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +132,7 @@ def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
         raise PreconditionError("type-B formula needs a bipartite graph")
     if not cls.cactus:
         raise PreconditionError("type-B formula needs a cactus graph")
-    return _pack(_even_cycle_tiling(g, cls, 1, -1).scale_arg(4), g.n, "formula")
+    return _pack(_even_cycle_tiling(g, cls, 1, -1, 4), g.n, "formula")
 
 
 def gamma_b_interior(g: Graph, cls: Optional[GraphClassification] = None,

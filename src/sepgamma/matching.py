@@ -1,16 +1,17 @@
-"""The tiling DP behind every matching formula, the matched-vertex-set
-count |M(G,k)| and the matchable-pair count.
+"""The tiling behind every matching formula, the matched-vertex-set count
+|M(G,k)| and the matchable-pair count.
 
 tiling_poly sums over the tilings of the vertices by lone vertices (weight
 1), edges and listed cycles: with weight x per edge it is the matching
 generating polynomial, with even-cycle tiles the engine's formula of
-either type, and reversed the mu-polynomial.  matchable_pairs is the one
-count behind the dense routes (the suspension gamma of any graph,
-|M(G,k)| of any bipartite graph): it grows half the ordered pairs where
-swapping A and B is a symmetry, counts each block of the graph once, and
-folds the blocks in the order classify's depth-first search closed them,
-each after the blocks below it, so its work and its guard follow the
-largest block.
+either type, and reversed the mu-polynomial.  On a cactus it is one fold
+over the blocks; any other graph takes a DP over vertex masks.
+matchable_pairs is the one count behind the dense routes (the suspension
+gamma of any graph, |M(G,k)| of any bipartite graph): it grows half the
+ordered pairs where swapping A and B is a symmetry and counts each block
+once, so its work and its guard follow the largest block.  Both fold the
+blocks in the order classify's depth-first search closed them, each after
+the blocks below it, and join them at a vertex with one helper.
 The |M(G,k)| oracle builds the matched vertex sets themselves, one size
 at a time, from the lowest vertex of each, without listing matchings;
 its one caller, the cut sum, guards it by n.
@@ -19,30 +20,137 @@ its one caller, the cut sum, guards it by n.
 from __future__ import annotations
 
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Mapping, Optional
 
-from .errors import BoundExceededError, bound
-from .graphs import Graph, GraphClassification, classify
+from .errors import BoundExceededError, PreconditionError, bound
+from .graphs import (Graph, GraphClassification, _block_cycle, _blocks,
+                     classify)
 from .polynomials import Poly
 
 
-def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = ()) -> Poly:
+def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = (),
+                cls: Optional[GraphClassification] = None) -> Poly:
     """Sum over the tilings of V(G) by lone vertices, edges and listed tiles
     of the product of the weights: 1 per lone vertex, `edge` per edge,
     `weight` per (vertices, weight) pair of `tiles` (cycles of G).
 
-    A vertex set is worth the product of its components' values; a lone
-    vertex is worth 1, a lone edge 1 + edge.  A larger connected set C
-    branches on one vertex v: v alone, paired with a neighbour u, or in a
-    tile T.  Each branch keeps every component C_j of C - v whole but one,
-    from which it takes u or T - v.  With P_j the value of C_j and D_j the
-    sum of the branch values inside it, C is worth T_k:
-    T_0 = 1, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j.
-    The leaves of v count as one C_j, so a star costs one branch.  Values
-    are memoized per vertex mask.  v is the middle of a longest shortest
-    path (two breadth-first sweeps, or the first sweep's start when it sees
-    every vertex at once): the depth follows the halvings of the diameter,
-    and the labels do not change the work.
+    Every tile lies in one block, so on a cactus the blocks of cls (or of
+    one graphs._blocks pass, never classify's cycle search) fold bottom-up.
+    A cut vertex c carries (F_c, G_c), the tiling of all below c with and
+    without c (1 and 1 with nothing below).  A block with top a and other
+    vertices v_1..v_k in cycle order gives full (a bare) and minus (a
+    removed): a bridge F_1 + edge G_1 and F_1; a cycle minus = t_k, where
+    t_j = t_(j-1) F_j + t_(j-2) G_(j-1) G_j edge (t_0 = 1, t_-1 = 0), and
+    full - minus = edge G_1 P(v_2..v_k) + edge G_k t_(k-1) + weight prod G_j
+    with the tile's term when `tiles` names the cycle.  _fold_block joins
+    the pair at a.  Any other graph takes _mask_tiling.
+    """
+    blocks = _cactus_rings(g, cls)
+    if blocks is None:
+        return _mask_tiling(g, edge, tiles)
+    return _fold(blocks, edge, tiles, Poly.one())
+
+
+def tiling_value(g: Graph, edge: int, tiles: Iterable,
+                 cls: Optional[GraphClassification] = None) -> int:
+    """tiling_poly of a cactus with integer weights: the value of the tiling
+    at one point, by the same fold."""
+    blocks = _cactus_rings(g, cls)
+    if blocks is None:
+        raise PreconditionError("the tiling at a point needs a cactus graph")
+    return _fold(blocks, edge, tiles, 1)
+
+
+def _cactus_rings(g: Graph, cls: Optional[GraphClassification]) -> Optional[list]:
+    """(top, ring) of each block of the cactus g in the order of cls.blocks,
+    ring the block's vertices in cycle order (a bridge's two ends); None
+    when g is not a cactus."""
+    if cls is not None:
+        if not cls.cactus:
+            return None
+        rings = {frozenset(c): c for c in cls.simple_cycles}
+        return [(top, rings[vs] if len(vs) > 2 else tuple(vs))
+                for top, vs in cls.blocks]
+    out = []
+    for top, block in _blocks(g)[2]:
+        if len(block) == 1:
+            out.append((top, block[0]))
+        elif len(block) == len(set(chain.from_iterable(block))):
+            out.append((top, _block_cycle(block)))
+        else:
+            return None
+    return out
+
+
+def _fold(blocks: list, edge, tiles: Iterable, one):
+    """The fold of tiling_poly over the (top, ring) blocks of a cactus, in
+    the ring of `one`: Polys, or ints for the value at a point."""
+    weights = {}
+    for vertices, weight in tiles:
+        if weight:
+            key = frozenset(vertices)
+            weights[key] = weights[key] + weight if key in weights else weight
+
+    def times(a, b):
+        return b if a is one else a if b is one else a * b
+
+    bare = (one, one)
+    total, hang = one, {}
+    for top, ring in blocks:
+        a = top or min(ring)  # a root block folds at its smallest vertex
+        i = ring.index(a)
+        kids = [hang.pop(v, bare) for v in ring[i + 1:] + ring[:i]]
+        f, g1 = kids[0]
+        if len(kids) == 1:
+            full, minus = f + times(edge, g1), f
+        else:
+            f2, g_last = kids[1]
+            link = times(times(g1, g_last), edge)
+            t_prev, t = f, times(f, f2) + link  # t_1, t_2
+            s_prev, s = one, f2  # P(v_2..v_1) = 1, P(v_2..v_2)
+            for f, g in kids[2:]:
+                link = times(times(g_last, g), edge)
+                t_prev, t = t, times(t, f) + times(t_prev, link)
+                s_prev, s = s, times(s, f) + times(s_prev, link)
+                g_last = g
+            covered = times(edge, times(g1, s) + times(g_last, t_prev))
+            weight = weights.get(frozenset(ring)) if weights else None
+            if weight is not None:
+                for _, g in kids:
+                    weight = times(weight, g)
+                covered = covered + weight
+            full, minus = t + covered, t
+        total = _fold_block(hang, total, a, full, minus, not top)
+    return total
+
+
+def _fold_block(hang: dict, total, a, full, minus, root: bool):
+    """Join the pair of a block X and all below it, full with its vertex a
+    bare and minus without a, to the pair `hang` keeps at a; at a root
+    block return total times the component, else total.  For G1 and G2
+    sharing only v, F(G1 u G2) = F(G1) F(G2 - v) + F(G1 - v) (F(G2) -
+    F(G2 - v)) and F(G1 u G2 - v) = F(G1 - v) F(G2 - v), for the tiling and
+    for the pair count alike."""
+    if a in hang:
+        whole, without = hang.pop(a)
+        full, minus = (whole * minus + without * (full - minus),
+                       None if root else without * minus)
+    if root:
+        return total * full
+    hang[a] = (full, minus)
+    return total
+
+
+def _mask_tiling(g: Graph, edge: Poly, tiles: Iterable) -> Poly:
+    """tiling_poly of any graph, memoized per vertex mask.  A set is worth
+    the product of its components' values; a component branches on the
+    middle vertex v of a longest shortest path: v alone, with a neighbour
+    u, or in a tile T, each branch keeping every component C_j of C - v
+    whole but the one it takes u or T - v from.  With P_j the value of C_j
+    and D_j the sum of the branches inside it, C is worth T_k:
+    T_0 = A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j, the
+    leaves of v as one C_j.  The depth follows the halvings of the diameter.
     """
     adj = g.adjacency_masks()
     tiles_at = {}
@@ -233,10 +341,9 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
     blocks below it.  Such a child vertex c, with H_c everything below it,
     weighs gamma(H_c - c) where the block uses c and gamma(H_c) where it
     does not; the bit of a gives gamma(X) and gamma(X - a) of the block and
-    all below it, X.  The subtrees at one vertex fold by
-    gamma(G1 u G2) = gamma(G1) gamma(G2 - v) + gamma(G1 - v) gamma(G2)
-    - gamma(G1 - v) gamma(G2 - v) for G1 and G2 sharing only v, and
-    components multiply.
+    all below it, X, which _fold_block joins at a as tiling_poly's fold
+    does: the count obeys the same identity at a vertex that G1 and G2
+    share, and components multiply.
     """
     cls = cls or classify(g)
     adj = g.adjacency_masks()
@@ -260,13 +367,7 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
             tally = folded
         minus = tally[0]
         full = sum((p for m, p in tally.items() if m), minus)
-        if not a:
-            total = total * full
-        elif a in hang:
-            whole, without = hang[a]
-            hang[a] = (whole * minus + without * (full - minus), without * minus)
-        else:
-            hang[a] = (full, minus)
+        total = _fold_block(hang, total, a, full, minus, not a)
     return total.coeff_list()
 
 

@@ -1,7 +1,7 @@
 """Reference implementations that the tests check the library against.
 
 The library computes every cycle-corrected matching formula with one tiling
-DP (sepgamma.matching.tiling_poly).  Here the same formulas are written the
+(sepgamma.matching.tiling_poly).  Here the same formulas are written the
 way the paper states them: list every family R of vertex-disjoint cycles,
 delete V(R), and sum weight(R) times a matching polynomial of G - R.  The
 matching polynomial itself is an independent recursion that branches on the
@@ -31,7 +31,8 @@ reference imports a private name of the package.
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
-independence and characteristic polynomials, the line graph, the
+independence polynomial, the characteristic polynomial (the reference for
+the copy that verify's mu-bridge runs), the line graph, the
 complement and the blow-up g[K_m] that compose the package's witness
 graph (the package builds it from its definition), the lexicographic
 product with any second graph, the matching polynomial, and the closed

@@ -345,6 +345,21 @@ class TestContract:
         assert main(["gamma-a", path]) == 4
         assert "h* of degree 14142 holds about" in capsys.readouterr().err
 
+    def test_hstar_guard_sized_before_the_tiling(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # P10000 passes the n check, so the guard sizes gamma first: the
+        # fold at x = 4 bounds sum |gamma_k| by 13,570 bits, over the limit
+        def unreachable(*args, **kwargs):
+            raise AssertionError("engine.tiling_poly called")
+
+        monkeypatch.setattr("sepgamma.engine.tiling_poly", unreachable)
+        path = write(tmp_path, "p.txt", to_edge_list_text(path_graph(10000)))
+        start = time.process_time()
+        assert main(["gamma-b", path]) == 4
+        assert time.process_time() - start < 1
+        assert ("resource bound exceeded: h* of degree 10000 holds about "
+                "235723570 coefficient bits > 200000000\n") in capsys.readouterr().err
+
     def test_recursion_error_exits_4(self, c4_file, capsys, monkeypatch):
         def bottomless(g, cls, bounds):
             return bottomless(g, cls, bounds)
@@ -534,6 +549,17 @@ class TestContract:
             assert (len(classified), len(searches)) == (1, searched)
         assert "simple-cycle-count: 7\n" in capsys.readouterr().out
 
+
+    def test_one_block_pass_per_request(self, tmp_path, monkeypatch):
+        # the tiling folds the blocks of the request's own classification
+        passes = count_calls(monkeypatch, graphs._blocks)
+        path = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n")
+        for argv in (["gamma-a", path], ["gamma-b", path],
+                     ["check", path, "--polytope", "ahat"],
+                     ["verify", path, "--level", "full"]):
+            passes.clear()
+            assert main(argv) == 0, argv
+            assert len(passes) == 1, argv
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["batch", ".", "--format", "coeffs"], id="batch-format"),

@@ -10,7 +10,8 @@ from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       empty_graph, gamma_a_cut_sum, gamma_a_suspension, gamma_b,
                       gamma_b_interior, h_representation, hstar_to_gamma,
                       matched_vertex_sets, path_graph, solve, star_graph,
-                      suspension)
+                      suspension, suspension_gamma_formula)
+from sepgamma.matching import tiling_value
 
 from hypothesis import given, settings, strategies as st
 
@@ -284,3 +285,64 @@ class TestBMethodAgreementExhaustive:
             assert gamma_b(g).gamma == gamma_b_interior(g).gamma
             checked += 1
         assert checked > 3000
+
+
+class TestHstarGuard:
+    """The formula routes size the h* guard from a bound on sum_k |gamma_k|
+    before the tiling runs: the count n + |E| + even cycles + 1 bits, then
+    on a cactus the fold at the point with absolute weights."""
+
+    def test_bounds_cover_gamma_on_atlas7(self, atlas7):
+        for g in atlas7:
+            cls = classify(g)
+            if not cls.unique_even_cycle_condition:
+                continue
+            evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
+            count_bits = g.n + g.edge_count + len(evens) + 1
+            routes = [(suspension_gamma_formula(g, cls), 2, 1)]
+            if cls.bipartite and cls.cactus:
+                routes.append((gamma_b(g, cls).gamma, 1, 4))
+            for gamma, edge, scale in routes:
+                total = sum(abs(c) for c in gamma.coeffs)
+                assert total.bit_length() <= count_bits, g
+                if cls.cactus:
+                    assert tiling_value(
+                        g, edge * scale,
+                        [(c, scale ** (len(c) // 2)) for c in evens], cls) >= total, g
+
+    @staticmethod
+    def diamond_chain(k):
+        """k diamonds in a row, each sharing a vertex with the next: one
+        even cycle per diamond, so the formula applies, and no cactus."""
+        return Graph.make(3 * k + 1, [e for i in range(k) for e in (
+            (3 * i + 1, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3),
+            (3 * i + 2, 3 * i + 4), (3 * i + 3, 3 * i + 4))])
+
+    def test_refused_before_the_tiling(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("tiling reached")
+
+        monkeypatch.setattr("sepgamma.engine.tiling_poly", unreachable)
+        # P10000 passes the n check with gamma = 1 bit and fails the count;
+        # the fold at x = 4 bounds sum |gamma_k| by 13,570 bits
+        with pytest.raises(BoundExceededError, match="holds about 235723570 "):
+            solve(path_graph(10000), "b")
+        # no cactus: the count alone refuses, 22,502 bits
+        g = self.diamond_chain(2500)
+        assert classify(g).unique_even_cycle_condition
+        with pytest.raises(BoundExceededError, match="holds about 225082506 "):
+            solve(g, "ahat")
+
+    def test_the_fold_passes_what_the_count_refuses(self, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr("sepgamma.engine.tiling_poly", reached)
+        # P9000 on either route: the count gives 18,000 bits, over the
+        # limit; the folds give about 9,000 and 12,200, under it
+        for polytope in ("ahat", "b"):
+            with pytest.raises(Reached):
+                solve(path_graph(9000), polytope)

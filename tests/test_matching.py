@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gamma_b, matchable_pairs,
-                      matched_vertex_sets, mu_poly, path_graph,
-                      real_rootedness, star_graph, suspension_gamma_formula,
-                      tiling_poly)
+                      cycle_graph, empty_graph, gamma_b, graphs,
+                      matchable_pairs, matched_vertex_sets, mu_poly,
+                      path_graph, real_rootedness, star_graph,
+                      suspension_gamma_formula, tiling_poly)
+from sepgamma.matching import _mask_tiling, tiling_value
 
 from conftest import all_graphs_upto, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
@@ -331,3 +332,134 @@ class TestTilingPoly:
         # two distinct edges are disjoint unless they share one vertex
         assert m[:3] == [1, g.edge_count, math.comb(g.edge_count, 2)
                          - sum(math.comb(d, 2) for d in degrees)]
+
+
+def fold_weightings(cls):
+    """(edge, tiles) of the suspension formula, of |M(G,k)| and of mu_poly
+    (Fraction weights on odd and even cycles), for a graph that meets the
+    even-cycle condition."""
+    cycles = cls.simple_cycles
+    evens = [c for c in cycles if len(c) % 2 == 0]
+    return [(Poly.monomial(1, 2), [(c, Poly.monomial(len(c) // 2, -2)) for c in evens]),
+            (X, [(c, Poly.monomial(len(c) // 2, -1)) for c in evens]),
+            (Poly.monomial(2, -1),
+             [(c, Poly.monomial(len(c), Fraction(-2 * len(c), 3))) for c in cycles])]
+
+
+@st.composite
+def cactus_tilings(draw):
+    """(g, edge, tiles): a relabelled graph on at most 60 vertices whose
+    components are cacti (blocks of edges and of cycles with 3 to 8
+    vertices), stars or isolated vertices; each cycle is a tile with a
+    drawn weight, a tile of weight 0, or left out."""
+    n, edges, cycles = 0, [], []
+    for _ in range(draw(st.integers(1, 4))):
+        if n == 60:
+            break
+        kind = draw(st.sampled_from(("cactus", "star", "isolated")))
+        root, n = n + 1, n + 1
+        last = root if kind == "isolated" else n - 1 + draw(st.integers(1, 61 - root))
+        if kind == "star":
+            edges += [(root, v) for v in range(root + 1, last + 1)]
+            n = last
+        while n < last:  # a cactus: each block hangs from a vertex built
+            at = draw(st.integers(root, n))
+            k = draw(st.integers(2, min(8, last - n + 1)))
+            ring = [at] + list(range(n + 1, n + k))
+            n += k - 1
+            if k == 2:
+                edges.append((at, ring[1]))
+            else:
+                edges += zip(ring, ring[1:] + ring[:1])
+                cycles.append(ring)
+    perm = draw(st.permutations(range(1, n + 1)))
+    g = Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+    tiles = []
+    for ring in cycles:
+        choice = draw(st.sampled_from(("weight", "zero", "out")))
+        if choice != "out":
+            c = 0 if choice == "zero" else draw(st.integers(-3, 3))
+            tiles.append(([perm[v - 1] for v in ring],
+                          Poly.monomial(len(ring) // 2, c)))
+    edge = draw(st.sampled_from((X, Poly.monomial(1, 2), Poly([1, -1]),
+                                 Poly.monomial(2, Fraction(-1, 2)))))
+    return g, edge, tiles
+
+
+class TestTilingFold:
+    """On a cactus tiling_poly folds the blocks; the DP over vertex masks,
+    an independent algorithm that any graph can take, is the reference."""
+
+    @staticmethod
+    def check_mask_dp(g, cls):
+        for edge, tiles in fold_weightings(cls):
+            reference = _mask_tiling(g, edge, tiles)
+            assert tiling_poly(g, edge, tiles, cls) == reference, g
+            assert tiling_poly(g, edge, tiles) == reference, g
+        # through mu_poly: the mu weighting read backwards
+        weights = {c: Fraction(len(c) - 2, 5) for c in cls.simple_cycles}
+        f = _mask_tiling(g, Poly.monomial(2, -1),
+                         [(c, Poly.monomial(len(c), -2 * w)) for c, w in weights.items()])
+        assert mu_poly(g, weights, cls) == mu_poly(g, weights) == \
+            Poly(f[g.n - k] for k in range(g.n + 1)), g
+
+    def test_labeled_cacti_upto_6(self):
+        checked = 0
+        for g in all_graphs_upto(6):
+            cls = classify(g)
+            if cls.cactus:
+                self.check_mask_dp(g, cls)
+                checked += 1
+        assert checked > 10000
+
+    def test_atlas7_cacti(self, atlas7):
+        for g in atlas7:
+            cls = classify(g)
+            if cls.cactus:
+                self.check_mask_dp(g, cls)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(cactus_tilings())
+    def test_random_cacti_upto_60(self, drawn):
+        g, edge, tiles = drawn
+        reference = _mask_tiling(g, edge, tiles)
+        assert tiling_poly(g, edge, tiles) == reference, g
+        assert tiling_poly(g, edge, tiles, classify(g)) == reference, g
+
+    def test_a_cactus_takes_no_vertex_mask(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("vertex masks built")
+
+        monkeypatch.setattr("sepgamma.matching._mask_tiling", unreachable)
+        monkeypatch.setattr(Graph, "adjacency_masks", unreachable)
+        n = 300  # m_k(P_n) = C(n-k, k); m_k(C_n) = C(n-k, k) + C(n-k-1, k-1)
+        assert tiling_poly(path_graph(n), X).coeff_list() == \
+            [math.comb(n - k, k) for k in range(n // 2 + 1)]
+        assert tiling_poly(cycle_graph(n), X).coeff_list() == [1] + \
+            [math.comb(n - k, k) + math.comb(n - k - 1, k - 1)
+             for k in range(1, n // 2 + 1)]
+        assert tiling_poly(star_graph(40), X, (), classify(star_graph(40))) == \
+            Poly([1, 40])
+
+    def test_k11_without_tiles_answers(self, monkeypatch):
+        # K11 holds more than 10^6 simple cycles: the tiling never lists them
+        def unreachable(*args, **kwargs):
+            raise AssertionError("cycle search reached")
+
+        monkeypatch.setattr(graphs, "_cycle_search", unreachable)
+        # m_k(K_n) = n! / (k! (n - 2k)! 2^k)
+        assert tiling_poly(complete_graph(11), X).coeff_list() == \
+            [math.factorial(11) // (math.factorial(k) * math.factorial(11 - 2 * k) * 2 ** k)
+             for k in range(6)]
+
+    def test_value_at_a_point(self, atlas7):
+        for g in atlas7:
+            cls = classify(g)
+            if not cls.cactus:
+                with pytest.raises(PreconditionError):
+                    tiling_value(g, 1, (), cls)
+                continue
+            for (edge, tiles), x in zip(fold_weightings(cls), (3, -2, Fraction(1, 2))):
+                at = [(c, w(x)) for c, w in tiles]
+                assert tiling_value(g, edge(x), at, cls) == \
+                    tiling_poly(g, edge, tiles, cls)(x), g

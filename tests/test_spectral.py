@@ -1,16 +1,16 @@
 import random
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_graph, cut_sum_gamma, cycle_graph, empty_graph,
-                      mu_poly, path_graph, real_rootedness,
+                      engine, mu_poly, path_graph, real_rootedness, spectral,
                       suspension_gamma_formula, verify_gamma_mu_bridge)
 
-from conftest import atlas_graphs, count_calls, random_graph
+from conftest import all_graphs_upto, atlas_graphs, count_calls, random_graph
 from oracles import char_poly_adjacency, matching_poly, uniform_weights
 
 
@@ -130,6 +130,10 @@ class TestCharPoly:
             g = random_graph(rng, rng.randrange(1, 6), rng.random())
             assert char_poly_adjacency(g) == brute_char(g)
 
+    def test_shipped_recursion_against_the_reference(self, atlas7):
+        for g in chain(all_graphs_upto(5), atlas7, [empty_graph(0)]):
+            assert spectral.char_poly_adjacency(g) == char_poly_adjacency(g), g
+
     def test_unit_mu_equals_char_poly_atlas6(self, atlas6):
         for g in atlas6:
             assert mu_poly(g, uniform_weights(g, 1)) == char_poly_adjacency(g)
@@ -165,3 +169,22 @@ class TestBridge:
     def test_non_cactus_rejected(self):
         with pytest.raises(PreconditionError):
             verify_gamma_mu_bridge(complete_graph(4), cut_sum_gamma(complete_graph(4)))
+
+    def test_a_fault_in_the_tiling_fails_the_bridge(self, monkeypatch):
+        # C4 with a pendant edge, the cycle tile's term tripled in the
+        # formula and in mu alike: the sampled identity still holds, and
+        # mu with every cycle weighted 1 no longer meets det(xI - A)
+        real = spectral.tiling_poly
+
+        def tripled(g, edge, tiles=(), cls=None):
+            return real(g, edge, [(c, 3 * w) for c, w in tiles], cls)
+
+        g = Graph.make(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
+        assert verify_gamma_mu_bridge(g, suspension_gamma_formula(g))
+        for module in (engine, spectral):
+            monkeypatch.setattr(module, "tiling_poly", tripled)
+        gamma = suspension_gamma_formula(g)
+        mu = mu_poly(g, {(1, 2, 3, 4): Fraction(1, 4)})  # t* = (-1/2)^2
+        assert all(q ** 5 * gamma(Fraction(-1, 2 * q * q)) == mu(q)
+                   for q in range(1, 7))
+        assert not verify_gamma_mu_bridge(g, gamma)
