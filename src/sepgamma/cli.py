@@ -27,7 +27,8 @@ from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
 from .graphs import (Graph, classify, parse_graph, simple_cycles,
                      to_edge_list_text)
 from .matching import check_pair_count_bound
-from .polynomials import Poly, check_properties, real_rootedness
+from .polynomials import (Poly, PropertyReport, _property_reports,
+                          check_properties)
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -109,8 +110,7 @@ def _print_report(doc: dict, fmt: str) -> None:
                 print(f"{key}: {value}")
 
 
-def _properties_doc(p: Poly, fmt: str) -> dict:
-    rep = check_properties(p)
+def _properties_doc(rep: PropertyReport, fmt: str) -> dict:
     doc = {
         "degree": rep.degree,
         "palindromic": _yn(rep.palindromic),
@@ -141,9 +141,12 @@ def cmd_solve(args) -> int:
         doc["polytope"] = args.polytope
     doc.update(_result_doc(res, args.format))
     if check:
-        doc["hstar properties"] = _properties_doc(res.hstar, args.format)
+        # res.gamma, when defined, is the gamma of res.hstar: both reports
+        # come from its one Sturm chain
+        hstar_rep, gamma_rep = _property_reports(res.hstar)
+        doc["hstar properties"] = _properties_doc(hstar_rep, args.format)
         if res.gamma is not None:
-            doc["gamma properties"] = _properties_doc(res.gamma, args.format)
+            doc["gamma properties"] = _properties_doc(gamma_rep, args.format)
     _print_report(doc, args.format)
     return EXIT_OK
 
@@ -334,7 +337,7 @@ def cmd_batch(args) -> int:
                 "gamma": res.gamma.coeff_text(),
                 "hstar": res.hstar.coeff_text(),
                 "volume": res.volume,
-                "real_rooted": _yn(real_rootedness(res.hstar).is_real_rooted),
+                "real_rooted": _yn(check_properties(res.hstar).real_rooted),
                 "agreement": agreement,
             })
         except SepGammaError as exc:

@@ -34,7 +34,8 @@ from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
 class SepResult:
     """gamma, h*, normalized volume and dimension of one polytope, plus the
     method that produced it (formula | cut_sum | interior | ehrhart).
-    gamma is None only for ehrhart results on non-reflexive polytopes."""
+    gamma is None only for ehrhart results on non-reflexive polytopes;
+    otherwise it is hstar_to_gamma(hstar)."""
 
     gamma: Optional[Poly]
     hstar: Poly

@@ -6,7 +6,12 @@ exact.  A single class covers both the integer and the rational case;
 Fractions that reduce to integers are normalized to int.  Real-rootedness
 is decided by one Sturm chain over integer coefficient lists, which
 yields the verdict and the count of distinct real roots that the property
-report carries.
+report carries.  For a palindromic f of degree d that chain is gamma's,
+at half the degree: f(x) = (1+x)^d gamma(x/(1+x)^2), so f is real-rooted
+iff gamma is, with no root right of 1/4, and f has 2 real roots for each
+root of gamma below 1/4, the root 1 when gamma(1/4) = 0, and -1 when
+d > 2 deg gamma.  The chain's signs just right of 1/4 count the roots of
+gamma there.
 """
 
 from __future__ import annotations
@@ -250,21 +255,27 @@ def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
 def hstar_to_gamma(hstar: Poly) -> Poly:
     """Unique gamma with hstar = sum gamma_i x^i (1+x)^(d-2i), d = deg hstar.
 
-    Raises ValueError unless hstar is palindromic of its own degree.
+    For i = 0, 1, ..., d/2, gamma_i is coefficient i of what is left, and
+    gamma_i x^i (1+x)^(d-2i) is taken off it, each binomial an integer
+    from the one before.  Raises ValueError unless hstar is palindromic of
+    its own degree.
     """
     if hstar.is_zero():
         raise ValueError("zero polynomial has no gamma expansion")
     if not hstar.is_palindromic():
         raise ValueError("not palindromic; gamma-polynomial undefined")
     d = hstar.degree
-    rem = hstar
+    rem = list(hstar.coeffs)
     gamma = []
     for i in range(d // 2 + 1):
         gi = rem[i]
         gamma.append(gi)
         if gi:
-            rem = rem - Poly.monomial(i, gi) * one_plus_x_power(d - 2 * i)
-    if not rem.is_zero():  # cannot happen for palindromic input
+            k, b = d - 2 * i, 1
+            for j in range(k + 1):
+                rem[i + j] -= gi * b
+                b = b * (k - j) // (j + 1)
+    if any(rem):  # cannot happen for palindromic input
         raise ValueError("gamma expansion did not terminate")
     return Poly(gamma)
 
@@ -300,6 +311,47 @@ def _sign_changes(signs: list) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def _integers(f: Poly) -> list:
+    """The nonzero f scaled to primitive integers: the lcm of its
+    denominators, read off numerator and denominator, then its content."""
+    lcm = math.lcm(*(c.denominator for c in f.coeffs))
+    return _primitive([c.numerator * (lcm // c.denominator) for c in f.coeffs])
+
+
+def _sturm_chain(cs: list) -> list:
+    """Sturm chain of the primitive integer list cs: cs, cs', then minus
+    each pseudo-remainder of the last two, divided by its content.  The
+    last element is gcd(cs, cs') up to a constant factor."""
+    chain = [cs]
+    nxt = [i * c for i, c in enumerate(cs)][1:]
+    while nxt:
+        chain.append(_primitive(nxt))
+        nxt = _negated_prem(chain[-2], chain[-1])
+    return chain
+
+
+def _at_quarter(p: list) -> int:
+    """4^deg(p) p(1/4), which has the sign of p(1/4)."""
+    v = 0
+    for c in p:
+        v = 4 * v + c
+    return v
+
+
+def _sign_right_of_quarter(p: list) -> int:
+    """Sign of p just right of 1/4: that of p / (4x - 1)^k at 1/4, where k
+    is the multiplicity of the root 1/4; p / (4x - 1) is exact in integers
+    by Gauss's lemma, lowest coefficient first."""
+    while True:
+        v = _at_quarter(p)
+        if v:
+            return 1 if v > 0 else -1
+        q = [-p[0]]
+        for c in p[1:-1]:
+            q.append(4 * q[-1] - c)
+        p = q
+
+
 @dataclass(frozen=True)
 class RealRoots:
     """Verdict of the Sturm count, and the distinct real roots it counted."""
@@ -307,29 +359,48 @@ class RealRoots:
     distinct_real_roots: int
 
 
-def real_rootedness(f: Poly) -> RealRoots:
-    """Count distinct real roots exactly with one Sturm chain over integers;
-    real-rooted iff that count equals the square-free degree.
-
-    f is scaled once to primitive integers (roots unchanged).  The chain
-    starts f, f' and continues with negated pseudo-remainders; its last
-    element is gcd(f, f') up to a constant factor, so sign variations at
-    -inf and +inf differ by the number of distinct real roots and
-    deg f - deg(last) is the square-free degree.
-    """
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    lcm = math.lcm(*(c.denominator for c in f.coeffs))
-    chain = [_primitive([c.numerator * (lcm // c.denominator) for c in f.coeffs])]
-    nxt = [i * c for i, c in enumerate(chain[0])][1:]
-    while nxt:
-        chain.append(_primitive(nxt))
-        nxt = _negated_prem(chain[-2], chain[-1])
+def _chain_roots(chain: list) -> RealRoots:
+    """Sign variations at -inf less those at +inf count the distinct real
+    roots; deg chain[0] - deg chain[-1] is the square-free degree."""
     at_plus = [1 if p[-1] > 0 else -1 for p in chain]
     at_minus = [s if len(p) % 2 else -s for s, p in zip(at_plus, chain)]
     count = _sign_changes(at_minus) - _sign_changes(at_plus)
-    d = len(chain[0]) - len(chain[-1])
-    return RealRoots(count == d, count)
+    return RealRoots(count == len(chain[0]) - len(chain[-1]), count)
+
+
+def _roots_from_gamma(chain: list, gamma_roots: RealRoots, d: int) -> RealRoots:
+    """Real roots of f(x) = (1+x)^d gamma(x/(1+x)^2), from the Sturm chain
+    of gamma and gamma's own count.
+
+    y = x/(1+x)^2 takes two distinct real x to each real root y < 1/4 of
+    gamma (never y = 0, since gamma_0 = f_0), the double root x = 1 to
+    y = 1/4, and no real x to a root y > 1/4 or a non-real one; x = -1, a
+    root of multiplicity d - 2 deg gamma, takes no y.  So f is real-rooted
+    iff gamma is and no root of gamma lies right of 1/4.  The chain's sign
+    variations just right of 1/4, less those at +inf, count the roots
+    there; the signs are taken right of 1/4 because when 1/4 is a multiple
+    root of gamma every element of the chain vanishes at it.
+    """
+    at_plus = _sign_changes([1 if p[-1] > 0 else -1 for p in chain])
+    above = _sign_changes([_sign_right_of_quarter(p) for p in chain]) - at_plus
+    quarter = _at_quarter(chain[0]) == 0
+    below = gamma_roots.distinct_real_roots - above - quarter
+    count = 2 * below + quarter + (d > 2 * (len(chain[0]) - 1))
+    return RealRoots(gamma_roots.is_real_rooted and not above, count)
+
+
+def real_rootedness(f: Poly) -> RealRoots:
+    """Count distinct real roots exactly with one Sturm chain of f over
+    integers; real-rooted iff that count equals the square-free degree.
+
+    f is scaled once to primitive integers (roots unchanged).  The chain
+    ends at gcd(f, f') up to a constant factor, so sign variations at -inf
+    and +inf differ by the number of distinct real roots, and deg f less
+    the degree of its last element is the square-free degree.
+    """
+    if f.is_zero():
+        raise ValueError("zero polynomial")
+    return _chain_roots(_sturm_chain(_integers(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -349,24 +420,37 @@ class PropertyReport:
     real_root_count: int
 
 
-def check_properties(f: Poly) -> PropertyReport:
-    """Evaluate palindromicity, unimodality, log-concavity, gamma-positivity
-    (with the gamma-polynomial attached when defined) and real-rootedness.
-    """
-    palindromic = f.is_palindromic()
-    gamma = hstar_to_gamma(f) if palindromic else None
-    gamma_positive = gamma is not None and all(c >= 0 for c in gamma.coeffs)
-    if f.is_zero():
-        rr = RealRoots(False, 0)  # convention: undefined for 0
-    else:
-        rr = real_rootedness(f)
+def _report(f: Poly, gamma: Optional[Poly], rr: RealRoots) -> PropertyReport:
     return PropertyReport(
         degree=f.degree,
-        palindromic=palindromic,
+        palindromic=gamma is not None,
         unimodal=f.is_unimodal(),
         log_concave=f.is_log_concave(),
-        gamma_positive=gamma_positive,
+        gamma_positive=gamma is not None and all(c >= 0 for c in gamma.coeffs),
         gamma=gamma,
         real_rooted=rr.is_real_rooted,
         real_root_count=rr.distinct_real_roots,
     )
+
+
+def _property_reports(f: Poly) -> tuple:
+    """The report of f and, when f is palindromic, the report of its gamma,
+    both from one Sturm chain of gamma (at half the degree of f's); for
+    any other f, its report by f's own chain and None."""
+    if not f.is_palindromic():
+        rr = real_rootedness(f) if f else RealRoots(False, 0)  # 0: undefined
+        return _report(f, None, rr), None
+    gamma = hstar_to_gamma(f)
+    chain = _sturm_chain(_integers(gamma))
+    gamma_roots = _chain_roots(chain)
+    inner = hstar_to_gamma(gamma) if gamma.is_palindromic() else None
+    return (_report(f, gamma, _roots_from_gamma(chain, gamma_roots, f.degree)),
+            _report(gamma, inner, gamma_roots))
+
+
+def check_properties(f: Poly) -> PropertyReport:
+    """Evaluate palindromicity, unimodality, log-concavity, gamma-positivity
+    (with the gamma-polynomial attached when defined) and real-rootedness,
+    the last from the Sturm chain of gamma when f is palindromic.
+    """
+    return _property_reports(f)[0]

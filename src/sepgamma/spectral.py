@@ -13,6 +13,7 @@ tiling at all: that comparison is what lets the bridge fail.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -88,10 +89,20 @@ def verify_gamma_mu_bridge(g: Graph, gamma: Poly,
         raise PreconditionError("mu bridge is stated for cactus graphs")
     weights = {cyc: Fraction(-1, 2) ** (len(cyc) // 2)
                for cyc in cls.simple_cycles if len(cyc) % 2 == 0}
-    mu = mu_poly(g, weights, cls)
-    for q in range(1, g.n + 2):
-        lhs = (q ** g.n) * gamma(Fraction(-1) / (2 * q * q))
-        if lhs != mu(q):
-            return False
+    n = g.n
+    mu = mu_poly(g, weights, cls).coeffs
+    # both sides times q^shift, which makes q^n gamma(-1/(2q^2)) a
+    # polynomial in q, and times the lcm of their denominators (powers of
+    # two for an integer gamma): the same verdict at each sample, in ints
+    shift = max(0, 2 * gamma.degree - n)
+    scale = math.lcm(*(c.denominator << k for k, c in enumerate(gamma.coeffs)),
+                     *(c.denominator for c in mu))
+    lhs = [0] * (n + shift + 1)
+    for k, c in enumerate(gamma.coeffs):
+        v = int(c * (scale >> k))
+        lhs[n + shift - 2 * k] = -v if k & 1 else v
+    lhs, rhs = Poly(lhs), Poly([0] * shift + [int(c * scale) for c in mu])
+    if any(lhs(q) != rhs(q) for q in range(1, n + 2)):
+        return False
     return mu_poly(g, dict.fromkeys(cls.simple_cycles, 1), cls) == \
         char_poly_adjacency(g)

@@ -9,8 +9,8 @@ from pathlib import Path
 import pytest
 
 from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
-                      matched_vertex_sets, parse_graph, path_graph, star_graph,
-                      to_edge_list_text)
+                      matched_vertex_sets, parse_graph, path_graph, polynomials,
+                      real_rootedness, solve, star_graph, to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
 
@@ -198,6 +198,40 @@ class TestCheck:
     def test_b_polytope(self, c4_file, capsys):
         assert main(["check", c4_file, "--polytope", "b"]) == 0
         assert "volume: 96" in capsys.readouterr().out
+
+    def test_one_chain_of_gamma_per_check(self, tmp_path, capsys, monkeypatch):
+        # a 36-vertex cactus, cycles of 4, 6 and 8 vertices in a row: both
+        # reports come from one Sturm chain, of degree deg gamma, and none
+        # of h*'s degree is built
+        edges, top = [], 1
+        for length in (4, 6, 8, 4, 6, 8, 6):
+            ring = [top] + list(range(top + 1, top + length))
+            edges += zip(ring, ring[1:] + ring[:1])
+            top = ring[-1]
+        g = Graph.make(top, edges)
+        res = solve(g, "ahat")
+        assert (g.n, res.hstar.degree, res.gamma.degree) == (36, 36, 18)
+        hstar_roots = real_rootedness(res.hstar)
+        gamma_roots = real_rootedness(res.gamma)
+        real = polynomials._sturm_chain
+        degrees = []
+
+        def gamma_only(cs):
+            degrees.append(len(cs) - 1)
+            assert len(cs) - 1 != res.hstar.degree
+            return real(cs)
+
+        monkeypatch.setattr(polynomials, "_sturm_chain", gamma_only)
+        path = write(tmp_path, "cactus36.txt", to_edge_list_text(g))
+        assert main(["check", path, "--polytope", "ahat",
+                     "--format", "structured"]) == 0
+        assert degrees == [res.gamma.degree]
+        doc = json.loads(capsys.readouterr().out)
+        for key, roots in (("hstar properties", hstar_roots),
+                           ("gamma properties", gamma_roots)):
+            assert doc[key]["real-rooted"] == ("yes" if roots.is_real_rooted else "NO")
+            assert doc[key]["real-root-count"] == roots.distinct_real_roots
+        assert hstar_roots.is_real_rooted
 
     @pytest.mark.parametrize("command,graph,bound", [
         ("gamma-a", complete_graph(6), "cut-sum=3"),

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sepgamma import (BoundExceededError, Poly, RealRoots, check_properties, gamma_to_hstar,
-                      hstar_to_gamma, real_rootedness)
-from sepgamma.polynomials import check_hstar_size, one_plus_x_power
+from sepgamma import (BoundExceededError, Poly, PreconditionError, RealRoots,
+                      check_properties, cycle_graph, gamma_to_hstar, hstar_to_gamma,
+                      real_rootedness, solve)
+from sepgamma.polynomials import _property_reports, check_hstar_size, one_plus_x_power
 
 from oracles import compose
 
@@ -161,6 +162,20 @@ def test_gamma_to_hstar_round_trip(tail, head, extra):
     assert hstar_to_gamma(h) == gamma
 
 
+rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.lists(st.one_of(st.integers(-10 ** 6, 10 ** 6), rationals), max_size=10),
+       st.one_of(st.integers(1, 10 ** 6), rationals.filter(bool)), st.integers(0, 5))
+def test_hstar_to_gamma_inverts_gamma_to_hstar(tail, head, extra):
+    """Integer and Fraction gamma alike, gamma_0 != 0 so that deg h* = d."""
+    gamma = Poly([head] + tail)
+    h = gamma_to_hstar(gamma, 2 * gamma.degree + extra)
+    assert hstar_to_gamma(h) == gamma
+    assert gamma_to_hstar(hstar_to_gamma(h), h.degree) == h
+
+
 class TestRealRootedness:
     def test_known_nonreal_example(self):
         rr = real_rootedness(Poly([1, 2, 6]))
@@ -271,3 +286,92 @@ class TestPropertyReport:
         assert not Poly([1, 0, 1]).is_log_concave()
         assert Poly([1, 0, 0, 1]).is_log_concave()  # inequalities vacuous through zeros
         assert Poly([0, 1]).is_log_concave()
+
+    def test_quarter_as_a_multiple_root_of_gamma(self):
+        # gamma = (1 - 13x + 22x^2)(4x - 1)^2, with the roots 1/11, 1/2 and
+        # the double root 1/4: every element of its Sturm chain vanishes at
+        # 1/4, and h* has the real roots 1 and two from 1/11
+        h = Poly([1, -13, 44, -75, 86, -75, 44, -13, 1])
+        rep = check_properties(h)
+        assert rep.gamma == Poly([1, -21, 142, -384, 352])
+        assert rep.gamma(Fraction(1, 4)) == 0
+        assert (rep.real_rooted, rep.real_root_count) == (False, 3)
+        assert real_rootedness(h) == RealRoots(False, 3)
+
+    def test_one_chain_for_both_reports(self, monkeypatch):
+        from sepgamma import polynomials
+        real = polynomials._sturm_chain
+        degrees = []
+
+        def counted(cs):
+            degrees.append(len(cs) - 1)
+            return real(cs)
+
+        monkeypatch.setattr(polynomials, "_sturm_chain", counted)
+        h = Poly([1, 9, 9, 1])
+        hstar_rep, gamma_rep = _property_reports(h)
+        assert degrees == [1]
+        assert hstar_rep == check_properties(h)
+        assert gamma_rep == check_properties(Poly([1, 6]))
+        assert _property_reports(Poly([1, 1, 0, 1]))[1] is None
+
+
+# x^2 + (2 - 1/r)x + 1 = (1+x)^2 (1 - y/r) at y = x/(1+x)^2: gamma 1 - x/r,
+# with the root r; r = 1/4 gives (1 - x)^2
+gamma_roots = st.one_of(
+    st.just(Fraction(1, 4)),
+    st.builds(Fraction, st.integers(-12, 12).filter(bool), st.integers(1, 40)))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(signed_scalars, st.lists(st.tuples(gamma_roots, st.integers(1, 3)), max_size=4),
+       st.integers(0, 3))
+@example(Fraction(1), [(Fraction(1, 4), 2)], 0)
+@example(Fraction(-2, 3), [(Fraction(1, 4), 3), (Fraction(1, 5), 2), (Fraction(2, 7), 1)], 2)
+def test_gamma_route_on_palindromic_products(s, factors, k):
+    """s (1+x)^k prod (x^2 + (2 - 1/r)x + 1)^e: two real roots for each
+    distinct r < 1/4, the root 1 for r = 1/4, -1 when k > 0, and real-rooted
+    iff no r > 1/4.  The report agrees with that and with the h* chain."""
+    f = Poly([s]) * Poly([1, 1]) ** k
+    for r, e in factors:
+        f = f * Poly([1, 2 - 1 / r, 1]) ** e
+    quarter = Fraction(1, 4)
+    rs = {r for r, _ in factors}
+    expected = RealRoots(all(r <= quarter for r in rs),
+                         2 * sum(r < quarter for r in rs) + (quarter in rs) + (k > 0))
+    rep = check_properties(f)
+    assert rep.palindromic
+    assert RealRoots(rep.real_rooted, rep.real_root_count) == expected == real_rootedness(f)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(-30, 30), rationals), max_size=6),
+       st.integers(-9, 9).filter(bool), st.integers(1, 4))
+def test_gamma_route_on_expanded_gamma(tail, head, extra):
+    """h* = gamma_to_hstar(gamma, d) for a random signed gamma, d > 2 deg gamma."""
+    gamma = Poly([head] + tail)
+    f = gamma_to_hstar(gamma, 2 * gamma.degree + extra)
+    rep = check_properties(f)
+    assert rep.gamma == gamma
+    assert RealRoots(rep.real_rooted, rep.real_root_count) == real_rootedness(f)
+
+
+def test_graph_hstar_reports_against_the_hstar_chain(atlas7):
+    """Every atlas7 h* of ahat and b, and the wheels C3-C60: the report's
+    verdict and count are those of the Sturm chain of h* itself, and the
+    gamma report's those of the chain of gamma."""
+    results = []
+    for g in atlas7:
+        results.append(solve(g, "ahat"))
+        try:
+            results.append(solve(g, "b"))
+        except PreconditionError:
+            pass
+    results += [solve(cycle_graph(n), "ahat") for n in range(3, 61)]
+    for res in results:
+        hstar_rep, gamma_rep = _property_reports(res.hstar)
+        assert hstar_rep.gamma == res.gamma
+        assert RealRoots(hstar_rep.real_rooted, hstar_rep.real_root_count) == \
+            real_rootedness(res.hstar)
+        assert RealRoots(gamma_rep.real_rooted, gamma_rep.real_root_count) == \
+            real_rootedness(res.gamma)
