@@ -8,14 +8,14 @@ from .engine import (ROUTES, SepResult, gamma_a_cut_sum, gamma_a_pairs,
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Graph, GraphClassification, classify,
-                     complete_bipartite, complete_graph, cuts, cycle_graph,
+                     complete_bipartite, complete_graph, cycle_graph,
                      empty_graph, parse_graph, path_graph, simple_cycles,
                      star_graph, suspension, to_edge_list_text)
 from .interior import cut_sum_gamma
 from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       count_points, ehrhart_data, h_representation,
                       hstar_from_counts)
-from .matching import matchable_pairs, matched_vertex_sets, tiling_poly
+from .matching import matchable_pairs, tiling_poly
 from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
                           gamma_to_hstar, hstar_to_gamma, real_rootedness)
 from .spectral import mu_poly, verify_gamma_mu_bridge

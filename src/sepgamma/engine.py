@@ -102,8 +102,8 @@ def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> S
 
 
 def gamma_a_cut_sum(g: Graph, bounds: Optional[Mapping] = None) -> SepResult:
-    """Type-A result by the cut-sum formula, one cut at a time; valid for
-    every graph.  The oracle behind --method cuts."""
+    """Type-A result by the cut-sum formula, walked over every cut; valid
+    for every graph.  The oracle behind --method cuts."""
     return _pack(cut_sum_gamma(g, bounds), g.n, "cut_sum")
 
 

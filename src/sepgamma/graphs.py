@@ -1,6 +1,6 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
-the polytope formulas need: cycle enumeration, the crossing graph of every
-cut, cactus/bipartite classification, and the suspension.  The witness
+the polytope formulas need: cycle enumeration, cactus/bipartite
+classification, and the suspension.  The witness
 builds its own graph (see witness); the line graph, the complement and the
 blow-up by a clique live with the tests.  One validator checks every graph
 built from outside the package: the parser and Graph.make both end in
@@ -407,23 +407,3 @@ def classify(g: Graph) -> GraphClassification:
         simple_cycles=None if cycles is None else tuple(sorted(cycles)),
         blocks=tuple(vertex_sets),
     )
-
-
-# ---------------------------------------------------------------------------
-# Cuts
-# ---------------------------------------------------------------------------
-
-def cuts(g: Graph) -> list:
-    """The crossing graphs E_S of the 2^(n-1) cuts, one per complementary
-    pair {S, complement}: S runs over the vertex sets holding vertex 1,
-    ascending as bitmasks (bit v-1 marks v).  The empty cut appears as
-    S = {1..n}.  Disconnected graphs may repeat edge sets under different
-    S; the multiset semantics is what the cut-sum formula needs.
-    """
-    if g.n < 1:
-        raise PreconditionError("cuts need at least one vertex")
-    ends = [(e, 1 << (e[0] - 1) | 1 << (e[1] - 1)) for e in g.edges]
-    # an edge crosses when S holds one of its ends but not both
-    return [Graph(g.n, frozenset(e for e, both in ends
-                                 if 0 < s & both != both))
-            for s in range(1, 1 << g.n, 2)]

@@ -12,9 +12,6 @@ ordered pairs where swapping A and B is a symmetry and counts each block
 once, so its work and its guard follow the largest block.  Both fold the
 blocks in the order classify's depth-first search closed them, each after
 the blocks below it, and join them at a vertex with one helper.
-The |M(G,k)| oracle builds the matched vertex sets themselves, one size
-at a time, from the lowest vertex of each, without listing matchings;
-its one caller, the cut sum, guards it by n.
 """
 
 from __future__ import annotations
@@ -369,38 +366,3 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
         full = sum((p for m, p in tally.items() if m), minus)
         total = _fold_block(hang, total, a, full, minus, not a)
     return total.coeff_list()
-
-
-def matched_vertex_sets(g: Graph) -> list:
-    """|M(G,k)|, the number of vertex sets of k-matchings, as the sizes of
-    levels of vertex bitmasks: level 0 is {empty set}, and level k+1 holds
-    every S + u + v with S in level k, u below every vertex of S, and uv an
-    edge with v above u and outside S.  In a matching of a set T, the
-    lowest vertex u of T is matched to some v above it, and the other edges
-    match T - u - v, whose vertices all lie above u; so each level holds
-    exactly the matched sets of its size, and no matching is listed.
-    Trailing zeros are trimmed; |M(G,0)| = 1."""
-    adj = g.adjacency_masks()
-    up = [adj[u] >> (u + 1) << (u + 1) for u in range(g.n)]
-    out = [1]
-    level = {0}
-    top = 1 << g.n
-    while True:
-        grown = set()
-        for s in level:
-            below = (s & -s or top) - 1
-            while below:
-                bit = below & -below
-                below ^= bit
-                u = bit.bit_length() - 1
-                free = up[u] & ~s
-                s_u = s | bit
-                while free:
-                    v = free & -free
-                    free ^= v
-                    grown.add(s_u | v)
-        if not grown:
-            return out
-        out.append(len(grown))
-        level = grown
-

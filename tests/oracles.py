@@ -28,6 +28,11 @@ is brought to full dimension by the same Bezout-step elimination that
 the hyperplane brute force uses (reduce_to_full_dim_reference).  No
 reference imports a private name of the package.
 
+The package's cut sum walks the cuts depth first and shares each prefix's
+matched vertex sets; cut_sum_reference is the loop it replaced, which
+builds the crossing graph of every cut (cuts) and counts each from scratch
+(matched_vertex_sets, which the pair count is checked against too).
+
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
@@ -45,13 +50,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
                       PreconditionError, VerificationError, classify,
                       cycle_graph, gamma_a_suspension, h_representation,
                       simple_cycles, tiling_poly)
+from sepgamma.errors import bound
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
 
@@ -301,6 +307,80 @@ def matched_sets_by_matchings(g: Graph) -> list:
     while out and out[-1] == 0:
         out.pop()
     return out
+
+
+def cuts(g: Graph) -> list:
+    """The crossing graphs E_S of the 2^(n-1) cuts, one per complementary
+    pair {S, complement}: S runs over the vertex sets holding vertex 1,
+    ascending as bitmasks (bit v-1 marks v).  The empty cut appears as
+    S = {1..n}.  Disconnected graphs may repeat edge sets under different
+    S; the multiset semantics is what the cut-sum formula needs.
+    """
+    if g.n < 1:
+        raise PreconditionError("cuts need at least one vertex")
+    ends = [(e, 1 << (e[0] - 1) | 1 << (e[1] - 1)) for e in g.edges]
+    # an edge crosses when S holds one of its ends but not both
+    return [Graph(g.n, frozenset(e for e, both in ends
+                                 if 0 < s & both != both))
+            for s in range(1, 1 << g.n, 2)]
+
+
+def matched_vertex_sets(g: Graph) -> list:
+    """|M(G,k)|, the number of vertex sets of k-matchings, as the sizes of
+    levels of vertex bitmasks: level 0 is {empty set}, and level k+1 holds
+    every S + u + v with S in level k, u below every vertex of S, and uv an
+    edge with v above u and outside S.  In a matching of a set T, the
+    lowest vertex u of T is matched to some v above it, and the other edges
+    match T - u - v, whose vertices all lie above u; so each level holds
+    exactly the matched sets of its size, and no matching is listed.
+    Trailing zeros are trimmed; |M(G,0)| = 1."""
+    adj = g.adjacency_masks()
+    up = [adj[u] >> (u + 1) << (u + 1) for u in range(g.n)]
+    out = [1]
+    level = {0}
+    top = 1 << g.n
+    while True:
+        grown = set()
+        for s in level:
+            below = (s & -s or top) - 1
+            while below:
+                bit = below & -below
+                below ^= bit
+                u = bit.bit_length() - 1
+                free = up[u] & ~s
+                s_u = s | bit
+                while free:
+                    v = free & -free
+                    free ^= v
+                    grown.add(s_u | v)
+        if not grown:
+            return out
+        out.append(len(grown))
+        level = grown
+
+
+def cut_sum_reference(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
+    """The cut-sum formula one cut at a time, the loop the package's
+    depth-first walk (sepgamma.cut_sum_gamma) replaced: build the crossing
+    graph of every cut with cuts, count its matched vertex sets from
+    scratch with matched_vertex_sets, and average sum_k |M(E_S,k)| 4^k over
+    the cuts, under the same guards."""
+    if g.n < 1:
+        raise PreconditionError("need at least one vertex")
+    limit = bound(bounds, "cut-sum")
+    if g.n > limit:
+        raise BoundExceededError(f"cut sum over {g.n} > {limit} vertices")
+    total = []
+    for cut in cuts(g):
+        mv = matched_vertex_sets(cut)
+        total += [0] * (len(mv) - len(total))
+        for k, c in enumerate(mv):
+            total[k] += c << (2 * k)
+    gamma = [divmod(c, 1 << (g.n - 1)) for c in total]
+    if any(r for _, r in gamma):
+        raise VerificationError(
+            f"cut sum {total} is not divisible by 2^{g.n - 1}")
+    return Poly(q for q, _ in gamma)
 
 
 def matchable_pairs_reference(g: Graph, sources=None) -> list:
@@ -792,7 +872,7 @@ def reorder_hyperedges(h: Hypergraph, perm) -> Hypergraph:
 def interior_tilde_definition(g: Graph, b: Optional[Bipartition] = None,
                               hyperedge_part: int = 2) -> Poly:
     """Definition-level counterpart of sum_k |M(g,k)| x^k
-    (sepgamma.matched_vertex_sets): build the augmented graph, read it as a
+    (matched_vertex_sets): build the augmented graph, read it as a
     hypergraph, enumerate hypertrees."""
     if b is None:
         b = bipartition_of(g)

@@ -15,8 +15,7 @@ import pytest
 from sepgamma import (Graph, Poly, build_a, build_b, classify, complete_graph,
                       cut_sum_gamma, cycle_graph, ehrhart_data, empty_graph,
                       gamma_a_cut_sum, gamma_a_suspension, gamma_b,
-                      gamma_b_interior, hstar_to_gamma, matched_vertex_sets,
-                      mu_poly, real_rootedness, solve, suspension,
+                      gamma_b_interior, hstar_to_gamma, mu_poly, real_rootedness, solve, suspension,
                       suspension_gamma_formula, tiling_poly,
                       verify_gamma_mu_bridge, witness_a, witness_b)
 
@@ -24,7 +23,8 @@ from conftest import all_graphs_upto, atlas_graphs, random_graph
 from oracles import (bipartition_of, char_poly_adjacency,
                      independence_composition_check, independence_poly,
                      interior_tilde_definition, line_graph,
-                     matched_sets_tiling, matching_poly, reflexivity_check,
+                     matched_sets_tiling, matched_vertex_sets, matching_poly,
+                     reflexivity_check,
                      uniform_weights, wheel_closed_form)
 
 

@@ -9,7 +9,7 @@ from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
                       empty_graph, gamma_a_cut_sum, gamma_a_suspension, gamma_b,
                       gamma_b_interior, h_representation, hstar_to_gamma,
-                      matched_vertex_sets, path_graph, solve, star_graph,
+                      path_graph, solve, star_graph,
                       suspension, suspension_gamma_formula)
 from sepgamma.matching import tiling_value
 
@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import random_graph
 from oracles import (gamma_a_cycle_reference, gen_poly_reference,
-                     wheel_closed_form)
+                     matched_vertex_sets, wheel_closed_form)
 
 
 def check_sep_invariants(res):

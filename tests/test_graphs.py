@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
                       PreconditionError, classify, complete_bipartite,
-                      complete_graph, cuts, cycle_graph, empty_graph,
+                      complete_graph, cycle_graph, empty_graph,
                       parse_graph, path_graph, simple_cycles, star_graph,
                       suspension, to_edge_list_text)
 from sepgamma.graphs import cycle_edges
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
 from oracles import (bipartition_of, classify_reference, complement,
-                     connected_components, delete_vertices,
+                     connected_components, cuts, delete_vertices,
                      even_cycle_families, lex_product, lex_product_complete,
                      line_graph, simple_cycles_reference, tilde)
 

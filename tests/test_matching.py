@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gamma_b, graphs,
-                      matchable_pairs, matched_vertex_sets, mu_poly,
+                      matchable_pairs, mu_poly,
                       path_graph, real_rootedness, star_graph,
                       suspension_gamma_formula, tiling_poly)
 from sepgamma.matching import _mask_tiling, tiling_value
@@ -18,6 +18,7 @@ from sepgamma.matching import _mask_tiling, tiling_value
 from conftest import all_graphs_upto, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      line_graph, matchable_pairs_reference, matched_sets_by_matchings,
+                     matched_vertex_sets,
                      matched_sets_reference, matched_sets_tiling,
                      matching_counts, matching_poly, mu_poly_reference,
                      suspension_gamma_reference)
