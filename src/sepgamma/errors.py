@@ -14,7 +14,10 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 BOUNDS = MappingProxyType({
-    "cut-sum": 20,  # n of the cut sum; largest block of the suspension pair count
+    # n of the cut sum, which sizes the walk's memory as well as its time:
+    # O(n) bitmaps of 2^n bits, so memory grows as 2^n past the default;
+    # also the largest block of the suspension pair count
+    "cut-sum": 20,
     "matched-sets": 16,  # largest block of the type-B interior pair count
     "hrep-dim": 7,  # dimension of the Ehrhart oracle's facet search
     "hrep-points": 64,  # distinct points of that search

@@ -218,7 +218,7 @@ class TestCutSum:
 
     def test_complete_graphs_closed_form(self):
         # gamma_k of the suspension of K_n is C(n, 2k) C(2k, k)
-        for n in range(8, 12):
+        for n in range(8, 14):
             assert cut_sum_gamma(complete_graph(n)).coeff_list() == \
                 [math.comb(n, 2 * k) * math.comb(2 * k, k) for k in range(n // 2 + 1)]
 
@@ -247,18 +247,25 @@ class TestCutSum:
     @given(grouped_graphs(11))
     @example(empty_graph(1))
     @example(Graph.make(11, [(1, 2), (2, 3), (4, 5), (5, 6), (4, 6), (8, 9)]))
+    @example(empty_graph(11))  # no shift: each cut keeps only the empty set
+    @example(Graph.make(11, [(2, 3), (3, 4), (2, 4), (5, 6), (6, 7), (7, 8),
+                             (5, 8), (9, 10), (10, 11)]))  # vertex 1 isolated
+    @example(Graph.make(11, [(10, 11)]))  # the top miss mask alone
     def test_walk_equals_cut_by_cut_loop_on_random_graphs(self, g):
         assert cut_sum_gamma(g) == cut_sum_reference(g), g
 
     def test_memory_follows_one_path_of_the_walk(self):
-        # The walk holds the families of one root-to-leaf path: 0.03 MB at
-        # the tracemalloc peak on K10, where building the list of all 512
-        # crossing graphs first took 1.15 MB.
-        g = complete_graph(10)
-        tracemalloc.start()
-        try:
-            cut_sum_gamma(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 250_000
+        # The walk holds the bitmaps of one root-to-leaf path and n counter
+        # slices, never one bitmap per cut.  At the tracemalloc peak: 6 kB
+        # on K10, where building the list of all 512 crossing graphs first
+        # took 1.15 MB; 0.39 MB on C16, where one 8 kB leaf bitmap per cut
+        # would take 268 MB.
+        for g, limit in ((complete_graph(10), 250_000),
+                         (cycle_graph(16), 1_000_000)):
+            tracemalloc.start()
+            try:
+                cut_sum_gamma(g)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < limit, g
