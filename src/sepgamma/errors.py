@@ -16,9 +16,12 @@ from typing import Mapping, Optional
 BOUNDS = MappingProxyType({
     # n of the cut sum, which sizes the walk's memory as well as its time:
     # O(n) bitmaps of 2^n bits, so memory grows as 2^n past the default;
-    # also the largest block of the suspension pair count
+    # also the largest block s of the suspension pair count, which holds
+    # O(s) bitmaps of 2^s bits on a dense block (128 KB each at 20)
     "cut-sum": 20,
-    "matched-sets": 16,  # largest block of the type-B interior pair count
+    # largest block s of the type-B interior pair count: on a dense block,
+    # O(s) bitmaps of at most 2^s bits, so memory grows as 2^s past it
+    "matched-sets": 16,
     "hrep-dim": 7,  # dimension of the Ehrhart oracle's facet search
     "hrep-points": 64,  # distinct points of that search
     "box": 10 ** 9,  # lattice points in the bounding box of each dilate tP counted

@@ -19,6 +19,7 @@ from typing import Mapping, Optional
 from .errors import (BoundExceededError, PreconditionError,
                      VerificationError, bound)
 from .graphs import Graph
+from .matching import miss_masks
 from .polynomials import Poly
 
 
@@ -45,9 +46,7 @@ def cut_sum_gamma(g: Graph, bounds: Optional[Mapping] = None) -> Poly:
     if g.n > limit:
         raise BoundExceededError(f"cut sum over {g.n} > {limit} vertices")
     adj = g.adjacency_masks()
-    miss = [1] * (g.n - 1)  # miss[v]: the sets without v, of 2^(n-1) bits
-    for u in range(g.n - 1):  # double each run of ones
-        miss = [m if v == u else m | m << (1 << u) for v, m in enumerate(miss)]
+    miss = miss_masks(g.n - 1)  # miss[v]: the sets without v, of 2^(n-1) bits
     slices = [0] * g.n  # a set is matched in at most the 2^(n-1) cuts
 
     def walk(j: int, inside: int, found: int) -> None:

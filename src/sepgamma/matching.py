@@ -9,7 +9,10 @@ over the blocks; any other graph takes a DP over vertex masks.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it grows half the
 ordered pairs where swapping A and B is a symmetry and counts each block
-once, so its work and its guard follow the largest block.  Both fold the
+once, so its work and its guard follow the largest block.  A dense block
+holds each A's matchable B's as one subset bitmap, any other block as a
+set of vertex masks; the bitmap's memory, O(s) ints of 2^s bits for a
+block of s vertices, is sized by the same guard.  Both fold the
 blocks in the order classify's depth-first search closed them, each after
 the blocks below it, and join them at a vertex with one helper.
 """
@@ -264,29 +267,88 @@ def _bits(mask: int):
         yield low
 
 
-def _pair_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
+# The smallest block that _pair_tally holds as bitmaps when half or more
+# of its vertex pairs are edges: with two tracked vertices, the bitmap took
+# 1.10 to 1.18 times as long as the sets on 8-vertex blocks with 1/2 to 2/3
+# of the pairs as edges, and 0.96 times on 9-vertex blocks at 1/2.
+BITMAP_MIN_BLOCK = 9
+
+
+def miss_masks(n: int) -> list:
+    """miss[v] for v < n: the bitmap of 2^n bits whose bit t is set when the
+    vertex mask t leaves out v, built by doubling each run of ones."""
+    miss = [1] * n
+    for u in range(n):
+        miss = [m if v == u else m | m << (1 << u) for v, m in enumerate(miss)]
+    return miss
+
+
+def _pair_tally(adj: list, block: int, sources: int, tracked: int,
+                bitmap: Optional[bool] = None) -> dict:
     """{m: [c_0, c_1, ...]}: c_k counts the matchable pairs (A, B) of
     k-sets of the vertex mask `block`, A in `sources`, with
     (A | B) & tracked = m; the lists may end in zeros.
 
-    A grows in increasing vertex order, and each A keeps the deduplicated
-    bitmasks of its matchable B's: B + b is matchable to A + a (a above A)
-    iff B is matchable to A, a is not in B, and b is a neighbour of a in
-    neither A + a nor B.  So an A with no matchable B has no extension
-    with one.  When every vertex of the block is a source, (A, B) is
-    matchable iff (B, A) is, and for k >= 1 exactly one of the two has the
-    lowest vertex of A | B in A: only those pairs grow (every vertex of B
-    above min A, a family closed under the reduction above), and each
-    counts twice.  The swap keeps A | B, so it keeps m too.
+    A grows in increasing vertex order, and each A keeps its matchable B's:
+    B + b is matchable to A + a (a above A) iff B is matchable to A, a is
+    not in B, and b is a neighbour of a in neither A + a nor B.  So an A
+    with no matchable B has no extension with one.  When every vertex of
+    the block is a source, (A, B) is matchable iff (B, A) is, and for
+    k >= 1 exactly one of the two has the lowest vertex of A | B in A:
+    only those pairs grow (every vertex of B above min A, a family closed
+    under the reduction above), and each counts twice.  The swap keeps
+    A | B, so it keeps m too.
+
+    An A holds its B's in one of two forms, and both grow the same pairs.
+    A set of B's vertex masks adds one element per B and neighbour.  A
+    bitmap numbers the t vertices a B can hold, the block's neighbours of
+    sources (all s of the block on the suspension, one side on type B),
+    0..t-1 in increasing order, and sets bit i when the B with local mask
+    i is matchable.  B + b for all B's at once is then
+    (B's & miss[a] & miss[b]) shifted up by 2^j, j the number of b and
+    miss[v] marking the masks without v; an A's count is its popcount,
+    split by each free tracked vertex into the B's with and without it.
+    The bitmap's work per A follows its 2^t bits, the sets' the number of
+    B's, so the bitmap wins on dense blocks (K13: 25 against 91 ms of CPU)
+    and loses far on sparse ones (the 2 x 10 ladder: 15.5 against 0.72 s).
+    A block takes it when s >= BITMAP_MIN_BLOCK and 4 |E| >= s (s - 1),
+    the crossover that README tabulates; `bitmap` forces one form, for the
+    tests.
     """
     order = [(1 << v, adj[v] & block) for v in range(block.bit_length())
              if (block & sources) >> v & 1]
     half = block & sources == block
-    size = block.bit_count() // 2 + 1
-    rows = defaultdict(lambda: [0] * size)
+    s = block.bit_count()
+    rows = defaultdict(lambda: [0] * (s // 2 + 1))
     rows[0][0] = 1
+    if bitmap is None:
+        bitmap = s >= BITMAP_MIN_BLOCK and s * (s - 1) <= 2 * sum(
+            (adj[v.bit_length() - 1] & block).bit_count() for v in _bits(block))
+    if bitmap:  # B's bits 0..t-1: the t neighbours of sources, in order
+        targets = 0
+        for _, near in order:
+            targets |= near
+        t = targets.bit_count()
+        miss = dict.fromkeys(_bits(block), (1 << (1 << t)) - 1)  # in no B
+        miss.update(zip(_bits(targets), miss_masks(t)))
+        shift = {v: 1 << i for i, v in enumerate(_bits(targets))}
 
-    def grow(start: int, taken: int, bs: set, allowed: int) -> None:
+        def split(fam: int, m: int, free: int, k: int) -> None:
+            """Add the B's of fam to rows[m | B & free][k], one tracked
+            vertex c of free at a time: the B's without c stay, and those
+            with c go one level down, so a path holds |free| bitmaps."""
+            while free:
+                c = free & -free
+                free ^= c
+                out = fam & miss[c]
+                if fam ^ out:
+                    split(fam ^ out, m | c, free, k)
+                fam = out
+                if not fam:
+                    return
+            rows[m][k] += fam.bit_count()
+
+    def grow(start: int, taken: int, fam, allowed: int) -> None:
         for i in range(start, len(order)):
             bit, near = order[i]
             if half and not taken:
@@ -294,27 +356,36 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
             near &= allowed & ~(taken | bit)
             if not near:
                 continue
-            grown = set()
-            for b in bs:
-                if b & bit:
-                    continue
-                free = near & ~b
-                while free:
-                    low = free & -free
-                    free ^= low
-                    grown.add(b | low)
+            if bitmap:
+                fam_a, grown = fam & miss[bit], 0
+                while near:
+                    b = near & -near
+                    near ^= b
+                    grown |= (fam_a & miss[b]) << shift[b]
+            else:
+                grown = set()
+                for b in fam:
+                    if b & bit:
+                        continue
+                    free = near & ~b
+                    while free:
+                        low = free & -free
+                        free ^= low
+                        grown.add(b | low)
             if grown:
                 a = taken | bit
                 k = a.bit_count()
                 free = tracked & ~a
-                if free:
+                if bitmap:  # no B holds a vertex outside allowed
+                    split(grown, a & tracked, free & allowed, k)
+                elif free:
                     for b in grown:
                         rows[a & tracked | b & free][k] += 1
                 else:
                     rows[a & tracked][k] += len(grown)
                 grow(i + 1, a, grown, allowed)
 
-    grow(0, 0, {0}, block)
+    grow(0, 0, 1 if bitmap else {0}, block)
     if half:
         for row in rows.values():
             row[1:] = [2 * c for c in row[1:]]

@@ -11,9 +11,9 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gamma_b, graphs,
                       matchable_pairs, mu_poly,
-                      path_graph, real_rootedness, star_graph,
+                      path_graph, real_rootedness, solve, star_graph,
                       suspension_gamma_formula, tiling_poly)
-from sepgamma.matching import _mask_tiling, tiling_value
+from sepgamma.matching import _mask_tiling, _pair_tally, tiling_value
 
 from conftest import all_graphs_upto, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
@@ -262,10 +262,10 @@ class TestMatchablePairs:
     def test_closed_forms(self):
         # gamma_k of the suspension of K_n is C(n, 2k) C(2k, k); |M(K_k,k, j)|
         # is C(k, j)^2
-        for n in range(1, 13):
+        for n in range(1, 15):
             assert matchable_pairs(complete_graph(n)) == \
                 [math.comb(n, 2 * k) * math.comb(2 * k, k) for k in range(n // 2 + 1)]
-        for k in range(1, 8):
+        for k in range(1, 9):
             assert matchable_pairs(complete_bipartite(k, k), range(1, k + 1)) == \
                 [math.comb(k, j) ** 2 for j in range(k + 1)]
 
@@ -275,6 +275,139 @@ class TestMatchablePairs:
         assert matchable_pairs(path_graph(3)) == [1, 4]
         assert matchable_pairs(path_graph(3), [2]) == [1, 2]
         assert matchable_pairs(path_graph(3), [1, 3]) == [1, 2]
+
+
+def mask(vertices) -> int:
+    return sum(1 << (v - 1) for v in vertices)
+
+
+def tally_both_ways(adj: list, block: int, sources: int, tracked: int) -> dict:
+    """_pair_tally of one block with the B's as sets and as bitmaps, which
+    must agree key for key; the sets' tally."""
+    sets = _pair_tally(adj, block, sources, tracked, bitmap=False)
+    assert _pair_tally(adj, block, sources, tracked, bitmap=True) == sets, \
+        (adj, block, sources, tracked)
+    return sets
+
+
+@st.composite
+def tally_inputs(draw, max_n):
+    """(adjacency masks, block, sources, tracked) on at most max_n vertices:
+    any vertex masks, the block dense or sparse, every vertex of it a
+    source or some of them, tracked within the block."""
+    n = draw(st.integers(1, max_n))
+    p = draw(st.sampled_from((0.3, 0.6, 0.9)))
+    g = Graph.make(n, [e for e in pair_list(n)
+                       if draw(st.integers(0, 9)) < 10 * p])
+    top = (1 << n) - 1
+    block = draw(st.integers(1, top))
+    sources = draw(st.sampled_from((top, draw(st.integers(0, top)))))
+    return g.adjacency_masks(), block, sources, draw(st.integers(0, top)) & block
+
+
+def dense_glued_graphs() -> list:
+    """Graphs with a block of 9 to 11 vertices, at least half of its vertex
+    pairs edges, that shares vertices with other blocks, so its pair count
+    splits by tracked vertices; each also with labels shuffled by a fixed
+    permutation."""
+    def k(vs):
+        return list(combinations(vs, 2))
+
+    def kk(left, right):
+        return [(u, v) for u in left for v in right]
+
+    k9 = k(range(1, 10))
+    glued = [
+        Graph.make(12, k9 + [(9, 10), (10, 11), (11, 9), (1, 12)]),
+        Graph.make(12, k9 + [(9, 10), (10, 11), (11, 12), (12, 9)]),
+        Graph.make(12, [e for e in k(range(1, 11)) if e[1] - e[0] != 5]
+                   + [(10, 11), (11, 12)]),
+        Graph.make(13, k(range(1, 12)) + [(1, 12), (11, 13)]),
+        Graph.make(14, k9 + k(range(9, 14)) + [(13, 14)]),
+        Graph.make(13, kk(range(1, 5), range(5, 10))
+                   + [(9, 10), (10, 11), (11, 12), (12, 9), (1, 13)]),
+        Graph.make(12, kk(range(1, 6), range(6, 11)) + [(1, 11), (10, 12)]),
+        Graph.make(13, kk(range(1, 6), range(6, 12)) + [(11, 12), (12, 13)]),
+    ]
+    rng = random.Random(30)
+    out = []
+    for g in glued:
+        perm = list(range(1, g.n + 1))
+        rng.shuffle(perm)
+        out += [g, Graph.make(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])]
+    return out
+
+
+class TestPairTallyForms:
+    """_pair_tally holds the B's of each A as a set of vertex masks or as
+    one subset bitmap, chosen per block; both forms count the same pairs
+    for every block, source set and tracked set."""
+
+    def test_every_labeled_graph_upto_6(self):
+        # each graph with every vertex as a source and with each side of a
+        # bipartition, tracking none, its last vertex or all in turn
+        for i, g in enumerate(all_graphs_upto(6)):
+            adj, top = g.adjacency_masks(), (1 << g.n) - 1
+            tracked = (0, 1 << (g.n - 1), top)[i % 3]
+            for sources in (top, *(mask(side) for side in bipartition_of(g) or ())):
+                tally_both_ways(adj, top, sources, tracked)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(tally_inputs(12))
+    def test_random_blocks_upto_12(self, case):
+        tally_both_ways(*case)
+
+    def test_dense_blocks_with_tracked_vertices(self, monkeypatch):
+        from sepgamma import matching
+        tally = matching._pair_tally
+        split = []
+
+        def spy(adj, block, sources, tracked):
+            rows = tally(adj, block, sources, tracked)
+            s = block.bit_count()
+            edges = sum((adj[v] & block).bit_count()
+                        for v in range(len(adj)) if block >> v & 1) // 2
+            if s >= matching.BITMAP_MIN_BLOCK and 4 * edges >= s * (s - 1) \
+                    and tracked:
+                split.append(block)
+                assert tally(adj, block, sources, tracked, False) == rows
+            return rows
+
+        monkeypatch.setattr(matching, "_pair_tally", spy)
+        for g in dense_glued_graphs():
+            seen = len(split)
+            assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+            for side in bipartition_of(g) or ():
+                assert matchable_pairs(g, side) == matched_vertex_sets(g), g
+            assert len(split) > seen, g
+
+    def test_sparse_blocks_never_take_the_bitmap(self, monkeypatch):
+        from sepgamma import matching
+
+        def fail(n):
+            raise AssertionError(f"bitmap over {n} vertices")
+
+        monkeypatch.setattr(matching, "miss_masks", fail)
+        with pytest.raises(AssertionError, match="bitmap"):
+            matchable_pairs(complete_graph(9))
+        ladder = Graph.make(20, [(i, i + 1) for i in range(1, 20) if i != 10]
+                            + [(i, i + 10) for i in range(1, 11)])
+        gamma = solve(ladder, "ahat", bounds={"cut-sum": 22}).gamma.coeff_list()
+        assert gamma[:2] == [1, 2 * 28] and len(gamma) == 11  # a perfect matching
+        grid = Graph.make(18, [(v, v + 1) for v in range(1, 18) if v % 6]
+                          + [(v, v + 6) for v in range(1, 13)])
+        assert matchable_pairs(grid)[:2] == [1, 2 * 27]
+
+    def test_memory_of_dense_blocks(self):
+        import tracemalloc
+        for g, sources, limit in ((complete_graph(14), None, 200_000),
+                                  (complete_bipartite(8, 8), range(1, 9), 50_000)):
+            cls = classify(g)
+            tracemalloc.start()
+            matchable_pairs(g, sources, cls)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < limit, (g, peak)
 
 
 class TestTilingPoly:
