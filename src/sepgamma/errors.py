@@ -17,10 +17,11 @@ BOUNDS = MappingProxyType({
     # n of the cut sum, which sizes the walk's memory as well as its time:
     # O(n) bitmaps of 2^n bits, so memory grows as 2^n past the default;
     # also the largest block s of the suspension pair count, which holds
-    # O(s) bitmaps of 2^s bits on a dense block (128 KB each at 20)
+    # O(s) bitmaps of 2^s bits on a block that takes them (128 KB each at 20)
     "cut-sum": 20,
-    # largest block s of the type-B interior pair count: on a dense block,
-    # O(s) bitmaps of at most 2^s bits, so memory grows as 2^s past it
+    # largest block s of the type-B interior pair count: on a block that
+    # takes them, O(s) bitmaps of 2^t bits, t < s one side, so memory grows
+    # as 2^t past it
     "matched-sets": 16,
     "hrep-dim": 7,  # dimension of the Ehrhart oracle's facet search
     "hrep-points": 64,  # distinct points of that search

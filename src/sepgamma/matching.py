@@ -9,10 +9,11 @@ over the blocks; any other graph takes a DP over vertex masks.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it grows half the
 ordered pairs where swapping A and B is a symmetry and counts each block
-once, so its work and its guard follow the largest block.  A dense block
-holds each A's matchable B's as one subset bitmap, any other block as a
-set of vertex masks; the bitmap's memory, O(s) ints of 2^s bits for a
-block of s vertices, is sized by the same guard.  Both fold the
+once, so its work and its guard follow the largest block.  A block holds
+each A's matchable B's as one subset bitmap where that costs less than a
+set of vertex masks, by the vertices t a B can hold, the share of edges
+and the tracked cut vertices; the bitmap's memory, O(s) ints of 2^t
+bits for a block of s vertices, is sized by the same guard.  Both fold the
 blocks in the order classify's depth-first search closed them, each after
 the blocks below it, and join them at a vertex with one helper.
 """
@@ -267,11 +268,33 @@ def _bits(mask: int):
         yield low
 
 
-# The smallest block that _pair_tally holds as bitmaps when half or more
-# of its vertex pairs are edges: with two tracked vertices, the bitmap took
-# 1.10 to 1.18 times as long as the sets on 8-vertex blocks with 1/2 to 2/3
-# of the pairs as edges, and 0.96 times on 9-vertex blocks at 1/2.
-BITMAP_MIN_BLOCK = 9
+def _takes_bitmap(adj: list, block: int, sources: int, tracked: int) -> bool:
+    """Whether _pair_tally holds the B's of `block` as bitmaps: the
+    crossover that README tabulates and tests/pair_form_table.py prints.
+    The sets' work follows the B's, more of them the denser the block; the
+    bitmap's follows 2^t, t the vertices a B can hold (all s of the block
+    on the suspension, the sources' neighbours on type B), and a split of
+    each part by every tracked vertex among them, f of them.  So the
+    bitmap needs a mean degree in the block of 2.4, plus 0.4 per tracked
+    vertex past two, plus 0.6 per vertex past 14 on the suspension, less
+    0.4 per vertex past 5 on type B.  It never pays when 2 f > t, where the
+    split parts the bitmap nearly B by B, nor for t < 5 or fewer than 9
+    vertices (every atlas block).
+    """
+    s = block.bit_count()
+    if s < 9:
+        return False
+    half, targets = block & sources == block, block
+    if not half:
+        targets = 0
+        for v in _bits(block & sources):
+            targets |= adj[v.bit_length() - 1] & block
+    t, f = targets.bit_count(), (tracked & targets).bit_count()
+    if t < 5 or 2 * f > t:
+        return False
+    need = 24 + 4 * max(0, f - 2) + (6 * max(0, t - 14) if half else -4 * (t - 5))
+    degrees = sum((adj[v.bit_length() - 1] & block).bit_count() for v in _bits(block))
+    return 10 * degrees >= s * need
 
 
 def miss_masks(n: int) -> list:
@@ -289,49 +312,65 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
     k-sets of the vertex mask `block`, A in `sources`, with
     (A | B) & tracked = m; the lists may end in zeros.
 
-    A grows in increasing vertex order, and each A keeps its matchable B's:
-    B + b is matchable to A + a (a above A) iff B is matchable to A, a is
-    not in B, and b is a neighbour of a in neither A + a nor B.  So an A
-    with no matchable B has no extension with one.  When every vertex of
-    the block is a source, (A, B) is matchable iff (B, A) is, and for
-    k >= 1 exactly one of the two has the lowest vertex of A | B in A:
-    only those pairs grow (every vertex of B above min A, a family closed
-    under the reduction above), and each counts twice.  The swap keeps
-    A | B, so it keeps m too.
+    A grows along an order of the sources, and each A keeps its matchable
+    B's: B + b is matchable to A + a (a after A) iff B is matchable to A,
+    a is not in B, and b is a neighbour of a in neither A + a nor B.  So
+    an A with no matchable B has no extension with one.  When every
+    vertex of the block is a source, (A, B) is matchable iff (B, A) is,
+    and for k >= 1 exactly one of the two has the first vertex of A | B
+    in A: only those pairs grow (every vertex of B after the first of A,
+    a family closed under the reduction above), and each counts twice.
+    The swap keeps A | B, so it keeps m too.
 
     An A holds its B's in one of two forms, and both grow the same pairs.
-    A set of B's vertex masks adds one element per B and neighbour.  A
-    bitmap numbers the t vertices a B can hold, the block's neighbours of
-    sources (all s of the block on the suspension, one side on type B),
-    0..t-1 in increasing order, and sets bit i when the B with local mask
-    i is matchable.  B + b for all B's at once is then
+    A set of B's vertex masks adds one element per B and neighbour; the
+    order is the vertex order.  A bitmap numbers the t vertices a B can
+    hold, the block's neighbours of sources (all s of the block on the
+    suspension, one side on type B), and sets bit i when the B with local
+    mask i is matchable.  B + b for all B's at once is then
     (B's & miss[a] & miss[b]) shifted up by 2^j, j the number of b and
     miss[v] marking the masks without v; an A's count is its popcount,
     split by each free tracked vertex into the B's with and without it.
-    The bitmap's work per A follows its 2^t bits, the sets' the number of
-    B's, so the bitmap wins on dense blocks (K13: 25 against 91 ms of CPU)
-    and loses far on sparse ones (the 2 x 10 ladder: 15.5 against 0.72 s).
-    A block takes it when s >= BITMAP_MIN_BLOCK and 4 |E| >= s (s - 1),
-    the crossover that README tabulates; `bitmap` forces one form, for the
+    On the suspension the order puts the block's hubs first (degree in
+    the block down, then vertex order) and numbers the vertices from the
+    last one back, so the B's of an A whose first vertex is followed by
+    t_1 others fit in 2^t_1 bits: the ints shrink as A's first vertex
+    moves on.  Type B keeps the vertex order and numbers one side up.
+
+    The bitmap's work per A follows its 2^t bits (2^t_1 on the
+    suspension), the sets' the number of B's, and each tracked vertex
+    adds a split of every part; _takes_bitmap weighs the two, the
+    crossover that README tabulates.  `bitmap` forces one form, for the
     tests.
     """
-    order = [(1 << v, adj[v] & block) for v in range(block.bit_length())
-             if (block & sources) >> v & 1]
     half = block & sources == block
     s = block.bit_count()
+    if bitmap is None:
+        bitmap = _takes_bitmap(adj, block, sources, tracked)
+    if bitmap and half:  # hubs first, numbered from the far end
+        near = {v: adj[v.bit_length() - 1] & block for v in _bits(block)}
+        vs = sorted(near, key=lambda v: (-near[v].bit_count(), v))
+        order, after = [], 0
+        for v in reversed(vs):
+            order.append((v, near[v], after))
+            after |= v
+        order.reverse()
+        numbered = vs[::-1]
+    else:
+        order = [(1 << v, adj[v] & block, block & -(2 << v))
+                 for v in range(block.bit_length()) if (block & sources) >> v & 1]
     rows = defaultdict(lambda: [0] * (s // 2 + 1))
     rows[0][0] = 1
-    if bitmap is None:
-        bitmap = s >= BITMAP_MIN_BLOCK and s * (s - 1) <= 2 * sum(
-            (adj[v.bit_length() - 1] & block).bit_count() for v in _bits(block))
-    if bitmap:  # B's bits 0..t-1: the t neighbours of sources, in order
-        targets = 0
-        for _, near in order:
-            targets |= near
-        t = targets.bit_count()
+    if bitmap:
+        if not half:  # B's bits 0..t-1: the t neighbours of sources, in order
+            targets = 0
+            for _, near_a, _ in order:
+                targets |= near_a
+            numbered = list(_bits(targets))
+        t = len(numbered)
         miss = dict.fromkeys(_bits(block), (1 << (1 << t)) - 1)  # in no B
-        miss.update(zip(_bits(targets), miss_masks(t)))
-        shift = {v: 1 << i for i, v in enumerate(_bits(targets))}
+        miss.update(zip(numbered, miss_masks(t)))
+        shift = {v: 1 << j for j, v in enumerate(numbered)}
 
         def split(fam: int, m: int, free: int, k: int) -> None:
             """Add the B's of fam to rows[m | B & free][k], one tracked
@@ -350,9 +389,9 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
 
     def grow(start: int, taken: int, fam, allowed: int) -> None:
         for i in range(start, len(order)):
-            bit, near = order[i]
+            bit, near, after = order[i]
             if half and not taken:
-                allowed = block & -(bit << 1)
+                allowed = after
             near &= allowed & ~(taken | bit)
             if not near:
                 continue

@@ -338,10 +338,57 @@ def dense_glued_graphs() -> list:
     return out
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid on 1..rows cols, vertex r cols + c + 1."""
+    return Graph.make(rows * cols,
+                      [(v, v + 1) for v in range(1, rows * cols) if v % cols]
+                      + [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)])
+
+
+def hub_graph(rng: random.Random, s: int, bipartite: bool = False) -> Graph:
+    """A biconnected graph on 1..s with skewed degrees: a Hamiltonian cycle
+    (alternating between 1..s/2 and the rest when bipartite) and one or
+    two hubs joined to about half of the vertices they may reach; s even
+    when bipartite."""
+    if bipartite:
+        left, right = list(range(1, s // 2 + 1)), list(range(s // 2 + 1, s + 1))
+        rng.shuffle(left)
+        rng.shuffle(right)
+        ring = [v for pair in zip(left, right) for v in pair]
+    else:
+        ring = list(range(1, s + 1))
+        rng.shuffle(ring)
+    edges = {frozenset((ring[i - 1], ring[i])) for i in range(s)}
+    for hub in rng.sample(ring, rng.choice((1, 2))):
+        reach = [v for v in ring if v != hub
+                 and (not bipartite or (v > s // 2) != (hub > s // 2))]
+        edges.update(frozenset((hub, v)) for v in rng.sample(reach, len(reach) // 2))
+    return Graph.make(s, [tuple(e) for e in edges])
+
+
+def sparse_glued_graphs(bipartite: bool) -> list:
+    """A hub_graph block of 9 to 14 vertices (10 to 14 when bipartite) with a small block glued at
+    one of its vertices (a triangle, a square when bipartite) and a pendant
+    edge at another, so its pair count splits by two tracked vertices; at
+    most 16 vertices in all."""
+    rng = random.Random(31)
+    out = []
+    for b in (10, 12, 14) if bipartite else (9, 11, 13, 14):
+        g = hub_graph(rng, b, bipartite)
+        ring = [(b, b + 1), (b + 1, b + 2)] + (
+            [(b + 2, b + 3), (b + 3, b)] if bipartite else [(b + 2, b)])
+        n = b + len(ring) - 1
+        extra = ring + ([(1, n + 1)] if n < 16 else [])
+        out.append(Graph.make(n + (n < 16), list(g.edges) + extra))
+    return out
+
+
 class TestPairTallyForms:
     """_pair_tally holds the B's of each A as a set of vertex masks or as
     one subset bitmap, chosen per block; both forms count the same pairs
-    for every block, source set and tracked set."""
+    for every block, source set and tracked set.  On the suspension the
+    bitmap grows A hub first and numbers B's vertices from the far end of
+    that order, so these also check the order and the numbering."""
 
     def test_every_labeled_graph_upto_6(self):
         # each graph with every vertex as a source and with each side of a
@@ -357,6 +404,40 @@ class TestPairTallyForms:
     def test_random_blocks_upto_12(self, case):
         tally_both_ways(*case)
 
+    def test_blocks_with_hubs_upto_14(self):
+        # hub first is far from the vertex order on these; every vertex a
+        # source and each side, tracking none, one vertex or all
+        rng = random.Random(31)
+        for s in range(7, 15):
+            for bipartite in (False, True)[:2 - s % 2]:
+                g = hub_graph(rng, s, bipartite)
+                adj, top = g.adjacency_masks(), (1 << s) - 1
+                sides = [mask(side) for side in bipartition_of(g) or ()]
+                for tracked in (0, 1 << rng.randrange(s), top):
+                    for sources in (top, *sides):
+                        tally_both_ways(adj, top, sources, tracked)
+
+    def test_glued_blocks_with_hubs(self, monkeypatch):
+        from sepgamma import matching
+        tally = matching._pair_tally
+        split = []
+
+        def spy(adj, block, sources, tracked):
+            rows = tally(adj, block, sources, tracked)
+            if block.bit_count() >= 9:
+                split.append(block)
+                assert tally(adj, block, sources, tracked, False) == rows
+                assert tally(adj, block, sources, tracked, True) == rows
+            return rows
+
+        monkeypatch.setattr(matching, "_pair_tally", spy)
+        for g in sparse_glued_graphs(False):
+            assert Poly(matchable_pairs(g)) == cut_sum_gamma(g), g
+        for g in sparse_glued_graphs(True):
+            for side in bipartition_of(g):
+                assert matchable_pairs(g, side) == matched_vertex_sets(g), g
+        assert len(split) == 10
+
     def test_dense_blocks_with_tracked_vertices(self, monkeypatch):
         from sepgamma import matching
         tally = matching._pair_tally
@@ -364,11 +445,7 @@ class TestPairTallyForms:
 
         def spy(adj, block, sources, tracked):
             rows = tally(adj, block, sources, tracked)
-            s = block.bit_count()
-            edges = sum((adj[v] & block).bit_count()
-                        for v in range(len(adj)) if block >> v & 1) // 2
-            if s >= matching.BITMAP_MIN_BLOCK and 4 * edges >= s * (s - 1) \
-                    and tracked:
+            if matching._takes_bitmap(adj, block, sources, tracked) and tracked:
                 split.append(block)
                 assert tally(adj, block, sources, tracked, False) == rows
             return rows
@@ -381,27 +458,49 @@ class TestPairTallyForms:
                 assert matchable_pairs(g, side) == matched_vertex_sets(g), g
             assert len(split) > seen, g
 
-    def test_sparse_blocks_never_take_the_bitmap(self, monkeypatch):
+    def test_the_rule_picks_the_form(self, monkeypatch):
+        # each form where the crossover that README tabulates puts it:
+        # miss_masks, which only the bitmap builds, fails where sets win
         from sepgamma import matching
+        built = []
+        miss_masks = matching.miss_masks
+
+        def spy(n):
+            built.append(n)
+            return miss_masks(n)
 
         def fail(n):
             raise AssertionError(f"bitmap over {n} vertices")
 
         monkeypatch.setattr(matching, "miss_masks", fail)
-        with pytest.raises(AssertionError, match="bitmap"):
-            matchable_pairs(complete_graph(9))
-        ladder = Graph.make(20, [(i, i + 1) for i in range(1, 20) if i != 10]
-                            + [(i, i + 10) for i in range(1, 11)])
-        gamma = solve(ladder, "ahat", bounds={"cut-sum": 22}).gamma.coeff_list()
-        assert gamma[:2] == [1, 2 * 28] and len(gamma) == 11  # a perfect matching
-        grid = Graph.make(18, [(v, v + 1) for v in range(1, 18) if v % 6]
-                          + [(v, v + 6) for v in range(1, 13)])
-        assert matchable_pairs(grid)[:2] == [1, 2 * 27]
+        for k, pairs in ((8, 22), (10, 28)):  # suspension ladders: sets
+            gamma = solve(grid_graph(2, k), "ahat",
+                          bounds={"cut-sum": 22}).gamma.coeff_list()
+            assert gamma[:2] == [1, 2 * pairs] and len(gamma) == k + 1
+        k12 = Graph.make(24, list(combinations(range(1, 13), 2))
+                         + [(v, v + 12) for v in range(1, 13)])
+        assert matchable_pairs(k12)[:2] == [1, 2 * 78]
+
+        monkeypatch.setattr(matching, "miss_masks", spy)
+        hub = hub_graph(random.Random(13), 13)
+        assert Poly(matchable_pairs(hub)) == cut_sum_gamma(hub)
+        assert built == [13]
+        for g in (grid_graph(2, 8), grid_graph(3, 5)):  # type B: bitmap
+            built.clear()
+            assert matchable_pairs(g, bipartition_of(g).part1) == \
+                matched_vertex_sets(g), g
+            assert built == [g.n // 2], g
 
     def test_memory_of_dense_blocks(self):
+        # and of sparse blocks that the rule puts on the bitmap; at the
+        # peak: K14 51 kB, K8,8 7 kB, the 3 x 6 grid 8 kB (38 kB on sets),
+        # the 14-vertex hub block 52 kB (20 kB on sets)
         import tracemalloc
+        grid = grid_graph(3, 6)
         for g, sources, limit in ((complete_graph(14), None, 200_000),
-                                  (complete_bipartite(8, 8), range(1, 9), 50_000)):
+                                  (complete_bipartite(8, 8), range(1, 9), 50_000),
+                                  (grid, bipartition_of(grid).part1, 20_000),
+                                  (hub_graph(random.Random(14), 14), None, 100_000)):
             cls = classify(g)
             tracemalloc.start()
             matchable_pairs(g, sources, cls)
