@@ -77,6 +77,13 @@ def random_graph(rng, n, p) -> Graph:
     return Graph(n, edges)
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid on 1..rows cols, vertex r cols + c + 1."""
+    return Graph.make(rows * cols,
+                      [(v, v + 1) for v in range(1, rows * cols) if v % cols]
+                      + [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)])
+
+
 @pytest.fixture(scope="session")
 def atlas7():
     return atlas_graphs(7)

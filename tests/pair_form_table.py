@@ -15,17 +15,23 @@ bitmap.  A random block is a Hamiltonian cycle (alternating sides on type
 B) plus random edges, so it is biconnected, and its degrees are skewed
 by one or two hubs joined to half the block.  Each time is the best of
 `--reps` calls of time.process_time; each ratio is the median over
-`--graphs` blocks.  The slowest named blocks take a few seconds each.
+`--graphs` blocks.  With the defaults it runs for about 15 minutes.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import random
 import statistics
+import sys
 import time
 
-from sepgamma import matching
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+from conftest import grid_graph  # noqa: E402
+from oracles import bipartition_of  # noqa: E402
+
+from sepgamma import Graph, complete_bipartite, complete_graph, matching  # noqa: E402
 
 
 def best_time(adj: list, block: int, sources: int, tracked: int, bitmap: bool,
@@ -38,56 +44,26 @@ def best_time(adj: list, block: int, sources: int, tracked: int, bitmap: bool,
     return best
 
 
-def masks(n: int, edges) -> list:
-    adj = [0] * n
-    for u, v in edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    return adj
+def mask(vertices) -> int:
+    return sum(1 << (v - 1) for v in vertices)
 
 
-def complete(n: int) -> list:
-    return [(u, v) for u in range(n) for v in range(u + 1, n)]
-
-
-def complete_bipartite(k: int) -> list:
-    return [(u, k + v) for u in range(k) for v in range(k)]
-
-
-def grid(rows: int, cols: int) -> list:
-    """The rows x cols grid, vertex r * cols + c."""
-    return ([(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
-            + [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)])
-
-
-def side(n: int, edges) -> int:
-    """The vertex mask of one side of the bipartite graph, the side of 0."""
-    adj, colour, todo = masks(n, edges), {0: 0}, [0]
-    while todo:
-        u = todo.pop()
-        for v in range(n):
-            if adj[u] >> v & 1 and v not in colour:
-                colour[v] = 1 - colour[u]
-                todo.append(v)
-    return sum(1 << v for v, c in colour.items() if not c)
-
-
-def random_block(rng: random.Random, s: int, share: float, bipartite: bool) -> tuple:
-    """(n, edges) of a biconnected block on s vertices: a Hamiltonian cycle,
-    one or two hubs joined to half the block, then random edges up to
-    `share` of the vertex pairs (of the pairs across the two halves when
-    bipartite; then vertices 0..s/2-1 are one side)."""
+def random_block(rng: random.Random, s: int, share: float, bipartite: bool) -> Graph:
+    """A biconnected graph on 1..s: a Hamiltonian cycle, one or two hubs
+    joined to half the block, then random edges up to `share` of the
+    vertex pairs (of the pairs across 1..s/2 and the rest when
+    bipartite)."""
     half = s // 2
     if bipartite:
-        left, right = list(range(half)), list(range(half, s))
+        left, right = list(range(1, half + 1)), list(range(half + 1, s + 1))
+        pairs = [(u, v) for u in left for v in right]
         rng.shuffle(left)
         rng.shuffle(right)
         ring = [v for pair in zip(left, right) for v in pair]
-        pairs = [(u, v) for u in range(half) for v in range(half, s)]
     else:
-        ring = list(range(s))
+        pairs = [(u, v) for u in range(1, s + 1) for v in range(u + 1, s + 1)]
+        ring = list(range(1, s + 1))
         rng.shuffle(ring)
-        pairs = complete(s)
     edges = {tuple(sorted((ring[i - 1], ring[i]))) for i in range(s)}
     want = max(len(edges), round(share * len(pairs)))
     for hub in rng.sample(ring, rng.choice((1, 2))):
@@ -98,33 +74,17 @@ def random_block(rng: random.Random, s: int, share: float, bipartite: bool) -> t
     rest = [e for e in pairs if e not in edges]
     rng.shuffle(rest)
     edges.update(rest[:max(0, want - len(edges))])
-    return s, sorted(edges)
-
-
-def tracked_mask(rng: random.Random, block: int, count) -> int:
-    vertices = [1 << v for v in range(block.bit_length()) if block >> v & 1]
-    if count == "all":
-        return block
-    return sum(rng.sample(vertices, min(count, len(vertices))))
+    return Graph.make(s, list(edges))
 
 
 def named_blocks() -> list:
-    """(name, n, edges, sources, tracked): None sources for the suspension,
-    'side' for type B, 'all' tracked for every vertex."""
-    out = []
-    for n in (9, 11, 13):
-        out.append((f"K{n}", n, complete(n), None, 0))
-    for n in (10, 12):
-        out.append((f"K{n}, all tracked", n, complete(n), None, "all"))
-    for k in (7, 8, 9, 10):
-        out.append((f"2 x {k} ladder", 2 * k, grid(2, k), None, 0))
-    for k in (5, 7):
-        out.append((f"K{k},{k}, type B", 2 * k, complete_bipartite(k), "side", 0))
-    for k in (8, 10, 15):
-        out.append((f"2 x {k} ladder, type B", 2 * k, grid(2, k), "side", 0))
-    for k in (5, 6, 8):
-        out.append((f"3 x {k} grid, type B", 3 * k, grid(3, k), "side", 0))
-    return out
+    """(name, graph, type B, every vertex tracked)."""
+    return ([(f"K{n}", complete_graph(n), False, False) for n in (9, 11, 13)]
+            + [(f"K{n}, all tracked", complete_graph(n), False, True) for n in (10, 12)]
+            + [(f"2 x {k} ladder", grid_graph(2, k), False, False) for k in (7, 8, 9, 10)]
+            + [(f"K{k},{k}, type B", complete_bipartite(k, k), True, False) for k in (5, 7)]
+            + [(f"2 x {k} ladder, type B", grid_graph(2, k), True, False) for k in (8, 10, 15)]
+            + [(f"3 x {k} grid, type B", grid_graph(3, k), True, False) for k in (5, 6, 8)])
 
 
 def form(adj: list, block: int, sources: int, tracked: int) -> str:
@@ -134,17 +94,16 @@ def form(adj: list, block: int, sources: int, tracked: int) -> str:
 def print_named(reps: int) -> None:
     print("| block | sets | bitmap | rule |")
     print("|---|---|---|---|")
-    for name, n, edges, sources, tracked in named_blocks():
-        adj, block = masks(n, edges), (1 << n) - 1
-        src = block if sources is None else side(n, edges)
-        tr = block if tracked == "all" else tracked
+    for name, g, type_b, all_tracked in named_blocks():
+        adj, block = g.adjacency_masks(), (1 << g.n) - 1
+        src = mask(bipartition_of(g).part1) if type_b else block
+        tr = block if all_tracked else 0
         times = [best_time(adj, block, src, tr, bitmap, reps) for bitmap in (False, True)]
         print(f"| {name} | " + " | ".join(f"{1e3 * t:.2f} ms" for t in times)
               + f" | {form(adj, block, src, tr)} |")
 
 
-def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int,
-                 reps: int, seed: int) -> None:
+def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int) -> None:
     """One table of sets / bitmap.  Suspension blocks past 14 vertices
     with more than 0.3 of their pairs as edges are left out: the sets
     take seconds there."""
@@ -158,13 +117,13 @@ def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int,
             if not bipartite and s > 14 and share > 0.3:
                 cells.append("")
                 continue
-            rng = random.Random(f"{seed}/{s}/{share}/{bipartite}/{tracked}")
+            rng = random.Random(f"31/{s}/{share}/{bipartite}/{tracked}")
             ratios, picks = [], 0
             for _ in range(graphs):
-                n, edges = random_block(rng, s, share, bipartite)
-                adj, block = masks(n, edges), (1 << n) - 1
+                g = random_block(rng, s, share, bipartite)
+                adj, block = g.adjacency_masks(), (1 << s) - 1
                 src = (1 << s // 2) - 1 if bipartite else block
-                tr = tracked_mask(rng, block, tracked)
+                tr = block if tracked == "all" else mask(rng.sample(range(1, s + 1), tracked))
                 sets, bits = (best_time(adj, block, src, tr, b, reps) for b in (False, True))
                 ratios.append(sets / bits)
                 picks += form(adj, block, src, tr) == "bitmap"
@@ -177,18 +136,14 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--graphs", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=31)
-    parser.add_argument("--skip-named", action="store_true")
     args = parser.parse_args()
-    if not args.skip_named:
-        print_named(args.reps)
+    print_named(args.reps)
     for tracked in (2, 6, "all"):  # all tracked: the bitmap takes seconds past 14
         print_ratios(range(8, 15 if tracked == "all" else 19),
-                     (0.15, 0.2, 0.3, 0.4, 0.5, 0.75), False, tracked,
-                     args.graphs, args.reps, args.seed)
+                     (0.15, 0.2, 0.3, 0.4, 0.5, 0.75), False, tracked, args.graphs, args.reps)
     for tracked in (2, 6, "all"):
         print_ratios(range(8, 23, 2), (0.2, 0.3, 0.5, 0.75), True, tracked,
-                     args.graphs, args.reps, args.seed)
+                     args.graphs, args.reps)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       suspension_gamma_formula, tiling_poly)
 from sepgamma.matching import _mask_tiling, _pair_tally, tiling_value
 
-from conftest import all_graphs_upto, pair_list, random_graph
+from conftest import all_graphs_upto, grid_graph, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      line_graph, matchable_pairs_reference, matched_sets_by_matchings,
                      matched_vertex_sets,
@@ -336,13 +336,6 @@ def dense_glued_graphs() -> list:
         rng.shuffle(perm)
         out += [g, Graph.make(g.n, [(perm[u - 1], perm[v - 1]) for u, v in g.edges])]
     return out
-
-
-def grid_graph(rows: int, cols: int) -> Graph:
-    """The rows x cols grid on 1..rows cols, vertex r cols + c + 1."""
-    return Graph.make(rows * cols,
-                      [(v, v + 1) for v in range(1, rows * cols) if v % cols]
-                      + [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)])
 
 
 def hub_graph(rng: random.Random, s: int, bipartite: bool = False) -> Graph:
