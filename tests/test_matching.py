@@ -360,10 +360,11 @@ def hub_graph(rng: random.Random, s: int, bipartite: bool = False) -> Graph:
 
 
 def sparse_glued_graphs(bipartite: bool) -> list:
-    """A hub_graph block of 9 to 14 vertices (10 to 14 when bipartite) with a small block glued at
-    one of its vertices (a triangle, a square when bipartite) and a pendant
-    edge at another, so its pair count splits by two tracked vertices; at
-    most 16 vertices in all."""
+    """A hub_graph block of 9 to 14 vertices (10 to 14 when bipartite) with
+    a triangle (a square when bipartite) glued at its vertex b and, below
+    16 vertices, a pendant edge at its vertex 1, so its pair count splits
+    by one or two tracked vertices; at most 16 vertices when not
+    bipartite, for the cut sum."""
     rng = random.Random(31)
     out = []
     for b in (10, 12, 14) if bipartite else (9, 11, 13, 14):
@@ -413,12 +414,12 @@ class TestPairTallyForms:
     def test_glued_blocks_with_hubs(self, monkeypatch):
         from sepgamma import matching
         tally = matching._pair_tally
-        split = []
+        checked = []
 
         def spy(adj, block, sources, tracked):
             rows = tally(adj, block, sources, tracked)
             if block.bit_count() >= 9:
-                split.append(block)
+                checked.append(block)
                 assert tally(adj, block, sources, tracked, False) == rows
                 assert tally(adj, block, sources, tracked, True) == rows
             return rows
@@ -429,7 +430,7 @@ class TestPairTallyForms:
         for g in sparse_glued_graphs(True):
             for side in bipartition_of(g):
                 assert matchable_pairs(g, side) == matched_vertex_sets(g), g
-        assert len(split) == 10
+        assert len(checked) == 10
 
     def test_dense_blocks_with_tracked_vertices(self, monkeypatch):
         from sepgamma import matching
