@@ -8,7 +8,7 @@ h*(1) = volume = 2^dim gamma(1/4)) hold by construction and are re-checked
 by the test suite.  The matching formulas of both types are one tiling
 of the graph (matching.tiling_poly) by edges and even cycles: weights 2x
 and -2x^(|C|/2) for type A; x and -x^(|C|/2), taken at 4x, for type B.
-On a cactus the tiling is one fold over the blocks of the caller's
+On every graph the tiling is one fold over the blocks of the caller's
 classification.  Before it runs, the h* guard is sized from a bound on
 the coefficients of gamma, not from n alone (_check_gamma_size).
 `solve` is the one dispatcher: ROUTES says which routes serve which
@@ -67,12 +67,10 @@ def _check_gamma_size(g: Graph, cls: GraphClassification, evens: list,
     on sum_k |gamma_k|: the tiling with the absolute weights at x = scale.
     A tile weighs at most 2 per vertex it covers, so a term is at most 2^n,
     and there are at most 2^(|E| + even cycles) tilings: that count first,
-    and only past the limit the fold at the point, on a cactus."""
+    and only past the limit the fold at the point."""
     try:
         check_hstar_size(g.n, g.n + g.edge_count + len(evens) + 1)
     except BoundExceededError:
-        if not cls.cactus:
-            raise
         total = tiling_value(g, abs(edge) * scale,
                              [(c, abs(cycle) * scale ** (len(c) // 2))
                               for c in evens], cls)

@@ -74,10 +74,12 @@ class GraphClassification:
     cactus: bool
     unique_even_cycle_condition: bool
     simple_cycles: Optional[tuple]  # None when the even-cycle condition fails
-    # (top, vertex set) of each biconnected block, bridges included, in the
+    # (top, vertices) of each biconnected block, bridges included, in the
     # order the depth-first search closed them: every block comes after the
     # blocks that hang below it, and top is the vertex it hangs from (0 for
     # the root block of each component).  Isolated vertices are in none.
+    # A bridge's ends or a cycle block's vertices in cycle order form a
+    # tuple (_block_vertices); any other block's vertices a frozenset.
     blocks: tuple
 
 
@@ -345,8 +347,14 @@ def _blocks(g: Graph) -> tuple:
     return components, side if bipartite else None, blocks
 
 
-def _block_cycle(block: list) -> tuple:
-    """The canonical tuple of a block that is one cycle."""
+def _block_vertices(block: list):
+    """The vertices of the block with edge list `block`: the sorted ends of
+    a bridge or the canonical tuple of a cycle, else their frozenset."""
+    if len(block) == 1:
+        return tuple(sorted(block[0]))
+    vertices = frozenset(chain.from_iterable(block))
+    if len(block) > len(vertices):
+        return vertices
     nb = _block_adjacency(block)
     prev = min(nb)
     path, cur = [prev], nb[prev][0]
@@ -362,7 +370,8 @@ def classify(g: Graph) -> GraphClassification:
     forest => cactus => unique even cycle condition.
 
     One Tarjan pass finds the components, a 2-colouring and the blocks,
-    whose vertex sets the result keeps in the pass's order; g is a forest
+    whose vertices the result keeps in the pass's order, a bridge's and a
+    cycle block's in cycle order (_block_vertices); g is a forest
     when every block is a bridge and a cactus when every other block is
     one cycle, which is read off directly.  Each other block goes to a
     cycle search of its own, so no search walks from one block into the
@@ -375,14 +384,12 @@ def classify(g: Graph) -> GraphClassification:
     components, side, blocks = _blocks(g)
     cycles, dense, vertex_sets = [], [], []
     for top, block in blocks:
-        vertices = frozenset(chain.from_iterable(block))
+        vertices = _block_vertices(block)
         vertex_sets.append((top, vertices))
-        if len(block) == 1:
-            continue
-        if len(block) == len(vertices):
-            cycles.append(_block_cycle(block))
-        else:
+        if isinstance(vertices, frozenset):
             dense.append(block)
+        elif len(vertices) > 2:
+            cycles.append(vertices)
     even_edges = set()  # blocks share no edge, so one set serves them all
     for cyc in _block_cycles(dense, MAX_SIMPLE_CYCLES):
         if len(cyc) % 2 == 0:

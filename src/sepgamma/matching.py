@@ -4,8 +4,9 @@
 tiling_poly sums over the tilings of the vertices by lone vertices (weight
 1), edges and listed cycles: with weight x per edge it is the matching
 generating polynomial, with even-cycle tiles the engine's formula of
-either type, and reversed the mu-polynomial.  On a cactus it is one fold
-over the blocks; any other graph takes a DP over vertex masks.
+either type, and reversed the mu-polynomial.  It is one fold over the
+blocks of any graph: a recurrence along each bridge and cycle, and a DP
+over the vertex masks of each other block alone.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it grows half the
 ordered pairs where swapping A and B is a symmetry and counts each block
@@ -21,11 +22,10 @@ the blocks below it, and join them at a vertex with one helper.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import chain
 from typing import Iterable, Mapping, Optional
 
-from .errors import BoundExceededError, PreconditionError, bound
-from .graphs import (Graph, GraphClassification, _block_cycle, _blocks,
+from .errors import BoundExceededError, bound
+from .graphs import (Graph, GraphClassification, _block_vertices, _blocks,
                      classify)
 from .polynomials import Poly
 
@@ -36,57 +36,34 @@ def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = (),
     of the product of the weights: 1 per lone vertex, `edge` per edge,
     `weight` per (vertices, weight) pair of `tiles` (cycles of G).
 
-    Every tile lies in one block, so on a cactus the blocks of cls (or of
-    one graphs._blocks pass, never classify's cycle search) fold bottom-up.
-    A cut vertex c carries (F_c, G_c), the tiling of all below c with and
-    without c (1 and 1 with nothing below).  A block with top a and other
-    vertices v_1..v_k in cycle order gives full (a bare) and minus (a
-    removed): a bridge F_1 + edge G_1 and F_1; a cycle minus = t_k, where
+    Every tile lies in one block, so the blocks of cls (or of one
+    graphs._blocks pass, never classify's cycle search) fold bottom-up.  A
+    cut vertex c carries (F_c, G_c), the tiling of all below c with and
+    without c (1 and 1 with nothing below).  A block with top a gives full
+    (a bare) and minus (a removed), and _fold_block joins the pair at a.
+    For a bridge or a cycle with other vertices v_1..v_k in cycle order:
+    a bridge F_1 + edge G_1 and F_1; a cycle minus = t_k, where
     t_j = t_(j-1) F_j + t_(j-2) G_(j-1) G_j edge (t_0 = 1, t_-1 = 0), and
     full - minus = edge G_1 P(v_2..v_k) + edge G_k t_(k-1) + weight prod G_j
-    with the tile's term when `tiles` names the cycle.  _fold_block joins
-    the pair at a.  Any other graph takes _mask_tiling.
+    with the tile's term when `tiles` names the cycle.  Any other block
+    takes _mask_block, a DP over its own vertex masks.
     """
-    blocks = _cactus_rings(g, cls)
-    if blocks is None:
-        return _mask_tiling(g, edge, tiles)
-    return _fold(blocks, edge, tiles, Poly.one())
+    return _fold(g, cls, edge, tiles, Poly.one())
 
 
 def tiling_value(g: Graph, edge: int, tiles: Iterable,
                  cls: Optional[GraphClassification] = None) -> int:
-    """tiling_poly of a cactus with integer weights: the value of the tiling
-    at one point, by the same fold."""
-    blocks = _cactus_rings(g, cls)
-    if blocks is None:
-        raise PreconditionError("the tiling at a point needs a cactus graph")
-    return _fold(blocks, edge, tiles, 1)
+    """tiling_poly with integer weights: the value of the tiling at one
+    point, by the same fold."""
+    return _fold(g, cls, edge, tiles, 1)
 
 
-def _cactus_rings(g: Graph, cls: Optional[GraphClassification]) -> Optional[list]:
-    """(top, ring) of each block of the cactus g in the order of cls.blocks,
-    ring the block's vertices in cycle order (a bridge's two ends); None
-    when g is not a cactus."""
-    if cls is not None:
-        if not cls.cactus:
-            return None
-        rings = {frozenset(c): c for c in cls.simple_cycles}
-        return [(top, rings[vs] if len(vs) > 2 else tuple(vs))
-                for top, vs in cls.blocks]
-    out = []
-    for top, block in _blocks(g)[2]:
-        if len(block) == 1:
-            out.append((top, block[0]))
-        elif len(block) == len(set(chain.from_iterable(block))):
-            out.append((top, _block_cycle(block)))
-        else:
-            return None
-    return out
-
-
-def _fold(blocks: list, edge, tiles: Iterable, one):
-    """The fold of tiling_poly over the (top, ring) blocks of a cactus, in
-    the ring of `one`: Polys, or ints for the value at a point."""
+def _fold(g: Graph, cls: Optional[GraphClassification], edge, tiles: Iterable,
+          one):
+    """The fold of tiling_poly over the blocks of g, in the ring of `one`:
+    Polys, or ints for the value at a point."""
+    blocks = (cls.blocks if cls is not None else
+              [(top, _block_vertices(block)) for top, block in _blocks(g)[2]])
     weights = {}
     for vertices, weight in tiles:
         if weight:
@@ -97,76 +74,85 @@ def _fold(blocks: list, edge, tiles: Iterable, one):
         return b if a is one else a if b is one else a * b
 
     bare = (one, one)
-    total, hang = one, {}
-    for top, ring in blocks:
-        a = top or min(ring)  # a root block folds at its smallest vertex
-        i = ring.index(a)
-        kids = [hang.pop(v, bare) for v in ring[i + 1:] + ring[:i]]
-        f, g1 = kids[0]
-        if len(kids) == 1:
-            full, minus = f + times(edge, g1), f
+    total, hang, adj = one, {}, None
+    for top, vs in blocks:
+        a = top or min(vs)  # a root block folds at its smallest vertex
+        if isinstance(vs, tuple):  # a bridge or a cycle, in cycle order
+            i = vs.index(a)
+            full, minus = _ring_block(
+                [hang.pop(v, bare) for v in vs[i + 1:] + vs[:i]], edge,
+                weights.get(frozenset(vs)) if weights else None, one, times)
         else:
-            f2, g_last = kids[1]
-            link = times(times(g1, g_last), edge)
-            t_prev, t = f, times(f, f2) + link  # t_1, t_2
-            s_prev, s = one, f2  # P(v_2..v_1) = 1, P(v_2..v_2)
-            for f, g in kids[2:]:
-                link = times(times(g_last, g), edge)
-                t_prev, t = t, times(t, f) + times(t_prev, link)
-                s_prev, s = s, times(s, f) + times(s_prev, link)
-                g_last = g
-            covered = times(edge, times(g1, s) + times(g_last, t_prev))
-            weight = weights.get(frozenset(ring)) if weights else None
-            if weight is not None:
-                for _, g in kids:
-                    weight = times(weight, g)
-                covered = covered + weight
-            full, minus = t + covered, t
+            if adj is None:  # once per fold, at its first such block
+                adj, at = g.adjacency_masks(), defaultdict(list)
+                for key in weights:
+                    for v in key:
+                        at[v].append(key)
+            inside = {key for v in vs for key in at.get(v, ()) if key <= vs}
+            vs = sorted(vs)
+            full, minus = _mask_block(
+                adj, vs, a, [bare if v == a else hang.pop(v, bare) for v in vs],
+                [(key, weights[key]) for key in inside], edge, one, times)
         total = _fold_block(hang, total, a, full, minus, not top)
     return total
 
 
-def _fold_block(hang: dict, total, a, full, minus, root: bool):
-    """Join the pair of a block X and all below it, full with its vertex a
-    bare and minus without a, to the pair `hang` keeps at a; at a root
-    block return total times the component, else total.  For G1 and G2
-    sharing only v, F(G1 u G2) = F(G1) F(G2 - v) + F(G1 - v) (F(G2) -
-    F(G2 - v)) and F(G1 u G2 - v) = F(G1 - v) F(G2 - v), for the tiling and
-    for the pair count alike."""
-    if a in hang:
-        whole, without = hang.pop(a)
-        full, minus = (whole * minus + without * (full - minus),
-                       None if root else without * minus)
-    if root:
-        return total * full
-    hang[a] = (full, minus)
-    return total
+def _ring_block(kids: list, edge, weight, one, times) -> tuple:
+    """(full, minus) of a bridge or a cycle whose other vertices carry
+    kids = [(F_1, G_1), ..]: tiling_poly's recurrence, with the tile's
+    `weight` (None when no tile names the cycle)."""
+    f, g1 = kids[0]
+    if len(kids) == 1:
+        return f + times(edge, g1), f
+    f2, g_last = kids[1]
+    link = times(times(g1, g_last), edge)
+    t_prev, t = f, times(f, f2) + link  # t_1, t_2
+    s_prev, s = one, f2  # P(v_2..v_1) = 1, P(v_2..v_2)
+    for f, g in kids[2:]:
+        link = times(times(g_last, g), edge)
+        t_prev, t = t, times(t, f) + times(t_prev, link)
+        s_prev, s = s, times(s, f) + times(s_prev, link)
+        g_last = g
+    covered = times(edge, times(g1, s) + times(g_last, t_prev))
+    if weight is not None:
+        for _, g in kids:
+            weight = times(weight, g)
+        covered = covered + weight
+    return t + covered, t
 
 
-def _mask_tiling(g: Graph, edge: Poly, tiles: Iterable) -> Poly:
-    """tiling_poly of any graph, memoized per vertex mask.  A set is worth
-    the product of its components' values; a component branches on the
-    middle vertex v of a longest shortest path: v alone, with a neighbour
-    u, or in a tile T, each branch keeping every component C_j of C - v
-    whole but the one it takes u or T - v from.  With P_j the value of C_j
-    and D_j the sum of the branches inside it, C is worth T_k:
-    T_0 = A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j, the
-    leaves of v as one C_j.  The depth follows the halvings of the diameter.
+def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
+                one, times) -> tuple:
+    """(full, minus) of a block that is no bridge or cycle, with vertices
+    vs, top a and kids[i] = (F, G) of vs[i] ((1, 1) at a): the tiling of vs
+    by lone vertices, edges and `tiles` (vertex sets in the block, with
+    weights), with a vertex weighing F when lone and G when covered, and
+    the same without a.
+
+    Memoized per mask of the block's vertices, renumbered 0..s-1: a set is
+    worth the product of its components' values, a lone vertex its F; a
+    component branches on the middle vertex v of a longest shortest path:
+    v alone, with a neighbour u, or in a tile T, each branch keeping every
+    component C_j of C - v whole but the one it takes u or T - v from.
+    With P_j the value of C_j and D_j the sum of the branches inside it, C
+    is worth T_k: T_0 = F_v, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j,
+    A_j = A_(j-1) P_j.  The depth follows the halvings of the diameter.
+    The block first branches on a, so minus, the block less a, is its one
+    C_1 and full is minus + D_1.
     """
-    adj = g.adjacency_masks()
-    tiles_at = {}
-    for vertices, weight in tiles:
-        mask = sum(1 << (v - 1) for v in vertices)
-        for v in vertices:
-            if weight:
-                tiles_at.setdefault(v - 1, []).append((mask, weight))
-    one = Poly.one()
+    local = {1 << (v - 1): 1 << i for i, v in enumerate(vs)}
+    block = sum(local)  # in the graph's numbering
+    near = [sum(local[b] for b in _bits(adj[v - 1] & block)) for v in vs]
+    lone = [f for f, _ in kids]
+    cover = [g for _, g in kids]
+    tiles_at = [[] for _ in vs]
+    for key, weight in tiles:
+        mask = sum(local[1 << (v - 1)] for v in key)
+        for b in _bits(mask):
+            weight = times(weight, cover[b.bit_length() - 1])
+        for b in _bits(mask):
+            tiles_at[b.bit_length() - 1].append((mask, weight))
     memo = {0: one}
-
-    def times(a: Poly, b: Poly) -> Poly:
-        return b if a is one else a if b is one else a * b
-
-    pair = one + edge  # the value of every edge on its own
 
     def layers(start: int, within: int) -> list:
         """Breadth-first layers of `within` from the vertex bit `start`."""
@@ -177,7 +163,7 @@ def _mask_tiling(g: Graph, edge: Poly, tiles: Iterable) -> Poly:
             while frontier:
                 b = frontier & -frontier
                 frontier ^= b
-                reach |= adj[b.bit_length() - 1]
+                reach |= near[b.bit_length() - 1]
             frontier = reach & within & ~seen
             if not frontier:
                 return out
@@ -195,57 +181,77 @@ def _mask_tiling(g: Graph, edge: Poly, tiles: Iterable) -> Poly:
             out.append((comp, sweep[-1]))
         return out
 
-    def value(mask: int) -> Poly:
+    def value(mask: int):
         """Product of the values of the components of `mask`."""
         got = memo.get(mask)
-        if got is not None:
-            return got
-        out = one
-        for comp, far in components(mask):
-            if comp & (comp - 1):
-                out = times(out, solve(comp, far))
-        memo[mask] = out
-        return out
+        if got is None:
+            got = one
+            for comp, far in components(mask):
+                got = times(got, solve(comp, far))
+            memo[mask] = got
+        return got
 
-    def solve(comp: int, far: int) -> Poly:
-        """Value of a connected set of two or more vertices; `far` is the
-        last layer of a breadth-first sweep of it."""
-        got = pair if comp.bit_count() == 2 else memo.get(comp)
+    def solve(comp: int, far: int, v: int = 0):
+        """Value of a connected set, branching on the vertex bit v, by
+        default the middle vertex; `far` is the last layer of a
+        breadth-first sweep of it."""
+        rest = comp & (comp - 1)
+        if not rest:
+            return lone[comp.bit_length() - 1]
+        got = memo.get(comp)
         if got is not None:
             return got
-        v = comp & -comp  # where the sweep that found far started
-        if far != comp ^ v:
+        if not rest & (rest - 1):  # one edge: both lone, or the edge
+            u, w = (comp ^ rest).bit_length() - 1, rest.bit_length() - 1
+            got = times(lone[u], lone[w]) + times(times(edge, cover[u]), cover[w])
+            memo[comp] = got
+            return got
+        if not v:
+            v = comp & -comp  # where the sweep that found far started
+        if far and far != comp ^ v:
             sweep = layers(far & -far, comp)
             v = sweep[-1] & -sweep[-1]
             for layer in reversed(sweep[(len(sweep) - 1) // 2:-1]):
-                v = adj[v.bit_length() - 1] & layer
+                v = near[v.bit_length() - 1] & layer
                 v &= -v
         v = v.bit_length() - 1
-        found = components(comp ^ (1 << v))  # each holds a neighbour of v
-        parts = [(part, far) for part, far in found if part & (part - 1)]
-        leaves = len(found) - len(parts)
-        total, lead = one, one
+        parts = components(comp ^ (1 << v))  # each holds a neighbour of v
+        total, lead = lone[v], one
         for i, (part, far) in enumerate(parts):
-            inner, us = None, adj[v] & part
-            while us:
-                u = us & -us
-                us ^= u
-                got = value(part ^ u)
+            inner = None
+            for u in _bits(near[v] & part):
+                got = times(value(part ^ u), cover[u.bit_length() - 1])
                 inner = got if inner is None else inner + got
-            inner = inner * edge
-            for mask, weight in tiles_at.get(v, ()):
+            inner = times(times(inner, edge), cover[v])
+            for mask, weight in tiles_at[v]:
                 if mask & comp == mask and mask & part:
-                    inner = inner + value(part & ~mask) * weight
+                    inner = inner + times(value(part & ~mask), weight)
             p = solve(part, far)
             total = times(total, p) + times(lead, inner)
-            if leaves or i + 1 < len(parts):
+            if i + 1 < len(parts):
                 lead = times(lead, p)
-        if leaves:  # as one part: P = 1, D = leaves edge
-            total = total + times(lead, edge * leaves)
         memo[comp] = total
         return total
 
-    return value((1 << g.n) - 1)
+    every, top = (1 << len(vs)) - 1, local[1 << (a - 1)]
+    return solve(every, 0, top), value(every ^ top)
+
+
+def _fold_block(hang: dict, total, a, full, minus, root: bool):
+    """Join the pair of a block X and all below it, full with its vertex a
+    bare and minus without a, to the pair `hang` keeps at a; at a root
+    block return total times the component, else total.  For G1 and G2
+    sharing only v, F(G1 u G2) = F(G1) F(G2 - v) + F(G1 - v) (F(G2) -
+    F(G2 - v)) and F(G1 u G2 - v) = F(G1 - v) F(G2 - v), for the tiling and
+    for the pair count alike."""
+    if a in hang:
+        whole, without = hang.pop(a)
+        full, minus = (whole * minus + without * (full - minus),
+                       None if root else without * minus)
+    if root:
+        return total * full
+    hang[a] = (full, minus)
+    return total
 
 
 def check_pair_count_bound(cls: GraphClassification, bounds: Optional[Mapping],

@@ -33,6 +33,11 @@ matched vertex sets; cut_sum_reference is the loop it replaced, which
 builds the crossing graph of every cut (cuts) and counts each from scratch
 (matched_vertex_sets, which the pair count is checked against too).
 
+The package folds the tiling over the blocks of the graph and runs a DP
+over vertex masks only inside a block that is no bridge or cycle;
+mask_tiling is the DP it replaced, one memo over the vertex masks of the
+whole graph, and the fold is checked against it on every graph.
+
 The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
@@ -432,6 +437,111 @@ def mu_poly_reference(g: Graph, weights: dict, cls=None) -> Poly:
         return w
 
     return cycle_family_sum(g, cycle_families(g, cls), alpha, weight)
+
+
+def mask_tiling(g: Graph, edge: Poly, tiles: Iterable) -> Poly:
+    """tiling_poly of any graph, memoized per vertex mask.  A set is worth
+    the product of its components' values; a component branches on the
+    middle vertex v of a longest shortest path: v alone, with a neighbour
+    u, or in a tile T, each branch keeping every component C_j of C - v
+    whole but the one it takes u or T - v from.  With P_j the value of C_j
+    and D_j the sum of the branches inside it, C is worth T_k:
+    T_0 = A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j, A_j = A_(j-1) P_j, the
+    leaves of v as one C_j.  The depth follows the halvings of the diameter.
+    """
+    adj = g.adjacency_masks()
+    tiles_at = {}
+    for vertices, weight in tiles:
+        mask = sum(1 << (v - 1) for v in vertices)
+        for v in vertices:
+            if weight:
+                tiles_at.setdefault(v - 1, []).append((mask, weight))
+    one = Poly.one()
+    memo = {0: one}
+
+    def times(a: Poly, b: Poly) -> Poly:
+        return b if a is one else a if b is one else a * b
+
+    pair = one + edge  # the value of every edge on its own
+
+    def layers(start: int, within: int) -> list:
+        """Breadth-first layers of `within` from the vertex bit `start`."""
+        out = [start]
+        seen = frontier = start
+        while True:
+            reach = 0
+            while frontier:
+                b = frontier & -frontier
+                frontier ^= b
+                reach |= adj[b.bit_length() - 1]
+            frontier = reach & within & ~seen
+            if not frontier:
+                return out
+            seen |= frontier
+            out.append(frontier)
+
+    def components(mask: int) -> list:
+        """(component, last layer of a breadth-first sweep of it from its
+        lowest vertex) for each component of `mask`."""
+        out = []
+        while mask:
+            sweep = layers(mask & -mask, mask)
+            comp = sum(sweep)
+            mask ^= comp
+            out.append((comp, sweep[-1]))
+        return out
+
+    def value(mask: int) -> Poly:
+        """Product of the values of the components of `mask`."""
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        out = one
+        for comp, far in components(mask):
+            if comp & (comp - 1):
+                out = times(out, solve(comp, far))
+        memo[mask] = out
+        return out
+
+    def solve(comp: int, far: int) -> Poly:
+        """Value of a connected set of two or more vertices; `far` is the
+        last layer of a breadth-first sweep of it."""
+        got = pair if comp.bit_count() == 2 else memo.get(comp)
+        if got is not None:
+            return got
+        v = comp & -comp  # where the sweep that found far started
+        if far != comp ^ v:
+            sweep = layers(far & -far, comp)
+            v = sweep[-1] & -sweep[-1]
+            for layer in reversed(sweep[(len(sweep) - 1) // 2:-1]):
+                v = adj[v.bit_length() - 1] & layer
+                v &= -v
+        v = v.bit_length() - 1
+        found = components(comp ^ (1 << v))  # each holds a neighbour of v
+        parts = [(part, far) for part, far in found if part & (part - 1)]
+        leaves = len(found) - len(parts)
+        total, lead = one, one
+        for i, (part, far) in enumerate(parts):
+            inner, us = None, adj[v] & part
+            while us:
+                u = us & -us
+                us ^= u
+                got = value(part ^ u)
+                inner = got if inner is None else inner + got
+            inner = inner * edge
+            for mask, weight in tiles_at.get(v, ()):
+                if mask & comp == mask and mask & part:
+                    inner = inner + value(part & ~mask) * weight
+            p = solve(part, far)
+            total = times(total, p) + times(lead, inner)
+            if leaves or i + 1 < len(parts):
+                lead = times(lead, p)
+        if leaves:  # as one part: P = 1, D = leaves edge
+            total = total + times(lead, edge * leaves)
+        memo[comp] = total
+        return total
+
+    return value((1 << g.n) - 1)
 
 
 def bezout(a: int, b: int) -> tuple:

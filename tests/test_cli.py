@@ -586,12 +586,17 @@ class TestContract:
 
 
     def test_one_block_pass_per_request(self, tmp_path, monkeypatch):
-        # the tiling folds the blocks of the request's own classification
+        # the tiling folds the blocks of the request's own classification,
+        # on a cactus (a 4-cycle with a pendant edge) and on a graph that
+        # is none (a diamond with a pendant edge)
         passes = count_calls(monkeypatch, graphs._blocks)
-        path = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n")
-        for argv in (["gamma-a", path], ["gamma-b", path],
-                     ["check", path, "--polytope", "ahat"],
-                     ["verify", path, "--level", "full"]):
+        cactus = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n")
+        diamond = write(tmp_path, "d.txt", "1 2\n2 3\n3 4\n4 1\n1 3\n4 5\n")
+        for argv in (["gamma-a", cactus], ["gamma-b", cactus],
+                     ["check", cactus, "--polytope", "ahat"],
+                     ["verify", cactus, "--level", "full"],
+                     ["gamma-a", diamond], ["check", diamond, "--polytope", "ahat"],
+                     ["verify", diamond, "--level", "full"]):
             passes.clear()
             assert main(argv) == 0, argv
             assert len(passes) == 1, argv

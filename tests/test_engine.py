@@ -290,7 +290,7 @@ class TestBMethodAgreementExhaustive:
 class TestHstarGuard:
     """The formula routes size the h* guard from a bound on sum_k |gamma_k|
     before the tiling runs: the count n + |E| + even cycles + 1 bits, then
-    on a cactus the fold at the point with absolute weights."""
+    on any graph the fold at the point with absolute weights."""
 
     def test_bounds_cover_gamma_on_atlas7(self, atlas7):
         for g in atlas7:
@@ -305,10 +305,9 @@ class TestHstarGuard:
             for gamma, edge, scale in routes:
                 total = sum(abs(c) for c in gamma.coeffs)
                 assert total.bit_length() <= count_bits, g
-                if cls.cactus:
-                    assert tiling_value(
-                        g, edge * scale,
-                        [(c, scale ** (len(c) // 2)) for c in evens], cls) >= total, g
+                assert tiling_value(
+                    g, edge * scale,
+                    [(c, scale ** (len(c) // 2)) for c in evens], cls) >= total, g
 
     @staticmethod
     def diamond_chain(k):
@@ -327,10 +326,11 @@ class TestHstarGuard:
         # the fold at x = 4 bounds sum |gamma_k| by 13,570 bits
         with pytest.raises(BoundExceededError, match="holds about 235723570 "):
             solve(path_graph(10000), "b")
-        # no cactus: the count alone refuses, 22,502 bits
-        g = self.diamond_chain(2500)
+        # no cactus: 3,500 diamonds (n = 10,501) fail the count, 31,502
+        # bits, and the fold at x = 1, 12,612 bits of the 8,542 allowed
+        g = self.diamond_chain(3500)
         assert classify(g).unique_even_cycle_condition
-        with pytest.raises(BoundExceededError, match="holds about 225082506 "):
+        with pytest.raises(BoundExceededError, match="holds about 242732726 "):
             solve(g, "ahat")
 
     def test_the_fold_passes_what_the_count_refuses(self, monkeypatch):
@@ -346,3 +346,9 @@ class TestHstarGuard:
         for polytope in ("ahat", "b"):
             with pytest.raises(Reached):
                 solve(path_graph(9000), polytope)
+        # no cactus: 2,500 diamonds (n = 7,501) fail the count, 22,502
+        # bits, and pass the fold, 9,009 bits of the 19,158 allowed
+        g = TestHstarGuard.diamond_chain(2500)
+        assert not classify(g).cactus
+        with pytest.raises(Reached):
+            solve(g, "ahat")

@@ -22,10 +22,21 @@ from oracles import (bipartition_of, classify_reference, complement,
 
 def assert_matches_reference(g: Graph) -> None:
     """classify flag for flag against the listing reference, which finds
-    the blocks in no order: their vertex sets compare as a set."""
+    the blocks in no order: their vertex sets compare as a set.  A bridge
+    keeps its sorted ends and a block of one cycle its canonical tuple;
+    any other block keeps a frozenset."""
     cls, ref = classify(g), classify_reference(g)
     assert len(cls.blocks) == len(ref.blocks), g
-    assert {vs for _, vs in cls.blocks} == ref.blocks, g
+    assert {frozenset(vs) for _, vs in cls.blocks} == ref.blocks, g
+    for _, vs in cls.blocks:
+        inside = sum(u in vs and v in vs for u, v in g.edges)
+        if len(vs) == 2:
+            assert vs == tuple(sorted(vs)), g
+        elif inside == len(vs):
+            assert vs[0] == min(vs) and vs[1] < vs[-1], g
+            assert set(cycle_edges(vs)) <= g.edges, g
+        else:
+            assert isinstance(vs, frozenset), g
     assert replace(cls, blocks=ref.blocks) == ref, g
 
 
@@ -43,7 +54,7 @@ def assert_block_order(g: Graph) -> None:
         assert all(i < own[0] for i, (top, _) in enumerate(blocks) if top == v), g
     comps = [set(c) for c in connected_components(g) if len(c) > 1]
     roots = [i for top, vs in blocks if not top
-             for i, c in enumerate(comps) if vs <= c]
+             for i, c in enumerate(comps) if c.issuperset(vs)]
     assert sorted(roots) == list(range(len(comps))), g
 
 
@@ -391,6 +402,13 @@ class TestClassify:
         # a cactus needs no cycle search: each cycle is a block
         bowtie = Graph.make(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
         assert classify(bowtie).simple_cycles == ((1, 2, 3), (3, 4, 5))
+        assert classify(bowtie).blocks == ((3, (3, 4, 5)), (0, (1, 2, 3)))
+        # a 4-cycle, a bridge and a diamond: the cycle in cycle order, the
+        # bridge's sorted ends, the diamond's vertex set
+        g = Graph.make(8, [(1, 3), (2, 3), (2, 4), (1, 4), (4, 5),
+                           (5, 6), (5, 7), (6, 7), (6, 8), (7, 8)])
+        assert classify(g).blocks == ((5, frozenset({5, 6, 7, 8})), (4, (4, 5)),
+                                      (0, (1, 3, 2, 4)))
         start = time.process_time()
         cls = classify(cycle_graph(20000))
         assert time.process_time() - start < 5

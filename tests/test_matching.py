@@ -11,13 +11,15 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
                       cycle_graph, empty_graph, gamma_b, graphs,
                       matchable_pairs, mu_poly,
-                      path_graph, real_rootedness, solve, star_graph,
+                      path_graph, real_rootedness, simple_cycles, solve,
+                      star_graph,
                       suspension_gamma_formula, tiling_poly)
-from sepgamma.matching import _mask_tiling, _pair_tally, tiling_value
+from sepgamma.matching import _pair_tally, tiling_value
 
 from conftest import all_graphs_upto, grid_graph, pair_list, random_graph
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
-                     line_graph, matchable_pairs_reference, matched_sets_by_matchings,
+                     line_graph, mask_tiling, matchable_pairs_reference,
+                     matched_sets_by_matchings,
                      matched_vertex_sets,
                      matched_sets_reference, matched_sets_tiling,
                      matching_counts, matching_poly, mu_poly_reference,
@@ -562,94 +564,122 @@ class TestTilingPoly:
 
 
 def fold_weightings(cls):
-    """(edge, tiles) of the suspension formula, of |M(G,k)| and of mu_poly
-    (Fraction weights on odd and even cycles), for a graph that meets the
-    even-cycle condition."""
-    cycles = cls.simple_cycles
-    evens = [c for c in cycles if len(c) % 2 == 0]
+    """(edge, tiles) of the suspension formula and of |M(G,k)|, for a graph
+    that meets the even-cycle condition."""
+    evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
     return [(Poly.monomial(1, 2), [(c, Poly.monomial(len(c) // 2, -2)) for c in evens]),
-            (X, [(c, Poly.monomial(len(c) // 2, -1)) for c in evens]),
-            (Poly.monomial(2, -1),
-             [(c, Poly.monomial(len(c), Fraction(-2 * len(c), 3))) for c in cycles])]
+            (X, [(c, Poly.monomial(len(c) // 2, -1)) for c in evens])]
+
+
+# (p, q, r): two poles joined by paths of p, q and r edges, not all of one
+# parity, so that one of the theta's three cycles is even: the diamond,
+# the house and three larger ones
+THETAS = ((1, 2, 2), (1, 2, 3), (2, 2, 3), (1, 2, 4), (2, 3, 3))
 
 
 @st.composite
-def cactus_tilings(draw):
+def glued_tilings(draw):
     """(g, edge, tiles): a relabelled graph on at most 60 vertices whose
-    components are cacti (blocks of edges and of cycles with 3 to 8
-    vertices), stars or isolated vertices; each cycle is a tile with a
-    drawn weight, a tile of weight 0, or left out."""
-    n, edges, cycles = 0, [], []
+    components are glued from blocks (bridges, cycles with 3 to 8 vertices
+    and THETAS, so that no edge lies in two even cycles), stars or
+    isolated vertices; each simple cycle is a tile with a drawn weight, a
+    tile of weight 0, or left out."""
+    n, edges = 0, []
     for _ in range(draw(st.integers(1, 4))):
         if n == 60:
             break
-        kind = draw(st.sampled_from(("cactus", "star", "isolated")))
+        kind = draw(st.sampled_from(("glued", "star", "isolated")))
         root, n = n + 1, n + 1
         last = root if kind == "isolated" else n - 1 + draw(st.integers(1, 61 - root))
         if kind == "star":
             edges += [(root, v) for v in range(root + 1, last + 1)]
             n = last
-        while n < last:  # a cactus: each block hangs from a vertex built
+        while n < last:  # each block hangs from a vertex built
             at = draw(st.integers(root, n))
+            theta = draw(st.sampled_from((None,) + THETAS))
+            if theta and sum(theta) - 2 <= last - n:
+                pole, n = n + 1, n + 1
+                for length in theta:
+                    path = [at] + list(range(n + 1, n + length)) + [pole]
+                    n += length - 1
+                    edges += zip(path, path[1:])
+                continue
             k = draw(st.integers(2, min(8, last - n + 1)))
             ring = [at] + list(range(n + 1, n + k))
             n += k - 1
-            if k == 2:
-                edges.append((at, ring[1]))
-            else:
-                edges += zip(ring, ring[1:] + ring[:1])
-                cycles.append(ring)
+            edges += [(at, ring[1])] if k == 2 else zip(ring, ring[1:] + ring[:1])
     perm = draw(st.permutations(range(1, n + 1)))
     g = Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
     tiles = []
-    for ring in cycles:
+    for cycle in classify(g).simple_cycles:
         choice = draw(st.sampled_from(("weight", "zero", "out")))
         if choice != "out":
             c = 0 if choice == "zero" else draw(st.integers(-3, 3))
-            tiles.append(([perm[v - 1] for v in ring],
-                          Poly.monomial(len(ring) // 2, c)))
+            tiles.append((cycle, Poly.monomial(len(cycle) // 2, c)))
     edge = draw(st.sampled_from((X, Poly.monomial(1, 2), Poly([1, -1]),
                                  Poly.monomial(2, Fraction(-1, 2)))))
     return g, edge, tiles
 
 
+def reversed_mu(g, weights) -> Poly:
+    """mu_poly by the whole-graph reference: the mu weighting read
+    backwards."""
+    f = mask_tiling(g, Poly.monomial(2, -1),
+                    [(c, Poly.monomial(len(c), -2 * w)) for c, w in weights.items()])
+    return Poly(f[g.n - k] for k in range(g.n + 1))
+
+
 class TestTilingFold:
-    """On a cactus tiling_poly folds the blocks; the DP over vertex masks,
-    an independent algorithm that any graph can take, is the reference."""
+    """tiling_poly folds the blocks of every graph, with a DP over vertex
+    masks inside each block that is no bridge or cycle; the DP over the
+    vertex masks of the whole graph (oracles.mask_tiling) is the
+    reference."""
 
     @staticmethod
     def check_mask_dp(g, cls):
-        for edge, tiles in fold_weightings(cls):
-            reference = _mask_tiling(g, edge, tiles)
+        """Each weighting with cls, the first also without it (the blocks of
+        one graphs._blocks pass), each at a point; and mu_poly, which
+        weighs every cycle by a fraction."""
+        for (edge, tiles), x in zip(fold_weightings(cls), (3, -2)):
+            reference = mask_tiling(g, edge, tiles)
             assert tiling_poly(g, edge, tiles, cls) == reference, g
-            assert tiling_poly(g, edge, tiles) == reference, g
-        # through mu_poly: the mu weighting read backwards
+            if x == 3:
+                assert tiling_poly(g, edge, tiles) == reference, g
+            assert tiling_value(g, edge(x), [(c, w(x)) for c, w in tiles],
+                                cls) == reference(x), g
         weights = {c: Fraction(len(c) - 2, 5) for c in cls.simple_cycles}
-        f = _mask_tiling(g, Poly.monomial(2, -1),
-                         [(c, Poly.monomial(len(c), -2 * w)) for c, w in weights.items()])
-        assert mu_poly(g, weights, cls) == mu_poly(g, weights) == \
-            Poly(f[g.n - k] for k in range(g.n + 1)), g
+        assert mu_poly(g, weights, cls) == reversed_mu(g, weights), g
 
-    def test_labeled_cacti_upto_6(self):
-        checked = 0
+    def test_labeled_graphs_upto_6(self):
+        checked = cacti = 0
         for g in all_graphs_upto(6):
             cls = classify(g)
-            if cls.cactus:
+            if cls.unique_even_cycle_condition:
                 self.check_mask_dp(g, cls)
                 checked += 1
-        assert checked > 10000
+                cacti += cls.cactus
+        assert (checked, cacti) == (16541, 10025)
 
-    def test_atlas7_cacti(self, atlas7):
+    def test_atlas7(self, atlas7):
         for g in atlas7:
             cls = classify(g)
-            if cls.cactus:
+            if cls.unique_even_cycle_condition:
                 self.check_mask_dp(g, cls)
 
+    def test_every_cycle_weighted_upto_5(self):
+        # mu_poly weighs the cycles the caller names, on any graph
+        for g in all_graphs_upto(5):
+            cls = classify(g)
+            if not cls.unique_even_cycle_condition:
+                weights = {c: Fraction(len(c) - 2, 5) for c in simple_cycles(g)}
+                assert mu_poly(g, weights, cls) == mu_poly(g, weights) == \
+                    reversed_mu(g, weights), g
+
     @settings(derandomize=True, max_examples=100, deadline=None)
-    @given(cactus_tilings())
-    def test_random_cacti_upto_60(self, drawn):
+    @given(glued_tilings())
+    def test_random_glued_graphs_upto_60(self, drawn):
         g, edge, tiles = drawn
-        reference = _mask_tiling(g, edge, tiles)
+        reference = mask_tiling(g, edge, tiles)
         assert tiling_poly(g, edge, tiles) == reference, g
         assert tiling_poly(g, edge, tiles, classify(g)) == reference, g
 
@@ -657,7 +687,7 @@ class TestTilingFold:
         def unreachable(*args, **kwargs):
             raise AssertionError("vertex masks built")
 
-        monkeypatch.setattr("sepgamma.matching._mask_tiling", unreachable)
+        monkeypatch.setattr("sepgamma.matching._mask_block", unreachable)
         monkeypatch.setattr(Graph, "adjacency_masks", unreachable)
         n = 300  # m_k(P_n) = C(n-k, k); m_k(C_n) = C(n-k, k) + C(n-k-1, k-1)
         assert tiling_poly(path_graph(n), X).coeff_list() == \
@@ -680,13 +710,8 @@ class TestTilingFold:
              for k in range(6)]
 
     def test_value_at_a_point(self, atlas7):
+        # with no tiles on every class, whether or not an edge lies in two
+        # even cycles; check_mask_dp weighs the tiles where they apply
         for g in atlas7:
-            cls = classify(g)
-            if not cls.cactus:
-                with pytest.raises(PreconditionError):
-                    tiling_value(g, 1, (), cls)
-                continue
-            for (edge, tiles), x in zip(fold_weightings(cls), (3, -2, Fraction(1, 2))):
-                at = [(c, w(x)) for c, w in tiles]
-                assert tiling_value(g, edge(x), at, cls) == \
-                    tiling_poly(g, edge, tiles, cls)(x), g
+            assert tiling_value(g, 3, (), classify(g)) == \
+                mask_tiling(g, X, ())(3), g
