@@ -14,9 +14,11 @@ once, so its work and its guard follow the largest block.  A block holds
 each A's matchable B's as one subset bitmap where that costs less than a
 set of vertex masks, by the vertices t a B can hold, the share of edges
 and the tracked cut vertices; the bitmap's memory, O(s) ints of 2^t
-bits for a block of s vertices, is sized by the same guard.  Both fold the
-blocks in the order classify's depth-first search closed them, each after
-the blocks below it, and join them at a vertex with one helper.
+bits for a block of s vertices, is sized by the same guard.  Both are one
+fold, _fold_blocks, over the blocks in the order classify's depth-first
+search closed them, each after the blocks below it: each count gives only
+a block's pair (with and without its top vertex) from the pairs of the
+vertices below it, and one join, _join, meets the blocks at a vertex.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = (),
     graphs._blocks pass, never classify's cycle search) fold bottom-up.  A
     cut vertex c carries (F_c, G_c), the tiling of all below c with and
     without c (1 and 1 with nothing below).  A block with top a gives full
-    (a bare) and minus (a removed), and _fold_block joins the pair at a.
+    (a bare) and minus (a removed) to _fold_blocks; a root block folds at
+    its smallest vertex a and joins what hangs below a itself.
     For a bridge or a cycle with other vertices v_1..v_k in cycle order:
     a bridge F_1 + edge G_1 and F_1; a cycle minus = t_k, where
     t_j = t_(j-1) F_j + t_(j-2) G_(j-1) G_j edge (t_0 = 1, t_-1 = 0), and
@@ -69,60 +72,59 @@ def _fold(g: Graph, cls: Optional[GraphClassification], edge, tiles: Iterable,
         if weight:
             key = frozenset(vertices)
             weights[key] = weights[key] + weight if key in weights else weight
+    bare, adj, at = (one, one), None, defaultdict(list)
 
-    def times(a, b):
-        return b if a is one else a if b is one else a * b
-
-    bare = (one, one)
-    total, hang, adj = one, {}, None
-    for top, vs in blocks:
+    def block(top, vs, kids):
+        nonlocal adj
         a = top or min(vs)  # a root block folds at its smallest vertex
         if isinstance(vs, tuple):  # a bridge or a cycle, in cycle order
             i = vs.index(a)
             full, minus = _ring_block(
-                [hang.pop(v, bare) for v in vs[i + 1:] + vs[:i]], edge,
-                weights.get(frozenset(vs)) if weights else None, one, times)
+                [kids.get(v, bare) for v in vs[i + 1:] + vs[:i]], edge,
+                weights.get(frozenset(vs)) if weights else None, one)
         else:
             if adj is None:  # once per fold, at its first such block
-                adj, at = g.adjacency_masks(), defaultdict(list)
+                adj = g.adjacency_masks()
                 for key in weights:
                     for v in key:
                         at[v].append(key)
             inside = {key for v in vs for key in at.get(v, ()) if key <= vs}
             vs = sorted(vs)
             full, minus = _mask_block(
-                adj, vs, a, [bare if v == a else hang.pop(v, bare) for v in vs],
-                [(key, weights[key]) for key in inside], edge, one, times)
-        total = _fold_block(hang, total, a, full, minus, not top)
-    return total
+                adj, vs, a, [bare if v == a else kids.get(v, bare) for v in vs],
+                [(key, weights[key]) for key in inside], edge, one)
+        # only at a root can a have blocks below it
+        return _join(kids[a], full, minus) if a in kids else (full, minus)
+
+    return _fold_blocks(blocks, one, block)
 
 
-def _ring_block(kids: list, edge, weight, one, times) -> tuple:
+def _ring_block(kids: list, edge, weight, one) -> tuple:
     """(full, minus) of a bridge or a cycle whose other vertices carry
     kids = [(F_1, G_1), ..]: tiling_poly's recurrence, with the tile's
     `weight` (None when no tile names the cycle)."""
     f, g1 = kids[0]
     if len(kids) == 1:
-        return f + times(edge, g1), f
+        return f + edge * g1, f
     f2, g_last = kids[1]
-    link = times(times(g1, g_last), edge)
-    t_prev, t = f, times(f, f2) + link  # t_1, t_2
+    link = g1 * g_last * edge
+    t_prev, t = f, f * f2 + link  # t_1, t_2
     s_prev, s = one, f2  # P(v_2..v_1) = 1, P(v_2..v_2)
     for f, g in kids[2:]:
-        link = times(times(g_last, g), edge)
-        t_prev, t = t, times(t, f) + times(t_prev, link)
-        s_prev, s = s, times(s, f) + times(s_prev, link)
+        link = g_last * g * edge
+        t_prev, t = t, t * f + t_prev * link
+        s_prev, s = s, s * f + s_prev * link
         g_last = g
-    covered = times(edge, times(g1, s) + times(g_last, t_prev))
+    covered = edge * (g1 * s + g_last * t_prev)
     if weight is not None:
         for _, g in kids:
-            weight = times(weight, g)
+            weight *= g
         covered = covered + weight
     return t + covered, t
 
 
 def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
-                one, times) -> tuple:
+                one) -> tuple:
     """(full, minus) of a block that is no bridge or cycle, with vertices
     vs, top a and kids[i] = (F, G) of vs[i] ((1, 1) at a): the tiling of vs
     by lone vertices, edges and `tiles` (vertex sets in the block, with
@@ -143,13 +145,12 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
     local = {1 << (v - 1): 1 << i for i, v in enumerate(vs)}
     block = sum(local)  # in the graph's numbering
     near = [sum(local[b] for b in _bits(adj[v - 1] & block)) for v in vs]
-    lone = [f for f, _ in kids]
-    cover = [g for _, g in kids]
+    lone, cover = zip(*kids)
     tiles_at = [[] for _ in vs]
     for key, weight in tiles:
         mask = sum(local[1 << (v - 1)] for v in key)
         for b in _bits(mask):
-            weight = times(weight, cover[b.bit_length() - 1])
+            weight *= cover[b.bit_length() - 1]
         for b in _bits(mask):
             tiles_at[b.bit_length() - 1].append((mask, weight))
     memo = {0: one}
@@ -187,7 +188,7 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
         if got is None:
             got = one
             for comp, far in components(mask):
-                got = times(got, solve(comp, far))
+                got *= solve(comp, far)
             memo[mask] = got
         return got
 
@@ -203,7 +204,7 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
             return got
         if not rest & (rest - 1):  # one edge: both lone, or the edge
             u, w = (comp ^ rest).bit_length() - 1, rest.bit_length() - 1
-            got = times(lone[u], lone[w]) + times(times(edge, cover[u]), cover[w])
+            got = lone[u] * lone[w] + edge * cover[u] * cover[w]
             memo[comp] = got
             return got
         if not v:
@@ -220,16 +221,16 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
         for i, (part, far) in enumerate(parts):
             inner = None
             for u in _bits(near[v] & part):
-                got = times(value(part ^ u), cover[u.bit_length() - 1])
+                got = value(part ^ u) * cover[u.bit_length() - 1]
                 inner = got if inner is None else inner + got
-            inner = times(times(inner, edge), cover[v])
+            inner *= edge * cover[v]
             for mask, weight in tiles_at[v]:
                 if mask & comp == mask and mask & part:
-                    inner = inner + times(value(part & ~mask), weight)
+                    inner = inner + value(part & ~mask) * weight
             p = solve(part, far)
-            total = times(total, p) + times(lead, inner)
+            total = total * p + lead * inner
             if i + 1 < len(parts):
-                lead = times(lead, p)
+                lead *= p
         memo[comp] = total
         return total
 
@@ -237,21 +238,32 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
     return solve(every, 0, top), value(every ^ top)
 
 
-def _fold_block(hang: dict, total, a, full, minus, root: bool):
-    """Join the pair of a block X and all below it, full with its vertex a
-    bare and minus without a, to the pair `hang` keeps at a; at a root
-    block return total times the component, else total.  For G1 and G2
-    sharing only v, F(G1 u G2) = F(G1) F(G2 - v) + F(G1 - v) (F(G2) -
-    F(G2 - v)) and F(G1 u G2 - v) = F(G1 - v) F(G2 - v), for the tiling and
-    for the pair count alike."""
-    if a in hang:
-        whole, without = hang.pop(a)
-        full, minus = (whole * minus + without * (full - minus),
-                       None if root else without * minus)
-    if root:
-        return total * full
-    hang[a] = (full, minus)
+def _fold_blocks(blocks: Iterable, one, block):
+    """Fold a count over `blocks`, each after the blocks below it, with the
+    vertex it hangs from (0 at a root): block(top, vertices, kids) gives
+    (full, minus), the count of the block and all below it with top bare
+    and without top, where kids maps each other vertex of the block that
+    has blocks below it to their pair.  hang keeps the pair waiting at each
+    cut vertex, joining the blocks that share it; components multiply."""
+    total, hang = one, {}
+    for top, vertices in blocks:
+        kids = {v: hang.pop(v) for v in vertices if v != top and v in hang}
+        full, minus = block(top, vertices, kids)
+        if top:
+            hang[top] = _join(hang[top], full, minus) if top in hang else (full, minus)
+        else:
+            total *= full
     return total
+
+
+def _join(below: tuple, full, minus) -> tuple:
+    """The pair of G1 u G2 at the one vertex v they share, from below =
+    (F(G1), F(G1 - v)) and full, minus = F(G2), F(G2 - v):
+    F(G1 u G2) = F(G1) F(G2 - v) + F(G1 - v) (F(G2) - F(G2 - v)) and
+    F(G1 u G2 - v) = F(G1 - v) F(G2 - v), for the tiling and for the pair
+    count alike."""
+    whole, without = below
+    return whole * minus + without * (full - minus), without * minus
 
 
 def check_pair_count_bound(cls: GraphClassification, bounds: Optional[Mapping],
@@ -447,38 +459,34 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
     cut-sum formula with its two sums swapped); with one side of a
     bipartition it is |M(G,k)|.  Each edge of a perfect matching lies in
     one block, so a matchable pair of G is one matchable pair per block
-    with each cut vertex used in at most one of them.  The blocks of cls
-    (classify(g) by default) come each after the blocks below it, with the
-    vertex a they hang from (0 at a root), and each is counted once
-    (`_pair_tally`), tallied by a and by the vertices it shares with the
-    blocks below it.  Such a child vertex c, with H_c everything below it,
-    weighs gamma(H_c - c) where the block uses c and gamma(H_c) where it
-    does not; the bit of a gives gamma(X) and gamma(X - a) of the block and
-    all below it, X, which _fold_block joins at a as tiling_poly's fold
-    does: the count obeys the same identity at a vertex that G1 and G2
-    share, and components multiply.
+    with each cut vertex used in at most one of them.  _fold_blocks walks
+    the blocks of cls (classify(g) by default), and each is counted once
+    (`_pair_tally`), tallied by its top a (none at a root) and by the
+    vertices it shares with the blocks below it.  Such a child vertex c,
+    with H_c everything below it, weighs gamma(H_c - c) where the block
+    uses c and gamma(H_c) where it does not; the bit of a gives gamma(X)
+    and gamma(X - a) of the block and all below it, X, which the fold
+    joins at a as it does the tiling's: the count obeys the same identity
+    at a vertex that G1 and G2 share, and components multiply.
     """
     cls = cls or classify(g)
     adj = g.adjacency_masks()
     src = ((1 << g.n) - 1 if sources is None
            else sum(1 << (v - 1) for v in set(sources)))
-    total = Poly.one()
-    hang = {}  # c -> (gamma(H_c), gamma(H_c - c)) until c's own block
-    for top, vertices in cls.blocks:
+
+    def block(top, vertices, kids):
         a = top and 1 << (top - 1)
-        block = sum(1 << (v - 1) for v in vertices)
-        kids = sum(c for c in _bits(block & ~a) if c in hang)
-        tally = {m: Poly(row) for m, row in
-                 _pair_tally(adj, block, src, kids | a).items()}
-        for c in _bits(kids):
-            whole, without = hang.pop(c)
-            folded = {}
+        tracked = sum(1 << (c - 1) for c in kids)
+        tally = {m: Poly(row) for m, row in _pair_tally(
+            adj, sum(1 << (v - 1) for v in vertices), src, tracked | a).items()}
+        for c, (whole, without) in kids.items():
+            c, folded = 1 << (c - 1), {}
             for m, p in tally.items():
                 p = p * (without if m & c else whole)
                 key = m & ~c
                 folded[key] = folded[key] + p if key in folded else p
             tally = folded
         minus = tally[0]
-        full = sum((p for m, p in tally.items() if m), minus)
-        total = _fold_block(hang, total, a, full, minus, not a)
-    return total.coeff_list()
+        return sum((p for m, p in tally.items() if m), minus), minus
+
+    return _fold_blocks(cls.blocks, Poly.one(), block).coeff_list()

@@ -104,15 +104,21 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
+        """The product; the other factor itself where one is the constant
+        1, and the outer loop over the shorter factor, skipping its zeros."""
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
+            a, b = self.coeffs, other.coeffs
+            if a == (1,) or b == (1,):
+                return other if a == (1,) else self
+            if len(a) > len(b):
+                a, b = b, a
+            if not a:
                 return Poly()
-            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    for j, d in enumerate(b, i):
+                        out[j] += c * d
             return Poly(out)
         return Poly(tuple(c * other for c in self.coeffs))
 

@@ -588,15 +588,21 @@ class TestContract:
     def test_one_block_pass_per_request(self, tmp_path, monkeypatch):
         # the tiling folds the blocks of the request's own classification,
         # on a cactus (a 4-cycle with a pendant edge) and on a graph that
-        # is none (a diamond with a pendant edge)
+        # is none (a diamond with a pendant edge); so does the pair count,
+        # on K4 and K3,3 with a pendant edge
         passes = count_calls(monkeypatch, graphs._blocks)
         cactus = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n")
         diamond = write(tmp_path, "d.txt", "1 2\n2 3\n3 4\n4 1\n1 3\n4 5\n")
+        k4 = write(tmp_path, "k4.txt", "1 2\n1 3\n1 4\n2 3\n2 4\n3 4\n4 5\n")
+        k33 = write(tmp_path, "k33.txt", "".join(
+            f"{u} {v}\n" for u in (1, 2, 3) for v in (4, 5, 6)) + "6 7\n")
         for argv in (["gamma-a", cactus], ["gamma-b", cactus],
                      ["check", cactus, "--polytope", "ahat"],
                      ["verify", cactus, "--level", "full"],
                      ["gamma-a", diamond], ["check", diamond, "--polytope", "ahat"],
-                     ["verify", diamond, "--level", "full"]):
+                     ["verify", diamond, "--level", "full"],
+                     ["gamma-a", k4], ["check", k4, "--polytope", "ahat"],
+                     ["gamma-b", k33]):
             passes.clear()
             assert main(argv) == 0, argv
             assert len(passes) == 1, argv

@@ -41,11 +41,11 @@ def assert_matches_reference(g: Graph) -> None:
 
 
 def assert_block_order(g: Graph) -> None:
-    """The order matchable_pairs folds in: each nonzero top lies in its own
-    block; each vertex on an edge lies in exactly one block whose top it
-    is not, after every block that closes at it (so a nonzero top lies in
-    a later block too); and each component with an edge has exactly one
-    root block (top 0)."""
+    """The order matching._fold_blocks folds in, for the tiling and the
+    pair count alike: each nonzero top lies in its own block; each vertex
+    on an edge lies in exactly one block whose top it is not, after every
+    block that closes at it (so a nonzero top lies in a later block too);
+    and each component with an edge has exactly one root block (top 0)."""
     blocks = classify(g).blocks
     assert all(top in vs for top, vs in blocks if top), g
     for v in set().union(*(vs for _, vs in blocks)):

@@ -55,6 +55,37 @@ class TestArithmetic:
         assert Poly().pretty() == "0"
 
 
+def schoolbook(p: Poly, q: Poly) -> Poly:
+    """The product of p and q, every pair of coefficients multiplied."""
+    out = [0] * (len(p.coeffs) + len(q.coeffs))
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] += a * b
+    return Poly(out)
+
+
+# zero, the constant 1, monomials such as the tiling's edge weight 2x, and
+# lists of small ints of either sign, Fractions and ints of 3,000 bits
+factors = st.sampled_from([Poly(), Poly.one(), Poly([0, 2]), Poly([0, 0, -3]),
+                           Poly([0, Fraction(1, 2)]), Poly([1, 1])]) | st.lists(
+    st.integers(-3, 3) | st.fractions(max_denominator=6) | st.builds(
+        lambda sign, low: sign * (1 << 2999 | low), st.sampled_from([1, -1]),
+        st.integers(0, 1 << 64)), max_size=9).map(Poly)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(factors, factors)
+@example(Poly([0, 2]), Poly([(-1) ** i << 3000 for i in range(40)]))
+@example(Poly.one(), Poly([Fraction(1, 3), 0, 5]))
+def test_product_in_either_order_is_the_schoolbook_product(p, q):
+    want = schoolbook(p, q)
+    for got in (p * q, q * p):
+        assert got == want
+        assert [type(c) for c in got.coeffs] == [type(c) for c in want.coeffs]
+    if p == Poly.one() != q:
+        assert p * q is q and q * p is q
+
+
 class TestGammaTransforms:
     def test_expand_examples(self):
         assert gamma_to_hstar(Poly([1, 6]), 3) == Poly([1, 9, 9, 1])
