@@ -10,7 +10,9 @@ of the graph (matching.tiling_poly) by edges and even cycles: weights 2x
 and -2x^(|C|/2) for type A; x and -x^(|C|/2), taken at 4x, for type B.
 On every graph the tiling is one fold over the blocks of the caller's
 classification.  Before it runs, the h* guard is sized from a bound on
-the coefficients of gamma, not from n alone (_check_gamma_size).
+the coefficients of gamma, not from n alone (_check_gamma_size); below
+polynomials.PACK_SLOT_BITS that bound also sets the slot width at which
+the fold runs on ints and gamma is read off one packed value.
 `solve` is the one dispatcher: ROUTES says which routes serve which
 polytope and what `auto` picks.  The Ehrhart route defines gamma exactly
 when the oracle reports that its facets proved the polytope reflexive.
@@ -26,8 +28,8 @@ from .graphs import Graph, GraphClassification, classify, suspension
 from .interior import cut_sum_gamma
 from .matching import (check_pair_count_bound, matchable_pairs, tiling_poly,
                        tiling_value)
-from .polynomials import (Poly, check_hstar_size, gamma_to_hstar,
-                          hstar_to_gamma)
+from .polynomials import (Poly, _packed_width, _signed_slots,
+                          check_hstar_size, gamma_to_hstar, hstar_to_gamma)
 
 
 @dataclass(frozen=True)
@@ -53,28 +55,39 @@ def _even_cycle_tiling(g: Graph, cls: GraphClassification, edge: int,
                        cycle: int, scale: int = 1) -> Poly:
     """The tiling of g with `edge` x per edge and `cycle` x^(|C|/2) per
     even cycle C of cls, whose cycles must be listed, taken at scale x.
-    The h* guard comes first (_check_gamma_size)."""
+    The h* guard comes first (_check_gamma_size).  Where the guard's count
+    of bits, plus a sign bit, packs (polynomials._packed_width), the fold
+    runs on ints at y = scale 2^w and the coefficients are read off its
+    w-bit slots: the count bounds sum_k |gamma_k|, so none overflows."""
     evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
-    _check_gamma_size(g, cls, evens, edge, cycle, scale)
+    bits = _check_gamma_size(g, cls, evens, edge, cycle, scale)
+    width = _packed_width(bits + 1)
+    if width:
+        y = scale << width
+        value = tiling_value(g, edge * y, [(c, cycle * y ** (len(c) // 2))
+                                           for c in evens], cls)
+        return Poly(_signed_slots(value, width, g.n // 2 + 1))
     f = tiling_poly(g, Poly.monomial(1, edge),
                     [(c, Poly.monomial(len(c) // 2, cycle)) for c in evens], cls)
     return f if scale == 1 else f.scale_arg(scale)
 
 
 def _check_gamma_size(g: Graph, cls: GraphClassification, evens: list,
-                      edge: int, cycle: int, scale: int) -> None:
+                      edge: int, cycle: int, scale: int) -> int:
     """The h* guard of the formula routes, before the tiling, from a bound
     on sum_k |gamma_k|: the tiling with the absolute weights at x = scale.
     A tile weighs at most 2 per vertex it covers, so a term is at most 2^n,
     and there are at most 2^(|E| + even cycles) tilings: that count first,
-    and only past the limit the fold at the point."""
+    and only past the limit the fold at the point.  Returns the count."""
+    bits = g.n + g.edge_count + len(evens) + 1
     try:
-        check_hstar_size(g.n, g.n + g.edge_count + len(evens) + 1)
+        check_hstar_size(g.n, bits)
     except BoundExceededError:
         total = tiling_value(g, abs(edge) * scale,
                              [(c, abs(cycle) * scale ** (len(c) // 2))
                               for c in evens], cls)
         check_hstar_size(g.n, total.bit_length())
+    return bits
 
 
 # ---------------------------------------------------------------------------

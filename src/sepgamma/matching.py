@@ -57,7 +57,8 @@ def tiling_poly(g: Graph, edge: Poly, tiles: Iterable = (),
 def tiling_value(g: Graph, edge: int, tiles: Iterable,
                  cls: Optional[GraphClassification] = None) -> int:
     """tiling_poly with integer weights: the value of the tiling at one
-    point, by the same fold."""
+    point, by the same fold.  At a point 2^w it packs the coefficients in
+    w-bit slots, which is how the formula routes read gamma off it."""
     return _fold(g, cls, edge, tiles, 1)
 
 

@@ -31,6 +31,18 @@ from .errors import BoundExceededError
 # degree-2000 h* of the suspension of C2000 holds about 8 * 10^6 bits.
 MAX_HSTAR_BITS = 2 * 10 ** 8
 
+# Kronecker substitution: a polynomial with integer coefficients below
+# 2^(w-1) in absolute value is read off its value at x = 2^w, one signed
+# w-bit slot per coefficient, so a product of polynomials is one product of
+# ints.  Both the formula's tiling and the gamma -> h* transform take that
+# route up to this slot width, where the tiling took 0.15 to 0.85 of the
+# CPU of the Poly arithmetic on paths, cycles, random cacti and diamond
+# chains (one core of a 2-core x86-64 host), and keep the Poly arithmetic
+# past it: the fold's ints grow as the slot width times the degree, and
+# from about 450 to 500 bits on the packed route loses
+# (tests/pack_table.py prints the ratios).
+PACK_SLOT_BITS = 416
+
 
 def _norm_coeff(c):
     if isinstance(c, Fraction) and c.denominator == 1:
@@ -237,18 +249,50 @@ def check_hstar_size(d: int, gamma_bits: int = 1) -> None:
             f"> {MAX_HSTAR_BITS}")
 
 
+def _packed_width(bits: int) -> int:
+    """The slot width, in whole bytes, for coefficients of up to `bits`
+    bits with their sign; 0 past PACK_SLOT_BITS."""
+    width = bits + -bits % 8
+    return width if width <= PACK_SLOT_BITS else 0
+
+
+def _signed_slots(value: int, width: int, count: int) -> list:
+    """The coefficients c_0..c_(count-1) of value = sum_k c_k 2^(width k),
+    each below 2^(width-1) in absolute value: adding 2^(width-1) to every
+    slot leaves a nonnegative int whose slots hold c_k + 2^(width-1), so
+    one to_bytes and a slice per slot read them off."""
+    size = width // 8
+    half = 1 << width - 1
+    data = (value + int.from_bytes(b"\x80".ljust(size, b"\0") * count, "big")
+            ).to_bytes(size * count, "little")
+    return [int.from_bytes(data[i:i + size], "little") - half
+            for i in range(0, size * count, size)]
+
+
 def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
     """Expand sum_i gamma_i x^i (1+x)^(d-2i).
 
     With m = deg gamma this is (1+x)^(d-2m) sum_i gamma_i x^i (1+x)^(2(m-i)),
-    and the sum takes m Horner steps in (1+x)^2, each one pass of additions
-    over the coefficients.  Inverse of hstar_to_gamma on palindromic
-    polynomials of degree d.  Guarded by check_hstar_size.
+    and the sum takes m Horner steps in (1+x)^2.  For an integer gamma whose
+    slot width w = d + bits(sum_i |gamma_i|) + 2 packs (_packed_width) the
+    steps run on the value at x = 2^w, each three shifts and adds of one
+    int: every coefficient of h* is at most sum_i |gamma_i| 2^d in absolute
+    value.  Otherwise each step is one pass of additions over the
+    coefficients.  Inverse of hstar_to_gamma on palindromic polynomials of
+    degree d.  Guarded by check_hstar_size.
     """
     m = gamma.degree
     if m > d // 2:
         raise ValueError(f"gamma degree {m} exceeds floor({d}/2)")
     check_hstar_size(d, max(int(abs(c)).bit_length() for c in gamma.coeffs or (1,)))
+    if all(type(c) is int for c in gamma.coeffs):
+        width = _packed_width(d + sum(map(abs, gamma.coeffs)).bit_length() + 2)
+        if width:
+            v = 0
+            for i, c in enumerate(gamma.coeffs):
+                v += (v << width + 1) + (v << 2 * width) + (c << width * i)
+            v *= ((1 << width) + 1) ** (d - 2 * m)
+            return Poly(_signed_slots(v, width, d + 1))
     out = []
     for i, c in enumerate(gamma.coeffs):
         # out * (1 + 2x + x^2) + c x^i

@@ -84,6 +84,30 @@ def grid_graph(rows: int, cols: int) -> Graph:
                       + [(v, v + cols) for v in range(1, (rows - 1) * cols + 1)])
 
 
+def cactus_edges(draw_int, n):
+    """Edges of a cactus on 1..n: each new block, an edge or a cycle of up
+    to 8 vertices, hangs from one vertex already built; draw_int(lo, hi)
+    picks an integer in [lo, hi]."""
+    edges, size = [], 1
+    while size < n:
+        at = draw_int(1, size)
+        k = draw_int(2, min(8, n - size + 1))
+        ring = [at] + list(range(size + 1, size + k))
+        size += k - 1
+        edges += ([(at, ring[1])] if k == 2
+                  else [(ring[i], ring[(i + 1) % k]) for i in range(k)])
+    return edges
+
+
+def diamond_chain(k: int) -> Graph:
+    """k diamonds (K4 less an edge) in a row, each sharing a tip with the
+    next: one even cycle per diamond, so the formula applies, and no
+    cactus."""
+    return Graph.make(3 * k + 1, [e for i in range(k) for e in (
+        (3 * i + 1, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3),
+        (3 * i + 2, 3 * i + 4), (3 * i + 3, 3 * i + 4))])
+
+
 @pytest.fixture(scope="session")
 def atlas7():
     return atlas_graphs(7)

@@ -7,16 +7,18 @@ import pytest
 from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       PreconditionError, build_a, classify, complete_bipartite,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
-                      empty_graph, gamma_a_cut_sum, gamma_a_suspension, gamma_b,
-                      gamma_b_interior, h_representation, hstar_to_gamma,
-                      path_graph, solve, star_graph,
-                      suspension, suspension_gamma_formula)
+                      empty_graph, engine, gamma_a_cut_sum, gamma_a_pairs,
+                      gamma_a_suspension, gamma_b, gamma_b_interior,
+                      h_representation, hstar_to_gamma, path_graph, polynomials,
+                      solve, star_graph, suspension, suspension_gamma_formula,
+                      tiling_poly)
 from sepgamma.matching import tiling_value
+from sepgamma.polynomials import _packed_width
 
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_graph
-from oracles import (gamma_a_cycle_reference, gen_poly_reference,
+from conftest import all_graphs_upto, cactus_edges, diamond_chain, random_graph
+from oracles import (gamma_a_cycle_reference, gen_poly_reference, mask_tiling,
                      matched_vertex_sets, wheel_closed_form)
 
 
@@ -309,14 +311,6 @@ class TestHstarGuard:
                     g, edge * scale,
                     [(c, scale ** (len(c) // 2)) for c in evens], cls) >= total, g
 
-    @staticmethod
-    def diamond_chain(k):
-        """k diamonds in a row, each sharing a vertex with the next: one
-        even cycle per diamond, so the formula applies, and no cactus."""
-        return Graph.make(3 * k + 1, [e for i in range(k) for e in (
-            (3 * i + 1, 3 * i + 2), (3 * i + 1, 3 * i + 3), (3 * i + 2, 3 * i + 3),
-            (3 * i + 2, 3 * i + 4), (3 * i + 3, 3 * i + 4))])
-
     def test_refused_before_the_tiling(self, monkeypatch):
         def unreachable(*args, **kwargs):
             raise AssertionError("tiling reached")
@@ -328,7 +322,7 @@ class TestHstarGuard:
             solve(path_graph(10000), "b")
         # no cactus: 3,500 diamonds (n = 10,501) fail the count, 31,502
         # bits, and the fold at x = 1, 12,612 bits of the 8,542 allowed
-        g = self.diamond_chain(3500)
+        g = diamond_chain(3500)
         assert classify(g).unique_even_cycle_condition
         with pytest.raises(BoundExceededError, match="holds about 242732726 "):
             solve(g, "ahat")
@@ -348,7 +342,125 @@ class TestHstarGuard:
                 solve(path_graph(9000), polytope)
         # no cactus: 2,500 diamonds (n = 7,501) fail the count, 22,502
         # bits, and pass the fold, 9,009 bits of the 19,158 allowed
-        g = TestHstarGuard.diamond_chain(2500)
+        g = diamond_chain(2500)
         assert not classify(g).cactus
         with pytest.raises(Reached):
             solve(g, "ahat")
+
+
+def formula_bits(g, cls):
+    """The count of bits by which the formula's guard bounds
+    sum_k |gamma_k|: n + |E| + even cycles + 1."""
+    return g.n + g.edge_count + sum(len(c) % 2 == 0 for c in cls.simple_cycles) + 1
+
+
+def subdivided(g):
+    """g with a new vertex inside each edge: every cycle doubles, so a
+    cactus becomes a bipartite one."""
+    edges = [e for i, (u, v) in enumerate(sorted(g.edges), g.n + 1)
+             for e in ((u, i), (i, v))]
+    return Graph.make(g.n + g.edge_count, edges)
+
+
+class TestPackedFormula:
+    """Below polynomials.PACK_SLOT_BITS the formula reads gamma off the
+    fold on ints at y = scale 2^w (Kronecker substitution); the Poly fold,
+    tiling_poly and then scale_arg, is the reference, and past the limit
+    the route."""
+
+    @pytest.fixture
+    def packed_only(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Poly fold reached")
+
+        monkeypatch.setattr(engine, "tiling_poly", unreachable)
+
+    @staticmethod
+    def check(g, cls=None):
+        """Both weightings, (edge, cycle, scale) of ahat and of b."""
+        cls = cls or classify(g)
+        evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
+        for edge, cycle, scale in ((2, -2, 1), (1, -1, 4)):
+            reference = tiling_poly(
+                g, Poly.monomial(1, edge),
+                [(c, Poly.monomial(len(c) // 2, cycle)) for c in evens], cls)
+            assert engine._even_cycle_tiling(g, cls, edge, cycle, scale) == \
+                reference.scale_arg(scale), g
+
+    def test_labeled_graphs_upto_6(self, packed_only):
+        checked = 0
+        for g in all_graphs_upto(6):
+            cls = classify(g)
+            if cls.unique_even_cycle_condition:
+                self.check(g, cls)
+                checked += 1
+        assert checked == 16541
+
+    def test_atlas7(self, atlas7, packed_only):
+        for g in atlas7:
+            cls = classify(g)
+            if cls.unique_even_cycle_condition:
+                self.check(g, cls)
+
+    def test_cacti_and_diamond_chains_up_to_the_limit(self, packed_only):
+        rng = random.Random(34)
+        sizes = []
+        for n in range(10, 1000, 10):
+            label = list(range(1, n + 1))
+            rng.shuffle(label)
+            g = Graph.make(n, [(label[u - 1], label[v - 1])
+                               for u, v in cactus_edges(rng.randint, n)])
+            cls = classify(g)
+            if not _packed_width(formula_bits(g, cls) + 1):
+                break
+            self.check(g, cls)
+            sizes.append(n)
+        assert sizes[-1] >= 120, sizes
+        k = 1
+        while _packed_width(formula_bits(diamond_chain(k), classify(diamond_chain(k))) + 1):
+            self.check(diamond_chain(k))
+            k += 1
+        assert k > 40
+
+    def test_the_limit_picks_the_route(self, monkeypatch):
+        # with the Poly fold failing, the cacti of the benchmark's
+        # sparse-formula sizes answer on both polytopes, against the pair
+        # count; with the read-off failing, graphs past the limit answer
+        # against closed forms and the whole-graph reference
+        def fail(*args, **kwargs):
+            raise AssertionError("route not taken")
+
+        rng = random.Random(44)
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "tiling_poly", fail)
+            for n in (12, 17, 22):  # wheel rims, against the volume's recurrence
+                res = solve(cycle_graph(n), "ahat")
+                check_sep_invariants(res)
+                assert res.volume == wheel_closed_form(n).volume
+            for n in (24, 32, 44):
+                g = Graph.make(n, cactus_edges(rng.randint, n))
+                res = solve(g, "ahat")
+                check_sep_invariants(res)
+                assert res.method == "formula" and res.gamma == gamma_a_pairs(g).gamma
+                h = subdivided(Graph.make(n // 2, cactus_edges(rng.randint, n // 2)))
+                res = solve(h, "b")
+                check_sep_invariants(res)
+                assert res.method == "formula" and \
+                    res.gamma == solve(h, "b", "interior").gamma
+        for module in (engine, polynomials):
+            monkeypatch.setattr(module, "_signed_slots", fail)
+        n = 300  # m_k(P_n) = C(n-k, k); m_k(C_n) = C(n-k, k) + C(n-k-1, k-1)
+        path = [math.comb(n - k, k) for k in range(n // 2 + 1)]
+        cycle = [1] + [math.comb(n - k, k) + math.comb(n - k - 1, k - 1)
+                       for k in range(1, n // 2 + 1)]
+        # the cycle's tile: -2 x^(n/2) on ahat, -(4x)^(n/2) on b
+        for polytope, base, tile in (("ahat", 2, 2), ("b", 4, 4 ** (n // 2))):
+            assert solve(path_graph(n), polytope).gamma.coeff_list() == \
+                [c * base ** k for k, c in enumerate(path)]
+            expected = [c * base ** k for k, c in enumerate(cycle)]
+            expected[-1] -= tile
+            assert solve(cycle_graph(n), polytope).gamma.coeff_list() == expected
+        g = diamond_chain(100)  # n = 301, past the limit in gamma and h*
+        assert solve(g, "ahat").gamma == mask_tiling(
+            g, Poly.monomial(1, 2), [(c, Poly.monomial(2, -2))
+                                     for c in classify(g).simple_cycles if len(c) == 4])

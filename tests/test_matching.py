@@ -16,7 +16,8 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       suspension_gamma_formula, tiling_poly)
 from sepgamma.matching import _pair_tally, tiling_value
 
-from conftest import all_graphs_upto, grid_graph, pair_list, random_graph
+from conftest import (all_graphs_upto, cactus_edges, grid_graph, pair_list,
+                      random_graph)
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      line_graph, mask_tiling, matchable_pairs_reference,
                      matched_sets_by_matchings,
@@ -26,21 +27,6 @@ from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      suspension_gamma_reference)
 
 X = Poly.monomial(1)
-
-
-def cactus_edges(draw_int, n):
-    """Edges of a cactus on 1..n: each new block, an edge or a cycle of up
-    to 8 vertices, hangs from one vertex already built; draw_int(lo, hi)
-    picks an integer in [lo, hi]."""
-    edges, size = [], 1
-    while size < n:
-        at = draw_int(1, size)
-        k = draw_int(2, min(8, n - size + 1))
-        ring = [at] + list(range(size + 1, size + k))
-        size += k - 1
-        edges += ([(at, ring[1])] if k == 2
-                  else [(ring[i], ring[(i + 1) % k]) for i in range(k)])
-    return edges
 
 
 @st.composite

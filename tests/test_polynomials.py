@@ -7,8 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from sepgamma import (BoundExceededError, Poly, PreconditionError, RealRoots,
                       check_properties, cycle_graph, gamma_to_hstar, hstar_to_gamma,
-                      real_rootedness, solve)
-from sepgamma.polynomials import _property_reports, check_hstar_size, one_plus_x_power
+                      polynomials, real_rootedness, solve)
+from sepgamma.polynomials import (_property_reports, _signed_slots,
+                                  check_hstar_size, one_plus_x_power)
 
 from oracles import compose
 
@@ -141,6 +142,50 @@ class TestGammaTransforms:
         assert gamma_to_hstar(gamma, 40) == by_products(gamma, 40)
         with pytest.raises(BoundExceededError):
             gamma_to_hstar(Poly([1, 1 << bits]), 40)
+
+    def test_signed_slots_round_trip(self):
+        # every slot at either end of its signed range or at 0, and
+        # trailing zero slots, which the read-off keeps
+        for width in (8, 16, 64, 448):
+            top = (1 << width - 1) - 1
+            for cs in ([top], [-top], [0], [top, -top, 0, top], [-top, top, -1, 1],
+                       [5, -top, 0, 0], [0, 0, top, -top, top]):
+                value = sum(c << width * k for k, c in enumerate(cs))
+                assert _signed_slots(value, width, len(cs)) == cs
+                assert _signed_slots(value, width, len(cs) + 2) == cs + [0, 0]
+            with pytest.raises(OverflowError):  # more slots than asked for
+                _signed_slots(1 << 2 * width, width, 2)
+
+    def test_packed_and_schoolbook_agree(self, monkeypatch):
+        # negative gamma, d = 2 deg gamma, odd d, a gamma_0 of 0; the
+        # schoolbook steps run with the limit at 0, and a Fraction gamma
+        # takes them at any limit
+        packed = []
+
+        def spy(value, width, count):
+            packed.append(width)
+            return _signed_slots(value, width, count)
+
+        monkeypatch.setattr(polynomials, "_signed_slots", spy)
+        rng = random.Random(34)
+        cases = [(Poly([-3, 5, -7]), 4), (Poly([-1]), 0), (Poly([2, -9, 4]), 5),
+                 (Poly([1, -1]), 7), (Poly([0, 0, -5]), 4), (Poly([1, -(1 << 200)]), 2),
+                 (Poly([7, -2, 1]), 44)]
+        for _ in range(100):
+            m = rng.randrange(0, 12)
+            gamma = Poly([rng.randrange(-10 ** 9, 10 ** 9) for _ in range(m + 1)])
+            cases.append((gamma, 2 * m + rng.randrange(0, 3)))
+        for gamma, d in cases:
+            got = gamma_to_hstar(gamma, d)
+            with monkeypatch.context() as patch:
+                patch.setattr(polynomials, "PACK_SLOT_BITS", 0)
+                assert gamma_to_hstar(gamma, d) == got == \
+                    binomial_expansion(gamma, d), (gamma, d)
+        assert len(packed) == len(cases)
+        packed.clear()
+        gamma = Poly([Fraction(1, 3), -2, Fraction(-5, 2)])
+        assert gamma_to_hstar(gamma, 5) == binomial_expansion(gamma, 5)
+        assert packed == []
 
     def test_binomial_rows(self):
         for k in range(12):

@@ -7,7 +7,7 @@ import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_graph, cut_sum_gamma, cycle_graph, empty_graph,
-                      engine, mu_poly, path_graph, real_rootedness, spectral,
+                      matching, mu_poly, path_graph, real_rootedness, spectral,
                       suspension_gamma_formula, verify_gamma_mu_bridge)
 
 from conftest import all_graphs_upto, atlas_graphs, count_calls, random_graph
@@ -172,17 +172,17 @@ class TestBridge:
 
     def test_a_fault_in_the_tiling_fails_the_bridge(self, monkeypatch):
         # C4 with a pendant edge, the cycle tile's term tripled in the
-        # formula and in mu alike: the sampled identity still holds, and
-        # mu with every cycle weighted 1 no longer meets det(xI - A)
-        real = spectral.tiling_poly
+        # fold that the formula (on ints or Polys) and mu share: the
+        # sampled identity still holds, and mu with every cycle weighted 1
+        # no longer meets det(xI - A)
+        real = matching._fold
 
-        def tripled(g, edge, tiles=(), cls=None):
-            return real(g, edge, [(c, 3 * w) for c, w in tiles], cls)
+        def tripled(g, cls, edge, tiles, one):
+            return real(g, cls, edge, [(c, 3 * w) for c, w in tiles], one)
 
         g = Graph.make(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
         assert verify_gamma_mu_bridge(g, suspension_gamma_formula(g))
-        for module in (engine, spectral):
-            monkeypatch.setattr(module, "tiling_poly", tripled)
+        monkeypatch.setattr(matching, "_fold", tripled)
         gamma = suspension_gamma_formula(g)
         mu = mu_poly(g, {(1, 2, 3, 4): Fraction(1, 4)})  # t* = (-1/2)^2
         assert all(q ** 5 * gamma(Fraction(-1, 2 * q * q)) == mu(q)
