@@ -143,7 +143,7 @@ def cmd_solve(args) -> int:
     if check:
         # res.gamma, when defined, is the gamma of res.hstar: both reports
         # come from its one Sturm chain
-        hstar_rep, gamma_rep = _property_reports(res.hstar)
+        hstar_rep, gamma_rep = _property_reports(res.hstar, res.gamma)
         doc["hstar properties"] = _properties_doc(hstar_rep, args.format)
         if res.gamma is not None:
             doc["gamma properties"] = _properties_doc(gamma_rep, args.format)

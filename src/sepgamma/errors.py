@@ -17,7 +17,9 @@ BOUNDS = MappingProxyType({
     # n of the cut sum, which sizes the walk's memory as well as its time:
     # O(n) bitmaps of 2^n bits, so memory grows as 2^n past the default;
     # also the largest block s of the suspension pair count, which holds
-    # O(s) bitmaps of 2^s bits on a block that takes them (128 KB each at 20)
+    # O(s) bitmaps of 2^s bits on a block that takes them (128 KB each at
+    # 20); a block of at most matching.SUBSETS_UP_TO = 13 vertices runs the
+    # subset DP instead, up to 2^s ints of up to 2^s bits (2.5 MB on K13)
     "cut-sum": 20,
     # largest block s of the type-B interior pair count: on a block that
     # takes them, O(s) bitmaps of 2^t bits, t < s one side, so memory grows

@@ -8,17 +8,19 @@ either type, and reversed the mu-polynomial.  It is one fold over the
 blocks of any graph: a recurrence along each bridge and cycle, and a DP
 over the vertex masks of each other block alone.
 matchable_pairs is the one count behind the dense routes (the suspension
-gamma of any graph, |M(G,k)| of any bipartite graph): it grows half the
-ordered pairs where swapping A and B is a symmetry and counts each block
-once, so its work and its guard follow the largest block.  A block holds
-each A's matchable B's as one subset bitmap where that costs less than a
-set of vertex masks, by the vertices t a B can hold, the share of edges
-and the tracked cut vertices; the bitmap's memory, O(s) ints of 2^t
-bits for a block of s vertices, is sized by the same guard.  Both are one
-fold, _fold_blocks, over the blocks in the order classify's depth-first
-search closed them, each after the blocks below it: each count gives only
-a block's pair (with and without its top vertex) from the pairs of the
-vertices below it, and one join, _join, meets the blocks at a vertex.
+gamma of any graph, |M(G,k)| of any bipartite graph): it counts each
+block once, so its work and its guard follow the largest block.  A
+suspension block of at most SUBSETS_UP_TO vertices runs one DP over its
+vertex subsets, at most 2^s ints of up to 2^s bits.  Any other block
+grows half the ordered pairs where swapping A and B is a symmetry, and
+holds each A's matchable B's as one subset bitmap where that costs less
+than a set of vertex masks, by the vertices t a B can hold, the share of
+edges and the tracked cut vertices; the bitmap's memory, O(s) ints of
+2^t bits, is sized by the guard.  Both counts are one fold, _fold_blocks,
+over the blocks in the order classify's depth-first search closed them,
+each after the blocks below it: each count gives only a block's pair
+(with and without its top vertex) from the pairs of the vertices below
+it, and one join, _join, meets the blocks at a vertex.
 """
 
 from __future__ import annotations
@@ -298,7 +300,8 @@ def _takes_bitmap(adj: list, block: int, sources: int, tracked: int) -> bool:
     vertex past two, plus 0.6 per vertex past 14 on the suspension, less
     0.4 per vertex past 5 on type B.  It never pays when 2 f > t, where the
     split parts the bitmap nearly B by B, nor for t < 5 or fewer than 9
-    vertices (every atlas block).
+    vertices.  _pair_form asks it only of type-B blocks and of suspension
+    blocks past SUBSETS_UP_TO vertices, which the subsets do not take.
     """
     s = block.bit_count()
     if s < 9:
@@ -325,8 +328,72 @@ def miss_masks(n: int) -> list:
     return miss
 
 
+# The largest suspension block whose pairs _subset_tally counts: the
+# crossover that README tabulates and tests/pair_form_table.py prints.
+SUBSETS_UP_TO = 13
+
+
+def _subset_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
+    """_pair_tally's third form: a DP over the vertex subsets of the block,
+    renumbered 0..s-1 hubs first (degree in the block down, then vertex
+    order), so that every shift is local.  Each set U with a perfect
+    matching keeps one bitmap F(U) over its A's: bit A is set when A is in
+    `sources` and the edges between A and U - A hold a perfect matching;
+    F(empty) = 1.  In such a matching the top vertex v of U + v + w meets
+    some w below it, one of them in A; so taking v from the bottom up,
+    each U below v and each neighbour w < v outside U give
+    F(U + v + w) |= F(U) << 2^v | F(U) << 2^w, each term where its vertex
+    is a source.  Then U's pairs are all of F(U)'s A's, tallied by
+    U & tracked, with no halving.  F(U) spans 2^(v+1) bits for v the top
+    of U, so it holds at most 2^s ints of up to 2^s bits.
+    """
+    near = {v: adj[v.bit_length() - 1] & block for v in _bits(block)}
+    vs = sorted(near, key=lambda v: (-near[v].bit_count(), v))
+    local = {v: 1 << i for i, v in enumerate(vs)}
+    src = sum(local[v] for v in _bits(block & sources))
+    fam = [0] * (1 << len(vs))  # F(U), by U
+    fam[0] = 1
+    made = [0]  # the U's with F(U) > 0, each below those after it
+    for i, v in enumerate(vs):
+        bit = 1 << i
+        below = sum(local[w] for w in _bits(near[v])) & bit - 1
+        if not bit & src:  # then w is the one in A
+            below &= src
+        for u in made[:]:
+            free = below & ~u
+            if not free:
+                continue
+            f = fam[u]
+            fv = f << bit if bit & src else 0
+            u |= bit
+            while free:
+                w = free & -free
+                free ^= w
+                got = fam[u | w]
+                if not got:
+                    made.append(u | w)
+                fam[u | w] = got | (fv | f << w if w & src else fv)
+    rows = defaultdict(lambda: [0] * (len(vs) // 2 + 1))
+    mine, back = 0, {0: 0}  # the tracked vertices, local and back to global
+    for v in _bits(tracked & block):
+        mine |= local[v]
+        back.update({m | local[v]: g | v for m, g in back.items()})
+    for u in made:
+        rows[u & mine][u.bit_count() >> 1] += fam[u].bit_count()
+    return {back[m]: row for m, row in rows.items()}
+
+
+def _pair_form(adj: list, block: int, sources: int, tracked: int) -> str:
+    """The form _pair_tally takes for `block`: "subsets" for a suspension
+    block (every vertex a source) of at most SUBSETS_UP_TO vertices, else
+    "bitmap" where _takes_bitmap says it pays, else "sets"."""
+    if block & sources == block and block.bit_count() <= SUBSETS_UP_TO:
+        return "subsets"
+    return "bitmap" if _takes_bitmap(adj, block, sources, tracked) else "sets"
+
+
 def _pair_tally(adj: list, block: int, sources: int, tracked: int,
-                bitmap: Optional[bool] = None) -> dict:
+                form: Optional[str] = None) -> dict:
     """{m: [c_0, c_1, ...]}: c_k counts the matchable pairs (A, B) of
     k-sets of the vertex mask `block`, A in `sources`, with
     (A | B) & tracked = m; the lists may end in zeros.
@@ -359,13 +426,18 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
     The bitmap's work per A follows its 2^t bits (2^t_1 on the
     suspension), the sets' the number of B's, and each tracked vertex
     adds a split of every part; _takes_bitmap weighs the two, the
-    crossover that README tabulates.  `bitmap` forces one form, for the
-    tests.
+    crossover that README tabulates.  A suspension block of at most
+    SUBSETS_UP_TO vertices skips both and takes the third form,
+    _subset_tally, which splits nothing by the tracked vertices
+    (_pair_form).  `form` ("sets", "bitmap" or "subsets") forces one, for
+    the tests.
     """
+    form = form or _pair_form(adj, block, sources, tracked)
+    if form == "subsets":
+        return _subset_tally(adj, block, sources, tracked)
     half = block & sources == block
     s = block.bit_count()
-    if bitmap is None:
-        bitmap = _takes_bitmap(adj, block, sources, tracked)
+    bitmap = form == "bitmap"
     if bitmap and half:  # hubs first, numbered from the far end
         near = {v: adj[v.bit_length() - 1] & block for v in _bits(block)}
         vs = sorted(near, key=lambda v: (-near[v].bit_count(), v))

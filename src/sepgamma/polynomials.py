@@ -483,14 +483,16 @@ def _report(f: Poly, gamma: Optional[Poly], rr: RealRoots) -> PropertyReport:
     )
 
 
-def _property_reports(f: Poly) -> tuple:
+def _property_reports(f: Poly, gamma: Optional[Poly] = None) -> tuple:
     """The report of f and, when f is palindromic, the report of its gamma,
     both from one Sturm chain of gamma (at half the degree of f's); for
-    any other f, its report by f's own chain and None."""
-    if not f.is_palindromic():
-        rr = real_rootedness(f) if f else RealRoots(False, 0)  # 0: undefined
-        return _report(f, None, rr), None
-    gamma = hstar_to_gamma(f)
+    any other f, its report by f's own chain and None.  A caller that
+    already holds hstar_to_gamma(f) passes it as `gamma`."""
+    if gamma is None:
+        if not f.is_palindromic():
+            rr = real_rootedness(f) if f else RealRoots(False, 0)  # 0: undefined
+            return _report(f, None, rr), None
+        gamma = hstar_to_gamma(f)
     chain = _sturm_chain(_integers(gamma))
     gamma_roots = _chain_roots(chain)
     inner = hstar_to_gamma(gamma) if gamma.is_palindromic() else None

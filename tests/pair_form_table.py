@@ -1,6 +1,6 @@
 """Print the crossover tables of README's pair-count paragraph: the CPU of
-matching._pair_tally with each form forced, sets and bitmap, and the form
-that the block's own rule picks.
+matching._pair_tally with each form forced, sets, bitmap and subsets, and
+the form that the block's own rule picks.
 
     PYTHONPATH=src python tests/pair_form_table.py [--reps 3] [--graphs 4]
 
@@ -11,11 +11,14 @@ vertex tracked, as when a pendant edge hangs at each one.  The others
 give, per source mode and number of tracked vertices, the sets' CPU over
 the bitmap's (above 1, the bitmap wins) on random blocks by size and by
 share of edges, with the rule's choice marked: `*` where it takes the
-bitmap.  A random block is a Hamiltonian cycle (alternating sides on type
+bitmap, `+` where it takes the subsets.  On the suspension each cell
+also gives the faster of those two forms over the subsets' CPU (above
+1, the subsets win), up to SUBSETS_TIMED vertices: past it the subset
+DP holds tens of megabytes.  A random block is a Hamiltonian cycle (alternating sides on type
 B) plus random edges, so it is biconnected, and its degrees are skewed
 by one or two hubs joined to half the block.  Each time is the best of
 `--reps` calls of time.process_time; each ratio is the median over
-`--graphs` blocks.  With the defaults it runs for about 15 minutes.
+`--graphs` blocks.  With the defaults it runs for about 20 minutes.
 """
 
 from __future__ import annotations
@@ -34,12 +37,17 @@ from oracles import bipartition_of  # noqa: E402
 from sepgamma import Graph, complete_bipartite, complete_graph, matching  # noqa: E402
 
 
-def best_time(adj: list, block: int, sources: int, tracked: int, bitmap: bool,
+FORMS = ("sets", "bitmap", "subsets")
+MARKS = {"sets": "", "bitmap": "*", "subsets": "+"}
+SUBSETS_TIMED = 15  # K15 on subsets holds 37 MB at its peak
+
+
+def best_time(adj: list, block: int, sources: int, tracked: int, form: str,
               reps: int) -> float:
     best = float("inf")
     for _ in range(reps):
         start = time.process_time()
-        matching._pair_tally(adj, block, sources, tracked, bitmap)
+        matching._pair_tally(adj, block, sources, tracked, form)
         best = min(best, time.process_time() - start)
     return best
 
@@ -79,7 +87,7 @@ def random_block(rng: random.Random, s: int, share: float, bipartite: bool) -> G
 
 def named_blocks() -> list:
     """(name, graph, type B, every vertex tracked)."""
-    return ([(f"K{n}", complete_graph(n), False, False) for n in (9, 11, 13)]
+    return ([(f"K{n}", complete_graph(n), False, False) for n in (9, 11, 12, 13, 14)]
             + [(f"K{n}, all tracked", complete_graph(n), False, True) for n in (10, 12)]
             + [(f"2 x {k} ladder", grid_graph(2, k), False, False) for k in (7, 8, 9, 10)]
             + [(f"K{k},{k}, type B", complete_bipartite(k, k), True, False) for k in (5, 7)]
@@ -87,28 +95,27 @@ def named_blocks() -> list:
             + [(f"3 x {k} grid, type B", grid_graph(3, k), True, False) for k in (5, 6, 8)])
 
 
-def form(adj: list, block: int, sources: int, tracked: int) -> str:
-    return "bitmap" if matching._takes_bitmap(adj, block, sources, tracked) else "sets"
-
-
 def print_named(reps: int) -> None:
-    print("| block | sets | bitmap | rule |")
-    print("|---|---|---|---|")
+    print("| block | sets | bitmap | subsets | rule |")
+    print("|---|---|---|---|---|")
     for name, g, type_b, all_tracked in named_blocks():
         adj, block = g.adjacency_masks(), (1 << g.n) - 1
         src = mask(bipartition_of(g).part1) if type_b else block
         tr = block if all_tracked else 0
-        times = [best_time(adj, block, src, tr, bitmap, reps) for bitmap in (False, True)]
-        print(f"| {name} | " + " | ".join(f"{1e3 * t:.2f} ms" for t in times)
-              + f" | {form(adj, block, src, tr)} |")
+        cells = [f"{1e3 * best_time(adj, block, src, tr, form, reps):.2f} ms"
+                 if form != "subsets" or g.n <= SUBSETS_TIMED else "" for form in FORMS]
+        print(f"| {name} | " + " | ".join(cells)
+              + f" | {matching._pair_form(adj, block, src, tr)} |")
 
 
 def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int) -> None:
-    """One table of sets / bitmap.  Suspension blocks past 14 vertices
-    with more than 0.3 of their pairs as edges are left out: the sets
-    take seconds there."""
+    """One table of sets / bitmap, and on the suspension of the faster of
+    the two over the subsets.  Suspension blocks past 14 vertices with
+    more than 0.3 of their pairs as edges are left out: the sets take
+    seconds there."""
     mode = "type B, t = s/2" if bipartite else "suspension, t = s"
-    print(f"\n{mode}, tracked {tracked}: sets / bitmap (* the rule takes the bitmap)\n")
+    cells = "sets / bitmap" if bipartite else "sets / bitmap, best of the two / subsets"
+    print(f"\n{mode}, tracked {tracked}: {cells} (rule: * bitmap, + subsets)\n")
     print("| s | " + " | ".join(f"{share:g}" for share in shares) + " |")
     print("|---|" + "---|" * len(shares))
     for s in sizes:
@@ -118,17 +125,24 @@ def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int
                 cells.append("")
                 continue
             rng = random.Random(f"31/{s}/{share}/{bipartite}/{tracked}")
-            ratios, picks = [], 0
+            ratios, subsets, picks = [], [], []
+            timed = not bipartite and s <= SUBSETS_TIMED
             for _ in range(graphs):
                 g = random_block(rng, s, share, bipartite)
                 adj, block = g.adjacency_masks(), (1 << s) - 1
                 src = (1 << s // 2) - 1 if bipartite else block
                 tr = block if tracked == "all" else mask(rng.sample(range(1, s + 1), tracked))
-                sets, bits = (best_time(adj, block, src, tr, b, reps) for b in (False, True))
+                sets, bits = (best_time(adj, block, src, tr, f, reps) for f in FORMS[:2])
                 ratios.append(sets / bits)
-                picks += form(adj, block, src, tr) == "bitmap"
-            mark = "*" if 2 * picks > graphs else ""
-            cells.append(f"{statistics.median(ratios):.2f}{mark}")
+                if timed:
+                    subsets.append(min(sets, bits)
+                                   / best_time(adj, block, src, tr, "subsets", reps))
+                picks.append(matching._pair_form(adj, block, src, tr))
+            mark = MARKS[statistics.mode(picks)]
+            cell = f"{statistics.median(ratios):.2f}"
+            if timed:
+                cell += f" / {statistics.median(subsets):.2f}"
+            cells.append(cell + mark)
         print(f"| {s} | " + " | ".join(cells) + " |")
 
 

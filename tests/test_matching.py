@@ -269,12 +269,14 @@ def mask(vertices) -> int:
     return sum(1 << (v - 1) for v in vertices)
 
 
-def tally_both_ways(adj: list, block: int, sources: int, tracked: int) -> dict:
-    """_pair_tally of one block with the B's as sets and as bitmaps, which
-    must agree key for key; the sets' tally."""
-    sets = _pair_tally(adj, block, sources, tracked, bitmap=False)
-    assert _pair_tally(adj, block, sources, tracked, bitmap=True) == sets, \
-        (adj, block, sources, tracked)
+def tally_every_form(adj: list, block: int, sources: int, tracked: int) -> dict:
+    """_pair_tally of one block with each form forced: the B's as sets, as
+    bitmaps and the subset DP, which must agree key for key; the sets'
+    tally."""
+    sets = _pair_tally(adj, block, sources, tracked, "sets")
+    for form in ("bitmap", "subsets"):
+        assert _pair_tally(adj, block, sources, tracked, form) == sets, \
+            (form, adj, block, sources, tracked)
     return sets
 
 
@@ -367,10 +369,12 @@ def sparse_glued_graphs(bipartite: bool) -> list:
 
 class TestPairTallyForms:
     """_pair_tally holds the B's of each A as a set of vertex masks or as
-    one subset bitmap, chosen per block; both forms count the same pairs
-    for every block, source set and tracked set.  On the suspension the
-    bitmap grows A hub first and numbers B's vertices from the far end of
-    that order, so these also check the order and the numbering."""
+    one subset bitmap, or runs a DP over the block's vertex subsets, chosen
+    per block; all three forms count the same pairs for every block,
+    source set and tracked set.  On the suspension the bitmap grows A hub
+    first and numbers B's vertices from the far end of that order, and the
+    subset DP numbers the block hubs first, so these also check the orders
+    and the numberings."""
 
     def test_every_labeled_graph_upto_6(self):
         # each graph with every vertex as a source and with each side of a
@@ -379,12 +383,12 @@ class TestPairTallyForms:
             adj, top = g.adjacency_masks(), (1 << g.n) - 1
             tracked = (0, 1 << (g.n - 1), top)[i % 3]
             for sources in (top, *(mask(side) for side in bipartition_of(g) or ())):
-                tally_both_ways(adj, top, sources, tracked)
+                tally_every_form(adj, top, sources, tracked)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(tally_inputs(12))
     def test_random_blocks_upto_12(self, case):
-        tally_both_ways(*case)
+        tally_every_form(*case)
 
     def test_blocks_with_hubs_upto_14(self):
         # hub first is far from the vertex order on these; every vertex a
@@ -397,7 +401,7 @@ class TestPairTallyForms:
                 sides = [mask(side) for side in bipartition_of(g) or ()]
                 for tracked in (0, 1 << rng.randrange(s), top):
                     for sources in (top, *sides):
-                        tally_both_ways(adj, top, sources, tracked)
+                        tally_every_form(adj, top, sources, tracked)
 
     def test_glued_blocks_with_hubs(self, monkeypatch):
         from sepgamma import matching
@@ -408,8 +412,7 @@ class TestPairTallyForms:
             rows = tally(adj, block, sources, tracked)
             if block.bit_count() >= 9:
                 checked.append(block)
-                assert tally(adj, block, sources, tracked, False) == rows
-                assert tally(adj, block, sources, tracked, True) == rows
+                assert tally_every_form(adj, block, sources, tracked) == rows
             return rows
 
         monkeypatch.setattr(matching, "_pair_tally", spy)
@@ -429,7 +432,7 @@ class TestPairTallyForms:
             rows = tally(adj, block, sources, tracked)
             if matching._takes_bitmap(adj, block, sources, tracked) and tracked:
                 split.append(block)
-                assert tally(adj, block, sources, tracked, False) == rows
+                assert tally_every_form(adj, block, sources, tracked) == rows
             return rows
 
         monkeypatch.setattr(matching, "_pair_tally", spy)
@@ -441,45 +444,81 @@ class TestPairTallyForms:
             assert len(split) > seen, g
 
     def test_the_rule_picks_the_form(self, monkeypatch):
-        # each form where the crossover that README tabulates puts it:
-        # miss_masks, which only the bitmap builds, fails where sets win
+        # each form where the crossover that README tabulates puts it: the
+        # subsets run _subset_tally, and miss_masks, which only the bitmap
+        # builds, tells the bitmap from the sets
         from sepgamma import matching
-        built = []
-        miss_masks = matching.miss_masks
+        subset_tally, miss_masks = matching._subset_tally, matching.miss_masks
+        taken = set()
 
-        def spy(n):
-            built.append(n)
+        def subsets(adj, block, sources, tracked):
+            taken.add(("subsets", block.bit_count()))
+            return subset_tally(adj, block, sources, tracked)
+
+        def bitmap(n):
+            taken.add(("bitmap", n))
             return miss_masks(n)
 
-        def fail(n):
-            raise AssertionError(f"bitmap over {n} vertices")
-
-        monkeypatch.setattr(matching, "miss_masks", fail)
+        monkeypatch.setattr(matching, "_subset_tally", subsets)
+        monkeypatch.setattr(matching, "miss_masks", bitmap)
         for k, pairs in ((8, 22), (10, 28)):  # suspension ladders: sets
             gamma = solve(grid_graph(2, k), "ahat",
                           bounds={"cut-sum": 22}).gamma.coeff_list()
             assert gamma[:2] == [1, 2 * pairs] and len(gamma) == k + 1
-        k12 = Graph.make(24, list(combinations(range(1, 13), 2))
-                         + [(v, v + 12) for v in range(1, 13)])
-        assert matchable_pairs(k12)[:2] == [1, 2 * 78]
-
-        monkeypatch.setattr(matching, "miss_masks", spy)
-        hub = hub_graph(random.Random(13), 13)
-        assert Poly(matchable_pairs(hub)) == cut_sum_gamma(hub)
-        assert built == [13]
-        for g in (grid_graph(2, 8), grid_graph(3, 5)):  # type B: bitmap
-            built.clear()
+        assert not taken
+        # suspension blocks up to SUBSETS_UP_TO vertices: the subsets, also
+        # the 13-vertex hub block that took the bitmap before them; above
+        # it the bitmap's rule holds
+        for s, form in ((13, "subsets"), (14, "bitmap")):
+            hub = hub_graph(random.Random(s), s)
+            taken.clear()
+            assert Poly(matchable_pairs(hub)) == cut_sum_gamma(hub)
+            assert taken == {(form, s)}, s
+        for g, t in ((grid_graph(2, 8), 8), (grid_graph(3, 5), 7),  # type B
+                     (complete_bipartite(5, 5), 5)):
+            taken.clear()
             assert matchable_pairs(g, bipartition_of(g).part1) == \
                 matched_vertex_sets(g), g
-            assert built == [g.n // 2], g
+            assert taken == {("bitmap", t)}, g
+        taken.clear()
+        assert matchable_pairs(cycle_graph(6), (1, 3, 5)) == [1, 6, 9, 1]
+        assert not taken  # type B under 9 vertices: sets
+
+    def test_k12_with_a_pendant_edge_at_every_vertex(self, monkeypatch):
+        # all 12 vertices of the K12 block are tracked cut vertices, where
+        # the bitmap's split lost to the sets; the subsets split nothing.
+        # A pair of this graph takes j pendant edges, each either way, and
+        # any pair of (k - j)-sets of the rest of K12
+        from sepgamma import matching
+        subset_tally = matching._subset_tally
+        taken = []
+
+        def subsets(adj, block, sources, tracked):
+            taken.append((block.bit_count(), tracked.bit_count()))
+            return subset_tally(adj, block, sources, tracked)
+
+        monkeypatch.setattr(matching, "_subset_tally", subsets)
+        for n in (8, 12):
+            g = Graph.make(2 * n, list(combinations(range(1, n + 1), 2))
+                           + [(v, v + n) for v in range(1, n + 1)])
+            got = matchable_pairs(g)
+            assert got == [sum(math.comb(n, j) * 2 ** j * math.comb(n - j, k - j)
+                               * math.comb(n - k, k - j) for j in range(k + 1))
+                           for k in range(n + 1)]
+            if n == 8:  # the cut sum's guard stops at 20 vertices
+                assert Poly(got) == cut_sum_gamma(g)
+            assert (n, n) in taken and len(taken) == n + 1
+            taken.clear()
 
     def test_memory_of_dense_blocks(self):
-        # and of sparse blocks that the rule puts on the bitmap; at the
-        # peak: K14 51 kB, K8,8 7 kB, the 3 x 6 grid 8 kB (38 kB on sets),
-        # the 14-vertex hub block 52 kB (20 kB on sets)
+        # and of sparse blocks that the rule puts on the bitmap, and of K13
+        # on the subsets, at their cap; at the peak: K14 51 kB, K8,8 7 kB,
+        # the 3 x 6 grid 8 kB (38 kB on sets), the 14-vertex hub block
+        # 52 kB (20 kB on sets), K13 2.5 MB
         import tracemalloc
         grid = grid_graph(3, 6)
         for g, sources, limit in ((complete_graph(14), None, 200_000),
+                                  (complete_graph(13), None, 3_000_000),
                                   (complete_bipartite(8, 8), range(1, 9), 50_000),
                                   (grid, bipartition_of(grid).part1, 20_000),
                                   (hub_graph(random.Random(14), 14), None, 100_000)):

@@ -435,7 +435,8 @@ def test_gamma_route_on_expanded_gamma(tail, head, extra):
 def test_graph_hstar_reports_against_the_hstar_chain(atlas7):
     """Every atlas7 h* of ahat and b, and the wheels C3-C60: the report's
     verdict and count are those of the Sturm chain of h* itself, and the
-    gamma report's those of the chain of gamma."""
+    gamma report's those of the chain of gamma; given the known gamma, as
+    check passes it, both reports are the same."""
     results = []
     for g in atlas7:
         results.append(solve(g, "ahat"))
@@ -447,6 +448,7 @@ def test_graph_hstar_reports_against_the_hstar_chain(atlas7):
     for res in results:
         hstar_rep, gamma_rep = _property_reports(res.hstar)
         assert hstar_rep.gamma == res.gamma
+        assert _property_reports(res.hstar, res.gamma) == (hstar_rep, gamma_rep)
         assert RealRoots(hstar_rep.real_rooted, hstar_rep.real_root_count) == \
             real_rootedness(res.hstar)
         assert RealRoots(gamma_rep.real_rooted, gamma_rep.real_root_count) == \
