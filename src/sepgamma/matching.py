@@ -9,7 +9,9 @@ blocks of any graph: a recurrence along each bridge and cycle, and a DP
 over the vertex masks of each other block alone.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it counts each
-block once, so its work and its guard follow the largest block.  A
+block once, so its work and its guard follow the largest block.  Each
+block is ordered once, hubs first, and the form rule and all three forms
+read that order, so no step walks the labels outside the block.  A
 suspension block of at most SUBSETS_UP_TO vertices runs one DP over its
 vertex subsets, at most 2^s ints of up to 2^s bits.  Any other block
 grows half the ordered pairs where swapping A and B is a symmetry, and
@@ -145,9 +147,9 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
     The block first branches on a, so minus, the block less a, is its one
     C_1 and full is minus + D_1.
     """
-    local = {1 << (v - 1): 1 << i for i, v in enumerate(vs)}
-    block = sum(local)  # in the graph's numbering
-    near = [sum(local[b] for b in _bits(adj[v - 1] & block)) for v in vs]
+    bits = [1 << (v - 1) for v in vs]
+    block = sum(bits)  # in the graph's numbering
+    local, near = _renumber(bits, [adj[v - 1] & block for v in vs])
     lone, cover = zip(*kids)
     tiles_at = [[] for _ in vs]
     for key, weight in tiles:
@@ -289,36 +291,6 @@ def _bits(mask: int):
         yield low
 
 
-def _takes_bitmap(adj: list, block: int, sources: int, tracked: int) -> bool:
-    """Whether _pair_tally holds the B's of `block` as bitmaps: the
-    crossover that README tabulates and tests/pair_form_table.py prints.
-    The sets' work follows the B's, more of them the denser the block; the
-    bitmap's follows 2^t, t the vertices a B can hold (all s of the block
-    on the suspension, the sources' neighbours on type B), and a split of
-    each part by every tracked vertex among them, f of them.  So the
-    bitmap needs a mean degree in the block of 2.4, plus 0.4 per tracked
-    vertex past two, plus 0.6 per vertex past 14 on the suspension, less
-    0.4 per vertex past 5 on type B.  It never pays when 2 f > t, where the
-    split parts the bitmap nearly B by B, nor for t < 5 or fewer than 9
-    vertices.  _pair_form asks it only of type-B blocks and of suspension
-    blocks past SUBSETS_UP_TO vertices, which the subsets do not take.
-    """
-    s = block.bit_count()
-    if s < 9:
-        return False
-    half, targets = block & sources == block, block
-    if not half:
-        targets = 0
-        for v in _bits(block & sources):
-            targets |= adj[v.bit_length() - 1] & block
-    t, f = targets.bit_count(), (tracked & targets).bit_count()
-    if t < 5 or 2 * f > t:
-        return False
-    need = 24 + 4 * max(0, f - 2) + (6 * max(0, t - 14) if half else -4 * (t - 5))
-    degrees = sum((adj[v.bit_length() - 1] & block).bit_count() for v in _bits(block))
-    return 10 * degrees >= s * need
-
-
 def miss_masks(n: int) -> list:
     """miss[v] for v < n: the bitmap of 2^n bits whose bit t is set when the
     vertex mask t leaves out v, built by doubling each run of ones."""
@@ -333,30 +305,50 @@ def miss_masks(n: int) -> list:
 SUBSETS_UP_TO = 13
 
 
-def _subset_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
+def _block_order(adj: list, block: int) -> list:
+    """(v, near, after) for each vertex bit v of `block`, hubs first (degree
+    in the block down, then vertex order): near holds v's neighbours in
+    the block and after the block's vertices after v.  _pair_tally builds
+    it once per block, and the form rule and all three forms read it."""
+    hubs = sorted((-(near := adj[v.bit_length() - 1] & block).bit_count(), v, near)
+                  for v in _bits(block))
+    order, after = [], block
+    for _, v, near in hubs:
+        after ^= v
+        order.append((v, near, after))
+    return order
+
+
+def _renumber(vs: list, masks: Iterable) -> tuple:
+    """(local, renumbered) for a block with the vertex bits vs, in the
+    graph's numbering: local maps vs[i] to 1 << i, and renumbered holds
+    each of `masks`, sets of vs, in that numbering."""
+    local = {v: 1 << i for i, v in enumerate(vs)}
+    return local, [sum(local[b] for b in _bits(m)) for m in masks]
+
+
+def _subset_tally(order: list, sources: int, tracked: int) -> dict:
     """_pair_tally's third form: a DP over the vertex subsets of the block,
-    renumbered 0..s-1 hubs first (degree in the block down, then vertex
-    order), so that every shift is local.  Each set U with a perfect
-    matching keeps one bitmap F(U) over its A's: bit A is set when A is in
-    `sources` and the edges between A and U - A hold a perfect matching;
-    F(empty) = 1.  In such a matching the top vertex v of U + v + w meets
-    some w below it, one of them in A; so taking v from the bottom up,
-    each U below v and each neighbour w < v outside U give
+    renumbered 0..s-1 along its order, so that every shift is local.  Each
+    set U with a perfect matching keeps one bitmap F(U) over its A's: bit
+    A is set when A is in `sources` and the edges between A and U - A hold
+    a perfect matching; F(empty) = 1.  In such a matching the top vertex v
+    of U + v + w meets some w below it, one of them in A; so taking v from
+    the bottom up, each U below v and each neighbour w < v outside U give
     F(U + v + w) |= F(U) << 2^v | F(U) << 2^w, each term where its vertex
     is a source.  Then U's pairs are all of F(U)'s A's, tallied by
     U & tracked, with no halving.  F(U) spans 2^(v+1) bits for v the top
     of U, so it holds at most 2^s ints of up to 2^s bits.
     """
-    near = {v: adj[v.bit_length() - 1] & block for v in _bits(block)}
-    vs = sorted(near, key=lambda v: (-near[v].bit_count(), v))
-    local = {v: 1 << i for i, v in enumerate(vs)}
-    src = sum(local[v] for v in _bits(block & sources))
+    vs, nears, _ = zip(*order)
+    local, near = _renumber(vs, nears)
+    src = sum(local[v] for v in vs if v & sources)
     fam = [0] * (1 << len(vs))  # F(U), by U
     fam[0] = 1
     made = [0]  # the U's with F(U) > 0, each below those after it
-    for i, v in enumerate(vs):
+    for i in range(len(vs)):
         bit = 1 << i
-        below = sum(local[w] for w in _bits(near[v])) & bit - 1
+        below = near[i] & bit - 1
         if not bit & src:  # then w is the one in A
             below &= src
         for u in made[:]:
@@ -375,21 +367,42 @@ def _subset_tally(adj: list, block: int, sources: int, tracked: int) -> dict:
                 fam[u | w] = got | (fv | f << w if w & src else fv)
     rows = defaultdict(lambda: [0] * (len(vs) // 2 + 1))
     mine, back = 0, {0: 0}  # the tracked vertices, local and back to global
-    for v in _bits(tracked & block):
-        mine |= local[v]
-        back.update({m | local[v]: g | v for m, g in back.items()})
+    for v in vs:
+        if v & tracked:
+            mine |= local[v]
+            back.update({m | local[v]: g | v for m, g in back.items()})
     for u in made:
         rows[u & mine][u.bit_count() >> 1] += fam[u].bit_count()
     return {back[m]: row for m, row in rows.items()}
 
 
-def _pair_form(adj: list, block: int, sources: int, tracked: int) -> str:
-    """The form _pair_tally takes for `block`: "subsets" for a suspension
-    block (every vertex a source) of at most SUBSETS_UP_TO vertices, else
-    "bitmap" where _takes_bitmap says it pays, else "sets"."""
-    if block & sources == block and block.bit_count() <= SUBSETS_UP_TO:
+def _pair_form(order: list, sources: int, tracked: int) -> str:
+    """The form _pair_tally takes for the block with this order: the
+    crossover that README tabulates and tests/pair_form_table.py prints.
+    A suspension block (every vertex a source) of at most SUBSETS_UP_TO
+    vertices takes "subsets".  Any other block takes "bitmap" where it
+    costs less than "sets".  The sets' work follows the B's, more of them
+    the denser the block; the bitmap's follows 2^t, t the vertices a B can
+    hold (the neighbours of sources: all s of the block on the suspension,
+    one side on type B), and a split of each part by every tracked vertex
+    among them, f of them.  So the bitmap needs a mean degree in the block
+    of 2.4, plus 0.4 per tracked vertex past two, plus 0.6 per vertex past
+    14 on the suspension, less 0.4 per vertex past 5 on type B.  It never
+    pays when 2 f > t, where the split parts the bitmap nearly B by B, nor
+    for t < 5 or fewer than 9 vertices.
+    """
+    s, half = len(order), all(v & sources for v, _, _ in order)
+    if half and s <= SUBSETS_UP_TO:
         return "subsets"
-    return "bitmap" if _takes_bitmap(adj, block, sources, tracked) else "sets"
+    if s < 9:
+        return "sets"
+    hold = [v for v, near, _ in order if near & sources]
+    t, f = len(hold), sum(1 for v in hold if v & tracked)
+    if t < 5 or 2 * f > t:
+        return "sets"
+    need = 24 + 4 * max(0, f - 2) + (6 * max(0, t - 14) if half else -4 * (t - 5))
+    degrees = sum(near.bit_count() for _, near, _ in order)
+    return "bitmap" if 10 * degrees >= s * need else "sets"
 
 
 def _pair_tally(adj: list, block: int, sources: int, tracked: int,
@@ -398,66 +411,49 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
     k-sets of the vertex mask `block`, A in `sources`, with
     (A | B) & tracked = m; the lists may end in zeros.
 
-    A grows along an order of the sources, and each A keeps its matchable
-    B's: B + b is matchable to A + a (a after A) iff B is matchable to A,
-    a is not in B, and b is a neighbour of a in neither A + a nor B.  So
-    an A with no matchable B has no extension with one.  When every
-    vertex of the block is a source, (A, B) is matchable iff (B, A) is,
-    and for k >= 1 exactly one of the two has the first vertex of A | B
-    in A: only those pairs grow (every vertex of B after the first of A,
-    a family closed under the reduction above), and each counts twice.
-    The swap keeps A | B, so it keeps m too.
+    The block's one order (_block_order) puts its hubs first, and the form
+    rule and every form read it.  A grows along the sources in that order,
+    and each A keeps its matchable B's: B + b is matchable to A + a (a
+    after A) iff B is matchable to A, a is not in B, and b is a neighbour
+    of a in neither A + a nor B.  So an A with no matchable B has no
+    extension with one.  When every vertex of the block is a source,
+    (A, B) is matchable iff (B, A) is, and for k >= 1 exactly one of the
+    two has the first vertex of A | B in A: only those pairs grow (every
+    vertex of B after the first of A, a family closed under the reduction
+    above), and each counts twice.  The swap keeps A | B, so it keeps m
+    too.
 
     An A holds its B's in one of two forms, and both grow the same pairs.
-    A set of B's vertex masks adds one element per B and neighbour; the
-    order is the vertex order.  A bitmap numbers the t vertices a B can
-    hold, the block's neighbours of sources (all s of the block on the
-    suspension, one side on type B), and sets bit i when the B with local
-    mask i is matchable.  B + b for all B's at once is then
+    A set of B's vertex masks adds one element per B and neighbour.  A
+    bitmap numbers the t vertices a B can hold, the block's neighbours of
+    sources (all s of the block on the suspension, one side on type B),
+    from the last one in the order back, and sets bit i when the B with
+    local mask i is matchable.  B + b for all B's at once is then
     (B's & miss[a] & miss[b]) shifted up by 2^j, j the number of b and
     miss[v] marking the masks without v; an A's count is its popcount,
     split by each free tracked vertex into the B's with and without it.
-    On the suspension the order puts the block's hubs first (degree in
-    the block down, then vertex order) and numbers the vertices from the
-    last one back, so the B's of an A whose first vertex is followed by
+    On the suspension the B's of an A whose first vertex is followed by
     t_1 others fit in 2^t_1 bits: the ints shrink as A's first vertex
-    moves on.  Type B keeps the vertex order and numbers one side up.
+    moves on.
 
     The bitmap's work per A follows its 2^t bits (2^t_1 on the
     suspension), the sets' the number of B's, and each tracked vertex
-    adds a split of every part; _takes_bitmap weighs the two, the
-    crossover that README tabulates.  A suspension block of at most
-    SUBSETS_UP_TO vertices skips both and takes the third form,
-    _subset_tally, which splits nothing by the tracked vertices
-    (_pair_form).  `form` ("sets", "bitmap" or "subsets") forces one, for
-    the tests.
+    adds a split of every part; _pair_form weighs the two, the crossover
+    that README tabulates.  A suspension block of at most SUBSETS_UP_TO
+    vertices skips both and takes the third form, _subset_tally, which
+    splits nothing by the tracked vertices.  `form` ("sets", "bitmap" or
+    "subsets") forces one, for the tests.
     """
-    form = form or _pair_form(adj, block, sources, tracked)
+    order = _block_order(adj, block)
+    form = form or _pair_form(order, sources, tracked)
     if form == "subsets":
-        return _subset_tally(adj, block, sources, tracked)
-    half = block & sources == block
-    s = block.bit_count()
-    bitmap = form == "bitmap"
-    if bitmap and half:  # hubs first, numbered from the far end
-        near = {v: adj[v.bit_length() - 1] & block for v in _bits(block)}
-        vs = sorted(near, key=lambda v: (-near[v].bit_count(), v))
-        order, after = [], 0
-        for v in reversed(vs):
-            order.append((v, near[v], after))
-            after |= v
-        order.reverse()
-        numbered = vs[::-1]
-    else:
-        order = [(1 << v, adj[v] & block, block & -(2 << v))
-                 for v in range(block.bit_length()) if (block & sources) >> v & 1]
-    rows = defaultdict(lambda: [0] * (s // 2 + 1))
+        return _subset_tally(order, sources, tracked)
+    half, bitmap = block & sources == block, form == "bitmap"
+    width = len(order) // 2 + 1
+    rows = defaultdict(lambda: [0] * width)
     rows[0][0] = 1
-    if bitmap:
-        if not half:  # B's bits 0..t-1: the t neighbours of sources, in order
-            targets = 0
-            for _, near_a, _ in order:
-                targets |= near_a
-            numbered = list(_bits(targets))
+    if bitmap:  # B's bits 0..t-1: the vertices a B can hold, from the far end
+        numbered = [v for v, near, _ in reversed(order) if near & sources]
         t = len(numbered)
         miss = dict.fromkeys(_bits(block), (1 << (1 << t)) - 1)  # in no B
         miss.update(zip(numbered, miss_masks(t)))
@@ -478,9 +474,11 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
                     return
             rows[m][k] += fam.bit_count()
 
+    along = [entry for entry in order if entry[0] & sources]  # A's vertices
+
     def grow(start: int, taken: int, fam, allowed: int) -> None:
-        for i in range(start, len(order)):
-            bit, near, after = order[i]
+        for i in range(start, len(along)):
+            bit, near, after = along[i]
             if half and not taken:
                 allowed = after
             near &= allowed & ~(taken | bit)

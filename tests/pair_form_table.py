@@ -7,7 +7,10 @@ the form that the block's own rule picks.
 The first table times named blocks: complete graphs, ladders and grids
 with every vertex as a source (the suspension) and with one side of the
 bipartition as the sources (type B), and complete graphs with every
-vertex tracked, as when a pendant edge hangs at each one.  The others
+vertex tracked, as when a pendant edge hangs at each one.  Its last rows
+time every block of a chain of K2,3's glued tip to tip, on type B with
+the tips tracked, so a cost per block that follows the highest label
+shows up.  The others
 give, per source mode and number of tracked vertices, the sets' CPU over
 the bitmap's (above 1, the bitmap wins) on random blocks by size and by
 share of edges, with the rule's choice marked: `*` where it takes the
@@ -42,12 +45,20 @@ MARKS = {"sets": "", "bitmap": "*", "subsets": "+"}
 SUBSETS_TIMED = 15  # K15 on subsets holds 37 MB at its peak
 
 
-def best_time(adj: list, block: int, sources: int, tracked: int, form: str,
+def rule(adj: list, block: int, sources: int, tracked: int) -> str:
+    """The form that _pair_tally's rule picks for the block."""
+    return matching._pair_form(matching._block_order(adj, block), sources, tracked)
+
+
+def best_time(adj: list, blocks: list, sources: int, tracked: int, form: str,
               reps: int) -> float:
+    """The best of `reps` CPU times of _pair_tally over `blocks`, each
+    tracking its vertices in `tracked`."""
     best = float("inf")
     for _ in range(reps):
         start = time.process_time()
-        matching._pair_tally(adj, block, sources, tracked, form)
+        for block in blocks:
+            matching._pair_tally(adj, block, sources, tracked & block, form)
         best = min(best, time.process_time() - start)
     return best
 
@@ -85,6 +96,16 @@ def random_block(rng: random.Random, s: int, share: float, bipartite: bool) -> G
     return Graph.make(s, list(edges))
 
 
+def k23_chain(blocks: int) -> Graph:
+    """K2,3's glued tip to tip: each shares a vertex of its side of two
+    with the next, so n = 4 blocks + 1."""
+    edges = []
+    for i in range(blocks):
+        tip, mid = 4 * i + 1, range(4 * i + 2, 4 * i + 5)
+        edges += [(u, v) for u in (tip, tip + 4) for v in mid]
+    return Graph.make(4 * blocks + 1, edges)
+
+
 def named_blocks() -> list:
     """(name, graph, type B, every vertex tracked)."""
     return ([(f"K{n}", complete_graph(n), False, False) for n in (9, 11, 12, 13, 14)]
@@ -102,10 +123,19 @@ def print_named(reps: int) -> None:
         adj, block = g.adjacency_masks(), (1 << g.n) - 1
         src = mask(bipartition_of(g).part1) if type_b else block
         tr = block if all_tracked else 0
-        cells = [f"{1e3 * best_time(adj, block, src, tr, form, reps):.2f} ms"
+        cells = [f"{1e3 * best_time(adj, [block], src, tr, form, reps):.2f} ms"
                  if form != "subsets" or g.n <= SUBSETS_TIMED else "" for form in FORMS]
-        print(f"| {name} | " + " | ".join(cells)
-              + f" | {matching._pair_form(adj, block, src, tr)} |")
+        print(f"| {name} | " + " | ".join(cells) + f" | {rule(adj, block, src, tr)} |")
+    for k in (1000, 2000):
+        g = k23_chain(k)
+        adj, src = g.adjacency_masks(), mask(bipartition_of(g).part1)
+        tips = mask(range(5, g.n, 4))  # the cut vertices
+        blocks = [mask(range(4 * i + 1, 4 * i + 6)) for i in range(k)]
+        cells = [f"{1e3 * best_time(adj, blocks, src, tips, form, reps):.0f} ms"
+                 for form in FORMS]
+        picks = {rule(adj, block, src, tips & block) for block in blocks}
+        print(f"| K2,3 chain of {k} blocks, type B | " + " | ".join(cells)
+              + f" | {', '.join(sorted(picks))} |")
 
 
 def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int) -> None:
@@ -132,12 +162,12 @@ def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int
                 adj, block = g.adjacency_masks(), (1 << s) - 1
                 src = (1 << s // 2) - 1 if bipartite else block
                 tr = block if tracked == "all" else mask(rng.sample(range(1, s + 1), tracked))
-                sets, bits = (best_time(adj, block, src, tr, f, reps) for f in FORMS[:2])
+                sets, bits = (best_time(adj, [block], src, tr, f, reps) for f in FORMS[:2])
                 ratios.append(sets / bits)
                 if timed:
                     subsets.append(min(sets, bits)
-                                   / best_time(adj, block, src, tr, "subsets", reps))
-                picks.append(matching._pair_form(adj, block, src, tr))
+                                   / best_time(adj, [block], src, tr, "subsets", reps))
+                picks.append(rule(adj, block, src, tr))
             mark = MARKS[statistics.mode(picks)]
             cell = f"{statistics.median(ratios):.2f}"
             if timed:

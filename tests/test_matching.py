@@ -424,13 +424,19 @@ class TestPairTallyForms:
         assert len(checked) == 10
 
     def test_dense_blocks_with_tracked_vertices(self, monkeypatch):
+        # the blocks where the rule's bitmap test holds, asked with the
+        # subsets' cap at 0 so that it weighs the suspension blocks too
         from sepgamma import matching
         tally = matching._pair_tally
         split = []
 
         def spy(adj, block, sources, tracked):
             rows = tally(adj, block, sources, tracked)
-            if matching._takes_bitmap(adj, block, sources, tracked) and tracked:
+            with monkeypatch.context() as cap:
+                cap.setattr(matching, "SUBSETS_UP_TO", 0)
+                form = matching._pair_form(matching._block_order(adj, block),
+                                           sources, tracked)
+            if form == "bitmap" and tracked:
                 split.append(block)
                 assert tally_every_form(adj, block, sources, tracked) == rows
             return rows
@@ -443,6 +449,26 @@ class TestPairTallyForms:
                 assert matchable_pairs(g, side) == matched_vertex_sets(g), g
             assert len(split) > seen, g
 
+    def test_high_labels(self):
+        # each block of the dense glued graphs and of K2,3, tracking its cut
+        # vertices, relabelled from 10,000 up in a graph that declares them:
+        # the order, and so every form, reads only the block's own vertices
+        shift = 9_999
+        for g in dense_glued_graphs() + [complete_bipartite(2, 3)]:
+            high = Graph.make(g.n + shift, [(u + shift, v + shift) for u, v in g.edges])
+            adj, far = g.adjacency_masks(), high.adjacency_masks()
+            blocks = [mask(vertices) for _, vertices in classify(g).blocks]
+            cuts = 0
+            for one, other in combinations(blocks, 2):
+                cuts |= one & other
+            sides = [mask(side) for side in bipartition_of(g) or ()]
+            for block in blocks:
+                for sources in ((1 << g.n) - 1, *sides):
+                    low = tally_every_form(adj, block, sources, cuts & block)
+                    assert tally_every_form(far, block << shift, sources << shift,
+                                            (cuts & block) << shift) == \
+                        {m << shift: row for m, row in low.items()}, (g, block, sources)
+
     def test_the_rule_picks_the_form(self, monkeypatch):
         # each form where the crossover that README tabulates puts it: the
         # subsets run _subset_tally, and miss_masks, which only the bitmap
@@ -451,9 +477,9 @@ class TestPairTallyForms:
         subset_tally, miss_masks = matching._subset_tally, matching.miss_masks
         taken = set()
 
-        def subsets(adj, block, sources, tracked):
-            taken.add(("subsets", block.bit_count()))
-            return subset_tally(adj, block, sources, tracked)
+        def subsets(order, sources, tracked):
+            taken.add(("subsets", len(order)))
+            return subset_tally(order, sources, tracked)
 
         def bitmap(n):
             taken.add(("bitmap", n))
@@ -493,9 +519,9 @@ class TestPairTallyForms:
         subset_tally = matching._subset_tally
         taken = []
 
-        def subsets(adj, block, sources, tracked):
-            taken.append((block.bit_count(), tracked.bit_count()))
-            return subset_tally(adj, block, sources, tracked)
+        def subsets(order, sources, tracked):
+            taken.append((len(order), tracked.bit_count()))
+            return subset_tally(order, sources, tracked)
 
         monkeypatch.setattr(matching, "_subset_tally", subsets)
         for n in (8, 12):
