@@ -10,19 +10,21 @@ over the vertex masks of each other block alone.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it counts each
 block once, so its work and its guard follow the largest block.  Each
-block is ordered once, hubs first, and the form rule and all three forms
-read that order, so no step walks the labels outside the block.  A
-suspension block of at most SUBSETS_UP_TO vertices runs one DP over its
-vertex subsets, at most 2^s ints of up to 2^s bits.  Any other block
-grows half the ordered pairs where swapping A and B is a symmetry, and
-holds each A's matchable B's as one subset bitmap where that costs less
-than a set of vertex masks, by the vertices t a B can hold, the share of
-edges and the tracked cut vertices; the bitmap's memory, O(s) ints of
-2^t bits, is sized by the guard.  Both counts are one fold, _fold_blocks,
-over the blocks in the order classify's depth-first search closed them,
-each after the blocks below it: each count gives only a block's pair
-(with and without its top vertex) from the pairs of the vertices below
-it, and one join, _join, meets the blocks at a vertex.
+block is renumbered once, hubs first (_block_order), and the tiling's
+mask DP, the form rule and all three forms of the pair count read only
+that block-local view, so a block's work follows the block, not its
+labels.  A suspension block of at most SUBSETS_UP_TO vertices runs one
+DP over its vertex subsets, at most 2^s ints of up to 2^s bits.  Any
+other block grows half the ordered pairs where swapping A and B is a
+symmetry, and holds each A's matchable B's as one subset bitmap where
+that costs less than a set of vertex masks, by the vertices t a B can
+hold, the share of edges and the tracked cut vertices; the bitmap's
+memory, O(s) ints of 2^t bits, is sized by the guard.  Both counts are
+one fold, _fold_blocks, over the blocks in the order classify's
+depth-first search closed them, each after the blocks below it: each
+count gives only a block's pair (with and without its top vertex) from
+the pairs of the vertices below it, and one join, _join, meets the
+blocks at a vertex.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Iterable, Mapping, Optional
 
-from .errors import BoundExceededError, bound
+from .errors import BoundExceededError, PreconditionError, bound
 from .graphs import (Graph, GraphClassification, _block_vertices, _blocks,
                      classify)
 from .polynomials import Poly
@@ -93,11 +95,13 @@ def _fold(g: Graph, cls: Optional[GraphClassification], edge, tiles: Iterable,
                 for key in weights:
                     for v in key:
                         at[v].append(key)
+            local, order = _block_order(adj, vs)
             inside = {key for v in vs for key in at.get(v, ()) if key <= vs}
-            vs = sorted(vs)
             full, minus = _mask_block(
-                adj, vs, a, [bare if v == a else kids.get(v, bare) for v in vs],
-                [(key, weights[key]) for key in inside], edge, one)
+                [near for _, near, _ in order], local[a],
+                [bare if v == a else kids.get(v, bare) for v in local],
+                [(sum(local[v] for v in key), weights[key]) for key in inside],
+                edge, one)
         # only at a root can a have blocks below it
         return _join(kids[a], full, minus) if a in kids else (full, minus)
 
@@ -128,32 +132,30 @@ def _ring_block(kids: list, edge, weight, one) -> tuple:
     return t + covered, t
 
 
-def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
+def _mask_block(near: list, top: int, kids: list, tiles: list, edge,
                 one) -> tuple:
-    """(full, minus) of a block that is no bridge or cycle, with vertices
-    vs, top a and kids[i] = (F, G) of vs[i] ((1, 1) at a): the tiling of vs
-    by lone vertices, edges and `tiles` (vertex sets in the block, with
-    weights), with a vertex weighing F when lone and G when covered, and
-    the same without a.
+    """(full, minus) of a block that is no bridge or cycle, in the
+    block-local view of _block_order: near[i] holds the neighbours of
+    vertex bit 1 << i, top is the bit of the block's top and kids[i] =
+    (F, G) of vertex i ((1, 1) at top).  The tiling of the block by lone
+    vertices, edges and `tiles` (vertex masks in the block, with weights),
+    with a vertex weighing F when lone and G when covered, and the same
+    without top.
 
-    Memoized per mask of the block's vertices, renumbered 0..s-1: a set is
-    worth the product of its components' values, a lone vertex its F; a
-    component branches on the middle vertex v of a longest shortest path:
-    v alone, with a neighbour u, or in a tile T, each branch keeping every
-    component C_j of C - v whole but the one it takes u or T - v from.
-    With P_j the value of C_j and D_j the sum of the branches inside it, C
-    is worth T_k: T_0 = F_v, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j,
+    Memoized per mask of the block's vertices: a set is worth the product
+    of its components' values, a lone vertex its F; a component branches
+    on the middle vertex v of a longest shortest path: v alone, with a
+    neighbour u, or in a tile T, each branch keeping every component C_j
+    of C - v whole but the one it takes u or T - v from.  With P_j the
+    value of C_j and D_j the sum of the branches inside it, C is worth
+    T_k: T_0 = F_v, A_0 = 1, T_j = T_(j-1) P_j + A_(j-1) D_j,
     A_j = A_(j-1) P_j.  The depth follows the halvings of the diameter.
-    The block first branches on a, so minus, the block less a, is its one
-    C_1 and full is minus + D_1.
+    The block first branches on top, so minus, the block less top, is its
+    one C_1 and full is minus + D_1.
     """
-    bits = [1 << (v - 1) for v in vs]
-    block = sum(bits)  # in the graph's numbering
-    local, near = _renumber(bits, [adj[v - 1] & block for v in vs])
     lone, cover = zip(*kids)
-    tiles_at = [[] for _ in vs]
-    for key, weight in tiles:
-        mask = sum(local[1 << (v - 1)] for v in key)
+    tiles_at = [[] for _ in near]
+    for mask, weight in tiles:
         for b in _bits(mask):
             weight *= cover[b.bit_length() - 1]
         for b in _bits(mask):
@@ -239,7 +241,7 @@ def _mask_block(adj: list, vs: list, a: int, kids: list, tiles: list, edge,
         memo[comp] = total
         return total
 
-    every, top = (1 << len(vs)) - 1, local[1 << (a - 1)]
+    every = (1 << len(near)) - 1
     return solve(every, 0, top), value(every ^ top)
 
 
@@ -305,31 +307,30 @@ def miss_masks(n: int) -> list:
 SUBSETS_UP_TO = 13
 
 
-def _block_order(adj: list, block: int) -> list:
-    """(v, near, after) for each vertex bit v of `block`, hubs first (degree
-    in the block down, then vertex order): near holds v's neighbours in
-    the block and after the block's vertices after v.  _pair_tally builds
-    it once per block, and the form rule and all three forms read it."""
-    hubs = sorted((-(near := adj[v.bit_length() - 1] & block).bit_count(), v, near)
-                  for v in _bits(block))
-    order, after = [], block
-    for _, v, near in hubs:
-        after ^= v
-        order.append((v, near, after))
-    return order
-
-
-def _renumber(vs: list, masks: Iterable) -> tuple:
-    """(local, renumbered) for a block with the vertex bits vs, in the
-    graph's numbering: local maps vs[i] to 1 << i, and renumbered holds
-    each of `masks`, sets of vs, in that numbering."""
-    local = {v: 1 << i for i, v in enumerate(vs)}
-    return local, [sum(local[b] for b in _bits(m)) for m in masks]
+def _block_order(adj: list, vertices: Iterable) -> tuple:
+    """(local, order): the one renumbering of the block with these
+    vertices, from the graph's adjacency masks adj.  local maps each label
+    to its bit in the block's own numbering, hubs first (degree in the
+    block down, then label), and order holds (v, near, after) for each
+    vertex bit v in that numbering: near holds v's neighbours in the block
+    and after the block's vertices after v.  The tiling's mask DP, the
+    pair count's form rule and all three forms read only this view; it is
+    the one per-block step on masks of the graph's n bits."""
+    block = sum(1 << (v - 1) for v in vertices)
+    within = {v: adj[v - 1] & block for v in vertices}
+    hubs = sorted(within, key=lambda v: (-within[v].bit_count(), v))
+    local = {v: 1 << i for i, v in enumerate(hubs)}
+    order, after = [], (1 << len(hubs)) - 1
+    for v in hubs:
+        after ^= local[v]
+        order.append((local[v], sum(local[b.bit_length()] for b in _bits(within[v])),
+                      after))
+    return local, order
 
 
 def _subset_tally(order: list, sources: int, tracked: int) -> dict:
     """_pair_tally's third form: a DP over the vertex subsets of the block,
-    renumbered 0..s-1 along its order, so that every shift is local.  Each
+    numbered 0..s-1 along its order, so that every shift is local.  Each
     set U with a perfect matching keeps one bitmap F(U) over its A's: bit
     A is set when A is in `sources` and the edges between A and U - A hold
     a perfect matching; F(empty) = 1.  In such a matching the top vertex v
@@ -340,23 +341,19 @@ def _subset_tally(order: list, sources: int, tracked: int) -> dict:
     U & tracked, with no halving.  F(U) spans 2^(v+1) bits for v the top
     of U, so it holds at most 2^s ints of up to 2^s bits.
     """
-    vs, nears, _ = zip(*order)
-    local, near = _renumber(vs, nears)
-    src = sum(local[v] for v in vs if v & sources)
-    fam = [0] * (1 << len(vs))  # F(U), by U
+    fam = [0] * (1 << len(order))  # F(U), by U
     fam[0] = 1
     made = [0]  # the U's with F(U) > 0, each below those after it
-    for i in range(len(vs)):
-        bit = 1 << i
-        below = near[i] & bit - 1
-        if not bit & src:  # then w is the one in A
-            below &= src
+    for bit, near, _ in order:
+        below = near & bit - 1
+        if not bit & sources:  # then w is the one in A
+            below &= sources
         for u in made[:]:
             free = below & ~u
             if not free:
                 continue
             f = fam[u]
-            fv = f << bit if bit & src else 0
+            fv = f << bit if bit & sources else 0
             u |= bit
             while free:
                 w = free & -free
@@ -364,16 +361,11 @@ def _subset_tally(order: list, sources: int, tracked: int) -> dict:
                 got = fam[u | w]
                 if not got:
                     made.append(u | w)
-                fam[u | w] = got | (fv | f << w if w & src else fv)
-    rows = defaultdict(lambda: [0] * (len(vs) // 2 + 1))
-    mine, back = 0, {0: 0}  # the tracked vertices, local and back to global
-    for v in vs:
-        if v & tracked:
-            mine |= local[v]
-            back.update({m | local[v]: g | v for m, g in back.items()})
+                fam[u | w] = got | (fv | f << w if w & sources else fv)
+    rows = defaultdict(lambda: [0] * (len(order) // 2 + 1))
     for u in made:
-        rows[u & mine][u.bit_count() >> 1] += fam[u].bit_count()
-    return {back[m]: row for m, row in rows.items()}
+        rows[u & tracked][u.bit_count() >> 1] += fam[u].bit_count()
+    return rows
 
 
 def _pair_form(order: list, sources: int, tracked: int) -> str:
@@ -405,17 +397,18 @@ def _pair_form(order: list, sources: int, tracked: int) -> str:
     return "bitmap" if 10 * degrees >= s * need else "sets"
 
 
-def _pair_tally(adj: list, block: int, sources: int, tracked: int,
+def _pair_tally(order: list, sources: int, tracked: int,
                 form: Optional[str] = None) -> dict:
     """{m: [c_0, c_1, ...]}: c_k counts the matchable pairs (A, B) of
-    k-sets of the vertex mask `block`, A in `sources`, with
-    (A | B) & tracked = m; the lists may end in zeros.
+    k-sets of the block with this order (_block_order), A in `sources`,
+    with (A | B) & tracked = m; the lists may end in zeros.  Every mask,
+    m included, is in the block's own numbering.
 
-    The block's one order (_block_order) puts its hubs first, and the form
-    rule and every form read it.  A grows along the sources in that order,
-    and each A keeps its matchable B's: B + b is matchable to A + a (a
-    after A) iff B is matchable to A, a is not in B, and b is a neighbour
-    of a in neither A + a nor B.  So an A with no matchable B has no
+    The order puts the block's hubs first, and the form rule and every
+    form read it.  A grows along the sources in that order, and each A
+    keeps its matchable B's: B + b is matchable to A + a (a after A) iff
+    B is matchable to A, a is not in B, and b is a neighbour of a in
+    neither A + a nor B.  So an A with no matchable B has no
     extension with one.  When every vertex of the block is a source,
     (A, B) is matchable iff (B, A) is, and for k >= 1 exactly one of the
     two has the first vertex of A | B in A: only those pairs grow (every
@@ -444,11 +437,11 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
     splits nothing by the tracked vertices.  `form` ("sets", "bitmap" or
     "subsets") forces one, for the tests.
     """
-    order = _block_order(adj, block)
     form = form or _pair_form(order, sources, tracked)
     if form == "subsets":
         return _subset_tally(order, sources, tracked)
-    half, bitmap = block & sources == block, form == "bitmap"
+    block = (1 << len(order)) - 1
+    half, bitmap = sources == block, form == "bitmap"
     width = len(order) // 2 + 1
     rows = defaultdict(lambda: [0] * width)
     rows[0][0] = 1
@@ -523,35 +516,40 @@ def _pair_tally(adj: list, block: int, sources: int, tracked: int,
 def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
                     cls: Optional[GraphClassification] = None) -> list:
     """[c_0, c_1, ...]: c_k counts the pairs (A, B) of disjoint k-sets of
-    vertices, A drawn from `sources` (every vertex by default), such that
-    the edges of G between A and B hold a perfect matching.
+    vertices, A drawn from `sources` (a set of labels, every vertex by
+    default), such that the edges of G between A and B hold a perfect
+    matching.  A source outside 1..n raises PreconditionError.
 
     With every vertex as a source this is gamma_k of the suspension (the
     cut-sum formula with its two sums swapped); with one side of a
     bipartition it is |M(G,k)|.  Each edge of a perfect matching lies in
     one block, so a matchable pair of G is one matchable pair per block
     with each cut vertex used in at most one of them.  _fold_blocks walks
-    the blocks of cls (classify(g) by default), and each is counted once
-    (`_pair_tally`), tallied by its top a (none at a root) and by the
-    vertices it shares with the blocks below it.  Such a child vertex c,
+    the blocks of cls (classify(g) by default), and each is renumbered
+    once (_block_order) and counted once (`_pair_tally`), tallied by the
+    local bits of its top a (none at a root) and of the vertices it shares
+    with the blocks below it.  Such a child vertex c,
     with H_c everything below it, weighs gamma(H_c - c) where the block
     uses c and gamma(H_c) where it does not; the bit of a gives gamma(X)
     and gamma(X - a) of the block and all below it, X, which the fold
     joins at a as it does the tiling's: the count obeys the same identity
     at a vertex that G1 and G2 share, and components multiply.
     """
+    if sources is not None:
+        sources = set(sources)
+        stray = [v for v in sources if v not in range(1, g.n + 1)]
+        if stray:
+            raise PreconditionError(f"source {stray[0]!r} is no vertex of the graph")
     cls = cls or classify(g)
     adj = g.adjacency_masks()
-    src = ((1 << g.n) - 1 if sources is None
-           else sum(1 << (v - 1) for v in set(sources)))
 
     def block(top, vertices, kids):
-        a = top and 1 << (top - 1)
-        tracked = sum(1 << (c - 1) for c in kids)
-        tally = {m: Poly(row) for m, row in _pair_tally(
-            adj, sum(1 << (v - 1) for v in vertices), src, tracked | a).items()}
+        local, order = _block_order(adj, vertices)
+        src = sum(b for v, b in local.items() if sources is None or v in sources)
+        tracked = sum(local[c] for c in kids) | (top and local[top])
+        tally = {m: Poly(row) for m, row in _pair_tally(order, src, tracked).items()}
         for c, (whole, without) in kids.items():
-            c, folded = 1 << (c - 1), {}
+            c, folded = local[c], {}
             for m, p in tally.items():
                 p = p * (without if m & c else whole)
                 key = m & ~c

@@ -20,7 +20,8 @@ also gives the faster of those two forms over the subsets' CPU (above
 DP holds tens of megabytes.  A random block is a Hamiltonian cycle (alternating sides on type
 B) plus random edges, so it is biconnected, and its degrees are skewed
 by one or two hubs joined to half the block.  Each time is the best of
-`--reps` calls of time.process_time; each ratio is the median over
+`--reps` calls of time.process_time, with each block's view
+(matching._block_order) built outside the timing; each ratio is the median over
 `--graphs` blocks.  With the defaults it runs for about 20 minutes.
 """
 
@@ -45,20 +46,31 @@ MARKS = {"sets": "", "bitmap": "*", "subsets": "+"}
 SUBSETS_TIMED = 15  # K15 on subsets holds 37 MB at its peak
 
 
+def view(adj: list, block: int, sources: int, tracked: int) -> tuple:
+    """(order, sources, tracked) of the block with the vertex mask `block`:
+    its _block_order and the two masks in the block's numbering."""
+    local, order = matching._block_order(
+        adj, [b.bit_length() for b in matching._bits(block)])
+    return order, *(sum(bit for v, bit in local.items() if m >> (v - 1) & 1)
+                    for m in (sources, tracked))
+
+
 def rule(adj: list, block: int, sources: int, tracked: int) -> str:
     """The form that _pair_tally's rule picks for the block."""
-    return matching._pair_form(matching._block_order(adj, block), sources, tracked)
+    return matching._pair_form(*view(adj, block, sources, tracked))
 
 
 def best_time(adj: list, blocks: list, sources: int, tracked: int, form: str,
               reps: int) -> float:
     """The best of `reps` CPU times of _pair_tally over `blocks`, each
-    tracking its vertices in `tracked`."""
+    tracking its vertices in `tracked`; the blocks' views are built
+    outside the timing."""
+    views = [view(adj, block, sources, tracked) for block in blocks]
     best = float("inf")
     for _ in range(reps):
         start = time.process_time()
-        for block in blocks:
-            matching._pair_tally(adj, block, sources, tracked & block, form)
+        for order, src, tr in views:
+            matching._pair_tally(order, src, tr, form)
         best = min(best, time.process_time() - start)
     return best
 

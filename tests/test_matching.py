@@ -14,10 +14,10 @@ from sepgamma import (Graph, Poly, PreconditionError, classify,
                       path_graph, real_rootedness, simple_cycles, solve,
                       star_graph,
                       suspension_gamma_formula, tiling_poly)
-from sepgamma.matching import _pair_tally, tiling_value
+from sepgamma.matching import _bits, _block_order, _pair_tally, tiling_value
 
-from conftest import (all_graphs_upto, cactus_edges, grid_graph, pair_list,
-                      random_graph)
+from conftest import (all_graphs_upto, cactus_edges, diamond_chain, grid_graph,
+                      pair_list, random_graph)
 from oracles import (bipartition_of, gen_poly_reference, independence_poly,
                      line_graph, mask_tiling, matchable_pairs_reference,
                      matched_sets_by_matchings,
@@ -264,20 +264,49 @@ class TestMatchablePairs:
         assert matchable_pairs(path_graph(3), [2]) == [1, 2]
         assert matchable_pairs(path_graph(3), [1, 3]) == [1, 2]
 
+    def test_sources_outside_the_graph(self):
+        # sources are labels of the graph: 0 shifted by -1 and 4 was dropped
+        for stray in ([0], [4], [1, 4]):
+            with pytest.raises(PreconditionError, match="no vertex"):
+                matchable_pairs(path_graph(3), stray)
+
 
 def mask(vertices) -> int:
     return sum(1 << (v - 1) for v in vertices)
 
 
-def tally_every_form(adj: list, block: int, sources: int, tracked: int) -> dict:
+def block_view(adj: list, block: int, sources: int, tracked: int) -> tuple:
+    """(local, order, sources, tracked): _block_order of the block with
+    the vertex mask `block`, and `sources` and `tracked` in its numbering."""
+    local, order = _block_order(adj, [b.bit_length() for b in _bits(block)])
+
+    def to_local(m: int) -> int:
+        return sum(bit for v, bit in local.items() if m >> (v - 1) & 1)
+    return local, order, to_local(sources), to_local(tracked)
+
+
+def in_graph(local: dict, tally: dict) -> dict:
+    """tally with its keys back in the graph's numbering."""
+    return {sum(1 << (v - 1) for v, bit in local.items() if m & bit): row
+            for m, row in tally.items()}
+
+
+def tally_every_form(order: list, sources: int, tracked: int) -> dict:
     """_pair_tally of one block with each form forced: the B's as sets, as
     bitmaps and the subset DP, which must agree key for key; the sets'
     tally."""
-    sets = _pair_tally(adj, block, sources, tracked, "sets")
+    sets = _pair_tally(order, sources, tracked, "sets")
     for form in ("bitmap", "subsets"):
-        assert _pair_tally(adj, block, sources, tracked, form) == sets, \
-            (form, adj, block, sources, tracked)
+        assert _pair_tally(order, sources, tracked, form) == sets, \
+            (form, order, sources, tracked)
     return sets
+
+
+def tally_block(adj: list, block: int, sources: int, tracked: int) -> dict:
+    """tally_every_form of the block with the vertex mask `block`, with
+    masks and keys in the graph's numbering."""
+    local, *view = block_view(adj, block, sources, tracked)
+    return in_graph(local, tally_every_form(*view))
 
 
 @st.composite
@@ -383,12 +412,12 @@ class TestPairTallyForms:
             adj, top = g.adjacency_masks(), (1 << g.n) - 1
             tracked = (0, 1 << (g.n - 1), top)[i % 3]
             for sources in (top, *(mask(side) for side in bipartition_of(g) or ())):
-                tally_every_form(adj, top, sources, tracked)
+                tally_block(adj, top, sources, tracked)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(tally_inputs(12))
     def test_random_blocks_upto_12(self, case):
-        tally_every_form(*case)
+        tally_block(*case)
 
     def test_blocks_with_hubs_upto_14(self):
         # hub first is far from the vertex order on these; every vertex a
@@ -401,18 +430,18 @@ class TestPairTallyForms:
                 sides = [mask(side) for side in bipartition_of(g) or ()]
                 for tracked in (0, 1 << rng.randrange(s), top):
                     for sources in (top, *sides):
-                        tally_every_form(adj, top, sources, tracked)
+                        tally_block(adj, top, sources, tracked)
 
     def test_glued_blocks_with_hubs(self, monkeypatch):
         from sepgamma import matching
         tally = matching._pair_tally
         checked = []
 
-        def spy(adj, block, sources, tracked):
-            rows = tally(adj, block, sources, tracked)
-            if block.bit_count() >= 9:
-                checked.append(block)
-                assert tally_every_form(adj, block, sources, tracked) == rows
+        def spy(order, sources, tracked):
+            rows = tally(order, sources, tracked)
+            if len(order) >= 9:
+                checked.append(order)
+                assert tally_every_form(order, sources, tracked) == rows
             return rows
 
         monkeypatch.setattr(matching, "_pair_tally", spy)
@@ -430,15 +459,14 @@ class TestPairTallyForms:
         tally = matching._pair_tally
         split = []
 
-        def spy(adj, block, sources, tracked):
-            rows = tally(adj, block, sources, tracked)
+        def spy(order, sources, tracked):
+            rows = tally(order, sources, tracked)
             with monkeypatch.context() as cap:
                 cap.setattr(matching, "SUBSETS_UP_TO", 0)
-                form = matching._pair_form(matching._block_order(adj, block),
-                                           sources, tracked)
+                form = matching._pair_form(order, sources, tracked)
             if form == "bitmap" and tracked:
-                split.append(block)
-                assert tally_every_form(adj, block, sources, tracked) == rows
+                split.append(order)
+                assert tally_every_form(order, sources, tracked) == rows
             return rows
 
         monkeypatch.setattr(matching, "_pair_tally", spy)
@@ -464,9 +492,9 @@ class TestPairTallyForms:
             sides = [mask(side) for side in bipartition_of(g) or ()]
             for block in blocks:
                 for sources in ((1 << g.n) - 1, *sides):
-                    low = tally_every_form(adj, block, sources, cuts & block)
-                    assert tally_every_form(far, block << shift, sources << shift,
-                                            (cuts & block) << shift) == \
+                    low = tally_block(adj, block, sources, cuts & block)
+                    assert tally_block(far, block << shift, sources << shift,
+                                       (cuts & block) << shift) == \
                         {m << shift: row for m, row in low.items()}, (g, block, sources)
 
     def test_the_rule_picks_the_form(self, monkeypatch):
@@ -554,6 +582,61 @@ class TestPairTallyForms:
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < limit, (g, peak)
+
+
+class TestBlockLocalView:
+    """_block_order renumbers each block once, and the tiling's mask DP and
+    every form of the pair count receive only masks in the block's own
+    bits, so a block's work follows the block, not its labels."""
+
+    def test_high_labels_reach_only_block_local_masks(self, monkeypatch):
+        # the dense glued graphs, K2,3 and a diamond chain relabelled from
+        # 10,000 up, in graphs that declare those labels: both source modes
+        # of the pair count and the tiling, with the diamonds' squares as
+        # tiles, against the same graph at low labels
+        from sepgamma import matching
+        tally, subset_tally, mask_block = (matching._pair_tally, matching._subset_tally,
+                                           matching._mask_block)
+        seen = set()
+
+        def fits(order, sources, tracked):
+            top = 1 << len(order)
+            assert sources < top and tracked < top, (order, sources, tracked)
+            assert all(v < top and near < top and after < top
+                       for v, near, after in order), order
+
+        def pairs(order, sources, tracked, form=None):
+            fits(order, sources, tracked)
+            seen.add("pairs")
+            return tally(order, sources, tracked, form)
+
+        def subsets(order, sources, tracked):
+            fits(order, sources, tracked)
+            seen.add("subsets")
+            return subset_tally(order, sources, tracked)
+
+        def masks(near, top, kids, tiles, edge, one):
+            limit = 1 << len(near)
+            assert len(kids) == len(near) and top < limit, (near, top)
+            assert all(m < limit for m in near) and all(m < limit for m, _ in tiles), \
+                (near, tiles)
+            seen.add("mask DP")
+            return mask_block(near, top, kids, tiles, edge, one)
+
+        monkeypatch.setattr(matching, "_pair_tally", pairs)
+        monkeypatch.setattr(matching, "_subset_tally", subsets)
+        monkeypatch.setattr(matching, "_mask_block", masks)
+        shift, chain = 9_999, diamond_chain(4)
+        squares = [(c, Poly.monomial(2, 3)) for c in simple_cycles(chain) if len(c) == 4]
+        for g, tiles in ([(g, []) for g in dense_glued_graphs() + [complete_bipartite(2, 3)]]
+                         + [(chain, squares)]):
+            high = Graph.make(g.n + shift, [(u + shift, v + shift) for u, v in g.edges])
+            for side in (None, *(bipartition_of(g) or ())):
+                far = None if side is None else [v + shift for v in side]
+                assert matchable_pairs(high, far) == matchable_pairs(g, side), (g, side)
+            assert tiling_poly(high, X, [(tuple(v + shift for v in c), w)
+                                         for c, w in tiles]) == tiling_poly(g, X, tiles), g
+        assert seen == {"pairs", "subsets", "mask DP"}
 
 
 class TestTilingPoly:
