@@ -1,6 +1,7 @@
 """Simple undirected graphs on vertex set {1..n} and the structural analysis
 the polytope formulas need: cycle enumeration, cactus/bipartite
-classification, and the suspension.  The witness
+classification, the blocks, each with its own edge list, and the
+suspension.  The witness
 builds its own graph (see witness); the line graph, the complement and the
 blow-up by a clique live with the tests.  One validator checks every graph
 built from outside the package: the parser and Graph.make both end in
@@ -74,12 +75,14 @@ class GraphClassification:
     cactus: bool
     unique_even_cycle_condition: bool
     simple_cycles: Optional[tuple]  # None when the even-cycle condition fails
-    # (top, vertices) of each biconnected block, bridges included, in the
-    # order the depth-first search closed them: every block comes after the
-    # blocks that hang below it, and top is the vertex it hangs from (0 for
-    # the root block of each component).  Isolated vertices are in none.
+    # (top, vertices, edges) of each biconnected block, bridges included, in
+    # the order the depth-first search closed them: every block comes after
+    # the blocks that hang below it, and top is the vertex it hangs from (0
+    # for the root block of each component).  Isolated vertices are in none.
     # A bridge's ends or a cycle block's vertices in cycle order form a
     # tuple (_block_vertices); any other block's vertices a frozenset.
+    # edges is the block's own edge list, each edge (u, v) in the direction
+    # the search took it, in the order it met them (_blocks).
     blocks: tuple
 
 
@@ -90,9 +93,11 @@ class GraphClassification:
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format or the JSON document {"n":..,"edges":[..]}.
 
-    Edge-list lines hold two whitespace-separated labels >= 1; '#' starts a
-    comment line; an optional header "n <count>" declares the vertex count
-    (otherwise n is the largest label seen).  Duplicate edges are merged.
+    Edge-list lines hold two whitespace-separated labels >= 1, each ASCII
+    digits with an optional leading '-' (which fails the label check, not
+    the parse); '#' starts a comment line; an optional header "n <count>",
+    the count ASCII digits, declares the vertex count (otherwise n is the
+    largest label seen).  Duplicate edges are merged.
     """
     if text.lstrip().startswith("{"):
         return _parse_json(text)
@@ -105,7 +110,7 @@ def parse_graph(text: str) -> Graph:
         tokens = line.split()
         if tokens[0] == "n":
             try:
-                if len(tokens) != 2 or not tokens[1].isdecimal():
+                if len(tokens) != 2 or not (tokens[1].isascii() and tokens[1].isdigit()):
                     raise ValueError
                 count = int(tokens[1])  # raises past int()'s digit limit too
             except ValueError:
@@ -116,7 +121,9 @@ def parse_graph(text: str) -> Graph:
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"line {lineno}: expected two labels, got {line!r}")
-        try:
+        try:  # int() alone takes signs, '_' and any script's digits
+            if not all(t.isascii() and t.removeprefix("-").isdigit() for t in tokens):
+                raise ValueError
             u, v = int(tokens[0]), int(tokens[1])
         except ValueError:
             raise GraphFormatError(f"line {lineno}: non-integer label in {line!r}") from None
@@ -276,7 +283,7 @@ def simple_cycles(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> list:
     """All simple cycles, sorted, each once as a canonical vertex tuple: the
     cycle starts at its smallest vertex and runs toward the smaller
     neighbor.  Each block is searched on its own."""
-    return sorted(_block_cycles((block for _, block in _blocks(g)[2]),
+    return sorted(_block_cycles((edges for _, _, edges in _blocks(g)[2]),
                                 max_cycles))
 
 
@@ -291,17 +298,23 @@ def cycle_edges(cycle: tuple) -> list:
 
 
 def _blocks(g: Graph) -> tuple:
-    """(component count, sides, (top, edge list) of each block) from one
-    iterative Tarjan pass; a bridge is a block of one edge.  The blocks come
-    in the order they close, each after the blocks below it, and top is the
-    vertex a block closes at, 0 for the last block of each component (its
-    root block).  side[v] is the parity of v's depth in the DFS forest,
-    rooted at the smallest vertex of each component; sides is that
-    2-colouring of the vertices on an edge, or None when an edge joins two
-    vertices of one side.  The pass visits only the vertices on an edge,
-    in sorted order along sorted adjacency lists, so its work and its
-    order follow the edges; each isolated vertex is a component of its
-    own, counted without a visit."""
+    """(component count, sides, (top, vertices, edges) of each block) from
+    one iterative Tarjan pass; a bridge is a block of one edge.  The blocks
+    come in the order they close, each after the blocks below it, and top
+    is the vertex a block closes at, 0 for the last block of each component
+    (its root block).  edges is the block's stretch of the pass's edge
+    stack, each edge (u, v) from the vertex the search took it at, and
+    vertices is read off it (_block_vertices): these records are the blocks
+    of classify and of the tiling's fold.  The stack gets each tree edge
+    as the search takes it and each back edge as its deeper end meets it,
+    and a block leaves the stack as it closes, so the blocks that hang
+    from a vertex are gone before the search moves on from it.  side[v] is
+    the parity of v's depth in the DFS forest, rooted at the smallest
+    vertex of each component; sides is that 2-colouring of the vertices on
+    an edge, or None when an edge joins two vertices of one side.  The
+    pass visits only the vertices on an edge, in sorted order along sorted
+    adjacency lists, so its work and its order follow the edges; each
+    isolated vertex is a component of its own, counted without a visit."""
     adj = _block_adjacency(g.edges)
     disc, low, side = {}, {}, {}  # discovery time, low point, depth parity
     start = {}  # where v's tree edge sits on the edge stack
@@ -340,29 +353,33 @@ def _blocks(g: Graph) -> tuple:
                     if lv < low[u]:
                         low[u] = lv
                     if lv >= du:  # v's tree edge and all above it: a block
-                        blocks.append((u, edges[start[v]:]))
+                        block = tuple(edges[start[v]:])
+                        blocks.append((u, _block_vertices(block), block))
                         del edges[start[v]:]
         if blocks and blocks[-1][0] == root:  # the component's root block
-            blocks[-1] = (0, blocks[-1][1])
+            blocks[-1] = (0, *blocks[-1][1:])
     return components, side if bipartite else None, blocks
 
 
-def _block_vertices(block: list):
-    """The vertices of the block with edge list `block`: the sorted ends of
-    a bridge or the canonical tuple of a cycle, else their frozenset."""
+def _block_vertices(block: tuple):
+    """The vertices of the block with edge list `block`, in the order
+    _blocks' pass left it: the sorted ends of a bridge or the canonical
+    tuple of a cycle, else their frozenset.  The pass leaves a cycle
+    block's edges as its tree path from the vertex the search entered it
+    at, then the one back edge to that vertex: every other edge of the
+    cycle is a tree edge, and the blocks that hang from it left the stack
+    as they closed.  So the first ends of its edges are the ring, which is
+    rotated to its smallest vertex and turned toward that vertex's smaller
+    neighbour, with no adjacency built."""
     if len(block) == 1:
         return tuple(sorted(block[0]))
     vertices = frozenset(chain.from_iterable(block))
     if len(block) > len(vertices):
         return vertices
-    nb = _block_adjacency(block)
-    prev = min(nb)
-    path, cur = [prev], nb[prev][0]
-    while cur != path[0]:
-        path.append(cur)
-        a, b = nb[cur]
-        prev, cur = cur, b if a == prev else a
-    return tuple(path)
+    ring = [u for u, _ in block]
+    i = ring.index(min(ring))
+    ring = ring[i:] + ring[:i]
+    return tuple(ring if ring[1] < ring[-1] else ring[:1] + ring[:0:-1])
 
 
 def classify(g: Graph) -> GraphClassification:
@@ -370,8 +387,9 @@ def classify(g: Graph) -> GraphClassification:
     forest => cactus => unique even cycle condition.
 
     One Tarjan pass finds the components, a 2-colouring and the blocks,
-    whose vertices the result keeps in the pass's order, a bridge's and a
-    cycle block's in cycle order (_block_vertices); g is a forest
+    which the result keeps as the pass's records, in its order, each with
+    its vertices, a bridge's and a cycle block's in cycle order
+    (_block_vertices), and its own edge list; g is a forest
     when every block is a bridge and a cactus when every other block is
     one cycle, which is read off directly.  Each other block goes to a
     cycle search of its own, so no search walks from one block into the
@@ -382,10 +400,8 @@ def classify(g: Graph) -> GraphClassification:
     and nothing here grows with the isolated ones.
     """
     components, side, blocks = _blocks(g)
-    cycles, dense, vertex_sets = [], [], []
-    for top, block in blocks:
-        vertices = _block_vertices(block)
-        vertex_sets.append((top, vertices))
+    cycles, dense = [], []
+    for _, vertices, block in blocks:
         if isinstance(vertices, frozenset):
             dense.append(block)
         elif len(vertices) > 2:
@@ -408,9 +424,9 @@ def classify(g: Graph) -> GraphClassification:
         connected=components <= 1,
         bipartite=bipartition is not None,
         bipartition=bipartition,
-        forest=all(len(block) == 1 for _, block in blocks),
+        forest=all(len(block) == 1 for _, _, block in blocks),
         cactus=not dense,
         unique_even_cycle_condition=cycles is not None,
         simple_cycles=None if cycles is None else tuple(sorted(cycles)),
-        blocks=tuple(vertex_sets),
+        blocks=tuple(blocks),
     )

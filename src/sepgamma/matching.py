@@ -10,10 +10,11 @@ over the vertex masks of each other block alone.
 matchable_pairs is the one count behind the dense routes (the suspension
 gamma of any graph, |M(G,k)| of any bipartite graph): it counts each
 block once, so its work and its guard follow the largest block.  Each
-block is renumbered once, hubs first (_block_order), and the tiling's
-mask DP, the form rule and all three forms of the pair count read only
-that block-local view, so a block's work follows the block, not its
-labels.  A suspension block of at most SUBSETS_UP_TO vertices runs one
+block is renumbered once, hubs first, from its own edge list
+(_block_order), and the tiling's mask DP, the form rule and all three
+forms of the pair count read only that block-local view, so a block's
+work follows the block, not its labels or the graph's size.  A
+suspension block of at most SUBSETS_UP_TO vertices runs one
 DP over its vertex subsets, at most 2^s ints of up to 2^s bits.  Any
 other block grows half the ordered pairs where swapping A and B is a
 symmetry, and holds each A's matchable B's as one subset bitmap where
@@ -24,7 +25,7 @@ one fold, _fold_blocks, over the blocks in the order classify's
 depth-first search closed them, each after the blocks below it: each
 count gives only a block's pair (with and without its top vertex) from
 the pairs of the vertices below it, and one join, _join, meets the
-blocks at a vertex.
+blocks at a vertex.  Nothing here reads the graph's adjacency masks.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ from collections import defaultdict
 from typing import Iterable, Mapping, Optional
 
 from .errors import BoundExceededError, PreconditionError, bound
-from .graphs import (Graph, GraphClassification, _block_vertices, _blocks,
-                     classify)
+from .graphs import Graph, GraphClassification, _blocks, classify
 from .polynomials import Poly
 
 
@@ -72,17 +72,16 @@ def _fold(g: Graph, cls: Optional[GraphClassification], edge, tiles: Iterable,
           one):
     """The fold of tiling_poly over the blocks of g, in the ring of `one`:
     Polys, or ints for the value at a point."""
-    blocks = (cls.blocks if cls is not None else
-              [(top, _block_vertices(block)) for top, block in _blocks(g)[2]])
-    weights = {}
+    weights, at = {}, defaultdict(list)  # at: the tiles by smallest vertex
     for vertices, weight in tiles:
         if weight:
             key = frozenset(vertices)
             weights[key] = weights[key] + weight if key in weights else weight
-    bare, adj, at = (one, one), None, defaultdict(list)
+    for key in weights:
+        at[min(key)].append(key)
+    bare = (one, one)
 
-    def block(top, vs, kids):
-        nonlocal adj
+    def block(top, vs, edges, kids):
         a = top or min(vs)  # a root block folds at its smallest vertex
         if isinstance(vs, tuple):  # a bridge or a cycle, in cycle order
             i = vs.index(a)
@@ -90,22 +89,18 @@ def _fold(g: Graph, cls: Optional[GraphClassification], edge, tiles: Iterable,
                 [kids.get(v, bare) for v in vs[i + 1:] + vs[:i]], edge,
                 weights.get(frozenset(vs)) if weights else None, one)
         else:
-            if adj is None:  # once per fold, at its first such block
-                adj = g.adjacency_masks()
-                for key in weights:
-                    for v in key:
-                        at[v].append(key)
-            local, order = _block_order(adj, vs)
-            inside = {key for v in vs for key in at.get(v, ()) if key <= vs}
+            local, order = _block_order(vs, edges)
             full, minus = _mask_block(
                 [near for _, near, _ in order], local[a],
                 [bare if v == a else kids.get(v, bare) for v in local],
-                [(sum(local[v] for v in key), weights[key]) for key in inside],
+                [(sum(local[v] for v in key), weights[key])
+                 for v in vs for key in at.get(v, ()) if key <= vs],
                 edge, one)
         # only at a root can a have blocks below it
         return _join(kids[a], full, minus) if a in kids else (full, minus)
 
-    return _fold_blocks(blocks, one, block)
+    return _fold_blocks(cls.blocks if cls is not None else _blocks(g)[2], one,
+                        block)
 
 
 def _ring_block(kids: list, edge, weight, one) -> tuple:
@@ -246,16 +241,17 @@ def _mask_block(near: list, top: int, kids: list, tiles: list, edge,
 
 
 def _fold_blocks(blocks: Iterable, one, block):
-    """Fold a count over `blocks`, each after the blocks below it, with the
-    vertex it hangs from (0 at a root): block(top, vertices, kids) gives
-    (full, minus), the count of the block and all below it with top bare
-    and without top, where kids maps each other vertex of the block that
-    has blocks below it to their pair.  hang keeps the pair waiting at each
-    cut vertex, joining the blocks that share it; components multiply."""
+    """Fold a count over `blocks`, the (top, vertices, edges) records of
+    classify, each after the blocks below it, top the vertex it hangs from
+    (0 at a root): block(top, vertices, edges, kids) gives (full, minus),
+    the count of the block and all below it with top bare and without top,
+    where kids maps each other vertex of the block that has blocks below
+    it to their pair.  hang keeps the pair waiting at each cut vertex,
+    joining the blocks that share it; components multiply."""
     total, hang = one, {}
-    for top, vertices in blocks:
+    for top, vertices, edges in blocks:
         kids = {v: hang.pop(v) for v in vertices if v != top and v in hang}
-        full, minus = block(top, vertices, kids)
+        full, minus = block(top, vertices, edges, kids)
         if top:
             hang[top] = _join(hang[top], full, minus) if top in hang else (full, minus)
         else:
@@ -279,7 +275,7 @@ def check_pair_count_bound(cls: GraphClassification, bounds: Optional[Mapping],
     `matched-sets` on the type-B interior route): the count runs once per
     block, so it bounds the vertices of the largest block."""
     limit = bound(bounds, name)
-    size = max((len(vertices) for _, vertices in cls.blocks), default=0)
+    size = max((len(vertices) for _, vertices, _ in cls.blocks), default=0)
     if size > limit:
         raise BoundExceededError(
             f"pair count over a block of {size} > {limit} vertices")
@@ -307,24 +303,29 @@ def miss_masks(n: int) -> list:
 SUBSETS_UP_TO = 13
 
 
-def _block_order(adj: list, vertices: Iterable) -> tuple:
+def _block_order(vertices: Iterable, edges: Iterable) -> tuple:
     """(local, order): the one renumbering of the block with these
-    vertices, from the graph's adjacency masks adj.  local maps each label
-    to its bit in the block's own numbering, hubs first (degree in the
-    block down, then label), and order holds (v, near, after) for each
-    vertex bit v in that numbering: near holds v's neighbours in the block
-    and after the block's vertices after v.  The tiling's mask DP, the
-    pair count's form rule and all three forms read only this view; it is
-    the one per-block step on masks of the graph's n bits."""
-    block = sum(1 << (v - 1) for v in vertices)
-    within = {v: adj[v - 1] & block for v in vertices}
-    hubs = sorted(within, key=lambda v: (-within[v].bit_count(), v))
+    vertices and its own edge list `edges` (the record of classify, or
+    any graph's edges among these vertices).  local maps each label to its
+    bit in the block's own numbering, hubs first (degree in the block
+    down, then label), and order holds (v, near, after) for each vertex bit
+    v in that numbering: near holds v's neighbours in the block and after
+    the block's vertices after v.  The tiling's mask DP, the pair count's
+    form rule and all three forms read only this view, and its work
+    follows the block's vertices and edges."""
+    nb = {v: [] for v in vertices}
+    for u, v in edges:
+        nb[u].append(v)
+        nb[v].append(u)
+    hubs = sorted(nb, key=lambda v: (-len(nb[v]), v))
     local = {v: 1 << i for i, v in enumerate(hubs)}
     order, after = [], (1 << len(hubs)) - 1
     for v in hubs:
         after ^= local[v]
-        order.append((local[v], sum(local[b.bit_length()] for b in _bits(within[v])),
-                      after))
+        near = 0
+        for w in nb[v]:
+            near |= local[w]
+        order.append((local[v], near, after))
     return local, order
 
 
@@ -541,10 +542,9 @@ def matchable_pairs(g: Graph, sources: Optional[Iterable] = None,
         if stray:
             raise PreconditionError(f"source {stray[0]!r} is no vertex of the graph")
     cls = cls or classify(g)
-    adj = g.adjacency_masks()
 
-    def block(top, vertices, kids):
-        local, order = _block_order(adj, vertices)
+    def block(top, vertices, edges, kids):
+        local, order = _block_order(vertices, edges)
         src = sum(b for v, b in local.items() if sources is None or v in sources)
         tracked = sum(local[c] for c in kids) | (top and local[top])
         tally = {m: Poly(row) for m, row in _pair_tally(order, src, tracked).items()}

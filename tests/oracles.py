@@ -10,7 +10,10 @@ lowest vertex of an induced-subgraph bitmask.
 The library's classify works block by block and stops its cycle search at
 the first edge in two even cycles, and it lists cycles one block at a time;
 simple_cycles_reference runs one search over the whole graph, and
-classify_reference reads each flag off that list.
+classify_reference reads each flag off that list.  classify reads a cycle
+block's ring off the order of its edges in its Tarjan pass;
+block_vertices_reference is the walk it replaced, which builds the
+block's adjacency and follows it around the cycle.
 
 The Ehrhart oracle finds facets by double description and counts lattice
 points through the projections of tP; h_representation_reference tries the
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping, NamedTuple, Optional
 
 from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
@@ -104,6 +107,31 @@ def simple_cycles_reference(g: Graph, max_cycles: int = MAX_SIMPLE_CYCLES) -> li
                 stack.pop()
                 on_path[path.pop()] = False
     return out
+
+
+def block_vertices_reference(block: Iterable):
+    """The vertices of the block with edge list `block`: the sorted ends of
+    a bridge or the canonical tuple of a cycle, else their frozenset; the
+    cycle walked from its smallest vertex toward the smaller neighbour."""
+    block = list(block)
+    if len(block) == 1:
+        return tuple(sorted(block[0]))
+    vertices = frozenset(chain.from_iterable(block))
+    if len(block) > len(vertices):
+        return vertices
+    nb = {}
+    for u, v in block:
+        nb.setdefault(u, []).append(v)
+        nb.setdefault(v, []).append(u)
+    for ws in nb.values():
+        ws.sort()
+    prev = min(nb)
+    path, cur = [prev], nb[prev][0]
+    while cur != path[0]:
+        path.append(cur)
+        a, b = nb[cur]
+        prev, cur = cur, b if a == prev else a
+    return tuple(path)
 
 
 def classify_reference(g: Graph) -> GraphClassification:

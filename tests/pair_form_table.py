@@ -10,7 +10,8 @@ bipartition as the sources (type B), and complete graphs with every
 vertex tracked, as when a pendant edge hangs at each one.  Its last rows
 time every block of a chain of K2,3's glued tip to tip, on type B with
 the tips tracked, so a cost per block that follows the highest label
-shows up.  The others
+or the graph's size shows up; their views column is the CPU of
+building every block's view from classify's block records.  The others
 give, per source mode and number of tracked vertices, the sets' CPU over
 the bitmap's (above 1, the bitmap wins) on random blocks by size and by
 share of edges, with the rule's choice marked: `*` where it takes the
@@ -21,7 +22,8 @@ DP holds tens of megabytes.  A random block is a Hamiltonian cycle (alternating 
 B) plus random edges, so it is biconnected, and its degrees are skewed
 by one or two hubs joined to half the block.  Each time is the best of
 `--reps` calls of time.process_time, with each block's view
-(matching._block_order) built outside the timing; each ratio is the median over
+(matching._block_order, from the block's own edge list) built outside
+the timing of the tally; each ratio is the median over
 `--graphs` blocks.  With the defaults it runs for about 20 minutes.
 """
 
@@ -38,7 +40,8 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import grid_graph  # noqa: E402
 from oracles import bipartition_of  # noqa: E402
 
-from sepgamma import Graph, complete_bipartite, complete_graph, matching  # noqa: E402
+from sepgamma import (Graph, classify, complete_bipartite,  # noqa: E402
+                      complete_graph, matching)
 
 
 FORMS = ("sets", "bitmap", "subsets")
@@ -46,31 +49,44 @@ MARKS = {"sets": "", "bitmap": "*", "subsets": "+"}
 SUBSETS_TIMED = 15  # K15 on subsets holds 37 MB at its peak
 
 
-def view(adj: list, block: int, sources: int, tracked: int) -> tuple:
-    """(order, sources, tracked) of the block with the vertex mask `block`:
-    its _block_order and the two masks in the block's numbering."""
+def view(edges, block: int, sources: int, tracked: int) -> tuple:
+    """(order, sources, tracked) of the block with the vertex mask `block`
+    and the edge list `edges` among its vertices: its _block_order and the
+    two masks in the block's numbering."""
     local, order = matching._block_order(
-        adj, [b.bit_length() for b in matching._bits(block)])
+        [b.bit_length() for b in matching._bits(block)], edges)
     return order, *(sum(bit for v, bit in local.items() if m >> (v - 1) & 1)
                     for m in (sources, tracked))
 
 
-def rule(adj: list, block: int, sources: int, tracked: int) -> str:
+def rule(edges, block: int, sources: int, tracked: int) -> str:
     """The form that _pair_tally's rule picks for the block."""
-    return matching._pair_form(*view(adj, block, sources, tracked))
+    return matching._pair_form(*view(edges, block, sources, tracked))
 
 
-def best_time(adj: list, blocks: list, sources: int, tracked: int, form: str,
+def best_time(blocks: list, sources: int, tracked: int, form: str,
               reps: int) -> float:
-    """The best of `reps` CPU times of _pair_tally over `blocks`, each
-    tracking its vertices in `tracked`; the blocks' views are built
-    outside the timing."""
-    views = [view(adj, block, sources, tracked) for block in blocks]
+    """The best of `reps` CPU times of _pair_tally over `blocks`, (edge
+    list, vertex mask) pairs, each tracking its vertices in `tracked`; the
+    blocks' views are built outside the timing."""
+    views = [view(edges, block, sources, tracked) for edges, block in blocks]
     best = float("inf")
     for _ in range(reps):
         start = time.process_time()
         for order, src, tr in views:
             matching._pair_tally(order, src, tr, form)
+        best = min(best, time.process_time() - start)
+    return best
+
+
+def views_time(records: list, reps: int) -> float:
+    """The best of `reps` CPU times of building the view of every block of
+    `records`, classify's (top, vertices, edges) records."""
+    best = float("inf")
+    for _ in range(reps):
+        start = time.process_time()
+        for _, vertices, edges in records:
+            matching._block_order(vertices, edges)
         best = min(best, time.process_time() - start)
     return best
 
@@ -129,23 +145,23 @@ def named_blocks() -> list:
 
 
 def print_named(reps: int) -> None:
-    print("| block | sets | bitmap | subsets | rule |")
-    print("|---|---|---|---|---|")
+    print("| block | sets | bitmap | subsets | views | rule |")
+    print("|---|---|---|---|---|---|")
     for name, g, type_b, all_tracked in named_blocks():
-        adj, block = g.adjacency_masks(), (1 << g.n) - 1
+        block = (1 << g.n) - 1
         src = mask(bipartition_of(g).part1) if type_b else block
         tr = block if all_tracked else 0
-        cells = [f"{1e3 * best_time(adj, [block], src, tr, form, reps):.2f} ms"
+        cells = [f"{1e3 * best_time([(g.edges, block)], src, tr, form, reps):.2f} ms"
                  if form != "subsets" or g.n <= SUBSETS_TIMED else "" for form in FORMS]
-        print(f"| {name} | " + " | ".join(cells) + f" | {rule(adj, block, src, tr)} |")
-    for k in (1000, 2000):
+        print(f"| {name} | " + " | ".join(cells) + f" | | {rule(g.edges, block, src, tr)} |")
+    for k in (1000, 2000, 4000):
         g = k23_chain(k)
-        adj, src = g.adjacency_masks(), mask(bipartition_of(g).part1)
+        src, records = mask(bipartition_of(g).part1), classify(g).blocks
         tips = mask(range(5, g.n, 4))  # the cut vertices
-        blocks = [mask(range(4 * i + 1, 4 * i + 6)) for i in range(k)]
-        cells = [f"{1e3 * best_time(adj, blocks, src, tips, form, reps):.0f} ms"
-                 for form in FORMS]
-        picks = {rule(adj, block, src, tips & block) for block in blocks}
+        blocks = [(edges, mask(vertices)) for _, vertices, edges in records]
+        cells = [f"{1e3 * best_time(blocks, src, tips, form, reps):.0f} ms"
+                 for form in FORMS] + [f"{1e3 * views_time(records, reps):.1f} ms"]
+        picks = {rule(edges, block, src, tips & block) for edges, block in blocks}
         print(f"| K2,3 chain of {k} blocks, type B | " + " | ".join(cells)
               + f" | {', '.join(sorted(picks))} |")
 
@@ -171,15 +187,16 @@ def print_ratios(sizes, shares, bipartite: bool, tracked, graphs: int, reps: int
             timed = not bipartite and s <= SUBSETS_TIMED
             for _ in range(graphs):
                 g = random_block(rng, s, share, bipartite)
-                adj, block = g.adjacency_masks(), (1 << s) - 1
+                block = (1 << s) - 1
                 src = (1 << s // 2) - 1 if bipartite else block
                 tr = block if tracked == "all" else mask(rng.sample(range(1, s + 1), tracked))
-                sets, bits = (best_time(adj, [block], src, tr, f, reps) for f in FORMS[:2])
+                whole = [(g.edges, block)]
+                sets, bits = (best_time(whole, src, tr, f, reps) for f in FORMS[:2])
                 ratios.append(sets / bits)
                 if timed:
                     subsets.append(min(sets, bits)
-                                   / best_time(adj, [block], src, tr, "subsets", reps))
-                picks.append(rule(adj, block, src, tr))
+                                   / best_time(whole, src, tr, "subsets", reps))
+                picks.append(rule(g.edges, block, src, tr))
             mark = MARKS[statistics.mode(picks)]
             cell = f"{statistics.median(ratios):.2f}"
             if timed:

@@ -144,6 +144,13 @@ class TestGammaA:
         assert main(["gamma-a", bad]) == 1
         assert main(["gamma-a", str(tmp_path / "missing.txt")]) == 1
 
+    @pytest.mark.parametrize("text", ["n 12\n1_0 2\n", "+1 2\n", "\u0661 2\n"])
+    def test_loose_label_exit_1(self, tmp_path, capsys, text):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        assert main(["analyze", str(path)]) == 1
+        assert "non-integer label" in capsys.readouterr().err
+
     @pytest.mark.parametrize("data", [
         pytest.param("n \u00b2\n1 2\n".encode(), id="superscript-digit-header"),
         pytest.param(b"1 2\n\xff\xfe\n", id="not-utf-8"),

@@ -2,6 +2,7 @@ import json
 import random
 import time
 from dataclasses import replace
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,8 +14,9 @@ from sepgamma import (Bipartition, BoundExceededError, Graph, GraphFormatError,
                       suspension, to_edge_list_text)
 from sepgamma.graphs import cycle_edges
 
-from conftest import all_graphs_upto, atlas_graphs, random_graph
-from oracles import (bipartition_of, classify_reference, complement,
+from conftest import all_graphs_upto, atlas_graphs, cactus_edges, random_graph
+from oracles import (bipartition_of, block_vertices_reference,
+                     classify_reference, complement,
                      connected_components, cuts, delete_vertices,
                      even_cycle_families, lex_product, lex_product_complete,
                      line_graph, simple_cycles_reference, tilde)
@@ -27,8 +29,8 @@ def assert_matches_reference(g: Graph) -> None:
     any other block keeps a frozenset."""
     cls, ref = classify(g), classify_reference(g)
     assert len(cls.blocks) == len(ref.blocks), g
-    assert {frozenset(vs) for _, vs in cls.blocks} == ref.blocks, g
-    for _, vs in cls.blocks:
+    assert {frozenset(vs) for _, vs, _ in cls.blocks} == ref.blocks, g
+    for _, vs, _ in cls.blocks:
         inside = sum(u in vs and v in vs for u, v in g.edges)
         if len(vs) == 2:
             assert vs == tuple(sorted(vs)), g
@@ -38,6 +40,19 @@ def assert_matches_reference(g: Graph) -> None:
         else:
             assert isinstance(vs, frozenset), g
     assert replace(cls, blocks=ref.blocks) == ref, g
+    assert_block_records(g, cls.blocks)
+
+
+def assert_block_records(g: Graph, blocks: tuple) -> None:
+    """classify's block records partition the edges of g, each record's
+    vertices are exactly the ends of its edges, and they are what the
+    adjacency walk reads off those edges: a cycle's ring read off the
+    pass's edge order is the walk's canonical tuple."""
+    edges = [tuple(sorted(e)) for _, _, es in blocks for e in es]
+    assert len(edges) == len(set(edges)) and set(edges) == g.edges, g
+    for _, vs, es in blocks:
+        assert set(vs) == set(chain.from_iterable(es)), g
+        assert vs == block_vertices_reference(es), g
 
 
 def assert_block_order(g: Graph) -> None:
@@ -47,13 +62,13 @@ def assert_block_order(g: Graph) -> None:
     block that closes at it (so a nonzero top lies in a later block too);
     and each component with an edge has exactly one root block (top 0)."""
     blocks = classify(g).blocks
-    assert all(top in vs for top, vs in blocks if top), g
-    for v in set().union(*(vs for _, vs in blocks)):
-        own = [i for i, (top, vs) in enumerate(blocks) if v in vs and top != v]
+    assert all(top in vs for top, vs, _ in blocks if top), g
+    for v in set().union(*(vs for _, vs, _ in blocks)):
+        own = [i for i, (top, vs, _) in enumerate(blocks) if v in vs and top != v]
         assert len(own) == 1, g
-        assert all(i < own[0] for i, (top, _) in enumerate(blocks) if top == v), g
+        assert all(i < own[0] for i, (top, _, _) in enumerate(blocks) if top == v), g
     comps = [set(c) for c in connected_components(g) if len(c) > 1]
-    roots = [i for top, vs in blocks if not top
+    roots = [i for top, vs, _ in blocks if not top
              for i, c in enumerate(comps) if c.issuperset(vs)]
     assert sorted(roots) == list(range(len(comps))), g
 
@@ -90,6 +105,21 @@ class TestParse:
         for bad in ("1 1", "0 2", "a b", "1 2 3", "n x", "n \u00b2", "n " + "1" * 5000):
             with pytest.raises(GraphFormatError):
                 parse_graph(bad)
+
+    def test_labels_are_ascii_digits(self):
+        # int() alone reads '1_0' as 10 and takes '+1' and other scripts'
+        # digits; a label or a header count is ASCII digits only, a label
+        # with an optional '-' that the label check then refuses
+        for bad in ("1_0 2", "+1 2", "\u0661 2", "1 \uff12", "1 2_", "- 2", "--1 2"):
+            with pytest.raises(GraphFormatError, match="line 2: non-integer label"):
+                parse_graph("n 12\n" + bad)
+        for bad in ("n 1_0", "n +3", "n \u0661\u0662", "n -3"):
+            with pytest.raises(GraphFormatError, match="line 1: bad header"):
+                parse_graph(bad + "\n1 2")
+        for bad in ("-1 2", "2 -0"):
+            with pytest.raises(GraphFormatError, match="vertex label < 1"):
+                parse_graph(bad)
+        assert parse_graph("n 012\n010 02") == Graph.make(12, [(2, 10)])
 
     def test_json_document(self):
         assert parse_graph('{"n": 4, "edges": [[1,2],[2,3]]}') == \
@@ -323,6 +353,21 @@ class TestEvenFamilyOracle:
             self._check(g)
 
 
+def pairs(blocks: tuple) -> tuple:
+    """The (top, vertices) of each block record."""
+    return tuple((top, vs) for top, vs, _ in blocks)
+
+
+@st.composite
+def relabelled_cactus(draw):
+    """A cactus on up to 60 vertices (conftest.cactus_edges) with its labels
+    shuffled, so the search meets its cycles from any vertex."""
+    n = draw(st.integers(1, 60))
+    edges = cactus_edges(lambda lo, hi: draw(st.integers(lo, hi)), n)
+    perm = draw(st.permutations(range(1, n + 1)))
+    return Graph.make(n, [(perm[u - 1], perm[v - 1]) for u, v in edges])
+
+
 class TestClassify:
     def test_examples(self):
         c5 = classify(cycle_graph(5))
@@ -374,6 +419,12 @@ class TestClassify:
             assert_matches_reference(g)
             assert simple_cycles(g) == simple_cycles_reference(g), g
 
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(relabelled_cactus())
+    def test_block_records_of_relabelled_cacti(self, g):
+        # the sweeps of the reference tests above check the records too
+        assert_block_records(g, classify(g).blocks)
+
     def test_blocks_come_after_the_blocks_below_them(self, atlas7):
         for g in all_graphs_upto(6):
             assert_block_order(g)
@@ -402,13 +453,13 @@ class TestClassify:
         # a cactus needs no cycle search: each cycle is a block
         bowtie = Graph.make(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (3, 5)])
         assert classify(bowtie).simple_cycles == ((1, 2, 3), (3, 4, 5))
-        assert classify(bowtie).blocks == ((3, (3, 4, 5)), (0, (1, 2, 3)))
+        assert pairs(classify(bowtie).blocks) == ((3, (3, 4, 5)), (0, (1, 2, 3)))
         # a 4-cycle, a bridge and a diamond: the cycle in cycle order, the
         # bridge's sorted ends, the diamond's vertex set
         g = Graph.make(8, [(1, 3), (2, 3), (2, 4), (1, 4), (4, 5),
                            (5, 6), (5, 7), (6, 7), (6, 8), (7, 8)])
-        assert classify(g).blocks == ((5, frozenset({5, 6, 7, 8})), (4, (4, 5)),
-                                      (0, (1, 3, 2, 4)))
+        assert pairs(classify(g).blocks) == ((5, frozenset({5, 6, 7, 8})), (4, (4, 5)),
+                                             (0, (1, 3, 2, 4)))
         start = time.process_time()
         cls = classify(cycle_graph(20000))
         assert time.process_time() - start < 5
@@ -426,9 +477,9 @@ class TestClassify:
         assert not cls.unique_even_cycle_condition and not cls.cactus
         # the last K4 closes first, at the vertex it shares with the one
         # before; the first is the root block
-        assert cls.blocks == tuple((3 * i + 1 if i else 0,
-                                    frozenset(range(3 * i + 1, 3 * i + 5)))
-                                   for i in reversed(range(30)))
+        assert pairs(cls.blocks) == tuple((3 * i + 1 if i else 0,
+                                           frozenset(range(3 * i + 1, 3 * i + 5)))
+                                          for i in reversed(range(30)))
 
     def test_implication_chain_random(self):
         rng = random.Random(23)

@@ -275,10 +275,11 @@ def mask(vertices) -> int:
     return sum(1 << (v - 1) for v in vertices)
 
 
-def block_view(adj: list, block: int, sources: int, tracked: int) -> tuple:
+def block_view(edges, block: int, sources: int, tracked: int) -> tuple:
     """(local, order, sources, tracked): _block_order of the block with
-    the vertex mask `block`, and `sources` and `tracked` in its numbering."""
-    local, order = _block_order(adj, [b.bit_length() for b in _bits(block)])
+    the vertex mask `block` and the edge list `edges` among its vertices,
+    and `sources` and `tracked` in its numbering."""
+    local, order = _block_order([b.bit_length() for b in _bits(block)], edges)
 
     def to_local(m: int) -> int:
         return sum(bit for v, bit in local.items() if m >> (v - 1) & 1)
@@ -302,18 +303,19 @@ def tally_every_form(order: list, sources: int, tracked: int) -> dict:
     return sets
 
 
-def tally_block(adj: list, block: int, sources: int, tracked: int) -> dict:
-    """tally_every_form of the block with the vertex mask `block`, with
-    masks and keys in the graph's numbering."""
-    local, *view = block_view(adj, block, sources, tracked)
+def tally_block(edges, block: int, sources: int, tracked: int) -> dict:
+    """tally_every_form of the block with the vertex mask `block` and the
+    edge list `edges` among its vertices, with masks and keys in the
+    graph's numbering."""
+    local, *view = block_view(edges, block, sources, tracked)
     return in_graph(local, tally_every_form(*view))
 
 
 @st.composite
 def tally_inputs(draw, max_n):
-    """(adjacency masks, block, sources, tracked) on at most max_n vertices:
-    any vertex masks, the block dense or sparse, every vertex of it a
-    source or some of them, tracked within the block."""
+    """(edges among the block's vertices, block, sources, tracked) on at
+    most max_n vertices: any vertex masks, the block dense or sparse, every
+    vertex of it a source or some of them, tracked within the block."""
     n = draw(st.integers(1, max_n))
     p = draw(st.sampled_from((0.3, 0.6, 0.9)))
     g = Graph.make(n, [e for e in pair_list(n)
@@ -321,7 +323,8 @@ def tally_inputs(draw, max_n):
     top = (1 << n) - 1
     block = draw(st.integers(1, top))
     sources = draw(st.sampled_from((top, draw(st.integers(0, top)))))
-    return g.adjacency_masks(), block, sources, draw(st.integers(0, top)) & block
+    edges = [(u, v) for u, v in g.edges if block >> (u - 1) & block >> (v - 1) & 1]
+    return edges, block, sources, draw(st.integers(0, top)) & block
 
 
 def dense_glued_graphs() -> list:
@@ -409,10 +412,10 @@ class TestPairTallyForms:
         # each graph with every vertex as a source and with each side of a
         # bipartition, tracking none, its last vertex or all in turn
         for i, g in enumerate(all_graphs_upto(6)):
-            adj, top = g.adjacency_masks(), (1 << g.n) - 1
+            top = (1 << g.n) - 1
             tracked = (0, 1 << (g.n - 1), top)[i % 3]
             for sources in (top, *(mask(side) for side in bipartition_of(g) or ())):
-                tally_block(adj, top, sources, tracked)
+                tally_block(g.edges, top, sources, tracked)
 
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(tally_inputs(12))
@@ -426,11 +429,11 @@ class TestPairTallyForms:
         for s in range(7, 15):
             for bipartite in (False, True)[:2 - s % 2]:
                 g = hub_graph(rng, s, bipartite)
-                adj, top = g.adjacency_masks(), (1 << s) - 1
+                top = (1 << s) - 1
                 sides = [mask(side) for side in bipartition_of(g) or ()]
                 for tracked in (0, 1 << rng.randrange(s), top):
                     for sources in (top, *sides):
-                        tally_block(adj, top, sources, tracked)
+                        tally_block(g.edges, top, sources, tracked)
 
     def test_glued_blocks_with_hubs(self, monkeypatch):
         from sepgamma import matching
@@ -479,20 +482,19 @@ class TestPairTallyForms:
 
     def test_high_labels(self):
         # each block of the dense glued graphs and of K2,3, tracking its cut
-        # vertices, relabelled from 10,000 up in a graph that declares them:
-        # the order, and so every form, reads only the block's own vertices
+        # vertices, relabelled from 10,000 up: the order, and so every form,
+        # reads only the block's own vertices and edges
         shift = 9_999
         for g in dense_glued_graphs() + [complete_bipartite(2, 3)]:
-            high = Graph.make(g.n + shift, [(u + shift, v + shift) for u, v in g.edges])
-            adj, far = g.adjacency_masks(), high.adjacency_masks()
-            blocks = [mask(vertices) for _, vertices in classify(g).blocks]
+            blocks = [(mask(vertices), edges) for _, vertices, edges in classify(g).blocks]
             cuts = 0
-            for one, other in combinations(blocks, 2):
+            for (one, _), (other, _) in combinations(blocks, 2):
                 cuts |= one & other
             sides = [mask(side) for side in bipartition_of(g) or ()]
-            for block in blocks:
+            for block, edges in blocks:
+                far = [(u + shift, v + shift) for u, v in edges]
                 for sources in ((1 << g.n) - 1, *sides):
-                    low = tally_block(adj, block, sources, cuts & block)
+                    low = tally_block(edges, block, sources, cuts & block)
                     assert tally_block(far, block << shift, sources << shift,
                                        (cuts & block) << shift) == \
                         {m << shift: row for m, row in low.items()}, (g, block, sources)
@@ -637,6 +639,27 @@ class TestBlockLocalView:
             assert tiling_poly(high, X, [(tuple(v + shift for v in c), w)
                                          for c, w in tiles]) == tiling_poly(g, X, tiles), g
         assert seen == {"pairs", "subsets", "mask DP"}
+
+    def test_no_graph_adjacency_masks(self, monkeypatch):
+        # each view comes from the block's own edges in classify's record:
+        # neither the tiling nor the pair count, in either source mode,
+        # asks the graph for its n-bit adjacency masks
+        cases = []
+        for g in dense_glued_graphs() + [diamond_chain(4), complete_bipartite(2, 3),
+                                         grid_graph(3, 6)]:
+            sides = [None, *(bipartition_of(g) or ())]
+            cases.append((g, sides, tiling_poly(g, X),
+                          [matchable_pairs(g, side) for side in sides]))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("graph adjacency masks built")
+
+        monkeypatch.setattr(Graph, "adjacency_masks", unreachable)
+        for g, sides, tiling, pairs in cases:
+            cls = classify(g)
+            assert tiling_poly(g, X) == tiling_poly(g, X, (), cls) == tiling, g
+            assert [matchable_pairs(g, side) for side in sides] == pairs, g
+            assert [matchable_pairs(g, side, cls) for side in sides] == pairs, g
 
 
 class TestTilingPoly:

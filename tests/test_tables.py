@@ -10,10 +10,11 @@ from sepgamma import classify, complete_graph, path_graph, suspension_gamma_form
 
 def test_pair_form_table_runs_on_k4():
     g = complete_graph(4)
-    adj, block = g.adjacency_masks(), 0b1111
-    assert pair_form_table.rule(adj, block, block, 0b1000) == "subsets"
+    block = 0b1111
+    assert pair_form_table.rule(g.edges, block, block, 0b1000) == "subsets"
     for form in pair_form_table.FORMS:
-        assert pair_form_table.best_time(adj, [block], block, 0b1000, form, 1) >= 0
+        assert pair_form_table.best_time([(g.edges, block)], block, 0b1000, form, 1) >= 0
+    assert pair_form_table.views_time(classify(g).blocks, 1) >= 0
 
 
 def test_pack_table_runs_on_p10():
