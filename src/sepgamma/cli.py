@@ -337,7 +337,7 @@ def cmd_batch(args) -> int:
                 "gamma": res.gamma.coeff_text(),
                 "hstar": res.hstar.coeff_text(),
                 "volume": res.volume,
-                "real_rooted": _yn(check_properties(res.hstar).real_rooted),
+                "real_rooted": _yn(check_properties(res.hstar, res.gamma).real_rooted),
                 "agreement": agreement,
             })
         except SepGammaError as exc:

@@ -3,7 +3,10 @@
 Coefficients are Python ints or fractions.Fraction, never floats, so every
 operation in the library (gamma <-> h* transforms, Horner evaluation) is
 exact.  A single class covers both the integer and the rational case;
-Fractions that reduce to integers are normalized to int.  Real-rootedness
+Fractions that reduce to integers are normalized to int.  Both transforms
+work on coefficients 0..d//2 of the palindromic h* only, and both add
+binomial rows to that half with one helper (_add_row); the forward one
+packs a small integer gamma into one int instead.  Real-rootedness
 is decided by one Sturm chain over integer coefficient lists, which
 yields the verdict and the count of distinct real roots that the property
 report carries.  For a palindromic f of degree d that chain is gamma's,
@@ -35,12 +38,14 @@ MAX_HSTAR_BITS = 2 * 10 ** 8
 # 2^(w-1) in absolute value is read off its value at x = 2^w, one signed
 # w-bit slot per coefficient, so a product of polynomials is one product of
 # ints.  Both the formula's tiling and the gamma -> h* transform take that
-# route up to this slot width, where the tiling took 0.15 to 0.85 of the
-# CPU of the Poly arithmetic on paths, cycles, random cacti and diamond
-# chains (one core of a 2-core x86-64 host), and keep the Poly arithmetic
-# past it: the fold's ints grow as the slot width times the degree, and
-# from about 450 to 500 bits on the packed route loses
-# (tests/pack_table.py prints the ratios).
+# route up to this slot width, and past it the tiling keeps the Poly
+# arithmetic and the transform its half rows: the packed ints grow as the
+# slot width times the degree.  Below the limit the packed tiling took 0.15
+# to 0.85 of the CPU of the Polys on paths, cycles, random cacti and
+# diamond chains, and lost from about 450 to 500 bits; the packed transform
+# took 0.44 to 0.83 of the half rows' CPU, and 1.30 / 1.54 / 4.15 at 608 /
+# 808 / 2,008 bits.  So the limit sits at both crossovers (one core of a
+# 2-core x86-64 host; tests/pack_table.py prints the ratios).
 PACK_SLOT_BITS = 416
 
 
@@ -229,14 +234,6 @@ class Poly:
 # gamma <-> h* transforms
 # ---------------------------------------------------------------------------
 
-def one_plus_x_power(k: int) -> Poly:
-    """(1+x)^k via binomial coefficients, each from the one before."""
-    row = [1]
-    for i in range(k):
-        row.append(row[-1] * (k - i) // (i + 1))
-    return Poly(row)
-
-
 def check_hstar_size(d: int, gamma_bits: int = 1) -> None:
     """Raise BoundExceededError when sum_i gamma_i x^i (1+x)^(d-2i), with
     gamma's coefficients of up to gamma_bits bits, is estimated to hold
@@ -269,17 +266,33 @@ def _signed_slots(value: int, width: int, count: int) -> list:
             for i in range(0, size * count, size)]
 
 
+def _add_row(half: list, i: int, c, k: int) -> None:
+    """Add c C(k, j) to half[i + j] for j = 0..k//2: the coefficients of
+    c x^i (1+x)^k up to its middle, each binomial from the one before;
+    nothing when c = 0."""
+    if c:
+        b = 1
+        for j in range(k // 2 + 1):
+            half[i + j] += c * b
+            b = b * (k - j) // (j + 1)
+
+
 def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
     """Expand sum_i gamma_i x^i (1+x)^(d-2i).
 
-    With m = deg gamma this is (1+x)^(d-2m) sum_i gamma_i x^i (1+x)^(2(m-i)),
-    and the sum takes m Horner steps in (1+x)^2.  For an integer gamma whose
-    slot width w = d + bits(sum_i |gamma_i|) + 2 packs (_packed_width) the
-    steps run on the value at x = 2^w, each three shifts and adds of one
-    int: every coefficient of h* is at most sum_i |gamma_i| 2^d in absolute
-    value.  Otherwise each step is one pass of additions over the
-    coefficients.  Inverse of hstar_to_gamma on palindromic polynomials of
-    degree d.  Guarded by check_hstar_size.
+    With m = deg gamma and t = d - 2m this is the Horner sum
+    P_i = P_(i-1) (1+x)^2 + gamma_i x^i (1+x)^t, P_m = h*.  For an integer
+    gamma whose slot width w = d + bits(sum_i |gamma_i|) + 2 packs
+    (_packed_width) the steps run on the value at x = 2^w, each three
+    shifts and adds of one int, and one power of 2^w + 1 takes the
+    (1+x)^t: every coefficient of h* is at most sum_i |gamma_i| 2^d in
+    absolute value.  Otherwise every P_i is palindromic of degree t + 2i,
+    so only its coefficients 0..t//2 + i are kept: each factor (1+x) is
+    one pass of additions over them (from an odd degree the new middle
+    coefficient is twice the old one), gamma_i's row of (1+x)^t is added
+    at offset i (_add_row), and the half is mirrored at the end.  Inverse
+    of hstar_to_gamma on palindromic polynomials of degree d.  Guarded by
+    check_hstar_size.
     """
     m = gamma.degree
     if m > d // 2:
@@ -293,40 +306,33 @@ def gamma_to_hstar(gamma: Poly, d: int) -> Poly:
                 v += (v << width + 1) + (v << 2 * width) + (c << width * i)
             v *= ((1 << width) + 1) ** (d - 2 * m)
             return Poly(_signed_slots(v, width, d + 1))
-    out = []
+    t = d - 2 * m
+    half = [0] * (t // 2 + 1)
     for i, c in enumerate(gamma.coeffs):
-        # out * (1 + 2x + x^2) + c x^i
-        pad = [0, 0] + out + [0, 0]
-        out = [pad[k + 2] + 2 * pad[k + 1] + pad[k] for k in range(len(out) + 2)]
-        out[i] += c
-    return Poly(out) * one_plus_x_power(d - 2 * m)
+        for odd in (t % 2, 1 - t % 2) if i else ():  # from degree t + 2i - 2
+            half = [a + b for a, b in zip(half + half[-1:] * odd, [0] + half)]
+        _add_row(half, i, c, t)
+    return Poly(half + half[:(d + 1) // 2][::-1])
 
 
 def hstar_to_gamma(hstar: Poly) -> Poly:
     """Unique gamma with hstar = sum gamma_i x^i (1+x)^(d-2i), d = deg hstar.
 
-    For i = 0, 1, ..., d/2, gamma_i is coefficient i of what is left, and
-    gamma_i x^i (1+x)^(d-2i) is taken off it, each binomial an integer
-    from the one before.  Raises ValueError unless hstar is palindromic of
-    its own degree.
+    Only coefficients 0..d//2 of the palindromic hstar are read.  For
+    i = 0, 1, ..., d//2, gamma_i is coefficient i of what is left, and the
+    half of gamma_i x^i (1+x)^(d-2i) is taken off it (_add_row).  Raises
+    ValueError unless hstar is palindromic of its own degree.
     """
     if hstar.is_zero():
         raise ValueError("zero polynomial has no gamma expansion")
     if not hstar.is_palindromic():
         raise ValueError("not palindromic; gamma-polynomial undefined")
     d = hstar.degree
-    rem = list(hstar.coeffs)
+    half = list(hstar.coeffs[:d // 2 + 1])
     gamma = []
     for i in range(d // 2 + 1):
-        gi = rem[i]
-        gamma.append(gi)
-        if gi:
-            k, b = d - 2 * i, 1
-            for j in range(k + 1):
-                rem[i + j] -= gi * b
-                b = b * (k - j) // (j + 1)
-    if any(rem):  # cannot happen for palindromic input
-        raise ValueError("gamma expansion did not terminate")
+        gamma.append(half[i])
+        _add_row(half, i, -half[i], d - 2 * i)
     return Poly(gamma)
 
 
@@ -500,9 +506,10 @@ def _property_reports(f: Poly, gamma: Optional[Poly] = None) -> tuple:
             _report(gamma, inner, gamma_roots))
 
 
-def check_properties(f: Poly) -> PropertyReport:
+def check_properties(f: Poly, gamma: Optional[Poly] = None) -> PropertyReport:
     """Evaluate palindromicity, unimodality, log-concavity, gamma-positivity
     (with the gamma-polynomial attached when defined) and real-rootedness,
-    the last from the Sturm chain of gamma when f is palindromic.
+    the last from the Sturm chain of gamma when f is palindromic.  A
+    caller that already holds hstar_to_gamma(f) passes it as `gamma`.
     """
-    return _property_reports(f)[0]
+    return _property_reports(f, gamma)[0]

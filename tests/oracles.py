@@ -45,7 +45,9 @@ The rest are definitions and identities that no command runs, kept for the
 tests to hold the library to: the hypertree definition of the interior
 polynomial (Ohsugi-Tsuchiya identity I~(x) = sum_k |M(G,k)| x^k), the
 independence polynomial, the characteristic polynomial (the reference for
-the copy that verify's mu-bridge runs), the line graph, the
+the copy that verify's mu-bridge runs), the full binomial row (1+x)^k
+that the schoolbook gamma <-> h* references multiply by (the package
+adds rows on the palindromic half only), the line graph, the
 complement and the blow-up g[K_m] that compose the package's witness
 graph (the package builds it from its definition), the lexicographic
 product with any second graph, the matching polynomial, and the closed
@@ -1124,6 +1126,15 @@ def char_poly_adjacency(g: Graph) -> Poly:
         assert trace % k == 0
         coeffs[n - k] = -trace // k
     return Poly(coeffs)
+
+
+def one_plus_x_power(k: int) -> Poly:
+    """(1+x)^k via binomial coefficients, each from the one before: the
+    full row, which the transforms' schoolbook references multiply by."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return Poly(row)
 
 
 def compose(f: Poly, inner: Poly) -> Poly:

@@ -1,7 +1,8 @@
 """Print the tables behind polynomials.PACK_SLOT_BITS: the CPU of the
 packed route (Kronecker substitution: the fold on ints at x = 2^w, read off
-w-bit slots) over that of the Poly arithmetic, for the formula's tiling
-and for the gamma -> h* transform, by family, size and slot width.
+w-bit slots) over that of the route past the limit, for the formula's
+tiling (Poly arithmetic) and for the gamma -> h* transform (half rows), by
+family, size and slot width.
 
     PYTHONPATH=src python tests/pack_table.py [--reps 5] [--big]
 
@@ -10,10 +11,12 @@ fold and the read-off; the classification is made outside the timing) on
 paths, cycles, relabelled random cacti (blocks of 2 to 8 vertices, each
 hanging from a vertex built before it) and chains of diamonds (K4 less an
 edge, glued tip to tip).  The second times gamma_to_hstar(gamma, d) on the
-suspension gamma of the path on d vertices.  Each route is forced by
-setting the limit to 0 (Polys) or past every width (packed); each time is
-the best of `--reps` calls of time.process_time, and a ratio below 1 means
-the packed route wins.  `--big` adds n = 400 and 1,000 (about a minute).
+suspension gamma of the path on d vertices, packed against its half rows
+(binomial rows added on the palindromic half).  Each route is forced by
+setting the limit to 0 (Polys, half rows) or past every width (packed);
+each time is the best of `--reps` calls of time.process_time, and a ratio
+below 1 means the packed route wins.  `--big` adds n = 400 and 1,000
+(about a minute).
 """
 
 from __future__ import annotations
@@ -46,6 +49,14 @@ def best_time(call, limit: int, reps: int) -> float:
 
 def ratio(call, reps: int) -> float:
     return best_time(call, 1 << 60, reps) / best_time(call, 0, reps)
+
+
+def transform_row(d: int, reps: int) -> tuple:
+    """The slot bits and the ratio of gamma_to_hstar on the suspension
+    gamma of the path on d vertices."""
+    gamma = suspension_gamma_formula(path_graph(d))
+    bits = d + sum(map(abs, gamma.coeffs)).bit_length() + 2
+    return bits + -bits % 8, ratio(lambda: gamma_to_hstar(gamma, d), reps)
 
 
 def random_cactus(rng: random.Random, n: int) -> Graph:
@@ -83,13 +94,10 @@ def main() -> None:
             r = ratio(lambda: suspension_gamma_formula(g, cls), args.reps)
             print(f"{name:15} {g.n:5} {slot_bits(g, cls):9} {r:6.2f}")
     print()
-    print("gamma -> h*: packed / schoolbook CPU of gamma_to_hstar")
+    print("gamma -> h*: packed / half rows CPU of gamma_to_hstar")
     print(f"{'d':>5} {'slot bits':>9} {'ratio':>6}")
     for d in [22, 44, 100, 150, 200, 300] + ([400, 1000] if args.big else []):
-        gamma = suspension_gamma_formula(path_graph(d))
-        bits = d + sum(map(abs, gamma.coeffs)).bit_length() + 2
-        r = ratio(lambda: gamma_to_hstar(gamma, d), args.reps)
-        print(f"{d:5} {bits + -bits % 8:9} {r:6.2f}")
+        print("{:5} {:9} {:6.2f}".format(d, *transform_row(d, args.reps)))
 
 
 if __name__ == "__main__":

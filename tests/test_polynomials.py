@@ -7,11 +7,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from sepgamma import (BoundExceededError, Poly, PreconditionError, RealRoots,
                       check_properties, cycle_graph, gamma_to_hstar, hstar_to_gamma,
-                      polynomials, real_rootedness, solve)
-from sepgamma.polynomials import (_property_reports, _signed_slots,
-                                  check_hstar_size, one_plus_x_power)
+                      path_graph, polynomials, real_rootedness, solve,
+                      suspension_gamma_formula)
+from sepgamma.polynomials import _property_reports, _signed_slots, check_hstar_size
 
-from oracles import compose
+from oracles import compose, one_plus_x_power
 
 
 class TestArithmetic:
@@ -236,6 +236,37 @@ def test_gamma_to_hstar_round_trip(tail, head, extra):
     h = gamma_to_hstar(gamma, d)
     assert h == binomial_expansion(gamma, d)
     assert hstar_to_gamma(h) == gamma
+
+
+def test_half_rows_past_the_pack_limit(monkeypatch):
+    # both transforms against the schoolbook sum of binomial rows where the
+    # packed route does not reach: signed, zero and Fraction coefficients,
+    # d - 2m = 0, 1 and at least 500, m = 0 and 1 with d >= 1,000, and the
+    # suspension gamma of P1000
+    packed = []
+    monkeypatch.setattr(polynomials, "_signed_slots",
+                        lambda *args: packed.append(args) or _signed_slots(*args))
+    rng = random.Random(41)
+    # (coefficient, least m with t <= 1): an int gamma may pack below d = 416
+    kinds = [(lambda: rng.randrange(-10 ** 6, 10 ** 6), 250),
+             (lambda: rng.choice([0, 0, 1, -2]), 250),
+             (lambda: Fraction(rng.randrange(-50, 51), rng.randrange(1, 9)), 20)]
+    cases = [(Poly([1]), 1000), (Poly([-7]), 1001), (Poly([3, -1]), 1200),
+             (Poly([Fraction(1, 3), 0, 5]), 504), (Poly([0, 0, -5]), 505),
+             (suspension_gamma_formula(path_graph(1000)), 1000)]
+    for kind, least in kinds:
+        for t in (0, 1, 500, 501):
+            m = rng.randrange(1, 4) if t >= 500 else rng.randrange(least, least + 50)
+            gamma = Poly([kind() for _ in range(m)] + [rng.randrange(1, 9)])
+            cases.append((gamma, 2 * m + t))
+    for gamma, d in cases:
+        h = gamma_to_hstar(gamma, d)
+        assert h == binomial_expansion(gamma, d), (gamma.degree, d)
+        if gamma[0]:
+            assert hstar_to_gamma(h) == gamma
+    assert packed == []
+    # one row, then every gamma_i = 0 is skipped
+    assert hstar_to_gamma(one_plus_x_power(9000)) == Poly([1])
 
 
 rationals = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12))

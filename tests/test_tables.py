@@ -21,3 +21,4 @@ def test_pack_table_runs_on_p10():
     g = path_graph(10)
     cls = classify(g)
     assert pack_table.ratio(lambda: suspension_gamma_formula(g, cls), 1) > 0
+    assert pack_table.transform_row(10, 1)[1] > 0
