@@ -2,9 +2,7 @@
 symmetric edge polytopes (types A and B) from graphs, with every formula
 path cross-checkable against independent brute-force oracles."""
 
-from .engine import (ROUTES, SepResult, gamma_a_cut_sum, gamma_a_pairs,
-                     gamma_a_suspension, gamma_b, gamma_b_interior, solve,
-                     suspension_gamma_formula)
+from .engine import ROUTES, SepResult, solve
 from .errors import (BoundExceededError, GraphFormatError, PreconditionError,
                      SepGammaError, VerificationError)
 from .graphs import (Bipartition, Graph, GraphClassification, classify,
@@ -16,8 +14,8 @@ from .ehrhart import (EhrhartData, LatticePolytope, build_a, build_b,
                       count_points, ehrhart_data, h_representation,
                       hstar_from_counts)
 from .matching import matchable_pairs, tiling_poly
-from .polynomials import (Poly, PropertyReport, RealRoots, check_properties,
-                          gamma_to_hstar, hstar_to_gamma, real_rootedness)
+from .polynomials import (Poly, PropertyReport, RealRoots, gamma_to_hstar,
+                          hstar_to_gamma, property_reports, real_rootedness)
 from .spectral import mu_poly, verify_gamma_mu_bridge
 from .witness import FlagWitness, clique_f_poly, witness_a, witness_b
 

@@ -27,8 +27,7 @@ from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
 from .graphs import (Graph, classify, parse_graph, simple_cycles,
                      to_edge_list_text)
 from .matching import check_pair_count_bound
-from .polynomials import (Poly, PropertyReport, _property_reports,
-                          check_properties)
+from .polynomials import Poly, PropertyReport, property_reports
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -76,8 +75,10 @@ def _parse_bound_overrides(pairs) -> dict:
         if name not in BOUNDS:
             raise GraphFormatError(
                 f"unknown bound {name!r}; known: {', '.join(BOUNDS)}")
-        try:
-            out[name] = int(value)
+        try:  # int() alone takes signs, '_', spaces and any script's digits
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError
+            out[name] = int(value)  # raises past int()'s digit limit too
         except ValueError:
             raise GraphFormatError(f"bound value {value!r} is not an integer") from None
     return out
@@ -143,7 +144,7 @@ def cmd_solve(args) -> int:
     if check:
         # res.gamma, when defined, is the gamma of res.hstar: both reports
         # come from its one Sturm chain
-        hstar_rep, gamma_rep = _property_reports(res.hstar, res.gamma)
+        hstar_rep, gamma_rep = property_reports(res.hstar, res.gamma)
         doc["hstar properties"] = _properties_doc(hstar_rep, args.format)
         if res.gamma is not None:
             doc["gamma properties"] = _properties_doc(gamma_rep, args.format)
@@ -337,7 +338,7 @@ def cmd_batch(args) -> int:
                 "gamma": res.gamma.coeff_text(),
                 "hstar": res.hstar.coeff_text(),
                 "volume": res.volume,
-                "real_rooted": _yn(check_properties(res.hstar, res.gamma).real_rooted),
+                "real_rooted": _yn(property_reports(res.hstar, res.gamma)[0].real_rooted),
                 "agreement": agreement,
             })
         except SepGammaError as exc:

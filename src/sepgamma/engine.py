@@ -13,16 +13,19 @@ classification.  Before it runs, the h* guard is sized from a bound on
 the coefficients of gamma, not from n alone (_check_gamma_size); below
 polynomials.PACK_SLOT_BITS that bound also sets the slot width at which
 the fold runs on ints and gamma is read off one packed value.
-`solve` is the one dispatcher: ROUTES says which routes serve which
-polytope and what `auto` picks.  The Ehrhart route defines gamma exactly
+`solve` is the one public function and the one door to every route:
+ROUTES maps each polytope and method to a private route(g, cls, bounds),
+and says what `auto` picks.  The Ehrhart route defines gamma exactly
 when the oracle reports that its facets proved the polytope reflexive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional
 
+from .ehrhart import build_a, build_b, ehrhart_data
 from .errors import BoundExceededError, PreconditionError
 from .graphs import Graph, GraphClassification, classify, suspension
 from .interior import cut_sum_gamma
@@ -91,51 +94,48 @@ def _check_gamma_size(g: Graph, cls: GraphClassification, evens: list,
 
 
 # ---------------------------------------------------------------------------
-# Type A (suspension)
+# The routes: each is route(g, cls, bounds) -> SepResult
 # ---------------------------------------------------------------------------
 
-def suspension_gamma_formula(g: Graph, cls: Optional[GraphClassification] = None) -> Poly:
-    """gamma of the suspension polytope when no edge lies in two even
-    cycles:  g(G,2x) + sum_R (-2)^c(R) g(G-R,2x) x^(|E(R)|/2) over families
+def _formula_ahat(g: Graph, cls: Optional[GraphClassification],
+                  bounds: Optional[Mapping]) -> SepResult:
+    """Type A of the suspension by the matching formula, when no edge lies
+    in two even cycles: gamma is
+    g(G,2x) + sum_R (-2)^c(R) g(G-R,2x) x^(|E(R)|/2) over families
     R of vertex-disjoint even cycles: tiles 1, 2x and -2x^(|C|/2) per even
-    cycle C.  With no even cycle it is g(G,2x)."""
+    cycle C.  With no even cycle it is g(G,2x).  The polytope has
+    dimension n (the suspension is connected)."""
     cls = cls or classify(g)
     if not cls.unique_even_cycle_condition:
         raise PreconditionError("an edge lies in two even cycles; "
                                 "use the cut-sum route")
-    return _even_cycle_tiling(g, cls, 2, -2)
+    return _pack(_even_cycle_tiling(g, cls, 2, -2), g.n, "formula")
 
 
-def gamma_a_suspension(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
-    """Type-A result for the suspension of g by the matching formula.
-    The polytope has dimension n (the suspension is connected)."""
-    return _pack(suspension_gamma_formula(g, cls), g.n, "formula")
-
-
-def gamma_a_cut_sum(g: Graph, bounds: Optional[Mapping] = None) -> SepResult:
-    """Type-A result by the cut-sum formula, walked over every cut; valid
-    for every graph.  The oracle behind --method cuts."""
+def _cuts_ahat(g: Graph, cls: Optional[GraphClassification],
+               bounds: Optional[Mapping]) -> SepResult:
+    """The cut-sum formula, walked over every cut; valid for every graph."""
     return _pack(cut_sum_gamma(g, bounds), g.n, "cut_sum")
 
 
-def gamma_a_pairs(g: Graph, cls: Optional[GraphClassification] = None,
-                  bounds: Optional[Mapping] = None) -> SepResult:
-    """Type-A result by the cut-sum formula with its two sums swapped, valid
-    for every graph: gamma_k counts the ordered pairs of disjoint k-sets
-    whose crossing edges hold a perfect matching, half of them counted
-    twice, one block of g at a time.  Keeps the cut sum's method label;
-    its `cut-sum` guard bounds the largest block, not n."""
+def _auto_ahat(g: Graph, cls: Optional[GraphClassification],
+               bounds: Optional[Mapping]) -> SepResult:
+    """The matching formula when its even-cycle condition holds, else the
+    cut-sum formula with its two sums swapped: gamma_k counts the ordered
+    pairs of disjoint k-sets whose crossing edges hold a perfect matching,
+    half of them counted twice, one block of g at a time.  The pair count
+    keeps the cut sum's method label; its `cut-sum` guard bounds the
+    largest block, not n."""
     cls = cls or classify(g)
+    if cls.unique_even_cycle_condition:
+        return _formula_ahat(g, cls, bounds)
     check_pair_count_bound(cls, bounds, "cut-sum")
     return _pack(Poly(matchable_pairs(g, cls=cls)), g.n, "cut_sum")
 
 
-# ---------------------------------------------------------------------------
-# Type B
-# ---------------------------------------------------------------------------
-
-def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
-    """Type-B result for a bipartite cactus by the matching formula:
+def _formula_b(g: Graph, cls: Optional[GraphClassification],
+               bounds: Optional[Mapping]) -> SepResult:
+    """Type B of a bipartite cactus by the matching formula:
     g(G,4x) + sum_R (-1)^c(R) g(G-R,4x) (4x)^(|E(R)|/2), which is
     sum_k |M(G,k)| (4x)^k: the tiling with x per edge and -x^(|C|/2) per
     even cycle C counts |M(G,k)|, and is taken at 4x."""
@@ -147,9 +147,9 @@ def gamma_b(g: Graph, cls: Optional[GraphClassification] = None) -> SepResult:
     return _pack(_even_cycle_tiling(g, cls, 1, -1, 4), g.n, "formula")
 
 
-def gamma_b_interior(g: Graph, cls: Optional[GraphClassification] = None,
-                     bounds: Optional[Mapping] = None) -> SepResult:
-    """Type-B result for any bipartite graph: gamma = I~(4x), realized as
+def _interior_b(g: Graph, cls: Optional[GraphClassification],
+                bounds: Optional[Mapping]) -> SepResult:
+    """Type B of any bipartite graph: gamma = I~(4x), realized as
     sum_k |M(G,k)| (4x)^k, with |M(G,k)| the count of matchable pairs whose
     first set lies in one side, one block of g at a time.  Its
     `matched-sets` guard bounds the largest block, not n."""
@@ -161,42 +161,6 @@ def gamma_b_interior(g: Graph, cls: Optional[GraphClassification] = None,
     return _pack(gamma, g.n, "interior")
 
 
-# ---------------------------------------------------------------------------
-# The route table
-# ---------------------------------------------------------------------------
-
-def _oracle(g: Graph, polytope: str, bounds: Optional[Mapping]) -> SepResult:
-    """Result from lattice-point counts of the polytope (a = type A of g,
-    ahat = type A of its suspension, b = type B).  gamma is defined only
-    when the oracle's facets prove the polytope reflexive."""
-    from .ehrhart import build_a, build_b, ehrhart_data
-
-    if polytope == "b":
-        p = build_b(g, bounds)
-    else:
-        p = build_a(suspension(g) if polytope == "ahat" else g, bounds)
-    data = ehrhart_data(p, bounds)
-    dim = data.dim
-    # the suspension is connected on n + 1 vertices: any other dimension
-    # is a fault in building the polytope
-    if polytope == "ahat" and dim != g.n:
-        raise PreconditionError(
-            f"suspension polytope came out {dim}-dimensional, expected {g.n}")
-    hstar = data.hstar
-    gamma = hstar_to_gamma(hstar) if data.reflexive else None
-    return SepResult(gamma, hstar, hstar(1), dim, "ehrhart")
-
-
-def _auto_ahat(g: Graph, cls: Optional[GraphClassification],
-               bounds: Optional[Mapping]) -> SepResult:
-    """The matching formula when its even-cycle condition holds, else the
-    cut sum as a count of matchable pairs."""
-    cls = cls or classify(g)
-    if cls.unique_even_cycle_condition:
-        return ROUTES["ahat"]["formula"](g, cls, bounds)
-    return gamma_a_pairs(g, cls, bounds)
-
-
 def _auto_b(g: Graph, cls: Optional[GraphClassification],
             bounds: Optional[Mapping]) -> SepResult:
     """The matching formula on bipartite cacti, else the interior count."""
@@ -204,31 +168,38 @@ def _auto_b(g: Graph, cls: Optional[GraphClassification],
     if not cls.bipartite:
         raise PreconditionError("type-B polytope of a non-bipartite graph "
                                 "is not reflexive; only method=ehrhart applies")
-    return ROUTES["b"]["formula" if cls.cactus else "interior"](g, cls, bounds)
+    return (_formula_b if cls.cactus else _interior_b)(g, cls, bounds)
+
+
+def _oracle(polytope: str, g: Graph, cls: Optional[GraphClassification],
+            bounds: Optional[Mapping]) -> SepResult:
+    """Result from lattice-point counts of the polytope (a = type A of g,
+    ahat = type A of its suspension, b = type B).  gamma is defined only
+    when the oracle's facets prove the polytope reflexive."""
+    if polytope == "b":
+        p = build_b(g, bounds)
+    else:
+        p = build_a(suspension(g) if polytope == "ahat" else g, bounds)
+    data = ehrhart_data(p, bounds)
+    # the suspension is connected on n + 1 vertices: any other dimension
+    # is a fault in building the polytope
+    if polytope == "ahat" and data.dim != g.n:
+        raise PreconditionError("suspension polytope came out "
+                                f"{data.dim}-dimensional, expected {g.n}")
+    gamma = hstar_to_gamma(data.hstar) if data.reflexive else None
+    return SepResult(gamma, data.hstar, data.hstar(1), data.dim, "ehrhart")
 
 
 # polytope -> method -> route(g, cls, bounds).  A route classifies g only
 # when it needs to, and hands bounds on unchanged: each guarded function
 # reads its own limits from it, by their errors.BOUNDS names.
 ROUTES = {
-    "a": {
-        "auto": lambda g, cls, bounds: _oracle(g, "a", bounds),
-        "ehrhart": lambda g, cls, bounds: _oracle(g, "a", bounds),
-    },
-    "ahat": {
-        "auto": _auto_ahat,
-        "formula": lambda g, cls, bounds: gamma_a_suspension(g, cls),
-        "cuts": lambda g, cls, bounds: gamma_a_cut_sum(g, bounds),
-        "ehrhart": lambda g, cls, bounds: _oracle(g, "ahat", bounds),
-    },
-    "b": {
-        "auto": _auto_b,
-        "formula": lambda g, cls, bounds: gamma_b(g, cls),
-        "interior": lambda g, cls, bounds: gamma_b_interior(g, cls, bounds),
-        "ehrhart": lambda g, cls, bounds: _oracle(g, "b", bounds),
-    },
+    "a": dict.fromkeys(("auto", "ehrhart"), partial(_oracle, "a")),
+    "ahat": {"auto": _auto_ahat, "formula": _formula_ahat, "cuts": _cuts_ahat,
+             "ehrhart": partial(_oracle, "ahat")},
+    "b": {"auto": _auto_b, "formula": _formula_b, "interior": _interior_b,
+          "ehrhart": partial(_oracle, "b")},
 }
-
 
 def solve(g: Graph, polytope: str, method: str = "auto",
           cls: Optional[GraphClassification] = None,

@@ -9,7 +9,8 @@ binomial rows to that half with one helper (_add_row); the forward one
 packs a small integer gamma into one int instead.  Real-rootedness
 is decided by one Sturm chain over integer coefficient lists, which
 yields the verdict and the count of distinct real roots that the property
-report carries.  For a palindromic f of degree d that chain is gamma's,
+report carries; property_reports builds the reports of h* and of its
+gamma from one chain.  For a palindromic f of degree d that chain is gamma's,
 at half the degree: f(x) = (1+x)^d gamma(x/(1+x)^2), so f is real-rooted
 iff gamma is, with no root right of 1/4, and f has 2 real roots for each
 root of gamma below 1/4, the root 1 when gamma(1/4) = 0, and -1 when
@@ -138,21 +139,6 @@ class Poly:
                         out[j] += c * d
             return Poly(out)
         return Poly(tuple(c * other for c in self.coeffs))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __pow__(self, k: int) -> "Poly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = Poly.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def scale_arg(self, m) -> "Poly":
         """Substitute x -> m*x, i.e. return f(mx)."""
@@ -489,8 +475,10 @@ def _report(f: Poly, gamma: Optional[Poly], rr: RealRoots) -> PropertyReport:
     )
 
 
-def _property_reports(f: Poly, gamma: Optional[Poly] = None) -> tuple:
-    """The report of f and, when f is palindromic, the report of its gamma,
+def property_reports(f: Poly, gamma: Optional[Poly] = None) -> tuple:
+    """The report of f (palindromicity, unimodality, log-concavity,
+    gamma-positivity with the gamma-polynomial attached when defined, and
+    real-rootedness) and, when f is palindromic, the report of its gamma,
     both from one Sturm chain of gamma (at half the degree of f's); for
     any other f, its report by f's own chain and None.  A caller that
     already holds hstar_to_gamma(f) passes it as `gamma`."""
@@ -504,12 +492,3 @@ def _property_reports(f: Poly, gamma: Optional[Poly] = None) -> tuple:
     inner = hstar_to_gamma(gamma) if gamma.is_palindromic() else None
     return (_report(f, gamma, _roots_from_gamma(chain, gamma_roots, f.degree)),
             _report(gamma, inner, gamma_roots))
-
-
-def check_properties(f: Poly, gamma: Optional[Poly] = None) -> PropertyReport:
-    """Evaluate palindromicity, unimodality, log-concavity, gamma-positivity
-    (with the gamma-polynomial attached when defined) and real-rootedness,
-    the last from the Sturm chain of gamma when f is palindromic.  A
-    caller that already holds hstar_to_gamma(f) passes it as `gamma`.
-    """
-    return _property_reports(f, gamma)[0]

@@ -65,8 +65,8 @@ from typing import Iterable, Mapping, NamedTuple, Optional
 from sepgamma import (Bipartition, BoundExceededError, EhrhartData, Graph,
                       GraphClassification, LatticePolytope, Poly,
                       PreconditionError, VerificationError, classify,
-                      cycle_graph, gamma_a_suspension, h_representation,
-                      simple_cycles, tiling_poly)
+                      cycle_graph, h_representation, simple_cycles, solve,
+                      tiling_poly)
 from sepgamma.errors import bound
 from sepgamma.graphs import MAX_SIMPLE_CYCLES, cycle_edges
 
@@ -1065,9 +1065,7 @@ def _independence_on_mask(masks: list, mask: int, memo: dict) -> Poly:
         if d > best_deg:
             best_v, best_deg = v, d
     if best_deg == 0:
-        out = Poly.one() + Poly.monomial(1)
-        k = mask.bit_count()
-        out = out ** k
+        out = one_plus_x_power(mask.bit_count())
     else:
         v_bit = 1 << best_v
         out = (_independence_on_mask(masks, mask & ~v_bit, memo)
@@ -1227,7 +1225,7 @@ def wheel_closed_form(n: int) -> WheelData:
     for _ in range(n - 1):
         prev, cur = cur, 2 * cur + 2 * prev
     volume = cur - 2 if n % 2 == 0 else cur
-    return WheelData(gamma_a_suspension(cycle_graph(n)).gamma, volume)
+    return WheelData(solve(cycle_graph(n), "ahat", "formula").gamma, volume)
 
 
 def gamma_a_cycle_reference(n: int) -> Poly:

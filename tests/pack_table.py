@@ -6,8 +6,9 @@ family, size and slot width.
 
     PYTHONPATH=src python tests/pack_table.py [--reps 5] [--big]
 
-The first table times engine.suspension_gamma_formula (the guard, the
-fold and the read-off; the classification is made outside the timing) on
+The first table times engine._even_cycle_tiling(g, cls, 2, -2), the
+suspension gamma by the formula (the guard, the fold and the read-off;
+the classification is made outside the timing), on
 paths, cycles, relabelled random cacti (blocks of 2 to 8 vertices, each
 hanging from a vertex built before it) and chains of diamonds (K4 less an
 edge, glued tip to tip).  The second times gamma_to_hstar(gamma, d) on the
@@ -30,8 +31,8 @@ import time
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 from conftest import cactus_edges, diamond_chain  # noqa: E402
 
-from sepgamma import (Graph, classify, cycle_graph, gamma_to_hstar,  # noqa: E402
-                      path_graph, polynomials, suspension_gamma_formula)
+from sepgamma import (Graph, classify, cycle_graph, engine,  # noqa: E402
+                      gamma_to_hstar, path_graph, polynomials, solve)
 
 
 def best_time(call, limit: int, reps: int) -> float:
@@ -54,7 +55,7 @@ def ratio(call, reps: int) -> float:
 def transform_row(d: int, reps: int) -> tuple:
     """The slot bits and the ratio of gamma_to_hstar on the suspension
     gamma of the path on d vertices."""
-    gamma = suspension_gamma_formula(path_graph(d))
+    gamma = solve(path_graph(d), "ahat", "formula").gamma
     bits = d + sum(map(abs, gamma.coeffs)).bit_length() + 2
     return bits + -bits % 8, ratio(lambda: gamma_to_hstar(gamma, d), reps)
 
@@ -85,13 +86,13 @@ def main() -> None:
     families = [("path", path_graph), ("cycle", cycle_graph),
                 ("random cactus", lambda n: random_cactus(rng, n)),
                 ("diamond chain", lambda n: diamond_chain(n // 3))]
-    print("tiling: packed / Poly CPU of suspension_gamma_formula")
+    print("tiling: packed / Poly CPU of engine._even_cycle_tiling")
     print(f"{'family':15} {'n':>5} {'slot bits':>9} {'ratio':>6}")
     for name, make in families:
         for n in sizes:
             g = make(n)
             cls = classify(g)
-            r = ratio(lambda: suspension_gamma_formula(g, cls), args.reps)
+            r = ratio(lambda: engine._even_cycle_tiling(g, cls, 2, -2), args.reps)
             print(f"{name:15} {g.n:5} {slot_bits(g, cls):9} {r:6.2f}")
     print()
     print("gamma -> h*: packed / half rows CPU of gamma_to_hstar")

@@ -14,9 +14,8 @@ import pytest
 
 from sepgamma import (Graph, Poly, build_a, build_b, classify, complete_graph,
                       cut_sum_gamma, cycle_graph, ehrhart_data, empty_graph,
-                      gamma_a_cut_sum, gamma_a_suspension, gamma_b,
-                      gamma_b_interior, hstar_to_gamma, mu_poly, real_rootedness, solve, suspension,
-                      suspension_gamma_formula, tiling_poly,
+                      hstar_to_gamma, mu_poly, real_rootedness, solve, suspension,
+                      tiling_poly,
                       verify_gamma_mu_bridge, witness_a, witness_b)
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
@@ -61,7 +60,7 @@ class TestCriterion1KnownValues:
 
     def test_gamma_suspension_c3_and_witness(self):
         start = time.perf_counter()
-        res = gamma_a_suspension(cycle_graph(3))
+        res = solve(cycle_graph(3), "ahat", "formula")
         assert res.gamma == Poly([1, 6])
         fw = witness_a(cycle_graph(3))
         assert fw.witness_graph == empty_graph(6)
@@ -76,7 +75,7 @@ class TestCriterion1KnownValues:
         expected = {3: 20, 4: 54, 5: 152}
         for n in range(3, 11):
             wd = wheel_closed_form(n)
-            res = gamma_a_suspension(cycle_graph(n))
+            res = solve(cycle_graph(n), "ahat", "formula")
             assert wd.volume == res.volume == res.hstar(1)
             if n in expected:
                 assert wd.volume == expected[n]
@@ -87,8 +86,8 @@ class TestCriterion1KnownValues:
 
     def test_b_c4_three_ways(self):
         start = time.perf_counter()
-        formula = gamma_b(cycle_graph(4))
-        interior = gamma_b_interior(cycle_graph(4))
+        formula = solve(cycle_graph(4), "b", "formula")
+        interior = solve(cycle_graph(4), "b", "interior")
         oracle = ehrhart_data(build_b(cycle_graph(4)))
         assert formula.gamma == interior.gamma == Poly([1, 16, 16])
         assert formula.volume == interior.volume == 96
@@ -122,7 +121,7 @@ class TestCriterion2OracleEquivalence:
         for g, cls in corpus6:
             if not cls.unique_even_cycle_condition:
                 continue
-            gamma = suspension_gamma_formula(g, cls)
+            gamma = solve(g, "ahat", "formula", cls).gamma
             assert cut_sum_gamma(g) == gamma
             assert all(c >= 0 for c in gamma.coeffs)  # gamma-positivity
             checked += 1
@@ -137,20 +136,20 @@ class TestCriterion2OracleEquivalence:
         for g in [*all_graphs_upto(4), *atlas_graphs(5, min_n=5)]:
             cls = classify(g)
             if cls.connected:
-                res = gamma_a_cut_sum(g)
+                res = solve(g, "ahat", "cuts")
                 assert_sep_invariants(res)
                 oracle = solve(g, "ahat", "ehrhart")
                 assert oracle.hstar == res.hstar
                 if cls.unique_even_cycle_condition:
-                    assert gamma_a_suspension(g, cls).hstar == oracle.hstar
+                    assert solve(g, "ahat", "formula", cls).hstar == oracle.hstar
                 n_a += 1
             if cls.bipartite:
-                res_b = gamma_b_interior(g, cls=cls)
+                res_b = solve(g, "b", "interior", cls)
                 assert_sep_invariants(res_b)
                 oracle_b = ehrhart_data(build_b(g))
                 assert oracle_b.hstar == res_b.hstar
                 if cls.cactus:
-                    assert gamma_b(g, cls).hstar == oracle_b.hstar
+                    assert solve(g, "b", "formula", cls).hstar == oracle_b.hstar
                 n_b += 1
         elapsed = time.perf_counter() - start
         assert elapsed < 600
@@ -193,7 +192,7 @@ class TestCriterion3RealRootedness:
             cls = classify(g)
             if not cls.cactus:
                 continue
-            res = gamma_a_suspension(g, cls)
+            res = solve(g, "ahat", "formula", cls)
             assert real_rootedness(res.hstar).is_real_rooted
             assert real_rootedness(res.gamma).is_real_rooted
             assert all(c >= 0 for c in res.gamma.coeffs)
@@ -207,8 +206,8 @@ class TestCriterion3RealRootedness:
             cls = classify(g)
             if not (cls.cactus and cls.bipartite):
                 continue
-            res = gamma_b(g, cls)
-            assert res.gamma == gamma_b_interior(g, cls=cls).gamma
+            res = solve(g, "b", "formula", cls)
+            assert res.gamma == solve(g, "b", "interior", cls).gamma
             assert real_rootedness(res.hstar).is_real_rooted
             assert all(c >= 0 for c in res.gamma.coeffs)
             checked += 1
@@ -232,7 +231,7 @@ class TestCriterion4MuIdentities:
             assert mu_poly(g, uniform_weights(g, 0, cls)) == matching_poly(g)
             assert mu_poly(g, uniform_weights(g, 1, cls)) == \
                 char_poly_adjacency(g)
-            gamma = suspension_gamma_formula(g, cls)
+            gamma = solve(g, "ahat", "formula", cls).gamma
             assert verify_gamma_mu_bridge(g, gamma, cls)  # samples 1..n+1
             checked += 1
         print(f"\nCRITERION 4 PASS mu(G,0)=alpha, mu(G,1)=charpoly, and the "
@@ -247,7 +246,7 @@ class TestCriterion5FlagWitnesses:
                     len(c) % 2 == 0 for c in cls.simple_cycles):
                 continue
             fw = witness_a(g)
-            assert fw.f_poly == gamma_a_suspension(g, cls).gamma
+            assert fw.f_poly == solve(g, "ahat", "formula", cls).gamma
             checked += 1
         print(f"\nCRITERION 5a PASS witness f-poly = gamma(A of suspension) "
               f"on all {checked} even-cycle-free labeled graphs <= 6")
@@ -258,7 +257,7 @@ class TestCriterion5FlagWitnesses:
             if not cls.forest:
                 continue
             fw = witness_b(g)
-            assert fw.f_poly == gamma_b(g, cls).gamma
+            assert fw.f_poly == solve(g, "b", "formula", cls).gamma
             checked += 1
         print(f"\nCRITERION 5b PASS witness f-poly = gamma(B_G) on all "
               f"{checked} labeled forests <= 6")
@@ -276,14 +275,14 @@ class TestCriterion5FlagWitnesses:
 class TestCriterion6StructuralInvariants:
     def test_sep_invariants_across_methods(self):
         cases = [
-            gamma_a_suspension(cycle_graph(3)),
-            gamma_a_suspension(cycle_graph(4)),
-            gamma_a_cut_sum(complete_graph(4)),
+            solve(cycle_graph(3), "ahat", "formula"),
+            solve(cycle_graph(4), "ahat", "formula"),
+            solve(complete_graph(4), "ahat", "cuts"),
             solve(cycle_graph(4), "ahat", "ehrhart"),
-            gamma_b(cycle_graph(6)),
-            gamma_b_interior(Graph.make(6, [(u, v + 3) for u in (1, 2, 3)
-                                            for v in (1, 2, 3)])),
-            gamma_a_suspension(empty_graph(4)),
+            solve(cycle_graph(6), "b", "formula"),
+            solve(Graph.make(6, [(u, v + 3) for u in (1, 2, 3)
+                                 for v in (1, 2, 3)]), "b", "interior"),
+            solve(empty_graph(4), "ahat", "formula"),
         ]
         for res in cases:
             assert_sep_invariants(res)

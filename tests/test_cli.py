@@ -167,8 +167,9 @@ class TestGammaA:
 
     def test_bad_bound_override(self, c4_file, capsys):
         assert main(["gamma-a", c4_file, "--bound-override", "nope=3"]) == 1
-        assert main(["gamma-a", c4_file, "--bound-override", "cut-sum=x"]) == 1
-        capsys.readouterr()
+        for value in ("x", "1_0", "+5", " 7", "\u0663", "-1", ""):
+            assert main(["gamma-a", c4_file, "--bound-override", f"cut-sum={value}"]) == 1
+            assert f"bound value {value!r} is not an integer" in capsys.readouterr().err
         assert main(["gamma-a", c4_file, "--bound-override", "trees=1"]) == 1
         assert "unknown bound 'trees'" in capsys.readouterr().err
 
@@ -734,14 +735,14 @@ class TestVerify:
         from sepgamma import engine
         from sepgamma.polynomials import Poly
 
-        real = engine.gamma_a_cut_sum
+        real = engine.ROUTES["ahat"]["cuts"]
 
-        def broken(g, bounds=None):
-            res = real(g, bounds)
+        def broken(g, cls, bounds):
+            res = real(g, cls, bounds)
             return engine.SepResult(res.gamma + Poly([1]), res.hstar,
                                     res.volume, res.dim, res.method)
 
-        monkeypatch.setattr(engine, "gamma_a_cut_sum", broken)
+        monkeypatch.setitem(engine.ROUTES["ahat"], "cuts", broken)
         assert main(["verify", c4_file]) == 3
         assert "FAIL" in capsys.readouterr().out
 

@@ -7,11 +7,9 @@ import pytest
 from sepgamma import (ROUTES, BoundExceededError, Graph, Poly,
                       PreconditionError, build_a, classify, complete_bipartite,
                       complete_graph, count_points, cycle_graph, ehrhart_data,
-                      empty_graph, engine, gamma_a_cut_sum, gamma_a_pairs,
-                      gamma_a_suspension, gamma_b, gamma_b_interior,
-                      h_representation, hstar_to_gamma, path_graph, polynomials,
-                      solve, star_graph, suspension, suspension_gamma_formula,
-                      tiling_poly)
+                      empty_graph, engine, h_representation, hstar_to_gamma,
+                      matchable_pairs, path_graph, polynomials, solve,
+                      star_graph, suspension, tiling_poly)
 from sepgamma.matching import tiling_value
 from sepgamma.polynomials import _packed_width
 
@@ -19,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import all_graphs_upto, cactus_edges, diamond_chain, random_graph
 from oracles import (gamma_a_cycle_reference, gen_poly_reference, mask_tiling,
-                     matched_vertex_sets, wheel_closed_form)
+                     matched_vertex_sets, one_plus_x_power, wheel_closed_form)
 
 
 def check_sep_invariants(res):
@@ -31,37 +29,37 @@ def check_sep_invariants(res):
 
 class TestGammaASuspension:
     def test_c3(self):
-        res = gamma_a_suspension(cycle_graph(3))
+        res = solve(cycle_graph(3), "ahat", "formula")
         assert res.gamma == Poly([1, 6])
         assert res.hstar == Poly([1, 9, 9, 1])
         assert res.volume == 20 and res.dim == 3 and res.method == "formula"
         check_sep_invariants(res)
 
     def test_c4_with_correction(self):
-        res = gamma_a_suspension(cycle_graph(4))
+        res = solve(cycle_graph(4), "ahat", "formula")
         assert res.gamma == Poly([1, 8, 6]) and res.volume == 54
         check_sep_invariants(res)
 
     def test_edgeless_cross_polytope(self):
         for n in range(1, 6):
-            res = gamma_a_suspension(empty_graph(n))
+            res = solve(empty_graph(n), "ahat", "formula")
             assert res.gamma == Poly([1])
-            assert res.hstar == Poly([1, 1]) ** n
+            assert res.hstar == one_plus_x_power(n)
             assert res.volume == 1 << n
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):
-            gamma_a_suspension(complete_graph(4))
+            solve(complete_graph(4), "ahat", "formula")
 
     def test_noeven_variant(self):
         # with no even cycle the formula is g(G,2x) outright
-        res = gamma_a_suspension(cycle_graph(5))
+        res = solve(cycle_graph(5), "ahat", "formula")
         assert res.gamma == Poly([1, 10, 20])
         assert res.gamma == gen_poly_reference(cycle_graph(5)).scale_arg(2)
         for tree in (path_graph(4), star_graph(4)):
-            assert gamma_a_suspension(tree).gamma == \
+            assert solve(tree, "ahat", "formula").gamma == \
                 gen_poly_reference(tree).scale_arg(2)
-        assert gamma_a_suspension(Graph.make(2, [(1, 2)])).gamma == \
+        assert solve(Graph.make(2, [(1, 2)]), "ahat", "formula").gamma == \
             Poly([1, 2])
 
     def test_volume_matches_closed_sum(self):
@@ -79,7 +77,7 @@ class TestGammaASuspension:
                 sub = delete_vertices(g, fam.vertices()).graph
                 vol += ((-2) ** fam.c * Fraction(1 << g.n, 1 << fam.edge_count)
                         * gen_poly_reference(sub)(half))
-            assert gamma_a_suspension(g).volume == vol
+            assert solve(g, "ahat", "formula").volume == vol
             checked += 1
 
 
@@ -147,7 +145,7 @@ class TestDispatchA:
 
     def test_cut_sum_equals_formula(self):
         for g in (cycle_graph(3), cycle_graph(4), path_graph(4)):
-            assert gamma_a_cut_sum(g).gamma == gamma_a_suspension(g).gamma
+            assert solve(g, "ahat", "cuts").gamma == solve(g, "ahat", "formula").gamma
 
 
 class TestSolve:
@@ -178,35 +176,35 @@ class TestSolve:
 
 class TestGammaB:
     def test_c4(self):
-        res = gamma_b(cycle_graph(4))
+        res = solve(cycle_graph(4), "b", "formula")
         assert res.gamma == Poly([1, 16, 16]) and res.volume == 96
         assert res.dim == 4
         check_sep_invariants(res)
 
     def test_forest_reduces_to_gen_poly(self):
         for tree in (path_graph(3), path_graph(5), star_graph(4)):
-            assert gamma_b(tree).gamma == gen_poly_reference(tree).scale_arg(4)
+            assert solve(tree, "b", "formula").gamma == gen_poly_reference(tree).scale_arg(4)
 
     def test_single_edge(self):
-        res = gamma_b(Graph.make(2, [(1, 2)]))
+        res = solve(Graph.make(2, [(1, 2)]), "b", "formula")
         assert res.gamma == Poly([1, 4])
         assert res.hstar == Poly([1, 6, 1]) and res.volume == 8
 
     def test_preconditions(self):
         with pytest.raises(PreconditionError):
-            gamma_b(cycle_graph(3))  # not bipartite
+            solve(cycle_graph(3), "b", "formula")  # not bipartite
         k33 = Graph.make(6, [(u, v + 3) for u in (1, 2, 3) for v in (1, 2, 3)])
         with pytest.raises(PreconditionError):
-            gamma_b(k33)  # bipartite but not cactus
+            solve(k33, "b", "formula")  # bipartite but not cactus
 
     def test_interior_route(self):
-        assert gamma_b_interior(cycle_graph(4)).gamma == Poly([1, 16, 16])
-        assert gamma_b_interior(Graph.make(2, [(1, 2)])).gamma == Poly([1, 4])
-        res = gamma_b_interior(empty_graph(2))
+        assert solve(cycle_graph(4), "b", "interior").gamma == Poly([1, 16, 16])
+        assert solve(Graph.make(2, [(1, 2)]), "b", "interior").gamma == Poly([1, 4])
+        res = solve(empty_graph(2), "b", "interior")
         assert res.gamma == Poly([1]) and res.hstar == Poly([1, 2, 1])
         assert res.volume == 4
         with pytest.raises(PreconditionError):
-            gamma_b_interior(cycle_graph(5))
+            solve(cycle_graph(5), "b", "interior")
 
     def test_dispatch(self):
         k33 = Graph.make(6, [(u, v + 3) for u in (1, 2, 3) for v in (1, 2, 3)])
@@ -232,7 +230,7 @@ class TestClosedForms:
     def test_wheel_recurrence_vs_formula(self):
         for n in range(3, 11):
             wd = wheel_closed_form(n)
-            res = gamma_a_suspension(cycle_graph(n))
+            res = solve(cycle_graph(n), "ahat", "formula")
             assert wd.volume == res.volume
             assert wd.gamma == res.gamma
 
@@ -264,9 +262,9 @@ class TestOracleAgreement:
 
     def test_oracle_matches_formula_small(self):
         for g in (cycle_graph(3), cycle_graph(4), path_graph(4)):
-            assert solve(g, "ahat", "ehrhart").hstar == gamma_a_suspension(g).hstar
+            assert solve(g, "ahat", "ehrhart").hstar == solve(g, "ahat", "formula").hstar
         assert solve(cycle_graph(4), "b", "ehrhart").hstar == \
-            gamma_b(cycle_graph(4)).hstar
+            solve(cycle_graph(4), "b", "formula").hstar
 
     def test_cycle_reference_matches_oracle(self):
         # the binomial closed form for gamma(A of a plain cycle) pins the
@@ -284,7 +282,7 @@ class TestBMethodAgreementExhaustive:
             cls = classify(g)
             if not (cls.bipartite and cls.cactus):
                 continue
-            assert gamma_b(g).gamma == gamma_b_interior(g).gamma
+            assert solve(g, "b", "formula").gamma == solve(g, "b", "interior").gamma
             checked += 1
         assert checked > 3000
 
@@ -301,9 +299,9 @@ class TestHstarGuard:
                 continue
             evens = [c for c in cls.simple_cycles if len(c) % 2 == 0]
             count_bits = g.n + g.edge_count + len(evens) + 1
-            routes = [(suspension_gamma_formula(g, cls), 2, 1)]
+            routes = [(solve(g, "ahat", "formula", cls).gamma, 2, 1)]
             if cls.bipartite and cls.cactus:
-                routes.append((gamma_b(g, cls).gamma, 1, 4))
+                routes.append((solve(g, "b", "formula", cls).gamma, 1, 4))
             for gamma, edge, scale in routes:
                 total = sum(abs(c) for c in gamma.coeffs)
                 assert total.bit_length() <= count_bits, g
@@ -441,7 +439,7 @@ class TestPackedFormula:
                 g = Graph.make(n, cactus_edges(rng.randint, n))
                 res = solve(g, "ahat")
                 check_sep_invariants(res)
-                assert res.method == "formula" and res.gamma == gamma_a_pairs(g).gamma
+                assert res.method == "formula" and res.gamma == Poly(matchable_pairs(g))
                 h = subdivided(Graph.make(n // 2, cactus_edges(rng.randint, n // 2)))
                 res = solve(h, "b")
                 check_sep_invariants(res)

@@ -9,11 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_bipartite, complete_graph, cut_sum_gamma,
-                      cycle_graph, empty_graph, gamma_b, graphs,
-                      matchable_pairs, mu_poly,
-                      path_graph, real_rootedness, simple_cycles, solve,
-                      star_graph,
-                      suspension_gamma_formula, tiling_poly)
+                      cycle_graph, empty_graph, graphs, matchable_pairs,
+                      mu_poly, path_graph, real_rootedness, simple_cycles,
+                      solve, star_graph, tiling_poly)
 from sepgamma.matching import _bits, _block_order, _pair_tally, tiling_value
 
 from conftest import (all_graphs_upto, cactus_edges, diamond_chain, grid_graph,
@@ -103,15 +101,15 @@ class TestMatchedVertexSets:
         assert matched_sets_tiling(cycle_graph(4)) == [1, 4, 1]
         assert matched_sets_tiling(cycle_graph(3)) == [1, 3]
         assert matched_sets_tiling(cycle_graph(6))[3] == 1
-        assert gamma_b(cycle_graph(4)).gamma == Poly([1, 16, 16])
+        assert solve(cycle_graph(4), "b", "formula").gamma == Poly([1, 16, 16])
 
     def test_formula_precondition(self):
         # K_2,3 has every edge in two 4-cycles: neither formula applies
-        for formula in (suspension_gamma_formula, gamma_b):
+        for polytope in ("ahat", "b"):
             with pytest.raises(PreconditionError):
-                formula(complete_bipartite(2, 3))
+                solve(complete_bipartite(2, 3), polytope, "formula")
         with pytest.raises(PreconditionError):
-            suspension_gamma_formula(complete_graph(4))
+            solve(complete_graph(4), "ahat", "formula")
 
     def test_profile_invariants(self):
         rng = random.Random(47)
@@ -164,10 +162,10 @@ def check_against_oracles(g):
     cls = classify(g)
     assert tiling_poly(g, X) == gen_poly_reference(g)
     if cls.unique_even_cycle_condition:
-        assert suspension_gamma_formula(g, cls) == suspension_gamma_reference(g, cls)
+        assert solve(g, "ahat", "formula", cls).gamma == suspension_gamma_reference(g, cls)
     if cls.cactus:
         if cls.bipartite:
-            assert gamma_b(g, cls).gamma == \
+            assert solve(g, "b", "formula", cls).gamma == \
                 Poly(matched_sets_reference(g, cls)).scale_arg(4)
         weights = {c: Fraction(len(c), 3) for c in cls.simple_cycles}
         assert mu_poly(g, weights) == mu_poly_reference(g, weights, cls)
@@ -686,9 +684,11 @@ class TestTilingPoly:
         g, h = pair
         assert tiling_poly(g, X) == tiling_poly(h, X)
         cls_g, cls_h = classify(g), classify(h)
-        assert suspension_gamma_formula(g, cls_g) == suspension_gamma_formula(h, cls_h)
+        assert solve(g, "ahat", "formula", cls_g).gamma == \
+            solve(h, "ahat", "formula", cls_h).gamma
         if cls_g.bipartite:
-            assert gamma_b(g, cls_g).gamma == gamma_b(h, cls_h).gamma == \
+            assert solve(g, "b", "formula", cls_g).gamma == \
+                solve(h, "b", "formula", cls_h).gamma == \
                 Poly(matched_sets_reference(g, cls_g)).scale_arg(4)
 
     def test_large_sparse_graphs_at_the_default_recursion_limit(self):

@@ -150,3 +150,26 @@ def test_every_bound_names_a_guard():
              if isinstance(node, ast.Call)
              for arg in node.args if isinstance(arg, ast.Constant)}
     assert [name for name in BOUNDS if name not in named] == []
+
+
+def _tree(module: str):
+    return ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def test_solve_is_the_one_public_function_of_engine():
+    """Every route is reached through solve and ROUTES, not by a second
+    public door of its own."""
+    public = [node.name for node in _tree("engine").body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and not node.name.startswith("_")]
+    assert public == ["solve"]
+
+
+def test_cli_imports_no_private_code():
+    """The command line runs on the package's public names only."""
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(_tree("cli"))
+               if isinstance(node, ast.ImportFrom)
+               and (node.level == 1 or (node.module or "").split(".")[0] == "sepgamma")
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

@@ -7,8 +7,8 @@ import pytest
 
 from sepgamma import (Graph, Poly, PreconditionError, classify,
                       complete_graph, cut_sum_gamma, cycle_graph, empty_graph,
-                      matching, mu_poly, path_graph, real_rootedness, spectral,
-                      suspension_gamma_formula, verify_gamma_mu_bridge)
+                      matching, mu_poly, path_graph, real_rootedness, solve,
+                      spectral, verify_gamma_mu_bridge)
 
 from conftest import all_graphs_upto, atlas_graphs, count_calls, random_graph
 from oracles import char_poly_adjacency, matching_poly, uniform_weights
@@ -55,13 +55,12 @@ class TestMuPoly:
     def test_reversal_keeps_the_lone_vertices(self):
         # mu is x^n f(1/x): every lone vertex is a factor x, also when the
         # tiling f has no edge or tile at all
-        x = Poly.monomial(1)
         assert mu_poly(empty_graph(0), {}) == Poly.one()
-        assert mu_poly(empty_graph(3), {}) == x ** 3
+        assert mu_poly(empty_graph(3), {}) == Poly.monomial(3)
         triangle = {(1, 2, 3): Fraction(2, 3)}
         padded = Graph.make(5, [(1, 2), (2, 3), (1, 3)])
         assert mu_poly(padded, triangle) == \
-            x ** 2 * mu_poly(cycle_graph(3), triangle)
+            Poly.monomial(2) * mu_poly(cycle_graph(3), triangle)
 
     def test_one_cycle_listing(self, monkeypatch):
         # the caller's classification serves every helper: no second
@@ -76,7 +75,7 @@ class TestMuPoly:
             assert mu_poly(g, uniform_weights(g, 1, cls)) == \
                 char_poly_adjacency(g)
             if cls.cactus:
-                gamma = suspension_gamma_formula(g, cls)
+                gamma = solve(g, "ahat", "formula", cls).gamma
                 assert verify_gamma_mu_bridge(g, gamma, cls)
             assert classified == [] and len(searches) == searched
 
@@ -178,12 +177,12 @@ class TestBridge:
         real = matching._fold
 
         def tripled(g, cls, edge, tiles, one):
-            return real(g, cls, edge, [(c, 3 * w) for c, w in tiles], one)
+            return real(g, cls, edge, [(c, w * 3) for c, w in tiles], one)
 
         g = Graph.make(5, [(1, 2), (2, 3), (3, 4), (1, 4), (4, 5)])
-        assert verify_gamma_mu_bridge(g, suspension_gamma_formula(g))
+        assert verify_gamma_mu_bridge(g, solve(g, "ahat", "formula").gamma)
         monkeypatch.setattr(matching, "_fold", tripled)
-        gamma = suspension_gamma_formula(g)
+        gamma = solve(g, "ahat", "formula").gamma
         mu = mu_poly(g, {(1, 2, 3, 4): Fraction(1, 4)})  # t* = (-1/2)^2
         assert all(q ** 5 * gamma(Fraction(-1, 2 * q * q)) == mu(q)
                    for q in range(1, 7))

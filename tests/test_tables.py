@@ -5,7 +5,7 @@ input keeps them in step with it."""
 import pair_form_table
 import pack_table
 
-from sepgamma import classify, complete_graph, path_graph, suspension_gamma_formula
+from sepgamma import classify, complete_graph, engine, path_graph
 
 
 def test_pair_form_table_runs_on_k4():
@@ -20,5 +20,5 @@ def test_pair_form_table_runs_on_k4():
 def test_pack_table_runs_on_p10():
     g = path_graph(10)
     cls = classify(g)
-    assert pack_table.ratio(lambda: suspension_gamma_formula(g, cls), 1) > 0
+    assert pack_table.ratio(lambda: engine._even_cycle_tiling(g, cls, 2, -2), 1) > 0
     assert pack_table.transform_row(10, 1)[1] > 0
