@@ -2,7 +2,8 @@
 
 Subcommands: gamma-a, gamma-b, check, witness, analyze, batch, verify.
 Exit codes are a stable contract: 0 success, 1 parse/I-O or usage
-failure, 2 precondition failure, 3 verification mismatch, 4 resource bound.
+failure (a report that cannot be written to stdout included),
+2 precondition failure, 3 verification mismatch, 4 resource bound.
 
 Reports on stdout are byte-identical across runs on identical input;
 timing goes to stderr so it cannot break that.
@@ -26,8 +27,7 @@ from .errors import (BOUNDS, BoundExceededError, GraphFormatError,
                      PreconditionError, SepGammaError, VerificationError, bound)
 from .graphs import (Graph, classify, parse_graph, simple_cycles,
                      to_edge_list_text)
-from .matching import check_pair_count_bound
-from .polynomials import Poly, PropertyReport, property_reports
+from .polynomials import PropertyReport, check_hstar_size, property_reports
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -206,53 +206,46 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-def _agreement(name: str, p: Poly, q: Poly) -> tuple:
+def _compare(name: str, first, second, field: str) -> tuple:
+    """One check on two results of `run`: their `field` polynomials agree,
+    or the check is skipped on the reason the first missing one gives."""
+    why = next((r for r in (first, second) if isinstance(r, str)), None)
+    if why is not None:
+        return (name, None, why)
+    p, q = getattr(first, field), getattr(second, field)
     return (name, p == q, f"{p.coeff_text()} vs {q.coeff_text()}")
 
 
 def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
     """Run the cross-method suite; returns (name, status, detail) triples
     where status is pass | FAIL | skipped."""
-    checks = []
+    check_hstar_size(g.n)  # as solve does before every route: exit 4, not skips
     cls = classify(g)
-    cut_max = bound(bounds, "cut-sum")
 
-    # The formulas run when their preconditions hold, the guarded routes
-    # when the graph is within their bounds; otherwise the check is skipped.
-    res_formula = (engine.solve(g, "ahat", "formula", cls)
-                   if cls.unique_even_cycle_condition else None)
-    res_cuts = (engine.solve(g, "ahat", "cuts", cls, bounds)
-                if 0 < g.n <= cut_max else None)
-    if res_formula is None:
-        checks.append(("a-formula-vs-cuts", None, "even-cycle condition fails"))
-    elif res_cuts is None:
-        checks.append(("a-formula-vs-cuts", None,
-                       f"cut sum bound {cut_max}" if g.n else "no vertices"))
-    else:
-        checks.append(_agreement("a-formula-vs-cuts", res_formula.gamma, res_cuts.gamma))
+    def run(polytope: str, method: str, why=None):
+        """The route's result, or why it did not run: the precondition
+        `why` the classification gives, or the message of the route's
+        own guard."""
+        if why:
+            return why
+        try:
+            return engine.solve(g, polytope, method, cls, bounds)
+        except BoundExceededError as exc:
+            return str(exc)
 
-    res_b = None
-    if cls.bipartite:
-        try:  # the interior route's own guard, on the largest block
-            check_pair_count_bound(cls, bounds, "matched-sets")
-        except BoundExceededError:
-            res_b_int = None
-        else:
-            res_b_int = engine.solve(g, "b", "interior", cls, bounds)
-        res_b_formula = engine.solve(g, "b", "formula", cls) if cls.cactus else None
-        if res_b_formula is None:
-            checks.append(("b-formula-vs-interior", None, "not a cactus"))
-        elif res_b_int is None:
-            checks.append(("b-formula-vs-interior", None,
-                           f"matched-set bound {bound(bounds, 'matched-sets')}"))
-        else:
-            checks.append(_agreement("b-formula-vs-interior",
-                                     res_b_formula.gamma, res_b_int.gamma))
-        res_b = res_b_int or res_b_formula
-    else:
-        checks.append(("b-formula-vs-interior", None, "not bipartite"))
+    formula = run("ahat", "formula", None if cls.unique_even_cycle_condition
+                  else "even-cycle condition fails")
+    cuts = run("ahat", "cuts", None if g.n else "no vertices")
+    not_b = None if cls.bipartite else "not bipartite"
+    b_formula = run("b", "formula", not_b or (None if cls.cactus else "not a cactus"))
+    b_interior = run("b", "interior", not_b)
+    checks = [_compare("a-formula-vs-cuts", formula, cuts, "gamma"),
+              _compare("b-formula-vs-interior", b_formula, b_interior, "gamma")]
+    # the results the oracle checks: the formula, else the cut sum on
+    # type A; the interior count, else the formula on type B
+    best_a = next((r for r in (formula, cuts) if not isinstance(r, str)), None)
+    best_b = next((r for r in (b_interior, b_formula) if not isinstance(r, str)), None)
 
-    best_a = res_formula or res_cuts
     if best_a is not None:
         hs = best_a.hstar
         ok = (hs.is_palindromic() and hs.degree == best_a.dim
@@ -262,17 +255,14 @@ def _verify_checks(g: Graph, level: str, bounds: dict) -> list:
                        f"hstar={hs.coeff_text()} volume={best_a.volume}"))
 
     if level == "full":
-        if best_a is not None:
-            oracle_a = engine.solve(g, "ahat", "ehrhart", cls, bounds)
-            checks.append(_agreement("a-vs-ehrhart", best_a.hstar, oracle_a.hstar))
-        if res_b is not None:
-            oracle_b = engine.solve(g, "b", "ehrhart", cls, bounds)
-            checks.append(_agreement("b-vs-ehrhart", res_b.hstar, oracle_b.hstar))
-        if cls.cactus:
-            ok = spectral.verify_gamma_mu_bridge(g, res_formula.gamma, cls)
-            checks.append(("mu-bridge", ok, f"samples 1..{g.n + 1}"))
-        else:
-            checks.append(("mu-bridge", None, "not a cactus"))
+        for name, polytope, best in (("a-vs-ehrhart", "ahat", best_a),
+                                     ("b-vs-ehrhart", "b", best_b)):
+            if best is not None:
+                checks.append(_compare(name, best, run(polytope, "ehrhart"), "hstar"))
+        mu = formula if cls.cactus else "not a cactus"
+        checks.append(("mu-bridge", None, mu) if isinstance(mu, str) else
+                      ("mu-bridge", spectral.verify_gamma_mu_bridge(g, mu.gamma, cls),
+                       f"samples 1..{g.n + 1}"))
     return checks
 
 
@@ -437,6 +427,15 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         code = args.func(args)
+        sys.stdout.flush()  # a write that fails fails here, not at exit
+    except (BrokenPipeError, UnicodeEncodeError) as exc:
+        # stdout is closed or cannot encode the report; devnull takes what
+        # is still buffered, so the flush at exit raises nothing
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_PARSE
     except GraphFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

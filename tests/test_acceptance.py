@@ -17,6 +17,7 @@ from sepgamma import (Graph, Poly, build_a, build_b, classify, complete_graph,
                       hstar_to_gamma, mu_poly, real_rootedness, solve, suspension,
                       tiling_poly,
                       verify_gamma_mu_bridge, witness_a, witness_b)
+from sepgamma.cli import main
 
 from conftest import all_graphs_upto, atlas_graphs, random_graph
 from oracles import (bipartition_of, char_poly_adjacency,
@@ -213,6 +214,30 @@ class TestCriterion3RealRootedness:
             checked += 1
         print(f"\nCRITERION 3b PASS h*(B_G) real-rooted for all {checked} "
               f"bipartite cactus classes <= 7")
+
+    def test_b_hstar_not_real_rooted_on_theta_333(self, tmp_path, capsys):
+        # theta(3,3,3): two vertices joined by three paths of length 3.  It
+        # is bipartite but not a cactus, so outside the paper's theorem, and
+        # h*(B_G) has 4 real roots of 8; the oracle, past its facet guard,
+        # finds the same h*
+        path = tmp_path / "theta.txt"
+        path.write_text("1 2\n1 4\n1 5\n2 3\n3 8\n4 7\n5 6\n6 8\n7 8\n")
+        hstar = "hstar: [1, 44, 628, 3156, 5398, 3156, 628, 44, 1]\n"
+        assert main(["check", str(path), "--polytope", "b"]) == 0
+        out = capsys.readouterr().out
+        assert "method: interior\ngamma: [1, 36, 384, 1024, 256]\n" + hstar in out
+        assert "  real-rooted: NO\n  real-root-count: 4\n" in out
+        start = time.perf_counter()
+        assert main(["check", str(path), "--polytope", "b", "--method", "ehrhart",
+                     "--bound-override", "hrep-dim=8"]) == 0
+        elapsed = time.perf_counter() - start
+        assert hstar in capsys.readouterr().out
+        assert main(["verify", str(path), "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        for name in ("a-vs-ehrhart", "b-vs-ehrhart"):
+            assert f"{name}: skipped (facet enumeration in dimension 8 > 7)\n" in out
+        print(f"\nCRITERION 3d PASS h*(B_G) of theta(3,3,3) is not real-rooted "
+              f"(4 real roots of 8), the oracle agreeing ({elapsed:.2f}s)")
 
     def test_matching_poly_real_rooted_everywhere(self, atlas7):
         for g in atlas7:

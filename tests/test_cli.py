@@ -8,11 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from sepgamma import (Graph, cli, complete_bipartite, complete_graph, graphs,
-                      parse_graph, path_graph, polynomials, real_rootedness,
-                      solve, star_graph, to_edge_list_text)
+from sepgamma import (Graph, cli, complete_bipartite, complete_graph,
+                      cycle_graph, graphs, parse_graph, path_graph, polynomials,
+                      real_rootedness, solve, star_graph, to_edge_list_text)
 from sepgamma.cli import METHODS, main
 from sepgamma.engine import ROUTES
+from sepgamma.errors import BoundExceededError
 
 from conftest import count_calls
 from oracles import matched_vertex_sets
@@ -24,16 +25,21 @@ def write(tmp_path, name, text):
     return str(p)
 
 
+def child_env(**extra):
+    """The environment of a CLI child process, with this checkout's src
+    first on its path."""
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
+
+
 def run_limited(argv, megabytes):
     """The CLI on argv in a child process under an address-space limit."""
     import resource
 
     limit = megabytes << 20
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "sepgamma.cli", *argv],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=child_env(),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
 
 
@@ -275,14 +281,43 @@ class TestContract:
             (["gamma-a", c4_file, "--method", "cuts", "--bound-override", "hrep-dim=1"], 0),
             (["gamma-a", c4_file, "--method", "cuts"], 0),
         ]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]))
         for argv, code in requests:
             alone = subprocess.run([sys.executable, "-m", "sepgamma.cli", *argv],
-                                   capture_output=True, text=True, env=env)
+                                   capture_output=True, text=True, env=child_env())
             assert main(argv) == alone.returncode == code
             assert capsys.readouterr().out == alone.stdout
         assert len(built) == 1
+
+    @pytest.mark.parametrize("argv", [["analyze", "g.txt"], ["check", "g.txt"],
+                                      ["verify", "g.txt"], ["batch", "."]],
+                             ids=["analyze", "check", "verify", "batch"])
+    def test_closed_stdout_exits_1(self, tmp_path, argv):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails on a broken pipe
+        write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n")
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run([sys.executable, "-m", "sepgamma.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, cwd=tmp_path, env=child_env())
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert err[:1] == ["error: cannot write the report: [Errno 32] Broken pipe"]
+        assert len(err) == 2 and err[1].startswith("timing_ms: ")
+
+    def test_unencodable_report_exits_1(self, tmp_path):
+        path = write(tmp_path, "\u00e9.txt", "1 2\n2 3\n3 4\n4 1\n")
+        done = subprocess.run([sys.executable, "-m", "sepgamma.cli", "check", path],
+                              capture_output=True, text=True,
+                              env=child_env(PYTHONIOENCODING="ascii"))
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: cannot write the report: 'ascii' "
+                                      "codec can't encode character '\\xe9'")
+        assert "Traceback" not in done.stderr
 
     @pytest.mark.parametrize("command,polytope,method", METHOD_COMBINATIONS)
     def test_every_method_ends_with_a_contract_code(self, c4_file, capsys,
@@ -698,20 +733,49 @@ class TestVerify:
 
     def test_guarded_routes_skip_alike(self, c4_file, capsys):
         assert main(["verify", c4_file, "--bound-override", "cut-sum=3"]) == 0
-        assert "a-formula-vs-cuts: skipped (cut sum bound 3)" in \
+        assert "a-formula-vs-cuts: skipped (cut sum over 4 > 3 vertices)" in \
             capsys.readouterr().out
         assert main(["verify", c4_file, "--bound-override", "matched-sets=3"]) == 0
         out = capsys.readouterr().out
         assert "a-formula-vs-cuts: pass" in out
-        assert "b-formula-vs-interior: skipped (matched-set bound 3)" in out
+        assert "b-formula-vs-interior: skipped " \
+            "(pair count over a block of 4 > 3 vertices)" in out
 
     def test_interior_skip_reads_the_largest_block(self, tmp_path, capsys):
         # two 4-cycles sharing a vertex: 7 vertices, blocks of 4
         path = write(tmp_path, "g.txt", "1 2\n2 3\n3 4\n4 1\n4 5\n5 6\n6 7\n7 4\n")
         for bound, line in (("4", "b-formula-vs-interior: pass"),
-                            ("3", "b-formula-vs-interior: skipped (matched-set bound 3)")):
+                            ("3", "b-formula-vs-interior: skipped "
+                                  "(pair count over a block of 4 > 3 vertices)")):
             assert main(["verify", path, "--bound-override", f"matched-sets={bound}"]) == 0
             assert line in capsys.readouterr().out
+
+    @pytest.mark.parametrize("g", [path_graph(8), cycle_graph(9)], ids=["P8", "C9"])
+    def test_full_skips_what_the_oracle_refuses(self, g, tmp_path, capsys):
+        # the oracle's facet search stops at dimension 7; the suspension
+        # of G has dimension n
+        path = write(tmp_path, "g.txt", to_edge_list_text(g))
+        refused = f"facet enumeration in dimension {g.n} > 7"
+        assert main(["verify", path, "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        assert f"a-vs-ehrhart: skipped ({refused})\n" in out
+        for name in ("a-formula-vs-cuts", "a-hstar-invariants", "mu-bridge"):
+            assert f"{name}: pass\n" in out
+        assert main(["verify", path, "--level", "full", "--format", "structured"]) == 0
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks["a-vs-ehrhart"]["status"] == "skipped"
+        assert checks["a-vs-ehrhart"]["detail"] == refused
+
+    def test_refused_formula_skips_its_checks(self, c4_file, capsys, monkeypatch):
+        def refused(g, cls, bounds):
+            raise BoundExceededError("formula refused")
+
+        monkeypatch.setitem(ROUTES["ahat"], "formula", refused)
+        assert main(["verify", c4_file, "--level", "full"]) == 0
+        out = capsys.readouterr().out
+        for name in ("a-formula-vs-cuts", "mu-bridge"):
+            assert f"{name}: skipped (formula refused)\n" in out
+        assert "a-vs-ehrhart: pass\n" in out  # on the cut sum's h*
 
     def test_empty_graph(self, tmp_path, capsys):
         empty = write(tmp_path, "empty.txt", "")
